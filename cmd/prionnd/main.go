@@ -137,6 +137,9 @@ type predictResponse struct {
 type engine interface {
 	Predict(ctx context.Context, req serve.Request) (cluster.Response, error)
 	Stop(ctx context.Context) error
+	// View is the currently published snapshot (nil if none); /readyz
+	// consults it under -no-fallback.
+	View() *prionn.Inference
 	// StatsJSON is marshaled for GET /stats; StatsText is the block the
 	// -stats ticker and the shutdown path print.
 	StatsJSON() any
@@ -158,6 +161,7 @@ func (e *singleEngine) Predict(ctx context.Context, req serve.Request) (cluster.
 	return cluster.Response{Pred: resp.Pred, FromModel: resp.FromModel, Replica: -1}, err
 }
 func (e *singleEngine) Stop(ctx context.Context) error { return e.srv.Stop(ctx) }
+func (e *singleEngine) View() *prionn.Inference        { return e.srv.View() }
 func (e *singleEngine) StatsJSON() any {
 	// The embedded snapshot keeps its fields at the top level of the
 	// /stats document, so existing consumers are unaffected.
@@ -180,6 +184,7 @@ func (e *clusterEngine) Predict(ctx context.Context, req serve.Request) (cluster
 	return e.cl.Predict(ctx, req)
 }
 func (e *clusterEngine) Stop(ctx context.Context) error { return e.cl.Stop(ctx) }
+func (e *clusterEngine) View() *prionn.Inference        { return e.cl.View() }
 func (e *clusterEngine) StatsJSON() any {
 	return struct {
 		cluster.Snapshot
@@ -322,7 +327,6 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 		eng:         eng,
 		pilot:       pl,
 		clusterMode: *replicas > 1,
-		hasSnapshot: view != nil,
 		noFallback:  *noFallback,
 		reqTimeout:  *reqTimeout,
 		drainGrace:  *drainGrace,
@@ -510,7 +514,6 @@ func runDemo(eng engine, all []trace.Job, total, clients int, stdout io.Writer, 
 type daemon struct {
 	eng         engine
 	clusterMode bool
-	hasSnapshot bool
 	noFallback  bool
 	reqTimeout  time.Duration
 	drainGrace  time.Duration
@@ -525,6 +528,14 @@ type daemon struct {
 	// draining flips once shutdown begins; /readyz reports 503 from then
 	// on while /healthz (liveness) stays 200 until the process exits.
 	draining atomic.Bool
+}
+
+// hasTrainedView reports whether the engine currently publishes a
+// trained snapshot, so -no-fallback readiness follows the pilot's
+// promotions and not just the start-up view.
+func (d *daemon) hasTrainedView() bool {
+	v := d.eng.View()
+	return v != nil && v.Trained()
 }
 
 // statsText is the block the -stats ticker and the shutdown path print:
@@ -577,7 +588,7 @@ func (d *daemon) serveHTTP(addr string, statsEvery time.Duration, stdout io.Writ
 		switch {
 		case d.draining.Load():
 			http.Error(w, "draining", http.StatusServiceUnavailable)
-		case d.noFallback && !d.hasSnapshot:
+		case d.noFallback && !d.hasTrainedView():
 			http.Error(w, "no trained snapshot published", http.StatusServiceUnavailable)
 		default:
 			_, _ = io.WriteString(w, "ready\n")

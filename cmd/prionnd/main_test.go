@@ -425,8 +425,9 @@ func TestRunHTTPRequestTimeout504(t *testing.T) {
 // — the stream crosses -retrain-every, the candidate passes the shadow
 // gate (trivially: no baseline yet), is promoted by the pipeline's
 // ticker, and /predict flips from the requested-runtime fallback to
-// model predictions. /stats carries the pipeline object throughout and
-// the retrain checkpoint materializes on disk.
+// model predictions — as does /readyz, 503 → 200 under -no-fallback.
+// /stats carries the pipeline object throughout and the retrain
+// checkpoint materializes on disk.
 func TestRunHTTPPipeline(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	ckpt := t.TempDir() + "/retrain.ckpt"
@@ -441,7 +442,7 @@ func TestRunHTTPPipeline(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		code = run([]string{"-addr", "127.0.0.1:0", "-jobs", "0", "-scale", "tiny", "-seed", "5",
-			"-retrain-every", "10", "-shadow-window", "8", "-retrain-ckpt", ckpt},
+			"-retrain-every", "10", "-shadow-window", "8", "-retrain-ckpt", ckpt, "-no-fallback"},
 			&stdout, &stderr, func(addr string, stop func()) { readyCh <- started{addr, stop} })
 	}()
 
@@ -473,6 +474,20 @@ func TestRunHTTPPipeline(t *testing.T) {
 	}
 	if pr := predictOnce(); pr.FromModel {
 		t.Fatalf("untrained daemon must serve the fallback: %+v", pr)
+	}
+	// -no-fallback: not ready until the pilot publishes a trained
+	// snapshot, ready from then on.
+	readyz := func() int {
+		t.Helper()
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz before the first promotion = %d, want 503", code)
 	}
 	pipelineStats := func() map[string]interface{} {
 		t.Helper()
@@ -542,6 +557,9 @@ func TestRunHTTPPipeline(t *testing.T) {
 	}
 	if pr := predictOnce(); !pr.FromModel {
 		t.Fatalf("post-promotion prediction still a fallback: %+v", pr)
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("readyz after the first promotion = %d, want 200", code)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("retrain checkpoint missing after a training event: %v", err)

@@ -8,12 +8,11 @@
 // flowing into data, and completion-order channel aggregation — plus
 // the interprocedural concurrency/resource checks built on the package
 // call graph: broken context chains, leaked arena buffers, mutexes
-// held across blocking operations, violated //prionnvet:confined
-// contracts, mixed atomic/plain access, inconsistently guarded fields,
-// lock-order deadlock cycles, goroutines that can never terminate, and
-// WaitGroup protocol violations. The checkers share an SSA-lite
-// def-use index, a memoized call graph, and a lockset engine; see
-// DESIGN.md §6.
+// held across blocking operations, mixed atomic/plain access,
+// inconsistently guarded fields, lock-order deadlock cycles, goroutines
+// that can never terminate, and WaitGroup protocol violations. The
+// checkers share an SSA-lite def-use index, a memoized call graph, and
+// a lockset engine; see DESIGN.md §6.
 //
 // Usage:
 //

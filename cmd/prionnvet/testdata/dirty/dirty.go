@@ -136,28 +136,6 @@ func (s *store) Save(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o600)
 }
 
-type engine struct{ state int }
-
-//prionnvet:confined
-func (e *engine) predict() int {
-	e.state++
-	return e.state
-}
-
-// TwoSites trips confined-call.
-func TwoSites(e *engine, wg *sync.WaitGroup) {
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		e.predict()
-	}()
-	go func() {
-		defer wg.Done()
-		e.predict()
-	}()
-	wg.Wait()
-}
-
 var total int64
 
 func BumpAtomic() {

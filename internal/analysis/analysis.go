@@ -87,12 +87,6 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// Confined is the loader's registry of //prionnvet:confined
-	// annotations: function objects (from this package or any
-	// module-internal dependency the loader type-checked) whose calls
-	// the confined-call checker gates. May be nil.
-	Confined map[*types.Func]bool
-
 	// funcs memoizes the dataflow analysis (see FuncInfos): every
 	// checker running over the same Pass shares one def-use computation.
 	funcs []*FuncInfo
@@ -154,7 +148,6 @@ func All() []Checker {
 		CtxPropagation{},
 		ArenaLeak{},
 		LockHeldIO{},
-		ConfinedCall{},
 		AtomicPlainMix{},
 		GuardedField{},
 		LockOrderCycle{},

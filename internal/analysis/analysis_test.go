@@ -207,32 +207,6 @@ func TestLoaderModuleResolution(t *testing.T) {
 	}
 }
 
-// TestLoaderConfinedRegistry pins the cross-package annotation path:
-// loading internal/serve pulls internal/prionn through the loader's
-// own ImportFrom, whose LoadDir scans //prionnvet:confined doc
-// comments into the shared registry — so a pass over serve sees the
-// Inference prediction methods declared in prionn.
-func TestLoaderConfinedRegistry(t *testing.T) {
-	loader, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := loader.LoadDir(filepath.Join("..", "serve"))
-	if err != nil {
-		t.Fatalf("LoadDir(internal/serve): %v", err)
-	}
-	pass := pkg.Pass(loader.Fset)
-	got := map[string]bool{}
-	for fn := range pass.Confined {
-		got[fn.Name()] = true
-	}
-	for _, want := range []string{"PredictMapped", "Predict", "PredictOne"} {
-		if !got[want] {
-			t.Errorf("confined registry missing Inference.%s; has %v", want, got)
-		}
-	}
-}
-
 // TestByName covers lookup, including the failure path the CLI relies on
 // for its -checks validation.
 func TestByName(t *testing.T) {

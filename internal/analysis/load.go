@@ -22,19 +22,11 @@ type Package struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
-	// Confined is a snapshot of the loader's //prionnvet:confined
-	// registry taken when this package finished loading: annotations
-	// from the package itself and from every dependency the loader
-	// type-checked before it (the loader resolves module-internal
-	// imports itself, making *types.Func identities stable across
-	// packages). A snapshot — not the live registry — so a Pass can be
-	// read while another goroutine keeps loading packages.
-	Confined map[*types.Func]bool
 }
 
 // Pass returns the analysis pass view of the package.
 func (p *Package) Pass(fset *token.FileSet) *Pass {
-	return &Pass{Fset: fset, Files: p.Files, Pkg: p.Pkg, Info: p.Info, Confined: p.Confined}
+	return &Pass{Fset: fset, Files: p.Files, Pkg: p.Pkg, Info: p.Info}
 }
 
 // Loader parses and type-checks packages using only the standard
@@ -54,13 +46,12 @@ type Loader struct {
 	// mu serializes all loading: LoadDir and ImportFrom lock it, the
 	// unlocked internals (loadDir, importFrom) do the work, and go/types
 	// re-enters through loaderImporter — a separate type, so the
-	// type-checker's recursive imports never try to re-lock. The byDir,
-	// byPath, and confined maps are only touched with mu held.
-	mu       sync.Mutex
-	std      types.ImporterFrom
-	byPath   map[string]*Package
-	byDir    map[string]*Package
-	confined map[*types.Func]bool
+	// type-checker's recursive imports never try to re-lock. The byDir
+	// and byPath maps are only touched with mu held.
+	mu     sync.Mutex
+	std    types.ImporterFrom
+	byPath map[string]*Package
+	byDir  map[string]*Package
 }
 
 // NewLoader returns a loader rooted at moduleRoot. If moduleRoot
@@ -69,11 +60,10 @@ type Loader struct {
 func NewLoader(moduleRoot string) (*Loader, error) {
 	fset := token.NewFileSet()
 	l := &Loader{
-		Fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		byPath:   map[string]*Package{},
-		byDir:    map[string]*Package{},
-		confined: map[*types.Func]bool{},
+		Fset:   fset,
+		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		byPath: map[string]*Package{},
+		byDir:  map[string]*Package{},
 	}
 	if moduleRoot != "" {
 		abs, err := filepath.Abs(moduleRoot)
@@ -110,7 +100,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//prionnvet:ignore lock-held-io -- loading IS the critical section: mu serializes parse+typecheck over the shared memo/confined maps, and no other lock is ever taken under it
+	//prionnvet:ignore lock-held-io -- loading IS the critical section: mu serializes parse+typecheck over the shared memo maps, and no other lock is ever taken under it
 	return l.importFrom(path, dir, mode)
 }
 
@@ -146,7 +136,7 @@ func (l *Loader) importFrom(path, dir string, mode types.ImportMode) (*types.Pac
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//prionnvet:ignore lock-held-io -- loading IS the critical section: mu serializes parse+typecheck over the shared memo/confined maps, and no other lock is ever taken under it
+	//prionnvet:ignore lock-held-io -- loading IS the critical section: mu serializes parse+typecheck over the shared memo maps, and no other lock is ever taken under it
 	return l.loadDir(dir)
 }
 
@@ -189,18 +179,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		delete(l.byDir, abs)
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", abs, err)
 	}
-	for fn := range scanConfinedFiles(files, info) {
-		l.confined[fn] = true
-	}
-	// Snapshot the registry: a package's relevant annotations come from
-	// itself and its dependencies, all loaded (under mu) before this
-	// point, so the copy is complete for this package — and immutable,
-	// so a Pass over it is safe against later concurrent loads.
-	confined := make(map[*types.Func]bool, len(l.confined))
-	for fn := range l.confined {
-		confined[fn] = true
-	}
-	pkg := &Package{Dir: abs, ImportPath: importPath, Files: files, Pkg: tpkg, Info: info, Confined: confined}
+	pkg := &Package{Dir: abs, ImportPath: importPath, Files: files, Pkg: tpkg, Info: info}
 	l.byDir[abs] = pkg
 	l.byPath[importPath] = pkg
 	return pkg, nil

@@ -175,16 +175,13 @@ func TestPackageDirsSkipSet(t *testing.T) {
 
 // TestLoaderConcurrentLoad pins the loader's race safety under `go
 // test -race`: one loader, several goroutines, two package trees that
-// share a dependency carrying a //prionnvet:confined annotation. Every
-// structure this exercises — the byDir memo (with its nil cycle
-// guard), byPath, and the confined registry — was mutated bare before
-// the loads were serialized on Loader.mu.
+// share a dependency. Both structures this exercises — the byDir memo
+// (with its nil cycle guard) and byPath — were mutated bare before the
+// loads were serialized on Loader.mu.
 func TestLoaderConcurrentLoad(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"go.mod": "module demo\n\ngo 1.22\n",
-		"shared/shared.go": "package shared\n\n" +
-			"//prionnvet:confined -- scratch buffer reuse\n" +
-			"func Scratch() {}\n",
+		"go.mod":           "module demo\n\ngo 1.22\n",
+		"shared/shared.go": "package shared\n\nfunc Scratch() {}\n",
 		"alpha/alpha.go": "package alpha\n\nimport \"demo/shared\"\n\n" +
 			"func UseA() { shared.Scratch() }\n",
 		"beta/beta.go": "package beta\n\nimport \"demo/shared\"\n\n" +
@@ -206,17 +203,8 @@ func TestLoaderConcurrentLoad(t *testing.T) {
 			wg.Add(1)
 			go func(dir string) {
 				defer wg.Done()
-				pkg, err := loader.LoadDir(dir)
-				if err != nil {
-					errs <- err
-					return
-				}
-				// Reading the snapshot must be safe while other
-				// goroutines keep loading.
-				for fn := range pkg.Confined {
-					_ = fn.Name()
-				}
-				errs <- nil
+				_, err := loader.LoadDir(dir)
+				errs <- err
 			}(dir)
 		}
 	}
@@ -227,20 +215,19 @@ func TestLoaderConcurrentLoad(t *testing.T) {
 			t.Fatalf("concurrent LoadDir: %v", err)
 		}
 	}
-	// Both dependents' snapshots must contain the shared annotation.
+	// The memo held: both dependents import the one type-checked shared
+	// package, not a copy each.
+	shared, err := loader.LoadDir(dirs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, dir := range dirs[:2] {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := false
-		for fn := range pkg.Confined {
-			if fn.Name() == "Scratch" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s snapshot is missing the shared //prionnvet:confined annotation", filepath.Base(dir))
+		if imps := pkg.Pkg.Imports(); len(imps) != 1 || imps[0] != shared.Pkg {
+			t.Errorf("%s imports %v, want the memoized demo/shared", filepath.Base(dir), imps)
 		}
 	}
 }

@@ -19,8 +19,7 @@ import (
 // Error-rate or disagreement-rate spikes roll the canary back
 // automatically — the candidate never touches non-canary traffic — and
 // a healthy observation budget makes it PromoteReady, at which point
-// PromoteCanary publishes it cluster-wide through the all-or-nothing
-// Swap.
+// PromoteCanary publishes it cluster-wide through Swap.
 
 // CanaryConfig tunes one canary deployment. The zero value of every
 // field gets a sensible default from withDefaults.
@@ -112,9 +111,8 @@ type CanaryStatus struct {
 // Running → PromoteReady) and from the ctl-locked control plane, so a
 // rollback decided mid-request wins over a concurrent promotion check.
 type canaryState struct {
-	cfg  CanaryConfig
-	view *prionn.Inference // candidate source; PromoteCanary swaps it in
-	srv  *serve.Server     // serves a private clone of view
+	cfg CanaryConfig
+	srv *serve.Server // holds the candidate; PromoteCanary swaps its view in
 
 	phase         atomic.Int32
 	seq           atomic.Uint64
@@ -177,20 +175,15 @@ var ErrNoCanary = errors.New("cluster: no canary deployed")
 var ErrNotPromoteReady = errors.New("cluster: canary is not promote-ready")
 
 // StartCanary deploys a candidate snapshot to the canary stage: a
-// dedicated serve.Server gets a private clone, and cfg.Frac of Predict
-// traffic starts routing to it. Only one canary exists at a time.
+// dedicated serve.Server holds it, and cfg.Frac of Predict traffic
+// starts routing to it. Only one canary exists at a time.
 func (c *Cluster) StartCanary(v *prionn.Inference, cfg CanaryConfig) error {
 	if v == nil || !v.Trained() {
 		return errors.New("cluster: canary candidate must be a trained snapshot")
 	}
 	cfg = cfg.withDefaults()
-	clone, err := cloneView(v)
-	if err != nil {
-		return err
-	}
 	cs := &canaryState{
 		cfg:   cfg,
-		view:  v,
 		every: uint64(math.Max(1, math.Round(1/cfg.Frac))),
 	}
 	cs.phase.Store(int32(CanaryRunning))
@@ -199,7 +192,7 @@ func (c *Cluster) StartCanary(v *prionn.Inference, cfg CanaryConfig) error {
 		c.ctl.Unlock()
 		return ErrCanaryActive
 	}
-	cs.srv = serve.New(clone, c.cfg.Serve)
+	cs.srv = serve.New(v, c.cfg.Serve)
 	c.canary.Store(cs)
 	c.ctl.Unlock()
 	c.st.canaryStarts.Add(1)
@@ -216,11 +209,11 @@ func (c *Cluster) CanaryStatus() CanaryStatus {
 	return cs.status()
 }
 
-// PromoteCanary publishes a PromoteReady candidate cluster-wide via the
-// all-or-nothing Swap and dismantles the canary stage. The swap is
-// atomic: after PromoteCanary returns nil, every replica serves the
-// candidate and the caches were invalidated exactly once (one version
-// bump). The context bounds the canary server's drain.
+// PromoteCanary publishes a PromoteReady candidate cluster-wide via
+// Swap and dismantles the canary stage: after it returns nil, every
+// replica serves the candidate and the caches were invalidated exactly
+// once (one version bump). The context bounds the canary server's
+// drain.
 func (c *Cluster) PromoteCanary(ctx context.Context) error {
 	c.ctl.Lock()
 	cs := c.canary.Load()
@@ -232,12 +225,7 @@ func (c *Cluster) PromoteCanary(ctx context.Context) error {
 		c.ctl.Unlock()
 		return ErrNotPromoteReady
 	}
-	if err := c.swapLocked(cs.view); err != nil {
-		// Nothing was published (all-or-nothing); the canary stays
-		// deployed so the pilot can retry or roll back.
-		c.ctl.Unlock()
-		return err
-	}
+	c.swapLocked(cs.srv.View())
 	c.canary.Store(nil)
 	c.ctl.Unlock()
 	c.st.canaryPromotions.Add(1)

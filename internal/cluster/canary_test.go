@@ -5,81 +5,49 @@ import (
 	"errors"
 	"testing"
 
-	"prionn/internal/fault"
+	"prionn/internal/prionn"
 )
 
-// TestSwapAllOrNothing: a clone failure mid-swap must publish nothing —
-// no replica sees the new snapshot, the version is not bumped, and the
-// cache keeps serving the (still-correct) old view's entries. The
-// second, un-faulted Swap then succeeds completely.
-func TestSwapAllOrNothing(t *testing.T) {
-	v1, v2, jobs := trainedViews(t)
-	c, err := New(v1, Config{
-		Replicas: 3, Serve: fastServe(), Policy: ScriptAffinity,
-		CacheSize: 32, HealthEvery: -1,
-	})
+// TestClusterSharesOneView: replicas and the canary server hold the
+// published *Inference itself, never a copy — after New, Swap, a
+// Kill/Restart cycle and StartCanary, every live server's View() is
+// pointer-identical to Cluster.View() (the canary's to the candidate).
+func TestClusterSharesOneView(t *testing.T) {
+	v1, v2, _ := trainedViews(t)
+	c, err := New(v1, Config{Replicas: 3, Serve: fastServe(), HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustStop(t, c)
-
-	script := jobs[2].Script
-	want := v1.PredictOne(script)
-	// Warm the cache under the old view.
-	if _, err := c.Predict(context.Background(), Request{Script: script}); err != nil {
-		t.Fatal(err)
-	}
-	v0 := c.version.Load()
-
-	// The second replica's clone fails mid-swap.
-	boom := errors.New("clone failed")
-	disarm := fault.Arm(FailpointSwapClone, fault.Failure{Err: boom, After: 1})
-	err = c.Swap(v2)
-	disarm()
-	if !errors.Is(err, boom) {
-		t.Fatalf("faulted swap returned %v, want the injected clone error", err)
-	}
-
-	// Nothing was published: version unchanged, every replica still
-	// serves v1's bitwise answer, and the pre-swap cache entry is still
-	// valid (served as a hit).
-	if got := c.version.Load(); got != v0 {
-		t.Fatalf("failed swap bumped version %d → %d", v0, got)
-	}
-	if got := c.st.swaps.Load(); got != 0 {
-		t.Fatalf("failed swap counted as a publication (%d swaps)", got)
-	}
-	hit := false
-	for i := 0; i < 2*c.Replicas(); i++ {
-		resp, err := c.Predict(context.Background(), Request{Script: script})
-		if err != nil {
-			t.Fatal(err)
+	check := func(stage string, want *prionn.Inference) {
+		t.Helper()
+		if got := c.View(); got != want {
+			t.Fatalf("%s: Cluster.View() = %p, want %p", stage, got, want)
 		}
-		if resp.Pred != want {
-			t.Fatalf("post-failed-swap prediction %+v, want old view's %+v", resp.Pred, want)
+		for _, r := range c.replicas {
+			if got := r.srv.Load().View(); got != want {
+				t.Fatalf("%s: replica %d holds %p, want the shared %p", stage, r.id, got, want)
+			}
 		}
-		hit = hit || resp.Cached
 	}
-	if !hit {
-		t.Fatal("failed swap invalidated the cache: no request hit the pre-swap entry")
-	}
-
-	// Recovery: an un-faulted Swap publishes completely.
+	check("New", v1)
 	if err := c.Swap(v2); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.version.Load(); got != v0+1 {
-		t.Fatalf("successful swap bumped version %d → %d, want exactly one bump", v0, got)
+	check("Swap", v2)
+	if err := c.Kill(context.Background(), 1); err != nil {
+		t.Fatal(err)
 	}
-	want2 := v2.PredictOne(script)
-	for i := 0; i < 2*c.Replicas(); i++ {
-		resp, err := c.Predict(context.Background(), Request{Script: script})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Pred != want2 {
-			t.Fatalf("post-swap prediction %+v, want new view's %+v", resp.Pred, want2)
-		}
+	if err := c.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	check("Restart", v2)
+	if err := c.StartCanary(v1, CanaryConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	check("StartCanary", v2)
+	if got := c.canary.Load().srv.View(); got != v1 {
+		t.Fatalf("canary server holds %p, want the candidate %p", got, v1)
 	}
 }
 

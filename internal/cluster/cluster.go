@@ -1,11 +1,10 @@
 // Package cluster shards PRIONN's serving layer across N replicas: it
-// runs N internal/serve coalescing servers — each owning a private
-// deep-copied model snapshot, so the single-goroutine forward
-// confinement holds per replica — behind a router with pluggable
-// policies, per-request deadlines, budgeted retries with jittered
-// exponential backoff, optional hedged requests past a latency
-// percentile, per-replica circuit breakers, active health checking,
-// and atomic cluster-wide snapshot replication.
+// runs N internal/serve coalescing servers — all holding the same
+// immutable model snapshot, which inference forwards only read —
+// behind a router with pluggable policies, per-request deadlines,
+// budgeted retries with jittered exponential backoff, optional hedged
+// requests past a latency percentile, per-replica circuit breakers,
+// active health checking, and atomic cluster-wide snapshot publication.
 //
 // The design contract comes from the paper's deployment (§2.3):
 // predictions feed the scheduler at job-submission time, so a dead or
@@ -116,10 +115,6 @@ const (
 	// failing must not stall a submission); Sleep injects admission
 	// latency.
 	FailpointRoute = "cluster/route"
-	// FailpointSwapClone fires in Swap before each per-replica snapshot
-	// clone; arming it with After selects which replica's clone fails,
-	// so tests can prove a mid-swap failure publishes nothing.
-	FailpointSwapClone = "cluster/swap-clone"
 )
 
 // ReplicaFailpoint names the per-replica dispatch failpoint: it fires
@@ -256,8 +251,8 @@ type Cluster struct {
 	// at. Bumped by Swap *after* every replica has the new snapshot (see
 	// Swap for the ordering argument).
 	version atomic.Int64
-	// view is the most recently published snapshot source; Restart
-	// clones it for the replacement replica.
+	// view is the published snapshot: the one every live replica's
+	// server holds, and the one Restart hands a replacement replica.
 	view atomic.Pointer[prionn.Inference]
 
 	// ctl serializes the control plane (Swap, Kill, Restart, canary
@@ -281,10 +276,11 @@ type Cluster struct {
 	stopOnce   sync.Once
 }
 
-// New builds the cluster: each replica gets its own serve.Server over a
-// private Clone of view (nil is allowed — every replica serves the
+// New builds the cluster: each replica gets its own serve.Server over
+// the shared view (nil is allowed — every replica serves the
 // requested-runtime fallback until Swap publishes a trained snapshot),
-// and the active health checker starts unless disabled.
+// and the active health checker starts unless disabled. The error is
+// always nil; the signature predates the shared view.
 func New(view *prionn.Inference, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
@@ -295,9 +291,7 @@ func New(view *prionn.Inference, cfg Config) (*Cluster, error) {
 		healthStop: make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
-	if view != nil {
-		c.view.Store(view)
-	}
+	c.view.Store(view)
 	st0 := cacheStamp{version: 0, kernel: viewKernel(view)}
 	for i := 0; i < cfg.Replicas; i++ {
 		r := &replica{
@@ -307,11 +301,7 @@ func New(view *prionn.Inference, cfg Config) (*Cluster, error) {
 		}
 		r.cache.invalidate(st0) // install the initial {version, kernel} stamp
 		r.healthy.Store(true)
-		v, err := cloneView(view)
-		if err != nil {
-			return nil, err
-		}
-		r.srv.Store(serve.New(v, cfg.Serve))
+		r.srv.Store(serve.New(view, cfg.Serve))
 		c.replicas = append(c.replicas, r)
 	}
 	if cfg.HealthEvery > 0 {
@@ -321,14 +311,6 @@ func New(view *prionn.Inference, cfg Config) (*Cluster, error) {
 		close(c.healthDone)
 	}
 	return c, nil
-}
-
-// cloneView deep-copies a snapshot (nil stays nil).
-func cloneView(v *prionn.Inference) (*prionn.Inference, error) {
-	if v == nil {
-		return nil, nil
-	}
-	return v.Clone()
 }
 
 // viewKernel names the kernel kind a snapshot serves with; the nil
@@ -631,12 +613,12 @@ func (c *Cluster) attempt(ctx context.Context, r *replica, req Request) (serve.R
 	return resp, nil
 }
 
-// Swap publishes a new snapshot to every replica. Each replica gets a
-// private Clone (replica loops must never share layer caches), and the
-// per-replica serve.Swap keeps the PR 5 invariant that no batch mixes
-// snapshot versions — extended cluster-wide, no batch on any replica
-// mixes versions, because every replica's flush loads exactly one
-// snapshot pointer.
+// Swap publishes a new snapshot to every replica: one pointer store per
+// server, all of the same *Inference (inference forwards only read it).
+// The per-replica serve.Swap keeps the PR 5 invariant that no batch
+// mixes snapshot versions — extended cluster-wide, no batch on any
+// replica mixes versions, because every replica's flush loads exactly
+// one snapshot pointer.
 //
 // Ordering: replicas are swapped first, the cache stamp — snapshot
 // version plus kernel kind, so publishing an int8 snapshot over a
@@ -645,42 +627,21 @@ func (c *Cluster) attempt(ctx context.Context, r *replica, req Request) (serve.R
 // only insert a cache entry under the *old* stamp — erased by the
 // invalidation — never a stale prediction under the new one.
 //
-// Swap is all-or-nothing: every replica's private clone is taken
-// before anything is published, so a clone failure (OOM, injected
-// fault) leaves the cluster exactly as it was — no replica sees the
-// new snapshot, the version is not bumped, and the caches keep serving
-// the old view's entries, which are still correct for it.
+// Nothing in a swap can fail, so it is all-or-nothing by construction
+// and always returns nil; the error result predates the shared view.
 func (c *Cluster) Swap(v *prionn.Inference) error {
 	c.ctl.Lock()
 	defer c.ctl.Unlock()
-	//prionnvet:ignore lock-held-io -- swapping IS the critical section: ctl must cover clone+publish so a concurrent Restart can never resurrect a replica on a half-swapped snapshot; the only IO reached is the test-only FailpointSwapClone, armed with Err (never Sleep/Panic) by the atomicity tests
-	return c.swapLocked(v)
+	c.swapLocked(v)
+	return nil
 }
 
 // swapLocked is Swap's body; the caller holds ctl.
-func (c *Cluster) swapLocked(v *prionn.Inference) error {
-	// Phase 1 — clone for every replica. Nothing is published until all
-	// clones exist.
-	clones := make([]*prionn.Inference, len(c.replicas))
-	for i := range c.replicas {
-		if err := fault.Here(FailpointSwapClone); err != nil {
-			return err
-		}
-		clone, err := cloneView(v)
-		if err != nil {
-			return err
-		}
-		clones[i] = clone
-	}
-	// Phase 2 — publish. Nothing below can fail.
-	if v == nil {
-		c.view.Store(nil)
-	} else {
-		c.view.Store(v)
-	}
-	for i, r := range c.replicas {
+func (c *Cluster) swapLocked(v *prionn.Inference) {
+	c.view.Store(v)
+	for _, r := range c.replicas {
 		if srv := r.srv.Load(); srv != nil {
-			srv.Swap(clones[i])
+			srv.Swap(v)
 		}
 	}
 	st := cacheStamp{version: c.version.Add(1), kernel: viewKernel(v)}
@@ -688,11 +649,9 @@ func (c *Cluster) swapLocked(v *prionn.Inference) error {
 		r.cache.invalidate(st)
 	}
 	c.st.swaps.Add(1)
-	return nil
 }
 
-// View returns the most recently published snapshot source (nil if
-// none).
+// View returns the published snapshot (nil if none).
 func (c *Cluster) View() *prionn.Inference { return c.view.Load() }
 
 // Kill crashes one replica: its server drains and stops, and the
@@ -716,9 +675,9 @@ func (c *Cluster) Kill(ctx context.Context, id int) error {
 	return srv.Stop(ctx)
 }
 
-// Restart resurrects a killed replica on a fresh server holding a
-// private clone of the currently published snapshot, with a reset
-// breaker and an empty cache shard.
+// Restart resurrects a killed replica on a fresh server holding the
+// currently published snapshot, with a reset breaker and an empty cache
+// shard.
 func (c *Cluster) Restart(id int) error {
 	if id < 0 || id >= len(c.replicas) {
 		return errors.New("cluster: no replica " + strconv.Itoa(id))
@@ -729,11 +688,7 @@ func (c *Cluster) Restart(id int) error {
 	if !r.killed.Load() {
 		return errors.New("cluster: replica " + strconv.Itoa(id) + " is not killed")
 	}
-	v, err := cloneView(c.view.Load())
-	if err != nil {
-		return err
-	}
-	r.srv.Store(serve.New(v, c.cfg.Serve))
+	r.srv.Store(serve.New(c.view.Load(), c.cfg.Serve))
 	r.cache.invalidate(c.stamp())
 	r.br.restart()
 	r.killed.Store(false)

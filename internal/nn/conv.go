@@ -95,8 +95,8 @@ func NewConv1D(rng *rand.Rand, inC, length, filters, k, stride, pad int) *Conv2D
 type MaxPool2D struct {
 	InC, InH, InW int
 	Spec          tensor.ConvSpec
-	argmax        []int32
-	n             int
+	argmax        []int32 // winners of the last train-mode Forward
+	n             int     // its batch size
 }
 
 // NewMaxPool2D returns a max-pooling layer with the given window and
@@ -120,9 +120,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		x = x.Reshape(x.Dim(0), p.InC, p.InH, p.InW)
 	}
-	p.n = x.Dim(0)
 	y, argmax := tensor.MaxPool2DForward(x, p.InC, p.InH, p.InW, p.Spec)
-	p.argmax = argmax
+	if train {
+		p.n, p.argmax = x.Dim(0), argmax
+	}
 	return y
 }
 

@@ -13,7 +13,7 @@ type Dense struct {
 	W       *tensor.Tensor // [in, out]
 	B       *tensor.Tensor // [out]
 	dW, dB  *tensor.Tensor
-	x       *tensor.Tensor // cached input
+	x       *tensor.Tensor // input of the last train-mode Forward
 	y, dx   *tensor.Tensor // recycled train-time output and input-gradient buffers
 }
 
@@ -37,9 +37,9 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		x = x.Reshape(x.Dim(0), -1)
 	}
-	d.x = x
 	var y *tensor.Tensor
 	if train {
+		d.x = x
 		// The previous step's output is dead once its TrainBatch
 		// returned, so the layer cycles one arena buffer instead of
 		// allocating per batch. Inference outputs escape to the caller
@@ -71,7 +71,7 @@ func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.dW, d.dB} }
 
 // ReLU applies the rectified linear unit elementwise.
 type ReLU struct {
-	mask  []bool
+	mask  []bool         // sign of the last train-mode Forward's input
 	y, dx *tensor.Tensor // recycled train-time buffers
 }
 
@@ -83,13 +83,19 @@ func (r *ReLU) Name() string { return "relu" }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	var y *tensor.Tensor
-	if train {
-		r.y = tensor.DefaultArena().Reuse(r.y, x.Shape...)
-		y = r.y
-	} else {
-		y = tensor.New(x.Shape...)
+	if !train {
+		y := tensor.New(x.Shape...)
+		for i, v := range x.Data {
+			if v <= 0 {
+				y.Data[i] = 0
+			} else {
+				y.Data[i] = v
+			}
+		}
+		return y
 	}
+	r.y = tensor.DefaultArena().Reuse(r.y, x.Shape...)
+	y := r.y
 	if cap(r.mask) < x.Len() {
 		r.mask = make([]bool, x.Len())
 	}
@@ -126,8 +132,8 @@ func (r *ReLU) Params() []*tensor.Tensor { return nil }
 // Grads implements Layer.
 func (r *ReLU) Grads() []*tensor.Tensor { return nil }
 
-// Flatten reshapes [N, ...] to [N, features], remembering the input shape
-// so the gradient can be restored on the way back.
+// Flatten reshapes [N, ...] to [N, features], remembering the train-mode
+// input shape so the gradient can be restored on the way back.
 type Flatten struct {
 	inShape []int
 }
@@ -140,7 +146,9 @@ func (f *Flatten) Name() string { return "flatten" }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...)
+	if train {
+		f.inShape = append(f.inShape[:0], x.Shape...)
+	}
 	return x.Reshape(x.Dim(0), -1)
 }
 
@@ -178,7 +186,10 @@ func (d *Dropout) Name() string { return "dropout" }
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
+	if !train {
+		return x
+	}
+	if d.P == 0 {
 		d.mask = nil
 		return x
 	}

@@ -12,15 +12,21 @@ import "prionn/internal/tensor"
 
 // Layer is one differentiable stage of a Sequential model.
 //
-// Forward consumes the batch produced by the previous layer and caches
-// whatever it needs for Backward. Backward consumes the gradient of the
-// loss with respect to the layer's output, accumulates gradients into the
-// tensors returned by Grads, and returns the gradient with respect to its
-// input. A Forward/Backward pair must not be interleaved with another
-// pair on the same layer.
+// A train-mode Forward consumes the batch produced by the previous layer
+// and caches whatever it needs for Backward. Backward consumes the
+// gradient of the loss with respect to the layer's output, accumulates
+// gradients into the tensors returned by Grads, and returns the gradient
+// with respect to its input. A train-mode Forward/Backward pair must not
+// be interleaved with another pair on the same layer.
+//
+// An inference Forward (train=false) is read-only on the layer: it writes
+// no field, so any number of goroutines may run inference forwards over
+// one layer at once (while nothing trains it), and one may fall between a train-mode Forward and
+// its Backward without disturbing the gradients
+// (TestInferenceForwardLeavesBackwardAlone pins this).
 type Layer interface {
-	// Forward runs the layer on a batch. train toggles train-time
-	// behaviour such as dropout.
+	// Forward runs the layer on a batch. train selects the train-time
+	// behaviour: dropout, and caching for Backward.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward propagates the upstream gradient and returns the gradient
 	// with respect to the layer input.

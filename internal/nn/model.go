@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -168,8 +167,8 @@ func (m *Sequential) FitCtx(ctx context.Context, x *tensor.Tensor, labels []int,
 	return epochLoss, nil
 }
 
-// Predict returns the logits for a batch without touching train-time
-// state.
+// Predict returns the logits for a batch. It writes nothing on the
+// model (see Layer), so concurrent Predicts on one model are safe.
 func (m *Sequential) Predict(x *tensor.Tensor) *tensor.Tensor {
 	return m.Forward(x, false)
 }
@@ -228,11 +227,18 @@ func (m *Sequential) Load(r io.Reader) error {
 // must have identical architectures. This is the warm-start primitive:
 // PRIONN retrains the existing parameters rather than re-initializing.
 func (m *Sequential) CopyParamsFrom(src *Sequential) error {
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		return err
+	dst, from := m.Params(), src.Params()
+	if len(dst) != len(from) {
+		return fmt.Errorf("nn: source has %d parameter tensors, model has %d", len(from), len(dst))
 	}
-	return m.Load(&buf)
+	for i, p := range dst {
+		if len(p.Data) != len(from[i].Data) {
+			return fmt.Errorf("nn: parameter %d size mismatch: source %d vs model %d (shape %v vs %v)",
+				i, len(from[i].Data), len(p.Data), from[i].Shape, p.Shape)
+		}
+		copy(p.Data, from[i].Data)
+	}
+	return nil
 }
 
 // NumParams returns the total trainable parameter count.

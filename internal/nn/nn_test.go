@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -462,5 +463,52 @@ func TestGradientNorms(t *testing.T) {
 	}
 	if nonzero == 0 {
 		t.Fatal("all gradients zero after a training step")
+	}
+}
+
+// TestInferenceForwardLeavesBackwardAlone pins the read-only inference
+// forward layer by layer: a train-mode Forward, then an inference
+// Forward on a different batch, then Backward must produce the same
+// input and parameter gradients as without the inference call. (Conv2D
+// never cached on the inference path; the other five layers did.)
+func TestInferenceForwardLeavesBackwardAlone(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() Layer
+		train []int // train-mode batch shape
+		infer []int // inference batch shape (same element count)
+	}{
+		{"dense", func() Layer { return NewDense(rand.New(rand.NewSource(1)), 6, 4) }, []int{3, 6}, []int{3, 6}},
+		{"relu", func() Layer { return NewReLU() }, []int{3, 6}, []int{3, 6}},
+		{"maxpool2d", func() Layer { return NewMaxPool2D(2, 4, 4, 2, 2) }, []int{3, 2, 4, 4}, []int{3, 2, 4, 4}},
+		{"flatten", func() Layer { return NewFlatten() }, []int{3, 2, 4, 4}, []int{3, 4, 2, 4}},
+		{"dropout", func() Layer { return NewDropout(rand.New(rand.NewSource(2)), 0.5) }, []int{3, 6}, []int{3, 6}},
+	}
+	for _, tc := range cases {
+		run := func(interleave bool) (dx *tensor.Tensor, grads [][]float32) {
+			rng := rand.New(rand.NewSource(3))
+			l := tc.build()
+			y := l.Forward(tensor.New(tc.train...).RandN(rng, 1), true)
+			dy := tensor.New(y.Shape...).RandN(rng, 1)
+			if interleave {
+				l.Forward(tensor.New(tc.infer...).RandN(rng, 1), false)
+			}
+			dx = l.Backward(dy).Clone()
+			for _, g := range l.Grads() {
+				grads = append(grads, append([]float32(nil), g.Data...))
+			}
+			return dx, grads
+		}
+		wantDx, wantGrads := run(false)
+		gotDx, gotGrads := run(true)
+		if !slices.Equal(gotDx.Shape, wantDx.Shape) || !slices.Equal(gotDx.Data, wantDx.Data) {
+			t.Errorf("%s: input gradient changed by an interleaved inference forward:\n got %v %v\nwant %v %v",
+				tc.name, gotDx.Shape, gotDx.Data, wantDx.Shape, wantDx.Data)
+		}
+		for i := range wantGrads {
+			if !slices.Equal(gotGrads[i], wantGrads[i]) {
+				t.Errorf("%s: parameter gradient %d changed by an interleaved inference forward", tc.name, i)
+			}
+		}
 	}
 }

@@ -42,9 +42,9 @@ func BenchmarkPipelineRetrain(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineShadowEval measures one shadow evaluation — clone
-// both views, replay a 64-job window through each, score every head,
-// gate — per iteration; 1e9/ns_op is the shadow-eval throughput.
+// BenchmarkPipelineShadowEval measures one shadow evaluation — replay a
+// 64-job window through both views, score every head, gate — per
+// iteration; 1e9/ns_op is the shadow-eval throughput.
 func BenchmarkPipelineShadowEval(b *testing.B) {
 	jobs := pipelineJobs(160)
 	cfg := tinyModel()

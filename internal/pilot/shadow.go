@@ -36,8 +36,7 @@ type HeadMetrics struct {
 	N int `json:"n"`
 }
 
-// score replays window through view and computes its HeadMetrics. The
-// view must be private to the caller (forwards mutate layer caches).
+// score replays window through view and computes its HeadMetrics.
 func score(view *prionn.Inference, window []trace.Job) HeadMetrics {
 	texts := make([]string, 0, len(window))
 	jobs := make([]trace.Job, 0, len(window))
@@ -142,11 +141,11 @@ type GateReport struct {
 }
 
 // Evaluate replays window through the baseline and candidate views and
-// gates the candidate. Both views are cloned before any forward pass —
-// Inference views are goroutine-confined, and the baseline is
-// typically the live serving view — so Evaluate never races the
+// gates the candidate. The baseline is typically the live serving view;
+// forwards only read a view, so scoring it here never disturbs the
 // serving loops. A nil or untrained baseline means there is nothing to
-// regress against: the candidate is accepted trivially.
+// regress against: the candidate is accepted trivially. The error is
+// non-nil only for a nil or untrained candidate.
 func Evaluate(baseline, candidate *prionn.Inference, window []trace.Job, cfg GateConfig) (GateReport, error) {
 	cfg = cfg.withDefaults()
 	if candidate == nil || !candidate.Trained() {
@@ -155,17 +154,9 @@ func Evaluate(baseline, candidate *prionn.Inference, window []trace.Job, cfg Gat
 	if baseline == nil || !baseline.Trained() {
 		return GateReport{Accept: true, Trivial: true}, nil
 	}
-	b, err := baseline.Clone()
-	if err != nil {
-		return GateReport{}, fmt.Errorf("pilot: cloning baseline for shadow eval: %w", err)
-	}
-	c, err := candidate.Clone()
-	if err != nil {
-		return GateReport{}, fmt.Errorf("pilot: cloning candidate for shadow eval: %w", err)
-	}
 	rep := GateReport{
-		Baseline:  score(b, window),
-		Candidate: score(c, window),
+		Baseline:  score(baseline, window),
+		Candidate: score(candidate, window),
 	}
 	if rep.Candidate.N < cfg.MinSamples {
 		rep.Accept, rep.Trivial = true, true

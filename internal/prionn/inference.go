@@ -15,13 +15,14 @@ import (
 // training Predictor keeps mutating its own copies (see Snapshot and
 // the internal/serve package).
 //
-// An Inference is confined to one goroutine at a time: the nn layers
-// cache per-call state (ReLU masks, conv column matrices, cached
-// inputs) even during inference-mode forwards, so two goroutines must
-// not call Predict on the same Inference concurrently. The serve layer
-// honors this by funneling every coalesced batch through a single
-// inference loop; swapping to a new snapshot never requires locking
-// because each snapshot owns its weights outright.
+// An Inference is immutable once built and safe for concurrent use:
+// inference forwards write nothing on the nn layers (see nn.Layer) and
+// the int8 heads are stateless, so a serving cluster publishes one
+// *Inference to every replica with a pointer store and any number of
+// goroutines may Predict on it at once, each answer bitwise equal to
+// the serial one (TestSharedViewConcurrentPredict). The one exception
+// is the zero-copy view a Predictor predicts through, which shares the
+// predictor's heads and so inherits its single-goroutine contract.
 type Inference struct {
 	cfg       Config
 	transform mapping.Transform
@@ -74,7 +75,7 @@ func (v *Inference) Kernel() KernelKind {
 
 // view returns an Inference sharing the predictor's heads in place —
 // the zero-copy view the Predictor's own Predict path runs through.
-// It inherits the predictor's single-goroutine confinement.
+// Training mutates those heads, so it must not outlive the call.
 func (p *Predictor) view() *Inference {
 	return &Inference{
 		cfg:       p.Config,
@@ -102,16 +103,11 @@ func (p *Predictor) Snapshot() (*Inference, error) {
 }
 
 // Clone returns a deep copy of the view: same config, transform, and
-// bins, with every head's parameters copied into freshly built models.
-// Because forwards mutate per-layer caches even in inference mode, a
-// shared Inference is confined to one goroutine — a serving cluster
-// therefore hands each replica its own Clone so the replicas' inference
-// loops never touch common layer state. Clones are bitwise-equivalent:
-// a prediction from a clone is identical to one from the original.
-//
-// Quantized heads are immutable and stateless (see nn.QModel), so an
-// int8 view's clone shares them — the deep copy applies only to the
-// float heads, which an int8 snapshot does not carry.
+// bins, with every float head's parameters copied into freshly built
+// models. It exists for Predictor.Snapshot, whose source keeps
+// training; a published Inference is shared as is, never cloned. A
+// prediction from a clone is bitwise identical to one from the
+// original. Quantized heads are immutable, so a clone shares them.
 func (v *Inference) Clone() (*Inference, error) {
 	out := *v
 	// Fresh heads are built with a throwaway RNG (their He-init values
@@ -206,54 +202,28 @@ func (v *Inference) MapTexts(texts []string) *tensor.Tensor {
 // PredictMapped runs the classifier forward passes over an
 // already-mapped batch (the forward stage of a prediction) and decodes
 // the argmax classes through the bins.
-//
-//prionnvet:confined
 func (v *Inference) PredictMapped(x *tensor.Tensor) []Prediction {
+	type head interface {
+		PredictClasses(*tensor.Tensor) []int
+	}
+	runtime, read, write, power := head(v.runtime), head(v.read), head(v.write), head(v.power)
 	if v.Kernel() == KernelInt8 {
-		return v.predictMappedInt8(x)
+		runtime, read, write, power = v.qruntime, v.qread, v.qwrite, v.qpower
 	}
-	n := x.Dim(0)
-	out := make([]Prediction, n)
-	for i, c := range v.runtime.PredictClasses(x) {
+	out := make([]Prediction, x.Dim(0))
+	for i, c := range runtime.PredictClasses(x) {
 		out[i].RuntimeMin = v.rbins.Minutes(c)
 	}
 	if v.cfg.PredictIO {
-		for i, c := range v.read.PredictClasses(x) {
+		for i, c := range read.PredictClasses(x) {
 			out[i].ReadBytes = v.iobin.Bytes(c)
 		}
-		for i, c := range v.write.PredictClasses(x) {
+		for i, c := range write.PredictClasses(x) {
 			out[i].WriteBytes = v.iobin.Bytes(c)
 		}
 	}
 	if v.cfg.PredictPower {
-		for i, c := range v.power.PredictClasses(x) {
-			out[i].PowerW = v.pbins.Bytes(c)
-		}
-	}
-	return out
-}
-
-// predictMappedInt8 is the quantized forward stage: identical decoding,
-// but the classes come from the int8 heads. The quantized models
-// allocate per call and cache nothing, so this path has no per-view
-// mutable state — the goroutine confinement of an int8 Inference is
-// inherited from the type contract, not required by it.
-func (v *Inference) predictMappedInt8(x *tensor.Tensor) []Prediction {
-	n := x.Dim(0)
-	out := make([]Prediction, n)
-	for i, c := range v.qruntime.PredictClasses(x) {
-		out[i].RuntimeMin = v.rbins.Minutes(c)
-	}
-	if v.cfg.PredictIO {
-		for i, c := range v.qread.PredictClasses(x) {
-			out[i].ReadBytes = v.iobin.Bytes(c)
-		}
-		for i, c := range v.qwrite.PredictClasses(x) {
-			out[i].WriteBytes = v.iobin.Bytes(c)
-		}
-	}
-	if v.cfg.PredictPower {
-		for i, c := range v.qpower.PredictClasses(x) {
+		for i, c := range power.PredictClasses(x) {
 			out[i].PowerW = v.pbins.Bytes(c)
 		}
 	}
@@ -261,10 +231,8 @@ func (v *Inference) predictMappedInt8(x *tensor.Tensor) []Prediction {
 }
 
 // Predict returns predictions for a batch of job scripts: MapTexts
-// followed by PredictMapped. See the type comment for the concurrency
-// contract and Trained for the untrained-weights contract.
-//
-//prionnvet:confined
+// followed by PredictMapped. See Trained for the untrained-weights
+// contract.
 func (v *Inference) Predict(scripts []string) []Prediction {
 	if len(scripts) == 0 {
 		return nil
@@ -273,8 +241,6 @@ func (v *Inference) Predict(scripts []string) []Prediction {
 }
 
 // PredictOne returns the prediction for a single job script.
-//
-//prionnvet:confined
 func (v *Inference) PredictOne(script string) Prediction {
 	return v.Predict([]string{script})[0]
 }

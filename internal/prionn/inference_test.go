@@ -1,6 +1,7 @@
 package prionn
 
 import (
+	"sync"
 	"testing"
 
 	"prionn/internal/trace"
@@ -111,5 +112,52 @@ func TestSnapshotUntrained(t *testing.T) {
 	}
 	if v.Trained() {
 		t.Fatal("snapshot of an untrained predictor must report !Trained")
+	}
+}
+
+// TestSharedViewConcurrentPredict pins the read-only inference forward
+// (run it under -race): many goroutines call PredictMapped on ONE f32
+// view and ONE int8 view, with batches of different sizes, and every
+// answer must equal the serial answer bit for bit. The serving stack
+// relies on it — every replica, the canary and the shadow evaluator
+// hold the same *Inference.
+func TestSharedViewConcurrentPredict(t *testing.T) {
+	p, jobs := trainedSnapshotPredictor(t, 17)
+	f32, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	int8v, err := p.SnapshotQuantized(jobs[40:72])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 8, 4
+	for _, v := range []*Inference{f32, int8v} {
+		batches := make([][]string, workers)
+		want := make([][]Prediction, workers)
+		for w := range batches {
+			for _, j := range jobs[10*w : 10*w+w+1] {
+				batches[w] = append(batches[w], j.Script)
+			}
+			want[w] = v.Predict(batches[w])
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					got := v.PredictMapped(v.MapTexts(batches[w]))
+					for i := range got {
+						if got[i] != want[w][i] {
+							t.Errorf("%s worker %d round %d job %d: concurrent %+v, serial %+v",
+								v.Kernel(), w, r, i, got[i], want[w][i])
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

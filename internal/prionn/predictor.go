@@ -191,11 +191,9 @@ func (p *Predictor) Events() int { return p.events }
 // runtime (the paper's behaviour before the first training event);
 // the serve layer does exactly this.
 //
-// Predict is NOT safe for concurrent use: the nn layers cache per-call
-// state (ReLU masks, conv column matrices, cached inputs) even in
-// inference mode, so two goroutines predicting on the same heads race.
-// Concurrent serving goes through Snapshot + internal/serve, which
-// serializes all forwards in a single inference loop.
+// Predict reads the heads Train writes, so it must not run beside a
+// training event. Concurrent serving goes through Snapshot, whose
+// deep-copied Inference is safe to share across goroutines.
 func (p *Predictor) Predict(scripts []string) []Prediction {
 	return p.view().Predict(scripts)
 }

@@ -19,10 +19,10 @@ import (
 // weight scales, per-tensor uint8 activation scales calibrated on a
 // held-out slice of the training trace) and returns them as an
 // Inference whose Kernel() is KernelInt8. The serving stack treats the
-// result exactly like a float snapshot — same Predict surface, same
-// Clone contract — but its forward passes run on the tensor package's
-// integer GEMM and its persisted form is a fraction of the float
-// frame's size (int8 weights, no optimizer moments).
+// result exactly like a float snapshot — same Predict surface, shared
+// across goroutines the same way — but its forward passes run on the
+// tensor package's integer GEMM and its persisted form is a fraction of
+// the float frame's size (int8 weights, no optimizer moments).
 //
 // The accuracy cost of the scheme is bounded by a gate test in this
 // package: on trained heads the int8 and float32 paths must agree on
@@ -35,9 +35,9 @@ import (
 // once: quantizing He-init noise would produce a well-formed snapshot
 // of a meaningless model.
 //
-// Like Predict, SnapshotQuantized is confined to the predictor's
-// goroutine (calibration runs forward passes through the float heads);
-// the returned Inference shares nothing mutable with the predictor.
+// Like Predict, SnapshotQuantized must not run beside Train (calibration
+// reads the float heads training writes); the returned Inference shares
+// nothing mutable with the predictor.
 func (p *Predictor) SnapshotQuantized(calib []trace.Job) (*Inference, error) {
 	if !p.trained {
 		return nil, fmt.Errorf("prionn: cannot quantize an untrained predictor")

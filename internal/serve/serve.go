@@ -19,13 +19,13 @@
 //     unbounded backlog. Graceful shutdown (Stop) stops admission,
 //     drains every already-admitted request, then returns.
 //
-//   - Atomic snapshot swap: the server holds a read-only
+//   - Atomic snapshot swap: the server holds an immutable
 //     prionn.Inference snapshot. A retraining loop publishes new
-//     weights with Swap without blocking in-flight inference — the loop
-//     picks up the new snapshot at its next flush. Because the nn
-//     layers cache per-call state even during inference, all forwards
-//     are confined to the single inference loop; snapshots make the
-//     swap safe without any lock on the hot path.
+//     weights with Swap — one pointer store — without blocking
+//     in-flight inference: the loop loads the pointer once per flush,
+//     so a batch never mixes snapshots and the hot path takes no lock.
+//     Forwards write nothing on the snapshot, so the same *Inference
+//     may be published to any number of servers at once.
 package serve
 
 import (
@@ -139,14 +139,13 @@ type Server struct {
 // publishes a trained snapshot). The inference loop goroutine runs
 // until Stop.
 func New(view *prionn.Inference, cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg.withDefaults(),
-		queue:    make(chan *pending, cfg.withDefaults().QueueDepth),
+		cfg:      cfg,
+		queue:    make(chan *pending, cfg.QueueDepth),
 		loopDone: make(chan struct{}),
 	}
-	if view != nil {
-		s.view.Store(view)
-	}
+	s.view.Store(view)
 	//prionnvet:ignore naked-goroutine -- joined via s.loopDone, closed by loop and received in Stop
 	go s.loop()
 	return s
@@ -158,9 +157,6 @@ func New(view *prionn.Inference, cfg Config) *Server {
 // blocks on inference.
 func (s *Server) Swap(v *prionn.Inference) *prionn.Inference {
 	s.st.swaps.Add(1)
-	if v == nil {
-		return s.view.Swap(nil)
-	}
 	return s.view.Swap(v)
 }
 
@@ -247,10 +243,9 @@ func (s *Server) Stop(ctx context.Context) error {
 	}
 }
 
-// loop is the single inference goroutine: it owns every forward pass,
-// which is what makes the layer-cache-mutating nn forwards safe under
-// concurrent callers. It exits when the queue is closed and drained,
-// then signals loopDone.
+// loop is the server's single inference goroutine: it coalesces the
+// queue into batches and flushes them one at a time. It exits when the
+// queue is closed and drained, then signals loopDone.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	timer := time.NewTimer(time.Hour)

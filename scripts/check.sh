@@ -18,7 +18,9 @@
 #   8. serve gate     (the serving layer's contract tests — coalesced
 #                      == single bitwise, bounded-queue overload,
 #                      graceful drain — rerun under the race detector
-#                      with concurrent Predict+Swap)
+#                      with concurrent Predict+Swap, plus the read-only
+#                      forward pin: many goroutines predicting on one
+#                      shared f32 and one shared int8 snapshot)
 #   9. cluster chaos  (the replicated-cluster robustness matrix under
 #                      the race detector: seeded chaos schedules with
 #                      latency/error/crash injection, cluster-wide swap
@@ -33,8 +35,9 @@
 #                      detector: retrain → shadow-eval → canary →
 #                      atomic swap end-to-end on a live cluster,
 #                      restart-from-every-failpoint resume, shadow
-#                      rejection of regressed candidates, all-or-
-#                      nothing swap, canary rollback/promotion)
+#                      rejection of regressed candidates, one shared
+#                      view across replicas and canary, canary
+#                      rollback/promotion)
 #  12. bench smoke    (one iteration of each kernel, serving, cluster,
 #                      quantized f32-vs-int8, and analysis benchmark via
 #                      scripts/bench.sh 1x; real timings are recorded
@@ -107,9 +110,11 @@ step_done
 # Serving gate: the coalescer's contract tests, explicitly and under
 # the race detector (they also run in the suite above; the -run filter
 # keeps serving correctness visible as its own gate and guards against
-# the tests being renamed away).
-step "serving gate (coalescing / overload / drain, -race)"
+# the tests being renamed away), and the shared-snapshot pin every
+# replica depends on: concurrent forwards over one Inference.
+step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
+go test -race -count=1 -run 'TestSharedViewConcurrentPredict' ./internal/prionn/
 step_done
 
 # Cluster chaos matrix: the multi-replica layer's robustness proof,
@@ -136,10 +141,10 @@ step_done
 # canary → atomic swap loop under the race detector — a live cluster
 # with concurrent traffic, restart-from-every-failpoint checkpoint
 # resume, shadow rejection of a deliberately regressed candidate,
-# all-or-nothing swap atomicity, and canary rollback/promotion.
+# replicas and canary sharing one view, and canary rollback/promotion.
 step "pipeline gate (retrain/shadow/canary/swap, -race)"
 go test -race -count=1 -run 'TestPipelineEndToEnd|TestPilotRestartFromEveryFailpoint|TestPilotShadowRejectsRegression|TestEvaluateEdgeWindows' ./internal/pilot/
-go test -race -count=1 -run 'TestSwapAllOrNothing|TestCanaryPromotion|TestCanaryAutoRollback|TestCanaryDisagreementRollback' ./internal/cluster/
+go test -race -count=1 -run 'TestClusterSharesOneView|TestCanaryPromotion|TestCanaryAutoRollback|TestCanaryDisagreementRollback' ./internal/cluster/
 step_done
 
 # Benchmark smoke: one iteration of each kernel, serving, quantized,
