@@ -265,7 +265,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2DForward(x, w, bias, 4, 32, 32, spec, false)
+		tensor.Conv2DInfer(x, w, bias, 4, 32, 32, spec, false, nil)
 	}
 }
 
@@ -306,7 +306,8 @@ func BenchmarkConvForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y, _ := tensor.Conv2DForwardArena(ar, x, w, bias, 4, 32, 32, spec, false)
+		y, cols := tensor.Conv2DForwardArena(ar, x, w, bias, 4, 32, 32, spec)
+		ar.Put(cols)
 		ar.Put(y)
 	}
 }
@@ -322,7 +323,7 @@ func BenchmarkConvBackward(b *testing.B) {
 	dW := tensor.New(8, 4*9)
 	dB := tensor.New(8)
 	ar := tensor.NewArena()
-	y, cols := tensor.Conv2DForwardArena(ar, x, w, bias, 4, 32, 32, spec, true)
+	y, cols := tensor.Conv2DForwardArena(ar, x, w, bias, 4, 32, 32, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -47,22 +47,36 @@ func (c *Conv2D) Name() string { return "conv2d" }
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		return c.infer(x, false, nil)
+	}
 	if x.Rank() != 4 {
 		x = x.Reshape(x.Dim(0), c.InC, c.InH, c.InW)
-	}
-	ar := tensor.DefaultArena()
-	if !train {
-		// Inference outputs escape to the caller; let them come from the
-		// arena but do not recycle them here.
-		y, _ := tensor.Conv2DForwardArena(ar, x, c.W, c.B, c.InC, c.InH, c.InW, c.Spec, false)
-		return y
 	}
 	// The previous step's output and column matrix are dead once that
 	// TrainBatch returned; recycling them makes the batched forward
 	// allocation-free at a steady batch shape.
+	ar := tensor.DefaultArena()
 	ar.Put(c.y)
-	c.y, c.cols = tensor.Conv2DForwardArena(ar, x, c.W, c.B, c.InC, c.InH, c.InW, c.Spec, true)
+	c.y, c.cols = tensor.Conv2DForwardArena(ar, x, c.W, c.B, c.InC, c.InH, c.InW, c.Spec)
 	return c.y
+}
+
+// infer is the inference forward of the layer together with the ReLU
+// (relu) and the max-pool (pool, nil for none) that follow it in the
+// stack: one implicit-GEMM pass per sample with both folded into its
+// epilogue (tensor.Conv2DInfer), bitwise equal to running the layers
+// one after another. The output is a fresh tensor, not an arena
+// check-out: it escapes to the caller, who has no duty to return it.
+func (c *Conv2D) infer(x *tensor.Tensor, relu bool, pool *MaxPool2D) *tensor.Tensor {
+	if x.Rank() != 4 {
+		x = x.Reshape(x.Dim(0), c.InC, c.InH, c.InW)
+	}
+	var ps *tensor.ConvSpec
+	if pool != nil {
+		ps = &pool.Spec
+	}
+	return tensor.Conv2DInfer(x, c.W, c.B, c.InC, c.InH, c.InW, c.Spec, relu, ps)
 }
 
 // Backward implements Layer.
@@ -120,7 +134,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		x = x.Reshape(x.Dim(0), p.InC, p.InH, p.InW)
 	}
-	y, argmax := tensor.MaxPool2DForward(x, p.InC, p.InH, p.InW, p.Spec)
+	y, argmax := tensor.MaxPool2DForward(x, p.InC, p.InH, p.InW, p.Spec, train)
 	if train {
 		p.n, p.argmax = x.Dim(0), argmax
 	}

@@ -15,6 +15,14 @@ type Dense struct {
 	dW, dB  *tensor.Tensor
 	x       *tensor.Tensor // input of the last train-mode Forward
 	y, dx   *tensor.Tensor // recycled train-time output and input-gradient buffers
+
+	// packedW is W in the GEMM's panel layout, so an inference forward
+	// skips the per-call packing pass — at batch 1 the larger half of
+	// the layer's time. Sequential.Prepack builds it for a model whose
+	// weights are final (a snapshot); everything that rewrites W
+	// through the layer or its model — a train-mode Forward, Load,
+	// CopyParamsFrom — drops it, and an unpacked layer packs per call.
+	packedW *tensor.PackedB
 }
 
 // NewDense returns a Dense layer with He-initialized weights.
@@ -34,23 +42,49 @@ func (d *Dense) Name() string { return "dense" }
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		return d.infer(x, false)
+	}
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		x = x.Reshape(x.Dim(0), -1)
 	}
-	var y *tensor.Tensor
-	if train {
-		d.x = x
-		// The previous step's output is dead once its TrainBatch
-		// returned, so the layer cycles one arena buffer instead of
-		// allocating per batch. Inference outputs escape to the caller
-		// and get fresh tensors.
-		d.y = tensor.DefaultArena().Reuse(d.y, x.Dim(0), d.Out)
-		y = d.y
-	} else {
-		y = tensor.New(x.Dim(0), d.Out)
+	d.x = x
+	d.packedW = nil // the step this forward starts will change W
+	// The previous step's output is dead once its TrainBatch returned,
+	// so the layer cycles one arena buffer instead of allocating per
+	// batch.
+	d.y = tensor.DefaultArena().Reuse(d.y, x.Dim(0), d.Out)
+	tensor.MatMul(d.y, x, d.W)
+	d.y.AddRowVector(d.B)
+	return d.y
+}
+
+// infer is the inference forward of the layer together with the ReLU
+// that follows it in the stack (relu): the product through the
+// pre-packed panels when the layer has them, then bias and ReLU in one
+// sweep over the output — per cell the same `+ b` and `v <= 0 → 0` the
+// separate layers apply, so the result is bitwise theirs. The output
+// escapes to the caller and is a fresh tensor.
+func (d *Dense) infer(x *tensor.Tensor, relu bool) *tensor.Tensor {
+	if x.Rank() != 2 || x.Dim(1) != d.In {
+		x = x.Reshape(x.Dim(0), -1)
 	}
-	tensor.MatMul(y, x, d.W)
-	y.AddRowVector(d.B)
+	y := tensor.New(x.Dim(0), d.Out)
+	if d.packedW != nil {
+		tensor.MatMulPackedB(y, x, d.packedW)
+	} else {
+		tensor.MatMul(y, x, d.W)
+	}
+	for i := 0; i < y.Dim(0); i++ {
+		row := y.Data[i*d.Out : (i+1)*d.Out]
+		for j, b := range d.B.Data {
+			v := row[j] + b
+			if relu && v <= 0 {
+				v = 0
+			}
+			row[j] = v
+		}
+	}
 	return y
 }
 

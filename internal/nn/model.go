@@ -22,12 +22,47 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs the full stack and returns the logits.
+// Forward runs the full stack and returns the logits. In train mode
+// every layer runs on its own and caches what Backward needs; an
+// inference forward runs block by block (see block), with each ReLU and
+// pool folded into the conv or dense pass before it. The two produce
+// the same bits on a stack without dropout.
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range m.Layers {
-		x = l.Forward(x, train)
+	if train {
+		for _, l := range m.Layers {
+			x = l.Forward(x, true)
+		}
+		return x
+	}
+	for i := 0; i < len(m.Layers); {
+		var b block
+		b, i = nextBlock(m.Layers, i)
+		x = b.infer(x)
 	}
 	return x
+}
+
+// Prepack packs every Dense layer's weights into GEMM panels for
+// inference (see Dense.packedW). It is for a model whose weights are
+// final — a snapshot about to be published — and must run before the
+// model is shared: it writes the layers.
+func (m *Sequential) Prepack() {
+	for _, l := range m.Layers {
+		if d, ok := l.(*Dense); ok {
+			d.packedW = tensor.PackB(d.W)
+		}
+	}
+}
+
+// dropPacked discards every Dense layer's packed weights; whatever
+// overwrites parameters in place calls it so no forward serves stale
+// panels.
+func (m *Sequential) dropPacked() {
+	for _, l := range m.Layers {
+		if d, ok := l.(*Dense); ok {
+			d.packedW = nil
+		}
+	}
 }
 
 // Backward propagates a logits gradient through the stack, accumulating
@@ -213,6 +248,7 @@ func (m *Sequential) Load(r io.Reader) error {
 	if len(params) != len(s.Data) {
 		return fmt.Errorf("nn: snapshot has %d parameter tensors, model has %d", len(s.Data), len(params))
 	}
+	m.dropPacked()
 	for i, p := range params {
 		if len(p.Data) != len(s.Data[i]) {
 			return fmt.Errorf("nn: parameter %d size mismatch: snapshot %d vs model %d (shape %v vs %v)",
@@ -231,6 +267,7 @@ func (m *Sequential) CopyParamsFrom(src *Sequential) error {
 	if len(dst) != len(from) {
 		return fmt.Errorf("nn: source has %d parameter tensors, model has %d", len(from), len(dst))
 	}
+	m.dropPacked()
 	for i, p := range dst {
 		if len(p.Data) != len(from[i].Data) {
 			return fmt.Errorf("nn: parameter %d size mismatch: source %d vs model %d (shape %v vs %v)",

@@ -35,9 +35,9 @@ import (
 // deterministic for any worker count and identical across the asm and
 // pure-Go GEMM kernels (whose int32 accumulators are bitwise equal).
 //
-// A quantized model is immutable and its forwards are stateless —
-// unlike Sequential, whose layers cache per-call state — so one QModel
-// may serve concurrent callers without cloning.
+// A quantized model is immutable and its forwards are stateless, so one
+// QModel may serve concurrent callers without cloning (as may a
+// Sequential that nothing trains: only its train-mode forwards cache).
 
 // QParams is a per-tensor asymmetric uint8 quantization: real = (q − Zero)·Scale.
 type QParams struct {
@@ -637,13 +637,13 @@ func correctBias(bias []float32, n, chanW int, want, got []float32) {
 // and returns an error for anything else.
 //
 // The walk runs the float model and the growing quantized chain side by
-// side over the calibration batch: each new quantized layer's bias is
+// side over the calibration batch, block by block (nextBlock — the cut
+// the float inference forward uses): each new quantized layer's bias is
 // corrected against the float layer's pre-activation output (see
 // correctBias) before its output quantization is calibrated on the
-// float activations. The source model's parameters are read, never
-// written; its per-layer inference caches are touched by the
-// calibration forwards, so Quantize inherits the model's
-// single-goroutine confinement.
+// float activations. The source model is only read: its parameters are
+// not written and the calibration forwards are inference forwards, so
+// Quantize may run beside other readers of the model.
 func Quantize(m *Sequential, calib *tensor.Tensor) (*QModel, error) {
 	if calib == nil || calib.Dim(0) == 0 {
 		return nil, fmt.Errorf("nn: quantization requires a non-empty calibration batch")
@@ -658,41 +658,42 @@ func Quantize(m *Sequential, calib *tensor.Tensor) (*QModel, error) {
 	for i, v := range calib.Data {
 		qx[i] = qm.InQ.Quantize(v)
 	}
+	pool := func(l *MaxPool2D) {
+		x = l.Forward(x, false)
+		op := &QMaxPool2D{InC: l.InC, InH: l.InH, InW: l.InW, Spec: l.Spec}
+		qm.Ops = append(qm.Ops, op)
+		qx = op.QForward(qx, n)
+	}
 	layers := m.Layers
-	for i := 0; i < len(layers); i++ {
-		switch l := layers[i].(type) {
+	for i := 0; i < len(layers); {
+		var b block
+		b, i = nextBlock(layers, i)
+		switch l := b.layer.(type) {
 		case *Flatten, *Dropout:
 			// Identity at inference over the flat row-major buffer: the
 			// quantized chain tracks geometry per op, so neither needs a
 			// quantized counterpart.
-			x = layers[i].Forward(x, false)
-		case *MaxPool2D:
 			x = l.Forward(x, false)
-			op := &QMaxPool2D{InC: l.InC, InH: l.InH, InW: l.InW, Spec: l.Spec}
-			qm.Ops = append(qm.Ops, op)
-			qx = op.QForward(qx, n)
+		case *MaxPool2D:
+			pool(l)
 		case *Conv2D:
 			y := l.Forward(x, false)
-			var r *ReLU
-			if i+1 < len(layers) {
-				if rl, ok := layers[i+1].(*ReLU); ok {
-					r = rl
-					i++
-				}
-			}
-			q := quantizeConv(l, curQ, QParams{}, r != nil)
+			q := quantizeConv(l, curQ, QParams{}, b.relu != nil)
 			oh, ow := l.Spec.OutDims(l.InH, l.InW)
 			correctBias(q.Bias, n, oh*ow, y.Data, q.realForward(qx, n))
-			if r != nil {
-				y = r.Forward(y, false)
+			if b.relu != nil {
+				y = b.relu.Forward(y, false)
 			}
 			q.OutQ = calibrateQParams(y.Data)
 			qm.Ops = append(qm.Ops, q)
 			qx = q.QForward(qx, n)
 			curQ = q.OutQ
 			x = y
+			if b.pool != nil {
+				pool(b.pool)
+			}
 		case *Dense:
-			if i == len(layers)-1 {
+			if i == len(layers) && b.relu == nil {
 				// The logits head: dequantized output, no requantization.
 				q := quantizeDense(l, curQ, QParams{}, false)
 				correctBias(q.Bias, n, 1, l.Forward(x, false).Data, q.realForward(qx, n))
@@ -700,17 +701,10 @@ func Quantize(m *Sequential, calib *tensor.Tensor) (*QModel, error) {
 				return qm, nil
 			}
 			y := l.Forward(x, false)
-			var r *ReLU
-			if i+1 < len(layers) {
-				if rl, ok := layers[i+1].(*ReLU); ok {
-					r = rl
-					i++
-				}
-			}
-			q := quantizeDense(l, curQ, QParams{}, r != nil)
+			q := quantizeDense(l, curQ, QParams{}, b.relu != nil)
 			correctBias(q.Bias, n, 1, y.Data, q.realForward(qx, n))
-			if r != nil {
-				y = r.Forward(y, false)
+			if b.relu != nil {
+				y = b.relu.Forward(y, false)
 			}
 			q.OutQ = calibrateQParams(y.Data)
 			qm.Ops = append(qm.Ops, q)
@@ -718,7 +712,7 @@ func Quantize(m *Sequential, calib *tensor.Tensor) (*QModel, error) {
 			curQ = q.OutQ
 			x = y
 		default:
-			return nil, fmt.Errorf("nn: cannot quantize layer %q", layers[i].Name())
+			return nil, fmt.Errorf("nn: cannot quantize layer %q", l.Name())
 		}
 	}
 	return nil, fmt.Errorf("nn: model does not end in a Dense logits head")

@@ -1,0 +1,159 @@
+package prionn
+
+import (
+	"math"
+	"testing"
+
+	"prionn/internal/nn"
+	"prionn/internal/tensor"
+	"prionn/internal/trace"
+)
+
+// trainedModelPredictor is trainedSnapshotPredictor for a chosen
+// architecture on 20×20 scripts, so the 2D-CNN has a pool to fold (at
+// TinyConfig's 16×16 it has none).
+func trainedModelPredictor(t *testing.T, model ModelKind, seed int64) (*Predictor, []trace.Job) {
+	t.Helper()
+	cfg := TinyConfig()
+	cfg.Model = model
+	cfg.Rows, cfg.Cols = 20, 20
+	cfg.Seed = seed
+	jobs := trace.Completed(trace.Generate(trace.Config{Seed: seed, Jobs: 80}))
+	window := jobs[:cfg.TrainWindow]
+	scripts := make([]string, len(window))
+	for i, j := range window {
+		scripts[i] = j.Script
+	}
+	p, err := New(cfg, scripts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Train(window); err != nil {
+		t.Fatal(err)
+	}
+	return p, jobs
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestViewSnapshotTrainForwardLogitsBitwise: for each architecture the
+// three roads to a head's logits agree bit for bit — the predictor's
+// own zero-copy view (unpacked dense weights, packed per call), its
+// Snapshot (pre-packed panels), and a train-mode Forward (every layer
+// on its own, column-matrix conv). Predictions compare classes; this
+// compares the numbers under them.
+func TestViewSnapshotTrainForwardLogitsBitwise(t *testing.T) {
+	for _, model := range []ModelKind{ModelNN, Model1DCNN, Model2DCNN} {
+		p, jobs := trainedModelPredictor(t, model, 23)
+		snap, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 5} {
+			texts := make([]string, n)
+			for i := range texts {
+				texts[i] = jobs[50+i].Script
+			}
+			x := p.view().MapTexts(texts)
+			heads := []struct {
+				name       string
+				view, snap *nn.Sequential
+			}{
+				{"runtime", p.runtime, snap.runtime},
+				{"read", p.read, snap.read},
+				{"write", p.write, snap.write},
+			}
+			for _, h := range heads {
+				view := h.view.Forward(x, false)
+				if got := h.snap.Forward(x, false); !sameBits(got, view) {
+					t.Errorf("%s %s n=%d: snapshot logits differ from the predictor's view", model, h.name, n)
+				}
+				if got := h.view.Forward(x, true); !sameBits(got, view) {
+					t.Errorf("%s %s n=%d: train-mode logits differ from the inference forward", model, h.name, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotPanelsPrivate: a snapshot's pre-packed dense panels are
+// its own. Training the source predictor afterwards moves the source's
+// logits and leaves every logit of the snapshot where it was.
+func TestSnapshotPanelsPrivate(t *testing.T) {
+	p, jobs := trainedModelPredictor(t, Model2DCNN, 29)
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := snap.MapTexts([]string{jobs[50].Script, jobs[51].Script, jobs[52].Script})
+	before := snap.runtime.Forward(x, false).Clone()
+	source := p.runtime.Forward(x, false).Clone()
+	if !sameBits(before, source) {
+		t.Fatal("snapshot and source disagree before retraining")
+	}
+	if _, err := p.Train(jobs[10:50]); err != nil {
+		t.Fatal(err)
+	}
+	if sameBits(p.runtime.Forward(x, false), source) {
+		t.Fatal("retraining left the source's logits unchanged; the test proves nothing")
+	}
+	if !sameBits(snap.runtime.Forward(x, false), before) {
+		t.Fatal("snapshot logits moved when its source predictor trained")
+	}
+}
+
+// TestPredictMappedLeavesArenaFlat pins the inference half of the arena
+// contract: serving checks nothing out of the default arena that it
+// does not return, so Outstanding is a leak check a daemon can use.
+// (Until the inference forward stopped taking its outputs from the
+// arena, every PredictMapped raised it by one per conv layer per head.)
+func TestPredictMappedLeavesArenaFlat(t *testing.T) {
+	p, jobs := trainedModelPredictor(t, Model2DCNN, 31)
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x1 := snap.MapTexts([]string{jobs[50].Script})
+	x4 := snap.MapTexts([]string{jobs[51].Script, jobs[52].Script, jobs[53].Script, jobs[54].Script})
+	snap.PredictMapped(x4)
+	before := tensor.DefaultArena().Outstanding()
+	for i := 0; i < 50; i++ {
+		snap.PredictMapped(x1)
+		snap.PredictMapped(x4)
+	}
+	if got := tensor.DefaultArena().Outstanding(); got != before {
+		t.Fatalf("Arena.Outstanding went %d → %d over 100 PredictMapped calls on a shared view", before, got)
+	}
+}
+
+// TestPredictMappedAllocCeiling bounds the heap allocations of one
+// batch-1 float32 PredictMapped (three 2D-CNN heads, one worker). The
+// layer-by-layer forward it replaced made 184 on this fixture: an
+// output tensor per layer — conv, ReLU, pool — each with an escaping
+// shape argument, and the discarded argmax table. The fused forward
+// allocates one output per block (85 when written) and must stay under
+// half the old count.
+func TestPredictMappedAllocCeiling(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	p, jobs := trainedModelPredictor(t, Model2DCNN, 37)
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := snap.MapTexts([]string{jobs[50].Script})
+	snap.PredictMapped(x) // warm the arena's pack buffers
+	const parent, ceiling = 184, 184 / 2
+	if got := testing.AllocsPerRun(50, func() { snap.PredictMapped(x) }); got > ceiling {
+		t.Fatalf("batch-1 PredictMapped allocates %.0f times, ceiling %d (the layer-by-layer forward made %d)", got, ceiling, parent)
+	}
+}

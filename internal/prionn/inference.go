@@ -104,10 +104,13 @@ func (p *Predictor) Snapshot() (*Inference, error) {
 
 // Clone returns a deep copy of the view: same config, transform, and
 // bins, with every float head's parameters copied into freshly built
-// models. It exists for Predictor.Snapshot, whose source keeps
-// training; a published Inference is shared as is, never cloned. A
-// prediction from a clone is bitwise identical to one from the
-// original. Quantized heads are immutable, so a clone shares them.
+// models whose dense weights are pre-packed for inference (the float32
+// counterpart of the int8 heads' packed panels; the predictor's own
+// zero-copy view packs per call). It exists for Predictor.Snapshot,
+// whose source keeps training; a published Inference is shared as is,
+// never cloned. A prediction from a clone is bitwise identical to one
+// from the original. Quantized heads are immutable, so a clone shares
+// them.
 func (v *Inference) Clone() (*Inference, error) {
 	out := *v
 	// Fresh heads are built with a throwaway RNG (their He-init values
@@ -140,6 +143,9 @@ func (v *Inference) Clone() (*Inference, error) {
 		if err := m.CopyParamsFrom(src); err != nil {
 			return nil, err
 		}
+		// The copy's weights are final from here on: pack the dense
+		// panels once, before the view can be shared.
+		m.Prepack()
 		return m, nil
 	}
 	var err error

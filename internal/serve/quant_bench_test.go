@@ -140,3 +140,20 @@ func BenchmarkQuantServeInt8(b *testing.B) {
 	benchQuantServe(b, int8v, quantInt8Bytes)
 	b.ReportMetric(quantDisagree, "disagree-rate")
 }
+
+// benchInferForward times one PredictMapped — all three heads' forward
+// passes, no mapping, no coalescer — on the float32 snapshot at the
+// given batch size. B1 is what a lone submission waits for; B32 is a
+// full coalesced batch.
+func benchInferForward(b *testing.B, batch int) {
+	f32, _ := quantBenchViews(b)
+	x := f32.MapTexts(quantBenchScripts(b)[:batch])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f32.PredictMapped(x)
+	}
+}
+
+func BenchmarkInferForwardF32B1(b *testing.B)  { benchInferForward(b, 1) }
+func BenchmarkInferForwardF32B32(b *testing.B) { benchInferForward(b, 32) }

@@ -43,7 +43,61 @@ func (s ConvSpec) Validate(h, w int) error {
 // ld == OH*OW this is the classic dense [C*KH*KW, OH*OW] layout; the
 // batched path passes ld == N*OH*OW so each sample fills its own column
 // block of a shared matrix.
+//
+// "Same" geometry (stride 1, output extent equal to the input's — every
+// conv layer of the 2D-CNN) takes im2colSameInto; everything else the
+// scalar loop. Both only move data, so they produce the same bytes.
 func im2colInto(dst []float32, ld int, x []float32, c, h, w int, spec ConvSpec) {
+	if oh, ow := spec.OutDims(h, w); spec.Stride == 1 && oh == h && ow == w {
+		im2colSameInto(dst, ld, x, c, h, w, spec)
+		return
+	}
+	im2colScalarInto(dst, ld, x, c, h, w, spec)
+}
+
+// im2colSameInto is im2colInto for "same" geometry, the float32 port of
+// im2colU8Into's fast path: source and destination share the row
+// stride, so all valid output rows of a tap form ONE contiguous copy;
+// the pad columns it fills with neighbouring values, and the pad rows
+// it skips, are zeroed after.
+func im2colSameInto(dst []float32, ld int, x []float32, c, h, w int, spec ConvSpec) {
+	idx := 0
+	for ch := 0; ch < c; ch++ {
+		base := ch * h * w
+		for ky := 0; ky < spec.KH; ky++ {
+			// Valid output rows: oyLo ≤ oy < oyHi keeps iy inside [0, h).
+			oyLo := max(spec.PadH-ky, 0)
+			oyHi := max(min(h-ky+spec.PadH, h), oyLo)
+			for kx := 0; kx < spec.KW; kx++ {
+				// Valid output columns, likewise.
+				lo := max(spec.PadW-kx, 0)
+				hi := max(min(w-kx+spec.PadW, w), lo)
+				row := dst[idx*ld : idx*ld+h*w]
+				idx++
+				clear(row[:oyLo*w])
+				clear(row[oyHi*w:])
+				if oyLo == oyHi || lo == hi {
+					clear(row[oyLo*w : oyHi*w])
+					continue
+				}
+				src := base + (oyLo+ky-spec.PadH)*w + lo + kx - spec.PadW
+				length := (oyHi-1-oyLo)*w + hi - lo
+				copy(row[oyLo*w+lo:oyLo*w+lo+length], x[src:src+length])
+				if lo > 0 || hi < w {
+					for oy := oyLo; oy < oyHi; oy++ {
+						clear(row[oy*w : oy*w+lo])
+						clear(row[oy*w+hi : (oy+1)*w])
+					}
+				}
+			}
+		}
+	}
+}
+
+// im2colScalarInto is im2colInto one element at a time: the path for
+// strided and unpadded specs, and the reference the fast path is tested
+// against.
+func im2colScalarInto(dst []float32, ld int, x []float32, c, h, w int, spec ConvSpec) {
 	oh, ow := spec.OutDims(h, w)
 	idx := 0
 	for ch := 0; ch < c; ch++ {
@@ -155,24 +209,26 @@ func Im2ColBatch(cols, x *Tensor, c, h, w int, spec ConvSpec) {
 	})
 }
 
-// Conv2DForward computes a batched 2D convolution.
+// Conv2DForward computes the train-mode forward of a batched 2D
+// convolution.
 //
 //	x: [N, C, H, W], weights: [F, C*KH*KW], bias: [F] (may be nil)
-//	returns y: [N, F, OH, OW] and, when keepCols is true, the shared
-//	batch column matrix [C*KH*KW, N*OH*OW] needed by the backward pass.
+//	returns y: [N, F, OH, OW] and the shared batch column matrix
+//	[C*KH*KW, N*OH*OW] the backward pass needs.
 //
+// Inference, which needs no column matrix, runs Conv2DInfer instead.
 // Scratch comes from the default arena; see Conv2DForwardArena.
-func Conv2DForward(x, weights, bias *Tensor, c, h, w int, spec ConvSpec, keepCols bool) (y, cols *Tensor) {
-	return Conv2DForwardArena(nil, x, weights, bias, c, h, w, spec, keepCols)
+func Conv2DForward(x, weights, bias *Tensor, c, h, w int, spec ConvSpec) (y, cols *Tensor) {
+	return Conv2DForwardArena(nil, x, weights, bias, c, h, w, spec)
 }
 
 // Conv2DForwardArena is Conv2DForward with an explicit scratch arena
 // (nil selects the default arena). The whole batch runs as a single
 // weights×cols GEMM over the shared column matrix rather than one small
-// multiply per sample. The returned y (and cols, when kept) are arena
-// tensors owned by the caller; recycling them with ar.Put when dead is
-// optional but keeps steady-state training allocation-free.
-func Conv2DForwardArena(ar *Arena, x, weights, bias *Tensor, c, h, w int, spec ConvSpec, keepCols bool) (y, cols *Tensor) {
+// multiply per sample. The returned y and cols are arena tensors owned
+// by the caller; recycling them with ar.Put when dead is optional but
+// keeps steady-state training allocation-free.
+func Conv2DForwardArena(ar *Arena, x, weights, bias *Tensor, c, h, w int, spec ConvSpec) (y, cols *Tensor) {
 	if ar == nil {
 		ar = defaultArena
 	}
@@ -207,13 +263,8 @@ func Conv2DForwardArena(ar *Arena, x, weights, bias *Tensor, c, h, w int, spec C
 			}
 		})
 	}
-	y = out
 	ar.Put(yT)
-	if !keepCols {
-		ar.Put(cols)
-		return y, nil
-	}
-	return y, cols
+	return out, cols
 }
 
 // convScatterOut copies sample i's rows out of the pre-permute GEMM
@@ -330,49 +381,88 @@ func Conv2DBackwardArena(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c
 
 // MaxPool2DForward applies max pooling to x [N, C, H, W] with the given
 // window/stride spec (padding must be zero) and returns the pooled output
-// [N, C, OH, OW] plus the flat argmax indices used by the backward pass.
-func MaxPool2DForward(x *Tensor, c, h, w int, spec ConvSpec) (y *Tensor, argmax []int32) {
+// [N, C, OH, OW] plus, when train is set, the flat argmax indices the
+// backward pass needs (nil otherwise).
+func MaxPool2DForward(x *Tensor, c, h, w int, spec ConvSpec, train bool) (y *Tensor, argmax []int32) {
 	if spec.PadH != 0 || spec.PadW != 0 {
 		panic("tensor: MaxPool2DForward does not support padding")
 	}
 	n := x.Shape[0]
 	oh, ow := spec.OutDims(h, w)
 	y = New(n, c, oh, ow)
-	argmax = make([]int32, n*c*oh*ow)
+	if train {
+		argmax = make([]int32, n*c*oh*ow)
+	}
 	ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for ch := 0; ch < c; ch++ {
-				inBase := (i*c + ch) * h * w
-				outBase := (i*c + ch) * oh * ow
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						best := float32(0)
-						bestIdx := -1
-						for ky := 0; ky < spec.KH; ky++ {
-							iy := oy*spec.Stride + ky
-							if iy >= h {
-								break
-							}
-							for kx := 0; kx < spec.KW; kx++ {
-								ix := ox*spec.Stride + kx
-								if ix >= w {
-									break
-								}
-								idx := inBase + iy*w + ix
-								if bestIdx < 0 || x.Data[idx] > best {
-									best, bestIdx = x.Data[idx], idx
-								}
-							}
-						}
-						o := outBase + oy*ow + ox
-						y.Data[o] = best
-						argmax[o] = int32(bestIdx)
+		maxPoolPlanes(y.Data, x.Data, lo*c, hi*c, h, w, spec, argmax)
+	})
+	return y, argmax
+}
+
+// maxPoolPlanes pools the [h, w] planes p0 ≤ p < p1 of src into the
+// matching [oh, ow] planes of dst. Each window is scanned row by row
+// and its first element, or a later one that compares greater, wins —
+// the one order every caller (the pool layer in both modes, the fused
+// conv epilogue) shares, so they agree bit for bit, NaNs included. A
+// non-nil argmax records each winner's index into src.
+func maxPoolPlanes(dst, src []float32, p0, p1, h, w int, spec ConvSpec, argmax []int32) {
+	oh, ow := spec.OutDims(h, w)
+	if argmax == nil && spec.KH == 2 && spec.KW == 2 && spec.Stride == 2 && 2*oh <= h && 2*ow <= w {
+		// The ubiquitous 2×2/stride-2 window with no ragged edge: the
+		// same four comparisons without the bounds tests.
+		for p := p0; p < p1; p++ {
+			for oy := 0; oy < oh; oy++ {
+				r0 := src[p*h*w+2*oy*w : p*h*w+2*oy*w+2*ow]
+				r1 := src[p*h*w+(2*oy+1)*w : p*h*w+(2*oy+1)*w+2*ow]
+				out := dst[p*oh*ow+oy*ow : p*oh*ow+(oy+1)*ow]
+				for ox := range out {
+					best := r0[2*ox]
+					if v := r0[2*ox+1]; v > best {
+						best = v
 					}
+					if v := r1[2*ox]; v > best {
+						best = v
+					}
+					if v := r1[2*ox+1]; v > best {
+						best = v
+					}
+					out[ox] = best
 				}
 			}
 		}
-	})
-	return y, argmax
+		return
+	}
+	for p := p0; p < p1; p++ {
+		inBase := p * h * w
+		outBase := p * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(0)
+				bestIdx := -1
+				for ky := 0; ky < spec.KH; ky++ {
+					iy := oy*spec.Stride + ky
+					if iy >= h {
+						break
+					}
+					for kx := 0; kx < spec.KW; kx++ {
+						ix := ox*spec.Stride + kx
+						if ix >= w {
+							break
+						}
+						idx := inBase + iy*w + ix
+						if bestIdx < 0 || src[idx] > best {
+							best, bestIdx = src[idx], idx
+						}
+					}
+				}
+				o := outBase + oy*ow + ox
+				dst[o] = best
+				if argmax != nil {
+					argmax[o] = int32(bestIdx)
+				}
+			}
+		}
+	}
 }
 
 // MaxPool2DBackward routes the upstream gradient dy through the argmax

@@ -95,7 +95,7 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 		x := New(cfg.n, cfg.c, cfg.h, cfg.w).RandN(rng, 1)
 		wt := New(cfg.f, cfg.c*cfg.spec.KH*cfg.spec.KW).RandN(rng, 1)
 		b := New(cfg.f).RandN(rng, 1)
-		got, _ := Conv2DForward(x, wt, b, cfg.c, cfg.h, cfg.w, cfg.spec, false)
+		got, _ := Conv2DForward(x, wt, b, cfg.c, cfg.h, cfg.w, cfg.spec)
 		want := conv2dNaive(x, wt, b, cfg.c, cfg.h, cfg.w, cfg.spec)
 		if !got.SameShape(want) {
 			t.Fatalf("config %d: shape %v vs %v", i, got.Shape, want.Shape)
@@ -137,7 +137,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 
 // numericalGrad estimates d loss / d theta[i] where loss = sum(conv(x)·g).
 func convLoss(x, wt, b *Tensor, c, h, w int, spec ConvSpec, g *Tensor) float64 {
-	y, _ := Conv2DForward(x, wt, b, c, h, w, spec, false)
+	y, _ := Conv2DForward(x, wt, b, c, h, w, spec)
 	return Dot(y, g)
 }
 
@@ -151,7 +151,7 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 	oh, ow := spec.OutDims(h, w)
 	g := New(n, f, oh, ow).RandN(rng, 1)
 
-	_, cols := Conv2DForward(x, wt, b, c, h, w, spec, true)
+	_, cols := Conv2DForward(x, wt, b, c, h, w, spec)
 	dW := New(f, c*spec.KH*spec.KW)
 	dB := New(f)
 	dx := Conv2DBackward(g, wt, cols, dW, dB, c, h, w, spec)
@@ -185,7 +185,7 @@ func TestConv2DBackwardParallelDeterministic(t *testing.T) {
 	wt := New(f, c*spec.KH*spec.KW).RandN(rng, 1)
 	oh, ow := spec.OutDims(h, w)
 	g := New(n, f, oh, ow).RandN(rng, 1)
-	_, cols := Conv2DForward(x, wt, nil, c, h, w, spec, true)
+	_, cols := Conv2DForward(x, wt, nil, c, h, w, spec)
 
 	run := func(workers int) (*Tensor, *Tensor) {
 		prev := SetMaxWorkers(workers)
@@ -218,7 +218,7 @@ func TestMaxPool2D(t *testing.T) {
 		2, 9, 3, 6,
 	}, 1, 1, 4, 4)
 	spec := ConvSpec{KH: 2, KW: 2, Stride: 2}
-	y, argmax := MaxPool2DForward(x, 1, 4, 4, spec)
+	y, argmax := MaxPool2DForward(x, 1, 4, 4, spec, true)
 	want := []float32{4, 5, 9, 6}
 	for i, wv := range want {
 		if y.Data[i] != wv {
@@ -243,7 +243,7 @@ func TestMaxPoolGradientSumPreserved(t *testing.T) {
 		h, w := 4+rng.Intn(5), 4+rng.Intn(5)
 		spec := ConvSpec{KH: 2, KW: 2, Stride: 2}
 		x := New(n, c, h, w).RandN(rng, 1)
-		y, argmax := MaxPool2DForward(x, c, h, w, spec)
+		y, argmax := MaxPool2DForward(x, c, h, w, spec, true)
 		dy := New(y.Shape...).Fill(1)
 		dx := MaxPool2DBackward(dy, argmax, n, c, h, w)
 		// Every unit of upstream gradient lands somewhere in dx.

@@ -337,7 +337,7 @@ func TestMaxPool2DForwardU8MatchesFloat(t *testing.T) {
 		for i, v := range xq {
 			xf.Data[i] = float32(v)
 		}
-		yf, _ := MaxPool2DForward(xf, c, h, w, spec)
+		yf, _ := MaxPool2DForward(xf, c, h, w, spec, false)
 		yq := make([]uint8, n*c*oh*ow)
 		MaxPool2DForwardU8(yq, xq, n, c, h, w, spec)
 		for i := range yq {

@@ -214,10 +214,10 @@ func TestConv2DForwardWorkerInvariance(t *testing.T) {
 
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
-	base, _ := Conv2DForward(x, wt, bias, c, h, w, spec, false)
+	base, _ := Conv2DForward(x, wt, bias, c, h, w, spec)
 	for _, workers := range []int{2, 4, 8} {
 		SetMaxWorkers(workers)
-		got, _ := Conv2DForward(x, wt, bias, c, h, w, spec, false)
+		got, _ := Conv2DForward(x, wt, bias, c, h, w, spec)
 		requireBitwise(t, "Conv2DForward workers", got, base)
 	}
 }

@@ -99,7 +99,7 @@ func TestConvSteadyStateZeroAlloc(t *testing.T) {
 	ar := NewArena()
 
 	step := func() {
-		y, cols := Conv2DForwardArena(ar, x, wt, bias, c, h, w, spec, true)
+		y, cols := Conv2DForwardArena(ar, x, wt, bias, c, h, w, spec)
 		dx := Conv2DBackwardArena(ar, y, wt, cols, dW, dB, c, h, w, spec)
 		ar.Put(cols)
 		ar.Put(y)

@@ -29,7 +29,10 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// Keep the shape slice out of the message: referencing it
+			// would make every caller's variadic argument escape to the
+			// heap (see Arena.Get).
+			panic(fmt.Sprintf("tensor: negative dimension %d in New", d))
 		}
 		n *= d
 	}

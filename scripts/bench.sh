@@ -43,6 +43,11 @@ go test -run '^$' -bench "$pattern" -benchmem -benchtime="$benchtime" . | tee "$
 go test -run '^$' -bench '^BenchmarkServe' -benchmem -benchtime="$benchtime" ./internal/serve/ | tee "$serve_tmp"
 go test -run '^$' -bench '^BenchmarkCluster' -benchmem -benchtime="$benchtime" ./internal/cluster/ | tee "$cluster_tmp"
 go test -run '^$' -bench '^BenchmarkQuant' -benchmem -benchtime="$benchtime" ./internal/serve/ ./internal/cluster/ | tee "$quant_tmp"
+# The float32 forward on its own (one PredictMapped, no mapping, no
+# coalescer) at batch 1 and 32: printed so the smoke run proves it still
+# executes, not recorded — the committed figures for it are
+# cmd/prionnbench's prionn.forward_ms.f32.b1/.b32.
+go test -run '^$' -bench '^BenchmarkInferForwardF32' -benchmem -benchtime="$benchtime" ./internal/serve/
 go test -run '^$' -bench '^(BenchmarkPrionnvetRunAll$|BenchmarkAnalysisRepoWide)' -benchmem -benchtime="$benchtime" . | tee "$analysis_tmp"
 go test -run '^$' -bench '^BenchmarkPipeline' -benchmem -benchtime="$benchtime" ./internal/pilot/ ./internal/cluster/ | tee "$pipeline_tmp"
 

@@ -20,7 +20,11 @@
 #                      graceful drain — rerun under the race detector
 #                      with concurrent Predict+Swap, plus the read-only
 #                      forward pin: many goroutines predicting on one
-#                      shared f32 and one shared int8 snapshot)
+#                      shared f32 and one shared int8 snapshot, and the
+#                      fused f32 inference forward's identity proofs:
+#                      fused == layer-by-layer == train-mode bitwise,
+#                      packed dense == MatMul, view == snapshot logits,
+#                      private panels dropped by training, flat arena)
 #   9. cluster chaos  (the replicated-cluster robustness matrix under
 #                      the race detector: seeded chaos schedules with
 #                      latency/error/crash injection, cluster-wide swap
@@ -39,7 +43,8 @@
 #                      view across replicas and canary, canary
 #                      rollback/promotion)
 #  12. bench smoke    (one iteration of each kernel, serving, cluster,
-#                      quantized f32-vs-int8, and analysis benchmark via
+#                      quantized f32-vs-int8, f32 inference forward
+#                      (batch 1 and 32), and analysis benchmark via
 #                      scripts/bench.sh 1x; real timings are recorded
 #                      separately into BENCH_kernels.json,
 #                      BENCH_serve.json, BENCH_cluster.json,
@@ -110,11 +115,15 @@ step_done
 # Serving gate: the coalescer's contract tests, explicitly and under
 # the race detector (they also run in the suite above; the -run filter
 # keeps serving correctness visible as its own gate and guards against
-# the tests being renamed away), and the shared-snapshot pin every
-# replica depends on: concurrent forwards over one Inference.
+# the tests being renamed away), the shared-snapshot pin every replica
+# depends on (concurrent forwards over one Inference), and the bitwise
+# identity of the fused float32 inference forward every f32 answer
+# comes from.
 step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
-go test -race -count=1 -run 'TestSharedViewConcurrentPredict' ./internal/prionn/
+go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat' ./internal/prionn/
+go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestMatMulPackedBBitwiseMatchesMatMul' ./internal/tensor/
+go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels' ./internal/nn/
 step_done
 
 # Cluster chaos matrix: the multi-replica layer's robustness proof,
