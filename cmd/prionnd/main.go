@@ -212,7 +212,7 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 	load := fs.String("load", "", "serve a model checkpoint instead of training")
 	quant := fs.Bool("quant", false, "serve an int8-quantized snapshot (post-training calibration on a held-out trace slice)")
 	maxBatch := fs.Int("max-batch", 64, "largest coalesced minibatch")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "coalescing flush deadline")
+	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "longest a batch is held for more requests; only a batch that follows one with more than one request is held, a lone or sequential caller is flushed at once")
 	queueDepth := fs.Int("queue", 256, "admission queue depth (backpressure bound)")
 	statsEvery := fs.Duration("stats", 0, "print serving stats at this interval (0: only at shutdown)")
 	demo := fs.Int("demo", 0, "serve this many in-process requests from -clients goroutines, print throughput, exit")

@@ -102,8 +102,9 @@ func benchScripts(b *testing.B) []string {
 // BenchmarkServeSequential64Clients is the baseline: concurrent callers
 // serialized over single-request forwards (batch 1), which is how every
 // consumer used the predictor before the serving layer existed. The
-// mutex mirrors the Predict concurrency contract — forwards mutate
-// layer caches, so naive callers must serialize.
+// mutex models that deployment's one-forward-at-a-time predictor, not a
+// contract: forwards on a published Inference write nothing and may run
+// concurrently.
 func BenchmarkServeSequential64Clients(b *testing.B) {
 	v, _ := benchTrainedView(b)
 	scripts := benchScripts(b)
@@ -115,6 +116,31 @@ func BenchmarkServeSequential64Clients(b *testing.B) {
 		_ = v.PredictOne(scripts[i%len(scripts)])
 		mu.Unlock()
 	})
+}
+
+// BenchmarkServeLoneRequest is what a lone submission waits: one client
+// with one request outstanding through a default-config server (MaxDelay
+// 2ms). A sequential client never sees company, so no request is held
+// and ns/op is admission + batch-1 map+forward + wake-up — not MaxDelay.
+func BenchmarkServeLoneRequest(b *testing.B) {
+	v, _ := benchTrainedView(b)
+	scripts := benchScripts(b)
+	s := New(v, Config{})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Predict(ctx, Request{Script: scripts[i%len(scripts)]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := s.Stop(ctx); err != nil {
+		b.Fatal(err)
+	}
+	if held := s.Stats().HeldBatches; held != 0 {
+		b.Fatalf("%d batches of a sequential client were held", held)
+	}
 }
 
 // BenchmarkServeCoalesced64Clients routes the same concurrent load

@@ -15,10 +15,10 @@ import (
 // concurrent coalesced clients, served from a float32 snapshot or its
 // int8 quantization. Unlike the coalescing pair above, this fixture is
 // the conv-dominated 2D-CNN at FastConfig scale (32×32 job images),
-// because that is where the integer GEMM earns its keep: conv forwards
-// are large GEMMs whose int8 path moves a quarter of the bytes and
-// packs four multiply-adds per lane. ns/op is per prediction, so
-// int8_speedup = f32 ns_op / int8 ns_op.
+// because that is where the integer GEMM was built to earn its keep:
+// conv forwards are large GEMMs whose int8 path moves a quarter of the
+// bytes and packs four multiply-adds per lane. ns/op is per prediction,
+// so int8_speedup = f32 ns_op / int8 ns_op.
 //
 // Each benchmark reports its snapshot's persisted byte size
 // (snap-bytes); the int8 run additionally reports the class-level
@@ -133,8 +133,10 @@ func BenchmarkQuantServeF32(b *testing.B) {
 	benchQuantServe(b, f32, quantF32Bytes)
 }
 
-// BenchmarkQuantServeInt8 is the same load on the int8 snapshot. The
-// acceptance target is ≥2x predictions/sec over BenchmarkQuantServeF32.
+// BenchmarkQuantServeInt8 is the same load on the int8 snapshot. It met
+// its ≥2x target against the layer-by-layer float32 forward; against the
+// fused one it is the slower of the two (BENCH_quant.json) until the int8
+// forward is fused the same way.
 func BenchmarkQuantServeInt8(b *testing.B) {
 	_, int8v := quantBenchViews(b)
 	benchQuantServe(b, int8v, quantInt8Bytes)

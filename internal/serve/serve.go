@@ -6,13 +6,17 @@
 //
 // Three mechanisms make it production-shaped:
 //
-//   - Request coalescing: concurrent Predict calls queue into a bounded
-//     admission channel; a single inference loop collects up to
-//     Config.MaxBatch of them (waiting at most Config.MaxDelay after
-//     the first) and runs one batched map+forward for the whole group.
-//     Every response is bitwise identical to what a single-request
-//     forward would return — the compute core's reductions are
-//     batch-size and worker-count invariant.
+//   - Load-adaptive request coalescing: concurrent Predict calls queue
+//     into a bounded admission channel; a single inference loop takes
+//     whatever is already queued (up to Config.MaxBatch; arrivals during
+//     the previous flush batch by themselves) and runs one batched
+//     map+forward for the group. It waits for more, up to
+//     Config.MaxDelay, only when the previous batch had more than one
+//     request: a lone or sequential caller is flushed at once, while
+//     concurrent load keeps its deep batches. Every response is bitwise
+//     identical to what a single-request forward would return — the
+//     compute core's reductions are batch-size and worker-count
+//     invariant.
 //
 //   - Bounded admission with backpressure: when the queue is full,
 //     Predict fails fast with ErrOverloaded instead of growing an
@@ -65,8 +69,10 @@ const (
 type Config struct {
 	// MaxBatch is the largest coalesced minibatch (default 64).
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company before the batch is flushed anyway (default 2ms).
+	// MaxDelay is the longest a batch is held for company under
+	// concurrent load (default 2ms). A batch is held only when the
+	// previous one had more than one request; otherwise what is queued
+	// is flushed at once, so sparse traffic never waits on it.
 	MaxDelay time.Duration
 	// QueueDepth is the admission-queue capacity — the backpressure
 	// bound. Requests beyond it get ErrOverloaded (default 4×MaxBatch).
@@ -111,6 +117,7 @@ type Response struct {
 // pending is one admitted request waiting for its flush.
 type pending struct {
 	req  Request
+	at   time.Time // admission; flush start − at is the request's coalescing wait
 	resp Response
 	err  error
 	done chan struct{} // closed exactly once, after resp/err are set
@@ -189,7 +196,7 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 		s.st.rejected.Add(1)
 		return Response{}, err
 	}
-	p := &pending{req: req, done: make(chan struct{})}
+	p := &pending{req: req, at: time.Now(), done: make(chan struct{})}
 
 	s.mu.RLock()
 	if s.stopped {
@@ -197,13 +204,15 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 		s.st.rejected.Add(1)
 		return Response{}, ErrStopped
 	}
+	// Counted before the send: the loop may flush (and subtract) at once.
+	s.st.queueDepth.Add(1)
 	select {
 	case s.queue <- p:
 		s.mu.RUnlock()
 		s.st.admitted.Add(1)
-		s.st.queueDepth.Add(1)
 	default:
 		s.mu.RUnlock()
+		s.st.queueDepth.Add(-1)
 		s.st.rejected.Add(1)
 		return Response{}, ErrOverloaded
 	}
@@ -244,8 +253,10 @@ func (s *Server) Stop(ctx context.Context) error {
 }
 
 // loop is the server's single inference goroutine: it coalesces the
-// queue into batches and flushes them one at a time. It exits when the
-// queue is closed and drained, then signals loopDone.
+// queue into batches and flushes them one at a time. A batch is what is
+// already queued on waking; it is held on the MaxDelay timer for more
+// only if the previous batch found company. It exits when the queue is
+// closed and drained, then signals loopDone.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	timer := time.NewTimer(time.Hour)
@@ -253,28 +264,47 @@ func (s *Server) loop() {
 		<-timer.C
 	}
 	batch := make([]*pending, 0, s.cfg.MaxBatch)
+	company := false // the previous batch had more than one request
 	for first := range s.queue {
 		batch = append(batch[:0], first)
-		timer.Reset(s.cfg.MaxDelay)
-	collect:
+	drain:
 		for len(batch) < s.cfg.MaxBatch {
-			//prionnvet:ignore nondet-select -- batch composition is timing-dependent by design; per-request responses are batch-invariant (bitwise), so coalescing order never changes any output
 			select {
 			case p, ok := <-s.queue:
 				if !ok {
-					break collect // closed and drained; flush what we hold
+					company = false // closed and drained: nobody left to wait for
+					break drain
 				}
 				batch = append(batch, p)
-			case <-timer.C:
-				break collect
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
 			default:
+				break drain
 			}
 		}
+		if company && len(batch) < s.cfg.MaxBatch {
+			held := time.Now()
+			timer.Reset(s.cfg.MaxDelay)
+		collect:
+			for len(batch) < s.cfg.MaxBatch {
+				//prionnvet:ignore nondet-select -- batch composition is timing-dependent by design; per-request responses are batch-invariant (bitwise), so coalescing order never changes any output
+				select {
+				case p, ok := <-s.queue:
+					if !ok {
+						break collect // closed and drained; flush what we hold
+					}
+					batch = append(batch, p)
+				case <-timer.C:
+					break collect
+				}
+			}
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			s.st.recordHold(time.Since(held))
+		}
+		company = len(batch) > 1
 		s.flush(batch)
 	}
 }
@@ -284,6 +314,12 @@ func (s *Server) loop() {
 // snapshot is published.
 func (s *Server) flush(batch []*pending) {
 	s.st.queueDepth.Add(-int64(len(batch)))
+	start := time.Now()
+	var wait time.Duration
+	for _, p := range batch {
+		wait += start.Sub(p.at)
+	}
+	s.st.waitNs.Add(int64(wait))
 	finish := func() {
 		for _, p := range batch {
 			close(p.done)

@@ -35,6 +35,10 @@ type stats struct {
 	mapNs     atomic.Int64 // cumulative mapping-stage wall time
 	forwardNs atomic.Int64 // cumulative forward-stage wall time
 
+	heldBatches atomic.Int64 // batches parked on the MaxDelay timer for company
+	holdNs      atomic.Int64 // cumulative time batches spent parked on it
+	waitNs      atomic.Int64 // cumulative admission → flush-start wait, summed over requests
+
 	batchHist [batchBuckets]atomic.Int64
 }
 
@@ -67,6 +71,12 @@ func (s *stats) recordBatch(size int, mapDur, forwardDur time.Duration) {
 	s.forwardNs.Add(int64(forwardDur))
 }
 
+// recordHold counts one batch that was parked on the MaxDelay timer.
+func (s *stats) recordHold(d time.Duration) {
+	s.heldBatches.Add(1)
+	s.holdNs.Add(int64(d))
+}
+
 // Snapshot is an expvar-style point-in-time copy of the serving
 // counters, safe to marshal, print, or diff against an earlier one.
 type Snapshot struct {
@@ -97,6 +107,16 @@ type Snapshot struct {
 	MapNs     int64 `json:"map_ns"`
 	ForwardNs int64 `json:"forward_ns"`
 
+	// The coalescer's cost. HeldBatches counts batches parked on the
+	// MaxDelay timer (only a batch that follows one with company is);
+	// HoldNs is the time they spent there; WaitNs sums, over requests,
+	// admission → start of the flush that served it (queueing behind the
+	// previous flush plus any hold), so WaitNs / answered requests is the
+	// mean coalescing wait.
+	HeldBatches int64 `json:"held_batches"`
+	HoldNs      int64 `json:"hold_ns"`
+	WaitNs      int64 `json:"wait_ns"`
+
 	// BatchHist[i] counts flushes with batch size in (2^(i-1), 2^i];
 	// BatchHist[0] counts single-request flushes.
 	BatchHist [batchBuckets]int64 `json:"batch_hist"`
@@ -118,6 +138,9 @@ func (s *stats) snapshot() Snapshot {
 	out.QueueDepth = s.queueDepth.Load()
 	out.MapNs = s.mapNs.Load()
 	out.ForwardNs = s.forwardNs.Load()
+	out.HeldBatches = s.heldBatches.Load()
+	out.HoldNs = s.holdNs.Load()
+	out.WaitNs = s.waitNs.Load()
 	for i := range out.BatchHist {
 		out.BatchHist[i] = s.batchHist[i].Load()
 	}
@@ -129,8 +152,11 @@ func (sn Snapshot) MeanBatch() float64 {
 	if sn.Batches == 0 {
 		return 0
 	}
-	return float64(sn.Served+sn.Fallback+sn.Errored) / float64(sn.Batches)
+	return float64(sn.answered()) / float64(sn.Batches)
 }
+
+// answered is the number of requests that went through a flush.
+func (sn Snapshot) answered() int64 { return sn.Served + sn.Fallback + sn.Errored }
 
 // String renders the snapshot as the multi-line block `prionnd -stats`
 // prints.
@@ -152,6 +178,8 @@ func (sn Snapshot) String() string {
 		perBatchMap := time.Duration(sn.MapNs / sn.Batches)
 		perBatchFwd := time.Duration(sn.ForwardNs / sn.Batches)
 		fmt.Fprintf(&b, "per-batch latency: map %v, forward %v\n", perBatchMap, perBatchFwd)
+		fmt.Fprintf(&b, "coalescing: %d of %d batches held for company (%v total), mean wait %v per request\n",
+			sn.HeldBatches, sn.Batches, time.Duration(sn.HoldNs), time.Duration(sn.WaitNs/max(sn.answered(), 1)))
 	}
 	b.WriteString("batch-size histogram:")
 	for i, c := range sn.BatchHist {

@@ -6,10 +6,12 @@
 # BENCH_kernels.json with {ns_op, allocs_op} per benchmark, so each PR
 # can diff throughput against the committed numbers of the previous one.
 # Then runs the serving-throughput pair (64 concurrent clients through
-# sequential batch-1 PredictOne vs the internal/serve coalescer) and
-# rewrites BENCH_serve.json, including the per-prediction rate and the
-# coalescing speedup ratio. Then runs the cluster family (replica
-# scaling, script-affinity caching, hedging) and rewrites
+# sequential batch-1 PredictOne vs the internal/serve coalescer), the
+# lone-request latency probe and the bare float32 forward at batch 1 and
+# 32, and rewrites BENCH_serve.json, including the per-prediction rate,
+# the coalescing speedup ratio and lone_request_us. Then runs the
+# cluster family (replica scaling, script-affinity caching, hedging) and
+# rewrites
 # BENCH_cluster.json with predictions/sec, cache hit rate, dispatch
 # p50/p99, and the 4-replica aggregate speedup. Then runs the quantized
 # f32-vs-int8 pairs (uncached serving and uncached 4-replica cluster on
@@ -40,14 +42,12 @@ pipeline_tmp="$(mktemp)"
 trap 'rm -f "$tmp" "$serve_tmp" "$cluster_tmp" "$quant_tmp" "$analysis_tmp" "$pipeline_tmp"' EXIT
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime="$benchtime" . | tee "$tmp"
-go test -run '^$' -bench '^BenchmarkServe' -benchmem -benchtime="$benchtime" ./internal/serve/ | tee "$serve_tmp"
+# BenchmarkInferForwardF32B1/B32 is the float32 forward on its own (one
+# PredictMapped, no mapping, no coalescer): ns_op there is per forward,
+# not per prediction.
+go test -run '^$' -bench '^(BenchmarkServe|BenchmarkInferForwardF32)' -benchmem -benchtime="$benchtime" ./internal/serve/ | tee "$serve_tmp"
 go test -run '^$' -bench '^BenchmarkCluster' -benchmem -benchtime="$benchtime" ./internal/cluster/ | tee "$cluster_tmp"
 go test -run '^$' -bench '^BenchmarkQuant' -benchmem -benchtime="$benchtime" ./internal/serve/ ./internal/cluster/ | tee "$quant_tmp"
-# The float32 forward on its own (one PredictMapped, no mapping, no
-# coalescer) at batch 1 and 32: printed so the smoke run proves it still
-# executes, not recorded — the committed figures for it are
-# cmd/prionnbench's prionn.forward_ms.f32.b1/.b32.
-go test -run '^$' -bench '^BenchmarkInferForwardF32' -benchmem -benchtime="$benchtime" ./internal/serve/
 go test -run '^$' -bench '^(BenchmarkPrionnvetRunAll$|BenchmarkAnalysisRepoWide)' -benchmem -benchtime="$benchtime" . | tee "$analysis_tmp"
 go test -run '^$' -bench '^BenchmarkPipeline' -benchmem -benchtime="$benchtime" ./internal/pilot/ ./internal/cluster/ | tee "$pipeline_tmp"
 
@@ -76,9 +76,11 @@ END { print "\n}" }
 
 echo "wrote BENCH_kernels.json"
 
-# BENCH_serve.json additionally derives predictions/sec per benchmark
-# and the coalescing speedup (sequential ns_op / coalesced ns_op) — the
-# serving layer's headline number.
+# BENCH_serve.json additionally derives predictions/sec per serving
+# benchmark, the coalescing speedup (sequential ns_op / coalesced ns_op)
+# — the serving layer's headline number — and lone_request_us, what one
+# sequential client waits per request through a default-config server
+# (it is never held, so this is far below MaxDelay).
 awk '
 BEGIN { print "{"; sep = "" }
 /^Benchmark/ {
@@ -92,7 +94,9 @@ BEGIN { print "{"; sep = "" }
     }
     if (name ~ /Sequential64Clients$/) seq_ns = ns
     if (name ~ /Coalesced64Clients$/) coal_ns = ns
-    printf "%s  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s, \"predictions_per_sec\": %.0f", sep, name, ns, allocs, 1e9 / ns
+    if (name ~ /LoneRequest$/) lone_ns = ns
+    printf "%s  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s", sep, name, ns, allocs
+    if (name ~ /^BenchmarkServe/) printf ", \"predictions_per_sec\": %.0f", 1e9 / ns
     if (batch != "") printf ", \"mean_batch_size\": %s", batch
     printf "}"
     sep = ",\n"
@@ -100,6 +104,8 @@ BEGIN { print "{"; sep = "" }
 END {
     if (seq_ns != "" && coal_ns != "")
         printf "%s  \"coalescing_speedup\": %.2f", sep, seq_ns / coal_ns
+    if (lone_ns != "")
+        printf ",\n  \"lone_request_us\": %.1f", lone_ns / 1e3
     print "\n}"
 }
 ' "$serve_tmp" > BENCH_serve.json

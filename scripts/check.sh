@@ -18,7 +18,12 @@
 #   8. serve gate     (the serving layer's contract tests — coalesced
 #                      == single bitwise, bounded-queue overload,
 #                      graceful drain — rerun under the race detector
-#                      with concurrent Predict+Swap, plus the read-only
+#                      with concurrent Predict+Swap, the coalescing
+#                      rule: a lone or sequential caller is never held,
+#                      the batch after one with company is, and Stop or
+#                      a full batch releases it early; queue_depth
+#                      never negative; the admission path's allocation
+#                      ceiling; plus the read-only
 #                      forward pin: many goroutines predicting on one
 #                      shared f32 and one shared int8 snapshot, and the
 #                      fused f32 inference forward's identity proofs:
@@ -115,12 +120,14 @@ step_done
 # Serving gate: the coalescer's contract tests, explicitly and under
 # the race detector (they also run in the suite above; the -run filter
 # keeps serving correctness visible as its own gate and guards against
-# the tests being renamed away), the shared-snapshot pin every replica
+# the tests being renamed away), the load-adaptive coalescing rule and
+# the queue_depth / allocation pins, the shared-snapshot pin every replica
 # depends on (concurrent forwards over one Inference), and the bitwise
 # identity of the fused float32 inference forward every f32 answer
 # comes from.
 step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
+go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
 go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat' ./internal/prionn/
 go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestMatMulPackedBBitwiseMatchesMatMul' ./internal/tensor/
 go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels' ./internal/nn/
