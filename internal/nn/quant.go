@@ -24,6 +24,18 @@ import (
 // activation, so the only dequantization to float happens at the
 // logits.
 //
+// Forward. QModel.Predict cuts the op chain into conv→[pool] and dense
+// blocks — the cut nextBlock gives the float path, a pool op folding
+// into the conv before it when it is 2×2 stride 2, unpadded, over that
+// conv's output — and runs each as one fused pass of the tensor package
+// (tensor.Conv2DInferU8, tensor.DenseInferU8): strips packed straight
+// from the u8 image or from weights packed once per snapshot, the 2×2
+// window maximum taken on the int32 accumulators, then zero-point
+// correction, requantization and the ReLU clamp once per surviving cell.
+// Activations ping-pong between two pooled buffers; a batch-1 forward
+// starts no goroutine. A lone op's QForward is the same code with
+// nothing folded and a fresh output.
+//
 // The int32 → real mapping uses the standard zero-point correction:
 // with x_q = x/s_x + z_x and w_q = w/s_w[ch],
 //
@@ -33,7 +45,9 @@ import (
 // exact integer arithmetic; the surrounding scale multiplications are
 // elementwise float32 in a fixed expression order, so requantization is
 // deterministic for any worker count and identical across the asm and
-// pure-Go GEMM kernels (whose int32 accumulators are bitwise equal).
+// pure-Go GEMM kernels (whose int32 accumulators are bitwise equal);
+// every step is weakly increasing in the accumulator, so pooling before
+// it yields the bytes pooling after it would (tensor/infer_int8.go).
 //
 // A quantized model is immutable and its forwards are stateless, so one
 // QModel may serve concurrent callers without cloning (as may a
@@ -45,30 +59,10 @@ type QParams struct {
 	Zero  uint8
 }
 
-// roundI32 is int32(math.Round(v)) for the magnitudes quantization
-// produces: round half away from zero via biased truncation. For any v
-// whose significand fits float64 exactly after adding ±0.5 (always true
-// here — inputs are float32-valued and far below 2^52), the result is
-// bit-identical to the library routine, which is pure-Go bit twiddling
-// and dominates the requantization profile otherwise.
-func roundI32(v float64) int32 {
-	if v >= 0 {
-		return int32(v + 0.5)
-	}
-	return int32(v - 0.5)
-}
-
 // Quantize maps a real value to its uint8 representation, rounding to
 // nearest and saturating at the type bounds.
 func (p QParams) Quantize(x float32) uint8 {
-	v := roundI32(float64(x/p.Scale)) + int32(p.Zero)
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
+	return tensor.QuantizeU8(x, p.Scale, p.Zero, false)
 }
 
 // Dequantize maps a uint8 representation back to its real value.
@@ -163,59 +157,51 @@ func quantizeChannel(dst []int8, w []float32) (scale float32) {
 	return scale
 }
 
-// requantU8 maps one real-valued accumulator result to the next
-// activation's uint8 domain. With relu the low clamp sits at the zero
-// point — the quantized image of real 0 — which folds the ReLU into
-// requantization exactly.
-func requantU8(real float32, p QParams, relu bool) uint8 {
-	v := roundI32(float64(real/p.Scale)) + int32(p.Zero)
-	lo := int32(0)
-	if relu {
-		lo = int32(p.Zero)
-	}
-	if v < lo {
-		v = lo
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
-}
-
 // QOp is one stage of a quantized forward pass: uint8 activations in,
 // uint8 activations out, batch size n. Implementations are immutable
-// after construction and allocate their outputs per call, so a QOp is
-// safe for concurrent use.
+// after construction and QForward allocates its output per call, so a
+// QOp is safe for concurrent use. QModel.Predict does not call QForward:
+// it runs the ops it knows as fused blocks into pooled buffers.
 type QOp interface {
 	QForward(x []uint8, n int) []uint8
 }
 
-// qScratch holds a forward pass's internal column and accumulator
-// buffers. They never escape a single QForward call, every byte is
-// overwritten before it is read (im2col fills the whole column matrix,
-// the GEMM writes every destination cell), and conv scratch at serving
-// batch sizes runs to megabytes — so the buffers are pooled unzeroed
-// rather than allocated per call. The pool lives at package level,
-// keeping QModel itself stateless and safe to share across goroutines.
+// qDims returns op's per-sample input and output lengths.
+func qDims(op QOp) (in, out int) {
+	switch l := op.(type) {
+	case *QConv2D:
+		oh, ow := l.Spec.OutDims(l.InH, l.InW)
+		return l.InC * l.InH * l.InW, l.Filters * oh * ow
+	case *QMaxPool2D:
+		oh, ow := l.Spec.OutDims(l.InH, l.InW)
+		return l.InC * l.InH * l.InW, l.InC * oh * ow
+	case *QDense:
+		return l.In, l.Out
+	}
+	panic(fmt.Sprintf("nn: unknown quantized op %T", op))
+}
+
+// qScratch is the pair of activation buffers one QModel.Predict
+// ping-pongs between. They never outlive the call and every byte is
+// written before it is read, so they are pooled unzeroed — per call, at
+// package level: QModel itself stays stateless and safe to share across
+// goroutines.
 type qScratch struct {
-	u8  []uint8
-	i32 []int32
+	a, b []uint8
 }
 
 var qScratchPool = sync.Pool{New: func() any { return new(qScratch) }}
 
-// getQScratch returns a scratch pair with at least the requested
-// lengths. Contents are unspecified.
-func getQScratch(u8n, i32n int) *qScratch {
-	s := qScratchPool.Get().(*qScratch)
-	if cap(s.u8) < u8n {
-		s.u8 = make([]uint8, u8n)
+// buffers returns the two buffers with at least size bytes each.
+// Contents are unspecified.
+func (s *qScratch) buffers(size int) (a, b []uint8) {
+	if cap(s.a) < size {
+		s.a = make([]uint8, size)
 	}
-	if cap(s.i32) < i32n {
-		s.i32 = make([]int32, i32n)
+	if cap(s.b) < size {
+		s.b = make([]uint8, size)
 	}
-	s.u8, s.i32 = s.u8[:u8n], s.i32[:i32n]
-	return s
+	return s.a[:size], s.b[:size]
 }
 
 // QConv2D is the quantized twin of Conv2D (with an optionally folded
@@ -238,52 +224,45 @@ type QConv2D struct {
 	packedW *tensor.PackedInt8A
 }
 
+// panels returns W in the int8 GEMM's panel layout: packedW, or, for an
+// op built by hand rather than by Quantize or LoadQModel, a fresh pack.
+func (c *QConv2D) panels() *tensor.PackedInt8A {
+	if c.packedW != nil {
+		return c.packedW
+	}
+	colRows := c.InC * c.Spec.KH * c.Spec.KW
+	return tensor.PackInt8A(c.W, colRows, 1, c.Filters, colRows)
+}
+
 // prepack builds the frozen GEMM panels from W. Must run after the
 // weights are final (they are written once, at construction).
-func (c *QConv2D) prepack() {
-	colRows := c.InC * c.Spec.KH * c.Spec.KW
-	c.packedW = tensor.PackInt8A(c.W, colRows, 1, c.Filters, colRows)
-}
+func (c *QConv2D) prepack() { c.packedW = c.panels() }
 
-// gemm runs the layer GEMM acc[F, N·OH·OW] = W · cols, through the
-// pre-packed panels when available.
-func (c *QConv2D) gemm(acc []int32, cols []uint8, n, colW, colRows int) {
-	if c.packedW != nil {
-		tensor.GemmInt8PackedA(acc, n*colW, n*colW, c.packedW, cols, n*colW, 1)
-		return
-	}
-	tensor.GemmInt8(acc, n*colW, c.Filters, n*colW, colRows, c.W, colRows, 1, cols, n*colW, 1)
-}
-
-// QForward implements QOp: u8 im2col (padding with the input zero
-// point), one int8 GEMM for the whole batch, then a sample-parallel
-// requantizing scatter from the [F, N*OH*OW] accumulator layout into
-// [N, F, OH, OW] — the quantized mirror of Conv2DForwardArena.
-func (c *QConv2D) QForward(x []uint8, n int) []uint8 {
+// folds reports whether next is a pool the conv's forward can take into
+// its epilogue: 2×2 stride 2, unpadded, over exactly this conv's output.
+func (c *QConv2D) folds(next QOp) bool {
+	p, ok := next.(*QMaxPool2D)
 	oh, ow := c.Spec.OutDims(c.InH, c.InW)
-	colW := oh * ow
-	colRows := c.InC * c.Spec.KH * c.Spec.KW
-	sc := getQScratch(colRows*n*colW, c.Filters*n*colW)
-	cols, acc := sc.u8, sc.i32
-	tensor.Im2ColBatchU8(cols, x, n, c.InC, c.InH, c.InW, c.Spec, c.InQ.Zero)
-	c.gemm(acc, cols, n, colW, colRows)
-	out := make([]uint8, n*c.Filters*colW)
-	zx := int32(c.InQ.Zero)
-	tensor.ParallelForMin(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for f := 0; f < c.Filters; f++ {
-				s := c.InQ.Scale * c.WScale[f]
-				corr := zx * c.WSum[f]
-				bias := c.Bias[f]
-				src := acc[f*n*colW+i*colW : f*n*colW+(i+1)*colW]
-				dst := out[(i*c.Filters+f)*colW : (i*c.Filters+f+1)*colW]
-				for j, a := range src {
-					dst[j] = requantU8(s*float32(a-corr)+bias, c.OutQ, c.Relu)
-				}
-			}
-		}
-	})
-	qScratchPool.Put(sc)
+	return ok && p.Spec == tensor.ConvSpec{KH: 2, KW: 2, Stride: 2} &&
+		p.InC == c.Filters && p.InH == oh && p.InW == ow
+}
+
+// forward is the fused block forward (tensor.Conv2DInferU8): into dst the
+// requantized outputs, max-pooled 2×2 with pool, or with dst nil into
+// real the pre-activations.
+func (c *QConv2D) forward(dst []uint8, real []float32, x []uint8, n int, pool bool) {
+	tensor.Conv2DInferU8(dst, real, x, n, c.panels(), c.InC, c.InH, c.InW, c.Spec, tensor.Requant{
+		InScale: c.InQ.Scale, InZero: c.InQ.Zero,
+		WScale: c.WScale, WSum: c.WSum, Bias: c.Bias,
+		OutScale: c.OutQ.Scale, OutZero: c.OutQ.Zero, Relu: c.Relu,
+	}, pool)
+}
+
+// QForward implements QOp: the block forward with nothing folded.
+func (c *QConv2D) QForward(x []uint8, n int) []uint8 {
+	_, outLen := qDims(c)
+	out := make([]uint8, n*outLen)
+	c.forward(out, nil, x, n, false)
 	return out
 }
 
@@ -293,34 +272,17 @@ func (c *QConv2D) QForward(x []uint8, n int) []uint8 {
 // filter's mean quantization-induced drift on the calibration batch
 // (bias correction); the serving path never calls it.
 func (c *QConv2D) realForward(x []uint8, n int) []float32 {
-	oh, ow := c.Spec.OutDims(c.InH, c.InW)
-	colW := oh * ow
-	colRows := c.InC * c.Spec.KH * c.Spec.KW
-	sc := getQScratch(colRows*n*colW, c.Filters*n*colW)
-	cols, acc := sc.u8, sc.i32
-	tensor.Im2ColBatchU8(cols, x, n, c.InC, c.InH, c.InW, c.Spec, c.InQ.Zero)
-	c.gemm(acc, cols, n, colW, colRows)
-	out := make([]float32, n*c.Filters*colW)
-	zx := int32(c.InQ.Zero)
-	for f := 0; f < c.Filters; f++ {
-		s := c.InQ.Scale * c.WScale[f]
-		corr := zx * c.WSum[f]
-		bias := c.Bias[f]
-		for i := 0; i < n; i++ {
-			src := acc[f*n*colW+i*colW : f*n*colW+(i+1)*colW]
-			dst := out[(i*c.Filters+f)*colW : (i*c.Filters+f+1)*colW]
-			for j, a := range src {
-				dst[j] = s*float32(a-corr) + bias
-			}
-		}
-	}
-	qScratchPool.Put(sc)
+	_, outLen := qDims(c)
+	out := make([]float32, n*outLen)
+	c.forward(nil, out, x, n, false)
 	return out
 }
 
 // QMaxPool2D is the quantized twin of MaxPool2D. Max pooling commutes
 // with (monotonic) quantization, so it runs directly on uint8 and the
-// activation parameters pass through unchanged.
+// activation parameters pass through unchanged. In a QModel it is its
+// own op — the snapshot format — and at forward time folds into the conv
+// before it when QConv2D.folds says so.
 type QMaxPool2D struct {
 	InC, InH, InW int
 	Spec          tensor.ConvSpec
@@ -328,16 +290,16 @@ type QMaxPool2D struct {
 
 // QForward implements QOp.
 func (p *QMaxPool2D) QForward(x []uint8, n int) []uint8 {
-	oh, ow := p.Spec.OutDims(p.InH, p.InW)
-	out := make([]uint8, n*p.InC*oh*ow)
+	_, outLen := qDims(p)
+	out := make([]uint8, n*outLen)
 	tensor.MaxPool2DForwardU8(out, x, n, p.InC, p.InH, p.InW, p.Spec)
 	return out
 }
 
 // QDense is the quantized twin of Dense (with an optionally folded
 // following ReLU). Weights are stored output-major [Out, In] — the
-// transpose of Dense's [In, Out] — so each output unit's row is the
-// contiguous per-channel GEMM operand.
+// transpose of Dense's [In, Out] — so each output unit's row is one
+// quantization channel.
 type QDense struct {
 	In, Out   int
 	W         []int8
@@ -347,78 +309,46 @@ type QDense struct {
 	InQ, OutQ QParams
 	Relu      bool
 
-	packedW *tensor.PackedInt8A // see QConv2D.packedW
+	// packedW is W as the GEMM's right operand, 16 output units per
+	// strip, so a batch of 1–4 wastes no vector lanes (see
+	// QConv2D.packedW for its lifetime).
+	packedW *tensor.PackedInt8B
 }
 
-// prepack builds the frozen GEMM panels from W (see QConv2D.prepack).
-func (d *QDense) prepack() {
-	d.packedW = tensor.PackInt8A(d.W, d.In, 1, d.Out, d.In)
-}
-
-// matmul runs the head GEMM transposed — yT[out, N] = W[Out,In] ·
-// xᵀ[In, N], with xᵀ expressed as a strided view of the row-major
-// batch — so the weight matrix is operand A regardless of batch size.
-func (d *QDense) matmul(x []uint8, n int) []int32 {
-	yT := make([]int32, d.Out*n)
+// panels and prepack are QConv2D's.
+func (d *QDense) panels() *tensor.PackedInt8B {
 	if d.packedW != nil {
-		tensor.GemmInt8PackedA(yT, n, n, d.packedW, x, 1, d.In)
-	} else {
-		tensor.GemmInt8(yT, n, d.Out, n, d.In, d.W, d.In, 1, x, 1, d.In)
+		return d.packedW
 	}
-	return yT
+	return tensor.PackInt8B(d.W, 1, d.In, d.In, d.Out)
+}
+
+func (d *QDense) prepack() { d.packedW = d.panels() }
+
+// forward is the fused block forward (tensor.DenseInferU8): into dst
+// [N, Out] the requantized outputs, or with dst nil into real the
+// pre-activations — the logits, when d is a head.
+func (d *QDense) forward(dst []uint8, real []float32, x []uint8, n int) {
+	tensor.DenseInferU8(dst, real, x, n, d.panels(), tensor.Requant{
+		InScale: d.InQ.Scale, InZero: d.InQ.Zero,
+		WScale: d.WScale, WSum: d.WSum, Bias: d.Bias,
+		OutScale: d.OutQ.Scale, OutZero: d.OutQ.Zero, Relu: d.Relu,
+	})
 }
 
 // QForward implements QOp (hidden layers: requantize to uint8).
 func (d *QDense) QForward(x []uint8, n int) []uint8 {
-	yT := d.matmul(x, n)
 	out := make([]uint8, n*d.Out)
-	zx := int32(d.InQ.Zero)
-	for o := 0; o < d.Out; o++ {
-		s := d.InQ.Scale * d.WScale[o]
-		corr := zx * d.WSum[o]
-		bias := d.Bias[o]
-		row := yT[o*n : (o+1)*n]
-		for j, a := range row {
-			out[j*d.Out+o] = requantU8(s*float32(a-corr)+bias, d.OutQ, d.Relu)
-		}
-	}
+	d.forward(out, nil, x, n)
 	return out
 }
 
 // realForward is QConv2D.realForward's dense twin: real-valued
 // pre-activation outputs in the float layout [N, Out].
 func (d *QDense) realForward(x []uint8, n int) []float32 {
-	yT := d.matmul(x, n)
 	out := make([]float32, n*d.Out)
-	zx := int32(d.InQ.Zero)
-	for o := 0; o < d.Out; o++ {
-		s := d.InQ.Scale * d.WScale[o]
-		corr := zx * d.WSum[o]
-		bias := d.Bias[o]
-		row := yT[o*n : (o+1)*n]
-		for j, a := range row {
-			out[j*d.Out+o] = s*float32(a-corr) + bias
-		}
-	}
+	d.forward(nil, out, x, n)
 	return out
-}
-
-// forwardLogits is the head-layer path: dequantize straight to float32
-// logits, skipping output requantization entirely.
-func (d *QDense) forwardLogits(x []uint8, n int) *tensor.Tensor {
-	yT := d.matmul(x, n)
-	logits := tensor.New(n, d.Out)
-	zx := int32(d.InQ.Zero)
-	for o := 0; o < d.Out; o++ {
-		s := d.InQ.Scale * d.WScale[o]
-		corr := zx * d.WSum[o]
-		bias := d.Bias[o]
-		row := yT[o*n : (o+1)*n]
-		for j, a := range row {
-			logits.Data[j*d.Out+o] = s*float32(a-corr) + bias
-		}
-	}
-	return logits
 }
 
 // QModel is a quantized inference-only model: an input quantization, a
@@ -442,14 +372,49 @@ func init() {
 // logits, matching Sequential.Predict's shape contract.
 func (m *QModel) Predict(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
-	q := make([]uint8, x.Len())
+	sc := qScratchPool.Get().(*qScratch)
+	act := m.hidden(sc, x, len(m.Ops))
+	logits := tensor.New(n, m.Head.Out)
+	m.Head.forward(nil, logits.Data, act, n)
+	qScratchPool.Put(sc)
+	return logits
+}
+
+// hidden quantizes the float batch x into one of sc's buffers and runs
+// ops [0, upTo) over it block by block, each block reading one buffer
+// and writing the other; the result is the last block's output, in sc.
+func (m *QModel) hidden(sc *qScratch, x *tensor.Tensor, upTo int) []uint8 {
+	n := x.Dim(0)
+	size := x.Len()
+	for _, op := range m.Ops[:upTo] {
+		_, out := qDims(op)
+		size = max(size, n*out)
+	}
+	cur, next := sc.buffers(size)
+	cur = cur[:x.Len()]
 	for i, v := range x.Data {
-		q[i] = m.InQ.Quantize(v)
+		cur[i] = m.InQ.Quantize(v)
 	}
-	for _, op := range m.Ops {
-		q = op.QForward(q, n)
+	for i := 0; i < upTo; {
+		op := m.Ops[i]
+		i++
+		_, out := qDims(op)
+		switch l := op.(type) {
+		case *QConv2D:
+			pool := i < upTo && l.folds(m.Ops[i])
+			if pool {
+				_, out = qDims(m.Ops[i])
+				i++
+			}
+			l.forward(next[:n*out], nil, cur, n, pool)
+		case *QMaxPool2D:
+			tensor.MaxPool2DForwardU8(next[:n*out], cur, n, l.InC, l.InH, l.InW, l.Spec)
+		case *QDense:
+			l.forward(next[:n*out], nil, cur, n)
+		}
+		cur, next = next[:n*out], cur[:cap(cur)]
 	}
-	return m.Head.forwardLogits(q, n)
+	return cur
 }
 
 // PredictClasses returns the argmax class per sample.
@@ -492,8 +457,51 @@ func LoadQModel(r io.Reader) (*QModel, error) {
 	return &m, nil
 }
 
+// maxQLen bounds every activation length Validate accepts, so the
+// products of decoded dimensions cannot overflow.
+const maxQLen = 1 << 30
+
+// positiveDims reports whether every dimension is positive and their
+// product at most maxQLen.
+func positiveDims(dims ...int) bool {
+	n := 1
+	for _, d := range dims {
+		if d <= 0 || d > maxQLen/n {
+			return false
+		}
+		n *= d
+	}
+	return true
+}
+
+// positiveScales reports whether every weight scale is positive (and not
+// NaN) — what makes requantization increasing in the accumulator, which
+// folding a pool into a conv relies on.
+func positiveScales(scales []float32) bool {
+	for _, s := range scales {
+		if !(s > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// InputLen returns the per-sample input length the model's first op
+// declares.
+func (m *QModel) InputLen() int {
+	if len(m.Ops) == 0 {
+		return m.Head.In
+	}
+	in, _ := qDims(m.Ops[0])
+	return in
+}
+
 // Validate checks structural invariants: every op's weight and scale
-// slices match its declared geometry.
+// slices match its declared geometry, and the chain is consistent — each
+// op's input length is the previous op's output length, and the head's
+// the last op's. The forward slices and packs activations by the declared
+// geometry alone, so this is what stands between a tampered file and an
+// out-of-range read.
 func (m *QModel) Validate() error {
 	if m.Head == nil {
 		return fmt.Errorf("nn: quantized model has no head layer")
@@ -502,51 +510,64 @@ func (m *QModel) Validate() error {
 		switch l := op.(type) {
 		case *QConv2D:
 			fanIn := l.InC * l.Spec.KH * l.Spec.KW
-			if l.Filters <= 0 || fanIn <= 0 {
-				return fmt.Errorf("nn: quantized conv has empty geometry")
-			}
 			if err := l.Spec.Validate(l.InH, l.InW); err != nil {
 				return err
+			}
+			oh, ow := l.Spec.OutDims(l.InH, l.InW)
+			if !positiveDims(l.InC, l.InH, l.InW) || !positiveDims(l.Filters, oh, ow) || !positiveDims(l.Filters, fanIn) {
+				return fmt.Errorf("nn: quantized conv has empty or oversized geometry")
 			}
 			if len(l.W) != l.Filters*fanIn || len(l.WScale) != l.Filters ||
 				len(l.WSum) != l.Filters || len(l.Bias) != l.Filters {
 				return fmt.Errorf("nn: quantized conv weight shapes inconsistent")
 			}
-			if l.OutQ.Scale <= 0 || l.InQ.Scale <= 0 {
-				return fmt.Errorf("nn: quantized conv has non-positive activation scale")
+			if !(l.OutQ.Scale > 0) || !(l.InQ.Scale > 0) || !positiveScales(l.WScale) {
+				return fmt.Errorf("nn: quantized conv has a non-positive scale")
 			}
 		case *QMaxPool2D:
 			if err := l.Spec.Validate(l.InH, l.InW); err != nil {
 				return err
 			}
-			if l.InC <= 0 {
-				return fmt.Errorf("nn: quantized pool has empty geometry")
+			if l.Spec.PadH != 0 || l.Spec.PadW != 0 {
+				return fmt.Errorf("nn: quantized pool has padding")
+			}
+			if !positiveDims(l.InC, l.InH, l.InW) {
+				return fmt.Errorf("nn: quantized pool has empty or oversized geometry")
 			}
 		case *QDense:
-			if l.In <= 0 || l.Out <= 0 {
-				return fmt.Errorf("nn: quantized dense has empty geometry")
+			if !positiveDims(l.In, l.Out) {
+				return fmt.Errorf("nn: quantized dense has empty or oversized geometry")
 			}
 			if len(l.W) != l.Out*l.In || len(l.WScale) != l.Out ||
 				len(l.WSum) != l.Out || len(l.Bias) != l.Out {
 				return fmt.Errorf("nn: quantized dense weight shapes inconsistent")
 			}
-			if l.InQ.Scale <= 0 {
-				return fmt.Errorf("nn: quantized dense has non-positive activation scale")
+			if !(l.InQ.Scale > 0) || !positiveScales(l.WScale) {
+				return fmt.Errorf("nn: quantized dense has a non-positive scale")
 			}
 		default:
 			return fmt.Errorf("nn: unknown quantized op %T", op)
 		}
 		return nil
 	}
-	for _, op := range m.Ops {
+	have := 0 // the previous op's output length
+	for i, op := range m.Ops {
 		if err := check(op); err != nil {
 			return err
 		}
+		in, out := qDims(op)
+		if i > 0 && in != have {
+			return fmt.Errorf("nn: quantized op %d (%T) takes %d values per sample, the op before it yields %d", i, op, in, have)
+		}
+		have = out
 	}
 	if err := check(m.Head); err != nil {
 		return err
 	}
-	if m.InQ.Scale <= 0 {
+	if len(m.Ops) > 0 && m.Head.In != have {
+		return fmt.Errorf("nn: quantized head takes %d values per sample, the op before it yields %d", m.Head.In, have)
+	}
+	if !(m.InQ.Scale > 0) {
 		return fmt.Errorf("nn: quantized model has non-positive input scale")
 	}
 	return nil

@@ -108,6 +108,7 @@ func FuzzQuantizedLoad(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), 0xde, 0xad))
 	f.Add(fbuf.Bytes()) // a float32 frame: wrong version byte
 	f.Add(bytes.Repeat([]byte{0xff}, 256))
+	f.Add(rewriteQuantized(f, valid, enlargeFirstConv)) // well-framed, ops that do not chain
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := LoadQuantized(bytes.NewReader(data))
@@ -123,6 +124,9 @@ func FuzzQuantizedLoad(f *testing.F) {
 		if v.Kernel() != KernelInt8 {
 			t.Fatalf("accepted snapshot has kernel %q", v.Kernel())
 		}
+		// Whatever loads must also serve: the forward trusts the loaded
+		// geometry.
+		v.PredictOne(jobs[0].Script)
 		if _, ferr := readFrameV(bytes.NewReader(data), frameVersionQuant); errors.Is(ferr, ErrTruncated) || errors.Is(ferr, ErrCorrupt) {
 			t.Fatalf("LoadQuantized accepted bytes the frame layer rejects: %v", ferr)
 		}

@@ -117,43 +117,60 @@ func TestSnapshotPanelsPrivate(t *testing.T) {
 // does not return, so Outstanding is a leak check a daemon can use.
 // (Until the inference forward stopped taking its outputs from the
 // arena, every PredictMapped raised it by one per conv layer per head.)
+// The int8 view's scratch is pooled elsewhere; it must not start to
+// borrow from the arena either.
 func TestPredictMappedLeavesArenaFlat(t *testing.T) {
 	p, jobs := trainedModelPredictor(t, Model2DCNN, 31)
-	snap, err := p.Snapshot()
+	f32, err := p.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1 := snap.MapTexts([]string{jobs[50].Script})
-	x4 := snap.MapTexts([]string{jobs[51].Script, jobs[52].Script, jobs[53].Script, jobs[54].Script})
-	snap.PredictMapped(x4)
-	before := tensor.DefaultArena().Outstanding()
-	for i := 0; i < 50; i++ {
-		snap.PredictMapped(x1)
-		snap.PredictMapped(x4)
+	int8v, err := p.SnapshotQuantized(jobs[40:60])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := tensor.DefaultArena().Outstanding(); got != before {
-		t.Fatalf("Arena.Outstanding went %d → %d over 100 PredictMapped calls on a shared view", before, got)
+	for _, snap := range []*Inference{f32, int8v} {
+		x1 := snap.MapTexts([]string{jobs[50].Script})
+		x4 := snap.MapTexts([]string{jobs[51].Script, jobs[52].Script, jobs[53].Script, jobs[54].Script})
+		snap.PredictMapped(x4)
+		before := tensor.DefaultArena().Outstanding()
+		for i := 0; i < 50; i++ {
+			snap.PredictMapped(x1)
+			snap.PredictMapped(x4)
+		}
+		if got := tensor.DefaultArena().Outstanding(); got != before {
+			t.Fatalf("%s: Arena.Outstanding went %d → %d over 100 PredictMapped calls on a shared view", snap.Kernel(), before, got)
+		}
 	}
 }
 
 // TestPredictMappedAllocCeiling bounds the heap allocations of one
-// batch-1 float32 PredictMapped (three 2D-CNN heads, one worker). The
-// layer-by-layer forward it replaced made 184 on this fixture: an
-// output tensor per layer — conv, ReLU, pool — each with an escaping
-// shape argument, and the discarded argmax table. The fused forward
-// allocates one output per block (85 when written) and must stay under
-// half the old count.
+// batch-1 PredictMapped (three 2D-CNN heads, one worker). The float32
+// layer-by-layer forward made 184 on this fixture: an output tensor per
+// layer — conv, ReLU, pool — each with an escaping shape argument, and
+// the discarded argmax table. The fused forward allocates one output per
+// block (85 when written) and must stay under half the old count. The
+// int8 forward made 244 — an output, a column matrix or an accumulator
+// per op — before it was fused; with activations in two pooled buffers
+// it allocates the logits and the class slice per head (13 when
+// written) and is held to the float32 ceiling.
 func TestPredictMappedAllocCeiling(t *testing.T) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	p, jobs := trainedModelPredictor(t, Model2DCNN, 37)
-	snap, err := p.Snapshot()
+	f32, err := p.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := snap.MapTexts([]string{jobs[50].Script})
-	snap.PredictMapped(x) // warm the arena's pack buffers
-	const parent, ceiling = 184, 184 / 2
-	if got := testing.AllocsPerRun(50, func() { snap.PredictMapped(x) }); got > ceiling {
-		t.Fatalf("batch-1 PredictMapped allocates %.0f times, ceiling %d (the layer-by-layer forward made %d)", got, ceiling, parent)
+	int8v, err := p.SnapshotQuantized(jobs[40:60])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 184 / 2
+	for _, snap := range []*Inference{f32, int8v} {
+		x := snap.MapTexts([]string{jobs[50].Script})
+		snap.PredictMapped(x) // warm the pack buffers and the scratch pools
+		if got := testing.AllocsPerRun(50, func() { snap.PredictMapped(x) }); got > ceiling {
+			t.Fatalf("%s: batch-1 PredictMapped allocates %.0f times, ceiling %d", snap.Kernel(), got, ceiling)
+		}
 	}
 }

@@ -199,6 +199,12 @@ func decodeQuantized(payload []byte) (*Inference, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s head: %v", ErrCorrupt, name, err)
 		}
+		// The forward trusts the chain's declared geometry (LoadQModel
+		// checked it against itself); its entry must be the image this
+		// config maps a script to.
+		if mapped := cfg.Rows * cfg.Cols * v.transform.Channels(); m.InputLen() != mapped {
+			return nil, fmt.Errorf("%w: %s head takes %d inputs, the config maps scripts to %d", ErrCorrupt, name, m.InputLen(), mapped)
+		}
 		return m, nil
 	}
 	var err error

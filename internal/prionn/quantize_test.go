@@ -2,10 +2,12 @@ package prionn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"sync"
 	"testing"
 
+	"prionn/internal/nn"
 	"prionn/internal/trace"
 )
 
@@ -260,5 +262,113 @@ func TestSnapshotQuantizedContracts(t *testing.T) {
 	}
 	if err := fix.f32.SaveQuantized(&bytes.Buffer{}); err == nil {
 		t.Fatal("SaveQuantized on a float32 snapshot must fail")
+	}
+}
+
+// rewriteQuantized decodes the well-formed quantized snapshot frame
+// valid, lets edit change the runtime head's op chain, and returns the
+// re-encoded, correctly checksummed frame: a file that is damaged only
+// in what it says.
+func rewriteQuantized(tb testing.TB, valid []byte, edit func(pq *persistedQuant, runtime *nn.QModel)) []byte {
+	tb.Helper()
+	payload, err := readFrameV(bytes.NewReader(valid), frameVersionQuant)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var pq persistedQuant
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pq); err != nil {
+		tb.Fatal(err)
+	}
+	runtime, err := nn.LoadQModel(bytes.NewReader(pq.Runtime))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	edit(&pq, runtime)
+	var head, body, frame bytes.Buffer
+	if err := runtime.Save(&head); err != nil {
+		tb.Fatal(err)
+	}
+	pq.Runtime = head.Bytes()
+	if err := gob.NewEncoder(&body).Encode(pq); err != nil {
+		tb.Fatal(err)
+	}
+	if err := writeFrameV(&frame, frameVersionQuant, body.Bytes()); err != nil {
+		tb.Fatal(err)
+	}
+	return frame.Bytes()
+}
+
+// enlargeFirstConv declares the first conv's input taller than the
+// activation it will be handed. Its weight length does not depend on the
+// extent, so the op is consistent with itself.
+func enlargeFirstConv(_ *persistedQuant, runtime *nn.QModel) {
+	runtime.Ops[0].(*nn.QConv2D).InH += 8
+}
+
+// TestLoadQModelRejectsBrokenChain: a well-framed quantized snapshot
+// whose ops are each self-consistent but do not chain — which the
+// forward would index past its activation buffers for — fails to load
+// with ErrCorrupt instead of panicking at the first prediction.
+func TestLoadQModelRejectsBrokenChain(t *testing.T) {
+	fix := quantizedFixture(t)
+	var buf bytes.Buffer
+	if err := fix.int8v.SaveQuantized(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	if _, err := LoadQuantized(bytes.NewReader(rewriteQuantized(t, valid, func(*persistedQuant, *nn.QModel) {}))); err != nil {
+		t.Fatalf("an unedited rewrite must load: %v", err)
+	}
+
+	// A fully connected head over the same 16×16 image, for splicing.
+	cfg := TinyConfig()
+	cfg.Model = ModelNN
+	cfg.Seed = 7
+	cfg.Epochs = 1
+	scripts := make([]string, 40)
+	for i, j := range fix.jobs[:40] {
+		scripts[i] = j.Script
+	}
+	other, err := New(cfg, scripts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Train(fix.jobs[:40]); err != nil {
+		t.Fatal(err)
+	}
+	dense, err := other.SnapshotQuantized(fix.jobs[200:220])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := map[string]func(pq *persistedQuant, runtime *nn.QModel){
+		"first conv input enlarged": enlargeFirstConv,
+		"inner conv input enlarged": func(_ *persistedQuant, m *nn.QModel) {
+			m.Ops[1].(*nn.QConv2D).InW += 3
+		},
+		"heads of two architectures spliced": func(_ *persistedQuant, m *nn.QModel) {
+			// The 2D-CNN's convs, then the NN's dense layers, which
+			// expect the flattened input image rather than conv4's output.
+			m.Ops = append(m.Ops[:4:4], dense.qruntime.Ops...)
+			m.Head = dense.qruntime.Head
+		},
+		"head input width": func(_ *persistedQuant, m *nn.QModel) {
+			h := *m.Head
+			h.In++
+			h.W = make([]int8, h.In*h.Out)
+			m.Head = &h
+		},
+		"config maps to another image": func(pq *persistedQuant, _ *nn.QModel) {
+			pq.Config.Rows += 4
+		},
+	}
+	for name, edit := range cases {
+		v, err := LoadQuantized(bytes.NewReader(rewriteQuantized(t, valid, edit)))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if v != nil {
+			t.Errorf("%s: LoadQuantized returned a snapshot", name)
+		}
 	}
 }

@@ -46,56 +46,76 @@ type convGeom struct {
 	oh, ow  int
 }
 
+// convStrip is the per-strip set-up of the implicit-im2col packers, one
+// for float32 images and one for u8: for a strip of NR consecutive output
+// pixels, each lane's offset into a channel plane and the lanes for
+// which a kernel row / kernel column stays inside the image. It is worked
+// out once per strip and shared by every channel and tap. The lane masks
+// are uint16: one bit per lane of an NR = 16 strip.
+type convStrip struct {
+	off    [gemmNR]int // lane's tap-(0,0) offset within a channel plane; may be negative
+	rowOK  []uint16    // per kernel row: the lanes it keeps inside the image
+	colOK  []uint16    // per kernel column, likewise
+	contig bool        // the lanes are consecutive image cells
+}
+
+// laneMasks returns n lane masks: buf's first n (a packer's stack array,
+// enough for kernels up to 8×8) or, for a larger kernel, a fresh slice.
+func laneMasks(buf []uint16, n int) []uint16 {
+	if n > len(buf) {
+		return make([]uint16, n)
+	}
+	return buf[:n]
+}
+
+// set describes the strip of lanes output pixels starting at column j of
+// g's column matrix (output pixel (j/OW, j%OW)). Lanes past lanes keep
+// clear mask bits, so they read as padding.
+func (s *convStrip) set(g *convGeom, j, lanes int) {
+	kh, kw, stride := g.spec.KH, g.spec.KW, g.spec.Stride
+	clear(s.rowOK)
+	clear(s.colOK)
+	s.contig = true
+	oy, ox := j/g.ow, j%g.ow
+	for l := 0; l < lanes; l++ {
+		iy0 := oy*stride - g.spec.PadH
+		ix0 := ox*stride - g.spec.PadW
+		s.off[l] = iy0*g.w + ix0
+		s.contig = s.contig && s.off[l] == s.off[0]+l
+		for ky := max(0, -iy0); ky < min(kh, g.h-iy0); ky++ {
+			s.rowOK[ky] |= 1 << l
+		}
+		for kx := max(0, -ix0); kx < min(kw, g.w-ix0); kx++ {
+			s.colOK[kx] |= 1 << l
+		}
+		if ox++; ox == g.ow {
+			ox, oy = 0, oy+1
+		}
+	}
+}
+
 // packPanel packs rows [p0, p0+kc) × columns [j0, j0+nc) of image x's
 // implicit column matrix into NR-wide strips, packBPanel's layout. Row p
 // is tap (ch, ky, kx) = (p/(KH·KW), p/KW%KH, p%KW); column j is output
 // pixel (j/OW, j%OW); taps that fall in the padding are zero.
 //
-// Per strip, each lane's offset into a channel plane and the lanes for
-// which a kernel row / kernel column stays inside the image are worked
-// out once and shared by every channel. When the lanes of a strip are
-// consecutive in the image (stride 1, no row break that moves the
-// source, which "same" padding guarantees for every strip) a tap is one
-// copy of the strip's 16 image cells — of its valid run only, where the
-// 16 would reach past the image — plus zero stores for the lanes in the
-// padding or past the panel edge; otherwise it is a per-lane gather.
-// The lane masks are uint16: one bit per lane of an NR = 16 strip.
+// When the lanes of a strip (convStrip) are consecutive in the image
+// (stride 1, no row break that moves the source, which "same" padding
+// guarantees for every strip) a tap is one copy of the strip's 16 image
+// cells — of its valid run only, where the 16 would reach past the
+// image — plus zero stores for the lanes in the padding or past the
+// panel edge; otherwise it is a per-lane gather.
 func (g *convGeom) packPanel(dst, x []float32, p0, j0, kc, nc int) {
-	kh, kw, stride := g.spec.KH, g.spec.KW, g.spec.Stride
+	kh, kw := g.spec.KH, g.spec.KW
 	taps := kh * kw
-	var (
-		off      [gemmNR]int // lane's tap-(0,0) offset within a channel plane; may be negative
-		rowMasks [8]uint16
-		colMasks [8]uint16
-	)
-	rowOK, colOK := rowMasks[:0], colMasks[:0]
-	if kh > len(rowMasks) || kw > len(colMasks) {
-		rowOK, colOK = make([]uint16, 0, kh), make([]uint16, 0, kw)
-	}
-	rowOK, colOK = rowOK[:kh], colOK[:kw]
+	var rowBuf, colBuf [8]uint16
+	strip := convStrip{rowOK: laneMasks(rowBuf[:], kh), colOK: laneMasks(colBuf[:], kw)}
+	off, rowOK, colOK := &strip.off, strip.rowOK, strip.colOK
 
 	idx := 0
 	for sj := 0; sj < nc; sj += gemmNR {
-		lanes := min(gemmNR, nc-sj)
-		clear(rowOK)
-		clear(colOK)
-		contig := true
-		oy, ox := (j0+sj)/g.ow, (j0+sj)%g.ow
-		for l := 0; l < lanes; l++ {
-			iy0 := oy*stride - g.spec.PadH
-			ix0 := ox*stride - g.spec.PadW
-			off[l] = iy0*g.w + ix0
-			contig = contig && off[l] == off[0]+l
-			for ky := max(0, -iy0); ky < min(kh, g.h-iy0); ky++ {
-				rowOK[ky] |= 1 << l
-			}
-			for kx := max(0, -ix0); kx < min(kw, g.w-ix0); kx++ {
-				colOK[kx] |= 1 << l
-			}
-			if ox++; ox == g.ow {
-				ox, oy = 0, oy+1
-			}
-		}
+		strip.set(g, j0+sj, min(gemmNR, nc-sj))
+		contig := strip.contig
 		ch, t := p0/taps, p0%taps
 		ky, kx := t/kw, t%kw
 		for p := 0; p < kc; p++ {

@@ -141,17 +141,20 @@ func Im2ColBatchU8(cols, x []uint8, n, c, h, w int, spec ConvSpec, zp uint8) {
 // row-major u8) with the given window/stride spec (padding must be
 // zero) and writes the pooled output into y [N, C, OH, OW]. The
 // maximum is order-independent, so the result is deterministic for any
-// worker count.
+// worker count. It is the quantized forward's pool when a pool does not
+// fold into the conv before it (Conv2DInferU8), under the same fan-out
+// rule: workers take whole samples, inferParallelMin cells each.
 func MaxPool2DForwardU8(y, x []uint8, n, c, h, w int, spec ConvSpec) {
 	if spec.PadH != 0 || spec.PadW != 0 {
 		panic("tensor: MaxPool2DForwardU8 does not support padding")
 	}
 	oh, ow := spec.OutDims(h, w)
+	minChunk, _ := inferSerial(n, c*h*w)
 	// Fast path for the ubiquitous 2×2/stride-2 window with no ragged
 	// edge: the maximum of four loads, no seeding branches.
 	if spec.KH == 2 && spec.KW == 2 && spec.Stride == 2 && 2*oh <= h && 2*ow <= w {
-		ParallelForMin(n*c, 1, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
+		ParallelForMin(n, minChunk, func(lo, hi int) {
+			for p := lo * c; p < hi*c; p++ {
 				inBase := p * h * w
 				outBase := p * oh * ow
 				for oy := 0; oy < oh; oy++ {
@@ -176,7 +179,7 @@ func MaxPool2DForwardU8(y, x []uint8, n, c, h, w int, spec ConvSpec) {
 		})
 		return
 	}
-	ParallelForMin(n, 1, func(lo, hi int) {
+	ParallelForMin(n, minChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for ch := 0; ch < c; ch++ {
 				inBase := (i*c + ch) * h * w

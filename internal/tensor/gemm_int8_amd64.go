@@ -6,12 +6,21 @@ package tensor
 // 4×16 int32 accumulator tile updated with one VPDPBUSD per cell group
 // per k-quad — four u8·s8 products folded into each int32 lane, exactly
 // (VPDPBUSD widens to int32 before summing and never saturates). With
-// zeroAcc != 0 the accumulators start at zero; otherwise they load from
-// c. c rows are ldc int32s apart. pa is the packed A strip (quad layout,
-// 16 bytes per quad), pb the packed B strip (64 bytes per quad).
+// vnniZeroAcc in flags the accumulators start at zero; otherwise they
+// load from c. c rows are ldc int32s apart. pa is the packed A strip
+// (quad layout, 16 bytes per quad), pb the packed B strip (64 bytes per
+// quad); pa's bytes are the s8 operand and pb's the u8 one, or the other
+// way round with vnniBSigned.
 //
 //go:noescape
-func vnniTile4x16(kq int64, pa *int8, pb *uint8, c *int32, ldc int64, zeroAcc int64)
+func vnniTile4x16(kq int64, pa, pb *uint8, c *int32, ldc int64, flags int64)
+
+// interleaveQuadAVX is interleaveQuad's byte transpose in eight AVX
+// unpack instructions (gemm_int8_amd64.s); it rides on the VNNI kernel's
+// feature check, which implies AVX.
+//
+//go:noescape
+func interleaveQuadAVX(dst *[64]uint8, r0, r1, r2, r3 *[16]uint8)
 
 // hasAVX512VNNI reports whether both the CPU and the OS support the
 // VPDPBUSD kernel. The Go assembler emits the EVEX (AVX-512) encoding
@@ -43,5 +52,6 @@ func hasAVX512VNNI() bool {
 }
 
 func init() {
-	useVNNIKernel.Store(hasAVX512VNNI())
+	vnniAvailable = hasAVX512VNNI()
+	useVNNIKernel.Store(vnniAvailable)
 }

@@ -1,24 +1,30 @@
 package tensor
 
-// Pre-packed left operand for the int8 GEMM. Quantized weights are
-// immutable after calibration, yet gemmInt8Serial re-packs the A panel
-// inside the jc loop — once per qNC-wide column block, which for a conv
-// forward (n = N·OH·OW, often tens of thousands of columns) means the
-// same weight bytes are re-laid-out over a hundred times per layer per
-// batch. PackInt8A performs that layout exactly once, at quantization
-// time, and GemmInt8PackedA consumes the frozen panels directly. The
-// packed bytes are byte-for-byte what packAPanelS8 would have produced,
-// so results are bitwise identical to GemmInt8 on the same operands.
+// Pre-packed weight operands for the int8 GEMM. Quantized weights are
+// immutable after calibration, so their panel layout is built exactly
+// once, at quantization (or load) time, and the blocked driver consumes
+// the frozen strips by offset arithmetic (qLeft.panel, qRight.panel). The
+// packed bytes are byte-for-byte what packAPanel8 / packBPanel8 produce
+// per call, so results are bitwise identical to GemmInt8 on the unpacked
+// matrix.
+//
+// Which side the weights sit on is the layer's choice. A conv layer's
+// [F, C·KH·KW] filters are the left operand (PackedInt8A) against the
+// image's NR-wide column strips. A dense layer's weights are the right
+// operand (PackedInt8B) — NR = 16 output units per strip — and the batch
+// the left, MR = 4 rows per strip: a batch of 1–4 fills one row strip
+// and every vector lane carries a real output unit, where weights on the
+// left would use one lane of sixteen (the float path's PackedB choice).
 
-// PackedInt8A is an immutable m×k int8 matrix stored in the panel
-// layout consumed by the micro-kernel: for each qKC-deep k panel (outer)
-// and each qMC-tall row panel (inner), qMR-tall strips in quad layout.
-// Safe for concurrent use by any number of GEMM calls once built.
+// PackedInt8A is an immutable m×k int8 matrix stored as left-operand
+// panels: for each qKC-deep k panel (outer) and each qMC-tall row panel
+// (inner), qMR-tall strips in quad layout. Safe for concurrent use by
+// any number of GEMM calls once built.
 type PackedInt8A struct {
 	m, k  int
-	numIC int    // row panels per k panel
-	offs  []int  // panel start offsets, indexed pcIdx*numIC + icIdx
-	data  []int8 // all panels, zero-padded to quad and strip boundaries
+	numIC int     // row panels per k panel
+	offs  []int   // panel start offsets, indexed pcIdx*numIC + icIdx
+	data  []uint8 // all panels (s8 bit patterns), zero-padded to quad and strip boundaries
 }
 
 // Dims returns the logical (m, k) shape of the packed matrix.
@@ -30,79 +36,75 @@ func PackInt8A(aData []int8, ars, acs, m, k int) *PackedInt8A {
 	if m <= 0 || k <= 0 {
 		panic("tensor: PackInt8A requires positive dimensions")
 	}
-	a := int8View{data: aData, rs: ars, cs: acs}
-	numPC := (k + qKC - 1) / qKC
 	numIC := (m + qMC - 1) / qMC
-	offs := make([]int, numPC*numIC)
+	p := &PackedInt8A{m: m, k: k, numIC: numIC, offs: make([]int, (k+qKC-1)/qKC*numIC)}
 	size := 0
-	for pcIdx := 0; pcIdx < numPC; pcIdx++ {
-		kcEff := min(qKC, k-pcIdx*qKC)
-		kq := (kcEff + 3) / 4
-		for icIdx := 0; icIdx < numIC; icIdx++ {
-			mcEff := min(qMC, m-icIdx*qMC)
-			strips := (mcEff + qMR - 1) / qMR
-			offs[pcIdx*numIC+icIdx] = size
-			size += strips * qMR * kq * 4
+	for pc := 0; pc < k; pc += qKC {
+		kq := (min(qKC, k-pc) + 3) / 4
+		for ic := 0; ic < m; ic += qMC {
+			p.offs[pc/qKC*numIC+ic/qMC] = size
+			size += alignUp(min(qMC, m-ic), qMR) * kq * 4
 		}
 	}
-	p := &PackedInt8A{m: m, k: k, numIC: numIC, offs: offs, data: make([]int8, size)}
-	for pcIdx := 0; pcIdx < numPC; pcIdx++ {
-		kcEff := min(qKC, k-pcIdx*qKC)
-		kq := (kcEff + 3) / 4
-		for icIdx := 0; icIdx < numIC; icIdx++ {
-			mcEff := min(qMC, m-icIdx*qMC)
-			packAPanelS8(p.data[offs[pcIdx*numIC+icIdx]:], a, icIdx*qMC, pcIdx*qKC, mcEff, kcEff, kq)
+	p.data = make([]uint8, size)
+	for pc := 0; pc < k; pc += qKC {
+		kc := min(qKC, k-pc)
+		for ic := 0; ic < m; ic += qMC {
+			packAPanel8(p.data[p.offs[pc/qKC*numIC+ic/qMC]:], aData, ars, acs, ic, pc, min(qMC, m-ic), kc, (kc+3)/4)
 		}
 	}
 	return p
 }
 
-// GemmInt8PackedA is GemmInt8 with a pre-packed left operand: it
-// computes dst[i,j] = Σ_p pa(i,p)·b(p,j) for i < pa.m, j < n, with dst
-// rows ldc apart and b strided over bData by (brs, bcs). Bitwise
-// identical to GemmInt8 on the unpacked matrix, for any worker count.
-func GemmInt8PackedA(dst []int32, ldc, n int, pa *PackedInt8A, bData []uint8, brs, bcs int) {
-	if n <= 0 {
-		return
-	}
-	b := uint8View{data: bData, rs: brs, cs: bcs}
-	qStripe(pa.m, n, pa.k, func(m0, m1, n0, n1 int) {
-		gemmInt8SerialPackedA(dst, ldc, m0, m1, n0, n1, pa, b)
-	})
+// strips returns the stored strips of k panel p0 (a multiple of KC) from
+// row i0 (a multiple of MR) to the end of i0's row panel.
+func (p *PackedInt8A) strips(i0, p0 int) []uint8 {
+	kq := (min(qKC, p.k-p0) + 3) / 4
+	return p.data[p.offs[p0/qKC*p.numIC+i0/qMC]+i0%qMC*kq*4:]
 }
 
-// gemmInt8SerialPackedA is gemmInt8Serial with the A-packing step
-// replaced by offset arithmetic into the frozen panels. Row stripes from
-// qStripe are qMR-aligned and qMC panel origins are multiples of qMR, so
-// a stripe boundary always lands on a strip boundary: the strip holding
-// output row ir of panel ic starts at ((ir-ic)/qMR)·qMR·kq·4.
-func gemmInt8SerialPackedA(dst []int32, ldc, m0, m1, n0, n1 int, pa *PackedInt8A, b uint8View) {
-	bufs := qPackPool.Get().(*qPackBufs)
-	pb := bufs.b
-	k := pa.k
-	for jc := n0; jc < n1; jc += qNC {
-		ncEff := min(qNC, n1-jc)
-		for pc, pcIdx := 0, 0; pc < k; pc, pcIdx = pc+qKC, pcIdx+1 {
-			kcEff := min(qKC, k-pc)
-			kq := (kcEff + 3) / 4
-			zeroAcc := pc == 0
-			packBPanelU8(pb, b, pc, jc, kcEff, ncEff, kq)
-			for ic := (m0 / qMC) * qMC; ic < m1; ic += qMC {
-				panel := pa.data[pa.offs[pcIdx*pa.numIC+ic/qMC]:]
-				row0 := max(m0, ic)
-				row1 := min(m1, ic+qMC)
-				for jr := 0; jr < ncEff; jr += qNR {
-					nrEff := min(qNR, ncEff-jr)
-					bStrip := pb[(jr/qNR)*qNR*kq*4:]
-					for ir := row0; ir < row1; ir += qMR {
-						mrEff := min(qMR, row1-ir)
-						aStrip := panel[((ir-ic)/qMR)*qMR*kq*4:]
-						microTileInt8(kq, aStrip, bStrip,
-							dst[ir*ldc+jc+jr:], ldc, zeroAcc, mrEff, nrEff)
-					}
-				}
-			}
+// PackedInt8B is an immutable k×n int8 matrix stored as right-operand
+// panels: for each qNC-wide column block (outer) and each qKC-deep k
+// panel (inner), qNR-wide strips in quad layout. Safe for concurrent use
+// once built.
+type PackedInt8B struct {
+	k, n  int
+	numPC int     // k panels per column block
+	offs  []int   // panel start offsets, indexed jcIdx*numPC + pcIdx
+	data  []uint8 // all panels (s8 bit patterns), zero-padded to quad and strip boundaries
+}
+
+// Dims returns the logical (k, n) shape of the packed matrix.
+func (p *PackedInt8B) Dims() (k, n int) { return p.k, p.n }
+
+// PackInt8B packs the k×n matrix b — logical element (p, j) at
+// bData[p*brs+j*bcs] — into panel layout. k and n must be positive.
+func PackInt8B(bData []int8, brs, bcs, k, n int) *PackedInt8B {
+	if k <= 0 || n <= 0 {
+		panic("tensor: PackInt8B requires positive dimensions")
+	}
+	numPC := (k + qKC - 1) / qKC
+	p := &PackedInt8B{k: k, n: n, numPC: numPC, offs: make([]int, (n+qNC-1)/qNC*numPC)}
+	size := 0
+	for jc := 0; jc < n; jc += qNC {
+		for pc := 0; pc < k; pc += qKC {
+			p.offs[jc/qNC*numPC+pc/qKC] = size
+			size += alignUp(min(qNC, n-jc), qNR) * ((min(qKC, k-pc) + 3) / 4) * 4
 		}
 	}
-	qPackPool.Put(bufs)
+	p.data = make([]uint8, size)
+	for jc := 0; jc < n; jc += qNC {
+		for pc := 0; pc < k; pc += qKC {
+			kc := min(qKC, k-pc)
+			packBPanel8(p.data[p.offs[jc/qNC*numPC+pc/qKC]:], bData, brs, bcs, pc, jc, kc, min(qNC, n-jc), (kc+3)/4)
+		}
+	}
+	return p
+}
+
+// strips returns the stored strips of k panel p0 (a multiple of KC) from
+// column j0 (a multiple of NR) to the end of j0's column block.
+func (p *PackedInt8B) strips(p0, j0 int) []uint8 {
+	kq := (min(qKC, p.k-p0) + 3) / 4
+	return p.data[p.offs[j0/qNC*p.numPC+p0/qKC]+j0%qNC*kq*4:]
 }

@@ -178,35 +178,55 @@ func TestGemmInt8ExtremeValues(t *testing.T) {
 	}
 }
 
-// TestGemmInt8PackedAMatches proves the pre-packed weight path is
-// byte-for-byte the plain path across ragged shapes and worker counts —
-// PackInt8A must reproduce exactly the panels gemmInt8Serial would have
-// packed on the fly, including strip offsets under worker row striping.
-func TestGemmInt8PackedAMatches(t *testing.T) {
+// TestGemmInt8PackedMatches proves both pre-packed weight forms are
+// byte-for-byte the plain path across ragged shapes, worker counts and
+// micro-kernels: PackInt8A must reproduce exactly the panels
+// gemmInt8Serial would have packed on the fly, including strip offsets
+// under worker row striping, and PackInt8B — the signed right operand
+// under a u8 left one, the dense layers' form — the transposed product,
+// including column stripes that start inside a stored NC block.
+func TestGemmInt8PackedMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
-	for _, workers := range []int{1, 2, 4, 8} {
-		SetMaxWorkers(workers)
-		for _, s := range gemmInt8TestShapes {
-			a := randInt8(rng, s.m*s.k)
-			b := randUint8(rng, s.k*s.n)
-			want := make([]int32, s.m*s.n)
-			GemmInt8(want, s.n, s.m, s.n, s.k, a, s.k, 1, b, s.n, 1)
-			pa := PackInt8A(a, s.k, 1, s.m, s.k)
-			if m, k := pa.Dims(); m != s.m || k != s.k {
-				t.Fatalf("PackInt8A dims: got %dx%d want %dx%d", m, k, s.m, s.k)
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	eachInt8Kernel(t, func(asm bool) {
+		for _, workers := range []int{1, 2, 4, 8} {
+			SetMaxWorkers(workers)
+			for _, s := range gemmInt8TestShapes {
+				a := randInt8(rng, s.m*s.k)
+				b := randUint8(rng, s.k*s.n)
+				want := refGemmInt8(s.m, s.n, s.k, a, b)
+				pa := PackInt8A(a, s.k, 1, s.m, s.k)
+				if m, k := pa.Dims(); m != s.m || k != s.k {
+					t.Fatalf("PackInt8A dims: got %dx%d want %dx%d", m, k, s.m, s.k)
+				}
+				got := make([]int32, s.m*s.n)
+				gemmInt8(got, s.n, s.m, s.n, s.k, qLeft{packed: pa}, qRight{u8: b, rs: s.n, cs: 1})
+				requireInt32Equal(t, "packed A", got, want, s.m, s.n, s.k)
+
+				// The same product transposed: bᵀ [n,k] u8 on the left,
+				// aᵀ [k,m] s8 packed on the right, so got[j,i] = want[i,j].
+				pb := PackInt8B(a, 1, s.k, s.k, s.m)
+				if k, n := pb.Dims(); k != s.k || n != s.m {
+					t.Fatalf("PackInt8B dims: got %dx%d want %dx%d", k, n, s.k, s.m)
+				}
+				gotT := make([]int32, s.n*s.m)
+				gemmInt8(gotT, s.m, s.n, s.m, s.k, qLeft{u8: b, rs: 1, cs: s.n}, qRight{packed: pb})
+				for i := 0; i < s.m; i++ {
+					for j := 0; j < s.n; j++ {
+						if gotT[j*s.m+i] != want[i*s.n+j] {
+							t.Fatalf("packed B asm=%v workers=%d shape %dx%dx%d: cell (%d,%d) got %d want %d",
+								asm, workers, s.m, s.n, s.k, i, j, gotT[j*s.m+i], want[i*s.n+j])
+						}
+					}
+				}
 			}
-			got := make([]int32, s.m*s.n)
-			GemmInt8PackedA(got, s.n, s.n, pa, b, s.n, 1)
-			requireInt32Equal(t, "packed A", got, want, s.m, s.n, s.k)
 		}
-	}
+	})
 }
 
-// TestGemmInt8PackedAStridedB drives the packed path with the dense
-// head's transposed activation view (rs=1, cs=k), the one B shape that
-// bypasses the row-major packing fast path.
+// TestGemmInt8PackedAStridedB drives the packed path with a transposed
+// activation view (rs=1, cs=k), the B shape that bypasses the row-major
+// packing fast path.
 func TestGemmInt8PackedAStridedB(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	const m, n, k = 37, 19, 53
@@ -215,7 +235,7 @@ func TestGemmInt8PackedAStridedB(t *testing.T) {
 	want := make([]int32, m*n)
 	GemmInt8(want, n, m, n, k, a, k, 1, x, 1, k)
 	got := make([]int32, m*n)
-	GemmInt8PackedA(got, n, n, PackInt8A(a, k, 1, m, k), x, 1, k)
+	gemmInt8(got, n, m, n, k, qLeft{packed: PackInt8A(a, k, 1, m, k)}, qRight{u8: x, rs: 1, cs: k})
 	requireInt32Equal(t, "packed A strided B", got, want, m, n, k)
 }
 

@@ -15,9 +15,11 @@
 # BENCH_cluster.json with predictions/sec, cache hit rate, dispatch
 # p50/p99, and the 4-replica aggregate speedup. Then runs the quantized
 # f32-vs-int8 pairs (uncached serving and uncached 4-replica cluster on
-# the conv-dominated FastConfig fixture) and rewrites BENCH_quant.json
-# with the int8 speedups, snapshot size fraction, and class disagreement
-# rate. Finally runs the prionnvet analysis benchmarks (full gate sweep
+# the conv-dominated FastConfig fixture) and the bare forward of both
+# kernels at batch 1 and 32 on one and on two cores, and rewrites
+# BENCH_quant.json with the int8 speedups, snapshot size fraction, class
+# disagreement rate, and forward_b1_us / forward_b32_us per kernel.
+# Finally runs the prionnvet analysis benchmarks (full gate sweep
 # plus the per-layer substrate breakdown: def-use index, call graph,
 # lockset engine) and rewrites BENCH_analysis.json.
 #
@@ -48,6 +50,10 @@ go test -run '^$' -bench "$pattern" -benchmem -benchtime="$benchtime" . | tee "$
 go test -run '^$' -bench '^(BenchmarkServe|BenchmarkInferForwardF32)' -benchmem -benchtime="$benchtime" ./internal/serve/ | tee "$serve_tmp"
 go test -run '^$' -bench '^BenchmarkCluster' -benchmem -benchtime="$benchtime" ./internal/cluster/ | tee "$cluster_tmp"
 go test -run '^$' -bench '^BenchmarkQuant' -benchmem -benchtime="$benchtime" ./internal/serve/ ./internal/cluster/ | tee "$quant_tmp"
+# The bare forward, float32 beside int8, at -cpu 1,2: a batch-1 forward
+# that is slower with a second core to fan out to (as the int8 one was
+# before it got the float path's fan-out floor) shows here.
+go test -run '^$' -bench '^BenchmarkInferForward' -benchmem -benchtime="$benchtime" -cpu 1,2 ./internal/serve/ | tee -a "$quant_tmp"
 go test -run '^$' -bench '^(BenchmarkPrionnvetRunAll$|BenchmarkAnalysisRepoWide)' -benchmem -benchtime="$benchtime" . | tee "$analysis_tmp"
 go test -run '^$' -bench '^BenchmarkPipeline' -benchmem -benchtime="$benchtime" ./internal/pilot/ ./internal/cluster/ | tee "$pipeline_tmp"
 
@@ -154,9 +160,21 @@ echo "wrote BENCH_cluster.json"
 # snapshot sizes and the class disagreement rate vs float32. The derived
 # trailing keys are the acceptance numbers: int8_speedup_serve and
 # int8_speedup_cluster (f32 ns_op / int8 ns_op, uncached both times) and
-# snapshot_fraction (int8 snapshot bytes / float32 checkpoint bytes).
+# snapshot_fraction (int8 snapshot bytes / float32 checkpoint bytes);
+# forward_b1_us and forward_b32_us are one PredictMapped (three heads, no
+# mapping, no coalescer) per kernel on one core and on two.
 awk '
 BEGIN { print "{"; sep = "" }
+/^BenchmarkInferForward/ {
+    # BenchmarkInferForward<F32|I8>B<batch>[-<cpus>]; no suffix is -cpu 1.
+    name = $1
+    cpus = 1
+    if (match(name, /-[0-9]+$/)) { cpus = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) }
+    kernel = (name ~ /I8B/) ? "int8" : "f32"
+    batch = name; sub(/^.*B/, "", batch)
+    for (i = 2; i <= NF; i++) if ($i == "ns/op") fwd[batch, kernel, cpus] = $(i - 1) / 1e3
+    next
+}
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -189,6 +207,9 @@ END {
         printf ",\n  \"int8_speedup_cluster\": %.2f", cluster_f32 / cluster_int8
     if (f32_bytes != "" && int8_bytes != "")
         printf ",\n  \"snapshot_fraction\": %.3f", int8_bytes / f32_bytes
+    for (b = 1; b <= 32; b += 31)
+        if ((b, "f32", 1) in fwd)
+            printf ",\n  \"forward_b%d_us\": {\"f32\": {\"cpu1\": %.0f, \"cpu2\": %.0f}, \"int8\": {\"cpu1\": %.0f, \"cpu2\": %.0f}}", b, fwd[b, "f32", 1], fwd[b, "f32", 2], fwd[b, "int8", 1], fwd[b, "int8", 2]
     print "\n}"
 }
 ' "$quant_tmp" > BENCH_quant.json

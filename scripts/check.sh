@@ -39,7 +39,14 @@
 #  10. quant gate     (the int8 path's accuracy gate and serving parity:
 #                      quantized accuracy within 0.5pp of float32 on
 #                      held-out jobs, bounded class flip rate, and the
-#                      cluster cache's kernel-stamp invalidation)
+#                      cluster cache's kernel-stamp invalidation; the
+#                      fused int8 forward's identity proofs — the
+#                      graph-level naive oracle under the race detector
+#                      and at -cpu 1,2,4, the golden hash of the logits
+#                      the unfused forward served, packed strips ==
+#                      im2col + GEMM, pool-fold == pool — a snapshot
+#                      whose ops do not chain failing to load, and the
+#                      int8 allocation ceiling)
 #  11. pipeline gate  (the online-learning loop under the race
 #                      detector: retrain → shadow-eval → canary →
 #                      atomic swap end-to-end on a live cluster,
@@ -48,8 +55,9 @@
 #                      view across replicas and canary, canary
 #                      rollback/promotion)
 #  12. bench smoke    (one iteration of each kernel, serving, cluster,
-#                      quantized f32-vs-int8, f32 inference forward
-#                      (batch 1 and 32), and analysis benchmark via
+#                      quantized f32-vs-int8, f32 and int8 inference
+#                      forward (batch 1 and 32, -cpu 1,2), and analysis
+#                      benchmark via
 #                      scripts/bench.sh 1x; real timings are recorded
 #                      separately into BENCH_kernels.json,
 #                      BENCH_serve.json, BENCH_cluster.json,
@@ -147,10 +155,19 @@ step_done
 # (they also run in the suite above) — the accuracy gate vs float32 on
 # held-out jobs, clone determinism of quantized predictions, and the
 # cluster cache refusing to serve one kernel's memoized predictions
-# after a swap to the other.
-step "quantized gate (accuracy / determinism / cache stamps)"
+# after a swap to the other; then what every int8 answer rests on: the
+# fused forward equal to the naive op-by-op oracle (every batch size,
+# worker count and micro-kernel; under the race detector and at several
+# GOMAXPROCS) and to the golden hash of what the unfused forward served,
+# a snapshot with an inconsistent op chain rejected at load, and the
+# batch-1 allocation ceiling.
+step "quantized gate (accuracy / determinism / cache stamps / fused forward)"
 go test -count=1 -run 'TestQuantizedSnapshotAccuracyGate|TestQuantizedSnapshotDeterministicAcrossClones' ./internal/prionn/
 go test -count=1 -run 'TestClusterSwapKernelInvalidatesCache' ./internal/cluster/
+go test -race -count=1 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
+go test -count=1 -cpu 1,2,4 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
+go test -race -count=1 -run 'TestGemmInt8PackedMatches|TestConvPlaneU8MatchesIm2ColGemm|TestConv2DInferU8PoolFoldMatchesUnfolded' ./internal/tensor/
+go test -count=1 -run 'TestInt8LogitsGolden|TestLoadQModelRejectsBrokenChain|TestPredictMappedAllocCeiling' ./internal/prionn/
 step_done
 
 # Online-learning pipeline gate: the full retrain → shadow-eval →
