@@ -15,11 +15,13 @@
 //	prionnd -retrain-every 100 -canary-frac 0.1  # close the online-learning loop
 //
 // With -replicas N > 1 the daemon serves from an internal/cluster of N
-// replicated coalescers behind a health-checked router: budgeted
-// retries, per-replica circuit breakers, optional hedging (-hedge), a
-// script-affinity prediction cache (-cache), and graceful degradation —
-// when no replica can answer, /predict returns the request's own
-// requested runtime with "degraded": true instead of an error.
+// replicated coalescers behind a router: budgeted retries, per-replica
+// circuit breakers driven by real traffic (the only health signal —
+// replicas share the process and the snapshot, so there is no prober,
+// no hedging and nothing to restart), a script-affinity prediction
+// cache (-cache), and graceful degradation — when no replica can
+// answer, /predict returns the request's own requested runtime with
+// "degraded": true instead of an error.
 //
 // With -retrain-every N > 0 the daemon runs the internal/pilot
 // online-learning pipeline: completed jobs POSTed to /complete stream
@@ -46,9 +48,8 @@
 //	GET  /stats    → JSON serving counters (queue depth, batch-size
 //	               histogram, per-stage latency, predictions served, the
 //	               published snapshot's kernel kind and persisted byte
-//	               size; in cluster mode: retries, hedges, cache hit
-//	               rate, and a per-replica breakdown with breaker
-//	               states).
+//	               size; in cluster mode: retries, cache hit rate, and
+//	               a per-replica breakdown with breaker states).
 //	GET  /healthz  → 200 ok (liveness: the process is up)
 //	GET  /readyz   → 200 ready, or 503 once draining has begun — and, under
 //	               -no-fallback, until a trained snapshot is published.
@@ -65,7 +66,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -221,7 +221,6 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 	replicas := fs.Int("replicas", 1, "serving replicas; >1 enables the fault-tolerant cluster")
 	policy := fs.String("policy", "affinity", "cluster routing policy: round-robin, least-loaded, affinity")
 	cacheSize := fs.Int("cache", 4096, "cluster prediction-cache entries per run (0: disable)")
-	hedge := fs.Float64("hedge", 0, "cluster hedging percentile in (0,1), e.g. 0.95 (0: disable)")
 	reqTimeout := fs.Duration("request-timeout", 5*time.Second, "per-request deadline for /predict (0: none); in cluster mode expiry degrades to the requested runtime, in single mode it returns 504")
 	drainGrace := fs.Duration("drain-grace", 0, "pause between flipping /readyz to 503 and closing admission, so load balancers drain first")
 	noFallback := fs.Bool("no-fallback", false, "report not-ready on /readyz until a trained snapshot is published")
@@ -268,13 +267,12 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 			return 1
 		}
 		cl, err := cluster.New(view, cluster.Config{
-			Replicas:        *replicas,
-			Serve:           serveCfg,
-			Policy:          pol,
-			RequestTimeout:  *reqTimeout,
-			HedgePercentile: *hedge,
-			CacheSize:       *cacheSize,
-			Seed:            *seed,
+			Replicas:       *replicas,
+			Serve:          serveCfg,
+			Policy:         pol,
+			RequestTimeout: *reqTimeout,
+			CacheSize:      *cacheSize,
+			Seed:           *seed,
 		})
 		if err != nil {
 			logf("%v", err)
@@ -351,10 +349,20 @@ func modelConfig(scale string, seed int64) (prionn.Config, error) {
 	return cfg, nil
 }
 
+// countingWriter counts the bytes written through it and keeps none:
+// the size of a checkpoint without a copy of it.
+type countingWriter struct{ n int64 }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
 // buildSnapshot loads or trains a predictor and returns its published
 // inference snapshot, the synthetic trace (for -demo request
 // generation), the persisted byte size of the snapshot artifact (for
-// /stats), and the model configuration actually in effect — the loaded
+// /stats: the -load file's size, or what Save writes for a model trained
+// here), and the model configuration actually in effect — the loaded
 // checkpoint's when -load is set, cfg otherwise — which the online-
 // learning pipeline adopts so its candidates match the serving model.
 // With -quant the published snapshot is the predictor's int8
@@ -365,6 +373,7 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 	all := trace.Generate(trace.Config{Seed: seed, Jobs: jobs})
 	completed := trace.Completed(all)
 	var p *prionn.Predictor
+	var ckptBytes int64
 	trainWindow := 0
 	if load != "" {
 		var err error
@@ -372,6 +381,11 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 		if err != nil {
 			return nil, nil, 0, cfg, err
 		}
+		fi, err := os.Stat(load)
+		if err != nil {
+			return nil, nil, 0, cfg, err
+		}
+		ckptBytes = fi.Size()
 		cfg = p.Config
 		logf("restored model from %s (%d training events)", load, p.Events())
 	} else {
@@ -397,20 +411,21 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 		if _, err := p.Train(window); err != nil {
 			return nil, nil, 0, cfg, err
 		}
+		var cw countingWriter
+		if err := p.Save(&cw); err != nil {
+			return nil, nil, 0, cfg, err
+		}
+		ckptBytes = cw.n
 	}
 	if quant {
-		view, bytes, err := quantizedSnapshot(p, completed, trainWindow, logf)
-		return view, all, bytes, cfg, err
+		view, qBytes, err := quantizedSnapshot(p, completed, trainWindow, ckptBytes, logf)
+		return view, all, qBytes, cfg, err
 	}
 	view, err := p.Snapshot()
 	if err != nil {
 		return nil, nil, 0, cfg, err
 	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		return nil, nil, 0, cfg, err
-	}
-	return view, all, int64(buf.Len()), cfg, nil
+	return view, all, ckptBytes, cfg, nil
 }
 
 // quantizedSnapshot freezes the trained predictor into an int8 serving
@@ -419,8 +434,9 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 // training); when the whole trace fit in the window — or the model came
 // from -load, where the local trace is entirely held out — the most
 // recent completed jobs are used instead. Calibration is capped at
-// maxCalib jobs to bound startup time.
-func quantizedSnapshot(p *prionn.Predictor, completed []trace.Job, trainWindow int, logf func(string, ...interface{})) (*prionn.Inference, int64, error) {
+// maxCalib jobs to bound startup time. ckptBytes is the float
+// checkpoint's size, logged beside the int8 snapshot's.
+func quantizedSnapshot(p *prionn.Predictor, completed []trace.Job, trainWindow int, ckptBytes int64, logf func(string, ...interface{})) (*prionn.Inference, int64, error) {
 	const maxCalib = 256
 	calib := completed
 	if trainWindow > 0 && trainWindow < len(completed) {
@@ -436,16 +452,13 @@ func quantizedSnapshot(p *prionn.Predictor, completed []trace.Job, trainWindow i
 	if err != nil {
 		return nil, 0, err
 	}
-	var qbuf, fbuf bytes.Buffer
-	if err := view.SaveQuantized(&qbuf); err != nil {
-		return nil, 0, err
-	}
-	if err := p.Save(&fbuf); err != nil {
+	var cw countingWriter
+	if err := view.SaveQuantized(&cw); err != nil {
 		return nil, 0, err
 	}
 	logf("int8 snapshot published: %d calibration jobs, %d bytes (float checkpoint: %d bytes)",
-		len(calib), qbuf.Len(), fbuf.Len())
-	return view, int64(qbuf.Len()), nil
+		len(calib), cw.n, ckptBytes)
+	return view, cw.n, nil
 }
 
 // runDemo drives the engine with in-process concurrent clients and

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"prionn/internal/fault"
+	"prionn/internal/prionn"
 	"prionn/internal/serve"
 	"prionn/internal/trace"
 )
@@ -169,6 +173,47 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-definitely-not-a-flag"}, &stdout, &stderr, nil); code != 2 {
 		t.Fatal("bad flag must exit 2")
+	}
+}
+
+// TestReadmeFlagRowMatchesUsage pins the README's `go run ./cmd/prionnd`
+// row to the flag set: it must name exactly the flags -h lists, so a
+// flag cannot be added, renamed or removed without the table following.
+func TestReadmeFlagRowMatchesUsage(t *testing.T) {
+	var stdout, usage bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &usage, nil); code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	names := func(re *regexp.Regexp, text string) []string {
+		seen := map[string]bool{}
+		var out []string
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			if !seen[m[1]] {
+				seen[m[1]] = true
+				out = append(out, m[1])
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	flags := names(regexp.MustCompile(`(?m)^  (-[a-z-]+)`), usage.String())
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rowStart = "| `go run ./cmd/prionnd` |"
+	var row string
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, rowStart) {
+			row = strings.TrimPrefix(line, rowStart)
+		}
+	}
+	if row == "" {
+		t.Fatalf("README.md has no %q row", rowStart)
+	}
+	if got := names(regexp.MustCompile("`(-[a-z-]+)"), row); strings.Join(got, " ") != strings.Join(flags, " ") {
+		t.Fatalf("README prionnd row names\n  %v\nbut -h lists\n  %v", got, flags)
 	}
 }
 
@@ -585,5 +630,89 @@ func TestRunPipelineQuantRejected(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "mutually exclusive") {
 		t.Fatalf("stderr: %s", stderr.String())
+	}
+}
+
+// TestStatsSnapshotBytes pins the number /stats reports as
+// snapshot_bytes: the -load file's size for a restored model, and what
+// Save writes for one trained at start-up (training is seeded, so the
+// test's own predictor is the daemon's).
+func TestStatsSnapshotBytes(t *testing.T) {
+	cfg, err := modelConfig("tiny", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := trace.Completed(trace.Generate(trace.Config{Seed: 5, Jobs: 150}))
+	scripts := make([]string, len(completed))
+	for i, j := range completed {
+		scripts[i] = j.Script
+	}
+	p, err := prionn.New(cfg, scripts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := completed
+	if len(window) > cfg.TrainWindow {
+		window = window[len(window)-cfg.TrainWindow:]
+	}
+	if _, err := p.Train(window); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := p.SaveFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int64
+	}{
+		{"trained", demoArgs(), int64(saved.Len())},
+		{"loaded", []string{"-load", ckpt, "-jobs", "0"}, fi.Size()},
+		{"loaded cluster", []string{"-load", ckpt, "-jobs", "0", "-replicas", "2"}, fi.Size()},
+	} {
+		var stdout, stderr bytes.Buffer
+		type started struct {
+			addr string
+			stop func()
+		}
+		readyCh := make(chan started, 1)
+		done := make(chan int, 1)
+		go func() {
+			done <- run(append(tc.args, "-addr", "127.0.0.1:0"), &stdout, &stderr,
+				func(addr string, stop func()) { readyCh <- started{addr, stop} })
+		}()
+		var st started
+		select {
+		case st = <-readyCh:
+		case code := <-done:
+			t.Fatalf("%s: daemon exited %d before serving\nstderr: %s", tc.name, code, stderr.String())
+		}
+		resp, err := http.Get("http://" + st.addr + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			SnapshotBytes int64 `json:"snapshot_bytes"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		st.stop()
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.SnapshotBytes != tc.want {
+			t.Errorf("%s: snapshot_bytes = %d, want %d", tc.name, snap.SnapshotBytes, tc.want)
+		}
 	}
 }

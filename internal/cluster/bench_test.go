@@ -23,8 +23,7 @@ import (
 // ~37%, so most submissions repeat a script whose deterministic answer
 // the home replica has already computed, and a cache hit skips the
 // forward entirely. The no-cache variants isolate pure routing overhead
-// (retry accounting, breaker bookkeeping, policy selection), and the
-// hedged variant prices the hedging timer machinery into p50/p99.
+// (retry accounting, breaker bookkeeping, policy selection).
 
 const benchClients = 64
 
@@ -113,7 +112,6 @@ func benchCluster(b *testing.B, cfg Config) {
 	v, _ := benchTrainedView(b)
 	scripts := benchScripts(b)
 	cfg.Serve = benchServeConfig()
-	cfg.HealthEvery = -1 // probes would burn the single core for nothing here
 	c, err := New(v, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -164,11 +162,4 @@ func BenchmarkCluster4ReplicasAffinity(b *testing.B) {
 // round-robin, every request takes a real forward.
 func BenchmarkCluster4ReplicasNoCache(b *testing.B) {
 	benchCluster(b, Config{Replicas: 4, Policy: RoundRobin})
-}
-
-// BenchmarkCluster4ReplicasHedged prices the hedging machinery: same
-// no-cache dispatch path with the p95 hedging timer armed on every
-// request once the latency tracker warms.
-func BenchmarkCluster4ReplicasHedged(b *testing.B) {
-	benchCluster(b, Config{Replicas: 4, Policy: RoundRobin, HedgePercentile: 0.95})
 }

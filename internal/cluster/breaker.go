@@ -110,7 +110,7 @@ func newBreaker(cfg BreakerConfig) *breaker {
 
 // Allow reports whether a request may be dispatched to this replica,
 // accounting half-open probe slots. Every Allow that returns true must
-// be paired with exactly one Record.
+// be paired with exactly one Record or Release.
 func (b *breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -200,14 +200,15 @@ func (b *breaker) reset() {
 	b.probeSuccess = 0
 }
 
-// restart closes a breaker for a freshly resurrected replica, keeping
-// the cumulative transition counters (a restart is operational history,
-// not a statistics reset).
-func (b *breaker) restart() {
+// Release returns an Allow without an outcome, for a request whose
+// caller left before the replica answered: a half-open probe slot is
+// handed back, not failed, and nothing is counted.
+func (b *breaker) Release() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.state = BreakerClosed
-	b.reset()
+	if b.state == BreakerHalfOpen && b.probeInFlight > 0 {
+		b.probeInFlight--
+	}
 }
 
 // State returns the current position.

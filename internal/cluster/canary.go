@@ -257,9 +257,14 @@ func (c *Cluster) StopCanary(ctx context.Context) error {
 // Reported back: (response, true) on a canary answer; (zero, false)
 // when the canary path failed and the caller must fall through to the
 // normal path — a canary fault degrades the canary, never the request.
-func (c *Cluster) canaryPredict(ctx context.Context, cs *canaryState, req Request, key uint64) (Response, bool) {
+// A claim whose caller (parent) left before the canary answered is not
+// an observation: it says nothing about the candidate.
+func (c *Cluster) canaryPredict(ctx, parent context.Context, cs *canaryState, req Request, key uint64) (Response, bool) {
 	resp, err := cs.srv.Predict(ctx, req)
 	if err != nil {
+		if parent.Err() != nil {
+			return Response{}, false
+		}
 		cs.errors.Add(1)
 		cs.observations.Add(1)
 		c.st.canaryRequests.Add(1)
@@ -270,7 +275,7 @@ func (c *Cluster) canaryPredict(ctx context.Context, cs *canaryState, req Reques
 	// Both answers decode through identical bin layouts, so any
 	// divergence is a real model-output difference.
 	if r := c.pick(key, 0); r != nil {
-		if base, err := c.attempt(ctx, r, req); err == nil && base.FromModel && resp.FromModel {
+		if base, err := c.attempt(ctx, parent, r, req); err == nil && base.FromModel && resp.FromModel {
 			if base.Pred != resp.Pred { //prionnvet:ignore float-eq -- bin-decoded predictions are bitwise-reproducible (PR 5); any inequality is a genuine model disagreement, and a tolerance would hide small regressions
 				cs.disagreements.Add(1)
 			}

@@ -4,17 +4,20 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"prionn/internal/fault"
 	"prionn/internal/prionn"
+	"prionn/internal/serve"
 )
 
 // TestClusterSharesOneView: replicas and the canary server hold the
-// published *Inference itself, never a copy — after New, Swap, a
-// Kill/Restart cycle and StartCanary, every live server's View() is
-// pointer-identical to Cluster.View() (the canary's to the candidate).
+// published *Inference itself, never a copy — after New, Swap and
+// StartCanary, every server's View() is pointer-identical to
+// Cluster.View() (the canary's to the candidate).
 func TestClusterSharesOneView(t *testing.T) {
 	v1, v2, _ := trainedViews(t)
-	c, err := New(v1, Config{Replicas: 3, Serve: fastServe(), HealthEvery: -1})
+	c, err := New(v1, Config{Replicas: 3, Serve: fastServe()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func TestClusterSharesOneView(t *testing.T) {
 			t.Fatalf("%s: Cluster.View() = %p, want %p", stage, got, want)
 		}
 		for _, r := range c.replicas {
-			if got := r.srv.Load().View(); got != want {
+			if got := r.srv.View(); got != want {
 				t.Fatalf("%s: replica %d holds %p, want the shared %p", stage, r.id, got, want)
 			}
 		}
@@ -35,13 +38,6 @@ func TestClusterSharesOneView(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Swap", v2)
-	if err := c.Kill(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Restart(1); err != nil {
-		t.Fatal(err)
-	}
-	check("Restart", v2)
 	if err := c.StartCanary(v1, CanaryConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +55,7 @@ func TestCanaryPromotion(t *testing.T) {
 	v1, v2, jobs := trainedViews(t)
 	c, err := New(v1, Config{
 		Replicas: 2, Serve: fastServe(), Policy: ScriptAffinity,
-		CacheSize: 32, HealthEvery: -1,
+		CacheSize: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +141,7 @@ func TestCanaryPromotion(t *testing.T) {
 // untouched (version unchanged, baseline answers bitwise-pure to it).
 func TestCanaryAutoRollback(t *testing.T) {
 	v1, v2, jobs := trainedViews(t)
-	c, err := New(v1, Config{
-		Replicas: 2, Serve: fastServe(), HealthEvery: -1,
-	})
+	c, err := New(v1, Config{Replicas: 2, Serve: fastServe()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +203,41 @@ func TestCanaryAutoRollback(t *testing.T) {
 	}
 }
 
+// TestCanaryCallerCancelIsNotAnObservation: a claimed request whose
+// caller hangs up before the canary answers says nothing about the
+// candidate — it is neither an error nor an observation, so hung-up
+// callers cannot roll a healthy canary back.
+func TestCanaryCallerCancelIsNotAnObservation(t *testing.T) {
+	v1, v2, jobs := trainedViews(t)
+	defer fault.DisarmAll()
+	c, err := New(v1, Config{Replicas: 1, Serve: fastServe()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustStop(t, c)
+	if err := c.StartCanary(v2, CanaryConfig{Frac: 0.5, MinObservations: 2, PromoteAfter: 100}); err != nil {
+		t.Fatal(err)
+	}
+
+	fault.Arm(serve.FailpointFlush, fault.Failure{Sleep: 20 * time.Millisecond})
+	const n = 8 // every second one is claimed by the canary
+	for i := 0; i < n; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		_, err := c.Predict(ctx, Request{Script: jobs[0].Script})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("hung-up caller %d got %v, want its own DeadlineExceeded", i, err)
+		}
+	}
+	st := c.CanaryStatus()
+	if st.Phase != CanaryRunning.String() || st.Errors != 0 || st.Observations != 0 {
+		t.Fatalf("hung-up callers were scored against the canary: %+v", st)
+	}
+	if got := c.Stats().CallerCanceled; got != n {
+		t.Fatalf("caller-canceled %d, want %d", got, n)
+	}
+}
+
 // TestCanaryDisagreementRollback: a candidate that diverges from the
 // baseline on too many answers is rolled back on the disagreement rate
 // alone — no errors involved.
@@ -225,7 +254,7 @@ func TestCanaryDisagreementRollback(t *testing.T) {
 	if diverging == 0 {
 		t.Skip("views agree on every probe script; disagreement unobservable")
 	}
-	c, err := New(v1, Config{Replicas: 2, Serve: fastServe(), HealthEvery: -1})
+	c, err := New(v1, Config{Replicas: 2, Serve: fastServe()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 
 // The chaos harness: client goroutines push a fixed request set through
 // the cluster while a seeded schedule injects faults — latency and
-// errors through the per-replica failpoints, crashes through
-// Kill/Restart, snapshot churn through Swap. The invariants asserted
-// afterwards are the tentpole's contract:
+// errors through the per-replica failpoints (an armed failpoint is a
+// failing in-process replica), snapshot churn through Swap. The
+// invariants asserted afterwards are the tentpole's contract:
 //
 //  1. exactly-once: every submitted request returns exactly one
 //     response, none error (the callers' contexts stay alive);
@@ -33,28 +33,25 @@ import (
 
 // chaosConfig turns every resilience mechanism on at once with
 // aggressive timing, so mechanisms interact during the run instead of
-// idling: fast breakers, active health probing, hedging, caching over
-// affinity routing, and a generous retry budget.
+// idling: fast breakers, caching over affinity routing, and a generous
+// retry budget.
 func chaosConfig() Config {
 	return Config{
-		Replicas:        4,
-		Serve:           fastServe(),
-		Policy:          ScriptAffinity,
-		CacheSize:       256,
-		MaxAttempts:     4,
-		RetryBackoff:    100 * time.Microsecond,
-		MaxBackoff:      2 * time.Millisecond,
-		RetryBudget:     0.5,
-		MinRetries:      50,
-		HedgePercentile: 0.90,
+		Replicas:     4,
+		Serve:        fastServe(),
+		Policy:       ScriptAffinity,
+		CacheSize:    256,
+		MaxAttempts:  4,
+		RetryBackoff: 100 * time.Microsecond,
+		MaxBackoff:   2 * time.Millisecond,
+		RetryBudget:  0.5,
+		MinRetries:   50,
 		Breaker: BreakerConfig{
 			ConsecutiveFailures: 3,
 			OpenFor:             10 * time.Millisecond,
 			HalfOpenProbes:      2,
 		},
-		HealthEvery:   5 * time.Millisecond,
-		HealthTimeout: 20 * time.Millisecond,
-		Seed:          7,
+		Seed: 7,
 	}
 }
 
@@ -65,8 +62,6 @@ const (
 	chaosLatency chaosAction = iota // arm Sleep on a random replica
 	chaosError                      // arm Err on a random replica
 	chaosHeal                       // disarm a random replica's failpoint
-	chaosKill                       // crash a random live replica
-	chaosRestart                    // resurrect a random killed replica
 	chaosSwap                       // publish the other snapshot
 )
 
@@ -129,11 +124,9 @@ func runChaos(t *testing.T, seed int64, allowed []chaosAction) Snapshot {
 		close(clientsDone)
 	}()
 
-	// The seeded chaos schedule. Everything it arms or kills it also
-	// undoes before returning, so the final drain runs on a healthy
-	// cluster.
+	// The seeded chaos schedule. Everything it arms it also disarms
+	// before returning, so the final drain runs on a healthy cluster.
 	rng := rand.New(rand.NewSource(seed))
-	killed := make([]bool, c.Replicas())
 	views := [2]*prionn.Inference{v1, v2}
 	nextView := 1
 	steps := 0
@@ -155,22 +148,6 @@ func runChaos(t *testing.T, seed int64, allowed []chaosAction) Snapshot {
 			fault.Arm(ReplicaFailpoint(id), fault.Failure{Err: errors.New("chaos: injected dispatch error")})
 		case chaosHeal:
 			fault.Disarm(ReplicaFailpoint(id))
-		case chaosKill:
-			if !killed[id] {
-				killed[id] = true
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				if err := c.Kill(ctx, id); err != nil {
-					t.Errorf("chaos kill %d: %v", id, err)
-				}
-				cancel()
-			}
-		case chaosRestart:
-			if killed[id] {
-				killed[id] = false
-				if err := c.Restart(id); err != nil {
-					t.Errorf("chaos restart %d: %v", id, err)
-				}
-			}
 		case chaosSwap:
 			if err := c.Swap(views[nextView]); err != nil {
 				t.Errorf("chaos swap: %v", err)
@@ -180,13 +157,6 @@ func runChaos(t *testing.T, seed int64, allowed []chaosAction) Snapshot {
 		time.Sleep(time.Duration(200+rng.Intn(800)) * time.Microsecond)
 	}
 	fault.DisarmAll()
-	for id, k := range killed {
-		if k {
-			if err := c.Restart(id); err != nil {
-				t.Errorf("final restart %d: %v", id, err)
-			}
-		}
-	}
 	wg.Wait()
 
 	// Invariant 1: exactly-once, no errors.
@@ -236,7 +206,7 @@ func runChaos(t *testing.T, seed int64, allowed []chaosAction) Snapshot {
 
 // TestClusterChaosLatency: pure latency injection. Nothing errors, so
 // nothing may degrade for breaker reasons — every answer must be a
-// model answer, with hedging racing past the slow replicas.
+// model answer.
 func TestClusterChaosLatency(t *testing.T) {
 	snap := runChaos(t, 11, []chaosAction{chaosLatency, chaosHeal})
 	if snap.Degraded > snap.DeadlineDegraded {
@@ -251,19 +221,10 @@ func TestClusterChaosErrors(t *testing.T) {
 	runChaos(t, 22, []chaosAction{chaosError, chaosHeal})
 }
 
-// TestClusterChaosKillRestart: replica crash and resurrection
-// mid-traffic; restarted replicas come back on the currently published
-// snapshot (purity holds across resurrections).
-func TestClusterChaosKillRestart(t *testing.T) {
-	runChaos(t, 33, []chaosAction{chaosKill, chaosRestart})
-}
-
 // TestClusterChaosMixed: everything at once, including snapshot churn —
 // the full robustness claim of the PR.
 func TestClusterChaosMixed(t *testing.T) {
-	runChaos(t, 44, []chaosAction{
-		chaosLatency, chaosError, chaosHeal, chaosKill, chaosRestart, chaosSwap,
-	})
+	runChaos(t, 44, []chaosAction{chaosLatency, chaosError, chaosHeal, chaosSwap})
 }
 
 // TestClusterChaosBreakerTransitions pins the breaker behavior the
@@ -275,8 +236,7 @@ func TestClusterChaosBreakerTransitions(t *testing.T) {
 	defer fault.DisarmAll()
 
 	cfg := chaosConfig()
-	cfg.HealthEvery = -1 // isolate the breakers from the health prober
-	cfg.CacheSize = 0    // cache hits bypass dispatch and would starve the breakers
+	cfg.CacheSize = 0 // cache hits bypass dispatch and would starve the breakers
 	c, err := New(view1, cfg)
 	if err != nil {
 		t.Fatal(err)

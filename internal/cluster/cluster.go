@@ -2,22 +2,29 @@
 // runs N internal/serve coalescing servers — all holding the same
 // immutable model snapshot, which inference forwards only read —
 // behind a router with pluggable policies, per-request deadlines,
-// budgeted retries with jittered exponential backoff, optional hedged
-// requests past a latency percentile, per-replica circuit breakers,
-// active health checking, and atomic cluster-wide snapshot publication.
+// budgeted retries with jittered exponential backoff, per-replica
+// circuit breakers, a memoizing prediction cache, a canary stage, and
+// atomic cluster-wide snapshot publication.
 //
 // The design contract comes from the paper's deployment (§2.3):
-// predictions feed the scheduler at job-submission time, so a dead or
-// slow replica must degrade a prediction, never stall a submission.
+// predictions feed the scheduler at job-submission time, so a failing
+// or slow replica must degrade a prediction, never stall a submission.
 // Concretely, Predict returns an error only when the *caller's* context
-// dies; every infrastructure failure — replicas crashed, breakers open,
-// retry budget exhausted, per-request deadline exceeded — ends in the
-// requested-runtime fallback (Response.Degraded), the same answer the
-// paper's system gives before its first training event.
+// dies; every infrastructure failure — replicas erroring, breakers
+// open, retry budget exhausted, per-request deadline exceeded — ends in
+// the requested-runtime fallback (Response.Degraded), the same answer
+// the paper's system gives before its first training event.
+//
+// Replicas are goroutines in one process sharing one view, so none can
+// crash alone, be sick while idle, or be slower than its identical
+// twin: the breaker on real traffic is the only health signal. There is
+// no active prober, no replica kill/restart and no request hedging, and
+// an idle cluster computes nothing.
 //
 // The layer is proven by a chaos harness (chaos_test.go) driving
-// latency injection, error injection, and replica kill/restart through
-// fault.Arm/fault.Here failpoints mid-traffic, asserting that no
+// latency injection, error injection and snapshot churn through
+// fault.Arm/fault.Here failpoints mid-traffic — an armed
+// ReplicaFailpoint is a failing in-process replica — asserting that no
 // request is lost or double-answered, that breakers open and recover,
 // and that every model-path response stays bitwise-pure to exactly one
 // published snapshot.
@@ -26,7 +33,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -51,7 +57,7 @@ type Response struct {
 	// prediction cache instead of a forward pass.
 	Cached bool
 	// Degraded is true when the cluster could not obtain a model answer
-	// (every replica open/unhealthy/erroring, retry budget exhausted, or
+	// (every replica open or erroring, retry budget exhausted, or
 	// the per-request deadline expired) and answered from the
 	// requested-runtime fallback instead of erroring.
 	Degraded bool
@@ -68,7 +74,7 @@ type Response struct {
 type Policy int
 
 const (
-	// RoundRobin rotates over healthy replicas.
+	// RoundRobin rotates over the replicas.
 	RoundRobin Policy = iota
 	// LeastLoaded prefers the replica with the fewest in-flight
 	// dispatches (ties broken by lowest id).
@@ -118,22 +124,11 @@ const (
 )
 
 // ReplicaFailpoint names the per-replica dispatch failpoint: it fires
-// in the dispatch path (and in the health prober) of exactly that
-// replica, so chaos schedules can take down replica 2 while 0, 1, and 3
-// keep serving.
+// in the dispatch path of exactly that replica, so chaos schedules can
+// take down replica 2 while 0, 1, and 3 keep serving.
 func ReplicaFailpoint(id int) string {
 	return "cluster/replica/" + strconv.Itoa(id)
 }
-
-// errReplicaDown is the dispatch error for a replica with no live
-// server (killed and not yet restarted).
-var errReplicaDown = errors.New("cluster: replica down")
-
-// healthProbeScript is the tiny request body the active health checker
-// submits; probes ride the normal serve path (admission, coalescing)
-// so they observe real serving health, and they always take the
-// requested-runtime fallback path on untrained snapshots.
-const healthProbeScript = "#!/bin/sh\n#cluster-health-probe\n"
 
 // Config tunes the cluster. The zero value of every field gets a
 // sensible default from withDefaults; Replicas defaults to 1.
@@ -160,22 +155,8 @@ type Config struct {
 	// (default 0.1), with MinRetries as an absolute floor (default 10).
 	RetryBudget float64
 	MinRetries  int
-	// HedgePercentile, when in (0,1), launches a hedged second attempt
-	// once the first has been in flight longer than this percentile of
-	// recent latencies. 0 disables hedging.
-	HedgePercentile float64
 	// Breaker tunes each replica's circuit breaker.
 	Breaker BreakerConfig
-	// HealthEvery is the active health-check interval: 0 means the
-	// 100ms default, negative disables active checking (replicas stay
-	// routable unless killed).
-	HealthEvery time.Duration
-	// HealthTimeout bounds one health probe (default 1s). Generous on
-	// purpose: probes ride the real serve path and queue behind live
-	// traffic, so a tight timeout reads congestion as death. The picker
-	// additionally fails open when the health filter alone would empty
-	// the pool.
-	HealthTimeout time.Duration
 	// CacheSize is the per-replica memoizing prediction cache capacity
 	// in entries; 0 disables caching. The cache is sharded by script
 	// hash: an entry lives on its script's home replica, which the
@@ -208,26 +189,17 @@ func (c Config) withDefaults() Config {
 	if c.MinRetries <= 0 {
 		c.MinRetries = 10
 	}
-	if c.HealthEvery == 0 {
-		c.HealthEvery = 100 * time.Millisecond
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = time.Second
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
 
-// replica is one serving replica plus its routing state. The server
-// pointer is atomic because Kill/Restart replace it mid-traffic.
+// replica is one serving replica plus its routing state. srv is set
+// once in New and never replaced.
 type replica struct {
 	id  int
-	srv atomic.Pointer[serve.Server]
-
-	killed  atomic.Bool
-	healthy atomic.Bool
+	srv *serve.Server
 
 	inflight atomic.Int64
 
@@ -251,13 +223,12 @@ type Cluster struct {
 	// at. Bumped by Swap *after* every replica has the new snapshot (see
 	// Swap for the ordering argument).
 	version atomic.Int64
-	// view is the published snapshot: the one every live replica's
-	// server holds, and the one Restart hands a replacement replica.
+	// view is the published snapshot: the one every replica's server
+	// holds.
 	view atomic.Pointer[prionn.Inference]
 
-	// ctl serializes the control plane (Swap, Kill, Restart, canary
-	// start/promote/stop) so a restart can never resurrect a replica on
-	// a stale snapshot and canary transitions never interleave.
+	// ctl serializes the control plane (Swap, canary start/promote/stop)
+	// so publications and canary transitions never interleave.
 	ctl sync.Mutex
 
 	// canary is the active canary deployment, nil when none. Stored
@@ -270,45 +241,31 @@ type Cluster struct {
 	lat    latencyTracker
 
 	st clusterStats
-
-	healthStop chan struct{}
-	healthDone chan struct{}
-	stopOnce   sync.Once
 }
 
 // New builds the cluster: each replica gets its own serve.Server over
 // the shared view (nil is allowed — every replica serves the
-// requested-runtime fallback until Swap publishes a trained snapshot),
-// and the active health checker starts unless disabled. The error is
+// requested-runtime fallback until Swap publishes a trained snapshot).
+// The serve loops are the only goroutines it starts. The error is
 // always nil; the signature predates the shared view.
 func New(view *prionn.Inference, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:        cfg,
-		jitter:     jitterSource{seed: uint64(cfg.Seed)},
-		budget:     retryBudget{ratio: cfg.RetryBudget, minRetries: int64(cfg.MinRetries)},
-		lat:        latencyTracker{pct: cfg.HedgePercentile},
-		healthStop: make(chan struct{}),
-		healthDone: make(chan struct{}),
+		cfg:    cfg,
+		jitter: jitterSource{seed: uint64(cfg.Seed)},
+		budget: retryBudget{ratio: cfg.RetryBudget, minRetries: int64(cfg.MinRetries)},
 	}
 	c.view.Store(view)
 	st0 := cacheStamp{version: 0, kernel: viewKernel(view)}
 	for i := 0; i < cfg.Replicas; i++ {
 		r := &replica{
 			id:    i,
+			srv:   serve.New(view, cfg.Serve),
 			br:    newBreaker(cfg.Breaker),
 			cache: newPredCache(cfg.CacheSize),
 		}
 		r.cache.invalidate(st0) // install the initial {version, kernel} stamp
-		r.healthy.Store(true)
-		r.srv.Store(serve.New(view, cfg.Serve))
 		c.replicas = append(c.replicas, r)
-	}
-	if cfg.HealthEvery > 0 {
-		//prionnvet:ignore naked-goroutine -- joined via c.healthDone, closed by healthLoop and received in Stop
-		go c.healthLoop()
-	} else {
-		close(c.healthDone)
 	}
 	return c, nil
 }
@@ -336,11 +293,10 @@ func (c *Cluster) Replicas() int { return len(c.replicas) }
 
 // Predict answers one job-submission prediction. It routes to a
 // replica by policy, memoizes deterministic model answers, retries
-// transient failures within the retry budget, optionally hedges slow
-// attempts, and — when no replica can answer — degrades to the
-// requested-runtime fallback. The only error it returns is the
-// caller's own context error; infrastructure failure never stalls a
-// submission.
+// transient failures within the retry budget, and — when no replica
+// can answer — degrades to the requested-runtime fallback. The only
+// error it returns is the caller's own context error; infrastructure
+// failure never stalls a submission.
 func (c *Cluster) Predict(ctx context.Context, req Request) (Response, error) {
 	c.st.requests.Add(1)
 	c.budget.request()
@@ -363,7 +319,7 @@ func (c *Cluster) Predict(ctx context.Context, req Request) (Response, error) {
 	// observations). A failed canary path falls through to the normal
 	// route — canary faults never degrade the caller's request.
 	if cs := c.canary.Load(); cs != nil && cs.running() && cs.take() {
-		if resp, ok := c.canaryPredict(ctx, cs, req, key); ok {
+		if resp, ok := c.canaryPredict(ctx, parent, cs, req, key); ok {
 			return resp, nil
 		}
 		if parent.Err() != nil {
@@ -387,8 +343,8 @@ func (c *Cluster) Predict(ctx context.Context, req Request) (Response, error) {
 		if r == nil {
 			break // nothing dispatchable: degrade
 		}
-		resp, used, err := c.dispatch(ctx, r, req, key, tried)
-		tried |= used
+		tried |= 1 << uint(r.id)
+		resp, err := c.attempt(ctx, parent, r, req)
 		if err == nil {
 			if resp.FromModel {
 				c.home(key).cache.put(key, st, resp.Pred)
@@ -442,10 +398,10 @@ func (c *Cluster) home(key uint64) *replica {
 }
 
 // pick selects the next replica to try, honoring the routing policy,
-// health, the tried-mask, and each candidate's circuit breaker. Every
-// non-nil pick consumes one breaker Allow, which the subsequent
-// dispatch pairs with exactly one Record. Returns nil when no replica
-// is dispatchable.
+// the tried-mask, and each candidate's circuit breaker. Every non-nil
+// pick consumes one breaker Allow, which the subsequent attempt pairs
+// with exactly one Record or Release. Returns nil when no replica is
+// dispatchable.
 func (c *Cluster) pick(key uint64, tried uint64) *replica {
 	n := len(c.replicas)
 	var order [maxReplicas]int
@@ -479,111 +435,22 @@ func (c *Cluster) pick(key uint64, tried uint64) *replica {
 			order[i] = (start + i) % n
 		}
 	}
-	scan := func(ignoreHealth bool) *replica {
-		for i := 0; i < n; i++ {
-			r := c.replicas[order[i]]
-			if tried&(1<<uint(r.id)) != 0 {
-				continue
-			}
-			if r.killed.Load() || (!ignoreHealth && !r.healthy.Load()) {
-				continue
-			}
-			if !r.br.Allow() {
-				continue
-			}
+	for i := 0; i < n; i++ {
+		r := c.replicas[order[i]]
+		if tried&(1<<uint(r.id)) == 0 && r.br.Allow() {
 			return r
 		}
-		return nil
 	}
-	if r := scan(false); r != nil {
-		return r
-	}
-	// Health checking fails open: if the health filter alone would empty
-	// the pool (probes time out on an overloaded-but-live cluster), route
-	// anyway rather than convert congestion into a full outage. Killed
-	// replicas and open breakers still gate — those are hard signals.
-	return scan(true)
-}
-
-// attemptResult carries one dispatch attempt's outcome to the hedging
-// selector.
-type attemptResult struct {
-	resp serve.Response
-	err  error
-	id   int
-}
-
-// dispatch runs one routed attempt, hedging a second replica when the
-// first exceeds the hedging threshold. It returns the mask of replica
-// ids it consumed (for the retry loop's tried-set) alongside the
-// winning response. The request is answered exactly once: a losing
-// hedge's response lands in the buffered channel and is dropped with
-// it.
-func (c *Cluster) dispatch(ctx context.Context, r *replica, req Request, key, tried uint64) (serve.Response, uint64, error) {
-	used := uint64(1) << uint(r.id)
-	delay := c.lat.hedgeDelay()
-	if delay <= 0 {
-		resp, err := c.attempt(ctx, r, req)
-		return resp, used, err
-	}
-
-	ch := make(chan attemptResult, 2)
-	launch := func(lr *replica) {
-		//prionnvet:ignore naked-goroutine -- result delivered via the buffered ch; a losing hedge completes its send and is dropped, never leaked
-		go func() {
-			defer func() {
-				// A panicking replica (a failpoint armed with Panic, a
-				// corrupt snapshot) is a failed attempt, not a process
-				// kill: convert it so the retry loop can fail over.
-				if p := recover(); p != nil {
-					ch <- attemptResult{err: fmt.Errorf("replica %d panic: %v", lr.id, p), id: lr.id}
-				}
-			}()
-			resp, err := c.attempt(ctx, lr, req)
-			ch <- attemptResult{resp, err, lr.id}
-		}()
-	}
-	launch(r)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	outstanding := 1
-	hedged := false
-	var lastErr error
-	for {
-		//prionnvet:ignore nondet-select -- hedging races two attempts by design; both compute snapshot-pure answers, so whichever wins returns identical bytes
-		select {
-		case res := <-ch:
-			outstanding--
-			if res.err == nil {
-				if hedged && res.id != r.id {
-					c.st.hedgeWins.Add(1)
-				}
-				return res.resp, used, nil
-			}
-			lastErr = res.err
-			if outstanding == 0 {
-				return serve.Response{}, used, lastErr
-			}
-		case <-timer.C:
-			if !hedged {
-				if r2 := c.pick(key, tried|used); r2 != nil {
-					used |= 1 << uint(r2.id)
-					c.st.hedges.Add(1)
-					hedged = true
-					outstanding++
-					launch(r2)
-				}
-			}
-		case <-ctx.Done():
-			return serve.Response{}, used, ctx.Err()
-		}
-	}
+	return nil
 }
 
 // attempt dispatches one request to one replica through its failpoint,
 // recording the outcome in the replica's breaker and the cluster's
-// latency tracker. Pairs with the breaker Allow its pick consumed.
-func (c *Cluster) attempt(ctx context.Context, r *replica, req Request) (serve.Response, error) {
+// latency tracker. Pairs with the breaker Allow its pick consumed. ctx
+// carries the cluster's own deadline; parent is the caller's context,
+// and an attempt that fails after the caller left says nothing about
+// the replica, so it hands its breaker slot back without an outcome.
+func (c *Cluster) attempt(ctx, parent context.Context, r *replica, req Request) (serve.Response, error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	if err := fault.Here(ReplicaFailpoint(r.id)); err != nil {
@@ -591,20 +458,18 @@ func (c *Cluster) attempt(ctx context.Context, r *replica, req Request) (serve.R
 		r.br.Record(false)
 		return serve.Response{}, err
 	}
-	srv := r.srv.Load()
-	if srv == nil {
-		r.failed.Add(1)
-		r.br.Record(false)
-		return serve.Response{}, errReplicaDown
-	}
-	//prionnvet:ignore time-dep -- dispatch latency feeds the hedging threshold and p50/p99 stats; wall-clock by design
+	//prionnvet:ignore time-dep -- dispatch latency feeds the p50/p99 stats; wall-clock by design
 	t0 := time.Now()
-	resp, err := srv.Predict(ctx, req)
-	//prionnvet:ignore time-dep -- dispatch latency feeds the hedging threshold and p50/p99 stats; wall-clock by design
+	resp, err := r.srv.Predict(ctx, req)
+	//prionnvet:ignore time-dep -- dispatch latency feeds the p50/p99 stats; wall-clock by design
 	d := time.Since(t0)
 	if err != nil {
-		r.failed.Add(1)
-		r.br.Record(false)
+		if parent.Err() != nil {
+			r.br.Release()
+		} else {
+			r.failed.Add(1)
+			r.br.Record(false)
+		}
 		return resp, err
 	}
 	r.dispatched.Add(1)
@@ -640,9 +505,7 @@ func (c *Cluster) Swap(v *prionn.Inference) error {
 func (c *Cluster) swapLocked(v *prionn.Inference) {
 	c.view.Store(v)
 	for _, r := range c.replicas {
-		if srv := r.srv.Load(); srv != nil {
-			srv.Swap(v)
-		}
+		r.srv.Swap(v)
 	}
 	st := cacheStamp{version: c.version.Add(1), kernel: viewKernel(v)}
 	for _, r := range c.replicas {
@@ -654,64 +517,14 @@ func (c *Cluster) swapLocked(v *prionn.Inference) {
 // View returns the published snapshot (nil if none).
 func (c *Cluster) View() *prionn.Inference { return c.view.Load() }
 
-// Kill crashes one replica: its server drains and stops, and the
-// router stops considering it until Restart. In-flight dispatches to
-// it fail over through the retry path. The chaos harness uses this for
-// replica-crash injection; it is also the manual drain lever.
-func (c *Cluster) Kill(ctx context.Context, id int) error {
-	if id < 0 || id >= len(c.replicas) {
-		return errors.New("cluster: no replica " + strconv.Itoa(id))
-	}
-	r := c.replicas[id]
-	c.ctl.Lock()
-	r.killed.Store(true)
-	r.healthy.Store(false)
-	srv := r.srv.Load()
-	c.ctl.Unlock()
-	if srv == nil {
-		return nil
-	}
-	// Outside ctl: draining blocks on the replica's inference loop.
-	return srv.Stop(ctx)
-}
-
-// Restart resurrects a killed replica on a fresh server holding the
-// currently published snapshot, with a reset breaker and an empty cache
-// shard.
-func (c *Cluster) Restart(id int) error {
-	if id < 0 || id >= len(c.replicas) {
-		return errors.New("cluster: no replica " + strconv.Itoa(id))
-	}
-	r := c.replicas[id]
-	c.ctl.Lock()
-	defer c.ctl.Unlock()
-	if !r.killed.Load() {
-		return errors.New("cluster: replica " + strconv.Itoa(id) + " is not killed")
-	}
-	r.srv.Store(serve.New(c.view.Load(), c.cfg.Serve))
-	r.cache.invalidate(c.stamp())
-	r.br.restart()
-	r.killed.Store(false)
-	r.healthy.Store(true)
-	return nil
-}
-
-// Stop shuts the cluster down: the health checker exits, then every
-// replica drains gracefully (already-admitted requests are answered).
-// The context bounds the whole shutdown. Stop is idempotent.
+// Stop shuts the cluster down: every replica, and the canary server if
+// one is deployed, drains gracefully (already-admitted requests are
+// answered). The context bounds the whole shutdown. Stop is idempotent.
 func (c *Cluster) Stop(ctx context.Context) error {
-	c.stopOnce.Do(func() { close(c.healthStop) })
-	select {
-	case <-c.healthDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 	var firstErr error
 	for _, r := range c.replicas {
-		if srv := r.srv.Load(); srv != nil {
-			if err := srv.Stop(ctx); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := r.srv.Stop(ctx); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if cs := c.canary.Load(); cs != nil {
@@ -720,55 +533,4 @@ func (c *Cluster) Stop(ctx context.Context) error {
 		}
 	}
 	return firstErr
-}
-
-// healthLoop is the active health checker: it probes every replica at
-// the configured cadence and flips routability. It exits when Stop
-// closes healthStop.
-func (c *Cluster) healthLoop() {
-	defer close(c.healthDone)
-	t := time.NewTicker(c.cfg.HealthEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.healthStop:
-			return
-		case <-t.C:
-			c.probeAll()
-		}
-	}
-}
-
-// probeAll health-checks every replica once.
-func (c *Cluster) probeAll() {
-	for _, r := range c.replicas {
-		if r.killed.Load() {
-			continue // stays unhealthy until Restart
-		}
-		ok := c.probe(r)
-		if was := r.healthy.Swap(ok); was != ok {
-			c.st.healthFlips.Add(1)
-		}
-	}
-}
-
-// probe submits one bounded health request through the replica's
-// failpoint and serve path, so injected latency or errors — and a
-// stopped server — all read as unhealthy. Probe outcomes drive
-// routability only; the circuit breaker is driven by real traffic.
-func (c *Cluster) probe(r *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
-	defer cancel()
-	if err := fault.Here(ReplicaFailpoint(r.id)); err != nil {
-		return false
-	}
-	if ctx.Err() != nil {
-		return false // injected latency ate the probe deadline
-	}
-	srv := r.srv.Load()
-	if srv == nil {
-		return false
-	}
-	_, err := srv.Predict(ctx, Request{Script: healthProbeScript, RequestedMin: 1})
-	return err == nil
 }

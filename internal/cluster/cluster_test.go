@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func mustStop(t *testing.T, c *Cluster) {
 // must actually spread load over every replica.
 func TestClusterPredictMatchesSingle(t *testing.T) {
 	v, _, jobs := trainedViews(t)
-	c, err := New(v, Config{Replicas: 3, Serve: fastServe(), HealthEvery: -1})
+	c, err := New(v, Config{Replicas: 3, Serve: fastServe()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestClusterPredictMatchesSingle(t *testing.T) {
 // cluster-wide Swap switches all replicas to model serving.
 func TestClusterFallbackUntrained(t *testing.T) {
 	v, _, jobs := trainedViews(t)
-	c, err := New(nil, Config{Replicas: 2, Serve: fastServe(), HealthEvery: -1})
+	c, err := New(nil, Config{Replicas: 2, Serve: fastServe()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestClusterAffinityCache(t *testing.T) {
 	v, _, jobs := trainedViews(t)
 	c, err := New(v, Config{
 		Replicas: 4, Serve: fastServe(), Policy: ScriptAffinity,
-		CacheSize: 128, HealthEvery: -1,
+		CacheSize: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestClusterCacheInvalidatedOnSwap(t *testing.T) {
 	v1, v2, jobs := trainedViews(t)
 	c, err := New(v1, Config{
 		Replicas: 2, Serve: fastServe(), Policy: ScriptAffinity,
-		CacheSize: 32, HealthEvery: -1,
+		CacheSize: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +240,7 @@ func TestClusterSwapKernelInvalidatesCache(t *testing.T) {
 	v1, _, jobs := trainedViews(t)
 	c, err := New(v1, Config{
 		Replicas: 2, Serve: fastServe(), Policy: ScriptAffinity,
-		CacheSize: 32, HealthEvery: -1,
+		CacheSize: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +304,7 @@ func TestClusterRetryFailover(t *testing.T) {
 	defer fault.DisarmAll()
 	fault.Arm(ReplicaFailpoint(0), fault.Failure{Err: errors.New("injected replica fault")})
 
-	c, err := New(v, Config{Replicas: 2, Serve: fastServe(), HealthEvery: -1})
+	c, err := New(v, Config{Replicas: 2, Serve: fastServe()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestClusterBreakerOpensAndRecovers(t *testing.T) {
 	fault.Arm(ReplicaFailpoint(0), fault.Failure{Err: errors.New("injected")})
 
 	c, err := New(v, Config{
-		Replicas: 2, Serve: fastServe(), HealthEvery: -1,
+		Replicas: 2, Serve: fastServe(),
 		Breaker: BreakerConfig{ConsecutiveFailures: 3, OpenFor: time.Hour, HalfOpenProbes: 2},
 	})
 	if err != nil {
@@ -415,7 +416,7 @@ func TestClusterRetryBudgetExhaustion(t *testing.T) {
 	fault.Arm(ReplicaFailpoint(1), fault.Failure{Err: errors.New("injected")})
 
 	c, err := New(nil, Config{
-		Replicas: 2, Serve: fastServe(), HealthEvery: -1,
+		Replicas: 2, Serve: fastServe(),
 		MaxAttempts: 4, MinRetries: 3, RetryBudget: 0.05,
 		RetryBackoff: 10 * time.Microsecond,
 		// A generous breaker so the budget, not the breaker, is what
@@ -450,43 +451,57 @@ func TestClusterRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestClusterFullyDegradedFallback: with every replica killed the
-// router still answers — from the requested-runtime fallback — and a
-// restart restores model serving.
+// TestClusterFullyDegradedFallback: with every replica's failpoint
+// armed the router still answers — from the requested-runtime fallback
+// — and once they are disarmed and the cool-down has elapsed the model
+// answers again.
 func TestClusterFullyDegradedFallback(t *testing.T) {
 	v, _, jobs := trainedViews(t)
-	c, err := New(v, Config{Replicas: 2, Serve: fastServe(), HealthEvery: -1})
+	defer fault.DisarmAll()
+	c, err := New(v, Config{
+		Replicas: 2, Serve: fastServe(),
+		Breaker: BreakerConfig{ConsecutiveFailures: 1, OpenFor: time.Hour, HalfOpenProbes: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustStop(t, c)
+	var nowNs int64
+	for _, r := range c.replicas {
+		r.br.mu.Lock()
+		r.br.nowNs = func() int64 { return nowNs }
+		r.br.mu.Unlock()
+	}
 
 	for id := 0; id < 2; id++ {
-		if err := c.Kill(context.Background(), id); err != nil {
-			t.Fatalf("kill %d: %v", id, err)
+		fault.Arm(ReplicaFailpoint(id), fault.Failure{Err: errors.New("injected")})
+	}
+	// The first request trips both breakers on its way down; the second
+	// finds nothing dispatchable. Both must get the fallback.
+	for i := 0; i < 2; i++ {
+		resp, err := c.Predict(context.Background(), Request{Script: jobs[0].Script, RequestedMin: 77})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Degraded || resp.Pred.RuntimeMin != 77 || resp.FromModel {
+			t.Fatalf("request %d: fully-failing cluster must serve the fallback: %+v", i, resp)
 		}
 	}
-	resp, err := c.Predict(context.Background(), Request{Script: jobs[0].Script, RequestedMin: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded || resp.Pred.RuntimeMin != 77 || resp.FromModel {
-		t.Fatalf("fully-killed cluster must serve the fallback: %+v", resp)
+	for _, r := range c.replicas {
+		if got := r.br.State(); got != BreakerOpen {
+			t.Fatalf("replica %d breaker %v, want open", r.id, got)
+		}
 	}
 
-	if err := c.Restart(0); err != nil {
-		t.Fatal(err)
-	}
+	fault.DisarmAll()
+	nowNs += int64(2 * time.Hour)
 	want := v.PredictOne(jobs[0].Script)
-	resp, err = c.Predict(context.Background(), Request{Script: jobs[0].Script})
+	resp, err := c.Predict(context.Background(), Request{Script: jobs[0].Script})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.FromModel || resp.Pred != want {
-		t.Fatalf("restarted replica must serve the published snapshot: %+v want %+v", resp, want)
-	}
-	if err := c.Restart(0); err == nil {
-		t.Fatal("restarting a live replica must error")
+		t.Fatalf("healed replica must serve the published snapshot: %+v want %+v", resp, want)
 	}
 }
 
@@ -502,7 +517,7 @@ func TestClusterSwapNeverMixesBatches(t *testing.T) {
 
 	c, err := New(v1, Config{
 		Replicas: 3, Serve: fastServe(), Policy: ScriptAffinity,
-		CacheSize: 64, HealthEvery: -1,
+		CacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -553,104 +568,10 @@ func TestClusterSwapNeverMixesBatches(t *testing.T) {
 	<-swapDone
 }
 
-// TestClusterHedging: once the latency tracker is warm, an attempt
-// stalled past the hedging threshold spawns a second attempt on another
-// replica, which answers first.
-func TestClusterHedging(t *testing.T) {
-	v, _, jobs := trainedViews(t)
-	c, err := New(v, Config{
-		Replicas: 2, Serve: fastServe(), HealthEvery: -1,
-		HedgePercentile: 0.95,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustStop(t, c)
-
-	ctx := context.Background()
-	// Warm the tracker past its recompute threshold so hedgeDelay > 0.
-	for i := 0; i < 2*hedgeRecompute; i++ {
-		if _, err := c.Predict(ctx, Request{Script: jobs[i%len(jobs)].Script}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.lat.hedgeDelay() <= 0 {
-		t.Fatal("latency tracker did not warm up")
-	}
-
-	defer fault.DisarmAll()
-	fault.Arm(ReplicaFailpoint(0), fault.Failure{Sleep: 250 * time.Millisecond})
-	for i := 0; i < 8; i++ {
-		j := jobs[i%len(jobs)]
-		resp, err := c.Predict(ctx, Request{Script: j.Script})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := v.PredictOne(j.Script); resp.Pred != want {
-			t.Fatalf("hedged response %+v != %+v", resp.Pred, want)
-		}
-	}
-	snap := c.Stats()
-	if snap.Hedges == 0 || snap.HedgeWins == 0 {
-		t.Fatalf("latency injection on replica 0 must trigger winning hedges: %+v", snap)
-	}
-}
-
-// TestClusterHealthProbesMarkUnhealthy: the active checker takes an
-// erroring replica out of rotation and returns it after recovery.
-func TestClusterHealthProbesMarkUnhealthy(t *testing.T) {
-	v, _, jobs := trainedViews(t)
-	defer fault.DisarmAll()
-
-	c, err := New(v, Config{
-		Replicas: 2, Serve: fastServe(),
-		HealthEvery: 2 * time.Millisecond, HealthTimeout: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustStop(t, c)
-
-	waitHealth := func(id int, want bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for c.replicas[id].healthy.Load() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %d health never became %v", id, want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	fault.Arm(ReplicaFailpoint(0), fault.Failure{Err: errors.New("injected")})
-	waitHealth(0, false)
-
-	// While unhealthy, replica 0 is skipped without burning retries.
-	before := c.Stats()
-	for i := 0; i < 6; i++ {
-		resp, err := c.Predict(context.Background(), Request{Script: jobs[0].Script})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resp.FromModel || resp.Replica != 1 {
-			t.Fatalf("unhealthy replica must be out of rotation: %+v", resp)
-		}
-	}
-	if got := c.Stats().Retries - before.Retries; got != 0 {
-		t.Fatalf("routing around an unhealthy replica consumed %d retries", got)
-	}
-
-	fault.DisarmAll()
-	waitHealth(0, true)
-	if snap := c.Stats(); snap.HealthFlips < 2 {
-		t.Fatalf("health flips %d, want >= 2", snap.HealthFlips)
-	}
-}
-
 // TestClusterLeastLoaded: the policy prefers the replica with fewer
 // in-flight dispatches.
 func TestClusterLeastLoaded(t *testing.T) {
-	c, err := New(nil, Config{Replicas: 3, Serve: fastServe(), Policy: LeastLoaded, HealthEvery: -1})
+	c, err := New(nil, Config{Replicas: 3, Serve: fastServe(), Policy: LeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +594,7 @@ func TestClusterCallerContextError(t *testing.T) {
 	defer fault.DisarmAll()
 	fault.Arm(ReplicaFailpoint(0), fault.Failure{Sleep: 100 * time.Millisecond})
 
-	c, err := New(nil, Config{Replicas: 1, Serve: fastServe(), HealthEvery: -1})
+	c, err := New(nil, Config{Replicas: 1, Serve: fastServe()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,6 +610,77 @@ func TestClusterCallerContextError(t *testing.T) {
 	}
 }
 
+// TestClusterCallerCancelDoesNotOpenBreaker: callers that hang up say
+// nothing about the replica. Five in a row (ConsecutiveFailures'
+// default) must leave the breaker closed and the next caller served
+// from the model, not degraded.
+func TestClusterCallerCancelDoesNotOpenBreaker(t *testing.T) {
+	v, _, jobs := trainedViews(t)
+	defer fault.DisarmAll()
+	c, err := New(v, Config{Replicas: 1, Serve: fastServe()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustStop(t, c)
+
+	fault.Arm(serve.FailpointFlush, fault.Failure{Sleep: 20 * time.Millisecond})
+	req := Request{Script: jobs[0].Script, RequestedMin: 5}
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		_, err := c.Predict(ctx, req)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("hung-up caller %d got %v, want its own DeadlineExceeded", i, err)
+		}
+	}
+	resp, err := c.Predict(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded || !resp.FromModel {
+		t.Fatalf("five hung-up callers took the replica out of service: %+v", resp)
+	}
+	snap := c.Stats()
+	r := snap.Replicas[0]
+	if r.Breaker != BreakerClosed.String() || r.BreakerOpens != 0 || r.Failed != 0 {
+		t.Fatalf("breaker %s, opens %d, failed %d; want closed, 0, 0", r.Breaker, r.BreakerOpens, r.Failed)
+	}
+	if snap.CallerCanceled != 5 {
+		t.Fatalf("caller-canceled %d, want 5", snap.CallerCanceled)
+	}
+}
+
+// TestClusterIdleRunsNoForward: an idle cluster computes nothing. The
+// serve loops are the only goroutines New starts, and with no traffic
+// none of them flushes a batch.
+func TestClusterIdleRunsNoForward(t *testing.T) {
+	v, _, _ := trainedViews(t)
+	// Let goroutines of earlier tests finish exiting before counting.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+	c, err := New(v, Config{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustStop(t, c)
+	if got := runtime.NumGoroutine() - before; got != c.Replicas() {
+		t.Fatalf("New started %d goroutines, want %d (one serve loop per replica)", got, c.Replicas())
+	}
+	time.Sleep(350 * time.Millisecond)
+	for _, r := range c.Stats().Replicas {
+		if r.Serve.Batches != 0 {
+			t.Fatalf("idle replica %d flushed %d batches", r.ID, r.Serve.Batches)
+		}
+	}
+}
+
 // TestClusterDeadlineDegrades: the cluster's own per-request deadline
 // converts a slow replica into a fallback answer, not an error — the
 // bounded-latency contract.
@@ -697,7 +689,7 @@ func TestClusterDeadlineDegrades(t *testing.T) {
 	fault.Arm(ReplicaFailpoint(0), fault.Failure{Sleep: 200 * time.Millisecond})
 
 	c, err := New(nil, Config{
-		Replicas: 1, Serve: fastServe(), HealthEvery: -1,
+		Replicas: 1, Serve: fastServe(),
 		RequestTimeout: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -712,8 +704,14 @@ func TestClusterDeadlineDegrades(t *testing.T) {
 	if !resp.Degraded || resp.Pred.RuntimeMin != 33 {
 		t.Fatalf("want requested-runtime fallback, got %+v", resp)
 	}
-	if snap := c.Stats(); snap.DeadlineDegraded != 1 {
+	snap := c.Stats()
+	if snap.DeadlineDegraded != 1 {
 		t.Fatalf("deadline-degraded %d, want 1", snap.DeadlineDegraded)
+	}
+	// Unlike a caller hanging up, the cluster's own deadline is the
+	// replica's failure.
+	if got := snap.Replicas[0].Failed; got != 1 {
+		t.Fatalf("replica failed %d after its deadline expired, want 1", got)
 	}
 }
 
@@ -785,6 +783,19 @@ func TestBreakerStateMachine(t *testing.T) {
 	b.Record(false)
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state %v after probe failure, want open", got)
+	}
+
+	// Release hands a probe slot back without an outcome.
+	now += int64(2 * time.Second)
+	if !b.Allow() || !b.Allow() || b.Allow() {
+		t.Fatal("half-open must admit exactly 2 probes")
+	}
+	b.Release()
+	if got := b.State(); got != BreakerHalfOpen {
+		t.Fatalf("state %v after a released probe, want half-open", got)
+	}
+	if !b.Allow() {
+		t.Fatal("released probe slot must be admissible again")
 	}
 }
 

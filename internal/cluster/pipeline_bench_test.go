@@ -16,7 +16,7 @@ func benchPipelineCanary(b *testing.B, canary bool) {
 	scripts := benchScripts(b)
 	c, err := New(v, Config{
 		Replicas: 2, Policy: RoundRobin,
-		Serve: benchServeConfig(), HealthEvery: -1,
+		Serve: benchServeConfig(),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -72,10 +72,9 @@ func benchQuantCluster(b *testing.B, v *prionn.Inference) {
 		scripts[i] = quantBenchJobs[i%len(quantBenchJobs)].Script
 	}
 	c, err := New(v, Config{
-		Replicas:    4,
-		Policy:      RoundRobin,
-		Serve:       benchServeConfig(),
-		HealthEvery: -1,
+		Replicas: 4,
+		Policy:   RoundRobin,
+		Serve:    benchServeConfig(),
 	})
 	if err != nil {
 		b.Fatal(err)

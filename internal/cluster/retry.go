@@ -76,75 +76,37 @@ func backoff(base time.Duration, attempt int, jitter float64, maxBackoff time.Du
 	return d/2 + time.Duration(jitter*float64(d/2))
 }
 
-// latencySamples is the ring capacity of the hedging latency tracker.
+// latencySamples is the ring capacity of the dispatch-latency tracker.
 // 512 recent model-path latencies are plenty to estimate a tail
 // percentile and cheap to sort.
 const latencySamples = 512
 
-// hedgeRecompute is how many new samples arrive between threshold
-// recomputations — sorting per request would put an O(n log n) in the
-// hot path for a value that drifts slowly.
-const hedgeRecompute = 64
-
-// latencyTracker keeps a ring of recent request latencies, serves
-// percentile queries, and maintains the hedging threshold (the
-// configured percentile, recomputed every hedgeRecompute samples).
+// latencyTracker keeps a ring of recent dispatch latencies and serves
+// the percentile queries behind /stats' p50_ns and p99_ns.
 type latencyTracker struct {
-	pct float64 // hedging percentile, e.g. 0.95; 0 disables
-
 	mu      sync.Mutex
 	samples [latencySamples]int64
 	n       int // total recorded
 	next    int
-
-	hedgeNs atomic.Int64 // current hedging threshold; 0 = not ready
 }
 
-// record folds one latency into the ring and periodically refreshes
-// the hedge threshold.
+// record folds one latency into the ring.
 func (t *latencyTracker) record(d time.Duration) {
 	t.mu.Lock()
 	t.samples[t.next] = int64(d)
 	t.next = (t.next + 1) % latencySamples
 	t.n++
-	recompute := t.pct > 0 && t.n >= hedgeRecompute && t.n%hedgeRecompute == 0
-	var snap []int64
-	if recompute {
-		snap = t.snapshotLocked()
-	}
 	t.mu.Unlock()
-	if recompute {
-		t.hedgeNs.Store(percentile(snap, t.pct))
-	}
-}
-
-// snapshotLocked copies the populated part of the ring. Callers hold mu.
-func (t *latencyTracker) snapshotLocked() []int64 {
-	filled := t.n
-	if filled > latencySamples {
-		filled = latencySamples
-	}
-	out := make([]int64, filled)
-	copy(out, t.samples[:filled])
-	return out
 }
 
 // percentileNs returns the p-th percentile of the recorded latencies
-// (0 when nothing is recorded yet).
+// (0 when nothing is recorded yet), sorting a copy of the populated
+// part of the ring outside the lock.
 func (t *latencyTracker) percentileNs(p float64) int64 {
 	t.mu.Lock()
-	snap := t.snapshotLocked()
+	snap := append([]int64(nil), t.samples[:min(t.n, latencySamples)]...)
 	t.mu.Unlock()
 	return percentile(snap, p)
-}
-
-// hedgeDelay returns the current hedging threshold, or 0 when hedging
-// is disabled or the tracker is still warming up.
-func (t *latencyTracker) hedgeDelay() time.Duration {
-	if t.pct <= 0 {
-		return 0
-	}
-	return time.Duration(t.hedgeNs.Load())
 }
 
 // percentile sorts ns in place and returns the p-th percentile

@@ -13,15 +13,12 @@ import (
 type clusterStats struct {
 	requests         atomic.Int64 // Predict calls
 	retries          atomic.Int64 // retry attempts dispatched
-	hedges           atomic.Int64 // hedged second attempts launched
-	hedgeWins        atomic.Int64 // hedges that answered before the primary
 	degraded         atomic.Int64 // requests answered from the fallback ladder
 	deadlineDegraded atomic.Int64 // degradations caused by the per-request deadline
 	callerCanceled   atomic.Int64 // requests whose caller context died
 	routeFaults      atomic.Int64 // injected routing failures (FailpointRoute)
 	cacheMisses      atomic.Int64 // cache lookups that missed (cache enabled only)
 	swaps            atomic.Int64 // cluster-wide snapshot publications
-	healthFlips      atomic.Int64 // health state transitions observed by the prober
 	canaryStarts     atomic.Int64 // canary deployments started
 	canaryPromotions atomic.Int64 // canaries promoted to full swap
 	canaryRollbacks  atomic.Int64 // canaries stopped without promotion
@@ -29,12 +26,9 @@ type clusterStats struct {
 }
 
 // ReplicaSnapshot is one replica's point-in-time state as /stats
-// reports it. Serve counters include active health probes (probes ride
-// the normal serve path by design).
+// reports it.
 type ReplicaSnapshot struct {
 	ID      int    `json:"id"`
-	Healthy bool   `json:"healthy"`
-	Killed  bool   `json:"killed"`
 	Breaker string `json:"breaker"`
 
 	BreakerOpens     int64 `json:"breaker_opens"`
@@ -62,14 +56,14 @@ type Snapshot struct {
 	Requests         int64 `json:"requests"`
 	Retries          int64 `json:"retries"`
 	BudgetExhausted  int64 `json:"budget_exhausted"`
-	Hedges           int64 `json:"hedges"`
-	HedgeWins        int64 `json:"hedge_wins"`
 	Degraded         int64 `json:"degraded"`
 	DeadlineDegraded int64 `json:"deadline_degraded"`
 	CallerCanceled   int64 `json:"caller_canceled"`
 	RouteFaults      int64 `json:"route_faults"`
 	Swaps            int64 `json:"swaps"`
-	HealthFlips      int64 `json:"health_flips"`
+	// Hedges is always 0; the field predates the removal of hedging and
+	// stays because cmd/prionnbench reads it for cluster.hedges.
+	Hedges int64 `json:"hedges"`
 
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
@@ -100,14 +94,11 @@ func (c *Cluster) Stats() Snapshot {
 	out.Requests = c.st.requests.Load()
 	out.Retries = c.st.retries.Load()
 	out.BudgetExhausted = c.budget.exhausted.Load()
-	out.Hedges = c.st.hedges.Load()
-	out.HedgeWins = c.st.hedgeWins.Load()
 	out.Degraded = c.st.degraded.Load()
 	out.DeadlineDegraded = c.st.deadlineDegraded.Load()
 	out.CallerCanceled = c.st.callerCanceled.Load()
 	out.RouteFaults = c.st.routeFaults.Load()
 	out.Swaps = c.st.swaps.Load()
-	out.HealthFlips = c.st.healthFlips.Load()
 	out.CacheMisses = c.st.cacheMisses.Load()
 	out.Canary = c.CanaryStatus()
 	out.CanaryStarts = c.st.canaryStarts.Load()
@@ -120,8 +111,6 @@ func (c *Cluster) Stats() Snapshot {
 		opens, halfOpens, closes := r.br.counters()
 		rs := ReplicaSnapshot{
 			ID:               r.id,
-			Healthy:          r.healthy.Load(),
-			Killed:           r.killed.Load(),
 			Breaker:          r.br.State().String(),
 			BreakerOpens:     opens,
 			BreakerHalfOpens: halfOpens,
@@ -131,9 +120,7 @@ func (c *Cluster) Stats() Snapshot {
 			Failed:           r.failed.Load(),
 			CacheHits:        r.cacheHits.Load(),
 			CacheSize:        r.cache.size(),
-		}
-		if srv := r.srv.Load(); srv != nil {
-			rs.Serve = srv.Stats()
+			Serve:            r.srv.Stats(),
 		}
 		out.CacheHits += rs.CacheHits
 		out.Replicas = append(out.Replicas, rs)
@@ -148,8 +135,8 @@ func (c *Cluster) Stats() Snapshot {
 // prints in cluster mode.
 func (sn Snapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cluster [%s]: %d requests, %d retries (%d budget-exhausted), %d hedges (%d won), %d degraded (%d deadline), %d swaps\n",
-		sn.Kernel, sn.Requests, sn.Retries, sn.BudgetExhausted, sn.Hedges, sn.HedgeWins, sn.Degraded, sn.DeadlineDegraded, sn.Swaps)
+	fmt.Fprintf(&b, "cluster [%s]: %d requests, %d retries (%d budget-exhausted), %d degraded (%d deadline), %d swaps\n",
+		sn.Kernel, sn.Requests, sn.Retries, sn.BudgetExhausted, sn.Degraded, sn.DeadlineDegraded, sn.Swaps)
 	if sn.CacheHits+sn.CacheMisses > 0 {
 		fmt.Fprintf(&b, "cache: %d hits, %d misses (%.1f%% hit rate)\n",
 			sn.CacheHits, sn.CacheMisses, 100*sn.CacheHitRate)
@@ -164,14 +151,8 @@ func (sn Snapshot) String() string {
 			time.Duration(sn.P50Ns), time.Duration(sn.P99Ns))
 	}
 	for _, r := range sn.Replicas {
-		state := r.Breaker
-		if r.Killed {
-			state = "killed"
-		} else if !r.Healthy {
-			state += ",unhealthy"
-		}
 		fmt.Fprintf(&b, "replica %d [%s]: %d dispatched, %d failed, %d cache hits; opens %d, closes %d\n",
-			r.ID, state, r.Dispatched, r.Failed, r.CacheHits, r.BreakerOpens, r.BreakerCloses)
+			r.ID, r.Breaker, r.Dispatched, r.Failed, r.CacheHits, r.BreakerOpens, r.BreakerCloses)
 	}
 	return b.String()
 }

@@ -43,7 +43,7 @@ func fastServe() serve.Config {
 func TestPipelineEndToEnd(t *testing.T) {
 	jobs := pipelineJobs(200)
 	c, err := cluster.New(nil, cluster.Config{
-		Replicas: 2, Serve: fastServe(), HealthEvery: -1, CacheSize: 32,
+		Replicas: 2, Serve: fastServe(), CacheSize: 32,
 		Policy: cluster.ScriptAffinity,
 	})
 	if err != nil {

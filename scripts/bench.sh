@@ -10,8 +10,7 @@
 # lone-request latency probe and the bare float32 forward at batch 1 and
 # 32, and rewrites BENCH_serve.json, including the per-prediction rate,
 # the coalescing speedup ratio and lone_request_us. Then runs the
-# cluster family (replica scaling, script-affinity caching, hedging) and
-# rewrites
+# cluster family (replica scaling, script-affinity caching) and rewrites
 # BENCH_cluster.json with predictions/sec, cache hit rate, dispatch
 # p50/p99, and the 4-replica aggregate speedup. Then runs the quantized
 # f32-vs-int8 pairs (uncached serving and uncached 4-replica cluster on

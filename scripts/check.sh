@@ -32,10 +32,11 @@
 #                      private panels dropped by training, flat arena)
 #   9. cluster chaos  (the replicated-cluster robustness matrix under
 #                      the race detector: seeded chaos schedules with
-#                      latency/error/crash injection, cluster-wide swap
+#                      latency / error injection, cluster-wide swap
 #                      purity, breaker transitions, retry-budget
-#                      exhaustion, full degradation, and the serve
-#                      drain-race pin)
+#                      exhaustion, full degradation, an idle cluster
+#                      computing nothing, hung-up callers not opening
+#                      a breaker, and the serve drain-race pin)
 #  10. quant gate     (the int8 path's accuracy gate and serving parity:
 #                      quantized accuracy within 0.5pp of float32 on
 #                      held-out jobs, bounded class flip rate, and the
@@ -142,12 +143,13 @@ go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainFo
 step_done
 
 # Cluster chaos matrix: the multi-replica layer's robustness proof,
-# explicitly and under the race detector — seeded chaos (latency,
-# errors, kill/restart mid-traffic), cluster-wide snapshot purity,
-# breaker state transitions, retry-budget exhaustion, graceful full
-# degradation — plus the serve drain-race exactly-once pin.
+# explicitly and under the race detector — seeded chaos (latency /
+# error injection mid-traffic), cluster-wide snapshot purity, breaker
+# state transitions, retry-budget exhaustion, graceful full
+# degradation, the idle-cluster and caller-cancel pins — plus the serve
+# drain-race exactly-once pin.
 step "cluster chaos gate (fault injection, -race)"
-go test -race -count=1 -run 'TestClusterChaos|TestClusterSwapNeverMixesBatches|TestClusterFullyDegradedFallback|TestClusterRetryBudgetExhaustion|TestClusterBreakerOpensAndRecovers' ./internal/cluster/
+go test -race -count=1 -run 'TestClusterChaos|TestClusterSwapNeverMixesBatches|TestClusterFullyDegradedFallback|TestClusterRetryBudgetExhaustion|TestClusterBreakerOpensAndRecovers|TestClusterIdleRunsNoForward|TestClusterCallerCancelDoesNotOpenBreaker' ./internal/cluster/
 go test -race -count=1 -run 'TestServeStopRacesPredictSwapExactlyOnce' ./internal/serve/
 step_done
 
