@@ -435,26 +435,3 @@ func BenchmarkPrionnvetRunAll(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAnalysisRepoWide breaks the gate sweep into its shared
-// substrate layers — the SSA-lite def-use index, the call graph, and
-// the lockset engine (regions + entry-lockset/may-acquire fixpoints +
-// lock-order graph) — each timed repo-wide on a fresh Pass so the cost
-// of every memoized structure is visible on its own, not buried in the
-// first checker that demands it.
-func BenchmarkAnalysisRepoWide(b *testing.B) {
-	loader, pkgs := loadVetPackages(b)
-	bench := func(name string, build func(p *analysis.Pass)) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, pkg := range pkgs {
-					build(pkg.Pass(loader.Fset))
-				}
-			}
-		})
-	}
-	bench("funcinfo", func(p *analysis.Pass) { p.FuncInfos() })
-	bench("callgraph", func(p *analysis.Pass) { p.CallGraph() })
-	bench("lockset", func(p *analysis.Pass) { p.LockFacts() })
-}

@@ -1,18 +1,14 @@
-// Command prionnvet is the repo's static-analysis gate: a stdlib-only
+// Command prionnvet is the repo's reproducibility gate: a stdlib-only
 // vet pass (go/ast + go/types, no external deps) over the bug classes
-// that silently break the paper's reproducibility — unseeded
-// randomness, exact float comparison, dropped IO errors, unjoined
-// goroutines, loop-variable captures, unsynchronized package state,
-// map-iteration order leaking into results, RNGs shared across
-// goroutines or seeded from laundered wall time, wall-clock values
-// flowing into data, and completion-order channel aggregation — plus
-// the interprocedural concurrency/resource checks built on the package
-// call graph: broken context chains, leaked arena buffers, mutexes
-// held across blocking operations, mixed atomic/plain access,
-// inconsistently guarded fields, lock-order deadlock cycles, goroutines
-// that can never terminate, and WaitGroup protocol violations. The
-// checkers share an SSA-lite def-use index, a memoized call graph, and
-// a lockset engine; see DESIGN.md §6.
+// that silently make a same-seed rerun print different numbers —
+// unseeded randomness, exact float comparison, dropped IO errors,
+// unjoined goroutines and detached goroutines that can panic,
+// unsynchronized package state, map-iteration order leaking into
+// results, RNGs shared across goroutines or seeded from laundered wall
+// time, wall-clock values flowing into data, and completion-order
+// channel aggregation. The checkers share one def-use index; see
+// DESIGN.md §6, which also says what the tool does not check (races,
+// deadlocks, goroutine and arena lifetimes) and which tests do.
 //
 // Usage:
 //
@@ -25,17 +21,16 @@
 //
 // on the flagged line or the line above it. The justification is
 // mandatory: a directive without " -- reason" still suppresses but is
-// reported as an ignore-reason meta-finding. Exit status: 0 clean,
-// 1 findings, 2 usage or load errors.
+// reported as an ignore-reason meta-finding, and one naming a check
+// that is not registered as an ignore-unknown meta-finding. Exit
+// status: 0 clean, 1 findings, 2 usage or load errors.
 //
 // With -json, the output is a versioned envelope (schemaVersion 2):
 // {"schemaVersion": 2, "findings": [...]} where each finding carries
-// check, doc, message, file, line, col, offset, endLine, endCol,
-// endOffset, and — for interprocedural findings — a "why" array of
-// derivation steps (e.g. the lock acquisitions forming an order
-// cycle). Findings are sorted (file, line, col, check), so outputs are
-// diffable across commits. In text mode the why steps render as
-// indented "why:" lines under the finding.
+// check, doc, message, file, line, col, offset, endLine, endCol and
+// endOffset (the end always equals the start: findings anchor at one
+// token). Findings are sorted (file, line, col, check), so outputs are
+// diffable across commits.
 package main
 
 import (
@@ -58,7 +53,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("prionnvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
+	jsonOut := fs.Bool("json", false, "emit the versioned JSON report {schemaVersion, findings} instead of text")
 	list := fs.Bool("list", false, "list available checks and exit")
 	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	if err := fs.Parse(args); err != nil {
@@ -66,8 +61,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
+		width := 0
+		for _, name := range checkNames() {
+			width = max(width, len(name))
+		}
 		for _, c := range analysis.All() {
-			if _, err := fmt.Fprintf(stdout, "%-18s %s\n", c.Name(), c.Doc()); err != nil {
+			if _, err := fmt.Fprintf(stdout, "%-*s %s\n", width, c.Name(), c.Doc()); err != nil {
 				_, _ = fmt.Fprintf(stderr, "prionnvet: %v\n", err)
 				return 2
 			}
@@ -156,14 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				_, _ = fmt.Fprintf(stderr, "prionnvet: %v\n", err)
 				return 2
 			}
-			// Interprocedural findings carry their derivation: render the
-			// acquisition chain as indented why-steps under the line.
-			for _, step := range f.Why {
-				if _, err := fmt.Fprintf(stdout, "\twhy: %s\n", step); err != nil {
-					_, _ = fmt.Fprintf(stderr, "prionnvet: %v\n", err)
-					return 2
-				}
-			}
 		}
 	}
 	if len(findings) > 0 {
@@ -176,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // checkNames returns every registered checker name, for the -checks
-// error message.
+// error message and the -list column width.
 func checkNames() []string {
 	var names []string
 	for _, c := range analysis.All() {

@@ -29,12 +29,21 @@ func TestListFlag(t *testing.T) {
 	if want := len(analysis.All()); len(lines) != want {
 		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), want, out)
 	}
+	// Names pad to the longest registered one, so the doc column starts
+	// at the same offset on every line.
+	docCol := -1
 	for i, c := range analysis.All() {
-		if !strings.HasPrefix(lines[i], c.Name()) {
+		if !strings.HasPrefix(lines[i], c.Name()+" ") {
 			t.Errorf("line %d = %q, want prefix %q", i, lines[i], c.Name())
 		}
-		if !strings.Contains(lines[i], c.Doc()) {
+		col := strings.Index(lines[i], c.Doc())
+		if col < 0 {
 			t.Errorf("line %d missing doc for %s", i, c.Name())
+		} else if docCol >= 0 && col != docCol {
+			t.Errorf("line %d: doc column %d, line 0 has %d — ragged -list output:\n%s", i, col, docCol, out)
+		}
+		if i == 0 {
+			docCol = col
 		}
 	}
 }
@@ -76,10 +85,12 @@ func TestFindingsExitOne(t *testing.T) {
 			t.Errorf("stdout has no %s finding:\n%s", c.Name(), out)
 		}
 	}
-	// Interprocedural findings render their derivation as indented
-	// why-steps (the dirty lock-order cycle has a two-step chain).
-	if !strings.Contains(out, "\twhy: ") {
-		t.Errorf("stdout missing why-step rendering:\n%s", out)
+	// Text mode is one file:line:col line per finding, nothing under it.
+	prefix := filepath.Join("cmd", "prionnvet", "testdata", "dirty", "dirty.go") + ":"
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			t.Errorf("stdout line %q is not a finding line", line)
+		}
 	}
 	if !regexp.MustCompile(`\d+ finding\(s\)`).MatchString(errb) {
 		t.Errorf("stderr = %q, want finding count summary", errb)
@@ -125,13 +136,13 @@ func TestJSONShape(t *testing.T) {
 		if f.Check == "" || f.Message == "" || f.Doc == "" {
 			t.Errorf("finding %d missing check/message/doc: %+v", i, f)
 		}
-		// Token-anchored findings have a zero-width range (end == start);
-		// an end before the start would mean the schema broke.
-		if f.Line <= 0 || f.Col <= 0 || f.Offset < 0 || f.EndOffset < f.Offset {
-			t.Errorf("finding %d has a degenerate range: %+v", i, f)
+		// Findings anchor at one token: the end fields stay in the schema
+		// and always equal the start.
+		if f.Line <= 0 || f.Col <= 0 || f.Offset < 0 {
+			t.Errorf("finding %d has a bad position: %+v", i, f)
 		}
-		if f.EndLine < f.Line || f.EndLine <= 0 || f.EndCol <= 0 {
-			t.Errorf("finding %d has bad end position: %+v", i, f)
+		if f.EndLine != f.Line || f.EndCol != f.Col || f.EndOffset != f.Offset {
+			t.Errorf("finding %d: end position differs from start: %+v", i, f)
 		}
 		// Findings must be sorted (file, line, col, check) so JSON output
 		// is diffable across commits.
@@ -149,15 +160,10 @@ func TestJSONShape(t *testing.T) {
 			t.Errorf("no %s finding in JSON output", c.Name())
 		}
 	}
-	// The lock-order cycle carries its acquisition chain in the why field.
-	cycle := false
-	for _, f := range findings {
-		if f.Check == "lock-order-cycle" && len(f.Why) >= 2 {
-			cycle = true
-		}
-	}
-	if !cycle {
-		t.Error("lock-order-cycle finding is missing its why chain")
+	// Every document is still a valid schemaVersion-2 one: "why" was
+	// optional there, and nothing emits it any more.
+	if strings.Contains(out, `"why"`) {
+		t.Errorf("-json output carries a why key:\n%s", out)
 	}
 }
 
@@ -197,5 +203,10 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	}
 	if !strings.Contains(errb, "flag") {
 		t.Errorf("stderr = %q, want flag usage error", errb)
+	}
+	// The usage text that follows describes -json as what it emits: the
+	// versioned envelope, not a bare array.
+	if !strings.Contains(errb, "{schemaVersion, findings}") || strings.Contains(errb, "JSON array") {
+		t.Errorf("usage misdescribes -json:\n%s", errb)
 	}
 }

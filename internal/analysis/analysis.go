@@ -1,13 +1,22 @@
-// Package analysis implements prionnvet, a stdlib-only static-analysis
-// pass for the PRIONN reproduction. The paper's results hinge on seeded,
+// Package analysis implements prionnvet, the stdlib-only reproducibility
+// gate for the PRIONN reproduction. The paper's results hinge on seeded,
 // numerically reproducible runs (§4's Cab tables are per-seed), so the
-// checkers target the bug classes that silently break reproducibility in
-// a Go codebase with hand-rolled parallel kernels: unseeded randomness,
-// exact float comparison, dropped errors on persist/IO paths, unjoined
-// goroutines, and unsynchronized package-level state.
+// checkers target the bug classes that silently make a same-seed rerun
+// print different numbers in a Go codebase with hand-rolled parallel
+// kernels: unseeded or shared randomness, exact float comparison,
+// dropped errors on persist/IO paths, unjoined or uncontained
+// goroutines, unsynchronized package-level state, and map order, wall
+// time or completion order leaking into results.
+//
+// That is the whole job. Data races, deadlocks, goroutine and arena
+// lifetimes and context propagation are owned by the race detector and
+// by named tests in scripts/check.sh, not modelled here; DESIGN.md §6
+// lists the owners and the bar a new checker must clear (it lands with
+// the finding on real code that motivates it).
 //
 // Checkers are pure go/ast + go/types passes (no external deps, matching
-// go.mod). Findings can be suppressed at the site with a justification:
+// go.mod) over one shared def-use index (dataflow.go). Findings can be
+// suppressed at the site with a justification:
 //
 //	//prionnvet:ignore <check>[,<check>...] -- <reason>
 //
@@ -16,7 +25,9 @@
 // and as a standalone line above the flagged statement. The " -- "
 // separator and a non-empty reason are mandatory: a directive without
 // one still suppresses, but RunAll reports it as an "ignore-reason"
-// meta-finding, so an unjustified suppression cannot pass the gate.
+// meta-finding, so an unjustified suppression cannot pass the gate. A
+// directive naming a check that is not registered suppresses nothing
+// and is reported as an "ignore-unknown" meta-finding.
 package analysis
 
 import (
@@ -30,9 +41,10 @@ import (
 
 // Finding is one diagnostic produced by a checker. The JSON shape is
 // the tool's machine-readable contract (documented in README.md):
-// start and end positions are both line/col and byte offsets so
-// downstream tooling can slice sources without re-parsing, and Doc
-// carries the producing checker's one-line description.
+// positions are both line/col and byte offsets so downstream tooling
+// can slice sources without re-parsing, the end fields always equal the
+// start (findings anchor at one token), and Doc carries the producing
+// checker's one-line description.
 type Finding struct {
 	Check     string `json:"check"`
 	Doc       string `json:"doc,omitempty"`
@@ -44,12 +56,6 @@ type Finding struct {
 	EndLine   int    `json:"endLine"`
 	EndCol    int    `json:"endCol"`
 	EndOffset int    `json:"endOffset"`
-	// Why carries the step-by-step derivation of interprocedural
-	// findings — the lock-order-cycle acquisition chain, one
-	// human-readable step per element. The CLI renders the steps as
-	// indented "why:" lines under the finding; -json emits them as an
-	// array (schemaVersion 2).
-	Why []string `json:"why,omitempty"`
 }
 
 // String renders a finding in the conventional file:line:col form.
@@ -59,8 +65,9 @@ func (f Finding) String() string {
 
 // SchemaVersion is the version of the machine-readable report shape.
 // Version 1 was a bare sorted array of findings; version 2 wraps the
-// array in a Report envelope and adds the per-finding "why" chain
-// (lock-order-cycle acquisition steps). Consumers should reject
+// array in a Report envelope. (It also defined an optional per-finding
+// "why" array that nothing emits any more, so every document written
+// today is still a valid version-2 document.) Consumers should reject
 // versions they do not know.
 const SchemaVersion = 2
 
@@ -90,35 +97,26 @@ type Pass struct {
 	// funcs memoizes the dataflow analysis (see FuncInfos): every
 	// checker running over the same Pass shares one def-use computation.
 	funcs []*FuncInfo
-	// cg memoizes the interprocedural call graph (see CallGraph).
-	cg *CallGraph
-	// lf memoizes the lockset analysis (see LockFacts).
-	lf *LockFacts
+}
+
+// findingAt anchors a diagnostic at one token: the end fields stay in
+// the JSON shape and always equal the start.
+func findingAt(pos token.Position, check, message string) Finding {
+	return Finding{
+		Check:     check,
+		Message:   message,
+		File:      pos.Filename,
+		Line:      pos.Line,
+		Col:       pos.Column,
+		Offset:    pos.Offset,
+		EndLine:   pos.Line,
+		EndCol:    pos.Column,
+		EndOffset: pos.Offset,
+	}
 }
 
 func (p *Pass) finding(check string, pos token.Pos, format string, args ...any) Finding {
-	return p.rangeFinding(check, pos, pos, format, args...)
-}
-
-// rangeFinding is finding with an explicit end position, for checkers
-// that can point at a whole expression rather than a single token.
-func (p *Pass) rangeFinding(check string, pos, end token.Pos, format string, args ...any) Finding {
-	position := p.Fset.Position(pos)
-	endPos := position
-	if end.IsValid() && end != pos {
-		endPos = p.Fset.Position(end)
-	}
-	return Finding{
-		Check:     check,
-		Message:   fmt.Sprintf(format, args...),
-		File:      position.Filename,
-		Line:      position.Line,
-		Col:       position.Column,
-		Offset:    position.Offset,
-		EndLine:   endPos.Line,
-		EndCol:    endPos.Column,
-		EndOffset: endPos.Offset,
-	}
+	return findingAt(p.Fset.Position(pos), check, fmt.Sprintf(format, args...))
 }
 
 // Checker is one analysis pass.
@@ -139,20 +137,11 @@ func All() []Checker {
 		UncheckedErr{},
 		NakedGoroutine{},
 		BarePanicGoroutine{},
-		LoopCapture{},
 		MutablePkgVar{},
 		MapOrder{},
 		SeedFlow{},
 		TimeDep{},
 		NondetSelect{},
-		CtxPropagation{},
-		ArenaLeak{},
-		LockHeldIO{},
-		AtomicPlainMix{},
-		GuardedField{},
-		LockOrderCycle{},
-		GoroutineLifecycle{},
-		WaitGroupMisuse{},
 	}
 }
 
@@ -169,9 +158,12 @@ func ByName(name string) Checker {
 // RunAll runs the given checkers over a pass, drops suppressed findings,
 // and returns the rest sorted by position. A nil checkers slice means
 // All(). Independently of the checker subset, every //prionnvet:ignore
-// directive with no " -- reason" yields an ignore-reason meta-finding:
-// a suppression without a written justification is itself a gate
-// violation, and it cannot suppress its own report.
+// directive is itself checked, and these meta-findings cannot be
+// suppressed: one with no " -- reason" yields ignore-reason (a
+// suppression without a written justification is a gate violation), and
+// one naming a check that is neither "all" nor in the registry yields
+// ignore-unknown (a misspelt or deleted name silences nothing, so the
+// directive is not doing what its author believes).
 func RunAll(p *Pass, checkers []Checker) []Finding {
 	if checkers == nil {
 		checkers = All()
@@ -189,21 +181,21 @@ func RunAll(p *Pass, checkers []Checker) []Finding {
 		}
 	}
 	for _, d := range dirs {
-		if d.reason != "" {
-			continue
+		if d.reason == "" {
+			names := strings.Join(d.checks, ",")
+			out = append(out, d.metaFinding("ignore-reason", ignoreReasonDoc,
+				"suppression of %s has no justification; write //prionnvet:ignore %s -- <reason>", names, names))
 		}
-		out = append(out, Finding{
-			Check:     "ignore-reason",
-			Doc:       ignoreReasonDoc,
-			Message:   fmt.Sprintf("suppression of %s has no justification; write //prionnvet:ignore %s -- <reason>", strings.Join(d.checks, ","), strings.Join(d.checks, ",")),
-			File:      d.pos.Filename,
-			Line:      d.pos.Line,
-			Col:       d.pos.Column,
-			Offset:    d.pos.Offset,
-			EndLine:   d.pos.Line,
-			EndCol:    d.pos.Column,
-			EndOffset: d.pos.Offset,
-		})
+		var unknown []string
+		for _, name := range d.checks {
+			if name != "all" && ByName(name) == nil {
+				unknown = append(unknown, name)
+			}
+		}
+		if len(unknown) > 0 {
+			out = append(out, d.metaFinding("ignore-unknown", ignoreUnknownDoc,
+				"no registered check is named %s, so that name suppresses nothing; see prionnvet -list", strings.Join(unknown, ",")))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -220,13 +212,11 @@ func RunAll(p *Pass, checkers []Checker) []Finding {
 		}
 		return out[i].Message < out[j].Message
 	})
-	// One finding per (position, check): several rules of one checker —
-	// or interface fan-out visiting one call site repeatedly — may
-	// derive the same diagnostic at the same spot (a launch flagged by
-	// two lifecycle proofs, say). Distinct checks at one position are
-	// all real; duplicates of one check are noise. The slice is sorted,
-	// so duplicates are adjacent and the first (lexically smallest
-	// message) witness is kept.
+	// One finding per (position, check): several rules of one checker
+	// may derive the same diagnostic at the same spot. Distinct checks at
+	// one position are all real; duplicates of one check are noise. The
+	// slice is sorted, so duplicates are adjacent and the first (lexically
+	// smallest message) witness is kept.
 	dedup := out[:0]
 	for _, f := range out {
 		if n := len(dedup); n > 0 {
@@ -255,11 +245,23 @@ const ignorePrefix = "prionnvet:ignore"
 // directives missing a " -- reason" justification.
 const ignoreReasonDoc = "every //prionnvet:ignore must carry a written justification after ' -- '"
 
+// ignoreUnknownDoc documents the meta-finding emitted by RunAll for
+// directives naming a check the registry does not have.
+const ignoreUnknownDoc = "every //prionnvet:ignore must name a registered check or 'all'"
+
 // directive is one parsed //prionnvet:ignore comment.
 type directive struct {
 	checks []string       // named checks, or ["all"]
 	reason string         // text after " -- ", "" when absent
 	pos    token.Position // position of the comment itself
+}
+
+// metaFinding reports a defect of the directive itself, anchored at the
+// comment.
+func (d directive) metaFinding(check, doc, format string, args ...any) Finding {
+	f := findingAt(d.pos, check, fmt.Sprintf(format, args...))
+	f.Doc = doc
+	return f
 }
 
 // collectDirectives parses every //prionnvet:ignore comment in the pass.

@@ -128,25 +128,91 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-// TestIgnoreReasonMetaFinding pins the satellite contract: a directive
-// without " -- reason" still suppresses the named check but yields an
-// ignore-reason meta-finding — which no directive can silence.
+// TestIgnoreReasonMetaFinding pins the directive meta-findings, which no
+// directive can silence: one without " -- reason" still suppresses the
+// named check but yields ignore-reason; one naming a check the registry
+// does not have (misspelt, or deleted) suppresses nothing and yields
+// ignore-unknown.
 func TestIgnoreReasonMetaFinding(t *testing.T) {
 	loader, pkg := loadFixture(t, "ignore-reason")
 	pass := pkg.Pass(loader.Fset)
 	got := RunAll(pass, nil)
-	if len(got) != 1 {
-		t.Fatalf("RunAll = %v, want exactly one ignore-reason finding", got)
+	want := []struct {
+		line            int
+		check, doc, msg string
+	}{
+		{8, "ignore-reason", ignoreReasonDoc, "float-eq"},
+		{16, "ignore-unknown", ignoreUnknownDoc, "flaot-eq"},
+		{17, "float-eq", FloatEq{}.Doc(), "=="},
+		{21, "ignore-unknown", ignoreUnknownDoc, "lock-held-io"},
 	}
-	f := got[0]
-	if f.Check != "ignore-reason" || f.Line != 7 {
-		t.Errorf("finding = %+v, want ignore-reason at line 7", f)
+	if len(got) != len(want) {
+		t.Fatalf("RunAll = %v, want %d findings", got, len(want))
 	}
-	if !strings.Contains(f.Message, "float-eq") {
-		t.Errorf("message %q does not name the suppressed check", f.Message)
+	for i, w := range want {
+		f := got[i]
+		if f.Line != w.line || f.Check != w.check {
+			t.Errorf("finding %d = %s, want %s at line %d", i, f, w.check, w.line)
+		}
+		if !strings.Contains(f.Message, w.msg) {
+			t.Errorf("finding %d: message %q does not name %q", i, f.Message, w.msg)
+		}
+		if f.Doc != w.doc {
+			t.Errorf("finding %d: doc = %q, want %q", i, f.Doc, w.doc)
+		}
 	}
-	if f.Doc != ignoreReasonDoc {
-		t.Errorf("doc = %q, want %q", f.Doc, ignoreReasonDoc)
+}
+
+// stubChecker emits a fixed finding list; used to pin RunAll's
+// (position, check) dedupe.
+type stubChecker struct{ fs []Finding }
+
+func (stubChecker) Name() string          { return "stub" }
+func (stubChecker) Doc() string           { return "test stub" }
+func (s stubChecker) Run(*Pass) []Finding { return s.fs }
+
+// TestRunAllDedupesPositionCheck pins RunAll's dedupe: two findings of
+// one check at one position collapse to the first (lexically smallest
+// message); other positions survive.
+func TestRunAllDedupesPositionCheck(t *testing.T) {
+	loader, pkg := loadFixture(t, "suppress") // any pass will do
+	pass := pkg.Pass(loader.Fset)
+	dup := Finding{Check: "stub", File: "f.go", Line: 3, Col: 1, Message: "b duplicate"}
+	first := Finding{Check: "stub", File: "f.go", Line: 3, Col: 1, Message: "a first"}
+	other := Finding{Check: "stub", File: "f.go", Line: 4, Col: 1, Message: "other line"}
+	got := RunAll(pass, []Checker{stubChecker{fs: []Finding{dup, first, other}}})
+	if len(got) != 2 {
+		t.Fatalf("RunAll returned %d findings, want 2 after dedupe: %v", len(got), got)
+	}
+	if got[0].Message != "a first" || got[1].Message != "other line" {
+		t.Errorf("dedupe kept %q/%q, want the lexically smallest message per position", got[0].Message, got[1].Message)
+	}
+}
+
+// TestLaunchDedupeFixture runs the full checker suite over a launch
+// that triggers naked-goroutine AND bare-panic-goroutine at the same go
+// statement: each check must report exactly once there.
+func TestLaunchDedupeFixture(t *testing.T) {
+	loader, pkg := loadFixture(t, "launch-dedupe")
+	pass := pkg.Pass(loader.Fset)
+	got := RunAll(pass, nil)
+
+	count := map[string]int{}
+	for _, f := range got {
+		count[f.Check]++
+	}
+	for _, check := range []string{"naked-goroutine", "bare-panic-goroutine"} {
+		if count[check] != 1 {
+			t.Errorf("%s fired %d time(s) on the launch, want exactly 1; findings: %v", check, count[check], got)
+		}
+	}
+	seen := map[string]bool{}
+	for _, f := range got {
+		key := f.String()
+		if seen[key] {
+			t.Errorf("duplicate finding survived RunAll: %s", key)
+		}
+		seen[key] = true
 	}
 }
 

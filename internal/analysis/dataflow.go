@@ -335,13 +335,3 @@ func (fi *FuncInfo) UsedBetween(v *types.Var, after, before token.Pos) bool {
 	}
 	return false
 }
-
-// UsedAfter reports whether v has a read occurrence at or after pos.
-func (fi *FuncInfo) UsedAfter(v *types.Var, pos token.Pos) bool {
-	for _, u := range fi.Uses[v] {
-		if u.Pos() >= pos {
-			return true
-		}
-	}
-	return false
-}

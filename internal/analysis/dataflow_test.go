@@ -152,9 +152,6 @@ func TestUsedBetween(t *testing.T) {
 	if fi.UsedBetween(b, defs[1].Stmt.End(), defs[2].Stmt.Pos()) {
 		t.Errorf("b should not be used between def 1 and def 2")
 	}
-	if !fi.UsedAfter(b, defs[0].Stmt.End()) {
-		t.Errorf("b should be used after its first def")
-	}
 }
 
 func TestFuncInfoAt(t *testing.T) {

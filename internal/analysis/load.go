@@ -100,7 +100,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//prionnvet:ignore lock-held-io -- loading IS the critical section: mu serializes parse+typecheck over the shared memo maps, and no other lock is ever taken under it
 	return l.importFrom(path, dir, mode)
 }
 
@@ -136,7 +135,6 @@ func (l *Loader) importFrom(path, dir string, mode types.ImportMode) (*types.Pac
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//prionnvet:ignore lock-held-io -- loading IS the critical section: mu serializes parse+typecheck over the shared memo maps, and no other lock is ever taken under it
 	return l.loadDir(dir)
 }
 

@@ -1,15 +1,13 @@
-// Package fixture triggers naked-goroutine, bare-panic-goroutine, and
-// goroutine-lifecycle on ONE go statement. launch-dedupe's test pins
-// that RunAll reports each check exactly once at that position — three
-// findings total, never six.
+// Package fixture triggers naked-goroutine and bare-panic-goroutine on
+// ONE go statement. launch-dedupe's test pins that RunAll reports each
+// check exactly once at that position — two findings total, never four.
 package fixture
 
 func doWork() error { return nil }
 
 // StartLeaky launches a goroutine that is simultaneously unjoined
-// (naked-goroutine: the spawner never receives from errs), able to
-// panic with no recover (bare-panic-goroutine), and blocked forever on
-// the send nobody reads (goroutine-lifecycle).
+// (naked-goroutine: the spawner never receives from errs) and able to
+// panic with no recover (bare-panic-goroutine).
 func StartLeaky() {
 	errs := make(chan error)
 	go func() {

@@ -276,7 +276,7 @@ func (c *Cluster) canaryPredict(ctx, parent context.Context, cs *canaryState, re
 	// divergence is a real model-output difference.
 	if r := c.pick(key, 0); r != nil {
 		if base, err := c.attempt(ctx, parent, r, req); err == nil && base.FromModel && resp.FromModel {
-			if base.Pred != resp.Pred { //prionnvet:ignore float-eq -- bin-decoded predictions are bitwise-reproducible (PR 5); any inequality is a genuine model disagreement, and a tolerance would hide small regressions
+			if base.Pred != resp.Pred {
 				cs.disagreements.Add(1)
 			}
 		}

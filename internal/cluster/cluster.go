@@ -458,10 +458,8 @@ func (c *Cluster) attempt(ctx, parent context.Context, r *replica, req Request) 
 		r.br.Record(false)
 		return serve.Response{}, err
 	}
-	//prionnvet:ignore time-dep -- dispatch latency feeds the p50/p99 stats; wall-clock by design
 	t0 := time.Now()
 	resp, err := r.srv.Predict(ctx, req)
-	//prionnvet:ignore time-dep -- dispatch latency feeds the p50/p99 stats; wall-clock by design
 	d := time.Since(t0)
 	if err != nil {
 		if parent.Err() != nil {

@@ -206,7 +206,7 @@ func MAPE(truth, pred []float64) (mape float64, n int) {
 		if !finite(t) || !finite(p) {
 			continue
 		}
-		if t == 0 { //prionnvet:ignore float-eq -- exact zero truth is the only undefined denominator; a tolerance would silently drop valid tiny truths
+		if t == 0 { // exact zero truth is the only undefined denominator; a tolerance would silently drop valid tiny truths
 			continue
 		}
 		s += math.Abs(t-p) / math.Abs(t)
@@ -253,7 +253,7 @@ func PearsonR(truth, pred []float64) (r float64, n int) {
 		vt += dt * dt
 		vp += dp * dp
 	}
-	if vt == 0 || vp == 0 { //prionnvet:ignore float-eq -- exact zero variance (a constant series) is the only undefined correlation input
+	if vt == 0 || vp == 0 { // exact zero variance (a constant series) is the only undefined correlation input
 		return 0, n
 	}
 	r = cov / math.Sqrt(vt*vp)

@@ -144,6 +144,32 @@ func TestPredictMappedLeavesArenaFlat(t *testing.T) {
 	}
 }
 
+// TestTrainLeavesArenaFlat is the training half of the same contract:
+// whatever a Train event checks out of the arena (column matrices,
+// gradient scratch) it returns or keeps as layer state that the next
+// event reuses, so once the first event has sized that state, further
+// events — a ragged last batch included — a Snapshot and a Predict
+// leave Outstanding where it was.
+func TestTrainLeavesArenaFlat(t *testing.T) {
+	p, jobs := trainedModelPredictor(t, Model2DCNN, 41) // one warm-up Train
+	before := tensor.DefaultArena().Outstanding()
+	for _, window := range [][]trace.Job{jobs[10:50], jobs[20:60], jobs[23:60]} {
+		if _, err := p.Train(window); err != nil {
+			t.Fatal(err)
+		}
+		if got := tensor.DefaultArena().Outstanding(); got != before {
+			t.Fatalf("Arena.Outstanding went %d → %d over a Train event on %d jobs", before, got, len(window))
+		}
+	}
+	if _, err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	p.Predict([]string{jobs[60].Script, jobs[61].Script})
+	if got := tensor.DefaultArena().Outstanding(); got != before {
+		t.Fatalf("Arena.Outstanding went %d → %d over Snapshot + Predict after training", before, got)
+	}
+}
+
 // TestPredictMappedAllocCeiling bounds the heap allocations of one
 // batch-1 PredictMapped (three 2D-CNN heads, one worker). The float32
 // layer-by-layer forward made 184 on this fixture: an output tensor per

@@ -355,14 +355,11 @@ func (s *Server) flush(batch []*pending) {
 	for i, p := range batch {
 		texts[i] = v.InputText(p.req.Script, p.req.InputDeck)
 	}
-	//prionnvet:ignore time-dep -- serving latency counters are wall-clock metrics by design
 	t0 := time.Now()
 	x := v.MapTexts(texts)
-	//prionnvet:ignore time-dep -- serving latency counters are wall-clock metrics by design
 	mapDur := time.Since(t0)
 	t1 := time.Now()
 	preds := v.PredictMapped(x)
-	//prionnvet:ignore time-dep -- serving latency counters are wall-clock metrics by design
 	forwardDur := time.Since(t1)
 
 	s.st.served.Add(int64(len(batch)))

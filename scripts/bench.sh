@@ -18,9 +18,8 @@
 # kernels at batch 1 and 32 on one and on two cores, and rewrites
 # BENCH_quant.json with the int8 speedups, snapshot size fraction, class
 # disagreement rate, and forward_b1_us / forward_b32_us per kernel.
-# Finally runs the prionnvet analysis benchmarks (full gate sweep
-# plus the per-layer substrate breakdown: def-use index, call graph,
-# lockset engine) and rewrites BENCH_analysis.json.
+# Finally runs the prionnvet gate-sweep benchmark and rewrites
+# BENCH_analysis.json.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 1s; pass e.g. 1x for a
 # smoke run that only checks the benchmarks still execute)
@@ -53,7 +52,7 @@ go test -run '^$' -bench '^BenchmarkQuant' -benchmem -benchtime="$benchtime" ./i
 # that is slower with a second core to fan out to (as the int8 one was
 # before it got the float path's fan-out floor) shows here.
 go test -run '^$' -bench '^BenchmarkInferForward' -benchmem -benchtime="$benchtime" -cpu 1,2 ./internal/serve/ | tee -a "$quant_tmp"
-go test -run '^$' -bench '^(BenchmarkPrionnvetRunAll$|BenchmarkAnalysisRepoWide)' -benchmem -benchtime="$benchtime" . | tee "$analysis_tmp"
+go test -run '^$' -bench '^BenchmarkPrionnvetRunAll$' -benchmem -benchtime="$benchtime" . | tee "$analysis_tmp"
 go test -run '^$' -bench '^BenchmarkPipeline' -benchmem -benchtime="$benchtime" ./internal/pilot/ ./internal/cluster/ | tee "$pipeline_tmp"
 
 # Only rewrite the committed snapshots on real timing runs; -benchtime=1x
@@ -216,8 +215,7 @@ END {
 echo "wrote BENCH_quant.json"
 
 # BENCH_analysis.json: the full gate sweep (every checker over every
-# package) plus the per-layer substrate costs. Sub-benchmark names like
-# BenchmarkAnalysisRepoWide/lockset keep their slash-separated form.
+# package).
 awk '
 BEGIN { print "{"; sep = "" }
 /^Benchmark/ {

@@ -5,12 +5,13 @@
 #   1. gofmt          (formatting drift)
 #   2. go vet         (stock correctness checks)
 #   3. go build       (everything compiles)
-#   4. prionnvet      (repo-specific reproducibility & race-safety checks;
-#                      see DESIGN.md "Static analysis & reproducibility
+#   4. prionnvet      (repo-specific reproducibility checks; see
+#                      DESIGN.md "Static analysis & reproducibility
 #                      gates" and cmd/prionnvet)
 #   5. go test        (tier-1 tests)
 #   6. go test -race  (every package under the race detector, including
-#                      the ParallelFor/SetMaxWorkers hammer test)
+#                      the ParallelFor/SetMaxWorkers hammer test: this
+#                      step, not prionnvet, owns race-safety)
 #   7. crash matrix   (fault-injection sweep: every injectable fault
 #                      point during a checkpoint save, plus mid-save
 #                      crash recovery and checkpoint-restart resume of
@@ -137,7 +138,7 @@ step_done
 step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
-go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat' ./internal/prionn/
+go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat' ./internal/prionn/
 go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestMatMulPackedBBitwiseMatchesMatMul' ./internal/tensor/
 go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels' ./internal/nn/
 step_done
