@@ -16,12 +16,18 @@ type Conv2D struct {
 	Spec          tensor.ConvSpec
 	W             *tensor.Tensor // [F, C*KH*KW]
 	B             *tensor.Tensor // [F]
-	dW, dB        *tensor.Tensor
+	dW, dB        *tensor.Tensor // gradient accumulators, allocated by the first grads call
 	cols          *tensor.Tensor // shared batch column matrix from the last train-mode Forward
 	y, dx         *tensor.Tensor // recycled train-time buffers
+
+	// packedW is W prepared for the inference forward (filter strips and
+	// tap table, see tensor.PackedConv), built and dropped on the same
+	// road as Dense.packedW; an unpacked layer prepares W per call.
+	packedW *tensor.PackedConv
 }
 
-// NewConv2D returns a Conv2D layer with He-initialized kernels. It panics
+// NewConv2D returns a Conv2D layer with He-initialized kernels — or, with
+// a nil rng, zero ones, for a caller about to overwrite them. It panics
 // if the spec is invalid for the declared input extent.
 func NewConv2D(rng *rand.Rand, inC, inH, inW, filters int, spec tensor.ConvSpec) *Conv2D {
 	if err := spec.Validate(inH, inW); err != nil {
@@ -32,11 +38,17 @@ func NewConv2D(rng *rand.Rand, inC, inH, inW, filters int, spec tensor.ConvSpec)
 		InC: inC, InH: inH, InW: inW,
 		Filters: filters,
 		Spec:    spec,
-		W:       tensor.New(filters, fanIn).HeInit(rng, fanIn),
+		W:       heInit(tensor.New(filters, fanIn), rng, fanIn),
 		B:       tensor.New(filters),
-		dW:      tensor.New(filters, fanIn),
-		dB:      tensor.New(filters),
 	}
+}
+
+// heInit He-initializes w from rng; a nil rng leaves it zero.
+func heInit(w *tensor.Tensor, rng *rand.Rand, fanIn int) *tensor.Tensor {
+	if rng == nil {
+		return w
+	}
+	return w.HeInit(rng, fanIn)
 }
 
 // OutDims returns the spatial extent of the layer output.
@@ -56,6 +68,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// The previous step's output and column matrix are dead once that
 	// TrainBatch returned; recycling them makes the batched forward
 	// allocation-free at a steady batch shape.
+	c.packedW = nil // the step this forward starts will change W
 	ar := tensor.DefaultArena()
 	ar.Put(c.y)
 	c.y, c.cols = tensor.Conv2DForwardArena(ar, x, c.W, c.B, c.InC, c.InH, c.InW, c.Spec)
@@ -64,10 +77,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // infer is the inference forward of the layer together with the ReLU
 // (relu) and the max-pool (pool, nil for none) that follow it in the
-// stack: one implicit-GEMM pass per sample with both folded into its
-// epilogue (tensor.Conv2DInfer), bitwise equal to running the layers
-// one after another. The output is a fresh tensor, not an arena
-// check-out: it escapes to the caller, who has no duty to return it.
+// stack: one pass per sample with both folded into its epilogue
+// (tensor.Conv2DInfer), through the prepared weights when the layer has
+// them, bitwise equal to running the layers one after another. The
+// output is a fresh tensor, not an arena check-out: it escapes to the
+// caller, who has no duty to return it.
 func (c *Conv2D) infer(x *tensor.Tensor, relu bool, pool *MaxPool2D) *tensor.Tensor {
 	if x.Rank() != 4 {
 		x = x.Reshape(x.Dim(0), c.InC, c.InH, c.InW)
@@ -75,6 +89,9 @@ func (c *Conv2D) infer(x *tensor.Tensor, relu bool, pool *MaxPool2D) *tensor.Ten
 	var ps *tensor.ConvSpec
 	if pool != nil {
 		ps = &pool.Spec
+	}
+	if c.packedW != nil {
+		return c.packedW.Infer(x, c.B, relu, ps)
 	}
 	return tensor.Conv2DInfer(x, c.W, c.B, c.InC, c.InH, c.InW, c.Spec, relu, ps)
 }
@@ -86,7 +103,8 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	ar := tensor.DefaultArena()
 	ar.Put(c.dx)
-	c.dx = tensor.Conv2DBackwardArena(ar, dy, c.W, c.cols, c.dW, c.dB, c.InC, c.InH, c.InW, c.Spec)
+	dW, dB := c.grads()
+	c.dx = tensor.Conv2DBackwardArena(ar, dy, c.W, c.cols, dW, dB, c.InC, c.InH, c.InW, c.Spec)
 	ar.Put(c.cols)
 	c.cols = nil
 	return c.dx
@@ -96,7 +114,19 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 
 // Grads implements Layer.
-func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.dW, c.dB} }
+func (c *Conv2D) Grads() []*tensor.Tensor {
+	dW, dB := c.grads()
+	return []*tensor.Tensor{dW, dB}
+}
+
+// grads returns the gradient accumulators, allocating them on first
+// use: a layer that only ever infers (a snapshot's) never holds them.
+func (c *Conv2D) grads() (dW, dB *tensor.Tensor) {
+	if c.dW == nil {
+		c.dW, c.dB = tensor.New(c.W.Shape...), tensor.New(c.B.Shape...)
+	}
+	return c.dW, c.dB
+}
 
 // NewConv1D returns a 1D convolutional layer over [N, C, L] sequences,
 // implemented as a Conv2D with unit height: kernel 1×k, input C×1×L.

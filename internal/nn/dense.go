@@ -12,7 +12,7 @@ type Dense struct {
 	In, Out int
 	W       *tensor.Tensor // [in, out]
 	B       *tensor.Tensor // [out]
-	dW, dB  *tensor.Tensor
+	dW, dB  *tensor.Tensor // gradient accumulators, allocated by the first grads call
 	x       *tensor.Tensor // input of the last train-mode Forward
 	y, dx   *tensor.Tensor // recycled train-time output and input-gradient buffers
 
@@ -25,15 +25,14 @@ type Dense struct {
 	packedW *tensor.PackedB
 }
 
-// NewDense returns a Dense layer with He-initialized weights.
+// NewDense returns a Dense layer with He-initialized weights, or, with a
+// nil rng, zero ones (see NewConv2D).
 func NewDense(rng *rand.Rand, in, out int) *Dense {
 	return &Dense{
 		In:  in,
 		Out: out,
-		W:   tensor.New(in, out).HeInit(rng, in),
+		W:   heInit(tensor.New(in, out), rng, in),
 		B:   tensor.New(out),
-		dW:  tensor.New(in, out),
-		dB:  tensor.New(out),
 	}
 }
 
@@ -91,8 +90,9 @@ func (d *Dense) infer(x *tensor.Tensor, relu bool) *tensor.Tensor {
 // Backward implements Layer.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// dW += xᵀ·dy ; dB += column sums of dy ; dx = dy·Wᵀ
-	tensor.MatMulTransAAcc(d.dW, d.x, dy)
-	dy.SumRowsAcc(d.dB)
+	dW, dB := d.grads()
+	tensor.MatMulTransAAcc(dW, d.x, dy)
+	dy.SumRowsAcc(dB)
 	d.dx = tensor.DefaultArena().Reuse(d.dx, dy.Dim(0), d.In)
 	return tensor.MatMulTransB(d.dx, dy, d.W)
 }
@@ -101,7 +101,18 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 
 // Grads implements Layer.
-func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.dW, d.dB} }
+func (d *Dense) Grads() []*tensor.Tensor {
+	dW, dB := d.grads()
+	return []*tensor.Tensor{dW, dB}
+}
+
+// grads is Conv2D.grads for a Dense layer.
+func (d *Dense) grads() (dW, dB *tensor.Tensor) {
+	if d.dW == nil {
+		d.dW, d.dB = tensor.New(d.In, d.Out), tensor.New(d.Out)
+	}
+	return d.dW, d.dB
+}
 
 // ReLU applies the rectified linear unit elementwise.
 type ReLU struct {

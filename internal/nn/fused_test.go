@@ -139,52 +139,58 @@ func TestNextBlockGrammar(t *testing.T) {
 	}
 }
 
-// TestTrainForwardDropsPackedPanels: packed panels are a copy of W, so
-// everything that rewrites W through the model must drop them — a
-// training step, Load, CopyParamsFrom — or inference would go on
-// answering from the old weights.
+// TestTrainForwardDropsPackedPanels: what Prepack builds — dense
+// panels, conv filter strips — is a copy of W, so everything that
+// rewrites W through the model must drop it — a training step, Load,
+// CopyParamsFrom — or inference would go on answering from the old
+// weights.
 func TestTrainForwardDropsPackedPanels(t *testing.T) {
 	arch := ArchConfig{Rows: 8, Cols: 8, Channels: 1, Classes: 5, Width: 0.25}
-	build := func(seed int64) *Sequential { return NewFullyConnected(rand.New(rand.NewSource(seed)), arch) }
 	rng := rand.New(rand.NewSource(53))
 	x := tensor.New(4, 1, 8, 8).RandN(rng, 1)
 	labels := []int{0, 1, 2, 3}
 
-	rewrites := map[string]func(m *Sequential){
-		"TrainBatch": func(m *Sequential) { m.TrainBatch(x, labels, NewSGD(0.5, 0)) },
-		"CopyParamsFrom": func(m *Sequential) {
-			if err := m.CopyParamsFrom(build(99)); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"Load": func(m *Sequential) {
-			var buf bytes.Buffer
-			if err := build(98).Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Load(&buf); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, rewrite := range rewrites {
-		m := build(1)
-		m.Prepack()
-		before := m.Forward(x, false).Clone()
-		rewrite(m)
-		// The reference never had panels: same parameters, fresh model.
-		ref := build(2)
-		if err := ref.CopyParamsFrom(m); err != nil {
-			t.Fatal(err)
+	for archName, newModel := range map[string]func(*rand.Rand, ArchConfig) *Sequential{
+		"nn": NewFullyConnected, "2d-cnn": NewCNN2D,
+	} {
+		build := func(seed int64) *Sequential { return newModel(rand.New(rand.NewSource(seed)), arch) }
+		rewrites := map[string]func(m *Sequential){
+			"TrainBatch": func(m *Sequential) { m.TrainBatch(x, labels, NewSGD(0.5, 0)) },
+			"CopyParamsFrom": func(m *Sequential) {
+				if err := m.CopyParamsFrom(build(99)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			"Load": func(m *Sequential) {
+				var buf bytes.Buffer
+				if err := build(98).Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Load(&buf); err != nil {
+					t.Fatal(err)
+				}
+			},
 		}
-		got := m.Forward(x, false)
-		requireSameBits(t, name+": forward after rewrite", got, ref.Forward(x, false))
-		same := true
-		for i := range got.Data {
-			same = same && math.Float32bits(got.Data[i]) == math.Float32bits(before.Data[i])
-		}
-		if same {
-			t.Fatalf("%s: logits did not move; the rewrite did not change the weights and the test proves nothing", name)
+		for name, rewrite := range rewrites {
+			name = archName + " " + name
+			m := build(1)
+			m.Prepack()
+			before := m.Forward(x, false).Clone()
+			rewrite(m)
+			// The reference never had panels: same parameters, fresh model.
+			ref := build(2)
+			if err := ref.CopyParamsFrom(m); err != nil {
+				t.Fatal(err)
+			}
+			got := m.Forward(x, false)
+			requireSameBits(t, name+": forward after rewrite", got, ref.Forward(x, false))
+			same := true
+			for i := range got.Data {
+				same = same && math.Float32bits(got.Data[i]) == math.Float32bits(before.Data[i])
+			}
+			if same {
+				t.Fatalf("%s: logits did not move; the rewrite did not change the weights and the test proves nothing", name)
+			}
 		}
 	}
 }

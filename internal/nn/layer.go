@@ -33,7 +33,10 @@ type Layer interface {
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable tensors (possibly empty).
 	Params() []*tensor.Tensor
-	// Grads returns the gradient accumulators matching Params.
+	// Grads returns the gradient accumulators matching Params. It is
+	// part of training: Conv2D and Dense allocate theirs on the first
+	// call (or the first Backward), so a layer that only infers holds
+	// none, and Grads must not run beside anything else on the layer.
 	Grads() []*tensor.Tensor
 	// Name identifies the layer kind for diagnostics and snapshots.
 	Name() string

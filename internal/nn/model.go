@@ -42,25 +42,31 @@ func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Prepack packs every Dense layer's weights into GEMM panels for
-// inference (see Dense.packedW). It is for a model whose weights are
+// Prepack prepares every layer's weights for inference: Dense weights
+// into GEMM panels (see Dense.packedW), Conv2D filters into strips and a
+// tap table (Conv2D.packedW). It is for a model whose weights are
 // final — a snapshot about to be published — and must run before the
 // model is shared: it writes the layers.
 func (m *Sequential) Prepack() {
 	for _, l := range m.Layers {
-		if d, ok := l.(*Dense); ok {
-			d.packedW = tensor.PackB(d.W)
+		switch l := l.(type) {
+		case *Dense:
+			l.packedW = tensor.PackB(l.W)
+		case *Conv2D:
+			l.packedW = tensor.PackConv(l.W, l.InC, l.InH, l.InW, l.Spec)
 		}
 	}
 }
 
-// dropPacked discards every Dense layer's packed weights; whatever
-// overwrites parameters in place calls it so no forward serves stale
-// panels.
+// dropPacked discards what Prepack built; whatever overwrites parameters
+// in place calls it so no forward serves stale weights.
 func (m *Sequential) dropPacked() {
 	for _, l := range m.Layers {
-		if d, ok := l.(*Dense); ok {
-			d.packedW = nil
+		switch l := l.(type) {
+		case *Dense:
+			l.packedW = nil
+		case *Conv2D:
+			l.packedW = nil
 		}
 	}
 }
@@ -96,7 +102,10 @@ func (m *Sequential) collect() (params, grads []*tensor.Tensor) {
 // Params returns the trainable parameter tensors in stable (layer)
 // order — the order Save/Load and StatefulOptimizer snapshots use.
 func (m *Sequential) Params() []*tensor.Tensor {
-	params, _ := m.collect()
+	var params []*tensor.Tensor
+	for _, l := range m.Layers {
+		params = append(params, l.Params()...)
+	}
 	return params
 }
 
@@ -228,7 +237,7 @@ type snapshot struct {
 // A model restored with Load must be built with the identical layer
 // configuration.
 func (m *Sequential) Save(w io.Writer) error {
-	params, _ := m.collect()
+	params := m.Params()
 	s := snapshot{}
 	for _, p := range params {
 		s.Shapes = append(s.Shapes, p.Shape)
@@ -244,7 +253,7 @@ func (m *Sequential) Load(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return err
 	}
-	params, _ := m.collect()
+	params := m.Params()
 	if len(params) != len(s.Data) {
 		return fmt.Errorf("nn: snapshot has %d parameter tensors, model has %d", len(s.Data), len(params))
 	}
@@ -280,9 +289,8 @@ func (m *Sequential) CopyParamsFrom(src *Sequential) error {
 
 // NumParams returns the total trainable parameter count.
 func (m *Sequential) NumParams() int {
-	params, _ := m.collect()
 	n := 0
-	for _, p := range params {
+	for _, p := range m.Params() {
 		n += p.Len()
 	}
 	return n

@@ -86,6 +86,44 @@ func TestViewSnapshotTrainForwardLogitsBitwise(t *testing.T) {
 	}
 }
 
+// TestSnapshotLogitsBatchInvariant: one script's logits do not depend
+// on the batch it rides in or its place there. A batch of one takes the
+// dense layers' one-row kernel and every larger batch the 4×16 tile, so
+// batch size is a kernel boundary — the invariant prionnbench checks
+// through HTTP, pinned here on the logits' bits for batches 1 to 5 at
+// every position.
+func TestSnapshotLogitsBatchInvariant(t *testing.T) {
+	for _, model := range []ModelKind{ModelNN, Model1DCNN, Model2DCNN} {
+		p, jobs := trainedModelPredictor(t, model, 43)
+		snap, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads := map[string]*nn.Sequential{"runtime": snap.runtime, "read": snap.read, "write": snap.write}
+		script := jobs[50].Script
+		alone := snap.MapTexts([]string{script})
+		for n := 2; n <= 5; n++ {
+			for pos := 0; pos < n; pos++ {
+				texts := make([]string, n)
+				for i := range texts {
+					texts[i] = jobs[60+i].Script
+				}
+				texts[pos] = script
+				x := snap.MapTexts(texts)
+				for name, h := range heads {
+					want := h.Forward(alone, false)
+					got := h.Forward(x, false)
+					classes := want.Dim(1)
+					row := tensor.FromSlice(got.Data[pos*classes:(pos+1)*classes], 1, classes)
+					if !sameBits(row, want) {
+						t.Errorf("%s %s: logits at position %d of a batch of %d differ from the batch of one", model, name, pos, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSnapshotPanelsPrivate: a snapshot's pre-packed dense panels are
 // its own. Training the source predictor afterwards moves the source's
 // logits and leaves every logit of the snapshot where it was.

@@ -1,8 +1,6 @@
 package prionn
 
 import (
-	"math/rand"
-
 	"prionn/internal/mapping"
 	"prionn/internal/nn"
 	"prionn/internal/tensor"
@@ -104,20 +102,15 @@ func (p *Predictor) Snapshot() (*Inference, error) {
 
 // Clone returns a deep copy of the view: same config, transform, and
 // bins, with every float head's parameters copied into freshly built
-// models whose dense weights are pre-packed for inference (the float32
-// counterpart of the int8 heads' packed panels; the predictor's own
-// zero-copy view packs per call). It exists for Predictor.Snapshot,
-// whose source keeps training; a published Inference is shared as is,
-// never cloned. A prediction from a clone is bitwise identical to one
-// from the original. Quantized heads are immutable, so a clone shares
-// them.
+// models whose weights are prepared for inference — dense panels, conv
+// filter strips and tap tables (the float32 counterpart of the int8
+// heads' packed panels; the predictor's own zero-copy view prepares
+// them per call). It exists for Predictor.Snapshot, whose source keeps
+// training; a published Inference is shared as is, never cloned. A
+// prediction from a clone is bitwise identical to one from the
+// original. Quantized heads are immutable, so a clone shares them.
 func (v *Inference) Clone() (*Inference, error) {
 	out := *v
-	// Fresh heads are built with a throwaway RNG (their He-init values
-	// are immediately overwritten by the parameter copy), so cloning —
-	// and Predictor.Snapshot, which delegates here — never consumes a
-	// training RNG stream.
-	scratch := rand.New(rand.NewSource(0))
 	arch := nn.ArchConfig{
 		Rows:     v.cfg.Rows,
 		Cols:     v.cfg.Cols,
@@ -125,6 +118,10 @@ func (v *Inference) Clone() (*Inference, error) {
 		Classes:  0,
 		Width:    v.cfg.Width,
 	}
+	// Fresh heads are built without an RNG: their weights start zero and
+	// are overwritten by the parameter copy, so cloning — and
+	// Predictor.Snapshot, which delegates here — draws no random number,
+	// from a training stream or any other.
 	clone := func(src *nn.Sequential, classes int) (*nn.Sequential, error) {
 		if src == nil {
 			return nil, nil
@@ -134,17 +131,17 @@ func (v *Inference) Clone() (*Inference, error) {
 		var m *nn.Sequential
 		switch v.cfg.Model {
 		case ModelNN:
-			m = nn.NewFullyConnected(scratch, a)
+			m = nn.NewFullyConnected(nil, a)
 		case Model1DCNN:
-			m = nn.NewCNN1D(scratch, a)
+			m = nn.NewCNN1D(nil, a)
 		default:
-			m = nn.NewCNN2D(scratch, a)
+			m = nn.NewCNN2D(nil, a)
 		}
 		if err := m.CopyParamsFrom(src); err != nil {
 			return nil, err
 		}
-		// The copy's weights are final from here on: pack the dense
-		// panels once, before the view can be shared.
+		// The copy's weights are final from here on: prepare them once,
+		// before the view can be shared.
 		m.Prepack()
 		return m, nil
 	}

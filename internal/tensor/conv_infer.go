@@ -1,31 +1,37 @@
 package tensor
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
-// Inference conv forward: an implicit GEMM with a fused epilogue.
+// Inference conv forward: a direct convolution with a fused epilogue.
 //
 // Conv2DForwardArena runs a conv as five passes over memory — im2col
 // writes the [C·KH·KW, N·OH·OW] column matrix, the GEMM's B packer
 // re-reads it, the GEMM writes a [F, N·OH·OW] product, a scatter permutes
 // that to [N,F,OH,OW] adding bias — and the layer stack adds a ReLU pass
 // and a pool pass. Training needs the column matrix for backward;
-// inference needs none of it. Conv2DInfer runs one GEMM per sample whose
-// right operand is the *implicit* column matrix of that sample's image:
-// the B packer (convGeom.packPanel) fills its NR-wide strips straight
-// from the image, the micro-kernel stores into the sample's [F, OH·OW]
-// plane at row stride OH·OW — already the final layout — and bias, ReLU
-// and the following max-pool run over that plane while it is still in
-// cache.
+// inference needs none of it, and at PRIONN's filter counts (4–24, so a
+// packed K×NR strip would feed one to six micro-tiles) not even packed
+// strips of it. PackedConv.Infer copies each sample's image once into a
+// zero-padded plane and, for a stride-1 conv, hands the micro-kernel that
+// plane and a tap table: row p of the implicit column matrix, for the NR
+// consecutive pixels of one output row, is the NR floats at a fixed
+// offset from the strip's first cell, so the kernel reads it where it
+// lies. The kernel stores into the sample's [F, OH·OW] plane at row
+// stride OH·OW — already the final layout — and bias, ReLU and the
+// following max-pool run over that plane while it is still in cache. A
+// strided conv (the 1D-CNN's) has no such fixed offset between lanes; it
+// stays an implicit GEMM whose B packer (convGeom.packPanel) gathers its
+// strips lane by lane from the image.
 //
-// Bitwise neutrality. The strips hold exactly the values im2col would
-// have written, so each output cell is the same ascending-k fma32 chain
-// from zero as in the column-matrix path (gemm.go: tiling and striping
-// never change a cell's chain). The epilogue then applies, per cell and
-// in this order, `+ bias` (one float32 add, as convScatterOut), `v <= 0
-// → 0` (the ReLU layer's test, so −0 becomes +0 and NaN passes), and the
+// Bitwise neutrality. The padding cells are real zeros, so the kernel
+// folds in exactly the values im2col would have written — a padded tap
+// is multiplied, not skipped, and an Inf weight on it yields NaN as in
+// the column-matrix path — and each output cell is the same ascending-k
+// fma32 chain from zero (gemm.go: tiling and striping never change a
+// cell's chain, and neither does walking k in one pass instead of
+// KC-deep panels). The epilogue then applies, per cell and in this
+// order, `+ bias` (one float32 add, as convScatterOut), `v <= 0 → 0`
+// (the ReLU layer's test, so −0 becomes +0 and NaN passes), and the
 // window maximum in maxPoolPlanes' scan order — the operations of the
 // layer-by-layer path in the order the layers apply them.
 
@@ -53,10 +59,9 @@ type convGeom struct {
 // out once per strip and shared by every channel and tap. The lane masks
 // are uint16: one bit per lane of an NR = 16 strip.
 type convStrip struct {
-	off    [gemmNR]int // lane's tap-(0,0) offset within a channel plane; may be negative
-	rowOK  []uint16    // per kernel row: the lanes it keeps inside the image
-	colOK  []uint16    // per kernel column, likewise
-	contig bool        // the lanes are consecutive image cells
+	off   [gemmNR]int // lane's tap-(0,0) offset within a channel plane; may be negative
+	rowOK []uint16    // per kernel row: the lanes it keeps inside the image
+	colOK []uint16    // per kernel column, likewise
 }
 
 // laneMasks returns n lane masks: buf's first n (a packer's stack array,
@@ -75,13 +80,11 @@ func (s *convStrip) set(g *convGeom, j, lanes int) {
 	kh, kw, stride := g.spec.KH, g.spec.KW, g.spec.Stride
 	clear(s.rowOK)
 	clear(s.colOK)
-	s.contig = true
 	oy, ox := j/g.ow, j%g.ow
 	for l := 0; l < lanes; l++ {
 		iy0 := oy*stride - g.spec.PadH
 		ix0 := ox*stride - g.spec.PadW
 		s.off[l] = iy0*g.w + ix0
-		s.contig = s.contig && s.off[l] == s.off[0]+l
 		for ky := max(0, -iy0); ky < min(kh, g.h-iy0); ky++ {
 			s.rowOK[ky] |= 1 << l
 		}
@@ -97,14 +100,9 @@ func (s *convStrip) set(g *convGeom, j, lanes int) {
 // packPanel packs rows [p0, p0+kc) × columns [j0, j0+nc) of image x's
 // implicit column matrix into NR-wide strips, packBPanel's layout. Row p
 // is tap (ch, ky, kx) = (p/(KH·KW), p/KW%KH, p%KW); column j is output
-// pixel (j/OW, j%OW); taps that fall in the padding are zero.
-//
-// When the lanes of a strip (convStrip) are consecutive in the image
-// (stride 1, no row break that moves the source, which "same" padding
-// guarantees for every strip) a tap is one copy of the strip's 16 image
-// cells — of its valid run only, where the 16 would reach past the
-// image — plus zero stores for the lanes in the padding or past the
-// panel edge; otherwise it is a per-lane gather.
+// pixel (j/OW, j%OW); taps that fall in the padding are zero. Each tap
+// is a per-lane gather: only strided convs come here, and their lanes
+// are not neighbours in the image.
 func (g *convGeom) packPanel(dst, x []float32, p0, j0, kc, nc int) {
 	kh, kw := g.spec.KH, g.spec.KW
 	taps := kh * kw
@@ -115,7 +113,6 @@ func (g *convGeom) packPanel(dst, x []float32, p0, j0, kc, nc int) {
 	idx := 0
 	for sj := 0; sj < nc; sj += gemmNR {
 		strip.set(g, j0+sj, min(gemmNR, nc-sj))
-		contig := strip.contig
 		ch, t := p0/taps, p0%taps
 		ky, kx := t/kw, t%kw
 		for p := 0; p < kc; p++ {
@@ -123,31 +120,11 @@ func (g *convGeom) packPanel(dst, x []float32, p0, j0, kc, nc int) {
 			idx += gemmNR
 			valid := rowOK[ky] & colOK[kx]
 			tap := ch*g.h*g.w + ky*g.w + kx
-			switch {
-			case valid == 0:
-				clear(d)
-			case contig:
-				// The strip is 16 consecutive image cells starting at
-				// src. Where that window lies inside the image, take
-				// all of it — the lanes in the padding get neighbouring
-				// cells — otherwise the valid run, which does (its two
-				// ends are in range); then zero the padding lanes.
-				if src := tap + off[0]; src >= 0 && src+gemmNR <= len(x) {
-					*(*[gemmNR]float32)(d) = *(*[gemmNR]float32)(x[src : src+gemmNR])
+			for l := range d {
+				if valid>>l&1 != 0 {
+					d[l] = x[tap+off[l]]
 				} else {
-					lo, hi := bits.TrailingZeros16(valid), 16-bits.LeadingZeros16(valid)
-					copy(d[lo:hi], x[src+lo:src+hi])
-				}
-				for z := ^valid; z != 0; z &= z - 1 {
-					d[bits.TrailingZeros16(z)] = 0
-				}
-			default:
-				for l := range d {
-					if valid>>l&1 != 0 {
-						d[l] = x[tap+off[l]]
-					} else {
-						d[l] = 0
-					}
+					d[l] = 0
 				}
 			}
 			if kx++; kx == kw {
@@ -159,6 +136,53 @@ func (g *convGeom) packPanel(dst, x []float32, p0, j0, kc, nc int) {
 			}
 		}
 	}
+}
+
+// PackedConv is a conv layer's geometry and [F, C·KH·KW] weights in the
+// form the inference forward consumes. For a stride-1 conv that is the
+// direct convolution's two tables, both copies that go stale when the
+// weights change: the filters as MR-tall A strips over the whole of K
+// (no KC panels) and the K-entry tap table. For any other stride it is
+// a view of the weights in place. Immutable once built and safe for
+// concurrent use.
+type PackedConv struct {
+	geom convGeom
+	f, k int
+
+	strips []float32 // strip s holds, per tap p, filters s·MR … s·MR+MR−1 at p; zero past F
+	taps   []int32   // tap p = (ch, ky, kx) lies ch·PH·PW + ky·PW + kx past a strip's first padded-plane cell
+
+	weights gemmView // stride ≠ 1: the filters where they lie, packed per call by gemmSerial
+}
+
+// PackConv prepares weights [F, C·KH·KW] of a conv over [C,H,W] images
+// for PackedConv.Infer.
+func PackConv(weights *Tensor, c, h, w int, spec ConvSpec) *PackedConv {
+	f, k := weights.Shape[0], weights.Shape[1]
+	oh, ow := spec.OutDims(h, w)
+	p := &PackedConv{geom: convGeom{c: c, h: h, w: w, spec: spec, oh: oh, ow: ow}, f: f, k: k}
+	view := gemmView{data: weights.Data, rs: k, cs: 1}
+	if spec.Stride != 1 {
+		p.weights = view
+		return p
+	}
+	p.strips = make([]float32, alignUp(f, gemmMR)*k)
+	packAPanel(p.strips, view, 0, 0, f, k)
+	ph, pw := p.geom.paddedDims()
+	p.taps = make([]int32, 0, k)
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < spec.KH; ky++ {
+			for kx := 0; kx < spec.KW; kx++ {
+				p.taps = append(p.taps, int32(ch*ph*pw+ky*pw+kx))
+			}
+		}
+	}
+	return p
+}
+
+// paddedDims returns the extent of one channel of the zero-padded plane.
+func (g *convGeom) paddedDims() (ph, pw int) {
+	return g.h + 2*g.spec.PadH, g.w + 2*g.spec.PadW
 }
 
 // Conv2DInfer computes the inference forward of a conv layer and the
@@ -173,33 +197,36 @@ func (g *convGeom) packPanel(dst, x []float32, p0, j0, kc, nc int) {
 // fresh tensor the caller owns, bitwise identical to Conv2DForwardArena
 // followed by the separate ReLU and MaxPool2DForward passes, for any
 // worker count and with or without the assembly kernel. Scratch comes
-// from the default arena and is returned before the call ends.
+// from the default arena and is returned before the call ends. The
+// weights are prepared once per call; a caller whose weights are final
+// keeps the PackedConv and calls Infer.
 func Conv2DInfer(x, weights, bias *Tensor, c, h, w int, spec ConvSpec, relu bool, pool *ConvSpec) *Tensor {
+	return PackConv(weights, c, h, w, spec).Infer(x, bias, relu, pool)
+}
+
+// Infer is Conv2DInfer on prepared weights.
+func (p *PackedConv) Infer(x, bias *Tensor, relu bool, pool *ConvSpec) *Tensor {
+	g := &p.geom
 	n := x.Shape[0]
-	f := weights.Shape[0]
-	k := weights.Shape[1]
-	oh, ow := spec.OutDims(h, w)
-	poh, pow := oh, ow
+	poh, pow := g.oh, g.ow
 	if pool != nil {
 		if pool.PadH != 0 || pool.PadW != 0 {
 			panic("tensor: Conv2DInfer does not support pool padding")
 		}
-		poh, pow = pool.OutDims(oh, ow)
+		poh, pow = pool.OutDims(g.oh, g.ow)
 	}
-	out := New(n, f, poh, pow)
+	out := New(n, p.f, poh, pow)
 	job := convInfer{
-		x: x.Data, out: out.Data,
-		weights: gemmView{data: weights.Data, rs: k, cs: 1},
-		bias:    bias, relu: relu, pool: pool,
-		geom: convGeom{c: c, h: h, w: w, spec: spec, oh: oh, ow: ow},
-		f:    f, k: k, outLen: f * poh * pow,
+		w: p, x: x.Data, out: out.Data,
+		bias: bias, relu: relu, pool: pool,
+		outLen: p.f * poh * pow,
 	}
 	// Workers take whole samples, and only when each gets enough of them
 	// to pay for the fan-out; a sample's plane is never split. The
 	// inline case — every batch-1 forward — calls samples directly: a
 	// func value handed to ParallelForMin would put job on the heap.
-	minChunk := (inferParallelMin + f*k*oh*ow - 1) / (f * k * oh * ow)
-	if MaxWorkers() == 1 || n < 2*minChunk {
+	minChunk, serial := inferSerial(n, p.f*p.k*g.oh*g.ow)
+	if serial {
 		job.samples(0, n)
 		return out
 	}
@@ -208,29 +235,37 @@ func Conv2DInfer(x, weights, bias *Tensor, c, h, w int, spec ConvSpec, relu bool
 	return out
 }
 
-// convInfer is one Conv2DInfer call: what every sample shares.
+// convInfer is one PackedConv.Infer call: what every sample shares.
 type convInfer struct {
-	x, out  []float32
-	weights gemmView
-	bias    *Tensor
-	relu    bool
-	pool    *ConvSpec
-	geom    convGeom
-	f, k    int
-	outLen  int // one sample's share of out
+	w      *PackedConv
+	x, out []float32
+	bias   *Tensor
+	relu   bool
+	pool   *ConvSpec
+	outLen int // one sample's share of out
 }
 
-// samples computes out[lo:hi]: per sample one GEMM over the image's
-// implicit column matrix, then the epilogue over its plane. Without a
-// pool the micro-kernel stores straight into out; with one the plane is
-// arena scratch and the pool writes out.
+// samples computes out[lo:hi]: per sample the conv into its [F, OH·OW]
+// plane — direct from a zero-padded copy of the image at stride 1, else
+// one GEMM over the image's implicit column matrix — then the epilogue
+// over the plane. Without a pool the micro-kernel stores straight into
+// out; with one the plane is arena scratch and the pool writes out.
 func (j *convInfer) samples(lo, hi int) {
-	g := &j.geom
+	p := j.w
+	g := &p.geom
 	colW, imgLen := g.oh*g.ow, g.c*g.h*g.w
 	ar := defaultArena
-	var scratch *Tensor
+	var scratch, padded *Tensor
 	if j.pool != nil {
-		scratch = ar.Get(j.f * colW)
+		scratch = ar.Get(p.f * colW)
+	}
+	if p.taps != nil {
+		// The padding, and the NR floats of slack the last ragged
+		// strip's surplus lanes reach into, are zeroed once; every
+		// sample overwrites the interior alone.
+		ph, pw := g.paddedDims()
+		padded = ar.Get(g.c*ph*pw + gemmNR)
+		clear(padded.Data)
 	}
 	for i := lo; i < hi; i++ {
 		dst := j.out[i*j.outLen : (i+1)*j.outLen]
@@ -238,14 +273,73 @@ func (j *convInfer) samples(lo, hi int) {
 		if j.pool != nil {
 			plane = scratch.Data
 		}
-		b := gemmView{data: j.x[i*imgLen : (i+1)*imgLen], conv: g}
-		gemmSerial(plane, colW, 0, j.f, 0, colW, j.k, j.weights, b, false, ar)
-		biasReLURows(plane, j.f, colW, j.bias, j.relu)
+		img := j.x[i*imgLen : (i+1)*imgLen]
+		if padded != nil {
+			g.padInto(padded.Data, img)
+			p.direct(plane, padded.Data)
+		} else {
+			gemmSerial(plane, colW, 0, p.f, 0, colW, p.k, p.weights, gemmView{data: img, conv: g}, false, ar)
+		}
+		biasReLURows(plane, p.f, colW, j.bias, j.relu)
 		if j.pool != nil {
-			maxPoolPlanes(dst, plane, 0, j.f, g.oh, g.ow, *j.pool, nil)
+			maxPoolPlanes(dst, plane, 0, p.f, g.oh, g.ow, *j.pool, nil)
 		}
 	}
+	ar.Put(padded)
 	ar.Put(scratch)
+}
+
+// padInto copies image x [C,H,W] into the interior of the padded plane
+// dst [C, H+2·PadH, W+2·PadW], leaving the padding as it is.
+func (g *convGeom) padInto(dst, x []float32) {
+	ph, pw := g.paddedDims()
+	for ch := 0; ch < g.c; ch++ {
+		for y := 0; y < g.h; y++ {
+			at := (ch*ph+y+g.spec.PadH)*pw + g.spec.PadW
+			copy(dst[at:at+g.w], x[(ch*g.h+y)*g.w:])
+		}
+	}
+}
+
+// direct computes one sample's [F, OH·OW] conv plane from its padded
+// image: per strip of NR consecutive pixels of one output row and per
+// MR-tall filter strip, one micro-kernel call over all K taps.
+func (p *PackedConv) direct(plane, padded []float32) {
+	g := &p.geom
+	_, pw := g.paddedDims()
+	colW := g.oh * g.ow
+	for oy := 0; oy < g.oh; oy++ {
+		for ox := 0; ox < g.ow; ox += gemmNR {
+			x := padded[oy*pw+ox:]
+			at := oy*g.ow + ox
+			for fs := 0; fs < p.f; fs += gemmMR {
+				convTile(p.k, p.strips[fs*p.k:], x, p.taps, plane[fs*colW+at:], colW,
+					min(gemmMR, p.f-fs), min(gemmNR, g.ow-ox))
+			}
+		}
+	}
+}
+
+// convTile is microTile for the direct convolution: A strip pa against
+// the B rows x[taps[p]:], every chain from zero, into the dst tile at row
+// stride ldc. A ragged tile (the last filters, the end of an output row)
+// round-trips through a scratch tile, and its surplus lanes — which read
+// the next row's cells or the plane's slack — are dropped with it.
+func convTile(k int, pa, x []float32, taps []int32, dst []float32, ldc, mrEff, nrEff int) {
+	asm := useFMAKernel.Load()
+	if asm && mrEff == gemmMR && nrEff == gemmNR {
+		fmaConvTile4x16(int64(k), &pa[0], &x[0], &taps[0], &dst[0], int64(ldc))
+		return
+	}
+	var tile [gemmMR * gemmNR]float32
+	if asm {
+		fmaConvTile4x16(int64(k), &pa[0], &x[0], &taps[0], &tile[0], gemmNR)
+	} else {
+		fmaConvTileGeneric(k, pa, x, taps, &tile)
+	}
+	for r := 0; r < mrEff; r++ {
+		copy(dst[r*ldc:r*ldc+nrEff], tile[r*gemmNR:r*gemmNR+nrEff])
+	}
 }
 
 // biasReLURows applies the conv epilogue in place to rows rows of

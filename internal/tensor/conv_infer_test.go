@@ -75,6 +75,18 @@ func TestConv2DInferBitwiseMatchesLayerwise(t *testing.T) {
 		{name: "k-crosses-KC", c: 30, h: 7, w: 9, f: 6, spec: same3, relu: true},
 		{name: "cols-cross-NC", c: 1, h: 24, w: 24, f: 4, spec: same3, relu: true, pool: pool2},
 		{name: "overlapping-pool", c: 4, h: 11, w: 13, f: 3, spec: same3, relu: true, pool: &ConvSpec{KH: 3, KW: 3, Stride: 2}},
+		// The direct convolution's own edges: a row that is exactly one
+		// strip, one whose second strip is a single lane (its other 15
+		// read the next row or, on the last row, the plane's slack),
+		// unequal paddings, a 5×5 kernel, a ragged filter strip, K past
+		// KC over full strips, and a batch large enough to fan out.
+		{name: "ow-16", c: 3, h: 5, w: 16, f: 4, spec: same3, relu: true},
+		{name: "ow-17", c: 3, h: 5, w: 17, f: 4, spec: same3, relu: true, pool: pool2},
+		{name: "pad-h0-w2", c: 3, h: 10, w: 18, f: 4, spec: ConvSpec{KH: 3, KW: 3, Stride: 1, PadW: 2}, relu: true, pool: pool2},
+		{name: "same-5x5", c: 2, h: 9, w: 19, f: 5, spec: ConvSpec{KH: 5, KW: 5, Stride: 1, PadH: 2, PadW: 2}, relu: true},
+		{name: "five-filters", c: 4, h: 6, w: 32, f: 5, spec: same3, relu: true, pool: pool2},
+		{name: "k-past-KC-full-strips", c: 30, h: 4, w: 33, f: 5, spec: same3, relu: true},
+		{name: "fans-out", c: 8, h: 32, w: 32, f: 8, spec: same3, relu: true, pool: pool2},
 	}
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	asm := useFMAKernel.Load()
@@ -136,6 +148,29 @@ func TestConv2DInferSpecialValues(t *testing.T) {
 		want := layerwiseRef(x, wt, nil, 1, 4, 4, id, relu, pool)
 		requireBitwise(t, fmt.Sprintf("special values relu=%v", relu), Conv2DInfer(x, wt, nil, 1, 4, 4, id, relu, pool), want)
 	}
+	// A non-finite weight on a tap that falls in the padding: the zero
+	// there is multiplied, not skipped, so Inf·0 turns the border cells
+	// NaN exactly where the column-matrix path does.
+	same3 := ConvSpec{KH: 3, KW: 3, Stride: 1, PadH: 1, PadW: 1}
+	asm := useFMAKernel.Load()
+	defer useFMAKernel.Store(asm)
+	finite := New(1, 1, 4, 4)
+	for i := range finite.Data {
+		finite.Data[i] = float32(i + 1)
+	}
+	for _, bad := range []float32{float32(math.Inf(1)), nan} {
+		w3 := FromSlice([]float32{bad, 1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 2, 9)
+		want := layerwiseRef(finite, w3, nil, 1, 4, 4, same3, true, nil)
+		if v := want.Data[0]; v == v {
+			t.Fatalf("weight %v on a padded tap left the corner cell %v; the case proves nothing", bad, v)
+		}
+		for _, fma := range []bool{false, asm} {
+			useFMAKernel.Store(fma)
+			requireBitwise(t, fmt.Sprintf("weight %v on a padded tap, fma=%v", bad, fma),
+				Conv2DInfer(finite, w3, nil, 1, 4, 4, same3, true, nil), want)
+		}
+	}
+	useFMAKernel.Store(asm)
 	got := Conv2DInfer(x, wt, nil, 1, 4, 4, id, true, nil)
 	if bits := math.Float32bits(got.Data[3]); bits != 0 {
 		t.Fatalf("relu(-0) has bits %08x, want +0", bits)
@@ -229,9 +264,10 @@ func TestMaxPool2DForwardInferenceSkipsArgmax(t *testing.T) {
 }
 
 // TestMatMulPackedBBitwiseMatchesMatMul: pre-packed panels change where
-// B's strips come from, never a cell's reduction chain — over batch
-// sizes around the micro-tile height, k crossing KC, n crossing NR and
-// NC, every worker count and both micro-kernels.
+// B's strips come from, and the one-row kernel at m = 1 how many of them
+// one pass consumes, never a cell's reduction chain — over batch sizes
+// around the micro-tile height, k crossing KC, n crossing NR, the row
+// kernel's 64 and NC, every worker count and both micro-kernels.
 func TestMatMulPackedBBitwiseMatchesMatMul(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	asm := useFMAKernel.Load()
@@ -243,13 +279,16 @@ func TestMatMulPackedBBitwiseMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, kn := range []struct{ k, n int }{
 		{1, 1}, {7, 15}, {64, 16}, {255, 17}, {256, 128}, {257, 33}, {3072, 128}, {300, 513}, {40, 1100},
+		// Around the one-row kernel's 64-column pass: exactly one, one
+		// plus a tile strip, and the runtime head's 960 logits.
+		{300, 64}, {257, 80}, {260, 960},
 	} {
 		b := randTensor(rng, kn.k, kn.n)
 		packed := PackB(b)
 		if k, n := packed.Dims(); k != kn.k || n != kn.n {
 			t.Fatalf("Dims = %dx%d, want %dx%d", k, n, kn.k, kn.n)
 		}
-		for _, m := range []int{1, 2, 3, 5, 32, 65} {
+		for _, m := range []int{1, 2, 3, 4, 5, 32, 65} {
 			a := randTensor(rng, m, kn.k)
 			SetMaxWorkers(1)
 			useFMAKernel.Store(asm)

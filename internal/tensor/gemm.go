@@ -53,7 +53,9 @@ var useFMAKernel atomic.Bool
 // The right operand has two more forms, selected by a non-nil pointer
 // (rs and cs are then unused): panels packed ahead of time (packed; data
 // is unused too), and the implicit im2col matrix of one [C,H,W] image
-// held in data (conv), whose strips are packed straight from the image.
+// held in data (conv), whose strips are gathered straight from the image
+// — the strided convs' form; a stride-1 conv never builds strips
+// (conv_infer.go).
 type gemmView struct {
 	data   []float32
 	rs, cs int
@@ -294,5 +296,37 @@ func fmaTileGeneric(kc int, pa, pb []float32, tile *[gemmMR * gemmNR]float32) {
 			}
 			tile[r*gemmNR+s] = float32(acc)
 		}
+	}
+}
+
+// fmaConvTileGeneric is fmaConvTile4x16's portable twin: fmaTileGeneric
+// with B row p read at x[taps[p]:] and every chain started at zero.
+func fmaConvTileGeneric(k int, pa, x []float32, taps []int32, tile *[gemmMR * gemmNR]float32) {
+	for r := 0; r < gemmMR; r++ {
+		for s := 0; s < gemmNR; s++ {
+			var acc float64
+			for p := 0; p < k; p++ {
+				acc = float64(float32(float64(pa[p*gemmMR+r])*float64(x[int(taps[p])+s]) + acc))
+			}
+			tile[r*gemmNR+s] = float32(acc)
+		}
+	}
+}
+
+// fmaRowGeneric is fmaRow1x64's portable twin: cell j of c's first 64
+// takes column j%NR of the strip j/NR strides into pb, one emulated FMA
+// per k step from c[j] or, with zeroAcc, from zero.
+func fmaRowGeneric(kc int, a, pb []float32, stride int, c []float32, zeroAcc bool) {
+	for j := range c[:4*gemmNR] {
+		var acc float64
+		if !zeroAcc {
+			acc = float64(c[j])
+		}
+		bi := j/gemmNR*stride + j%gemmNR
+		for p := 0; p < kc; p++ {
+			acc = float64(float32(float64(a[p])*float64(pb[bi]) + acc))
+			bi += gemmNR
+		}
+		c[j] = float32(acc)
 	}
 }

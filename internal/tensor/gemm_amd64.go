@@ -10,6 +10,20 @@ package tensor
 //go:noescape
 func fmaTile4x16(kc int64, pa, pb, c *float32, ldc int64, zeroAcc int64)
 
+// fmaConvTile4x16 is fmaTile4x16 for the direct convolution: B row p is
+// the 16 floats at x[taps[p]:], the accumulators start at zero and all k
+// taps are walked in one ascending pass (gemm_amd64.s).
+//
+//go:noescape
+func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64)
+
+// fmaRow1x64 is the one-row kernel: a[0:kc] against four packed B strips
+// stride floats apart, 64 cells of c each with fmaTile4x16's chain,
+// seeded from c or, with zeroAcc != 0, from zero (gemm_amd64.s).
+//
+//go:noescape
+func fmaRow1x64(kc int64, a, pb *float32, stride int64, c *float32, zeroAcc int64)
+
 func cpuidAsm(leaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)

@@ -90,6 +90,160 @@ done:
 	VZEROUPPER
 	RET
 
+// func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64)
+//
+// fmaTile4x16 for the direct convolution (conv_infer.go): B row p is not
+// a packed strip but the 16 floats at x[taps[p]:] — two unaligned loads
+// from the zero-padded image plane — and the accumulators always start
+// at zero and walk all k taps in one ascending pass:
+//
+//	C[r*ldc+s] = fma(pa[p*4+r], x[taps[p]+s], ...) folded over p = 0..k-1.
+//
+// Same register plan as fmaTile4x16; R9 walks the tap table.
+TEXT ·fmaConvTile4x16(SB), NOSPLIT, $0-48
+	MOVQ k+0(FP), CX
+	MOVQ pa+8(FP), SI
+	MOVQ x+16(FP), DI
+	MOVQ taps+24(FP), R9
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
+	SHLQ $2, R8              // row stride in bytes
+
+	LEAQ (DX)(R8*1), R10     // row 1
+	LEAQ (R10)(R8*1), R11    // row 2
+	LEAQ (R11)(R8*1), R12    // row 3
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+
+convloop:
+	TESTQ CX, CX
+	JZ    convdone
+
+	MOVLQSX (R9), R13            // tap offset, in floats
+	VMOVUPS (DI)(R13*4), Y0      // image row, lanes 0..7
+	VMOVUPS 32(DI)(R13*4), Y1    // image row, lanes 8..15
+
+	VBROADCASTSS (SI), Y2    // filter row 0
+	VBROADCASTSS 4(SI), Y3   // filter row 1
+	VFMADD231PS  Y0, Y2, Y8
+	VFMADD231PS  Y1, Y2, Y9
+	VFMADD231PS  Y0, Y3, Y10
+	VFMADD231PS  Y1, Y3, Y11
+
+	VBROADCASTSS 8(SI), Y4   // filter row 2
+	VBROADCASTSS 12(SI), Y5  // filter row 3
+	VFMADD231PS  Y0, Y4, Y12
+	VFMADD231PS  Y1, Y4, Y13
+	VFMADD231PS  Y0, Y5, Y14
+	VFMADD231PS  Y1, Y5, Y15
+
+	ADDQ $16, SI             // next A group (4 floats)
+	ADDQ $4, R9              // next tap
+	DECQ CX
+	JMP  convloop
+
+convdone:
+	VMOVUPS Y8, (DX)
+	VMOVUPS Y9, 32(DX)
+	VMOVUPS Y10, (R10)
+	VMOVUPS Y11, 32(R10)
+	VMOVUPS Y12, (R11)
+	VMOVUPS Y13, 32(R11)
+	VMOVUPS Y14, (R12)
+	VMOVUPS Y15, 32(R12)
+	VZEROUPPER
+	RET
+
+// func fmaRow1x64(kc int64, a, pb *float32, stride int64, c *float32, zeroAcc int64)
+//
+// The one-row kernel (gemm_packed.go): one row of A, read where it lies,
+// against four packed B strips stride floats apart — 64 output columns:
+//
+//	c[16*t+s] = fma(a[p], pb[t*stride+p*16+s], ...) folded over p = 0..kc-1,
+//
+// seeded with c (zeroAcc == 0) or 0, one FMA per cell per p step,
+// ascending p: fmaTile4x16's chain for each of the 64 cells.
+//
+// Register plan: Y8..Y15 hold the 64 accumulators (two per strip), Y2
+// the broadcast a[p]; DI/R10/R11/R12 walk the four strips, whose rows
+// are the FMAs' memory operands.
+TEXT ·fmaRow1x64(SB), NOSPLIT, $0-48
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ pb+16(FP), DI
+	MOVQ stride+24(FP), R8
+	SHLQ $2, R8              // strip stride in bytes
+	MOVQ c+32(FP), DX
+	MOVQ zeroAcc+40(FP), R9
+
+	LEAQ (DI)(R8*1), R10     // strip 1
+	LEAQ (R10)(R8*1), R11    // strip 2
+	LEAQ (R11)(R8*1), R12    // strip 3
+
+	TESTQ R9, R9
+	JNZ   rowzero
+
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	VMOVUPS 64(DX), Y10
+	VMOVUPS 96(DX), Y11
+	VMOVUPS 128(DX), Y12
+	VMOVUPS 160(DX), Y13
+	VMOVUPS 192(DX), Y14
+	VMOVUPS 224(DX), Y15
+	JMP     rowloop
+
+rowzero:
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+
+rowloop:
+	TESTQ CX, CX
+	JZ    rowdone
+
+	VBROADCASTSS (SI), Y2
+	VFMADD231PS  (DI), Y2, Y8
+	VFMADD231PS  32(DI), Y2, Y9
+	VFMADD231PS  (R10), Y2, Y10
+	VFMADD231PS  32(R10), Y2, Y11
+	VFMADD231PS  (R11), Y2, Y12
+	VFMADD231PS  32(R11), Y2, Y13
+	VFMADD231PS  (R12), Y2, Y14
+	VFMADD231PS  32(R12), Y2, Y15
+
+	ADDQ $4, SI              // next a[p]
+	ADDQ $64, DI             // next row of each strip (16 floats)
+	ADDQ $64, R10
+	ADDQ $64, R11
+	ADDQ $64, R12
+	DECQ CX
+	JMP  rowloop
+
+rowdone:
+	VMOVUPS Y8, (DX)
+	VMOVUPS Y9, 32(DX)
+	VMOVUPS Y10, 64(DX)
+	VMOVUPS Y11, 96(DX)
+	VMOVUPS Y12, 128(DX)
+	VMOVUPS Y13, 160(DX)
+	VMOVUPS Y14, 192(DX)
+	VMOVUPS Y15, 224(DX)
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL  leaf+0(FP), AX

@@ -2,9 +2,18 @@
 
 package tensor
 
-// fmaTile4x16 is only reachable when useFMAKernel is true, which never
-// happens off amd64 (the flag is left false and nothing sets it except
-// the amd64 init and tests that first check the platform).
+// The assembly micro-kernels are only reachable when useFMAKernel is
+// true, which never happens off amd64 (the flag is left false and
+// nothing sets it except the amd64 init and tests that first check the
+// platform).
 func fmaTile4x16(kc int64, pa, pb, c *float32, ldc int64, zeroAcc int64) {
 	panic("tensor: fmaTile4x16 called without FMA kernel support")
+}
+
+func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64) {
+	panic("tensor: fmaConvTile4x16 called without FMA kernel support")
+}
+
+func fmaRow1x64(kc int64, a, pb *float32, stride int64, c *float32, zeroAcc int64) {
+	panic("tensor: fmaRow1x64 called without FMA kernel support")
 }

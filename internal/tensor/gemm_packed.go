@@ -15,7 +15,8 @@ import "fmt"
 // batch on the A side, MR = 4 rows per strip: a batch of 1–4 fills one
 // A strip and every B lane carries a real output unit. The other way
 // round (weights as A, the int8 layout) a batch of one would use one of
-// sixteen lanes.
+// sixteen lanes. A batch of exactly one skips the A strip altogether
+// (mulRow).
 
 // PackedB is an immutable k×n float32 matrix stored in the panel layout
 // gemmSerial consumes: for each NC-wide column block (outer) and each
@@ -83,10 +84,47 @@ func MatMulPackedB(dst, a *Tensor, b *PackedB) *Tensor {
 		panic("tensor: MatMulPackedB dst shape mismatch")
 	}
 	av, bv := gemmView{data: a.Data, rs: k, cs: 1}, gemmView{packed: b}
-	if m*b.n*k < 2*inferParallelMin {
-		gemmSerial(dst.Data, b.n, 0, m, 0, b.n, k, av, bv, false, defaultArena)
-	} else {
+	switch {
+	case m*b.n*k >= 2*inferParallelMin:
 		gemm(dst.Data, b.n, m, b.n, k, av, bv, false, nil)
+	case m == 1:
+		b.mulRow(dst.Data, a.Data)
+	default:
+		gemmSerial(dst.Data, b.n, 0, m, 0, b.n, k, av, bv, false, defaultArena)
 	}
 	return dst
+}
+
+// mulRow computes dst[0:n] = a[0:k]·B, the batch-1 product. The tile
+// would pad the one row to an MR-tall A strip — MR·k floats written to
+// carry k — and spend three quarters of its FMAs on the zero rows. The
+// one-row kernel instead broadcasts a[p] from a where it lies against
+// four stored strips at a time, 64 columns in the eight accumulators,
+// k panel by k panel with dst carrying each chain across the panel
+// boundary exactly as the tile does. Columns past the last multiple of
+// 64 take the tile.
+func (p *PackedB) mulRow(dst, a []float32) {
+	const group = 4 * gemmNR
+	asm := useFMAKernel.Load()
+	n64 := p.n / group * group
+	for jc := 0; jc < n64; jc += gemmNC {
+		for pc := 0; pc < p.k; pc += gemmKC {
+			kc := min(gemmKC, p.k-pc)
+			for j := jc; j < min(jc+gemmNC, n64); j += group {
+				pb := p.strips(pc, j)
+				if asm {
+					z := int64(0)
+					if pc == 0 {
+						z = 1
+					}
+					fmaRow1x64(int64(kc), &a[pc], &pb[0], int64(gemmNR*kc), &dst[j], z)
+				} else {
+					fmaRowGeneric(kc, a[pc:], pb, gemmNR*kc, dst[j:], pc == 0)
+				}
+			}
+		}
+	}
+	if n64 < p.n {
+		gemmSerial(dst, p.n, 0, 1, n64, p.n, p.k, gemmView{data: a, rs: p.k, cs: 1}, gemmView{packed: p}, false, defaultArena)
+	}
 }

@@ -7,17 +7,18 @@
 # can diff throughput against the committed numbers of the previous one.
 # Then runs the serving-throughput pair (64 concurrent clients through
 # sequential batch-1 PredictOne vs the internal/serve coalescer), the
-# lone-request latency probe and the bare float32 forward at batch 1 and
-# 32, and rewrites BENCH_serve.json, including the per-prediction rate,
+# lone-request latency probe and the bare float32 forward at batch 1, 2,
+# 4 and 32, and rewrites BENCH_serve.json, including the per-prediction rate,
 # the coalescing speedup ratio and lone_request_us. Then runs the
 # cluster family (replica scaling, script-affinity caching) and rewrites
 # BENCH_cluster.json with predictions/sec, cache hit rate, dispatch
 # p50/p99, and the 4-replica aggregate speedup. Then runs the quantized
 # f32-vs-int8 pairs (uncached serving and uncached 4-replica cluster on
 # the conv-dominated FastConfig fixture) and the bare forward of both
-# kernels at batch 1 and 32 on one and on two cores, and rewrites
-# BENCH_quant.json with the int8 speedups, snapshot size fraction, class
-# disagreement rate, and forward_b1_us / forward_b32_us per kernel.
+# kernels at batch 1 and 32 (float32 also at 2 and 4, either side of its
+# dense layers' one-row-kernel / tile hand-over) on one and on two cores,
+# and rewrites BENCH_quant.json with the int8 speedups, snapshot size
+# fraction, class disagreement rate, and forward_b<batch>_us per kernel.
 # Finally runs the prionnvet gate-sweep benchmark and rewrites
 # BENCH_analysis.json.
 #
@@ -42,7 +43,7 @@ pipeline_tmp="$(mktemp)"
 trap 'rm -f "$tmp" "$serve_tmp" "$cluster_tmp" "$quant_tmp" "$analysis_tmp" "$pipeline_tmp"' EXIT
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime="$benchtime" . | tee "$tmp"
-# BenchmarkInferForwardF32B1/B32 is the float32 forward on its own (one
+# BenchmarkInferForwardF32B1/B2/B4/B32 is the float32 forward on its own (one
 # PredictMapped, no mapping, no coalescer): ns_op there is per forward,
 # not per prediction.
 go test -run '^$' -bench '^(BenchmarkServe|BenchmarkInferForwardF32)' -benchmem -benchtime="$benchtime" ./internal/serve/ | tee "$serve_tmp"
@@ -159,8 +160,9 @@ echo "wrote BENCH_cluster.json"
 # trailing keys are the acceptance numbers: int8_speedup_serve and
 # int8_speedup_cluster (f32 ns_op / int8 ns_op, uncached both times) and
 # snapshot_fraction (int8 snapshot bytes / float32 checkpoint bytes);
-# forward_b1_us and forward_b32_us are one PredictMapped (three heads, no
-# mapping, no coalescer) per kernel on one core and on two.
+# forward_b<batch>_us is one PredictMapped (three heads, no mapping, no
+# coalescer) per kernel on one core and on two; batches 2 and 4 exist for
+# float32 only.
 awk '
 BEGIN { print "{"; sep = "" }
 /^BenchmarkInferForward/ {
@@ -205,9 +207,13 @@ END {
         printf ",\n  \"int8_speedup_cluster\": %.2f", cluster_f32 / cluster_int8
     if (f32_bytes != "" && int8_bytes != "")
         printf ",\n  \"snapshot_fraction\": %.3f", int8_bytes / f32_bytes
-    for (b = 1; b <= 32; b += 31)
-        if ((b, "f32", 1) in fwd)
-            printf ",\n  \"forward_b%d_us\": {\"f32\": {\"cpu1\": %.0f, \"cpu2\": %.0f}, \"int8\": {\"cpu1\": %.0f, \"cpu2\": %.0f}}", b, fwd[b, "f32", 1], fwd[b, "f32", 2], fwd[b, "int8", 1], fwd[b, "int8", 2]
+    for (b = 1; b <= 32; b++)
+        if ((b, "f32", 1) in fwd) {
+            printf ",\n  \"forward_b%d_us\": {\"f32\": {\"cpu1\": %.0f, \"cpu2\": %.0f}", b, fwd[b, "f32", 1], fwd[b, "f32", 2]
+            if ((b, "int8", 1) in fwd)
+                printf ", \"int8\": {\"cpu1\": %.0f, \"cpu2\": %.0f}", fwd[b, "int8", 1], fwd[b, "int8", 2]
+            printf "}"
+        }
     print "\n}"
 }
 ' "$quant_tmp" > BENCH_quant.json

@@ -4,7 +4,11 @@
 # Runs, in order:
 #   1. gofmt          (formatting drift)
 #   2. go vet         (stock correctness checks)
-#   3. go build       (everything compiles)
+#   3. go build       (everything compiles — and again for
+#                      GOARCH=arm64, with go vet over tensor and nn, so
+#                      the portable side of every assembly entry point,
+#                      its gemm_generic.go stub, is compiled by the gate
+#                      and not first by a user on another machine)
 #   4. prionnvet      (repo-specific reproducibility checks; see
 #                      DESIGN.md "Static analysis & reproducibility
 #                      gates" and cmd/prionnvet)
@@ -28,9 +32,13 @@
 #                      forward pin: many goroutines predicting on one
 #                      shared f32 and one shared int8 snapshot, and the
 #                      fused f32 inference forward's identity proofs:
-#                      fused == layer-by-layer == train-mode bitwise,
-#                      packed dense == MatMul, view == snapshot logits,
-#                      private panels dropped by training, flat arena)
+#                      fused == layer-by-layer == train-mode bitwise
+#                      (direct conv at its own edges, padded taps
+#                      multiplied), packed dense == MatMul across the
+#                      one-row kernel's hand-over, logits independent
+#                      of batch size and position, view == snapshot
+#                      logits, private panels and conv strips dropped
+#                      by training, flat arena)
 #   9. cluster chaos  (the replicated-cluster robustness matrix under
 #                      the race detector: seeded chaos schedules with
 #                      latency / error injection, cluster-wide swap
@@ -57,9 +65,9 @@
 #                      view across replicas and canary, canary
 #                      rollback/promotion)
 #  12. bench smoke    (one iteration of each kernel, serving, cluster,
-#                      quantized f32-vs-int8, f32 and int8 inference
-#                      forward (batch 1 and 32, -cpu 1,2), and analysis
-#                      benchmark via
+#                      quantized f32-vs-int8, f32 (batch 1, 2, 4 and
+#                      32) and int8 (batch 1 and 32) inference forward
+#                      at -cpu 1,2, and analysis benchmark via
 #                      scripts/bench.sh 1x; real timings are recorded
 #                      separately into BENCH_kernels.json,
 #                      BENCH_serve.json, BENCH_cluster.json,
@@ -104,8 +112,10 @@ step "go vet ./..."
 go vet ./...
 step_done
 
-step "go build ./..."
+step "go build ./... (host, then GOARCH=arm64)"
 go build ./...
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 step_done
 
 step "prionnvet ./..."
@@ -138,8 +148,8 @@ step_done
 step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
-go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat' ./internal/prionn/
-go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestMatMulPackedBBitwiseMatchesMatMul' ./internal/tensor/
+go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat' ./internal/prionn/
+go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul' ./internal/tensor/
 go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels' ./internal/nn/
 step_done
 
