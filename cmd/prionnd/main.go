@@ -13,6 +13,7 @@
 //	prionnd -replicas 4 -policy affinity ...     # fault-tolerant multi-replica cluster
 //	prionnd -quant -jobs 2000 ...                # serve the int8-quantized snapshot
 //	prionnd -retrain-every 100 -canary-frac 0.1  # close the online-learning loop
+//	prionnd -debug-addr 127.0.0.1:6060 ...       # net/http/pprof on a listener of its own
 //
 // With -replicas N > 1 the daemon serves from an internal/cluster of N
 // replicated coalescers behind a router: budgeted retries, per-replica
@@ -54,6 +55,10 @@
 //	GET  /readyz   → 200 ready, or 503 once draining has begun — and, under
 //	               -no-fallback, until a trained snapshot is published.
 //
+// -debug-addr, off by default, serves net/http/pprof under /debug/pprof/
+// on a second listener with its own mux: the profiling endpoints are
+// never reachable through -addr.
+//
 // Until the first training event has been published, predictions fall
 // back to the request's user-requested runtime ("from_model": false) —
 // the daemon never emits forward passes of untrained weights. -jobs 0
@@ -74,6 +79,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync"
@@ -206,6 +212,7 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 	fs.SetOutput(stderr)
 
 	addr := fs.String("addr", ":8356", "HTTP listen address")
+	debugAddr := fs.String("debug-addr", "", "listen address for net/http/pprof, on a listener and mux of its own (empty: off)")
 	jobs := fs.Int("jobs", 2000, "synthetic trace length for initial training (0: skip training, serve fallback only)")
 	seed := fs.Int64("seed", 1, "seed for trace and model")
 	scale := fs.String("scale", "fast", "model scale: tiny, fast, paper")
@@ -248,7 +255,7 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 		logf("%v", err)
 		return 1
 	}
-	view, all, snapBytes, mcfg, err := buildSnapshot(*load, mcfg, *seed, *jobs, *quant, logf)
+	view, snapBytes, mcfg, err := buildSnapshot(*load, mcfg, *seed, *jobs, *quant, logf)
 	if err != nil {
 		logf("%v", err)
 		return 1
@@ -285,6 +292,7 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 	}
 
 	if *demo > 0 {
+		all := trace.Generate(trace.Config{Seed: *seed, Jobs: *jobs})
 		code := runDemo(eng, all, *demo, *clients, stdout, logf)
 		_ = eng.Stop(context.Background())
 		_, _ = fmt.Fprint(stdout, eng.StatsText())
@@ -329,7 +337,7 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 		reqTimeout:  *reqTimeout,
 		drainGrace:  *drainGrace,
 	}
-	return d.serveHTTP(*addr, *statsEvery, stdout, logf, ready)
+	return d.serveHTTP(*addr, *debugAddr, *statsEvery, stdout, logf, ready)
 }
 
 // modelConfig resolves -scale into a predictor configuration.
@@ -359,19 +367,22 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // buildSnapshot loads or trains a predictor and returns its published
-// inference snapshot, the synthetic trace (for -demo request
-// generation), the persisted byte size of the snapshot artifact (for
-// /stats: the -load file's size, or what Save writes for a model trained
-// here), and the model configuration actually in effect — the loaded
-// checkpoint's when -load is set, cfg otherwise — which the online-
-// learning pipeline adopts so its candidates match the serving model.
-// With -quant the published snapshot is the predictor's int8
+// inference snapshot, the persisted byte size of the snapshot artifact
+// (for /stats: the -load file's size, or what Save writes for a model
+// trained here), and the model configuration actually in effect — the
+// loaded checkpoint's when -load is set, cfg otherwise — which the
+// online-learning pipeline adopts so its candidates match the serving
+// model. With -quant the published snapshot is the predictor's int8
 // quantization, calibrated on a held-out slice of completed jobs. With
 // -jobs 0 and no checkpoint it returns a nil view: the daemon serves
-// the requested-runtime fallback until a snapshot exists.
-func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant bool, logf func(string, ...interface{})) (*prionn.Inference, []trace.Job, int64, prionn.Config, error) {
-	all := trace.Generate(trace.Config{Seed: seed, Jobs: jobs})
-	completed := trace.Completed(all)
+// the requested-runtime fallback until a snapshot exists. The synthetic
+// trace is generated only where it is read: to train here, and to
+// calibrate -quant.
+func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant bool, logf func(string, ...interface{})) (*prionn.Inference, int64, prionn.Config, error) {
+	var completed []trace.Job
+	if load == "" || quant {
+		completed = trace.Completed(trace.Generate(trace.Config{Seed: seed, Jobs: jobs}))
+	}
 	var p *prionn.Predictor
 	var ckptBytes int64
 	trainWindow := 0
@@ -379,11 +390,11 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 		var err error
 		p, err = prionn.LoadFile(load)
 		if err != nil {
-			return nil, nil, 0, cfg, err
+			return nil, 0, cfg, err
 		}
 		fi, err := os.Stat(load)
 		if err != nil {
-			return nil, nil, 0, cfg, err
+			return nil, 0, cfg, err
 		}
 		ckptBytes = fi.Size()
 		cfg = p.Config
@@ -391,7 +402,7 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 	} else {
 		if jobs <= 0 {
 			logf("no initial training (-jobs 0): serving the requested-runtime fallback")
-			return nil, all, 0, cfg, nil
+			return nil, 0, cfg, nil
 		}
 		window := completed
 		if len(window) > cfg.TrainWindow {
@@ -405,27 +416,27 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 		var err error
 		p, err = prionn.New(cfg, scripts)
 		if err != nil {
-			return nil, nil, 0, cfg, err
+			return nil, 0, cfg, err
 		}
 		logf("training on %d most recently completed jobs...", len(window))
 		if _, err := p.Train(window); err != nil {
-			return nil, nil, 0, cfg, err
+			return nil, 0, cfg, err
 		}
 		var cw countingWriter
 		if err := p.Save(&cw); err != nil {
-			return nil, nil, 0, cfg, err
+			return nil, 0, cfg, err
 		}
 		ckptBytes = cw.n
 	}
 	if quant {
 		view, qBytes, err := quantizedSnapshot(p, completed, trainWindow, ckptBytes, logf)
-		return view, all, qBytes, cfg, err
+		return view, qBytes, cfg, err
 	}
 	view, err := p.Snapshot()
 	if err != nil {
-		return nil, nil, 0, cfg, err
+		return nil, 0, cfg, err
 	}
-	return view, all, ckptBytes, cfg, nil
+	return view, ckptBytes, cfg, nil
 }
 
 // quantizedSnapshot freezes the trained predictor into an int8 serving
@@ -568,7 +579,7 @@ func (d *daemon) statsText() string {
 // serveHTTP runs the HTTP front end until SIGINT/SIGTERM (or the
 // test-supplied stop function), then drains: readiness flips, the
 // drain grace elapses, in-flight handlers finish, the engine stops.
-func (d *daemon) serveHTTP(addr string, statsEvery time.Duration, stdout io.Writer, logf func(string, ...interface{}), ready func(addr string, stop func())) int {
+func (d *daemon) serveHTTP(addr, debugAddr string, statsEvery time.Duration, stdout io.Writer, logf func(string, ...interface{}), ready func(addr string, stop func())) int {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", d.handlePredict)
 	if d.pilot != nil {
@@ -612,6 +623,31 @@ func (d *daemon) serveHTTP(addr string, statsEvery time.Duration, stdout io.Writ
 	if err != nil {
 		logf("%v", err)
 		return 1
+	}
+	// The profiling endpoints get a listener and a mux of their own, so
+	// they are never reachable through -addr; no write timeout, a CPU
+	// profile streams for as long as it was asked to.
+	var debug *http.Server
+	debugDone := make(chan struct{})
+	if debugAddr != "" {
+		dln, err := net.Listen("tcp", debugAddr)
+		if err != nil {
+			logf("%v", err)
+			_ = ln.Close()
+			return 1
+		}
+		dmux := http.NewServeMux()
+		dmux.HandleFunc("/debug/pprof/", pprof.Index)
+		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		debug = &http.Server{Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
+		go func() {
+			defer close(debugDone)
+			_ = debug.Serve(dln) // returns once the drain closes the server
+		}()
+		logf("debug: pprof on %s", dln.Addr())
 	}
 	// Every timeout here exists to bound a resource a slow or hostile
 	// client could otherwise hold forever: header trickling (slowloris),
@@ -696,6 +732,12 @@ loop:
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		logf("http shutdown: %v", err)
 		code = 1
+	}
+	if debug != nil {
+		// Close, not Shutdown: a profile still streaming is cut off, the
+		// drain does not wait out its duration.
+		_ = debug.Close()
+		<-debugDone
 	}
 	// Stop the pipeline after the handlers (no more completions arrive)
 	// but before the engine, so a promotion never lands on a stopped

@@ -217,6 +217,57 @@ func TestReadmeFlagRowMatchesUsage(t *testing.T) {
 	}
 }
 
+// TestRunDebugAddr: -debug-addr serves net/http/pprof on a listener of
+// its own — the index answers there, the -addr mux does not know the
+// path — and the drain closes it.
+func TestRunDebugAddr(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	type started struct {
+		addr string
+		stop func()
+	}
+	readyCh := make(chan started, 1)
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-jobs", "0", "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0"}, &stdout, &stderr,
+			func(addr string, stop func()) { readyCh <- started{addr, stop} })
+	}()
+	var st started
+	select {
+	case st = <-readyCh:
+	case code := <-done:
+		t.Fatalf("daemon exited %d before serving\nstderr: %s", code, stderr.String())
+	}
+	// The daemon logs the bound debug address before it reports ready.
+	m := regexp.MustCompile(`debug: pprof on (\S+)`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("no debug listener logged:\n%s", stderr.String())
+	}
+	status := func(base string) int {
+		t.Helper()
+		resp, err := http.Get("http://" + base + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := status(m[1]); got != http.StatusOK {
+		t.Errorf("/debug/pprof/ on -debug-addr: status %d, want 200", got)
+	}
+	if got := status(st.addr); got != http.StatusNotFound {
+		t.Errorf("/debug/pprof/ on -addr: status %d, want 404", got)
+	}
+	st.stop()
+	if code := <-done; code != 0 {
+		t.Fatalf("daemon exit %d\nstderr: %s", code, stderr.String())
+	}
+	if resp, err := http.Get("http://" + m[1] + "/debug/pprof/"); err == nil {
+		resp.Body.Close()
+		t.Error("debug listener still answers after the drain")
+	}
+}
+
 // TestRunLoadMissingCheckpoint: a bad -load path is a clean error.
 func TestRunLoadMissingCheckpoint(t *testing.T) {
 	var stdout, stderr bytes.Buffer

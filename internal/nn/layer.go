@@ -2,7 +2,7 @@
 // It provides the three deep-learning architectures evaluated by PRIONN —
 // a fully connected network (NN), a 1D convolutional network (1D-CNN), and
 // a 2D convolutional network (2D-CNN) — as compositions of layers with
-// exact backpropagation, SGD/Adam optimizers, gob snapshots, and the
+// exact backpropagation, SGD/Adam optimizers, raw-tensor snapshots, and the
 // warm-start retraining behaviour the paper's online loop depends on
 // (models are retrained, not re-initialized, so knowledge persists across
 // training events).

@@ -2,9 +2,10 @@ package nn
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"prionn/internal/tensor"
@@ -227,45 +228,99 @@ func (m *Sequential) PredictClasses(x *tensor.Tensor) []int {
 	return out
 }
 
-// snapshot is the gob wire format for model parameters.
-type snapshot struct {
-	Shapes [][]int
-	Data   [][]float32
+// Wire format of Save and Adam.SaveState: a little-endian uint32 tensor
+// count, then per tensor a record — a uint32 element count and that many
+// little-endian float32 bit patterns. Both directions go through one
+// fixed conversion buffer, so a save or a load allocates that buffer
+// whatever the model's size; a reader takes every size from the tensors
+// it fills and only compares the stored counts with them, so damaged
+// input cannot make it allocate.
+const recordBufLen = 16 << 10
+
+func writeCount(w io.Writer, buf []byte, n int) error {
+	binary.LittleEndian.PutUint32(buf, uint32(n))
+	_, err := w.Write(buf[:4])
+	return err
 }
 
-// Save writes the model parameters (not the architecture) to w with gob.
-// A model restored with Load must be built with the identical layer
-// configuration.
-func (m *Sequential) Save(w io.Writer) error {
-	params := m.Params()
-	s := snapshot{}
-	for _, p := range params {
-		s.Shapes = append(s.Shapes, p.Shape)
-		s.Data = append(s.Data, p.Data)
-	}
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// Load restores parameters saved by Save into an identically structured
-// model.
-func (m *Sequential) Load(r io.Reader) error {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+// readCount reads a stored count and requires it to equal want.
+func readCount(r io.Reader, buf []byte, want int) error {
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return err
 	}
-	params := m.Params()
-	if len(params) != len(s.Data) {
-		return fmt.Errorf("nn: snapshot has %d parameter tensors, model has %d", len(s.Data), len(params))
-	}
-	m.dropPacked()
-	for i, p := range params {
-		if len(p.Data) != len(s.Data[i]) {
-			return fmt.Errorf("nn: parameter %d size mismatch: snapshot %d vs model %d (shape %v vs %v)",
-				i, len(s.Data[i]), len(p.Data), s.Shapes[i], p.Shape)
-		}
-		copy(p.Data, s.Data[i])
+	if got := binary.LittleEndian.Uint32(buf); uint64(got) != uint64(want) {
+		return fmt.Errorf("stored count %d, model has %d", got, want)
 	}
 	return nil
+}
+
+func writeTensors(w io.Writer, ts []*tensor.Tensor) error {
+	buf := make([]byte, recordBufLen)
+	if err := writeCount(w, buf, len(ts)); err != nil {
+		return err
+	}
+	for _, t := range ts {
+		if err := writeCount(w, buf, len(t.Data)); err != nil {
+			return err
+		}
+		for data := t.Data; len(data) > 0; {
+			n := min(len(data), len(buf)/4)
+			for i, f := range data[:n] {
+				binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
+			}
+			if _, err := w.Write(buf[:4*n]); err != nil {
+				return err
+			}
+			data = data[n:]
+		}
+	}
+	return nil
+}
+
+// readTensors fills ts, in place, from what writeTensors wrote for
+// tensors of the same number and sizes; any difference is an error, as
+// is input that ends early (io.EOF or io.ErrUnexpectedEOF, wrapped).
+func readTensors(r io.Reader, ts []*tensor.Tensor) error {
+	buf := make([]byte, recordBufLen)
+	if err := readCount(r, buf, len(ts)); err != nil {
+		return fmt.Errorf("nn: tensor count: %w", err)
+	}
+	for i, t := range ts {
+		if err := readRecord(r, buf, t.Data); err != nil {
+			return fmt.Errorf("nn: tensor %d (shape %v): %w", i, t.Shape, err)
+		}
+	}
+	return nil
+}
+
+func readRecord(r io.Reader, buf []byte, dst []float32) error {
+	if err := readCount(r, buf, len(dst)); err != nil {
+		return err
+	}
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		dst = dst[n:]
+	}
+	return nil
+}
+
+// Save writes the model parameters (not the architecture) to w, in
+// Params order. A model restored with Load must be built with the
+// identical layer configuration.
+func (m *Sequential) Save(w io.Writer) error { return writeTensors(w, m.Params()) }
+
+// Load restores parameters saved by Save into an identically structured
+// model, reading straight into its tensors. After an error the
+// parameters are partly overwritten and the model must be discarded.
+func (m *Sequential) Load(r io.Reader) error {
+	m.dropPacked()
+	return readTensors(r, m.Params())
 }
 
 // CopyParamsFrom copies parameter values from src into m. Both models

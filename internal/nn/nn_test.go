@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -510,5 +512,93 @@ func TestInferenceForwardLeavesBackwardAlone(t *testing.T) {
 				t.Errorf("%s: parameter gradient %d changed by an interleaved inference forward", tc.name, i)
 			}
 		}
+	}
+}
+
+// TestSaveLoadBitExact: the record format moves bit patterns, not
+// values — parameters, Adam moments and the step counter come back
+// exactly, including a NaN with a payload and a negative zero, which a
+// conversion through arithmetic would not keep.
+func TestSaveLoadBitExact(t *testing.T) {
+	for name, plant := range map[string]uint32{
+		"nan-payload":   0x7fc12345,
+		"negative-zero": 0x80000000,
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			build := func() *Sequential {
+				return NewSequential(NewDense(rng, 6, 5), NewReLU(), NewDense(rng, 5, 3))
+			}
+			m1, opt1 := build(), NewAdam(1e-2)
+			x := tensor.New(4, 6).RandN(rng, 1)
+			for i := 0; i < 3; i++ {
+				m1.TrainBatch(x, []int{0, 1, 2, 0}, opt1)
+			}
+			// Plant the pattern in a parameter and in both moments of it.
+			w := m1.Params()[0]
+			w.Data[1] = math.Float32frombits(plant)
+			opt1.states[w].m.Data[2] = math.Float32frombits(plant)
+			opt1.states[w].v.Data[3] = math.Float32frombits(plant)
+
+			var buf bytes.Buffer
+			if err := m1.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := opt1.SaveState(m1.Params(), &buf); err != nil {
+				t.Fatal(err)
+			}
+			m2, opt2 := build(), NewAdam(1e-2)
+			if err := m2.Load(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := opt2.LoadState(m2.Params(), &buf); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("%d bytes left unread", buf.Len())
+			}
+			if opt2.t != opt1.t {
+				t.Fatalf("step counter %d, want %d", opt2.t, opt1.t)
+			}
+			same := func(what string, a, b []float32) {
+				t.Helper()
+				for i := range a {
+					if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+						t.Fatalf("%s differs at %d: %x vs %x", what, i, math.Float32bits(a[i]), math.Float32bits(b[i]))
+					}
+				}
+			}
+			p1, p2 := m1.Params(), m2.Params()
+			for k := range p1 {
+				same("parameter", p1[k].Data, p2[k].Data)
+				same("first moment", opt1.states[p1[k]].m.Data, opt2.states[p2[k]].m.Data)
+				same("second moment", opt1.states[p1[k]].v.Data, opt2.states[p2[k]].v.Data)
+			}
+			if got := math.Float32bits(opt2.states[p2[0]].v.Data[3]); got != plant {
+				t.Fatalf("planted %x came back as %x", plant, got)
+			}
+		})
+	}
+}
+
+// TestLoadStateRejectsMismatch: optimizer state saved for one model does
+// not load onto a model of another shape, and short input is reported as
+// end of input.
+func TestLoadStateRejectsMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	m1, opt := NewSequential(NewDense(rng, 4, 8)), NewAdam(1e-2)
+	m1.TrainBatch(tensor.New(2, 4).RandN(rng, 1), []int{0, 1}, opt)
+	var buf bytes.Buffer
+	if err := opt.SaveState(m1.Params(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	other := NewSequential(NewDense(rng, 4, 9))
+	if err := NewAdam(1e-2).LoadState(other.Params(), bytes.NewReader(saved)); err == nil {
+		t.Fatal("state loaded onto a model of another shape")
+	}
+	err := NewAdam(1e-2).LoadState(m1.Params(), bytes.NewReader(saved[:len(saved)-5]))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short input: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }

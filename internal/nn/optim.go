@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -122,57 +122,46 @@ type StatefulOptimizer interface {
 	LoadState(params []*tensor.Tensor, r io.Reader) error
 }
 
-// adamSnapshot is the gob wire format for Adam state. Moments are stored
-// in parameter order; Present marks parameters that have been stepped at
-// least once (all of them, in practice, after the first Step).
-type adamSnapshot struct {
-	T       int
-	Present []bool
-	M, V    [][]float32
-}
-
-// SaveState writes the Adam moment estimates and step counter for the
-// given parameters. Resuming an interrupted training event bitwise-
+// SaveState writes the Adam step counter (uint64) and, once it has
+// stepped, the m and v moment estimates of the given parameters (see
+// writeTensors). Resuming an interrupted training event bitwise-
 // identically requires this state: restarting Adam from zero moments
 // takes different steps than the uninterrupted run.
 func (a *Adam) SaveState(params []*tensor.Tensor, w io.Writer) error {
-	s := adamSnapshot{T: a.t}
-	for _, p := range params {
-		st, ok := a.states[p]
-		s.Present = append(s.Present, ok)
-		if ok {
-			s.M = append(s.M, st.m.Data)
-			s.V = append(s.V, st.v.Data)
-		} else {
-			s.M = append(s.M, nil)
-			s.V = append(s.V, nil)
-		}
-	}
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// LoadState restores state saved by SaveState, re-keying it onto params.
-func (a *Adam) LoadState(params []*tensor.Tensor, r io.Reader) error {
-	var s adamSnapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	var t [8]byte
+	binary.LittleEndian.PutUint64(t[:], uint64(a.t))
+	if _, err := w.Write(t[:]); err != nil || a.t == 0 {
 		return err
 	}
-	if len(s.Present) != len(params) {
-		return fmt.Errorf("nn: optimizer snapshot has %d parameter states, model has %d", len(s.Present), len(params))
+	moments := make([]*tensor.Tensor, 0, 2*len(params))
+	for i, p := range params {
+		st, ok := a.states[p]
+		if !ok {
+			return fmt.Errorf("nn: optimizer has stepped %d times but never parameter %d", a.t, i)
+		}
+		moments = append(moments, st.m, st.v)
+	}
+	return writeTensors(w, moments)
+}
+
+// LoadState restores state saved by SaveState, re-keying it onto params:
+// the moments are read into fresh tensors shaped like their parameters.
+// After an error the optimizer holds partial state and must be
+// discarded (or Reset).
+func (a *Adam) LoadState(params []*tensor.Tensor, r io.Reader) error {
+	var t [8]byte
+	if _, err := io.ReadFull(r, t[:]); err != nil {
+		return err
 	}
 	a.Reset()
-	a.t = s.T
-	for i, p := range params {
-		if !s.Present[i] {
-			continue
-		}
-		if len(s.M[i]) != p.Len() || len(s.V[i]) != p.Len() {
-			return fmt.Errorf("nn: optimizer state %d size mismatch: snapshot %d vs param %d", i, len(s.M[i]), p.Len())
-		}
-		st := &adamState{m: tensor.New(p.Shape...), v: tensor.New(p.Shape...)}
-		copy(st.m.Data, s.M[i])
-		copy(st.v.Data, s.V[i])
-		a.states[p] = st
+	if a.t = int(binary.LittleEndian.Uint64(t[:])); a.t == 0 {
+		return nil
 	}
-	return nil
+	moments := make([]*tensor.Tensor, 0, 2*len(params))
+	for _, p := range params {
+		st := &adamState{m: tensor.New(p.Shape...), v: tensor.New(p.Shape...)}
+		a.states[p] = st
+		moments = append(moments, st.m, st.v)
+	}
+	return readTensors(r, moments)
 }

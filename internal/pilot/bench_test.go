@@ -2,6 +2,8 @@ package pilot
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"prionn/internal/prionn"
@@ -74,6 +76,65 @@ func BenchmarkPipelineShadowEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Evaluate(baseline, candidate, window, GateConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// checkpointFixture is the predictor the two checkpoint benchmarks
+// persist: FastConfig (the daemon's default scale, three heads) after one
+// training event, so Adam moments ride along as they do in the pilot's
+// per-event save.
+func checkpointFixture(b *testing.B) *prionn.Predictor {
+	b.Helper()
+	jobs := pipelineJobs(160)
+	cfg := prionn.FastConfig()
+	cfg.TrainWindow, cfg.Epochs = 96, 1
+	scripts := make([]string, len(jobs))
+	for i, j := range jobs {
+		scripts[i] = j.Script
+	}
+	p, err := prionn.New(cfg, scripts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.Train(jobs[:cfg.TrainWindow]); err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkPipelineCheckpointSave measures one crash-safe SaveFile —
+// stream, fsync, rename, directory fsync — per iteration: what every
+// training event of a pilot with a CheckpointPath pays.
+func BenchmarkPipelineCheckpointSave(b *testing.B) {
+	p := checkpointFixture(b)
+	path := filepath.Join(b.TempDir(), "model.ckpt")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.SaveFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPipelineCheckpointLoad measures one LoadFile of that
+// checkpoint per iteration: the restart cost of a daemon or a pilot.
+func BenchmarkPipelineCheckpointLoad(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "model.ckpt")
+	if err := checkpointFixture(b).SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prionn.LoadFile(path); err != nil {
 			b.Fatal(err)
 		}
 	}

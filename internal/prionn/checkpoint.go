@@ -1,10 +1,9 @@
 package prionn
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -33,25 +32,18 @@ import (
 //   - the event counter, persisted with the model, which keeps later
 //     events' seeds aligned after a restart.
 
-// trainCheckpoint is the gob wire format of a mid-event checkpoint: the
-// full predictor state plus the resume position within the event.
-type trainCheckpoint struct {
-	Predictor []byte // framed Save() bytes
-	Head      int    // heads before this one are fully fitted this event
-	Epoch     int    // epochs of head Head completed
+// resumePos locates where within a training event to resume. It is the
+// part of a mid-event checkpoint's meta (see checkpointMeta) that a
+// completed model's save does not have.
+type resumePos struct {
+	Head  int // heads before this one are fully fitted this event
+	Epoch int // epochs of head Head completed
 	// RuntimeLoss is the runtime head's final-epoch mean loss, once head
 	// 0 has finished, so a resumed event still reports it.
 	RuntimeLoss float64
 	// Window is the training-window length, a cheap guard against
 	// resuming with a different job window than the interrupted run.
 	Window int
-}
-
-// resumePos locates where within a training event to resume.
-type resumePos struct {
-	head        int
-	epoch       int
-	runtimeLoss float64
 }
 
 // FailpointTrainCheckpoint is the failpoint name fired after each
@@ -76,26 +68,22 @@ func (p *Predictor) TrainCheckpointed(ctx context.Context, jobs []trace.Job, pat
 // must be the one the interrupted event was training on. Resuming a
 // checkpoint whose event already completed returns immediately.
 func ResumeTrain(ctx context.Context, path string, jobs []trace.Job) (*Predictor, float64, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := readFrame(bytes.NewReader(raw))
+	p, pos, err := load(f)
+	_ = f.Close() // read-only; close errors carry no data loss
 	if err != nil {
 		return nil, 0, err
 	}
-	var ck trainCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, 0, fmt.Errorf("%w: decoding train checkpoint: %v", ErrCorrupt, err)
+	if pos == nil {
+		return nil, 0, fmt.Errorf("prionn: %s holds a completed model, not a training checkpoint; restore it with LoadFile", path)
 	}
-	p, err := Load(bytes.NewReader(ck.Predictor))
-	if err != nil {
-		return nil, 0, err
+	if pos.Window != len(jobs) {
+		return nil, 0, fmt.Errorf("prionn: checkpoint trained on a %d-job window, resume offered %d jobs", pos.Window, len(jobs))
 	}
-	if ck.Window != len(jobs) {
-		return nil, 0, fmt.Errorf("prionn: checkpoint trained on a %d-job window, resume offered %d jobs", ck.Window, len(jobs))
-	}
-	loss, err := p.trainEvent(ctx, jobs, path, resumePos{head: ck.Head, epoch: ck.Epoch, runtimeLoss: ck.RuntimeLoss})
+	loss, err := p.trainEvent(ctx, jobs, path, *pos)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -115,13 +103,6 @@ func eventSeed(seed int64, event, head int) int64 {
 	return int64(z)
 }
 
-// headFit is one classifier head's slot within a training event.
-type headFit struct {
-	model  *nn.Sequential
-	opt    nn.Optimizer
-	labels []int
-}
-
 // trainEvent is the shared engine behind Train, TrainCtx, and
 // TrainCheckpointed: fit every enabled head on the window, optionally
 // checkpointing after each epoch, starting from pos (zero for a fresh
@@ -130,17 +111,17 @@ func (p *Predictor) trainEvent(ctx context.Context, jobs []trace.Job, ckptPath s
 	if len(jobs) == 0 {
 		return 0, fmt.Errorf("prionn: empty training window")
 	}
+	heads := p.heads()
 	scripts := make([]string, len(jobs))
-	rt := make([]int, len(jobs))
-	rd := make([]int, len(jobs))
-	wr := make([]int, len(jobs))
-	pw := make([]int, len(jobs))
+	labels := make([][]int, len(heads))
+	for h := range labels {
+		labels[h] = make([]int, len(jobs))
+	}
 	for i, j := range jobs {
 		scripts[i] = p.inputText(j.Script, j.InputDeck)
-		rt[i] = p.rbins.Class(j.ActualMin())
-		rd[i] = p.iobin.Class(float64(j.ReadBytes))
-		wr[i] = p.iobin.Class(float64(j.WriteBytes))
-		pw[i] = p.pbins.Class(j.AvgPowerW)
+		for h, head := range heads {
+			labels[h][i] = head.class(j)
+		}
 	}
 	x := p.mapBatch(scripts)
 	epochs := p.Config.Epochs
@@ -151,32 +132,21 @@ func (p *Predictor) trainEvent(ctx context.Context, jobs []trace.Job, ckptPath s
 		epochs *= 3
 	}
 
-	heads := []headFit{{model: p.runtime, opt: p.runtimeOpt, labels: rt}}
-	if p.Config.PredictIO {
-		heads = append(heads,
-			headFit{model: p.read, opt: p.readOpt, labels: rd},
-			headFit{model: p.write, opt: p.writeOpt, labels: wr})
-	}
-	if p.Config.PredictPower {
-		heads = append(heads, headFit{model: p.power, opt: p.powerOpt, labels: pw})
-	}
-
-	if pos.head >= len(heads) {
+	if pos.Head >= len(heads) {
 		// Resuming a checkpoint written after its event completed: the
 		// event counter already advanced; there is nothing to redo.
-		return pos.runtimeLoss, nil
+		return pos.RuntimeLoss, nil
 	}
 
-	runtimeLoss := pos.runtimeLoss
-	for h := pos.head; h < len(heads); h++ {
-		head := heads[h]
+	runtimeLoss := pos.RuntimeLoss
+	for h := pos.Head; h < len(heads); h++ {
 		opts := nn.FitOptions{
 			Epochs:    epochs,
 			BatchSize: p.Config.BatchSize,
 			Shuffle:   rand.New(rand.NewSource(eventSeed(p.Config.Seed, p.events, h))),
 		}
-		if h == pos.head {
-			opts.StartEpoch = pos.epoch
+		if h == pos.Head {
+			opts.StartEpoch = pos.Epoch
 		}
 		// When the interrupt landed after this head's final epoch, the fit
 		// below only replays shuffles and reports no loss; the checkpoint's
@@ -188,13 +158,13 @@ func (p *Predictor) trainEvent(ctx context.Context, jobs []trace.Job, ckptPath s
 				if h == 0 {
 					rl = loss
 				}
-				if err := p.writeTrainCheckpoint(ckptPath, h, e+1, rl, len(jobs)); err != nil {
+				if err := p.writeTrainCheckpoint(ckptPath, resumePos{Head: h, Epoch: e + 1, RuntimeLoss: rl, Window: len(jobs)}); err != nil {
 					return err
 				}
 				return fault.Here(FailpointTrainCheckpoint)
 			}
 		}
-		loss, err := head.model.FitCtx(ctx, x, head.labels, head.opt, opts)
+		loss, err := heads[h].model.FitCtx(ctx, x, labels[h], heads[h].opt, opts)
 		if err != nil {
 			return runtimeLoss, err
 		}
@@ -208,7 +178,7 @@ func (p *Predictor) trainEvent(ctx context.Context, jobs []trace.Job, ckptPath s
 		// Final checkpoint: the completed event, with the incremented
 		// event counter, so a restart after this point resumes the next
 		// event with aligned seeds.
-		if err := p.writeTrainCheckpoint(ckptPath, len(heads), 0, runtimeLoss, len(jobs)); err != nil {
+		if err := p.writeTrainCheckpoint(ckptPath, resumePos{Head: len(heads), RuntimeLoss: runtimeLoss, Window: len(jobs)}); err != nil {
 			return runtimeLoss, err
 		}
 	}
@@ -216,22 +186,7 @@ func (p *Predictor) trainEvent(ctx context.Context, jobs []trace.Job, ckptPath s
 }
 
 // writeTrainCheckpoint persists the full predictor plus resume position,
-// crash-safely.
-func (p *Predictor) writeTrainCheckpoint(path string, head, epoch int, runtimeLoss float64, window int) error {
-	var model bytes.Buffer
-	if err := p.Save(&model); err != nil {
-		return err
-	}
-	ck := trainCheckpoint{
-		Predictor:   model.Bytes(),
-		Head:        head,
-		Epoch:       epoch,
-		RuntimeLoss: runtimeLoss,
-		Window:      window,
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
-		return err
-	}
-	return atomicWriteFile(p.fileSystem(), path, payload.Bytes())
+// crash-safely: the frame SaveFile writes, with pos in its meta.
+func (p *Predictor) writeTrainCheckpoint(path string, pos resumePos) error {
+	return atomicWrite(p.fileSystem(), path, func(w io.Writer) error { return p.save(w, &pos) })
 }

@@ -1,71 +1,99 @@
 package prionn
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"path/filepath"
 
 	"prionn/internal/fault"
 )
 
-// Checkpoint framing. Every persisted artifact (full model saves and
-// mid-training checkpoints) is wrapped in a checksummed frame:
+// Checkpoint framing. Every persisted artifact starts with the same
+// 48-byte header and is written through atomicWrite:
 //
 //	offset  size  field
 //	     0     8  magic "PRIONN\x00" + format version byte
-//	     8     8  payload length, little-endian uint64
-//	    16    32  SHA-256 of the payload
-//	    48     …  payload (gob)
+//	     8     8  length of the section that follows, little-endian uint64
+//	    16    32  SHA-256 of that section
+//
+// The version byte names the schema, so a float32 predictor checkpoint
+// and a quantized snapshot can never be confused for one another:
+// loading either through the other's loader fails with ErrCorrupt at
+// the header, before anything is decoded.
+//
+// Version 2, the quantized snapshot, is the header and one gob payload.
+//
+// Version 3, the float32 predictor checkpoint (a full model save, or a
+// mid-event training checkpoint, which differs only in its meta), is
+// streamed — written and read section by section through one buffer,
+// never held whole in memory:
+//
+//	   0    48  header, of the meta (at most maxMetaLen bytes)
+//	  48     M  meta: gob of checkpointMeta (config, embedding, trained,
+//	            events, resume position of a mid-event checkpoint)
+//	48+M     …  per head, in Predictor.heads order: its parameters
+//	            (nn.Sequential.Save), an optimizer flag byte, and when
+//	            that is 1 its Adam state (nn.Adam.SaveState)
+//	 end    32  SHA-256 of every byte before it
+//
+// The meta has its own checksum because it decides what is built: it is
+// verified before it is decoded and before a model is sized from its
+// config. The tensor body is read straight into that model and vouched
+// for by the trailer, which can only trail — a writer that streams does
+// not know the body's hash until it has written it. Load checks the
+// trailer, and that nothing follows it, before it returns a predictor.
+//
+// Version 1, the float32 checkpoint's former gob-in-gob layout, has no
+// reader: such a file fails at the version byte.
 //
 // The frame turns every partial-failure mode a crash can produce — a
 // truncated file, a torn write, stray bytes — into a typed load error
-// instead of a silently wrong model. Combined with the write-temp →
-// fsync → atomic-rename writer below, a reader observes either the
-// previous complete checkpoint or the new complete checkpoint, never a
-// hybrid.
-
-// Frame format versions. The version byte names the payload schema, so
-// a float32 predictor frame and a quantized snapshot frame can never be
-// confused for one another: loading either through the other's loader
-// fails with ErrCorrupt at the header, before any gob decoding.
+// instead of a silently wrong model. Combined with atomicWrite, a
+// reader observes either the previous complete checkpoint or the new
+// complete checkpoint, never a hybrid.
 const (
-	// frameVersion is the float32 predictor checkpoint format.
-	frameVersion = 1
 	// frameVersionQuant is the int8 quantized snapshot format.
 	frameVersionQuant = 2
+	// frameVersion is the float32 predictor checkpoint format.
+	frameVersion = 3
 )
 
-var frameMagic = [8]byte{'P', 'R', 'I', 'O', 'N', 'N', 0, frameVersion}
+var frameMagic = [7]byte{'P', 'R', 'I', 'O', 'N', 'N', 0}
 
-const frameHeaderLen = 8 + 8 + sha256.Size
+const (
+	frameHeaderLen = 8 + 8 + sha256.Size
+	// maxMetaLen bounds the one allocation a v3 reader sizes from the
+	// file. A meta holds a config and a 128-character embedding: a few
+	// kilobytes.
+	maxMetaLen = 1 << 20
+	// frameBufLen is the buffer a v3 frame is written and read through.
+	frameBufLen = 64 << 10
+)
 
 // Typed load errors. Callers distinguish "the file is short" (a crash
 // landed mid-write; retry with the previous checkpoint) from "the bytes
 // are wrong" (corruption; the file must be discarded) with errors.Is.
 var (
-	// ErrTruncated reports a checkpoint cut short: header or payload
-	// ends before its declared length.
+	// ErrTruncated reports a checkpoint cut short: the input ends before
+	// the frame does.
 	ErrTruncated = errors.New("prionn: truncated checkpoint")
 	// ErrCorrupt reports checkpoint bytes that are present but wrong:
-	// bad magic, unknown version, checksum mismatch, or an undecodable
-	// payload.
+	// bad magic, unknown version, checksum mismatch, a length that does
+	// not fit the model, an undecodable payload, or bytes past the end.
 	ErrCorrupt = errors.New("prionn: corrupt checkpoint")
 )
 
-// writeFrame writes a v1 (float32 predictor) frame to w.
-func writeFrame(w io.Writer, payload []byte) error {
-	return writeFrameV(w, frameVersion, payload)
-}
-
 // writeFrameV writes the header (with the given format version byte)
-// and payload to w.
+// and payload to w: a whole v2 frame, or the head of a v3 one.
 func writeFrameV(w io.Writer, version byte, payload []byte) error {
 	var hdr [frameHeaderLen]byte
-	copy(hdr[:8], frameMagic[:])
+	copy(hdr[:], frameMagic[:])
 	hdr[7] = version
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
@@ -75,11 +103,6 @@ func writeFrameV(w io.Writer, version byte, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
-}
-
-// readFrame consumes r and returns the verified payload of a v1 frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameV(r, frameVersion)
 }
 
 // readFrameV consumes r and returns the verified payload, requiring the
@@ -92,7 +115,7 @@ func readFrameV(r io.Reader, version byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if !bytes.Equal(hdr[:7], frameMagic[:7]) {
+	if !bytes.Equal(hdr[:7], frameMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if hdr[7] != version {
@@ -118,26 +141,56 @@ func readFrameV(r io.Reader, version byte) ([]byte, error) {
 	return payload, nil
 }
 
-// atomicWriteFile persists payload (framed) at path through the
+// frameReader reads a v3 frame. Everything read through it feeds the
+// running checksum the trailer is compared with; a read failure that is
+// not the end of the input is kept, so that fail reports it as itself
+// and not as damage to the file.
+type frameReader struct {
+	br  *bufio.Reader
+	sum hash.Hash
+	err error
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, frameBufLen), sum: sha256.New()}
+}
+
+func (f *frameReader) Read(p []byte) (int, error) {
+	n, err := f.br.Read(p)
+	_, _ = f.sum.Write(p[:n]) // a hash.Hash never returns an error
+	if err != nil && err != io.EOF {
+		f.err = err
+	}
+	return n, err
+}
+
+// fail types the error err that reading section what of the frame ended
+// with: input that ran out is ErrTruncated, anything else the bytes
+// caused is ErrCorrupt.
+func (f *frameReader) fail(what string, err error) error {
+	switch {
+	case f.err != nil:
+		return f.err
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("%w: input ends in the %s", ErrTruncated, what)
+	}
+	return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+}
+
+// atomicWrite persists what write produces at path through the
 // injectable file-op layer: write to a temp file in the same directory,
 // fsync, close, rename over path, fsync the directory. A failure at any
 // step leaves the previous contents of path untouched; the temp file is
 // removed best-effort (a simulated crash skips even that, as a real
 // crash would).
-func atomicWriteFile(fsys fault.FS, path string, payload []byte) error {
-	return atomicWriteFileV(fsys, path, frameVersion, payload)
-}
-
-// atomicWriteFileV is atomicWriteFile with an explicit frame format
-// version byte (quantized snapshots persist as frameVersionQuant).
-func atomicWriteFileV(fsys fault.FS, path string, version byte, payload []byte) error {
+func atomicWrite(fsys fault.FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
 	cleanup := func() { _ = fsys.Remove(tmp) } // best-effort; path is still intact
-	if err := writeFrameV(f, version, payload); err != nil {
+	if err := write(f); err != nil {
 		_ = f.Close() // the write error is the one to report
 		cleanup()
 		return err

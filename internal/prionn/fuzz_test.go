@@ -2,16 +2,18 @@ package prionn
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
 
 // FuzzLoadPredictor throws arbitrary bytes — seeded with a valid saved
-// predictor plus truncations and bit-flips of it — at Load. The
-// contract under test: Load never panics and never returns a predictor
-// from damaged input; every rejection is a typed ErrTruncated/ErrCorrupt
-// (or a plain error for well-framed payloads whose gob content is
-// semantically invalid).
+// predictor and cuts and bit-flips of it at every section of the frame —
+// at Load. The contract under test: Load never panics and never returns
+// a predictor from damaged input; every rejection is an error and no
+// predictor. What Load does accept must be a fixed point of the codec:
+// saved again and loaded again it is the same predictor, bit for bit.
 func FuzzLoadPredictor(f *testing.F) {
 	jobs := testJobs(30)
 	cfg := TinyConfig()
@@ -32,16 +34,41 @@ func FuzzLoadPredictor(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
+	flip := func(at int) []byte {
+		b := append([]byte(nil), valid...)
+		b[at] ^= 0x40
+		return b
+	}
+	// Section boundaries of the frame: header | meta | body | trailer.
+	metaEnd := frameHeaderLen + int(binary.LittleEndian.Uint64(valid[8:16]))
+	bodyEnd := len(valid) - sha256.Size
 
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid[:frameHeaderLen])
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(valid)-1])
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0x40
-	f.Add(flipped)
+	f.Add(valid[:frameHeaderLen]) // header only
+	f.Add(valid[:metaEnd])        // header and meta only
+	for _, edge := range []int{frameHeaderLen, metaEnd, bodyEnd, len(valid)} {
+		f.Add(valid[:edge-1])
+		if edge < len(valid) {
+			f.Add(valid[:edge+1])
+		}
+	}
+	f.Add(flip(frameHeaderLen + 5)) // in the meta
+	f.Add(flip((metaEnd + bodyEnd) / 2))
+	f.Add(flip(bodyEnd + 3)) // in the trailer
 	f.Add(append(append([]byte(nil), valid...), 0xde, 0xad))
+	v1 := append([]byte(nil), valid[:frameHeaderLen]...)
+	v1[7] = 1
+	f.Add(v1) // the retired float32 format's header
+	q, err := p.SnapshotQuantized(jobs[:10])
+	if err != nil {
+		f.Fatal(err)
+	}
+	var qbuf bytes.Buffer
+	if err := q.SaveQuantized(&qbuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(qbuf.Bytes()) // a v2 frame: the quantized loader's
 	f.Add(bytes.Repeat([]byte{0xff}, 256))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -55,11 +82,15 @@ func FuzzLoadPredictor(f *testing.F) {
 		if p == nil {
 			t.Fatal("Load returned neither a predictor nor an error")
 		}
-		// Anything Load accepts must be well-framed: re-reading the
-		// frame cannot report damage.
-		if _, ferr := readFrame(bytes.NewReader(data)); errors.Is(ferr, ErrTruncated) || errors.Is(ferr, ErrCorrupt) {
-			t.Fatalf("Load accepted bytes the frame layer rejects: %v", ferr)
+		var again bytes.Buffer
+		if err := p.Save(&again); err != nil {
+			t.Fatalf("saving what Load accepted: %v", err)
 		}
+		p2, err := Load(bytes.NewReader(again.Bytes()))
+		if err != nil {
+			t.Fatalf("Load rejects what Save wrote for an accepted predictor: %v", err)
+		}
+		requireSameState(t, p, p2)
 	})
 }
 

@@ -1,195 +1,168 @@
 package prionn
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
 
 	"prionn/internal/fault"
-	"prionn/internal/mapping"
 	"prionn/internal/nn"
 	"prionn/internal/word2vec"
 )
 
-// persistedPredictor is the gob wire format for a full predictor: the
-// configuration, the trained character embedding, the parameter
-// snapshots of every head, and each head's optimizer state. The
-// architecture is rebuilt from the configuration on load, then the
-// snapshots are restored into it. Optimizer state rides along because
+// checkpointMeta is the gob-encoded meta section of a v3 frame (see
+// frame.go): everything but the tensors. The architecture is rebuilt
+// from the configuration on load, then each head's parameters and
+// optimizer state are read into it. Optimizer state rides along because
 // warm-start retraining (and bitwise-identical resume of an interrupted
 // event) continues Adam's moment estimates, not a cold optimizer.
-type persistedPredictor struct {
+type checkpointMeta struct {
 	Config    Config
 	Embedding *word2vec.Embedding // nil unless Transform == word2vec
 	Trained   bool
-	Events    int // completed training events (seeds per-event shuffles)
-	Runtime   []byte
-	Read      []byte
-	Write     []byte
-	Power     []byte
-
-	RuntimeOpt []byte
-	ReadOpt    []byte
-	WriteOpt   []byte
-	PowerOpt   []byte
+	Events    int        // completed training events (seeds per-event shuffles)
+	Resume    *resumePos // set only in a mid-event training checkpoint
 }
 
 // Save serializes the predictor — configuration, embedding, trained
-// parameters, and optimizer state — inside a checksummed frame, so a
+// parameters, and optimizer state — as one checksummed frame, so a
 // deployment can restore it without retraining (the paper's tool runs
 // persistently on a dedicated node; restarting it must not lose the
 // warm-start state) and so Load can reject truncated or corrupt bytes
 // with a typed error instead of restoring garbage.
-func (p *Predictor) Save(w io.Writer) error {
-	payload, err := p.encode()
-	if err != nil {
+func (p *Predictor) Save(w io.Writer) error { return p.save(w, nil) }
+
+// save streams the v3 frame to w through one buffered writer that feeds
+// w and the trailing checksum together.
+func (p *Predictor) save(w io.Writer, resume *resumePos) error {
+	var meta bytes.Buffer
+	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events, Resume: resume}
+	if err := gob.NewEncoder(&meta).Encode(cm); err != nil {
 		return err
 	}
-	return writeFrame(w, payload)
-}
-
-// encode produces the gob payload Save frames.
-func (p *Predictor) encode() ([]byte, error) {
-	pp := persistedPredictor{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events}
-	snap := func(m interface{ Save(io.Writer) error }) ([]byte, error) {
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	if meta.Len() > maxMetaLen {
+		return fmt.Errorf("prionn: checkpoint meta is %d bytes, over the format's %d", meta.Len(), maxMetaLen)
 	}
-	snapOpt := func(m *nn.Sequential, opt nn.Optimizer) ([]byte, error) {
-		so, ok := opt.(nn.StatefulOptimizer)
-		if !ok {
-			return nil, nil
-		}
-		var buf bytes.Buffer
-		if err := so.SaveState(m.Params(), &buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	sum := sha256.New()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), frameBufLen)
+	if err := writeFrameV(bw, frameVersion, meta.Bytes()); err != nil {
+		return err
 	}
-	var err error
-	if pp.Runtime, err = snap(p.runtime); err != nil {
-		return nil, err
-	}
-	if pp.RuntimeOpt, err = snapOpt(p.runtime, p.runtimeOpt); err != nil {
-		return nil, err
-	}
-	if p.Config.PredictIO {
-		if pp.Read, err = snap(p.read); err != nil {
-			return nil, err
+	for _, h := range p.heads() {
+		if err := h.model.Save(bw); err != nil {
+			return err
 		}
-		if pp.Write, err = snap(p.write); err != nil {
-			return nil, err
+		so, stateful := h.opt.(nn.StatefulOptimizer)
+		if !stateful {
+			_ = bw.WriteByte(0) // a bufio.Writer's error sticks: Flush returns it
+			continue
 		}
-		if pp.ReadOpt, err = snapOpt(p.read, p.readOpt); err != nil {
-			return nil, err
-		}
-		if pp.WriteOpt, err = snapOpt(p.write, p.writeOpt); err != nil {
-			return nil, err
+		_ = bw.WriteByte(1)
+		if err := so.SaveState(h.model.Params(), bw); err != nil {
+			return err
 		}
 	}
-	if p.Config.PredictPower {
-		if pp.Power, err = snap(p.power); err != nil {
-			return nil, err
-		}
-		if pp.PowerOpt, err = snapOpt(p.power, p.powerOpt); err != nil {
-			return nil, err
-		}
+	if err := bw.Flush(); err != nil {
+		return err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	_, err := w.Write(sum.Sum(nil))
+	return err
 }
 
 // Load restores a predictor saved with Save. Damaged input is rejected
 // with an error wrapping ErrTruncated or ErrCorrupt; Load never returns
-// a predictor built from partial bytes.
+// a predictor built from partial bytes. A mid-event training checkpoint
+// is refused: it holds a half-fitted model, which ResumeTrain finishes.
 func Load(r io.Reader) (*Predictor, error) {
-	payload, err := readFrame(r)
+	p, resume, err := load(r)
 	if err != nil {
 		return nil, err
 	}
-	return decode(payload)
+	if resume != nil {
+		return nil, fmt.Errorf("prionn: checkpoint was written mid-event (head %d, epoch %d); continue it with ResumeTrain", resume.Head, resume.Epoch)
+	}
+	return p, nil
 }
 
-// decode rebuilds a predictor from a verified gob payload.
-func decode(payload []byte) (*Predictor, error) {
-	var pp persistedPredictor
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pp); err != nil {
-		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCorrupt, err)
+// load reads one v3 frame: the predictor and, for a mid-event training
+// checkpoint, where its event stood.
+func load(r io.Reader) (*Predictor, *resumePos, error) {
+	fr := newFrameReader(r)
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(fr, hdr[:]); err != nil {
+		return nil, nil, fr.fail("header", err)
 	}
-	if err := pp.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: persisted config invalid: %v", ErrCorrupt, err)
+	if !bytes.Equal(hdr[:7], frameMagic[:]) {
+		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	// Rebuild with an empty corpus: the trained embedding is restored
-	// directly rather than retrained.
-	p, err := New(pp.Config, nil)
-	if err != nil {
-		return nil, err
+	if hdr[7] != frameVersion {
+		return nil, nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, hdr[7], frameVersion)
 	}
-	if pp.Config.Transform == TransformWord2Vec {
-		if pp.Embedding == nil {
-			return nil, fmt.Errorf("%w: persisted word2vec predictor lacks an embedding", ErrCorrupt)
-		}
-		p.emb = pp.Embedding
-		p.transform = mapping.Word2Vec{Emb: pp.Embedding}
+	metaLen := binary.LittleEndian.Uint64(hdr[8:16])
+	if metaLen > maxMetaLen {
+		return nil, nil, fmt.Errorf("%w: meta length %d over %d", ErrCorrupt, metaLen, maxMetaLen)
 	}
-	restore := func(m interface{ Load(io.Reader) error }, data []byte) error {
-		if err := m.Load(bytes.NewReader(data)); err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		return nil
+	meta := make([]byte, metaLen)
+	if _, err := io.ReadFull(fr, meta); err != nil {
+		return nil, nil, fr.fail("meta", err)
 	}
-	restoreOpt := func(m *nn.Sequential, opt nn.Optimizer, data []byte) error {
-		if len(data) == 0 {
-			return nil // saved without optimizer state; a cold optimizer is still valid
-		}
-		so, ok := opt.(nn.StatefulOptimizer)
-		if !ok {
-			return nil
-		}
-		if err := so.LoadState(m.Params(), bytes.NewReader(data)); err != nil {
-			return fmt.Errorf("%w: optimizer state: %v", ErrCorrupt, err)
-		}
-		return nil
+	if metaSum := sha256.Sum256(meta); !bytes.Equal(metaSum[:], hdr[16:]) {
+		return nil, nil, fmt.Errorf("%w: meta checksum mismatch", ErrCorrupt)
 	}
-	if err := restore(p.runtime, pp.Runtime); err != nil {
-		return nil, err
+	var cm checkpointMeta
+	if err := gob.NewDecoder(bytes.NewReader(meta)).Decode(&cm); err != nil {
+		return nil, nil, fmt.Errorf("%w: decoding meta: %v", ErrCorrupt, err)
 	}
-	if err := restoreOpt(p.runtime, p.runtimeOpt, pp.RuntimeOpt); err != nil {
-		return nil, err
+	if err := cm.Config.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("%w: persisted config invalid: %v", ErrCorrupt, err)
 	}
-	if pp.Config.PredictIO {
-		if err := restore(p.read, pp.Read); err != nil {
-			return nil, err
+	if cm.Config.Transform == TransformWord2Vec && cm.Embedding == nil {
+		return nil, nil, fmt.Errorf("%w: persisted word2vec predictor lacks an embedding", ErrCorrupt)
+	}
+	// The trained embedding is restored rather than retrained, and the
+	// heads are built from no RNG: every parameter is about to be read.
+	p := newPredictor(cm.Config, cm.Embedding)
+	p.initHeads(nil)
+	for _, h := range p.heads() {
+		if err := h.model.Load(fr); err != nil {
+			return nil, nil, fr.fail("parameters", err)
 		}
-		if err := restore(p.write, pp.Write); err != nil {
-			return nil, err
+		var flag [1]byte
+		if _, err := io.ReadFull(fr, flag[:]); err != nil {
+			return nil, nil, fr.fail("optimizer flag", err)
 		}
-		if err := restoreOpt(p.read, p.readOpt, pp.ReadOpt); err != nil {
-			return nil, err
-		}
-		if err := restoreOpt(p.write, p.writeOpt, pp.WriteOpt); err != nil {
-			return nil, err
+		so, stateful := h.opt.(nn.StatefulOptimizer)
+		switch {
+		case flag[0] == 0: // saved without optimizer state; a cold optimizer is still valid
+		case flag[0] == 1 && stateful:
+			if err := so.LoadState(h.model.Params(), fr); err != nil {
+				return nil, nil, fr.fail("optimizer state", err)
+			}
+		default:
+			return nil, nil, fmt.Errorf("%w: optimizer flag %d", ErrCorrupt, flag[0])
 		}
 	}
-	if pp.Config.PredictPower {
-		if err := restore(p.power, pp.Power); err != nil {
-			return nil, err
-		}
-		if err := restoreOpt(p.power, p.powerOpt, pp.PowerOpt); err != nil {
-			return nil, err
-		}
+	// One read takes the trailer and probes for a byte past it.
+	want := fr.sum.Sum(nil)
+	var trailer [sha256.Size + 1]byte
+	switch n, err := io.ReadFull(fr, trailer[:]); {
+	case n < sha256.Size:
+		return nil, nil, fr.fail("trailing checksum", err)
+	case !bytes.Equal(trailer[:sha256.Size], want):
+		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	case n > sha256.Size:
+		return nil, nil, fmt.Errorf("%w: bytes past the trailing checksum", ErrCorrupt)
+	case err != io.ErrUnexpectedEOF:
+		return nil, nil, fr.fail("end of frame", err)
 	}
-	p.trained = pp.Trained
-	p.events = pp.Events
-	return p, nil
+	p.trained = cm.Trained
+	p.events = cm.Events
+	return p, cm.Resume, nil
 }
 
 // SaveFile writes the predictor to path crash-safely: the snapshot goes
@@ -197,11 +170,7 @@ func decode(payload []byte) (*Predictor, error) {
 // failure (or a kill) at any point leaves the previous checkpoint at
 // path intact — a deployment never observes a truncated model file.
 func (p *Predictor) SaveFile(path string) error {
-	payload, err := p.encode()
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(p.fileSystem(), path, payload)
+	return atomicWrite(p.fileSystem(), path, p.Save)
 }
 
 // LoadFile restores a predictor from a file written by SaveFile.

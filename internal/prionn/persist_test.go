@@ -2,8 +2,10 @@ package prionn
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -140,5 +142,154 @@ func TestWarmStartSurvivesPersistence(t *testing.T) {
 	}
 	if _, err := restored.Train(jobs[40:]); err != nil {
 		t.Fatalf("training after restore failed: %v", err)
+	}
+}
+
+// requireSameState fails unless a and b hold the same state bit for bit:
+// every head's parameters, the event counter, the embedding, and — read
+// through the save format, which is deterministic and writes raw bit
+// patterns — the Adam moments and step counts.
+func requireSameState(t testing.TB, a, b *Predictor) {
+	t.Helper()
+	if a.Config != b.Config || a.trained != b.trained || a.events != b.events {
+		t.Fatalf("config/trained/events differ: %+v %v %d vs %+v %v %d", a.Config, a.trained, a.events, b.Config, b.trained, b.events)
+	}
+	ha, hb := a.heads(), b.heads()
+	for h := range ha {
+		pa, pb := ha[h].model.Params(), hb[h].model.Params()
+		for k := range pa {
+			for i := range pa[k].Data {
+				if math.Float32bits(pa[k].Data[i]) != math.Float32bits(pb[k].Data[i]) {
+					t.Fatalf("head %d parameter %d differs at %d: %x vs %x", h, k, i, math.Float32bits(pa[k].Data[i]), math.Float32bits(pb[k].Data[i]))
+				}
+			}
+		}
+	}
+	if (a.emb == nil) != (b.emb == nil) {
+		t.Fatal("one predictor has an embedding, the other none")
+	}
+	if a.emb != nil {
+		for c := range a.emb.Vectors {
+			for d := range a.emb.Vectors[c] {
+				if math.Float32bits(a.emb.Vectors[c][d]) != math.Float32bits(b.emb.Vectors[c][d]) {
+					t.Fatalf("embedding differs at character %d dim %d", c, d)
+				}
+			}
+		}
+	}
+	var sa, sb bytes.Buffer
+	if err := a.Save(&sa); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Save(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sa.Bytes(), sb.Bytes()) {
+		t.Fatal("saved bytes differ: optimizer moments or step counts do not match")
+	}
+}
+
+// TestCheckpointRoundTripBitExact: Save → Load restores parameters, Adam
+// state, events and embedding bit for bit, including the two float32
+// values a conversion through arithmetic would not keep — a NaN with a
+// payload and a negative zero.
+func TestCheckpointRoundTripBitExact(t *testing.T) {
+	for name, plant := range map[string]uint32{
+		"trained":       0,
+		"nan-payload":   0x7fc12345,
+		"negative-zero": 0x80000000,
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := trainedPredictor(t, 40)
+			if plant != 0 {
+				for _, h := range p.heads() {
+					w := h.model.Params()[0].Data
+					w[0], w[len(w)-1] = math.Float32frombits(plant), math.Float32frombits(plant)
+				}
+			}
+			var buf bytes.Buffer
+			if err := p.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameState(t, p, restored)
+			if plant != 0 {
+				if got := math.Float32bits(restored.read.Params()[0].Data[0]); got != plant {
+					t.Fatalf("planted %x came back as %x", plant, got)
+				}
+			}
+		})
+	}
+}
+
+// countingWriter counts what is written through it and keeps none.
+type countingWriter struct{ n int64 }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestCheckpointAllocCeiling pins what the streamed frame is for: a load
+// allocates the model it returns and a save allocates its buffers —
+// neither holds the file, or a re-encoding of it, in memory. (The
+// gob-in-gob format allocated over ten times the file to load it.)
+func TestCheckpointAllocCeiling(t *testing.T) {
+	jobs := testJobs(40)
+	cfg := FastConfig()
+	cfg.TrainWindow, cfg.Epochs = 32, 1
+	scripts := make([]string, len(jobs))
+	for i, j := range jobs {
+		scripts[i] = j.Script
+	}
+	p, err := New(cfg, scripts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Train(jobs[:32]); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	allocated := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const slack = 1 << 20
+
+	saveFile := allocated(func() {
+		if err := p.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cw countingWriter
+	save := allocated(func() {
+		if err := p.Save(&cw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	loadFile := allocated(func() {
+		if _, err := LoadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d-byte checkpoint: SaveFile allocated %d bytes, Save %d, LoadFile %d", fi.Size(), saveFile, save, loadFile)
+	if cw.n != fi.Size() {
+		t.Errorf("Save wrote %d bytes, SaveFile %d", cw.n, fi.Size())
+	}
+	if saveFile > frameBufLen+slack || save > frameBufLen+slack {
+		t.Errorf("a save allocates more than its %d-byte buffer + %d", frameBufLen, slack)
+	}
+	if loadFile > 2*fi.Size()+slack {
+		t.Errorf("LoadFile allocates more than twice the file + %d", slack)
 	}
 }

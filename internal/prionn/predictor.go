@@ -81,8 +81,26 @@ func New(cfg Config, corpus []string) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	var emb *word2vec.Embedding
+	if cfg.Transform == TransformWord2Vec {
+		w2vCfg := word2vec.DefaultConfig()
+		w2vCfg.Dim = cfg.EmbeddingDim
+		w2vCfg.Seed = cfg.Seed
+		emb = word2vec.Train(corpus, w2vCfg)
+	}
+	p := newPredictor(cfg, emb)
+	p.initHeads(p.rng)
+	return p, nil
+}
+
+// newPredictor builds a predictor around a validated configuration and
+// its embedding (nil unless the transform is word2vec), without heads:
+// New initializes them from the predictor's RNG, Load leaves them zero
+// for the checkpoint to fill.
+func newPredictor(cfg Config, emb *word2vec.Embedding) *Predictor {
 	p := &Predictor{
 		Config: cfg,
+		emb:    emb,
 		rbins:  runtimeBins{Classes: cfg.RuntimeClasses, MaxMin: cfg.MaxRuntimeMin},
 		iobin:  ioBins{Classes: cfg.IOClasses, Min: cfg.MinIOBytes, Max: cfg.MaxIOBytes},
 		pbins:  ioBins{Classes: cfg.PowerClasses, Min: cfg.MinPowerW, Max: cfg.MaxPowerW},
@@ -96,25 +114,49 @@ func New(cfg Config, corpus []string) (*Predictor, error) {
 	case TransformOneHot:
 		p.transform = mapping.OneHot{}
 	case TransformWord2Vec:
-		w2vCfg := word2vec.DefaultConfig()
-		w2vCfg.Dim = cfg.EmbeddingDim
-		w2vCfg.Seed = cfg.Seed
-		p.emb = word2vec.Train(corpus, w2vCfg)
-		p.transform = mapping.Word2Vec{Emb: p.emb}
+		p.transform = mapping.Word2Vec{Emb: emb}
 	}
-	p.runtime = p.buildModel(cfg.RuntimeClasses)
+	return p
+}
+
+// initHeads builds every enabled head, drawing initial weights from rng
+// in head order (a nil rng leaves them zero), each with a cold optimizer.
+func (p *Predictor) initHeads(rng *rand.Rand) {
+	cfg := p.Config
+	p.runtime = p.buildModel(rng, cfg.RuntimeClasses)
 	p.runtimeOpt = nn.NewAdam(cfg.LR)
 	if cfg.PredictIO {
-		p.read = p.buildModel(cfg.IOClasses)
-		p.write = p.buildModel(cfg.IOClasses)
+		p.read = p.buildModel(rng, cfg.IOClasses)
+		p.write = p.buildModel(rng, cfg.IOClasses)
 		p.readOpt = nn.NewAdam(cfg.LR)
 		p.writeOpt = nn.NewAdam(cfg.LR)
 	}
 	if cfg.PredictPower {
-		p.power = p.buildModel(cfg.PowerClasses)
+		p.power = p.buildModel(rng, cfg.PowerClasses)
 		p.powerOpt = nn.NewAdam(cfg.LR)
 	}
-	return p, nil
+}
+
+// head is one classifier head's slot in the predictor: what a training
+// event fits, and what a checkpoint stores, one head after another.
+type head struct {
+	model *nn.Sequential
+	opt   nn.Optimizer
+	class func(trace.Job) int // the job's label on this head's bins
+}
+
+// heads lists the enabled heads in training (and checkpoint wire) order.
+func (p *Predictor) heads() []head {
+	hs := []head{{p.runtime, p.runtimeOpt, func(j trace.Job) int { return p.rbins.Class(j.ActualMin()) }}}
+	if p.Config.PredictIO {
+		hs = append(hs,
+			head{p.read, p.readOpt, func(j trace.Job) int { return p.iobin.Class(float64(j.ReadBytes)) }},
+			head{p.write, p.writeOpt, func(j trace.Job) int { return p.iobin.Class(float64(j.WriteBytes)) }})
+	}
+	if p.Config.PredictPower {
+		hs = append(hs, head{p.power, p.powerOpt, func(j trace.Job) int { return p.pbins.Class(j.AvgPowerW) }})
+	}
+	return hs
 }
 
 // inputText assembles the model input for one job: the script, with the
@@ -127,16 +169,11 @@ func (p *Predictor) inputText(script, deck string) string {
 }
 
 // buildModel constructs one classifier head for the configured
-// architecture, drawing initial weights from the predictor's RNG.
-func (p *Predictor) buildModel(classes int) *nn.Sequential {
-	return p.buildModelWith(p.rng, classes)
-}
-
-// buildModelWith is buildModel with an explicit RNG, so Snapshot can
-// construct throwaway-initialized heads without consuming the
-// predictor's own RNG stream (which seeds minibatch shuffles and must
-// stay bitwise-reproducible).
-func (p *Predictor) buildModelWith(rng *rand.Rand, classes int) *nn.Sequential {
+// architecture, drawing initial weights from rng. It takes the RNG
+// explicitly so that heads about to be overwritten can be built from
+// none, without consuming the predictor's own stream (which must stay
+// bitwise-reproducible).
+func (p *Predictor) buildModel(rng *rand.Rand, classes int) *nn.Sequential {
 	arch := nn.ArchConfig{
 		Rows:     p.Config.Rows,
 		Cols:     p.Config.Cols,
@@ -234,17 +271,6 @@ func (p *Predictor) NumParams() int {
 // The paper's loop never does this — it exists for the warm-vs-cold
 // ablation benchmark.
 func (p *Predictor) Reinitialize() {
-	p.runtime = p.buildModel(p.Config.RuntimeClasses)
-	p.runtimeOpt = nn.NewAdam(p.Config.LR)
-	if p.Config.PredictIO {
-		p.read = p.buildModel(p.Config.IOClasses)
-		p.write = p.buildModel(p.Config.IOClasses)
-		p.readOpt = nn.NewAdam(p.Config.LR)
-		p.writeOpt = nn.NewAdam(p.Config.LR)
-	}
-	if p.Config.PredictPower {
-		p.power = p.buildModel(p.Config.PowerClasses)
-		p.powerOpt = nn.NewAdam(p.Config.LR)
-	}
+	p.initHeads(p.rng)
 	p.trained = false
 }

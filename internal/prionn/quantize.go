@@ -226,11 +226,7 @@ func decodeQuantized(payload []byte) (*Inference, error) {
 // SaveQuantizedFile writes the snapshot to path crash-safely, with the
 // same write-temp → fsync → rename discipline as Predictor.SaveFile.
 func (v *Inference) SaveQuantizedFile(path string) error {
-	payload, err := v.encodeQuantized()
-	if err != nil {
-		return err
-	}
-	return atomicWriteFileV(fault.OS{}, path, frameVersionQuant, payload)
+	return atomicWrite(fault.OS{}, path, v.SaveQuantized)
 }
 
 // LoadQuantizedFile restores a snapshot from a file written by

@@ -3,6 +3,7 @@ package prionn
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -185,6 +186,99 @@ func TestLoadTypedErrors(t *testing.T) {
 			t.Fatalf("pristine bytes rejected: %v", err)
 		}
 	})
+	t.Run("version-1", func(t *testing.T) {
+		// The retired gob-in-gob format has no reader: refused at the
+		// header, from the header alone.
+		b := append([]byte(nil), full[:frameHeaderLen]...)
+		b[7] = 1
+		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("got %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("meta-length-over-cap", func(t *testing.T) {
+		b := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint64(b[8:16], maxMetaLen+1)
+		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("got %v, want ErrCorrupt", err)
+		}
+	})
+	// The sweeps: wherever the stream is cut it is ErrTruncated, and a
+	// flipped bit is ErrCorrupt whichever section it lands in (header,
+	// meta, a record length, tensor bytes, an optimizer flag, the
+	// trailer); neither ever yields a predictor. One Load per byte needs
+	// a checkpoint of kilobytes, not TinyConfig's megabytes: the same
+	// config narrowed to 4×4 scripts, one filter per conv and two classes
+	// per head keeps every section kind (word2vec meta, three heads, Adam
+	// records).
+	cfg := p.Config
+	cfg.Rows, cfg.Cols, cfg.Width, cfg.RuntimeClasses, cfg.IOClasses = 4, 4, 0.03, 2, 2
+	jobs := testJobs(40)
+	small, err := New(cfg, []string{jobs[0].Script})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := small.Train(jobs); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := small.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sweep := append([]byte(nil), buf.Bytes()...)
+	if _, err := Load(bytes.NewReader(sweep)); err != nil {
+		t.Fatalf("pristine sweep bytes rejected: %v", err)
+	}
+	t.Run("every-prefix", func(t *testing.T) {
+		for n := 0; n < len(sweep); n++ {
+			if p, err := Load(bytes.NewReader(sweep[:n])); !errors.Is(err, ErrTruncated) || p != nil {
+				t.Fatalf("prefix of %d/%d bytes: predictor %v, err %v; want none and ErrTruncated", n, len(sweep), p != nil, err)
+			}
+		}
+	})
+	t.Run("bit-flips", func(t *testing.T) {
+		// Every byte of the small frame, so every length, flag and
+		// checksum byte is hit; a stride through the TinyConfig one.
+		for stride, b := range map[int][]byte{1: sweep, 9973: append([]byte(nil), full...)} {
+			for at := 0; at < len(b); at += stride {
+				b[at] ^= 1 << (at % 8)
+				p, err := Load(bytes.NewReader(b))
+				// A meta length that grew but still fits the cap makes the
+				// file look short: the one field where damage cannot be told
+				// from truncation.
+				inMetaLen := at >= 8 && at < 16 && errors.Is(err, ErrTruncated)
+				if p != nil || !(errors.Is(err, ErrCorrupt) || inMetaLen) {
+					t.Fatalf("bit flipped at %d/%d: predictor %v, err %v; want none and ErrCorrupt", at, len(b), p != nil, err)
+				}
+				b[at] ^= 1 << (at % 8)
+			}
+		}
+	})
+	// The two kinds of v3 frame are not interchangeable: a mid-event
+	// checkpoint holds a half-fitted model, a completed one no position
+	// to resume from. Neither refusal is damage, so neither is typed.
+	t.Run("cross-refusals", func(t *testing.T) {
+		dir := t.TempDir()
+		mid := filepath.Join(dir, "mid.ckpt")
+		disarm := fault.Arm(FailpointTrainCheckpoint, fault.Failure{})
+		_, err := trainedPredictor(t, 40).TrainCheckpointed(context.Background(), jobs, mid)
+		disarm()
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("interrupted event returned %v", err)
+		}
+		if p, err := LoadFile(mid); err == nil || p != nil || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) {
+			t.Fatalf("LoadFile on a mid-event checkpoint: predictor %v, err %v; want a plain refusal", p != nil, err)
+		}
+		if _, _, err := ResumeTrain(context.Background(), mid, jobs); err != nil {
+			t.Fatalf("the same file resumes: %v", err)
+		}
+		done := filepath.Join(dir, "done.ckpt")
+		if err := p.SaveFile(done); err != nil {
+			t.Fatal(err)
+		}
+		if p, _, err := ResumeTrain(context.Background(), done, jobs); err == nil || p != nil || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) {
+			t.Fatalf("ResumeTrain on a completed model: predictor %v, err %v; want a plain refusal", p != nil, err)
+		}
+	})
 }
 
 // TestInterruptResumeBitwiseIdentical is the tentpole's training proof:
@@ -347,8 +441,8 @@ func TestOnlineRetrainCrashRecovery(t *testing.T) {
 	cfg.Epochs = 1
 	path := filepath.Join(t.TempDir(), "online.ckpt")
 
-	// Reference pass: count saves and capture the checkpoint after each
-	// event by running the loop to completion once.
+	// Reference pass: run the loop to completion once to learn how many
+	// training events the trace holds.
 	if _, err := RunOnlineCheckpointed(context.Background(), jobs, cfg, path, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -360,15 +454,25 @@ func TestOnlineRetrainCrashRecovery(t *testing.T) {
 		t.Fatalf("trace too short: only %d training events", ref.Events())
 	}
 
+	// Counting pass: a deployment killed right before its second save has
+	// performed exactly the first save's writes, so the next write ordinal
+	// is the first write of the second event's save.
+	counter := &fault.Injector{}
+	killed := errors.New("killed")
+	disarm := fault.Arm(FailpointOnlineSave, fault.Failure{Err: killed, After: 1})
+	_, err = runOnline(context.Background(), jobs, cfg, filepath.Join(t.TempDir(), "count.ckpt"), fault.NewInjectFS(fault.OS{}, counter), nil)
+	disarm()
+	if !errors.Is(err, killed) {
+		t.Fatalf("counting pass returned %v, want the armed kill", err)
+	}
+	secondSave := counter.Counts()[fault.OpWrite] + 1
+
 	// Crash pass: a fresh deployment (its own checkpoint path — runOnline
 	// now resumes from an existing checkpoint, so reusing the completed
 	// reference path would skip every event) whose second event's save
-	// dies mid-write (torn write, then latched crash — no cleanup runs).
-	// Each save performs exactly two writes (frame header, then payload),
-	// and saves are sequential, so the 3rd write overall is the first
-	// write of the second event's save.
+	// dies at its first write (latched crash — no cleanup runs).
 	crashPath := filepath.Join(t.TempDir(), "crash.ckpt")
-	inj := fault.NewInjector(fault.Fault{Op: fault.OpWrite, Nth: 3, Mode: fault.ModeCrash})
+	inj := fault.NewInjector(fault.Fault{Op: fault.OpWrite, Nth: secondSave, Mode: fault.ModeCrash})
 	_, err = runOnline(context.Background(), jobs, cfg, crashPath, fault.NewInjectFS(fault.OS{}, inj), nil)
 	if !errors.Is(err, fault.ErrCrash) {
 		t.Fatalf("crashed run returned %v, want ErrCrash", err)

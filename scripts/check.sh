@@ -19,7 +19,9 @@
 #   7. crash matrix   (fault-injection sweep: every injectable fault
 #                      point during a checkpoint save, plus mid-save
 #                      crash recovery and checkpoint-restart resume of
-#                      the online-retrain loop)
+#                      the online-retrain loop, and the streamed
+#                      checkpoint's allocation ceiling: a load or a save
+#                      never holds the file in memory)
 #   8. serve gate     (the serving layer's contract tests — coalesced
 #                      == single bitwise, bounded-queue overload,
 #                      graceful drain — rerun under the race detector
@@ -134,7 +136,7 @@ step_done
 # of the suite above, but a -run filter here keeps it visible as its own
 # gate and guards against the tests being skipped or renamed away).
 step "crash matrix (fault injection)"
-go test -count=1 -run 'TestSaveFileCrashMatrix|TestOnlineRetrainCrashRecovery|TestOnlineCheckpointRestart|TestInterruptResumeBitwiseIdentical' ./internal/prionn/
+go test -count=1 -run 'TestSaveFileCrashMatrix|TestOnlineRetrainCrashRecovery|TestOnlineCheckpointRestart|TestInterruptResumeBitwiseIdentical|TestCheckpointAllocCeiling' ./internal/prionn/
 step_done
 
 # Serving gate: the coalescer's contract tests, explicitly and under
