@@ -43,13 +43,14 @@ func nextBlock(layers []Layer, i int) (block, int) {
 }
 
 // infer runs the block's inference forward: conv and dense blocks as
-// one fused pass, anything else through the layer's own Forward.
-func (b block) infer(x *tensor.Tensor) *tensor.Tensor {
+// one fused pass whose output is an arena check-out (checkedOut),
+// anything else through the layer's own Forward.
+func (b block) infer(x *tensor.Tensor) (y *tensor.Tensor, checkedOut bool) {
 	switch l := b.layer.(type) {
 	case *Conv2D:
-		return l.infer(x, b.relu != nil, b.pool)
+		return l.infer(x, b.relu != nil, b.pool), true
 	case *Dense:
-		return l.infer(x, b.relu != nil)
+		return l.infer(x, b.relu != nil), true
 	}
-	return b.layer.Forward(x, false)
+	return b.layer.Forward(x, false), false
 }

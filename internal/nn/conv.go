@@ -80,8 +80,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // stack: one pass per sample with both folded into its epilogue
 // (tensor.Conv2DInfer), through the prepared weights when the layer has
 // them, bitwise equal to running the layers one after another. The
-// output is a fresh tensor, not an arena check-out: it escapes to the
-// caller, who has no duty to return it.
+// output is a check-out from the default arena (see Sequential.infer).
 func (c *Conv2D) infer(x *tensor.Tensor, relu bool, pool *MaxPool2D) *tensor.Tensor {
 	if x.Rank() != 4 {
 		x = x.Reshape(x.Dim(0), c.InC, c.InH, c.InW)

@@ -62,13 +62,13 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // that follows it in the stack (relu): the product through the
 // pre-packed panels when the layer has them, then bias and ReLU in one
 // sweep over the output — per cell the same `+ b` and `v <= 0 → 0` the
-// separate layers apply, so the result is bitwise theirs. The output
-// escapes to the caller and is a fresh tensor.
+// separate layers apply, so the result is bitwise theirs. The output is
+// a check-out from the default arena (see Sequential.infer).
 func (d *Dense) infer(x *tensor.Tensor, relu bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		x = x.Reshape(x.Dim(0), -1)
 	}
-	y := tensor.New(x.Dim(0), d.Out)
+	y := tensor.DefaultArena().Get(x.Dim(0), d.Out)
 	if d.packedW != nil {
 		tensor.MatMulPackedB(y, x, d.packedW)
 	} else {

@@ -106,6 +106,51 @@ func TestFusedForwardBitwiseMatchesLayerwise(t *testing.T) {
 	}
 }
 
+// TestInferenceForwardReturnsCheckOuts pins who owns an inference
+// activation: PredictClasses returns every check-out, the logits
+// included; Predict leaves exactly its logits' storage out — theirs to
+// keep, so later forwards must not recycle it — and neither ever hands
+// the caller's x (or a view of it) to the arena. The stacks include
+// unfused ReLUs and pools, whose heap outputs sit between check-outs.
+func TestInferenceForwardReturnsCheckOuts(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	ar := tensor.DefaultArena()
+	stacks := append(fusedTestStacks(rng), struct {
+		name  string
+		m     *Sequential
+		input []int
+	}{"views-only", NewSequential(NewFlatten(), NewDropout(rng, 0.5)), []int{2, 8}})
+	for _, tc := range stacks {
+		for _, n := range []int{1, 4} {
+			label := fmt.Sprintf("%s n=%d", tc.name, n)
+			x := tensor.New(append([]int{n}, tc.input...)...).RandN(rng, 1)
+			input, want := x.Clone(), layerwise(tc.m, x)
+			before := ar.Outstanding()
+			classes := tc.m.PredictClasses(x)
+			if got := ar.Outstanding(); got != before {
+				t.Fatalf("%s: Outstanding went %d → %d over PredictClasses", label, before, got)
+			}
+			for i, c := range classes {
+				if c != want.ArgMaxRow(i) {
+					t.Fatalf("%s: sample %d class %d, layerwise argmax %d", label, i, c, want.ArgMaxRow(i))
+				}
+			}
+			logits := tc.m.Predict(x)
+			kept := 1
+			if tc.name == "views-only" {
+				kept = 0
+			}
+			if got := ar.Outstanding(); got != before+kept {
+				t.Fatalf("%s: Outstanding went %d → %d over Predict, want %d kept", label, before, got, kept)
+			}
+			tc.m.PredictClasses(x)
+			tc.m.Predict(x)
+			requireSameBits(t, label+": kept logits after later forwards", logits, want)
+			requireSameBits(t, label+": caller's input", x, input)
+		}
+	}
+}
+
 // TestNextBlockGrammar pins the cut both the fused forward and Quantize
 // rely on.
 func TestNextBlockGrammar(t *testing.T) {

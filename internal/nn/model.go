@@ -27,7 +27,8 @@ func NewSequential(layers ...Layer) *Sequential {
 // every layer runs on its own and caches what Backward needs; an
 // inference forward runs block by block (see block), with each ReLU and
 // pool folded into the conv or dense pass before it. The two produce
-// the same bits on a stack without dropout.
+// the same bits on a stack without dropout. Inference logits are the
+// caller's to keep (an arena check-out never returned is just garbage).
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		for _, l := range m.Layers {
@@ -35,12 +36,27 @@ func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return x
 	}
+	x, _ = m.infer(x)
+	return x
+}
+
+// infer is the inference forward. A conv or dense block's output is a
+// check-out from the default arena and goes back when the next such
+// block has produced its own, by when nothing reads it: the check-out
+// itself, never a Flatten view of it and never the caller's x. The last
+// one (owner, nil if none) holds the logits or is dead: the caller's to
+// Put once it has read them.
+func (m *Sequential) infer(x *tensor.Tensor) (logits, owner *tensor.Tensor) {
 	for i := 0; i < len(m.Layers); {
 		var b block
 		b, i = nextBlock(m.Layers, i)
-		x = b.infer(x)
+		var checkedOut bool
+		if x, checkedOut = b.infer(x); checkedOut {
+			tensor.DefaultArena().Put(owner)
+			owner = x
+		}
 	}
-	return x
+	return x, owner
 }
 
 // Prepack prepares every layer's weights for inference: Dense weights
@@ -220,11 +236,12 @@ func (m *Sequential) Predict(x *tensor.Tensor) *tensor.Tensor {
 
 // PredictClasses returns the argmax class per sample.
 func (m *Sequential) PredictClasses(x *tensor.Tensor) []int {
-	logits := m.Predict(x)
+	logits, owner := m.infer(x)
 	out := make([]int, logits.Dim(0))
 	for i := range out {
 		out[i] = logits.ArgMaxRow(i)
 	}
+	tensor.DefaultArena().Put(owner)
 	return out
 }
 

@@ -2,6 +2,7 @@ package prionn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"prionn/internal/nn"
@@ -153,10 +154,9 @@ func TestSnapshotPanelsPrivate(t *testing.T) {
 // TestPredictMappedLeavesArenaFlat pins the inference half of the arena
 // contract: serving checks nothing out of the default arena that it
 // does not return, so Outstanding is a leak check a daemon can use.
-// (Until the inference forward stopped taking its outputs from the
-// arena, every PredictMapped raised it by one per conv layer per head.)
-// The int8 view's scratch is pooled elsewhere; it must not start to
-// borrow from the arena either.
+// (The float32 forward's activations are check-outs; see
+// TestInferForwardReturnsActivations.) The int8 view's scratch is pooled
+// elsewhere; it must not start to borrow from the arena either.
 func TestPredictMappedLeavesArenaFlat(t *testing.T) {
 	p, jobs := trainedModelPredictor(t, Model2DCNN, 31)
 	f32, err := p.Snapshot()
@@ -237,4 +237,78 @@ func TestPredictMappedAllocCeiling(t *testing.T) {
 			t.Fatalf("%s: batch-1 PredictMapped allocates %.0f times, ceiling %d", snap.Kernel(), got, ceiling)
 		}
 	}
+}
+
+// batchOf maps the scripts of n jobs.
+func batchOf(v *Inference, jobs []trace.Job, n int) *tensor.Tensor {
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = jobs[i%len(jobs)].Script
+	}
+	return v.MapTexts(texts)
+}
+
+// TestInferForwardReturnsActivations pins the arena's ownership rule on
+// the serving forward: every block output is checked out and every one,
+// the logits included, is back when PredictMapped returns — for a lone
+// request and a full batch, inline and fanned out — so Outstanding stays
+// flat in a process that only serves.
+func TestInferForwardReturnsActivations(t *testing.T) {
+	ar := tensor.DefaultArena()
+	for _, model := range []ModelKind{ModelNN, Model1DCNN, Model2DCNN} {
+		p, jobs := trainedModelPredictor(t, model, 29)
+		snap, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 100
+		if model == Model2DCNN && !raceEnabled {
+			calls = 1000
+		}
+		for _, batch := range []int{1, 32} {
+			x := batchOf(snap, jobs, batch)
+			for _, workers := range []int{1, 2, 8} {
+				prev := tensor.SetMaxWorkers(workers)
+				before := ar.Outstanding()
+				for i := 0; i < calls; i++ {
+					snap.PredictMapped(x)
+				}
+				tensor.SetMaxWorkers(prev)
+				if got := ar.Outstanding(); got != before {
+					t.Fatalf("%s batch %d workers %d: Outstanding went %d → %d over %d PredictMapped calls",
+						model, batch, workers, before, got, calls)
+				}
+			}
+		}
+	}
+}
+
+// TestInferForwardAllocCeiling: a lone request's forward takes its
+// activations from the arena, so what is left on the heap is the answer
+// and a few headers (the parent allocated 85 times, 101 KB, per call).
+func TestInferForwardAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops its contents under the race detector")
+	}
+	p, jobs := trainedModelPredictor(t, Model2DCNN, 31)
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := batchOf(snap, jobs, 1)
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	snap.PredictMapped(x) // fill the arena's free lists
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		snap.PredictMapped(x)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if allocs > 16 || bytes > 2048 {
+		t.Fatalf("PredictMapped at batch 1 allocates %.1f times, %.0f B per call; ceiling 16 and 2048", allocs, bytes)
+	}
+	t.Logf("PredictMapped at batch 1: %.1f allocs, %.0f B per call", allocs, bytes)
 }

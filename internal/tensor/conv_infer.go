@@ -193,11 +193,12 @@ func (g *convGeom) paddedDims() (ph, pw int) {
 //	returns pool(relu(conv(x)+bias)): [N, F, OH, OW], or
 //	[N, F, OH', OW'] with pool, whose padding must be zero
 //
-// relu false and pool nil skip the respective stage. The result is a
-// fresh tensor the caller owns, bitwise identical to Conv2DForwardArena
-// followed by the separate ReLU and MaxPool2DForward passes, for any
-// worker count and with or without the assembly kernel. Scratch comes
-// from the default arena and is returned before the call ends. The
+// relu false and pool nil skip the respective stage. The result is
+// bitwise identical to Conv2DForwardArena followed by the separate ReLU
+// and MaxPool2DForward passes, for any worker count and with or without
+// the assembly kernel. It is a check-out from the default arena, the
+// caller's to Put once read or to keep (an unreturned check-out is
+// ordinary garbage); scratch is returned before the call ends. The
 // weights are prepared once per call; a caller whose weights are final
 // keeps the PackedConv and calls Infer.
 func Conv2DInfer(x, weights, bias *Tensor, c, h, w int, spec ConvSpec, relu bool, pool *ConvSpec) *Tensor {
@@ -215,7 +216,7 @@ func (p *PackedConv) Infer(x, bias *Tensor, relu bool, pool *ConvSpec) *Tensor {
 		}
 		poh, pow = pool.OutDims(g.oh, g.ow)
 	}
-	out := New(n, p.f, poh, pow)
+	out := defaultArena.Get(n, p.f, poh, pow) // every cell is written below
 	job := convInfer{
 		w: p, x: x.Data, out: out.Data,
 		bias: bias, relu: relu, pool: pool,

@@ -181,9 +181,10 @@ func TestConv2DInferSpecialValues(t *testing.T) {
 }
 
 // TestConv2DInferReturnsScratch pins the arena half of the inference
-// contract: the output is not an arena check-out and every scratch
-// buffer is back before the call returns, so Outstanding stays flat in a
-// process that only serves.
+// contract: the output is the one check-out a call leaves behind —
+// Outstanding rises by exactly one per Infer and falls back when the
+// caller returns it — and every scratch buffer is back before the call
+// returns, so Outstanding stays flat in a process that only serves.
 func TestConv2DInferReturnsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	spec := ConvSpec{KH: 3, KW: 3, Stride: 1, PadH: 1, PadW: 1}
@@ -192,13 +193,21 @@ func TestConv2DInferReturnsScratch(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		prev := SetMaxWorkers(workers)
 		before := defaultArena.Outstanding()
+		var outs []*Tensor
 		for i := 0; i < 5; i++ {
-			Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, &ConvSpec{KH: 2, KW: 2, Stride: 2})
-			Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, nil)
+			outs = append(outs,
+				Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, &ConvSpec{KH: 2, KW: 2, Stride: 2}),
+				Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, nil))
+			if got := defaultArena.Outstanding(); got != before+len(outs) {
+				t.Fatalf("workers=%d: Outstanding went %d → %d over %d inference forwards, want one check-out each", workers, before, got, len(outs))
+			}
 		}
 		SetMaxWorkers(prev)
+		for _, out := range outs {
+			defaultArena.Put(out)
+		}
 		if got := defaultArena.Outstanding(); got != before {
-			t.Fatalf("workers=%d: Outstanding went %d → %d over inference forwards", workers, before, got)
+			t.Fatalf("workers=%d: Outstanding went %d → %d once the outputs were returned", workers, before, got)
 		}
 	}
 }

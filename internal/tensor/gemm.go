@@ -313,19 +313,14 @@ func fmaConvTileGeneric(k int, pa, x []float32, taps []int32, tile *[gemmMR * ge
 	}
 }
 
-// fmaRowGeneric is fmaRow1x64's portable twin: cell j of c's first 64
-// takes column j%NR of the strip j/NR strides into pb, one emulated FMA
-// per k step from c[j] or, with zeroAcc, from zero.
-func fmaRowGeneric(kc int, a, pb []float32, stride int, c []float32, zeroAcc bool) {
+// fmaRowIdxGeneric is fmaRowIdx1x64's portable twin: cell j of c's 64
+// folds a[p]·w[p·ldw+j] from zero over the positions p in idx, one
+// emulated FMA each.
+func fmaRowIdxGeneric(idx []int32, a, w []float32, ldw int, c []float32) {
 	for j := range c[:4*gemmNR] {
 		var acc float64
-		if !zeroAcc {
-			acc = float64(c[j])
-		}
-		bi := j/gemmNR*stride + j%gemmNR
-		for p := 0; p < kc; p++ {
-			acc = float64(float32(float64(a[p])*float64(pb[bi]) + acc))
-			bi += gemmNR
+		for _, p := range idx {
+			acc = float64(float32(float64(a[p])*float64(w[int(p)*ldw+j]) + acc))
 		}
 		c[j] = float32(acc)
 	}

@@ -17,12 +17,12 @@ func fmaTile4x16(kc int64, pa, pb, c *float32, ldc int64, zeroAcc int64)
 //go:noescape
 func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64)
 
-// fmaRow1x64 is the one-row kernel: a[0:kc] against four packed B strips
-// stride floats apart, 64 cells of c each with fmaTile4x16's chain,
-// seeded from c or, with zeroAcc != 0, from zero (gemm_amd64.s).
+// fmaRowIdx1x64 is the one-row kernel: 64 cells of c, each folding
+// a[p]·w[p*ldw+s] from zero over the n ascending positions p in idx with
+// fmaTile4x16's chain (gemm_amd64.s).
 //
 //go:noescape
-func fmaRow1x64(kc int64, a, pb *float32, stride int64, c *float32, zeroAcc int64)
+func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32)
 
 func cpuidAsm(leaf uint32) (eax, ebx, ecx, edx uint32)
 

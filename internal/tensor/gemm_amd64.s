@@ -161,46 +161,28 @@ convdone:
 	VZEROUPPER
 	RET
 
-// func fmaRow1x64(kc int64, a, pb *float32, stride int64, c *float32, zeroAcc int64)
+// func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32)
 //
-// The one-row kernel (gemm_packed.go): one row of A, read where it lies,
-// against four packed B strips stride floats apart — 64 output columns:
+// The one-row kernel (gemm_packed.go): one row of A against 64 columns
+// of a row-major W, both read where they lie, over an ascending list of
+// k positions:
 //
-//	c[16*t+s] = fma(a[p], pb[t*stride+p*16+s], ...) folded over p = 0..kc-1,
+//	c[s] = fma(a[idx[i]], w[idx[i]*ldw+s], ...) folded over i = 0..n-1
 //
-// seeded with c (zeroAcc == 0) or 0, one FMA per cell per p step,
-// ascending p: fmaTile4x16's chain for each of the 64 cells.
-//
-// Register plan: Y8..Y15 hold the 64 accumulators (two per strip), Y2
-// the broadcast a[p]; DI/R10/R11/R12 walk the four strips, whose rows
-// are the FMAs' memory operands.
-TEXT ·fmaRow1x64(SB), NOSPLIT, $0-48
-	MOVQ kc+0(FP), CX
-	MOVQ a+8(FP), SI
-	MOVQ pb+16(FP), DI
-	MOVQ stride+24(FP), R8
-	SHLQ $2, R8              // strip stride in bytes
-	MOVQ c+32(FP), DX
-	MOVQ zeroAcc+40(FP), R9
+// from zero — fmaTile4x16's chain for each of the 64 cells, less the
+// positions the list leaves out. Y8..Y15 hold the accumulators across
+// the whole list, Y2 the broadcast a[p]; R13 is p, then the address of
+// row p of w (an index register on the FMAs' memory operands would
+// split each from its load).
+TEXT ·fmaRowIdx1x64(SB), NOSPLIT, $0-48
+	MOVQ n+0(FP), CX
+	MOVQ idx+8(FP), R9
+	MOVQ a+16(FP), SI
+	MOVQ w+24(FP), DI
+	MOVQ ldw+32(FP), R8
+	SHLQ $2, R8              // row stride in bytes
+	MOVQ c+40(FP), DX
 
-	LEAQ (DI)(R8*1), R10     // strip 1
-	LEAQ (R10)(R8*1), R11    // strip 2
-	LEAQ (R11)(R8*1), R12    // strip 3
-
-	TESTQ R9, R9
-	JNZ   rowzero
-
-	VMOVUPS (DX), Y8
-	VMOVUPS 32(DX), Y9
-	VMOVUPS 64(DX), Y10
-	VMOVUPS 96(DX), Y11
-	VMOVUPS 128(DX), Y12
-	VMOVUPS 160(DX), Y13
-	VMOVUPS 192(DX), Y14
-	VMOVUPS 224(DX), Y15
-	JMP     rowloop
-
-rowzero:
 	VXORPS Y8, Y8, Y8
 	VXORPS Y9, Y9, Y9
 	VXORPS Y10, Y10, Y10
@@ -214,21 +196,20 @@ rowloop:
 	TESTQ CX, CX
 	JZ    rowdone
 
-	VBROADCASTSS (SI), Y2
-	VFMADD231PS  (DI), Y2, Y8
-	VFMADD231PS  32(DI), Y2, Y9
-	VFMADD231PS  (R10), Y2, Y10
-	VFMADD231PS  32(R10), Y2, Y11
-	VFMADD231PS  (R11), Y2, Y12
-	VFMADD231PS  32(R11), Y2, Y13
-	VFMADD231PS  (R12), Y2, Y14
-	VFMADD231PS  32(R12), Y2, Y15
+	MOVLQSX      (R9), R13           // p
+	VBROADCASTSS (SI)(R13*4), Y2     // a[p]
+	IMULQ        R8, R13
+	ADDQ         DI, R13             // row p of w
+	VFMADD231PS  (R13), Y2, Y8
+	VFMADD231PS  32(R13), Y2, Y9
+	VFMADD231PS  64(R13), Y2, Y10
+	VFMADD231PS  96(R13), Y2, Y11
+	VFMADD231PS  128(R13), Y2, Y12
+	VFMADD231PS  160(R13), Y2, Y13
+	VFMADD231PS  192(R13), Y2, Y14
+	VFMADD231PS  224(R13), Y2, Y15
 
-	ADDQ $4, SI              // next a[p]
-	ADDQ $64, DI             // next row of each strip (16 floats)
-	ADDQ $64, R10
-	ADDQ $64, R11
-	ADDQ $64, R12
+	ADDQ $4, R9              // next listed position
 	DECQ CX
 	JMP  rowloop
 

@@ -14,6 +14,6 @@ func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64
 	panic("tensor: fmaConvTile4x16 called without FMA kernel support")
 }
 
-func fmaRow1x64(kc int64, a, pb *float32, stride int64, c *float32, zeroAcc int64) {
-	panic("tensor: fmaRow1x64 called without FMA kernel support")
+func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32) {
+	panic("tensor: fmaRowIdx1x64 called without FMA kernel support")
 }

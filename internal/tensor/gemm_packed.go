@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Pre-packed right operand for the float32 GEMM — the twin of
 // PackedInt8A. An inference Dense layer multiplies every batch by the
@@ -12,21 +16,24 @@ import "fmt"
 // ascending-k chain, so results are bitwise identical to MatMul.
 //
 // The weights sit on the B side — NR = 16 columns per strip — and the
-// batch on the A side, MR = 4 rows per strip: a batch of 1–4 fills one
+// batch on the A side, MR = 4 rows per strip: a batch of 2–4 fills one
 // A strip and every B lane carries a real output unit. The other way
-// round (weights as A, the int8 layout) a batch of one would use one of
-// sixteen lanes. A batch of exactly one skips the A strip altogether
-// (mulRow).
+// round (weights as A, the int8 layout) a small batch would use few of
+// sixteen lanes. A batch of one uses no strip at all (mulRow).
 
 // PackedB is an immutable k×n float32 matrix stored in the panel layout
 // gemmSerial consumes: for each NC-wide column block (outer) and each
 // KC-deep k panel (inner), NR-wide strips zero-padded past the block
-// edge. Safe for concurrent use by any number of GEMM calls once built.
+// edge. It also keeps the tensor it was packed from — referenced, not
+// copied, so it must not change — for the one-row product to read in
+// place. Safe for concurrent use by any number of GEMM calls once built.
 type PackedB struct {
-	k, n  int
-	numPC int       // k panels per column block
-	offs  []int     // panel start offsets, indexed jcIdx*numPC + pcIdx
-	data  []float32 // all panels
+	k, n   int
+	numPC  int       // k panels per column block
+	offs   []int     // panel start offsets, indexed jcIdx*numPC + pcIdx
+	data   []float32 // all panels
+	w      []float32 // the [k, n] matrix where PackB found it
+	finite bool      // no element of w is ±Inf or NaN: a zero in a may skip its row
 }
 
 // Dims returns the logical (k, n) shape of the packed matrix.
@@ -41,7 +48,13 @@ func PackB(b *Tensor) *PackedB {
 	k, n := b.Shape[0], b.Shape[1]
 	numPC := (k + gemmKC - 1) / gemmKC
 	numJC := (n + gemmNC - 1) / gemmNC
-	p := &PackedB{k: k, n: n, numPC: numPC, offs: make([]int, numJC*numPC)}
+	p := &PackedB{k: k, n: n, numPC: numPC, offs: make([]int, numJC*numPC), w: b.Data, finite: true}
+	for _, v := range b.Data {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			p.finite = false
+			break
+		}
+	}
 	size := 0
 	for jc := 0; jc < n; jc += gemmNC {
 		strips := (min(gemmNC, n-jc) + gemmNR - 1) / gemmNR
@@ -95,36 +108,89 @@ func MatMulPackedB(dst, a *Tensor, b *PackedB) *Tensor {
 	return dst
 }
 
-// mulRow computes dst[0:n] = a[0:k]·B, the batch-1 product. The tile
-// would pad the one row to an MR-tall A strip — MR·k floats written to
-// carry k — and spend three quarters of its FMAs on the zero rows. The
-// one-row kernel instead broadcasts a[p] from a where it lies against
-// four stored strips at a time, 64 columns in the eight accumulators,
-// k panel by k panel with dst carrying each chain across the panel
-// boundary exactly as the tile does. Columns past the last multiple of
-// 64 take the tile.
+// mulRow computes dst[0:n] = a[0:k]·B, the batch-1 product, reading the
+// row-major matrix where it lies and only the rows a selects. The
+// columns go 64 at a time — the eight accumulators, in registers across
+// all of k — through one kernel that folds a[p]·w[p, j:j+64] over an
+// ascending list of positions p: those with a[p] != 0, listed once per
+// call and shared by every group. A post-ReLU row is mostly exact zeros,
+// and each one skipped is 256 bytes of W not read.
+//
+// The bits are MatMul's. A skipped term is an exact ±0 (the weights are
+// finite, or the list is the dense 0…k−1: 0·Inf must stay NaN) and
+// x + ±0 = x for every x but one: a −0 accumulator meeting a +0 term
+// becomes +0. An accumulator is ±0 only until the first term that
+// leaves it nonzero, and from there the skipping chain and the dense one
+// carry the same value; they can part only in the sign of a zero, and
+// only a cell that ends as zero can show it: a group with such a cell is
+// folded again, densely. Columns past the last multiple of 64 take the tile.
 func (p *PackedB) mulRow(dst, a []float32) {
 	const group = 4 * gemmNR
-	asm := useFMAKernel.Load()
-	n64 := p.n / group * group
-	for jc := 0; jc < n64; jc += gemmNC {
-		for pc := 0; pc < p.k; pc += gemmKC {
-			kc := min(gemmKC, p.k-pc)
-			for j := jc; j < min(jc+gemmNC, n64); j += group {
-				pb := p.strips(pc, j)
-				if asm {
-					z := int64(0)
-					if pc == 0 {
-						z = 1
-					}
-					fmaRow1x64(int64(kc), &a[pc], &pb[0], int64(gemmNR*kc), &dst[j], z)
-				} else {
-					fmaRowGeneric(kc, a[pc:], pb, gemmNR*kc, dst[j:], pc == 0)
+	k, n64 := p.k, p.n/group*group
+	if n64 > 0 {
+		buf := rowIdxPool.Get().(*[]int32)
+		if len(*buf) < 2*k {
+			*buf = make([]int32, 2*k)
+		}
+		live, dense := (*buf)[:k], (*buf)[k:k]
+		live = live[:listNonzero(live, a, !p.finite)]
+		for j := 0; j < n64; j += group {
+			c := dst[j : j+group]
+			p.foldRow(live, a, c, j)
+			if len(live) < k && hasZero(c) {
+				if len(dense) == 0 {
+					dense = dense[:listNonzero(dense[:k], a, true)]
 				}
+				p.foldRow(dense, a, c, j)
 			}
 		}
+		rowIdxPool.Put(buf)
 	}
 	if n64 < p.n {
-		gemmSerial(dst, p.n, 0, 1, n64, p.n, p.k, gemmView{data: a, rs: p.k, cs: 1}, gemmView{packed: p}, false, defaultArena)
+		gemmSerial(dst, p.n, 0, 1, n64, p.n, k, gemmView{data: a, rs: k, cs: 1}, gemmView{packed: p}, false, defaultArena)
 	}
+}
+
+// rowIdxPool holds mulRow's position lists (the arena's free lists are
+// typed []float32).
+var rowIdxPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// foldRow sets c[0:64] to the chains of columns j … j+63 over the
+// positions in idx, which may be empty but not the end of its buffer.
+func (p *PackedB) foldRow(idx []int32, a, c []float32, j int) {
+	if useFMAKernel.Load() {
+		fmaRowIdx1x64(int64(len(idx)), &idx[:1][0], &a[0], &p.w[j], int64(p.n), &c[0])
+	} else {
+		fmaRowIdxGeneric(idx, a, p.w[j:], p.n, c)
+	}
+}
+
+// nonzeroBit is 1 when v != 0 (NaN included) and 0 for ±0, by arithmetic
+// on the bit pattern: zeros and non-zeros alternate unpredictably in an
+// activation row, and a branch on them would mispredict.
+func nonzeroBit(v float32) uint32 {
+	return (math.Float32bits(v)&0x7fffffff + 0x7fffffff) >> 31
+}
+
+// listNonzero writes the positions p with a[p] != 0 — or, with all,
+// every p — to idx in ascending order and returns how many.
+func listNonzero(idx []int32, a []float32, all bool) int {
+	n, keep := 0, uint32(0)
+	if all {
+		keep = 1
+	}
+	for p, v := range a {
+		idx[n] = int32(p)
+		n += int(nonzeroBit(v) | keep)
+	}
+	return n
+}
+
+// hasZero reports whether any element of c is ±0.
+func hasZero(c []float32) bool {
+	nonzero := uint32(1)
+	for _, v := range c {
+		nonzero &= nonzeroBit(v)
+	}
+	return nonzero == 0
 }

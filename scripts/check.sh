@@ -37,10 +37,16 @@
 #                      fused == layer-by-layer == train-mode bitwise
 #                      (direct conv at its own edges, padded taps
 #                      multiplied), packed dense == MatMul across the
-#                      one-row kernel's hand-over, logits independent
-#                      of batch size and position, view == snapshot
-#                      logits, private panels and conv strips dropped
-#                      by training, flat arena)
+#                      one-row kernel's hand-over, the one-row kernel
+#                      skipping only exact zeros (±0, NaN, denormals,
+#                      non-finite weights, underflow to −0), logits
+#                      independent of batch size and position, view ==
+#                      snapshot logits, private panels and conv strips
+#                      dropped by training, and the arena's ownership
+#                      rule: every activation a forward checks out is
+#                      back when PredictMapped returns, the caller's
+#                      input never is; a lone forward's allocation
+#                      ceiling)
 #   9. cluster chaos  (the replicated-cluster robustness matrix under
 #                      the race detector: seeded chaos schedules with
 #                      latency / error injection, cluster-wide swap
@@ -76,8 +82,10 @@
 #                      BENCH_quant.json, BENCH_analysis.json, and
 #                      BENCH_pipeline.json)
 #  13. go test -fuzz  (short smoke run of each fuzz target: the mapping
-#                      crop/pad grid, the feature-directive parser, and
-#                      corrupt float and quantized checkpoint loading)
+#                      crop/pad grid, the feature-directive parser,
+#                      corrupt float and quantized checkpoint loading,
+#                      and the one-row kernel against MatMul on arbitrary
+#                      bit patterns)
 #
 # Each step reports its wall-clock seconds on completion, so a slow
 # gate points at its own bottleneck. Exits nonzero on the first
@@ -150,9 +158,10 @@ step_done
 step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
-go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat' ./internal/prionn/
-go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul' ./internal/tensor/
-go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels' ./internal/nn/
+go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
+go test -count=1 -run 'TestInferForwardAllocCeiling' ./internal/prionn/
+go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
+go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts' ./internal/nn/
 step_done
 
 # Cluster chaos matrix: the multi-replica layer's robustness proof,
@@ -212,6 +221,7 @@ go test -fuzz=FuzzExtract -fuzztime=3s -run='^$' ./internal/features/
 go test -fuzz=FuzzSplitDirective -fuzztime=3s -run='^$' ./internal/features/
 go test -fuzz=FuzzLoadPredictor -fuzztime=3s -run='^$' ./internal/prionn/
 go test -fuzz=FuzzQuantizedLoad -fuzztime=3s -run='^$' ./internal/prionn/
+go test -fuzz=FuzzMulRow -fuzztime=3s -run='^$' ./internal/tensor/
 step_done
 
 echo "all checks passed"
