@@ -58,16 +58,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintf(stderr, "experiments: "+format+"\n", args...)
 	}
 
-	var cfg prionn.Config
-	switch *scale {
-	case "tiny":
-		cfg = prionn.TinyConfig()
-	case "fast":
-		cfg = prionn.FastConfig()
-	case "paper":
-		cfg = prionn.DefaultConfig()
-	default:
-		logf("unknown scale %q", *scale)
+	cfg, err := prionn.ScaleConfig(*scale)
+	if err != nil {
+		logf("%v", err)
 		return 2
 	}
 	cfg.Seed = *seed

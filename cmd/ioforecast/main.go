@@ -30,16 +30,9 @@ func main() {
 	scale := flag.String("scale", "fast", "model scale: tiny, fast, paper")
 	flag.Parse()
 
-	var cfg prionn.Config
-	switch *scale {
-	case "tiny":
-		cfg = prionn.TinyConfig()
-	case "fast":
-		cfg = prionn.FastConfig()
-	case "paper":
-		cfg = prionn.DefaultConfig()
-	default:
-		log.Fatalf("unknown scale %q", *scale)
+	cfg, err := prionn.ScaleConfig(*scale)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg.Seed = *seed
 	cfg.PredictIO = true

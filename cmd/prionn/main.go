@@ -32,7 +32,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print training progress")
 	flag.Parse()
 
-	cfg, err := configFor(*scale)
+	cfg, err := prionn.ScaleConfig(*scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,18 +58,6 @@ func main() {
 	report(recs)
 }
 
-func configFor(scale string) (prionn.Config, error) {
-	switch scale {
-	case "tiny":
-		return prionn.TinyConfig(), nil
-	case "fast":
-		return prionn.FastConfig(), nil
-	case "paper":
-		return prionn.DefaultConfig(), nil
-	}
-	return prionn.Config{}, fmt.Errorf("unknown scale %q (tiny, fast, paper)", scale)
-}
-
 func predictScript(all []trace.Job, cfg prionn.Config, path, save, load string) {
 	text, err := os.ReadFile(path)
 	if err != nil {
@@ -84,20 +72,9 @@ func predictScript(all []trace.Job, cfg prionn.Config, path, save, load string) 
 		log.Printf("restored model from %s", load)
 	} else {
 		completed := trace.Completed(all)
-		window := completed
-		if len(window) > cfg.TrainWindow {
-			window = window[len(window)-cfg.TrainWindow:]
-		}
-		scripts := make([]string, len(completed))
-		for i, j := range completed {
-			scripts[i] = j.Script
-		}
-		p, err = prionn.New(cfg, scripts)
+		log.Printf("training on %d most recently completed jobs...", min(len(completed), cfg.TrainWindow))
+		p, err = prionn.NewTrained(cfg, completed)
 		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("training on %d most recently completed jobs...", len(window))
-		if _, err := p.Train(window); err != nil {
 			log.Fatal(err)
 		}
 	}

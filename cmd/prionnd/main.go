@@ -250,11 +250,12 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 		return 1
 	}
 
-	mcfg, err := modelConfig(*scale, *seed)
+	mcfg, err := prionn.ScaleConfig(*scale)
 	if err != nil {
 		logf("%v", err)
 		return 1
 	}
+	mcfg.Seed = *seed
 	view, snapBytes, mcfg, err := buildSnapshot(*load, mcfg, *seed, *jobs, *quant, logf)
 	if err != nil {
 		logf("%v", err)
@@ -340,23 +341,6 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 	return d.serveHTTP(*addr, *debugAddr, *statsEvery, stdout, logf, ready)
 }
 
-// modelConfig resolves -scale into a predictor configuration.
-func modelConfig(scale string, seed int64) (prionn.Config, error) {
-	var cfg prionn.Config
-	switch scale {
-	case "tiny":
-		cfg = prionn.TinyConfig()
-	case "fast":
-		cfg = prionn.FastConfig()
-	case "paper":
-		cfg = prionn.DefaultConfig()
-	default:
-		return prionn.Config{}, fmt.Errorf("unknown scale %q (tiny, fast, paper)", scale)
-	}
-	cfg.Seed = seed
-	return cfg, nil
-}
-
 // countingWriter counts the bytes written through it and keeps none:
 // the size of a checkpoint without a copy of it.
 type countingWriter struct{ n int64 }
@@ -404,22 +388,11 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 			logf("no initial training (-jobs 0): serving the requested-runtime fallback")
 			return nil, 0, cfg, nil
 		}
-		window := completed
-		if len(window) > cfg.TrainWindow {
-			window = window[len(window)-cfg.TrainWindow:]
-		}
-		trainWindow = len(window)
-		scripts := make([]string, len(completed))
-		for i, j := range completed {
-			scripts[i] = j.Script
-		}
+		trainWindow = min(len(completed), cfg.TrainWindow)
+		logf("training on %d most recently completed jobs...", trainWindow)
 		var err error
-		p, err = prionn.New(cfg, scripts)
+		p, err = prionn.NewTrained(cfg, completed)
 		if err != nil {
-			return nil, 0, cfg, err
-		}
-		logf("training on %d most recently completed jobs...", len(window))
-		if _, err := p.Train(window); err != nil {
 			return nil, 0, cfg, err
 		}
 		var cw countingWriter

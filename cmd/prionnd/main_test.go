@@ -689,10 +689,8 @@ func TestRunPipelineQuantRejected(t *testing.T) {
 // Save writes for one trained at start-up (training is seeded, so the
 // test's own predictor is the daemon's).
 func TestStatsSnapshotBytes(t *testing.T) {
-	cfg, err := modelConfig("tiny", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := prionn.TinyConfig()
+	cfg.Seed = 5
 	completed := trace.Completed(trace.Generate(trace.Config{Seed: 5, Jobs: 150}))
 	scripts := make([]string, len(completed))
 	for i, j := range completed {

@@ -47,22 +47,12 @@ func main() {
 	// 3. Build and train PRIONN on the most recent window.
 	cfg := prionn.FastConfig()
 	cfg.Epochs = 3
-	scripts := make([]string, len(jobs))
-	for i, j := range jobs {
-		scripts[i] = j.Script
-	}
-	p, err := prionn.New(cfg, scripts)
+	fmt.Printf("training on the %d most recent jobs...\n", min(len(jobs), cfg.TrainWindow))
+	p, err := prionn.NewTrained(cfg, jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	window := jobs
-	if len(window) > cfg.TrainWindow {
-		window = window[len(window)-cfg.TrainWindow:]
-	}
-	fmt.Printf("training %d-parameter model on %d jobs...\n", p.NumParams(), len(window))
-	if _, err := p.Train(window); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("trained a %d-parameter model\n", p.NumParams())
 
 	// 4. Predict the resources of a job the cluster has never run.
 	pred := p.PredictOne(myScript)

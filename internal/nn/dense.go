@@ -16,12 +16,12 @@ type Dense struct {
 	x       *tensor.Tensor // input of the last train-mode Forward
 	y, dx   *tensor.Tensor // recycled train-time output and input-gradient buffers
 
-	// packedW is W in the GEMM's panel layout, so an inference forward
-	// skips the per-call packing pass — at batch 1 the larger half of
-	// the layer's time. Sequential.Prepack builds it for a model whose
-	// weights are final (a snapshot); everything that rewrites W
+	// packedW is W as the row kernel's operand (a reference and one
+	// scan, no copy), so an inference forward skips the blocked GEMM's
+	// per-call packing pass. Sequential.Prepack builds it for a model
+	// whose weights are final (a snapshot); everything that rewrites W
 	// through the layer or its model — a train-mode Forward, Load,
-	// CopyParamsFrom — drops it, and an unpacked layer packs per call.
+	// CopyParamsFrom — drops it, and a layer without one packs per call.
 	packedW *tensor.PackedB
 }
 
@@ -59,8 +59,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // infer is the inference forward of the layer together with the ReLU
-// that follows it in the stack (relu): the product through the
-// pre-packed panels when the layer has them, then bias and ReLU in one
+// that follows it in the stack (relu): the product through the row
+// kernel when the layer is prepacked, then bias and ReLU in one
 // sweep over the output — per cell the same `+ b` and `v <= 0 → 0` the
 // separate layers apply, so the result is bitwise theirs. The output is
 // a check-out from the default arena (see Sequential.infer).

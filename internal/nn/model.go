@@ -60,10 +60,10 @@ func (m *Sequential) infer(x *tensor.Tensor) (logits, owner *tensor.Tensor) {
 }
 
 // Prepack prepares every layer's weights for inference: Dense weights
-// into GEMM panels (see Dense.packedW), Conv2D filters into strips and a
-// tap table (Conv2D.packedW). It is for a model whose weights are
-// final — a snapshot about to be published — and must run before the
-// model is shared: it writes the layers.
+// scanned once for the row kernel (see Dense.packedW), Conv2D filters
+// into strips and a tap table (Conv2D.packedW). It is for a model whose
+// weights are final — a snapshot about to be published — and must run
+// before the model is shared: it writes the layers.
 func (m *Sequential) Prepack() {
 	for _, l := range m.Layers {
 		switch l := l.(type) {

@@ -147,6 +147,19 @@ func TinyConfig() Config {
 	return c
 }
 
+// ScaleConfig resolves the command-line tools' -scale value.
+func ScaleConfig(name string) (Config, error) {
+	switch name {
+	case "tiny":
+		return TinyConfig(), nil
+	case "fast":
+		return FastConfig(), nil
+	case "paper":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown scale %q (tiny, fast, paper)", name)
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Rows < 4 || c.Cols < 4 {

@@ -283,9 +283,11 @@ func TestInferForwardReturnsActivations(t *testing.T) {
 	}
 }
 
-// TestInferForwardAllocCeiling: a lone request's forward takes its
-// activations from the arena, so what is left on the heap is the answer
-// and a few headers (the parent allocated 85 times, 101 KB, per call).
+// TestInferForwardAllocCeiling: a forward takes its activations from
+// the arena, so what is left on the heap is the answer and a few headers
+// (before the arena a lone request allocated 85 times, 101 KB, per
+// call) — and a small batch no more than a lone request: nothing is
+// allocated per row.
 func TestInferForwardAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops its contents under the race detector")
@@ -295,20 +297,48 @@ func TestInferForwardAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := batchOf(snap, jobs, 1)
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	snap.PredictMapped(x) // fill the arena's free lists
-	const runs = 200
+	for _, tc := range []struct {
+		batch         int
+		allocs, bytes float64
+	}{{1, 16, 2048}, {4, 16, 2048}, {32, 16, 4096}} {
+		x := batchOf(snap, jobs, tc.batch)
+		snap.PredictMapped(x) // fill the arena's free lists
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			snap.PredictMapped(x)
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if allocs > tc.allocs || bytes > tc.bytes {
+			t.Fatalf("PredictMapped at batch %d allocates %.1f times, %.0f B per call; ceiling %.0f and %.0f", tc.batch, allocs, bytes, tc.allocs, tc.bytes)
+		}
+		t.Logf("PredictMapped at batch %d: %.1f allocs, %.0f B per call", tc.batch, allocs, bytes)
+	}
+}
+
+// TestSnapshotHoldsWeightsOnce: a snapshot is one copy of the weights
+// and small change — no second, kernel-shaped copy of the dense layers
+// (the stored GEMM strips made it 2.0× the parameters).
+func TestSnapshotHoldsWeightsOnce(t *testing.T) {
+	p, err := New(FastConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		snap.PredictMapped(x)
-	}
+	snap, err := p.Snapshot()
 	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / runs
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if allocs > 16 || bytes > 2048 {
-		t.Fatalf("PredictMapped at batch 1 allocates %.1f times, %.0f B per call; ceiling 16 and 2048", allocs, bytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("PredictMapped at batch 1: %.1f allocs, %.0f B per call", allocs, bytes)
+	got, params := float64(after.TotalAlloc-before.TotalAlloc), float64(4*p.NumParams())
+	if got > 1.2*params {
+		t.Fatalf("Snapshot allocated %.0f B for %.0f B of parameters (%.2f×), ceiling 1.2×", got, params, got/params)
+	}
+	t.Logf("Snapshot allocated %.2f× the parameters' %.0f B", got/params, params)
+	runtime.KeepAlive(snap)
 }

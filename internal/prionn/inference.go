@@ -102,13 +102,14 @@ func (p *Predictor) Snapshot() (*Inference, error) {
 
 // Clone returns a deep copy of the view: same config, transform, and
 // bins, with every float head's parameters copied into freshly built
-// models whose weights are prepared for inference — dense panels, conv
-// filter strips and tap tables (the float32 counterpart of the int8
-// heads' packed panels; the predictor's own zero-copy view prepares
-// them per call). It exists for Predictor.Snapshot, whose source keeps
-// training; a published Inference is shared as is, never cloned. A
-// prediction from a clone is bitwise identical to one from the
-// original. Quantized heads are immutable, so a clone shares them.
+// models whose weights are prepared for inference — dense weights
+// scanned for the row kernel, conv filter strips and tap tables (the
+// float32 counterpart of the int8 heads' packed panels; the predictor's
+// own zero-copy view prepares them per call). It exists for
+// Predictor.Snapshot, whose source keeps training; a published Inference
+// is shared as is, never cloned. A prediction from a clone is bitwise
+// identical to one from the original. Quantized heads are immutable, so
+// a clone shares them.
 func (v *Inference) Clone() (*Inference, error) {
 	out := *v
 	arch := nn.ArchConfig{

@@ -93,6 +93,24 @@ func New(cfg Config, corpus []string) (*Predictor, error) {
 	return p, nil
 }
 
+// NewTrained builds the model a tool starts from when it has a history
+// but no checkpoint: New with the scripts of every completed job as the
+// corpus, then one training event on the cfg.TrainWindow most recent.
+func NewTrained(cfg Config, completed []trace.Job) (*Predictor, error) {
+	scripts := make([]string, len(completed))
+	for i, j := range completed {
+		scripts[i] = j.Script
+	}
+	p, err := New(cfg, scripts)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.Train(completed[max(0, len(completed)-cfg.TrainWindow):]); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // newPredictor builds a predictor around a validated configuration and
 // its embedding (nil unless the transform is word2vec), without heads:
 // New initializes them from the predictor's RNG, Load leaves them zero

@@ -146,10 +146,10 @@ func BenchmarkQuantServeInt8(b *testing.B) {
 // benchInferForward times one PredictMapped — all three heads' forward
 // passes, no mapping, no coalescer — on the given snapshot at the given
 // batch size. B1 is what a lone submission waits for; B32 is a full
-// coalesced batch; B2 and B4 sit past the float32 dense layers' hand-over
-// from the one-row kernel (batch 1) to the 4×16 tile, which a batch of
-// four fills. scripts/bench.sh runs them all at -cpu 1,2: a batch-1
-// forward must not be slower with a second core to fan out to.
+// coalesced batch; B2 and B4 are what a flush with company usually holds,
+// and must cost no more per row than a lone request. scripts/bench.sh
+// runs them all at -cpu 1,2: a batch-1 forward must not be slower with a
+// second core to fan out to.
 func benchInferForward(b *testing.B, v *prionn.Inference, batch int) {
 	x := v.MapTexts(quantBenchScripts(b)[:batch])
 	b.ReportAllocs()

@@ -105,26 +105,26 @@ func im2colScalarInto(dst []float32, ld int, x []float32, c, h, w int, spec Conv
 		for ky := 0; ky < spec.KH; ky++ {
 			for kx := 0; kx < spec.KW; kx++ {
 				row := dst[idx*ld:]
+				// ix = ox·Stride + kx − PadW lies in [0, w) for ox in
+				// [lo, hi); the cells either side are padding.
+				first := kx - spec.PadW
+				lo := min(ow, max(0, (spec.Stride-1-first)/spec.Stride))
+				hi := max(lo, min(ow, (w-1-first+spec.Stride)/spec.Stride))
 				di := 0
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*spec.Stride + ky - spec.PadH
 					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							row[di] = 0
-							di++
-						}
+						clear(row[di : di+ow])
+						di += ow
 						continue
 					}
-					rowBase := base + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*spec.Stride + kx - spec.PadW
-						if ix < 0 || ix >= w {
-							row[di] = 0
-						} else {
-							row[di] = x[rowBase+ix]
-						}
-						di++
+					out, src := row[di:di+ow], base+iy*w+first
+					clear(out[:lo])
+					for ox := lo; ox < hi; ox++ {
+						out[ox] = x[src+ox*spec.Stride]
 					}
+					clear(out[hi:])
+					di += ow
 				}
 				idx++
 			}

@@ -19,9 +19,10 @@ import "math"
 // lies. The kernel stores into the sample's [F, OH·OW] plane at row
 // stride OH·OW — already the final layout — and bias, ReLU and the
 // following max-pool run over that plane while it is still in cache. A
-// strided conv (the 1D-CNN's) has no such fixed offset between lanes; it
-// stays an implicit GEMM whose B packer (convGeom.packPanel) gathers its
-// strips lane by lane from the image.
+// strided conv (the 1D-CNN's) has no such fixed offset between lanes: it
+// writes the sample's [K, OH·OW] column matrix into arena scratch with
+// im2colInto, as the training forward does, and multiplies it through
+// the blocked GEMM, with the same epilogue.
 //
 // Bitwise neutrality. The padding cells are real zeros, so the kernel
 // folds in exactly the values im2col would have written — a padded tap
@@ -43,99 +44,21 @@ import "math"
 // on one.
 const inferParallelMin = 1 << 20
 
-// convGeom is the geometry of one conv layer's input and output; as a
-// gemmView's conv it makes the view's data, one [C,H,W] image, stand for
-// that image's [C·KH·KW, OH·OW] column matrix.
+// inferSerial reports whether an inference forward over n samples of
+// work multiply-adds each runs inline, and otherwise the fewest samples
+// a worker is handed: workers take whole samples, and only when each
+// gets inferParallelMin multiply-adds. A batch-1 forward starts no
+// goroutine.
+func inferSerial(n, work int) (minChunk int, serial bool) {
+	minChunk = (inferParallelMin + work - 1) / max(work, 1)
+	return minChunk, MaxWorkers() == 1 || n < 2*minChunk
+}
+
+// convGeom is the geometry of one conv layer's input and output.
 type convGeom struct {
 	c, h, w int
 	spec    ConvSpec
 	oh, ow  int
-}
-
-// convStrip is the per-strip set-up of the implicit-im2col packers, one
-// for float32 images and one for u8: for a strip of NR consecutive output
-// pixels, each lane's offset into a channel plane and the lanes for
-// which a kernel row / kernel column stays inside the image. It is worked
-// out once per strip and shared by every channel and tap. The lane masks
-// are uint16: one bit per lane of an NR = 16 strip.
-type convStrip struct {
-	off   [gemmNR]int // lane's tap-(0,0) offset within a channel plane; may be negative
-	rowOK []uint16    // per kernel row: the lanes it keeps inside the image
-	colOK []uint16    // per kernel column, likewise
-}
-
-// laneMasks returns n lane masks: buf's first n (a packer's stack array,
-// enough for kernels up to 8×8) or, for a larger kernel, a fresh slice.
-func laneMasks(buf []uint16, n int) []uint16 {
-	if n > len(buf) {
-		return make([]uint16, n)
-	}
-	return buf[:n]
-}
-
-// set describes the strip of lanes output pixels starting at column j of
-// g's column matrix (output pixel (j/OW, j%OW)). Lanes past lanes keep
-// clear mask bits, so they read as padding.
-func (s *convStrip) set(g *convGeom, j, lanes int) {
-	kh, kw, stride := g.spec.KH, g.spec.KW, g.spec.Stride
-	clear(s.rowOK)
-	clear(s.colOK)
-	oy, ox := j/g.ow, j%g.ow
-	for l := 0; l < lanes; l++ {
-		iy0 := oy*stride - g.spec.PadH
-		ix0 := ox*stride - g.spec.PadW
-		s.off[l] = iy0*g.w + ix0
-		for ky := max(0, -iy0); ky < min(kh, g.h-iy0); ky++ {
-			s.rowOK[ky] |= 1 << l
-		}
-		for kx := max(0, -ix0); kx < min(kw, g.w-ix0); kx++ {
-			s.colOK[kx] |= 1 << l
-		}
-		if ox++; ox == g.ow {
-			ox, oy = 0, oy+1
-		}
-	}
-}
-
-// packPanel packs rows [p0, p0+kc) × columns [j0, j0+nc) of image x's
-// implicit column matrix into NR-wide strips, packBPanel's layout. Row p
-// is tap (ch, ky, kx) = (p/(KH·KW), p/KW%KH, p%KW); column j is output
-// pixel (j/OW, j%OW); taps that fall in the padding are zero. Each tap
-// is a per-lane gather: only strided convs come here, and their lanes
-// are not neighbours in the image.
-func (g *convGeom) packPanel(dst, x []float32, p0, j0, kc, nc int) {
-	kh, kw := g.spec.KH, g.spec.KW
-	taps := kh * kw
-	var rowBuf, colBuf [8]uint16
-	strip := convStrip{rowOK: laneMasks(rowBuf[:], kh), colOK: laneMasks(colBuf[:], kw)}
-	off, rowOK, colOK := &strip.off, strip.rowOK, strip.colOK
-
-	idx := 0
-	for sj := 0; sj < nc; sj += gemmNR {
-		strip.set(g, j0+sj, min(gemmNR, nc-sj))
-		ch, t := p0/taps, p0%taps
-		ky, kx := t/kw, t%kw
-		for p := 0; p < kc; p++ {
-			d := dst[idx : idx+gemmNR]
-			idx += gemmNR
-			valid := rowOK[ky] & colOK[kx]
-			tap := ch*g.h*g.w + ky*g.w + kx
-			for l := range d {
-				if valid>>l&1 != 0 {
-					d[l] = x[tap+off[l]]
-				} else {
-					d[l] = 0
-				}
-			}
-			if kx++; kx == kw {
-				kx = 0
-				if ky++; ky == kh {
-					ky = 0
-					ch++
-				}
-			}
-		}
-	}
 }
 
 // PackedConv is a conv layer's geometry and [F, C·KH·KW] weights in the
@@ -248,15 +171,15 @@ type convInfer struct {
 
 // samples computes out[lo:hi]: per sample the conv into its [F, OH·OW]
 // plane — direct from a zero-padded copy of the image at stride 1, else
-// one GEMM over the image's implicit column matrix — then the epilogue
-// over the plane. Without a pool the micro-kernel stores straight into
+// one GEMM over the image's column matrix — then the epilogue over the
+// plane. Without a pool the micro-kernel stores straight into
 // out; with one the plane is arena scratch and the pool writes out.
 func (j *convInfer) samples(lo, hi int) {
 	p := j.w
 	g := &p.geom
 	colW, imgLen := g.oh*g.ow, g.c*g.h*g.w
 	ar := defaultArena
-	var scratch, padded *Tensor
+	var scratch, padded, cols *Tensor
 	if j.pool != nil {
 		scratch = ar.Get(p.f * colW)
 	}
@@ -267,6 +190,8 @@ func (j *convInfer) samples(lo, hi int) {
 		ph, pw := g.paddedDims()
 		padded = ar.Get(g.c*ph*pw + gemmNR)
 		clear(padded.Data)
+	} else {
+		cols = ar.Get(p.k, colW) // im2colInto writes every cell
 	}
 	for i := lo; i < hi; i++ {
 		dst := j.out[i*j.outLen : (i+1)*j.outLen]
@@ -279,13 +204,15 @@ func (j *convInfer) samples(lo, hi int) {
 			g.padInto(padded.Data, img)
 			p.direct(plane, padded.Data)
 		} else {
-			gemmSerial(plane, colW, 0, p.f, 0, colW, p.k, p.weights, gemmView{data: img, conv: g}, false, ar)
+			im2colInto(cols.Data, colW, img, g.c, g.h, g.w, g.spec)
+			gemmSerial(plane, colW, 0, p.f, 0, colW, p.k, p.weights, gemmView{data: cols.Data, rs: colW, cs: 1}, false, ar)
 		}
 		biasReLURows(plane, p.f, colW, j.bias, j.relu)
 		if j.pool != nil {
 			maxPoolPlanes(dst, plane, 0, p.f, g.oh, g.ow, *j.pool, nil)
 		}
 	}
+	ar.Put(cols)
 	ar.Put(padded)
 	ar.Put(scratch)
 }

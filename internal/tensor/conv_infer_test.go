@@ -183,31 +183,34 @@ func TestConv2DInferSpecialValues(t *testing.T) {
 // TestConv2DInferReturnsScratch pins the arena half of the inference
 // contract: the output is the one check-out a call leaves behind —
 // Outstanding rises by exactly one per Infer and falls back when the
-// caller returns it — and every scratch buffer is back before the call
-// returns, so Outstanding stays flat in a process that only serves.
+// caller returns it — and every scratch buffer (a strided conv's column
+// matrix included) is back before the call returns, so Outstanding stays
+// flat in a process that only serves.
 func TestConv2DInferReturnsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	spec := ConvSpec{KH: 3, KW: 3, Stride: 1, PadH: 1, PadW: 1}
 	x := randTensor(rng, 3, 4, 16, 16)
 	wt := randTensor(rng, 6, 36)
-	for _, workers := range []int{1, 2, 8} {
-		prev := SetMaxWorkers(workers)
-		before := defaultArena.Outstanding()
-		var outs []*Tensor
-		for i := 0; i < 5; i++ {
-			outs = append(outs,
-				Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, &ConvSpec{KH: 2, KW: 2, Stride: 2}),
-				Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, nil))
-			if got := defaultArena.Outstanding(); got != before+len(outs) {
-				t.Fatalf("workers=%d: Outstanding went %d → %d over %d inference forwards, want one check-out each", workers, before, got, len(outs))
+	for _, stride := range []int{1, 2} {
+		spec := ConvSpec{KH: 3, KW: 3, Stride: stride, PadH: 1, PadW: 1}
+		for _, workers := range []int{1, 2, 8} {
+			prev := SetMaxWorkers(workers)
+			before := defaultArena.Outstanding()
+			var outs []*Tensor
+			for i := 0; i < 5; i++ {
+				outs = append(outs,
+					Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, &ConvSpec{KH: 2, KW: 2, Stride: 2}),
+					Conv2DInfer(x, wt, nil, 4, 16, 16, spec, true, nil))
+				if got := defaultArena.Outstanding(); got != before+len(outs) {
+					t.Fatalf("stride=%d workers=%d: Outstanding went %d → %d over %d inference forwards, want one check-out each", stride, workers, before, got, len(outs))
+				}
 			}
-		}
-		SetMaxWorkers(prev)
-		for _, out := range outs {
-			defaultArena.Put(out)
-		}
-		if got := defaultArena.Outstanding(); got != before {
-			t.Fatalf("workers=%d: Outstanding went %d → %d once the outputs were returned", workers, before, got)
+			SetMaxWorkers(prev)
+			for _, out := range outs {
+				defaultArena.Put(out)
+			}
+			if got := defaultArena.Outstanding(); got != before {
+				t.Fatalf("stride=%d workers=%d: Outstanding went %d → %d once the outputs were returned", stride, workers, before, got)
+			}
 		}
 	}
 }
@@ -272,11 +275,11 @@ func TestMaxPool2DForwardInferenceSkipsArgmax(t *testing.T) {
 	}
 }
 
-// TestMatMulPackedBBitwiseMatchesMatMul: pre-packed panels change where
-// B's strips come from, and the one-row kernel at m = 1 how many of them
-// one pass consumes, never a cell's reduction chain — over batch sizes
-// around the micro-tile height, k crossing KC, n crossing NR, the row
-// kernel's 64 and NC, every worker count and both micro-kernels.
+// TestMatMulPackedBBitwiseMatchesMatMul: the row kernel changes how W
+// is read — in place, 64 columns a pass, the tail columns through the
+// tile — never a cell's reduction chain, over batch sizes around the
+// micro-tile height, k crossing KC, n crossing NR, the row kernel's 64
+// and NC, every worker count and both micro-kernels.
 func TestMatMulPackedBBitwiseMatchesMatMul(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	asm := useFMAKernel.Load()

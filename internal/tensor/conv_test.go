@@ -90,6 +90,8 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 		{3, 2, 7, 9, 5, ConvSpec{KH: 3, KW: 3, Stride: 2, PadH: 1, PadW: 1}},
 		{2, 4, 6, 6, 3, ConvSpec{KH: 5, KW: 5, Stride: 1, PadH: 2, PadW: 2}},
 		{1, 2, 1, 16, 3, ConvSpec{KH: 1, KW: 3, Stride: 1, PadH: 1, PadW: 1}}, // 1D conv as 2D
+		{2, 2, 1, 9, 3, ConvSpec{KH: 1, KW: 5, Stride: 2, PadW: 4}},           // strided, taps wholly in the padding
+		{1, 1, 3, 2, 2, ConvSpec{KH: 3, KW: 5, Stride: 3, PadH: 1, PadW: 2}},  // kernel wider than the image
 	}
 	for i, cfg := range configs {
 		x := New(cfg.n, cfg.c, cfg.h, cfg.w).RandN(rng, 1)

@@ -49,33 +49,9 @@ var useFMAKernel atomic.Bool
 
 // gemmView adapts a plain or transposed operand to the packing routines:
 // logical element (i, j) lives at data[i*rs + j*cs].
-//
-// The right operand has two more forms, selected by a non-nil pointer
-// (rs and cs are then unused): panels packed ahead of time (packed; data
-// is unused too), and the implicit im2col matrix of one [C,H,W] image
-// held in data (conv), whose strips are gathered straight from the image
-// — the strided convs' form; a stride-1 conv never builds strips
-// (conv_infer.go).
 type gemmView struct {
 	data   []float32
 	rs, cs int
-	packed *PackedB
-	conv   *convGeom
-}
-
-// panel returns rows [p0, p0+kc) × columns [j0, j0+nc) of the right
-// operand as NR-wide strips (packBPanel's layout): packed into buf, or,
-// for a pre-packed operand, the stored strips themselves.
-func (b gemmView) panel(buf []float32, p0, j0, kc, nc int) []float32 {
-	switch {
-	case b.packed != nil:
-		return b.packed.strips(p0, j0)
-	case b.conv != nil:
-		b.conv.packPanel(buf, b.data, p0, j0, kc, nc)
-	default:
-		packBPanel(buf, b, p0, j0, kc, nc)
-	}
-	return buf
 }
 
 // gemm computes dst[i,j] = (acc ? dst[i,j] : 0) + Σ_p a(i,p)·b(p,j) for
@@ -149,26 +125,16 @@ func alignUp(n, to int) int { return (n + to - 1) / to * to }
 // [m0,m1)×[n0,n1) on one goroutine.
 func gemmSerial(dst []float32, ldc, m0, m1, n0, n1, k int, a, b gemmView, acc bool, ar *Arena) {
 	packA := ar.Get(gemmMC * gemmKC)
-	pa := packA.Data
-	var packB *Tensor
-	var pbuf []float32
-	if b.packed == nil {
-		packB = ar.Get(gemmKC * gemmNC)
-		pbuf = packB.Data
-	}
-	for jc, ncEff := n0, 0; jc < n1; jc += ncEff {
-		ncEff = min(gemmNC, n1-jc)
-		if b.packed != nil {
-			// Stored panels start at multiples of NC; a column stripe
-			// (NR-aligned) may start inside one.
-			ncEff = min(ncEff, gemmNC-jc%gemmNC)
-		}
+	packB := ar.Get(gemmKC * gemmNC)
+	pa, pb := packA.Data, packB.Data
+	for jc := n0; jc < n1; jc += gemmNC {
+		ncEff := min(gemmNC, n1-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kcEff := min(gemmKC, k-pc)
 			// The first k-panel either starts the chain at zero or, in
 			// accumulate mode, seeds it with the existing destination.
 			zeroAcc := pc == 0 && !acc
-			pb := b.panel(pbuf, pc, jc, kcEff, ncEff)
+			packBPanel(pb, b, pc, jc, kcEff, ncEff)
 			for ic := m0; ic < m1; ic += gemmMC {
 				mcEff := min(gemmMC, m1-ic)
 				packAPanel(pa, a, ic, pc, mcEff, kcEff)
@@ -219,15 +185,14 @@ func packBPanel(dst []float32, b gemmView, p0, j0, kc, nc int) {
 	for sj := 0; sj < nc; sj += gemmNR {
 		colsN := min(gemmNR, nc-sj)
 		base := p0*b.rs + (j0+sj)*b.cs
-		if b.cs == 1 {
-			// Contiguous rows (the untransposed common case): bulk-copy
-			// each 16-float group.
+		if b.cs == 1 && colsN == gemmNR {
+			// A full strip of contiguous rows (all but the ragged edge of
+			// an untransposed operand), through a local array: two
+			// inlined 64-byte moves, where copy — or an assignment between
+			// two slices' arrays, which may overlap — calls memmove.
 			for p := 0; p < kc; p++ {
-				off := base + p*b.rs
-				copy(dst[idx:idx+colsN], b.data[off:off+colsN])
-				for j := colsN; j < gemmNR; j++ {
-					dst[idx+j] = 0
-				}
+				row := *(*[gemmNR]float32)(b.data[base+p*b.rs:])
+				*(*[gemmNR]float32)(dst[idx:]) = row
 				idx += gemmNR
 			}
 			continue

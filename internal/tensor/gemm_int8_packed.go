@@ -14,7 +14,7 @@ package tensor
 // operand (PackedInt8B) — NR = 16 output units per strip — and the batch
 // the left, MR = 4 rows per strip: a batch of 1–4 fills one row strip
 // and every vector lane carries a real output unit, where weights on the
-// left would use one lane of sixteen (the float path's PackedB choice).
+// left would use one lane of sixteen.
 
 // PackedInt8A is an immutable m×k int8 matrix stored as left-operand
 // panels: for each qKC-deep k panel (outer) and each qMC-tall row panel

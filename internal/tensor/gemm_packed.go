@@ -6,83 +6,53 @@ import (
 	"sync"
 )
 
-// Pre-packed right operand for the float32 GEMM — the twin of
-// PackedInt8A. An inference Dense layer multiplies every batch by the
-// same [in, out] weights, yet gemmSerial re-packs its B panel on every
-// call: at batch 1 that layout pass over a 3072×128 matrix costs more
-// than the multiply it prepares. PackB performs it once and
-// MatMulPackedB consumes the frozen strips directly. The strips are
-// exactly what packBPanel would have produced and every cell keeps its
-// ascending-k chain, so results are bitwise identical to MatMul.
+// The inference Dense product: one row of the batch at a time against
+// the [in, out] weights where they lie.
 //
-// The weights sit on the B side — NR = 16 columns per strip — and the
-// batch on the A side, MR = 4 rows per strip: a batch of 2–4 fills one
-// A strip and every B lane carries a real output unit. The other way
-// round (weights as A, the int8 layout) a small batch would use few of
-// sixteen lanes. A batch of one uses no strip at all (mulRow).
+// An inference Dense layer multiplies every batch by the same weights,
+// and at PRIONN's batch sizes the blocked GEMM's layout pass over them —
+// packBPanel on a 3072×128 matrix — costs more than the multiply it
+// prepares. MatMulPackedB packs nothing: each row of A goes through a
+// kernel that reads W row-major, 64 columns at a time, and only the rows
+// of W that A's row selects. A row's chains never depend on its
+// neighbours, so the batch size is not a kernel boundary; every cell is
+// MatMul's ascending-k chain, bit for bit.
 
-// PackedB is an immutable k×n float32 matrix stored in the panel layout
-// gemmSerial consumes: for each NC-wide column block (outer) and each
-// KC-deep k panel (inner), NR-wide strips zero-padded past the block
-// edge. It also keeps the tensor it was packed from — referenced, not
-// copied, so it must not change — for the one-row product to read in
-// place. Safe for concurrent use by any number of GEMM calls once built.
+// PackedB is a k×n float32 matrix prepared as the right operand of
+// MatMulPackedB: a reference to the tensor's data — not a copy, so it
+// must not change — and what one scan of it found. Safe for concurrent
+// use by any number of products once built.
 type PackedB struct {
 	k, n   int
-	numPC  int       // k panels per column block
-	offs   []int     // panel start offsets, indexed jcIdx*numPC + pcIdx
-	data   []float32 // all panels
 	w      []float32 // the [k, n] matrix where PackB found it
 	finite bool      // no element of w is ±Inf or NaN: a zero in a may skip its row
 }
 
-// Dims returns the logical (k, n) shape of the packed matrix.
+// Dims returns the logical (k, n) shape of the matrix.
 func (p *PackedB) Dims() (k, n int) { return p.k, p.n }
 
-// PackB packs the rank-2 tensor b [k, n] into panel layout. Both
-// dimensions must be positive.
+// PackB prepares the rank-2 tensor b [k, n]. Both dimensions must be
+// positive.
 func PackB(b *Tensor) *PackedB {
 	if len(b.Shape) != 2 || b.Shape[0] <= 0 || b.Shape[1] <= 0 {
 		panic(fmt.Sprintf("tensor: PackB requires a non-empty rank-2 tensor, got shape %v", b.Shape))
 	}
-	k, n := b.Shape[0], b.Shape[1]
-	numPC := (k + gemmKC - 1) / gemmKC
-	numJC := (n + gemmNC - 1) / gemmNC
-	p := &PackedB{k: k, n: n, numPC: numPC, offs: make([]int, numJC*numPC), w: b.Data, finite: true}
+	p := &PackedB{k: b.Shape[0], n: b.Shape[1], w: b.Data, finite: true}
 	for _, v := range b.Data {
 		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
 			p.finite = false
 			break
 		}
 	}
-	size := 0
-	for jc := 0; jc < n; jc += gemmNC {
-		strips := (min(gemmNC, n-jc) + gemmNR - 1) / gemmNR
-		for pc := 0; pc < k; pc += gemmKC {
-			p.offs[(jc/gemmNC)*numPC+pc/gemmKC] = size
-			size += strips * gemmNR * min(gemmKC, k-pc)
-		}
-	}
-	p.data = make([]float32, size)
-	view := gemmView{data: b.Data, rs: n, cs: 1}
-	for jc := 0; jc < n; jc += gemmNC {
-		for pc := 0; pc < k; pc += gemmKC {
-			packBPanel(p.data[p.offs[(jc/gemmNC)*numPC+pc/gemmKC]:], view, pc, jc, min(gemmKC, k-pc), min(gemmNC, n-jc))
-		}
-	}
 	return p
 }
 
-// strips returns the stored strips of k panel p0 (a multiple of KC)
-// from column j0 (a multiple of NR) to the end of j0's column block.
-func (p *PackedB) strips(p0, j0 int) []float32 {
-	kc := min(gemmKC, p.k-p0)
-	return p.data[p.offs[(j0/gemmNC)*p.numPC+p0/gemmKC]+(j0%gemmNC)/gemmNR*gemmNR*kc:]
-}
-
-// MatMulPackedB is MatMul with a pre-packed right operand: C = A·B for
+// MatMulPackedB is MatMul with a prepared right operand: C = A·B for
 // A [m,k] into dst [m,n] (allocated if nil). Bitwise identical to MatMul
-// on the unpacked matrix, for any worker count.
+// on the same matrix, for any worker count. Workers take whole rows, and
+// only when each gets inferParallelMin multiply-adds (inferSerial); the
+// inline case — every batch-1 product — calls rows directly: a func value
+// handed to ParallelForMin would put job on the heap.
 func MatMulPackedB(dst, a *Tensor, b *PackedB) *Tensor {
 	if len(a.Shape) != 2 {
 		panic("tensor: MatMulPackedB requires a rank-2 left operand")
@@ -96,25 +66,57 @@ func MatMulPackedB(dst, a *Tensor, b *PackedB) *Tensor {
 	} else if dst.Shape[0] != m || dst.Shape[1] != b.n {
 		panic("tensor: MatMulPackedB dst shape mismatch")
 	}
-	av, bv := gemmView{data: a.Data, rs: k, cs: 1}, gemmView{packed: b}
-	switch {
-	case m*b.n*k >= 2*inferParallelMin:
-		gemm(dst.Data, b.n, m, b.n, k, av, bv, false, nil)
-	case m == 1:
-		b.mulRow(dst.Data, a.Data)
-	default:
-		gemmSerial(dst.Data, b.n, 0, m, 0, b.n, k, av, bv, false, defaultArena)
+	job := packedProduct{b: b, dst: dst.Data, a: a.Data}
+	minChunk, serial := inferSerial(m, k*b.n)
+	if serial {
+		job.rows(0, m)
+		return dst
 	}
+	shared := job
+	ParallelForMin(m, minChunk, shared.rows)
 	return dst
 }
 
-// mulRow computes dst[0:n] = a[0:k]·B, the batch-1 product, reading the
-// row-major matrix where it lies and only the rows a selects. The
-// columns go 64 at a time — the eight accumulators, in registers across
-// all of k — through one kernel that folds a[p]·w[p, j:j+64] over an
-// ascending list of positions p: those with a[p] != 0, listed once per
-// call and shared by every group. A post-ReLU row is mostly exact zeros,
-// and each one skipped is 256 bytes of W not read.
+// packedProduct is one MatMulPackedB call.
+type packedProduct struct {
+	b      *PackedB
+	dst, a []float32
+}
+
+// rows computes rows [lo, hi) of the product. The columns up to the last
+// multiple of 64 go row by row through mulRow; the rest — fewer than 64,
+// so at most k·63 floats of W to pack — are one blocked GEMM for all the
+// rows over the plain view of W.
+func (j *packedProduct) rows(lo, hi int) {
+	p := j.b
+	k, n := p.k, p.n
+	n64 := n / rowGroup * rowGroup
+	if n64 > 0 {
+		buf := rowIdxPool.Get().(*[]int32)
+		if len(*buf) < 2*k {
+			*buf = make([]int32, 2*k)
+		}
+		for i := lo; i < hi; i++ {
+			p.mulRow(j.dst[i*n:i*n+n64], j.a[i*k:(i+1)*k], *buf)
+		}
+		rowIdxPool.Put(buf)
+	}
+	if n64 < n {
+		gemmSerial(j.dst, n, lo, hi, n64, n, k, gemmView{data: j.a, rs: k, cs: 1}, gemmView{data: p.w, rs: n, cs: 1}, false, defaultArena)
+	}
+}
+
+// rowGroup is the columns one pass of the row kernel covers: its eight
+// accumulators, in registers across all of k.
+const rowGroup = 4 * gemmNR
+
+// mulRow computes dst = a[0:k]·B over dst's columns, a multiple of
+// rowGroup, reading the row-major matrix where it lies and only the rows
+// a selects. The columns go 64 at a time through one kernel that folds
+// a[p]·w[p, j:j+64] over an ascending list of positions p: those with
+// a[p] != 0, listed once per call into buf (2k entries) and shared by
+// every group. A post-ReLU row is mostly exact zeros, and each one
+// skipped is 256 bytes of W not read.
 //
 // The bits are MatMul's. A skipped term is an exact ±0 (the weights are
 // finite, or the list is the dense 0…k−1: 0·Inf must stay NaN) and
@@ -123,31 +125,20 @@ func MatMulPackedB(dst, a *Tensor, b *PackedB) *Tensor {
 // leaves it nonzero, and from there the skipping chain and the dense one
 // carry the same value; they can part only in the sign of a zero, and
 // only a cell that ends as zero can show it: a group with such a cell is
-// folded again, densely. Columns past the last multiple of 64 take the tile.
-func (p *PackedB) mulRow(dst, a []float32) {
-	const group = 4 * gemmNR
-	k, n64 := p.k, p.n/group*group
-	if n64 > 0 {
-		buf := rowIdxPool.Get().(*[]int32)
-		if len(*buf) < 2*k {
-			*buf = make([]int32, 2*k)
-		}
-		live, dense := (*buf)[:k], (*buf)[k:k]
-		live = live[:listNonzero(live, a, !p.finite)]
-		for j := 0; j < n64; j += group {
-			c := dst[j : j+group]
-			p.foldRow(live, a, c, j)
-			if len(live) < k && hasZero(c) {
-				if len(dense) == 0 {
-					dense = dense[:listNonzero(dense[:k], a, true)]
-				}
-				p.foldRow(dense, a, c, j)
+// folded again, densely.
+func (p *PackedB) mulRow(dst, a []float32, buf []int32) {
+	k := p.k
+	live, dense := buf[:k], buf[k:k]
+	live = live[:listNonzero(live, a, !p.finite)]
+	for j := 0; j < len(dst); j += rowGroup {
+		c := dst[j : j+rowGroup]
+		p.foldRow(live, a, c, j)
+		if len(live) < k && hasZero(c) {
+			if len(dense) == 0 {
+				dense = dense[:listNonzero(dense[:k], a, true)]
 			}
+			p.foldRow(dense, a, c, j)
 		}
-		rowIdxPool.Put(buf)
-	}
-	if n64 < p.n {
-		gemmSerial(dst, p.n, 0, 1, n64, p.n, k, gemmView{data: a, rs: k, cs: 1}, gemmView{packed: p}, false, defaultArena)
 	}
 }
 

@@ -8,48 +8,66 @@ import (
 	"testing"
 )
 
-// requireMulRow checks the one-row product of a against w — through the
-// assembly kernel when the host has it and through its Go twin — against
-// MatMul run on the same micro-kernel, bit for bit, and returns MatMul's
-// answer. mulRow is called directly: MatMulPackedB hands the largest
-// shapes to the striped driver instead.
-func requireMulRow(t *testing.T, label string, a []float32, w *Tensor) *Tensor {
+// requireMulRow checks MatMulPackedB on the rows a [m, k] against w —
+// through the assembly kernel when the host has it and through its Go
+// twin, on one, two and eight workers — against MatMul run on the same
+// micro-kernel, bit for bit, and returns MatMul's answer.
+func requireMulRow(t *testing.T, label string, a, w *Tensor) *Tensor {
 	t.Helper()
 	asm := useFMAKernel.Load()
 	defer useFMAKernel.Store(asm)
-	k, n := w.Shape[0], w.Shape[1]
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	m, k, n := a.Shape[0], w.Shape[0], w.Shape[1]
 	packed := PackB(w)
 	var want *Tensor
 	for _, fma := range []bool{false, asm} {
 		useFMAKernel.Store(fma)
-		want = MatMul(nil, FromSlice(a, 1, k), w)
-		got := New(1, n)
-		for i := range got.Data {
-			got.Data[i] = float32(math.NaN()) // every cell must be written
+		SetMaxWorkers(1)
+		want = MatMul(nil, a, w)
+		for _, workers := range []int{1, 2, 8} {
+			SetMaxWorkers(workers)
+			got := New(m, n)
+			for i := range got.Data {
+				got.Data[i] = float32(math.NaN()) // every cell must be written
+			}
+			MatMulPackedB(got, a, packed)
+			requireBitwise(t, fmt.Sprintf("%s m=%d k=%d n=%d workers=%d fma=%v", label, m, k, n, workers, fma), got, want)
 		}
-		packed.mulRow(got.Data, a)
-		requireBitwise(t, fmt.Sprintf("%s k=%d n=%d fma=%v", label, k, n, fma), got, want)
 	}
 	return want
+}
+
+// stackRows returns the [m, k] matrix whose row i is rows[i%len(rows)].
+func stackRows(m int, rows ...[]float32) *Tensor {
+	k := len(rows[0])
+	a := New(m, k)
+	for i := 0; i < m; i++ {
+		copy(a.Data[i*k:(i+1)*k], rows[i%len(rows)])
+	}
+	return a
 }
 
 // TestMulRowSkipsOnlyExactZeros is the differential proof of the
 // index-list kernel on the inputs where leaving a term out could show:
 // rows of every zero share built from +0, −0, NaN, denormals and
 // ordinary values; non-finite weights facing a zero activation; and a
-// chain that underflows to −0 before a skipped +0 term.
+// chain that underflows to −0 before a skipped +0 term — each row alone
+// and stacked in batches whose rows differ, so a batch that shared one
+// row's index list would show.
 func TestMulRowSkipsOnlyExactZeros(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	nan := float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
 	denormal := math.Float32frombits(1)
+	batches := []int{2, 5, 33}
 	for _, k := range []int{1, 257, 3072} {
 		for _, n := range []int{64, 80, 128, 960} {
 			w := randTensor(rng, k, n)
 			for i := 0; i < len(w.Data); i += 97 {
 				w.Data[i] = [...]float32{0, negZero, denormal, -denormal}[i/97%4]
 			}
-			for _, zeros := range []int{0, 50, 99, 100} {
+			var rows [][]float32
+			for _, zeros := range []int{100, 50, 0, 99} {
 				a := make([]float32, k)
 				for p := range a {
 					switch {
@@ -61,11 +79,17 @@ func TestMulRowSkipsOnlyExactZeros(t *testing.T) {
 						a[p] = float32(rng.NormFloat64())
 					}
 				}
-				requireMulRow(t, fmt.Sprintf("%d%% zeros", zeros), a, w)
+				rows = append(rows, a)
+				requireMulRow(t, fmt.Sprintf("%d%% zeros", zeros), stackRows(1, a), w)
 				if k > 1 {
-					a[k/2] = nan
-					requireMulRow(t, fmt.Sprintf("%d%% zeros + NaN", zeros), a, w)
+					withNaN := append([]float32(nil), a...)
+					withNaN[k/2] = nan
+					rows = append(rows, withNaN)
+					requireMulRow(t, fmt.Sprintf("%d%% zeros + NaN", zeros), stackRows(1, withNaN), w)
 				}
+			}
+			for _, m := range batches {
+				requireMulRow(t, "mixed zero shares", stackRows(m, rows...), w)
 			}
 		}
 	}
@@ -81,41 +105,52 @@ func TestMulRowSkipsOnlyExactZeros(t *testing.T) {
 				a[p] = float32(rng.NormFloat64())
 			}
 		}
-		want := requireMulRow(t, fmt.Sprintf("weight %v on a zero activation", bad), a, w)
+		want := requireMulRow(t, fmt.Sprintf("weight %v on a zero activation", bad), stackRows(1, a), w)
 		if v := want.Data[70]; v == v {
 			t.Fatalf("weight %v against activation 0 left cell 70 at %v; the case proves nothing", bad, v)
+		}
+		for _, m := range batches {
+			requireMulRow(t, fmt.Sprintf("weight %v, one row all zero", bad), stackRows(m, a, make([]float32, 257)), w)
 		}
 	}
 
 	// 1e-30·−1e-30 underflows to −0 and the +0 term after it turns the
-	// accumulator +0; a fold that only skipped would answer −0.
-	w := New(2, 64)
-	for j := 0; j < 64; j++ {
-		w.Data[j], w.Data[64+j] = -1e-30, 5
+	// accumulator +0; a fold that only skipped would answer −0. In a
+	// batch the row sits between an all-zero one and a dense one.
+	w := New(2, 80)
+	for j := 0; j < 80; j++ {
+		w.Data[j], w.Data[80+j] = -1e-30, 5
 	}
-	want := requireMulRow(t, "underflow to -0 then a skipped +0", []float32{1e-30, 0}, w)
-	if bits := math.Float32bits(want.Data[0]); bits != 0 {
-		t.Fatalf("the dense chain ends with bits %08x, want +0; the case proves nothing", bits)
+	underflow := []float32{1e-30, 0}
+	for _, m := range append([]int{1}, batches...) {
+		want := requireMulRow(t, "underflow to -0 then a skipped +0", stackRows(m, underflow, []float32{0, negZero}, []float32{1, 2}), w)
+		if bits := math.Float32bits(want.Data[0]); bits != 0 {
+			t.Fatalf("the dense chain ends with bits %08x, want +0; the case proves nothing", bits)
+		}
 	}
 }
 
-// mulRowFuzzInput decodes fuzz bytes: k, n, then 32-bit patterns that a
-// and W cycle through, a[p] = word[p] and W[p,j] = word[k+p+j] (indices
-// mod the word count), so a handful of words places any float32 — NaN
-// payloads, infinities, denormals, either zero — on both sides.
-func mulRowFuzzInput(data []byte) (a []float32, w *Tensor) {
+// mulRowFuzzInput decodes fuzz bytes: k, n and m, then 32-bit patterns
+// that a and W cycle through, a[r,p] = word[(r+1)·p] and W[p,j] =
+// word[k+p+j] (indices mod the word count), so a handful of words places
+// any float32 — NaN payloads, infinities, denormals, either zero — on
+// both sides, and each row of a batch strides through them differently.
+func mulRowFuzzInput(data []byte) (a, w *Tensor) {
 	if len(data) < 8 {
 		return nil, nil
 	}
 	k := 1 + int(binary.LittleEndian.Uint16(data))%300
 	n := 64*(1+int(data[2])%2) + 16*(int(data[3])%2)
+	m := 1 + int(data[3]>>1)%5
 	words := data[4:]
 	word := func(i int) float32 {
 		return math.Float32frombits(binary.LittleEndian.Uint32(words[i%(len(words)/4)*4:]))
 	}
-	a = make([]float32, k)
-	for p := range a {
-		a[p] = word(p)
+	a = New(m, k)
+	for r := 0; r < m; r++ {
+		for p := 0; p < k; p++ {
+			a.Data[r*k+p] = word((r + 1) * p)
+		}
 	}
 	w = New(k, n)
 	for p := 0; p < k; p++ {
@@ -142,7 +177,9 @@ func FuzzMulRow(f *testing.F) {
 	seed(7, 1, 0, 0, negZero)                                // an all-zero row
 	seed(257, 1, 1, 0, 0, 0, 1.5, negZero, -2.25, 0, nan, 3) // mostly zeros, a NaN activation
 	seed(300, 0, 0, math.Float32frombits(1), 0, -math.Float32frombits(3), 1e-30, 0, -1e-30, 0.5)
-	seed(33, 1, 0, 1, -2, 3, -4, 5) // no zeros at all
+	seed(33, 1, 0, 1, -2, 3, -4, 5)                       // no zeros at all
+	seed(2, 0, 2, 1e-30, 0, -1e-30, 5)                    // the underflow row first in a batch of two
+	seed(257, 1, 9, 0, 1.5, 0, -2.25, negZero, nan, 0, 3) // five rows of different zero shares, tail columns
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, w := mulRowFuzzInput(data)
 		if w == nil {

@@ -7,9 +7,8 @@ import "math"
 //
 // A conv block is one int8 GEMM per sample whose right operand is the
 // implicit column matrix of that sample's u8 image: packPanelU8 fills
-// the quad-layout strips straight from the image (convStrip's set-up,
-// shared with the float packer), taps in the padding packing the
-// activation zero point — the quantized image of real 0.0. The sample's
+// the quad-layout strips straight from the image, taps in the padding
+// packing the activation zero point — the quantized image of real 0.0. The sample's
 // int32 plane stays in cache for the epilogue, which takes the 2×2 window
 // maximum on the accumulators first and then maps each surviving cell to
 // the next activation's u8 domain (Requant), writing [N,F,OH',OW']
@@ -97,6 +96,50 @@ func QuantizeU8(v, scale float32, zero uint8, relu bool) uint8 {
 	return newQuantizer(scale, zero, relu).u8(v)
 }
 
+// convStrip is the per-strip set-up of packPanelU8's lane-by-lane
+// gather: for a strip of NR consecutive output pixels, each lane's offset into a channel plane and the lanes for
+// which a kernel row / kernel column stays inside the image. It is worked
+// out once per strip and shared by every channel and tap. The lane masks
+// are uint16: one bit per lane of an NR = 16 strip.
+type convStrip struct {
+	off   [gemmNR]int // lane's tap-(0,0) offset within a channel plane; may be negative
+	rowOK []uint16    // per kernel row: the lanes it keeps inside the image
+	colOK []uint16    // per kernel column, likewise
+}
+
+// laneMasks returns n lane masks: buf's first n (the packer's stack array,
+// enough for kernels up to 8×8) or, for a larger kernel, a fresh slice.
+func laneMasks(buf []uint16, n int) []uint16 {
+	if n > len(buf) {
+		return make([]uint16, n)
+	}
+	return buf[:n]
+}
+
+// set describes the strip of lanes output pixels starting at column j of
+// g's column matrix (output pixel (j/OW, j%OW)). Lanes past lanes keep
+// clear mask bits, so they read as padding.
+func (s *convStrip) set(g *convGeom, j, lanes int) {
+	kh, kw, stride := g.spec.KH, g.spec.KW, g.spec.Stride
+	clear(s.rowOK)
+	clear(s.colOK)
+	oy, ox := j/g.ow, j%g.ow
+	for l := 0; l < lanes; l++ {
+		iy0 := oy*stride - g.spec.PadH
+		ix0 := ox*stride - g.spec.PadW
+		s.off[l] = iy0*g.w + ix0
+		for ky := max(0, -iy0); ky < min(kh, g.h-iy0); ky++ {
+			s.rowOK[ky] |= 1 << l
+		}
+		for kx := max(0, -ix0); kx < min(kw, g.w-ix0); kx++ {
+			s.colOK[kx] |= 1 << l
+		}
+		if ox++; ox == g.ow {
+			ox, oy = 0, oy+1
+		}
+	}
+}
+
 // packPanelU8's windows: a window row holds a strip's NR cells plus the
 // KW−1 further ones its last lane's kernel row reaches, in winW bytes,
 // and a k panel may span winRows kernel rows — a full KC panel of a
@@ -106,10 +149,11 @@ const (
 	winRows = qKC/3 + 3
 )
 
-// packPanelU8 is packPanel for a u8 image and the int8 GEMM's quad
-// layout (packBPanel8's): per strip and k-quad, four taps' 16-lane rows
-// interleaved into a 64-byte quad group, with zp where packPanel has
-// zero. k bytes past kc pack zero, as their A bytes do.
+// packPanelU8 packs rows [p0, p0+kc) × columns [j0, j0+nc) of u8 image
+// x's implicit column matrix in the int8 GEMM's quad layout
+// (packBPanel8's): per strip and k-quad, four taps' 16-lane rows
+// interleaved into a 64-byte quad group, with zp for taps that fall in
+// the padding. k bytes past kc pack zero, as their A bytes do.
 //
 // Row p of the column matrix is tap (ch, ky, kx) with p = (ch·KH+ky)·KW +
 // kx, so p/KW names a kernel row of a channel. For a stride-1 strip
@@ -119,7 +163,7 @@ const (
 // bytes at window offset kx, and a quad group is an interleave of four
 // addresses with no per-tap work. Any other strip (a row break inside
 // it, a stride) gathers each tap lane by lane from convStrip's offsets
-// and masks, the set-up packPanel shares.
+// and masks.
 func (g *convGeom) packPanelU8(dst, x []uint8, zp uint8, p0, j0, kc, nc, kq int) {
 	kh, kw := g.spec.KH, g.spec.KW
 	taps, hw := kh*kw, g.h*g.w
@@ -230,16 +274,6 @@ func interleaveQuad(asm bool, dst *[4 * qNR]uint8, r0, r1, r2, r3 *[qNR]uint8) {
 	for l := 0; l < qNR; l++ {
 		dst[4*l], dst[4*l+1], dst[4*l+2], dst[4*l+3] = r0[l], r1[l], r2[l], r3[l]
 	}
-}
-
-// inferSerial reports whether an inference forward over n samples of
-// work multiply-adds each runs inline, and otherwise the fewest samples
-// a worker is handed: workers take whole samples, and only when each
-// gets inferParallelMin multiply-adds. A batch-1 forward starts no
-// goroutine.
-func inferSerial(n, work int) (minChunk int, serial bool) {
-	minChunk = (inferParallelMin + work - 1) / max(work, 1)
-	return minChunk, MaxWorkers() == 1 || n < 2*minChunk
 }
 
 // Conv2DInferU8 computes the inference forward of a quantized conv layer

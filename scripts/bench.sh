@@ -15,8 +15,8 @@
 # p50/p99, and the 4-replica aggregate speedup. Then runs the quantized
 # f32-vs-int8 pairs (uncached serving and uncached 4-replica cluster on
 # the conv-dominated FastConfig fixture) and the bare forward of both
-# kernels at batch 1 and 32 (float32 also at 2 and 4, either side of its
-# dense layers' one-row-kernel / tile hand-over) on one and on two cores,
+# kernels at batch 1 and 32 (float32 also at 2 and 4, the batches a
+# coalesced flush with company usually has) on one and on two cores,
 # and rewrites BENCH_quant.json with the int8 speedups, snapshot size
 # fraction, class disagreement rate, and forward_b<batch>_us per kernel.
 # Finally runs the prionnvet gate-sweep benchmark and rewrites

@@ -8,7 +8,10 @@
 #                      GOARCH=arm64, with go vet over tensor and nn, so
 #                      the portable side of every assembly entry point,
 #                      its gemm_generic.go stub, is compiled by the gate
-#                      and not first by a user on another machine)
+#                      and not first by a user on another machine; then
+#                      the structural gate: the f32 GEMM's right operand
+#                      has one form — no pre-packed or implicit-im2col
+#                      gemmView, no f32 packPanel)
 #   4. prionnvet      (repo-specific reproducibility checks; see
 #                      DESIGN.md "Static analysis & reproducibility
 #                      gates" and cmd/prionnvet)
@@ -36,17 +39,19 @@
 #                      fused f32 inference forward's identity proofs:
 #                      fused == layer-by-layer == train-mode bitwise
 #                      (direct conv at its own edges, padded taps
-#                      multiplied), packed dense == MatMul across the
-#                      one-row kernel's hand-over, the one-row kernel
-#                      skipping only exact zeros (±0, NaN, denormals,
-#                      non-finite weights, underflow to −0), logits
+#                      multiplied), the dense row kernel == MatMul at
+#                      every batch size and skipping only exact zeros
+#                      (±0, NaN, denormals, non-finite weights,
+#                      underflow to −0; rows of a batch each with their
+#                      own list), logits
 #                      independent of batch size and position, view ==
 #                      snapshot logits, private panels and conv strips
 #                      dropped by training, and the arena's ownership
 #                      rule: every activation a forward checks out is
 #                      back when PredictMapped returns, the caller's
-#                      input never is; a lone forward's allocation
-#                      ceiling)
+#                      input never is; the forward's allocation ceiling
+#                      at batch 1, 4 and 32, and a snapshot holding its
+#                      weights once)
 #   9. cluster chaos  (the replicated-cluster robustness matrix under
 #                      the race detector: seeded chaos schedules with
 #                      latency / error injection, cluster-wide swap
@@ -84,8 +89,8 @@
 #  13. go test -fuzz  (short smoke run of each fuzz target: the mapping
 #                      crop/pad grid, the feature-directive parser,
 #                      corrupt float and quantized checkpoint loading,
-#                      and the one-row kernel against MatMul on arbitrary
-#                      bit patterns)
+#                      and the dense row kernel against MatMul on
+#                      arbitrary bit patterns)
 #
 # Each step reports its wall-clock seconds on completion, so a slow
 # gate points at its own bottleneck. Exits nonzero on the first
@@ -126,6 +131,14 @@ step "go build ./... (host, then GOARCH=arm64)"
 go build ./...
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor ./internal/nn
+# One B form: a second right-operand form threaded through the blocked
+# GEMM (stored strips, an implicit-im2col packer) must not come back.
+# packPanelU8, the int8 packer, is not matched.
+if grep -nE 'packed +\*PackedB|conv +\*convGeom|func \(b gemmView\) panel' internal/tensor/gemm.go ||
+    grep -rn 'packPanel(' internal/tensor --include='*.go'; then
+    echo "internal/tensor: the f32 GEMM's right operand has one form, {data, rs, cs}" >&2
+    exit 1
+fi
 step_done
 
 step "prionnvet ./..."
@@ -159,7 +172,7 @@ step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
 go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
-go test -count=1 -run 'TestInferForwardAllocCeiling' ./internal/prionn/
+go test -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce' ./internal/prionn/
 go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
 go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts' ./internal/nn/
 step_done
