@@ -11,7 +11,7 @@
 //	prionnd -load model.ckpt -addr :8356         # serve a model saved by cmd/prionn
 //	prionnd -demo 5000 -clients 64               # in-process throughput demo, no HTTP
 //	prionnd -replicas 4 -policy affinity ...     # fault-tolerant multi-replica cluster
-//	prionnd -quant -jobs 2000 ...                # serve the int8-quantized snapshot
+//	prionnd -quant -jobs 2000 ...                # serve int8-rounded weights on the float32 forward
 //	prionnd -retrain-every 100 -canary-frac 0.1  # close the online-learning loop
 //	prionnd -debug-addr 127.0.0.1:6060 ...       # net/http/pprof on a listener of its own
 //
@@ -217,7 +217,7 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 	seed := fs.Int64("seed", 1, "seed for trace and model")
 	scale := fs.String("scale", "fast", "model scale: tiny, fast, paper")
 	load := fs.String("load", "", "serve a model checkpoint instead of training")
-	quant := fs.Bool("quant", false, "serve an int8-quantized snapshot (post-training calibration on a held-out trace slice)")
+	quant := fs.Bool("quant", false, "serve the float32 forward over per-channel int8 weights (checked on a held-out trace slice)")
 	maxBatch := fs.Int("max-batch", 64, "largest coalesced minibatch")
 	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "longest a batch is held for more requests; only a batch that follows one with more than one request is held, a lone or sequential caller is flushed at once")
 	queueDepth := fs.Int("queue", 256, "admission queue depth (backpressure bound)")
@@ -245,7 +245,7 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 
 	if *retrainEvery > 0 && *quant {
 		// Retrained candidates are float32 snapshots; promoting one would
-		// silently replace the int8 kernel the operator asked for.
+		// silently replace the int8 weights the operator asked for.
 		logf("-retrain-every and -quant are mutually exclusive: online retraining publishes float32 candidates")
 		return 1
 	}
@@ -356,12 +356,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // trained here), and the model configuration actually in effect — the
 // loaded checkpoint's when -load is set, cfg otherwise — which the
 // online-learning pipeline adopts so its candidates match the serving
-// model. With -quant the published snapshot is the predictor's int8
-// quantization, calibrated on a held-out slice of completed jobs. With
+// model. With -quant the published snapshot is the predictor's weights
+// rounded through int8, checked on a held-out slice of completed jobs. With
 // -jobs 0 and no checkpoint it returns a nil view: the daemon serves
 // the requested-runtime fallback until a snapshot exists. The synthetic
 // trace is generated only where it is read: to train here, and to
-// calibrate -quant.
+// check -quant.
 func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant bool, logf func(string, ...interface{})) (*prionn.Inference, int64, prionn.Config, error) {
 	var completed []trace.Job
 	if load == "" || quant {
@@ -412,27 +412,27 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 	return view, ckptBytes, cfg, nil
 }
 
-// quantizedSnapshot freezes the trained predictor into an int8 serving
-// snapshot. The activation ranges are calibrated on the most recent
-// completed jobs *preceding* the training window (held out from
-// training); when the whole trace fit in the window — or the model came
-// from -load, where the local trace is entirely held out — the most
-// recent completed jobs are used instead. Calibration is capped at
-// maxCalib jobs to bound startup time. ckptBytes is the float
+// quantizedSnapshot freezes the trained predictor into an int8-weight
+// serving snapshot. Its agreement with the float weights is checked on
+// the most recent completed jobs *preceding* the training window (held
+// out from training); when the whole trace fit in the window — or the
+// model came from -load, where the local trace is entirely held out —
+// the most recent completed jobs are used instead. The check is capped
+// at maxCheck jobs to bound startup time. ckptBytes is the float
 // checkpoint's size, logged beside the int8 snapshot's.
 func quantizedSnapshot(p *prionn.Predictor, completed []trace.Job, trainWindow int, ckptBytes int64, logf func(string, ...interface{})) (*prionn.Inference, int64, error) {
-	const maxCalib = 256
-	calib := completed
+	const maxCheck = 256
+	check := completed
 	if trainWindow > 0 && trainWindow < len(completed) {
-		calib = completed[:len(completed)-trainWindow]
+		check = completed[:len(completed)-trainWindow]
 	}
-	if len(calib) > maxCalib {
-		calib = calib[len(calib)-maxCalib:]
+	if len(check) > maxCheck {
+		check = check[len(check)-maxCheck:]
 	}
-	if len(calib) == 0 {
-		return nil, 0, fmt.Errorf("-quant needs completed jobs to calibrate on (trace too short)")
+	if len(check) == 0 {
+		return nil, 0, fmt.Errorf("-quant needs completed jobs to check on (trace too short)")
 	}
-	view, err := p.SnapshotQuantized(calib)
+	view, err := p.SnapshotQuantized(check)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -440,8 +440,8 @@ func quantizedSnapshot(p *prionn.Predictor, completed []trace.Job, trainWindow i
 	if err := view.SaveQuantized(&cw); err != nil {
 		return nil, 0, err
 	}
-	logf("int8 snapshot published: %d calibration jobs, %d bytes (float checkpoint: %d bytes)",
-		len(calib), cw.n, ckptBytes)
+	logf("int8 snapshot published: %d check jobs, flip rate %s; %d bytes (float checkpoint: %d bytes)",
+		len(check), view.Agreement(), cw.n, ckptBytes)
 	return view, cw.n, nil
 }
 

@@ -45,9 +45,10 @@ func TestRunDemo(t *testing.T) {
 	}
 }
 
-// TestRunDemoQuant drives the demo path on an int8-quantized snapshot:
-// the daemon trains, calibrates on the held-out slice, publishes the
-// quantized view, and the stats block reports the int8 kernel and the
+// TestRunDemoQuant drives the demo path on an int8-weight snapshot: the
+// daemon trains, rounds its weights, checks them on the held-out slice,
+// publishes the view and logs how many jobs the check ran on and each
+// head's flip rate, and the stats block reports the int8 kernel and the
 // snapshot's byte size.
 func TestRunDemoQuant(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -55,8 +56,9 @@ func TestRunDemoQuant(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "int8 snapshot published") {
-		t.Fatalf("-quant must log the quantization event:\nstderr: %s", stderr.String())
+	published := regexp.MustCompile(`int8 snapshot published: [1-9][0-9]* check jobs, flip rate runtime [0-9.e-]+, read [0-9.e-]+, write [0-9.e-]+; [0-9]+ bytes`)
+	if !published.MatchString(stderr.String()) {
+		t.Fatalf("-quant must log the check's job count and per-head flip rates:\nstderr: %s", stderr.String())
 	}
 	out := stdout.String()
 	if !strings.Contains(out, "[int8] served 200") {

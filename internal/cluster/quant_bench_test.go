@@ -9,24 +9,22 @@ import (
 	"prionn/internal/trace"
 )
 
-// The cluster half of the BENCH_quant.json pair: the conv-dominated
-// FastConfig fixture from internal/serve's quant benchmarks, dispatched
-// through a 4-replica round-robin cluster with the prediction cache off,
-// so every request takes a real forward through the measured kernel.
-// This is the uncached aggregate-throughput view of the f32 → int8
-// comparison; the serve pair measures the single-engine view.
+// The cluster entry of BENCH_quant.json: the conv-dominated FastConfig
+// fixture from internal/serve's quant benchmarks, dispatched through a
+// 4-replica round-robin cluster with the prediction cache off, so every
+// request takes a real forward. An int8-weight snapshot runs the same
+// forward, so it has no entry of its own.
 
 var (
 	quantBenchOnce sync.Once
 	quantBenchErr  error
 	quantBenchF32  *prionn.Inference
-	quantBenchInt8 *prionn.Inference
 	quantBenchJobs []trace.Job
 )
 
-// quantBenchViews trains the FastConfig 2D-CNN once and snapshots it in
-// both kernels (mirrors internal/serve's quant fixture).
-func quantBenchViews(b *testing.B) (*prionn.Inference, *prionn.Inference) {
+// quantBenchView trains the FastConfig 2D-CNN once and snapshots it
+// (mirrors internal/serve's quant fixture).
+func quantBenchView(b *testing.B) *prionn.Inference {
 	b.Helper()
 	quantBenchOnce.Do(func() {
 		cfg := prionn.FastConfig()
@@ -51,22 +49,17 @@ func quantBenchViews(b *testing.B) (*prionn.Inference, *prionn.Inference) {
 			quantBenchErr = err
 			return
 		}
-		if quantBenchInt8, err = p.SnapshotQuantized(jobs[40:80]); err != nil {
-			quantBenchErr = err
-			return
-		}
 		quantBenchJobs = jobs
 	})
 	if quantBenchErr != nil {
 		b.Fatal(quantBenchErr)
 	}
-	return quantBenchF32, quantBenchInt8
+	return quantBenchF32
 }
 
 // benchQuantCluster drives b.N predictions from 64 concurrent clients
 // through an uncached 4-replica cluster over the given snapshot.
 func benchQuantCluster(b *testing.B, v *prionn.Inference) {
-	quantBenchViews(b)
 	scripts := make([]string, 256)
 	for i := range scripts {
 		scripts[i] = quantBenchJobs[i%len(quantBenchJobs)].Script
@@ -99,16 +92,8 @@ func benchQuantCluster(b *testing.B, v *prionn.Inference) {
 	b.ReportMetric(float64(snap.P99Ns), "p99-ns")
 }
 
-// BenchmarkQuantCluster4F32NoCache is the float32 cluster baseline on
-// the conv fixture.
+// BenchmarkQuantCluster4F32NoCache is the uncached cluster on the conv
+// fixture.
 func BenchmarkQuantCluster4F32NoCache(b *testing.B) {
-	f32, _ := quantBenchViews(b)
-	benchQuantCluster(b, f32)
-}
-
-// BenchmarkQuantCluster4Int8NoCache is the same dispatch over the int8
-// snapshot: the quantized kernel's aggregate uncached throughput.
-func BenchmarkQuantCluster4Int8NoCache(b *testing.B) {
-	_, int8v := quantBenchViews(b)
-	benchQuantCluster(b, int8v)
+	benchQuantCluster(b, quantBenchView(b))
 }

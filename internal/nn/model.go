@@ -277,19 +277,27 @@ func writeTensors(w io.Writer, ts []*tensor.Tensor) error {
 		return err
 	}
 	for _, t := range ts {
-		if err := writeCount(w, buf, len(t.Data)); err != nil {
+		if err := writeRecord(w, buf, t.Data); err != nil {
 			return err
 		}
-		for data := t.Data; len(data) > 0; {
-			n := min(len(data), len(buf)/4)
-			for i, f := range data[:n] {
-				binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-			}
-			if _, err := w.Write(buf[:4*n]); err != nil {
-				return err
-			}
-			data = data[n:]
+	}
+	return nil
+}
+
+// writeRecord writes one record: len(data), then data's bit patterns.
+func writeRecord(w io.Writer, buf []byte, data []float32) error {
+	if err := writeCount(w, buf, len(data)); err != nil {
+		return err
+	}
+	for len(data) > 0 {
+		n := min(len(data), len(buf)/4)
+		for i, f := range data[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
 		}
+		if _, err := w.Write(buf[:4*n]); err != nil {
+			return err
+		}
+		data = data[n:]
 	}
 	return nil
 }

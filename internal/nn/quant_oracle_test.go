@@ -11,8 +11,7 @@ import (
 
 // The graph-level oracle for the int8 forward: every op of a quantized
 // chain computed the slow, obvious way — one output cell at a time, no
-// blocking, no packing, no fusion, requantize first and pool after —
-// against QModel's fused forward.
+// blocking, no packing — against QForward, op by op.
 
 // naiveRequant is the requantization expression of the package comment
 // with the library's rounding.
@@ -103,16 +102,14 @@ func naiveDense(d *QDense, x []uint8, n int) ([]float32, []uint8) {
 
 // quantOracleStacks are the three PRIONN architectures — the 2D-CNN also
 // at the 32×32 extent whose strips the packer takes as windows — plus
-// ragged stacks: odd extents under a folded pool, 1×k and strided
-// kernels, a conv without ReLU before a folded pool, pools that must not
-// fold (declared over another view of the conv's output; overlapping
-// 3×3/2; 2×2/1), dropout, k crossing KC, columns crossing NC. folds is
-// how many pools the forward must take into a conv's epilogue.
+// ragged stacks: odd extents under a pool, 1×k and strided kernels, a
+// conv without ReLU before a pool, a pool declared over another view of
+// the conv's output, overlapping 3×3/2 and 2×2/1 pools, dropout, k
+// crossing KC, columns crossing NC.
 func quantOracleStacks(rng *rand.Rand) []struct {
 	name  string
 	m     *Sequential
 	input []int // one sample's shape
-	folds int
 } {
 	same3 := tensor.ConvSpec{KH: 3, KW: 3, Stride: 1, PadH: 1, PadW: 1}
 	arch := ArchConfig{Rows: 20, Cols: 20, Channels: 2, Classes: 7, Width: 0.25}
@@ -121,47 +118,44 @@ func quantOracleStacks(rng *rand.Rand) []struct {
 		name  string
 		m     *Sequential
 		input []int
-		folds int
 	}{
-		{"nn", NewFullyConnected(rng, arch), []int{2, 20, 20}, 0},
-		{"1d-cnn", NewCNN1D(rng, arch), []int{2, 1, 400}, 0},
-		{"2d-cnn", NewCNN2D(rng, arch), []int{2, 20, 20}, 1},
-		{"2d-cnn-32", NewCNN2D(rng, arch32), []int{3, 32, 32}, 1},
+		{"nn", NewFullyConnected(rng, arch), []int{2, 20, 20}},
+		{"1d-cnn", NewCNN1D(rng, arch), []int{2, 1, 400}},
+		{"2d-cnn", NewCNN2D(rng, arch), []int{2, 20, 20}},
+		{"2d-cnn-32", NewCNN2D(rng, arch32), []int{3, 32, 32}},
 		{"ragged", NewSequential(
 			NewConv2D(rng, 5, 17, 23, 6, same3), NewReLU(), NewMaxPool2D(6, 17, 23, 2, 2),
 			NewConv2D(rng, 6, 8, 11, 13, same3), NewReLU(),
 			NewConv2D(rng, 13, 8, 11, 3, same3),
 			NewConv2D(rng, 3, 8, 11, 4, tensor.ConvSpec{KH: 3, KW: 3, Stride: 2}), NewMaxPool2D(4, 3, 5, 2, 1),
 			NewFlatten(), NewDense(rng, 4*2*4, 9), NewReLU(), NewDropout(rng, 0.5), NewDense(rng, 9, 5),
-		), []int{5, 17, 23}, 1},
+		), []int{5, 17, 23}},
 		{"unfit-pool", NewSequential(
 			NewConv2D(rng, 1, 9, 9, 1, same3), NewReLU(),
 			// Declared over a 1×3×27 view of the conv's 1×9×9 output.
 			&MaxPool2D{InC: 1, InH: 3, InW: 27, Spec: tensor.ConvSpec{KH: 2, KW: 2, Stride: 2}},
 			NewFlatten(), NewDense(rng, 13, 4),
-		), []int{1, 9, 9}, 0},
+		), []int{1, 9, 9}},
 		{"overlap-pool", NewSequential(
 			NewConv2D(rng, 2, 12, 12, 3, same3), NewReLU(), NewMaxPool2D(3, 12, 12, 3, 2),
-			NewConv2D(rng, 3, 5, 5, 4, same3), NewMaxPool2D(4, 5, 5, 2, 2), // no ReLU, folded
+			NewConv2D(rng, 3, 5, 5, 4, same3), NewMaxPool2D(4, 5, 5, 2, 2), // no ReLU
 			NewFlatten(), NewDense(rng, 4*2*2, 5),
-		), []int{2, 12, 12}, 1},
+		), []int{2, 12, 12}},
 		{"deep-k-wide-n", NewSequential(
 			NewConv2D(rng, 30, 24, 24, 3, same3), NewReLU(), NewMaxPool2D(3, 24, 24, 2, 2), // k = 270, 576 columns
 			NewFlatten(), NewDense(rng, 3*12*12, 6), NewReLU(), NewDropout(rng, 0.3), NewDense(rng, 6, 3),
-		), []int{30, 24, 24}, 1},
+		), []int{30, 24, 24}},
 		{"conv1d-1xk", NewSequential(
 			NewConv1D(rng, 4, 70, 3, 9, 1, 4), NewReLU(), NewDropout(rng, 0.5),
 			NewFlatten(), NewDense(rng, 3*70, 6), NewReLU(), NewDense(rng, 6, 3),
-		), []int{4, 1, 70}, 0},
+		), []int{4, 1, 70}},
 	}
 }
 
 // TestQuantForwardBitwiseMatchesNaive: for every stack, batch size,
-// worker count and micro-kernel, QModel's fused forward reproduces the
-// naive op-by-op reference byte for byte — the logits and the u8
-// activation after every op (running the chain up to an op inside a
-// conv→pool pair checks the conv alone, nothing folded; up to the pool
-// checks the fold).
+// worker count and micro-kernel, the op chain run through QForward
+// reproduces the naive op-by-op reference byte for byte — the u8
+// activation after every op and the head's logits.
 func TestQuantForwardBitwiseMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
@@ -171,15 +165,6 @@ func TestQuantForwardBitwiseMatchesNaive(t *testing.T) {
 		qm, err := Quantize(st.m, calib)
 		if err != nil {
 			t.Fatalf("%s: Quantize: %v", st.name, err)
-		}
-		folds := 0
-		for i, op := range qm.Ops[:len(qm.Ops)-1] {
-			if c, ok := op.(*QConv2D); ok && c.folds(qm.Ops[i+1]) {
-				folds++
-			}
-		}
-		if folds != st.folds {
-			t.Fatalf("%s: the forward folds %d pools, the stack was built for %d", st.name, folds, st.folds)
 		}
 		for _, n := range []int{1, 3, 9, 32} {
 			x := tensor.New(append([]int{n}, st.input...)...).RandN(rng, 1)
@@ -209,22 +194,24 @@ func TestQuantForwardBitwiseMatchesNaive(t *testing.T) {
 				for _, workers := range []int{1, 2, 4, 8} {
 					tensor.SetMaxWorkers(workers)
 					label := fmt.Sprintf("%s n=%d workers=%d asm=%v", st.name, n, workers, asm)
-					sc := new(qScratch)
-					for upTo := 1; upTo <= len(qm.Ops); upTo++ {
-						got := qm.hidden(sc, x, upTo)
-						if len(got) != len(want[upTo-1]) {
-							t.Fatalf("%s: %d values after op %d (%T), want %d", label, len(got), upTo-1, qm.Ops[upTo-1], len(want[upTo-1]))
+					got := make([]uint8, x.Len())
+					for i, v := range x.Data {
+						got[i] = qm.InQ.Quantize(v)
+					}
+					for k, op := range qm.Ops {
+						got = op.QForward(got, n)
+						if len(got) != len(want[k]) {
+							t.Fatalf("%s: %d values after op %d (%T), want %d", label, len(got), k, op, len(want[k]))
 						}
-						for i, b := range want[upTo-1] {
+						for i, b := range want[k] {
 							if got[i] != b {
-								t.Fatalf("%s: byte %d after op %d (%T) = %d, want %d", label, i, upTo-1, qm.Ops[upTo-1], got[i], b)
+								t.Fatalf("%s: byte %d after op %d (%T) = %d, want %d", label, i, k, op, got[i], b)
 							}
 						}
 					}
-					got := qm.Predict(x)
-					for i, v := range logits {
-						if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
-							t.Fatalf("%s: logit %d = %v, want %v", label, i, got.Data[i], v)
+					for i, v := range qm.Head.realForward(got, n) {
+						if math.Float32bits(v) != math.Float32bits(logits[i]) {
+							t.Fatalf("%s: logit %d = %v, want %v", label, i, v, logits[i])
 						}
 					}
 				}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,6 +69,30 @@ func TestQParamsZeroExact(t *testing.T) {
 	}
 }
 
+// qLogits runs m's op chain op by op (QForward) over the float batch x
+// and returns the head's real-valued logits.
+func qLogits(m *QModel, x *tensor.Tensor) *tensor.Tensor {
+	n := x.Dim(0)
+	act := make([]uint8, x.Len())
+	for i, v := range x.Data {
+		act[i] = m.InQ.Quantize(v)
+	}
+	for _, op := range m.Ops {
+		act = op.QForward(act, n)
+	}
+	return tensor.FromSlice(m.Head.realForward(act, n), n, m.Head.Out)
+}
+
+// qClasses is qLogits' argmax per sample.
+func qClasses(m *QModel, x *tensor.Tensor) []int {
+	logits := qLogits(m, x)
+	out := make([]int, logits.Dim(0))
+	for i := range out {
+		out[i] = logits.ArgMaxRow(i)
+	}
+	return out
+}
+
 // quantTestModel builds a small trained-ish CNN2D (random but fixed
 // weights) plus a calibration batch for the structural tests.
 func quantTestModel(t *testing.T) (*Sequential, *tensor.Tensor) {
@@ -96,7 +119,7 @@ func TestQuantizedModelClassParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	x := tensor.New(32, 3, 18, 18).RandN(rng, 1)
 	want := m.PredictClasses(x)
-	got := qm.PredictClasses(x)
+	got := qClasses(qm, x)
 	agree := 0
 	for i := range want {
 		if got[i] == want[i] {
@@ -120,10 +143,10 @@ func TestQuantizedModelDeterministicAcrossWorkers(t *testing.T) {
 	x := tensor.New(8, 3, 18, 18).RandN(rng, 1)
 	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)
-	base := qm.Predict(x)
+	base := qLogits(qm, x)
 	for _, workers := range []int{2, 4, 8} {
 		tensor.SetMaxWorkers(workers)
-		got := qm.Predict(x)
+		got := qLogits(qm, x)
 		for i := range base.Data {
 			if got.Data[i] != base.Data[i] {
 				t.Fatalf("workers=%d: logit %d = %v, want %v (bitwise)", workers, i, got.Data[i], base.Data[i])
@@ -132,34 +155,11 @@ func TestQuantizedModelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestQModelSaveLoadRoundTrip proves the gob wire format reproduces
-// bitwise-identical predictions.
-func TestQModelSaveLoadRoundTrip(t *testing.T) {
-	m, calib := quantTestModel(t)
-	qm, err := Quantize(m, calib)
-	if err != nil {
-		t.Fatalf("Quantize: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := qm.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := LoadQModel(&buf)
-	if err != nil {
-		t.Fatalf("LoadQModel: %v", err)
-	}
-	rng := rand.New(rand.NewSource(35))
-	x := tensor.New(4, 3, 18, 18).RandN(rng, 1)
-	a, b := qm.Predict(x), loaded.Predict(x)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("logit %d differs after round trip: %v vs %v", i, a.Data[i], b.Data[i])
-		}
-	}
-}
-
 // TestQuantizeAllArchitectures proves the quantizer recognizes the
-// layer grammar of all three PRIONN model families.
+// layer grammar of all three PRIONN model families, and that RoundInt8
+// rounds each family's conv and dense layers — and only those — through
+// int8: every weight is its code times its channel's scale, no code
+// leaves [−127, 127], and the biases do not move.
 func TestQuantizeAllArchitectures(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	arch := ArchConfig{Rows: 16, Cols: 16, Channels: 2, Classes: 8, Width: 0.25}
@@ -179,12 +179,33 @@ func TestQuantizeAllArchitectures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Quantize: %v", name, err)
 		}
-		if err := qm.Validate(); err != nil {
-			t.Fatalf("%s: Validate: %v", name, err)
-		}
-		got := qm.PredictClasses(calib)
-		if len(got) != 4 {
+		if got := qClasses(qm, calib); len(got) != 4 {
 			t.Fatalf("%s: %d predictions for 4 samples", name, len(got))
+		}
+
+		var biases [][]float32
+		for _, c := range m.int8Layers() {
+			biases = append(biases, append([]float32(nil), c.b.Data...))
+		}
+		q := m.RoundInt8()
+		layers := m.int8Layers()
+		if len(q) != len(layers) || len(layers) < 2 {
+			t.Fatalf("%s: %d int8 layers for %d conv/dense layers", name, len(q), len(layers))
+		}
+		for i, c := range layers {
+			for ch, s := range q[i].Scales {
+				for j := 0; j < c.per; j++ {
+					at := ch*c.cs + j*c.es
+					if code := q[i].Codes[at]; code < -127 || c.w.Data[at] != float32(code)*s {
+						t.Fatalf("%s layer %d: weight %d = %v, code %d × scale %v", name, i, at, c.w.Data[at], code, s)
+					}
+				}
+			}
+			for j, b := range c.b.Data {
+				if b != biases[i][j] {
+					t.Fatalf("%s layer %d: bias %d moved %v → %v", name, i, j, biases[i][j], b)
+				}
+			}
 		}
 	}
 }

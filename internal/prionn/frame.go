@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash"
@@ -14,42 +15,44 @@ import (
 	"prionn/internal/fault"
 )
 
-// Checkpoint framing. Every persisted artifact starts with the same
-// 48-byte header and is written through atomicWrite:
+// Checkpoint framing. Every persisted artifact is one frame, written
+// through atomicWrite and streamed — written and read section by
+// section through one buffer, never held whole in memory:
 //
 //	offset  size  field
 //	     0     8  magic "PRIONN\x00" + format version byte
-//	     8     8  length of the section that follows, little-endian uint64
-//	    16    32  SHA-256 of that section
+//	     8     8  length M of the meta, little-endian uint64 (at most
+//	              maxMetaLen)
+//	    16    32  SHA-256 of the meta
+//	    48     M  meta: a gob of the version's meta struct
+//	  48+M     …  body: per head, in Predictor.heads order, its records
+//	   end    32  SHA-256 of every byte before it
 //
 // The version byte names the schema, so a float32 predictor checkpoint
 // and a quantized snapshot can never be confused for one another:
 // loading either through the other's loader fails with ErrCorrupt at
 // the header, before anything is decoded.
 //
-// Version 2, the quantized snapshot, is the header and one gob payload.
-//
 // Version 3, the float32 predictor checkpoint (a full model save, or a
-// mid-event training checkpoint, which differs only in its meta), is
-// streamed — written and read section by section through one buffer,
-// never held whole in memory:
+// mid-event training checkpoint, which differs only in its meta):
+// checkpointMeta (config, embedding, trained, events, resume position of
+// a mid-event checkpoint); per head its parameters
+// (nn.Sequential.Save), an optimizer flag byte, and when that is 1 its
+// Adam state (nn.Adam.SaveState).
 //
-//	   0    48  header, of the meta (at most maxMetaLen bytes)
-//	  48     M  meta: gob of checkpointMeta (config, embedding, trained,
-//	            events, resume position of a mid-event checkpoint)
-//	48+M     …  per head, in Predictor.heads order: its parameters
-//	            (nn.Sequential.Save), an optimizer flag byte, and when
-//	            that is 1 its Adam state (nn.Adam.SaveState)
-//	 end    32  SHA-256 of every byte before it
+// Version 4, the quantized snapshot: quantMeta (config, embedding,
+// trained); per head its Conv2D and Dense layers' int8 codes, scales and
+// float32 biases (nn.Sequential.SaveInt8).
 //
 // The meta has its own checksum because it decides what is built: it is
 // verified before it is decoded and before a model is sized from its
-// config. The tensor body is read straight into that model and vouched
-// for by the trailer, which can only trail — a writer that streams does
-// not know the body's hash until it has written it. Load checks the
-// trailer, and that nothing follows it, before it returns a predictor.
+// config. The body is read straight into that model and vouched for by
+// the trailer, which can only trail — a writer that streams does not
+// know the body's hash until it has written it. A loader checks the
+// trailer, and that nothing follows it, before it returns anything.
 //
-// Version 1, the float32 checkpoint's former gob-in-gob layout, has no
+// Version 1, the float32 checkpoint's former gob-in-gob layout, and
+// version 2, the quantized snapshot's former gob payload, have no
 // reader: such a file fails at the version byte.
 //
 // The frame turns every partial-failure mode a crash can produce — a
@@ -58,21 +61,21 @@ import (
 // reader observes either the previous complete checkpoint or the new
 // complete checkpoint, never a hybrid.
 const (
-	// frameVersionQuant is the int8 quantized snapshot format.
-	frameVersionQuant = 2
 	// frameVersion is the float32 predictor checkpoint format.
 	frameVersion = 3
+	// frameVersionQuant is the quantized snapshot format.
+	frameVersionQuant = 4
 )
 
 var frameMagic = [7]byte{'P', 'R', 'I', 'O', 'N', 'N', 0}
 
 const (
 	frameHeaderLen = 8 + 8 + sha256.Size
-	// maxMetaLen bounds the one allocation a v3 reader sizes from the
-	// file. A meta holds a config and a 128-character embedding: a few
+	// maxMetaLen bounds the one allocation a reader sizes from the file.
+	// A meta holds a config and a 128-character embedding: a few
 	// kilobytes.
 	maxMetaLen = 1 << 20
-	// frameBufLen is the buffer a v3 frame is written and read through.
+	// frameBufLen is the buffer a frame is written and read through.
 	frameBufLen = 64 << 10
 )
 
@@ -89,31 +92,47 @@ var (
 	ErrCorrupt = errors.New("prionn: corrupt checkpoint")
 )
 
-// writeFrameV writes the header (with the given format version byte)
-// and payload to w: a whole v2 frame, or the head of a v3 one.
-func writeFrameV(w io.Writer, version byte, payload []byte) error {
+// writeFrame streams a frame of the given version to w: the header and
+// meta, gob-encoded, then what body writes, through one buffered writer
+// that feeds w and the trailing checksum together, then the trailer.
+func writeFrame(w io.Writer, version byte, meta any, body func(*bufio.Writer) error) error {
+	var mb bytes.Buffer
+	if err := gob.NewEncoder(&mb).Encode(meta); err != nil {
+		return err
+	}
+	if mb.Len() > maxMetaLen {
+		return fmt.Errorf("prionn: checkpoint meta is %d bytes, over the format's %d", mb.Len(), maxMetaLen)
+	}
 	var hdr [frameHeaderLen]byte
 	copy(hdr[:], frameMagic[:])
 	hdr[7] = version
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(hdr[16:], sum[:])
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(mb.Len()))
+	metaSum := sha256.Sum256(mb.Bytes())
+	copy(hdr[16:], metaSum[:])
+	sum := sha256.New()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), frameBufLen)
+	_, _ = bw.Write(hdr[:]) // a bufio.Writer's error sticks: Flush returns it
+	_, _ = bw.Write(mb.Bytes())
+	if err := body(bw); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(sum.Sum(nil))
 	return err
 }
 
-// readFrameV consumes r and returns the verified payload, requiring the
-// frame's version byte to match the expected payload schema.
-func readFrameV(r io.Reader, version byte) ([]byte, error) {
+// openFrame reads the header and meta of a frame that must have the
+// given version, decodes the meta into meta, and returns the reader the
+// body is read through. The header is checked field by field before the
+// one allocation sized from it, and the meta against its checksum before
+// it is decoded.
+func openFrame(r io.Reader, version byte, meta any) (*frameReader, error) {
+	fr := newFrameReader(r)
 	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: short header", ErrTruncated)
-		}
-		return nil, err
+	if _, err := io.ReadFull(fr, hdr[:]); err != nil {
+		return nil, fr.fail("header", err)
 	}
 	if !bytes.Equal(hdr[:7], frameMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -121,27 +140,24 @@ func readFrameV(r io.Reader, version byte) ([]byte, error) {
 	if hdr[7] != version {
 		return nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, hdr[7], version)
 	}
-	declared := binary.LittleEndian.Uint64(hdr[8:16])
-	// Read what is actually there rather than allocating the declared
-	// length: a corrupt header must not be able to demand gigabytes.
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
+	metaLen := binary.LittleEndian.Uint64(hdr[8:16])
+	if metaLen > maxMetaLen {
+		return nil, fmt.Errorf("%w: meta length %d over %d", ErrCorrupt, metaLen, maxMetaLen)
 	}
-	if uint64(len(payload)) < declared {
-		return nil, fmt.Errorf("%w: payload %d of %d bytes", ErrTruncated, len(payload), declared)
+	mb := make([]byte, metaLen)
+	if _, err := io.ReadFull(fr, mb); err != nil {
+		return nil, fr.fail("meta", err)
 	}
-	if uint64(len(payload)) > declared {
-		return nil, fmt.Errorf("%w: %d bytes past declared payload", ErrCorrupt, uint64(len(payload))-declared)
+	if metaSum := sha256.Sum256(mb); !bytes.Equal(metaSum[:], hdr[16:]) {
+		return nil, fmt.Errorf("%w: meta checksum mismatch", ErrCorrupt)
 	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], hdr[16:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if err := gob.NewDecoder(bytes.NewReader(mb)).Decode(meta); err != nil {
+		return nil, fmt.Errorf("%w: decoding meta: %v", ErrCorrupt, err)
 	}
-	return payload, nil
+	return fr, nil
 }
 
-// frameReader reads a v3 frame. Everything read through it feeds the
+// frameReader reads a frame. Everything read through it feeds the
 // running checksum the trailer is compared with; a read failure that is
 // not the end of the input is kept, so that fail reports it as itself
 // and not as damage to the file.
@@ -175,6 +191,24 @@ func (f *frameReader) fail(what string, err error) error {
 		return fmt.Errorf("%w: input ends in the %s", ErrTruncated, what)
 	}
 	return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+}
+
+// close ends the frame: one read takes the trailer and probes for a byte
+// past it.
+func (f *frameReader) close() error {
+	want := f.sum.Sum(nil)
+	var trailer [sha256.Size + 1]byte
+	switch n, err := io.ReadFull(f, trailer[:]); {
+	case n < sha256.Size:
+		return f.fail("trailing checksum", err)
+	case !bytes.Equal(trailer[:sha256.Size], want):
+		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	case n > sha256.Size:
+		return fmt.Errorf("%w: bytes past the trailing checksum", ErrCorrupt)
+	case err != io.ErrUnexpectedEOF:
+		return f.fail("end of frame", err)
+	}
+	return nil
 }
 
 // atomicWrite persists what write produces at path through the

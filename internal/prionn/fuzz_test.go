@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"testing"
+
+	"prionn/internal/nn"
 )
 
 // FuzzLoadPredictor throws arbitrary bytes — seeded with a valid saved
@@ -68,7 +69,7 @@ func FuzzLoadPredictor(f *testing.F) {
 	if err := q.SaveQuantized(&qbuf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(qbuf.Bytes()) // a v2 frame: the quantized loader's
+	f.Add(qbuf.Bytes()) // a v4 frame: the quantized loader's
 	f.Add(bytes.Repeat([]byte{0xff}, 256))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -95,10 +96,12 @@ func FuzzLoadPredictor(f *testing.F) {
 }
 
 // FuzzQuantizedLoad is FuzzLoadPredictor's twin for the quantized
-// snapshot frame: LoadQuantized never panics and never returns a
-// snapshot from damaged input, rejecting with typed errors. The seeds
-// include a valid float32 predictor frame, which the quantized loader
-// must refuse at the version byte.
+// snapshot's v4 frame: LoadQuantized never panics and never returns a
+// snapshot from damaged input, rejecting with typed errors; what it
+// accepts serves, and saved again and loaded again predicts the same.
+// The seeds include a valid float32 predictor frame and a version-2
+// header, which the quantized loader must refuse at the version byte,
+// and a well-framed snapshot whose first scale is negative.
 func FuzzQuantizedLoad(f *testing.F) {
 	jobs := testJobs(30)
 	cfg := TinyConfig()
@@ -139,7 +142,18 @@ func FuzzQuantizedLoad(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), 0xde, 0xad))
 	f.Add(fbuf.Bytes()) // a float32 frame: wrong version byte
 	f.Add(bytes.Repeat([]byte{0xff}, 256))
-	f.Add(rewriteQuantized(f, valid, enlargeFirstConv)) // well-framed, ops that do not chain
+	v2 := append([]byte(nil), valid[:frameHeaderLen]...)
+	v2[7] = 2
+	f.Add(v2) // the retired gob-payload format's header
+	bad := *q
+	bad.int8 = append([][]nn.Int8Weights(nil), q.int8...)
+	bad.int8[0] = append([]nn.Int8Weights(nil), q.int8[0]...)
+	bad.int8[0][0].Scales = append([]float32{-1}, q.int8[0][0].Scales[1:]...)
+	var badBuf bytes.Buffer
+	if err := bad.SaveQuantized(&badBuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(badBuf.Bytes()) // well-framed, a negative scale
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := LoadQuantized(bytes.NewReader(data))
@@ -155,11 +169,18 @@ func FuzzQuantizedLoad(f *testing.F) {
 		if v.Kernel() != KernelInt8 {
 			t.Fatalf("accepted snapshot has kernel %q", v.Kernel())
 		}
-		// Whatever loads must also serve: the forward trusts the loaded
-		// geometry.
-		v.PredictOne(jobs[0].Script)
-		if _, ferr := readFrameV(bytes.NewReader(data), frameVersionQuant); errors.Is(ferr, ErrTruncated) || errors.Is(ferr, ErrCorrupt) {
-			t.Fatalf("LoadQuantized accepted bytes the frame layer rejects: %v", ferr)
+		// Whatever loads must also serve, and survive its own codec.
+		want := v.PredictOne(jobs[0].Script)
+		var again bytes.Buffer
+		if err := v.SaveQuantized(&again); err != nil {
+			t.Fatalf("saving what LoadQuantized accepted: %v", err)
+		}
+		v2, err := LoadQuantized(bytes.NewReader(again.Bytes()))
+		if err != nil {
+			t.Fatalf("LoadQuantized rejects what SaveQuantized wrote for an accepted snapshot: %v", err)
+		}
+		if got := v2.PredictOne(jobs[0].Script); got != want {
+			t.Fatalf("reloaded snapshot predicts %+v, the accepted one %+v", got, want)
 		}
 	})
 }

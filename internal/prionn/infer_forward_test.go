@@ -35,6 +35,13 @@ func trainedModelPredictor(t *testing.T, model ModelKind, seed int64) (*Predicto
 	return p, jobs
 }
 
+// heldOutJobs is the agreement check slice SnapshotQuantized gets in this
+// file's tests: a trace of its own, long enough that one near-tied job of
+// a barely trained TinyConfig head is not 5 % of it.
+func heldOutJobs() []trace.Job {
+	return trace.Completed(trace.Generate(trace.Config{Seed: 99, Jobs: 400}))
+}
+
 func sameBits(a, b *tensor.Tensor) bool {
 	if a.Len() != b.Len() {
 		return false
@@ -88,19 +95,16 @@ func TestViewSnapshotTrainForwardLogitsBitwise(t *testing.T) {
 }
 
 // TestSnapshotLogitsBatchInvariant: one script's logits do not depend
-// on the batch it rides in or its place there. A batch of one takes the
-// dense layers' one-row kernel and every larger batch the 4×16 tile, so
-// batch size is a kernel boundary — the invariant prionnbench checks
-// through HTTP, pinned here on the logits' bits for batches 1 to 5 at
-// every position.
+// on the batch it rides in or its place there, in a float snapshot or an
+// int8 one. Every dense row goes through the one-row kernel and every
+// conv sample through its own plane, so no row's chain depends on its
+// neighbours — the invariant prionnbench checks through HTTP, pinned
+// here on the logits' bits for batches 1 to 5 at every position. (The
+// int8 snapshot is of another seed's predictor: the agreement check
+// refuses seed 43's barely trained NN.)
 func TestSnapshotLogitsBatchInvariant(t *testing.T) {
-	for _, model := range []ModelKind{ModelNN, Model1DCNN, Model2DCNN} {
-		p, jobs := trainedModelPredictor(t, model, 43)
-		snap, err := p.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		heads := map[string]*nn.Sequential{"runtime": snap.runtime, "read": snap.read, "write": snap.write}
+	invariant := func(model ModelKind, snap *Inference, jobs []trace.Job) {
+		names, heads := snap.heads()
 		script := jobs[50].Script
 		alone := snap.MapTexts([]string{script})
 		for n := 2; n <= 5; n++ {
@@ -111,17 +115,30 @@ func TestSnapshotLogitsBatchInvariant(t *testing.T) {
 				}
 				texts[pos] = script
 				x := snap.MapTexts(texts)
-				for name, h := range heads {
-					want := h.Forward(alone, false)
-					got := h.Forward(x, false)
+				for h, m := range heads {
+					want := m.Forward(alone, false)
+					got := m.Forward(x, false)
 					classes := want.Dim(1)
 					row := tensor.FromSlice(got.Data[pos*classes:(pos+1)*classes], 1, classes)
 					if !sameBits(row, want) {
-						t.Errorf("%s %s: logits at position %d of a batch of %d differ from the batch of one", model, name, pos, n)
+						t.Errorf("%s %s %s: logits at position %d of a batch of %d differ from the batch of one", model, snap.Kernel(), names[h], pos, n)
 					}
 				}
 			}
 		}
+	}
+	for _, model := range []ModelKind{ModelNN, Model1DCNN, Model2DCNN} {
+		p, jobs := trainedModelPredictor(t, model, 43)
+		snap, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		invariant(model, snap, jobs)
+		p, jobs = trainedModelPredictor(t, model, 37)
+		if snap, err = p.SnapshotQuantized(heldOutJobs()); err != nil {
+			t.Fatal(err)
+		}
+		invariant(model, snap, jobs)
 	}
 }
 
@@ -153,17 +170,17 @@ func TestSnapshotPanelsPrivate(t *testing.T) {
 
 // TestPredictMappedLeavesArenaFlat pins the inference half of the arena
 // contract: serving checks nothing out of the default arena that it
-// does not return, so Outstanding is a leak check a daemon can use.
-// (The float32 forward's activations are check-outs; see
-// TestInferForwardReturnsActivations.) The int8 view's scratch is pooled
-// elsewhere; it must not start to borrow from the arena either.
+// does not return, so Outstanding is a leak check a daemon can use —
+// on a float view and on an int8 one, which runs the same forward.
+// (The forward's activations are check-outs; see
+// TestInferForwardReturnsActivations.)
 func TestPredictMappedLeavesArenaFlat(t *testing.T) {
 	p, jobs := trainedModelPredictor(t, Model2DCNN, 31)
 	f32, err := p.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	int8v, err := p.SnapshotQuantized(jobs[40:60])
+	int8v, err := p.SnapshotQuantized(heldOutJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +226,12 @@ func TestTrainLeavesArenaFlat(t *testing.T) {
 }
 
 // TestPredictMappedAllocCeiling bounds the heap allocations of one
-// batch-1 PredictMapped (three 2D-CNN heads, one worker). The float32
-// layer-by-layer forward made 184 on this fixture: an output tensor per
-// layer — conv, ReLU, pool — each with an escaping shape argument, and
-// the discarded argmax table. The fused forward allocates one output per
-// block (85 when written) and must stay under half the old count. The
-// int8 forward made 244 — an output, a column matrix or an accumulator
-// per op — before it was fused; with activations in two pooled buffers
-// it allocates the logits and the class slice per head (13 when
-// written) and is held to the float32 ceiling.
+// batch-1 PredictMapped (three 2D-CNN heads, one worker) on a float view
+// and an int8 one. The float32 layer-by-layer forward made 184 on this
+// fixture: an output tensor per layer — conv, ReLU, pool — each with an
+// escaping shape argument, and the discarded argmax table. The fused
+// forward allocates one output per block (85 when written) and must stay
+// under half the old count.
 func TestPredictMappedAllocCeiling(t *testing.T) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	p, jobs := trainedModelPredictor(t, Model2DCNN, 37)
@@ -225,7 +239,7 @@ func TestPredictMappedAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	int8v, err := p.SnapshotQuantized(jobs[40:60])
+	int8v, err := p.SnapshotQuantized(heldOutJobs())
 	if err != nil {
 		t.Fatal(err)
 	}

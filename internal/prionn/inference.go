@@ -14,11 +14,11 @@ import (
 // the internal/serve package).
 //
 // An Inference is immutable once built and safe for concurrent use:
-// inference forwards write nothing on the nn layers (see nn.Layer) and
-// the int8 heads are stateless, so a serving cluster publishes one
-// *Inference to every replica with a pointer store and any number of
-// goroutines may Predict on it at once, each answer bitwise equal to
-// the serial one (TestSharedViewConcurrentPredict). The one exception
+// inference forwards write nothing on the nn layers (see nn.Layer), so a
+// serving cluster publishes one *Inference to every replica with a
+// pointer store and any number of goroutines may Predict on it at once,
+// each answer bitwise equal to the serial one
+// (TestSharedViewConcurrentPredict). The one exception
 // is the zero-copy view a Predictor predicts through, which shares the
 // predictor's heads and so inherits its single-goroutine contract.
 type Inference struct {
@@ -30,14 +30,14 @@ type Inference struct {
 	write   *nn.Sequential
 	power   *nn.Sequential
 
-	// kernel selects the forward-pass arithmetic: KernelF32 runs the
-	// float heads above; KernelInt8 runs the quantized heads below
-	// (built by Predictor.SnapshotQuantized, restored by LoadQuantized).
-	kernel   KernelKind
-	qruntime *nn.QModel
-	qread    *nn.QModel
-	qwrite   *nn.QModel
-	qpower   *nn.QModel
+	// kernel names the heads' weights. With KernelInt8 (built by
+	// Predictor.SnapshotQuantized, restored by LoadQuantized) every
+	// Conv2D and Dense weight is an int8 rounding, whose codes and scales
+	// int8 keeps per head, in heads order, for SaveQuantized; check is
+	// what SnapshotQuantized's agreement check measured.
+	kernel KernelKind
+	int8   [][]nn.Int8Weights
+	check  Agreement
 
 	rbins runtimeBins
 	iobin ioBins
@@ -46,23 +46,23 @@ type Inference struct {
 	trained bool
 }
 
-// KernelKind names the forward-pass arithmetic of an Inference. It is
-// part of a snapshot's identity: the serving layers tag caches and
-// stats with it, because f32 and int8 snapshots of the same weights are
-// distinct predictors (they may disagree on a small fraction of bin
-// assignments, within the accuracy gate's bound).
+// KernelKind names the weights an Inference serves; every kind runs the
+// same float32 forward. It is part of a snapshot's identity: the serving
+// layers tag caches and stats with it, because f32 and int8 snapshots of
+// the same training state are distinct predictors (they may disagree on
+// a small fraction of bin assignments, within the agreement check's
+// bound).
 type KernelKind string
 
 const (
-	// KernelF32 is the float32 blocked-GEMM path (the default).
+	// KernelF32 is the trained float32 weights (the default).
 	KernelF32 KernelKind = "f32"
-	// KernelInt8 is the quantized path: int8 weights, uint8
-	// activations, int32 accumulation, dequantized only at the logits.
+	// KernelInt8 is the same weights rounded through per-output-channel
+	// int8 (nn.Sequential.RoundInt8).
 	KernelInt8 KernelKind = "int8"
 )
 
-// Kernel returns the view's forward-pass kind. The zero value of
-// Inference (and every snapshot taken before quantization existed)
+// Kernel returns the view's weight kind. The zero value of Inference
 // reports KernelF32.
 func (v *Inference) Kernel() KernelKind {
 	if v.kernel == "" {
@@ -100,16 +100,15 @@ func (p *Predictor) Snapshot() (*Inference, error) {
 	return p.view().Clone()
 }
 
-// Clone returns a deep copy of the view: same config, transform, and
-// bins, with every float head's parameters copied into freshly built
+// Clone returns a deep copy of the view: same config, transform, bins
+// and weight kind, with every head's parameters copied into freshly built
 // models whose weights are prepared for inference — dense weights
 // scanned for the row kernel, conv filter strips and tap tables (the
-// float32 counterpart of the int8 heads' packed panels; the predictor's
-// own zero-copy view prepares them per call). It exists for
+// predictor's own zero-copy view prepares them per call). It exists for
 // Predictor.Snapshot, whose source keeps training; a published Inference
 // is shared as is, never cloned. A prediction from a clone is bitwise
-// identical to one from the original. Quantized heads are immutable, so
-// a clone shares them.
+// identical to one from the original. An int8 view's codes and scales
+// are immutable, so a clone shares them.
 func (v *Inference) Clone() (*Inference, error) {
 	out := *v
 	arch := nn.ArchConfig{
@@ -162,6 +161,19 @@ func (v *Inference) Clone() (*Inference, error) {
 	return &out, nil
 }
 
+// heads returns the view's enabled heads with their names, in checkpoint
+// order: runtime, then read and write, then power.
+func (v *Inference) heads() (names []string, models []*nn.Sequential) {
+	names, models = []string{"runtime"}, []*nn.Sequential{v.runtime}
+	if v.cfg.PredictIO {
+		names, models = append(names, "read", "write"), append(models, v.read, v.write)
+	}
+	if v.cfg.PredictPower {
+		names, models = append(names, "power"), append(models, v.power)
+	}
+	return names, models
+}
+
 // Config returns the configuration the view was built with.
 func (v *Inference) Config() Config { return v.cfg }
 
@@ -207,27 +219,20 @@ func (v *Inference) MapTexts(texts []string) *tensor.Tensor {
 // already-mapped batch (the forward stage of a prediction) and decodes
 // the argmax classes through the bins.
 func (v *Inference) PredictMapped(x *tensor.Tensor) []Prediction {
-	type head interface {
-		PredictClasses(*tensor.Tensor) []int
-	}
-	runtime, read, write, power := head(v.runtime), head(v.read), head(v.write), head(v.power)
-	if v.Kernel() == KernelInt8 {
-		runtime, read, write, power = v.qruntime, v.qread, v.qwrite, v.qpower
-	}
 	out := make([]Prediction, x.Dim(0))
-	for i, c := range runtime.PredictClasses(x) {
+	for i, c := range v.runtime.PredictClasses(x) {
 		out[i].RuntimeMin = v.rbins.Minutes(c)
 	}
 	if v.cfg.PredictIO {
-		for i, c := range read.PredictClasses(x) {
+		for i, c := range v.read.PredictClasses(x) {
 			out[i].ReadBytes = v.iobin.Bytes(c)
 		}
-		for i, c := range write.PredictClasses(x) {
+		for i, c := range v.write.PredictClasses(x) {
 			out[i].WriteBytes = v.iobin.Bytes(c)
 		}
 	}
 	if v.cfg.PredictPower {
-		for i, c := range power.PredictClasses(x) {
+		for i, c := range v.power.PredictClasses(x) {
 			out[i].PowerW = v.pbins.Bytes(c)
 		}
 	}

@@ -2,10 +2,6 @@ package prionn
 
 import (
 	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -37,41 +33,26 @@ type checkpointMeta struct {
 // with a typed error instead of restoring garbage.
 func (p *Predictor) Save(w io.Writer) error { return p.save(w, nil) }
 
-// save streams the v3 frame to w through one buffered writer that feeds
-// w and the trailing checksum together.
+// save streams the v3 frame to w.
 func (p *Predictor) save(w io.Writer, resume *resumePos) error {
-	var meta bytes.Buffer
 	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events, Resume: resume}
-	if err := gob.NewEncoder(&meta).Encode(cm); err != nil {
-		return err
-	}
-	if meta.Len() > maxMetaLen {
-		return fmt.Errorf("prionn: checkpoint meta is %d bytes, over the format's %d", meta.Len(), maxMetaLen)
-	}
-	sum := sha256.New()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), frameBufLen)
-	if err := writeFrameV(bw, frameVersion, meta.Bytes()); err != nil {
-		return err
-	}
-	for _, h := range p.heads() {
-		if err := h.model.Save(bw); err != nil {
-			return err
+	return writeFrame(w, frameVersion, cm, func(bw *bufio.Writer) error {
+		for _, h := range p.heads() {
+			if err := h.model.Save(bw); err != nil {
+				return err
+			}
+			so, stateful := h.opt.(nn.StatefulOptimizer)
+			if !stateful {
+				_ = bw.WriteByte(0) // a bufio.Writer's error sticks: Flush returns it
+				continue
+			}
+			_ = bw.WriteByte(1)
+			if err := so.SaveState(h.model.Params(), bw); err != nil {
+				return err
+			}
 		}
-		so, stateful := h.opt.(nn.StatefulOptimizer)
-		if !stateful {
-			_ = bw.WriteByte(0) // a bufio.Writer's error sticks: Flush returns it
-			continue
-		}
-		_ = bw.WriteByte(1)
-		if err := so.SaveState(h.model.Params(), bw); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	_, err := w.Write(sum.Sum(nil))
-	return err
+		return nil
+	})
 }
 
 // Load restores a predictor saved with Save. Damaged input is rejected
@@ -92,42 +73,15 @@ func Load(r io.Reader) (*Predictor, error) {
 // load reads one v3 frame: the predictor and, for a mid-event training
 // checkpoint, where its event stood.
 func load(r io.Reader) (*Predictor, *resumePos, error) {
-	fr := newFrameReader(r)
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(fr, hdr[:]); err != nil {
-		return nil, nil, fr.fail("header", err)
-	}
-	if !bytes.Equal(hdr[:7], frameMagic[:]) {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if hdr[7] != frameVersion {
-		return nil, nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, hdr[7], frameVersion)
-	}
-	metaLen := binary.LittleEndian.Uint64(hdr[8:16])
-	if metaLen > maxMetaLen {
-		return nil, nil, fmt.Errorf("%w: meta length %d over %d", ErrCorrupt, metaLen, maxMetaLen)
-	}
-	meta := make([]byte, metaLen)
-	if _, err := io.ReadFull(fr, meta); err != nil {
-		return nil, nil, fr.fail("meta", err)
-	}
-	if metaSum := sha256.Sum256(meta); !bytes.Equal(metaSum[:], hdr[16:]) {
-		return nil, nil, fmt.Errorf("%w: meta checksum mismatch", ErrCorrupt)
-	}
 	var cm checkpointMeta
-	if err := gob.NewDecoder(bytes.NewReader(meta)).Decode(&cm); err != nil {
-		return nil, nil, fmt.Errorf("%w: decoding meta: %v", ErrCorrupt, err)
+	fr, err := openFrame(r, frameVersion, &cm)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := cm.Config.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("%w: persisted config invalid: %v", ErrCorrupt, err)
+	p, err := restore(cm.Config, cm.Embedding)
+	if err != nil {
+		return nil, nil, err
 	}
-	if cm.Config.Transform == TransformWord2Vec && cm.Embedding == nil {
-		return nil, nil, fmt.Errorf("%w: persisted word2vec predictor lacks an embedding", ErrCorrupt)
-	}
-	// The trained embedding is restored rather than retrained, and the
-	// heads are built from no RNG: every parameter is about to be read.
-	p := newPredictor(cm.Config, cm.Embedding)
-	p.initHeads(nil)
 	for _, h := range p.heads() {
 		if err := h.model.Load(fr); err != nil {
 			return nil, nil, fr.fail("parameters", err)
@@ -147,22 +101,29 @@ func load(r io.Reader) (*Predictor, *resumePos, error) {
 			return nil, nil, fmt.Errorf("%w: optimizer flag %d", ErrCorrupt, flag[0])
 		}
 	}
-	// One read takes the trailer and probes for a byte past it.
-	want := fr.sum.Sum(nil)
-	var trailer [sha256.Size + 1]byte
-	switch n, err := io.ReadFull(fr, trailer[:]); {
-	case n < sha256.Size:
-		return nil, nil, fr.fail("trailing checksum", err)
-	case !bytes.Equal(trailer[:sha256.Size], want):
-		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	case n > sha256.Size:
-		return nil, nil, fmt.Errorf("%w: bytes past the trailing checksum", ErrCorrupt)
-	case err != io.ErrUnexpectedEOF:
-		return nil, nil, fr.fail("end of frame", err)
+	if err := fr.close(); err != nil {
+		return nil, nil, err
 	}
 	p.trained = cm.Trained
 	p.events = cm.Events
 	return p, cm.Resume, nil
+}
+
+// restore builds the predictor a frame's meta describes, once the meta is
+// shown able to describe one: a valid config, and the embedding a
+// word2vec transform needs. The trained embedding is restored rather than
+// retrained, and the heads are built from no RNG — every parameter is
+// about to be read.
+func restore(cfg Config, emb *word2vec.Embedding) (*Predictor, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: persisted config invalid: %v", ErrCorrupt, err)
+	}
+	if cfg.Transform == TransformWord2Vec && emb == nil {
+		return nil, fmt.Errorf("%w: persisted word2vec predictor lacks an embedding", ErrCorrupt)
+	}
+	p := newPredictor(cfg, emb)
+	p.initHeads(nil)
+	return p, nil
 }
 
 // SaveFile writes the predictor to path crash-safely: the snapshot goes

@@ -1,224 +1,179 @@
 package prionn
 
 import (
-	"bytes"
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"prionn/internal/fault"
 	"prionn/internal/mapping"
-	"prionn/internal/nn"
 	"prionn/internal/trace"
 	"prionn/internal/word2vec"
 )
 
-// Int8 serving snapshots. SnapshotQuantized freezes the predictor's
-// trained heads into int8 quantized twins (per-output-channel symmetric
-// weight scales, per-tensor uint8 activation scales calibrated on a
-// held-out slice of the training trace) and returns them as an
-// Inference whose Kernel() is KernelInt8. The serving stack treats the
-// result exactly like a float snapshot — same Predict surface, shared
-// across goroutines the same way — but its forward passes run on the
-// tensor package's integer GEMM and its persisted form is a fraction of
-// the float frame's size (int8 weights, no optimizer moments).
-//
-// The accuracy cost of the scheme is bounded by a gate test in this
-// package: on trained heads the int8 and float32 paths must agree on
-// runtime classes and IO bins for ≥99.5% of evaluation jobs.
+// Int8 snapshots. SnapshotQuantized rounds every Conv2D and Dense weight
+// of the predictor's trained heads through per-output-channel int8
+// (nn.Sequential.RoundInt8) and returns them as an Inference whose
+// Kernel() is KernelInt8. It is served by the same float32 forward as
+// any snapshot — the serving stack treats it exactly like one — and its
+// persisted form (SaveQuantized, a v4 frame) holds the int8 codes,
+// per-channel scales and float32 biases: a tenth of the float
+// checkpoint, which also carries Adam's moments.
 
-// SnapshotQuantized builds an int8 inference snapshot, calibrating
-// every activation range on calib — a held-out slice of completed jobs
-// that must be non-empty and should be drawn from the same distribution
-// as the training window. The predictor must have trained at least
-// once: quantizing He-init noise would produce a well-formed snapshot
-// of a meaningless model.
+// maxInt8Flip bounds, per head, the share of SnapshotQuantized's check
+// jobs whose decoded class the int8 weights may change.
+const maxInt8Flip = 0.05
+
+// checkBatch caps the jobs the agreement check maps and forwards at once.
+const checkBatch = 64
+
+// Agreement is what SnapshotQuantized's check measured: over Jobs
+// held-out jobs, per head (Heads, in checkpoint order), the share Flip
+// whose decoded class differs from the float heads'.
+type Agreement struct {
+	Jobs  int
+	Heads []string
+	Flip  []float64
+}
+
+// String lists the flip rate per head, e.g. "runtime 0.0039, read 0".
+func (a Agreement) String() string {
+	parts := make([]string, len(a.Heads))
+	for i, h := range a.Heads {
+		parts[i] = fmt.Sprintf("%s %.4g", h, a.Flip[i])
+	}
+	return strings.Join(parts, ", ")
+}
+
+// Agreement returns the check SnapshotQuantized ran when it built v: the
+// zero Agreement for any other view, LoadQuantized's included.
+func (v *Inference) Agreement() Agreement { return v.check }
+
+// SnapshotQuantized returns a snapshot of the predictor whose Conv2D and
+// Dense weights are rounded through per-output-channel int8. check is a
+// held-out slice of completed jobs — drawn from the distribution of the
+// training window, but not from it — on which every head's decoded
+// class must agree with the float heads' for all but maxInt8Flip of the
+// jobs; otherwise SnapshotQuantized returns an error. The predictor must
+// have trained at least once: rounding He-init noise would produce a
+// well-formed snapshot of a meaningless model.
 //
-// Like Predict, SnapshotQuantized must not run beside Train (calibration
+// Like Predict, SnapshotQuantized must not run beside Train (the check
 // reads the float heads training writes); the returned Inference shares
 // nothing mutable with the predictor.
-func (p *Predictor) SnapshotQuantized(calib []trace.Job) (*Inference, error) {
+func (p *Predictor) SnapshotQuantized(check []trace.Job) (*Inference, error) {
 	if !p.trained {
 		return nil, fmt.Errorf("prionn: cannot quantize an untrained predictor")
 	}
-	if len(calib) == 0 {
-		return nil, fmt.Errorf("prionn: quantization requires a non-empty calibration slice")
+	if len(check) == 0 {
+		return nil, fmt.Errorf("prionn: the int8 agreement check needs a non-empty slice of held-out jobs")
 	}
-	texts := make([]string, len(calib))
-	for i, j := range calib {
-		texts[i] = p.inputText(j.Script, j.InputDeck)
+	v, err := p.Snapshot()
+	if err != nil {
+		return nil, err
 	}
-	x := p.mapBatch(texts)
-	out := &Inference{
-		cfg:       p.Config,
-		transform: p.transform,
-		kernel:    KernelInt8,
-		rbins:     p.rbins,
-		iobin:     p.iobin,
-		pbins:     p.pbins,
-		trained:   p.trained,
+	v.kernel = KernelInt8
+	names, heads := v.heads()
+	for _, m := range heads {
+		v.int8 = append(v.int8, m.RoundInt8())
+		m.Prepack()
 	}
-	var err error
-	if out.qruntime, err = nn.Quantize(p.runtime, x); err != nil {
-		return nil, fmt.Errorf("prionn: quantizing runtime head: %w", err)
-	}
-	if p.Config.PredictIO {
-		if out.qread, err = nn.Quantize(p.read, x); err != nil {
-			return nil, fmt.Errorf("prionn: quantizing read head: %w", err)
+	_, float := p.view().heads()
+	flips := make([]int, len(heads))
+	texts := make([]string, 0, checkBatch)
+	for lo := 0; lo < len(check); lo += checkBatch {
+		texts = texts[:0]
+		for _, j := range check[lo:min(lo+checkBatch, len(check))] {
+			texts = append(texts, p.inputText(j.Script, j.InputDeck))
 		}
-		if out.qwrite, err = nn.Quantize(p.write, x); err != nil {
-			return nil, fmt.Errorf("prionn: quantizing write head: %w", err)
-		}
-	}
-	if p.Config.PredictPower {
-		if out.qpower, err = nn.Quantize(p.power, x); err != nil {
-			return nil, fmt.Errorf("prionn: quantizing power head: %w", err)
+		x := p.mapBatch(texts)
+		for h, m := range heads {
+			want := float[h].PredictClasses(x)
+			for i, c := range m.PredictClasses(x) {
+				if c != want[i] {
+					flips[h]++
+				}
+			}
 		}
 	}
-	return out, nil
+	v.check = Agreement{Jobs: len(check), Heads: names, Flip: make([]float64, len(heads))}
+	for h, n := range flips {
+		v.check.Flip[h] = float64(n) / float64(len(check))
+	}
+	for h, f := range v.check.Flip {
+		if f > maxInt8Flip {
+			return nil, fmt.Errorf("prionn: int8 weights change the %s head's class on %.1f%% of %d check jobs, over the %.0f%% bound",
+				names[h], 100*f, len(check), 100*maxInt8Flip)
+		}
+	}
+	return v, nil
 }
 
-// persistedQuant is the gob wire format of a quantized snapshot: the
-// configuration, the (immutable) character embedding, and each head's
-// serialized QModel. No optimizer state — a quantized snapshot is a
-// serving artifact, not a training checkpoint.
-type persistedQuant struct {
+// quantMeta is the gob-encoded meta section of a v4 frame (see
+// frame.go). A quantized snapshot is a serving artifact, not a training
+// checkpoint: no optimizer state, no event counter.
+type quantMeta struct {
 	Config    Config
 	Embedding *word2vec.Embedding // nil unless Transform == word2vec
 	Trained   bool
-	Runtime   []byte
-	Read      []byte
-	Write     []byte
-	Power     []byte
 }
 
-// SaveQuantized serializes an int8 snapshot inside a checksummed frame
-// tagged frameVersionQuant, so the float and quantized loaders can
-// never be pointed at each other's files undetected. Calling it on a
-// float32 view is an error.
+// SaveQuantized streams an int8 snapshot to w as a v4 frame, whose
+// version byte keeps the float and quantized loaders from ever being
+// pointed at each other's files undetected. Calling it on a float32 view
+// is an error.
 func (v *Inference) SaveQuantized(w io.Writer) error {
-	payload, err := v.encodeQuantized()
-	if err != nil {
-		return err
-	}
-	return writeFrameV(w, frameVersionQuant, payload)
-}
-
-// encodeQuantized produces the gob payload SaveQuantized frames.
-func (v *Inference) encodeQuantized() ([]byte, error) {
 	if v.Kernel() != KernelInt8 {
-		return nil, fmt.Errorf("prionn: SaveQuantized on a %s snapshot", v.Kernel())
+		return fmt.Errorf("prionn: SaveQuantized on a %s snapshot", v.Kernel())
 	}
-	pq := persistedQuant{Config: v.cfg, Trained: v.trained}
+	meta := quantMeta{Config: v.cfg, Trained: v.trained}
 	if w2v, ok := v.transform.(mapping.Word2Vec); ok {
-		pq.Embedding = w2v.Emb
+		meta.Embedding = w2v.Emb
 	}
-	snap := func(m *nn.QModel) ([]byte, error) {
-		if m == nil {
-			return nil, nil
+	_, heads := v.heads()
+	return writeFrame(w, frameVersionQuant, meta, func(bw *bufio.Writer) error {
+		for h, m := range heads {
+			if err := m.SaveInt8(bw, v.int8[h]); err != nil {
+				return err
+			}
 		}
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	var err error
-	if pq.Runtime, err = snap(v.qruntime); err != nil {
-		return nil, err
-	}
-	if pq.Read, err = snap(v.qread); err != nil {
-		return nil, err
-	}
-	if pq.Write, err = snap(v.qwrite); err != nil {
-		return nil, err
-	}
-	if pq.Power, err = snap(v.qpower); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pq); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+		return nil
+	})
 }
 
-// LoadQuantized restores an int8 snapshot saved with SaveQuantized.
-// Damaged input — truncation, corruption, a float32 frame, or a
-// structurally inconsistent quantized model — is rejected with an error
-// wrapping ErrTruncated or ErrCorrupt; LoadQuantized never returns a
-// snapshot built from partial bytes.
+// LoadQuantized restores an int8 snapshot saved with SaveQuantized; it
+// predicts bitwise as the saved one did. Damaged input — truncation,
+// corruption, another frame version — is rejected with an error wrapping
+// ErrTruncated or ErrCorrupt; LoadQuantized never returns a snapshot
+// built from partial bytes.
 func LoadQuantized(r io.Reader) (*Inference, error) {
-	payload, err := readFrameV(r, frameVersionQuant)
+	var meta quantMeta
+	fr, err := openFrame(r, frameVersionQuant, &meta)
 	if err != nil {
 		return nil, err
 	}
-	return decodeQuantized(payload)
-}
-
-// decodeQuantized rebuilds an int8 snapshot from a verified gob payload.
-func decodeQuantized(payload []byte) (*Inference, error) {
-	var pq persistedQuant
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pq); err != nil {
-		return nil, fmt.Errorf("%w: decoding quantized payload: %v", ErrCorrupt, err)
+	p, err := restore(meta.Config, meta.Embedding)
+	if err != nil {
+		return nil, err
 	}
-	if err := pq.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: persisted config invalid: %v", ErrCorrupt, err)
-	}
-	cfg := pq.Config
-	v := &Inference{
-		cfg:     cfg,
-		kernel:  KernelInt8,
-		rbins:   runtimeBins{Classes: cfg.RuntimeClasses, MaxMin: cfg.MaxRuntimeMin},
-		iobin:   ioBins{Classes: cfg.IOClasses, Min: cfg.MinIOBytes, Max: cfg.MaxIOBytes},
-		pbins:   ioBins{Classes: cfg.PowerClasses, Min: cfg.MinPowerW, Max: cfg.MaxPowerW},
-		trained: pq.Trained,
-	}
-	switch cfg.Transform {
-	case TransformBinary:
-		v.transform = mapping.Binary{}
-	case TransformSimple:
-		v.transform = mapping.Simple{}
-	case TransformOneHot:
-		v.transform = mapping.OneHot{}
-	case TransformWord2Vec:
-		if pq.Embedding == nil {
-			return nil, fmt.Errorf("%w: persisted word2vec snapshot lacks an embedding", ErrCorrupt)
-		}
-		v.transform = mapping.Word2Vec{Emb: pq.Embedding}
-	}
-	restore := func(name string, data []byte, required bool) (*nn.QModel, error) {
-		if len(data) == 0 {
-			if required {
-				return nil, fmt.Errorf("%w: quantized snapshot lacks the %s head", ErrCorrupt, name)
-			}
-			return nil, nil
-		}
-		m, err := nn.LoadQModel(bytes.NewReader(data))
+	p.trained = meta.Trained
+	v := p.view() // p goes out of scope: the view owns its heads
+	v.kernel = KernelInt8
+	_, heads := v.heads()
+	for _, m := range heads {
+		q, err := m.LoadInt8(fr)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s head: %v", ErrCorrupt, name, err)
+			return nil, fr.fail("int8 weights", err)
 		}
-		// The forward trusts the chain's declared geometry (LoadQModel
-		// checked it against itself); its entry must be the image this
-		// config maps a script to.
-		if mapped := cfg.Rows * cfg.Cols * v.transform.Channels(); m.InputLen() != mapped {
-			return nil, fmt.Errorf("%w: %s head takes %d inputs, the config maps scripts to %d", ErrCorrupt, name, m.InputLen(), mapped)
-		}
-		return m, nil
+		v.int8 = append(v.int8, q)
 	}
-	var err error
-	if v.qruntime, err = restore("runtime", pq.Runtime, true); err != nil {
+	if err := fr.close(); err != nil {
 		return nil, err
 	}
-	if v.qread, err = restore("read", pq.Read, cfg.PredictIO); err != nil {
-		return nil, err
-	}
-	if v.qwrite, err = restore("write", pq.Write, cfg.PredictIO); err != nil {
-		return nil, err
-	}
-	if v.qpower, err = restore("power", pq.Power, cfg.PredictPower); err != nil {
-		return nil, err
+	for _, m := range heads {
+		m.Prepack()
 	}
 	return v, nil
 }

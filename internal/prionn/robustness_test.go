@@ -281,6 +281,50 @@ func TestLoadTypedErrors(t *testing.T) {
 	})
 }
 
+// TestQuantizedLoadTypedErrors is TestLoadTypedErrors' sweep for the v4
+// frame of a quantized snapshot: cut at any byte it is ErrTruncated, a
+// bit flipped in any byte is ErrCorrupt, and neither yields a snapshot.
+func TestQuantizedLoadTypedErrors(t *testing.T) {
+	cfg := TinyConfig()
+	cfg.Rows, cfg.Cols, cfg.Width, cfg.RuntimeClasses, cfg.IOClasses = 4, 4, 0.03, 2, 2
+	jobs := testJobs(60)
+	p, err := New(cfg, []string{jobs[0].Script})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Train(jobs[:40]); err != nil {
+		t.Fatal(err)
+	}
+	q, err := p.SnapshotQuantized(jobs[40:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := q.SaveQuantized(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sweep := buf.Bytes()
+	if _, err := LoadQuantized(bytes.NewReader(sweep)); err != nil {
+		t.Fatalf("pristine sweep bytes rejected: %v", err)
+	}
+	for n := 0; n < len(sweep); n++ {
+		if v, err := LoadQuantized(bytes.NewReader(sweep[:n])); !errors.Is(err, ErrTruncated) || v != nil {
+			t.Fatalf("prefix of %d/%d bytes: snapshot %v, err %v; want none and ErrTruncated", n, len(sweep), v != nil, err)
+		}
+	}
+	for at := range sweep {
+		sweep[at] ^= 1 << (at % 8)
+		v, err := LoadQuantized(bytes.NewReader(sweep))
+		// As in TestLoadTypedErrors: a meta length that grew but still
+		// fits the cap makes the file look short.
+		inMetaLen := at >= 8 && at < 16 && errors.Is(err, ErrTruncated)
+		if v != nil || !(errors.Is(err, ErrCorrupt) || inMetaLen) {
+			t.Fatalf("bit flipped at %d/%d: snapshot %v, err %v; want none and ErrCorrupt", at, len(sweep), v != nil, err)
+		}
+		sweep[at] ^= 1 << (at % 8)
+	}
+}
+
 // TestInterruptResumeBitwiseIdentical is the tentpole's training proof:
 // interrupting a checkpointed training event at epoch k and resuming
 // from the checkpoint yields a saved model byte-identical to the

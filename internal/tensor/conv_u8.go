@@ -141,9 +141,9 @@ func Im2ColBatchU8(cols, x []uint8, n, c, h, w int, spec ConvSpec, zp uint8) {
 // row-major u8) with the given window/stride spec (padding must be
 // zero) and writes the pooled output into y [N, C, OH, OW]. The
 // maximum is order-independent, so the result is deterministic for any
-// worker count. It is the quantized forward's pool when a pool does not
-// fold into the conv before it (Conv2DInferU8), under the same fan-out
-// rule: workers take whole samples, inferParallelMin cells each.
+// worker count. It is the quantized forward's pool, under
+// Conv2DInferU8's fan-out rule: workers take whole samples,
+// inferParallelMin cells each.
 func MaxPool2DForwardU8(y, x []uint8, n, c, h, w int, spec ConvSpec) {
 	if spec.PadH != 0 || spec.PadW != 0 {
 		panic("tensor: MaxPool2DForwardU8 does not support padding")

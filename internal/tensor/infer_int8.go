@@ -3,25 +3,18 @@ package tensor
 import "math"
 
 // Quantized inference forward: conv_infer.go's treatment for u8
-// activations and s8 weights.
+// activations and s8 weights. Only the op-at-a-time forward of
+// nn.QOp.QForward reaches it (see nn/quant.go for who still runs that).
 //
 // A conv block is one int8 GEMM per sample whose right operand is the
 // implicit column matrix of that sample's u8 image: packPanelU8 fills
 // the quad-layout strips straight from the image, taps in the padding
-// packing the activation zero point — the quantized image of real 0.0. The sample's
-// int32 plane stays in cache for the epilogue, which takes the 2×2 window
-// maximum on the accumulators first and then maps each surviving cell to
-// the next activation's u8 domain (Requant), writing [N,F,OH',OW']
-// directly. A dense block is one GEMM for the batch against weights
-// packed on the NR side (PackedInt8B) and the same epilogue per cell.
-//
-// Pool before requantization. Requant's map a ↦ u8 is weakly increasing
-// in a for a positive scale: a−corr is an exact int32; int32→float32
-// rounds monotonically; multiplying by s > 0, adding the bias, dividing
-// by OutScale > 0, rounding to nearest and clamping each preserve ≤. A
-// weakly increasing map commutes with max, so requantizing the window
-// maximum yields the byte that pooling the requantized cells would — for
-// a quarter of the requantizations.
+// packing the activation zero point — the quantized image of real 0.0.
+// The sample's int32 plane stays in cache for the epilogue, which maps
+// each cell to the next activation's u8 domain (Requant), writing
+// [N,F,OH,OW] directly. A dense block is one GEMM for the batch against
+// weights packed on the NR side (PackedInt8B) and the same epilogue per
+// cell.
 //
 // Integer accumulation is exact, so every forward here is bitwise
 // identical for any batch size, worker count, and with or without the
@@ -279,15 +272,12 @@ func interleaveQuad(asm bool, dst *[4 * qNR]uint8, r0, r1, r2, r3 *[qNR]uint8) {
 // Conv2DInferU8 computes the inference forward of a quantized conv layer
 // over the batch x [N, C, H, W] of u8 activations with zero point
 // rq.InZero, w holding its [F, C·KH·KW] filters: into dst [N, F, OH, OW]
-// the requantized outputs, or [N, F, OH/2, OW/2] their unpadded 2×2
-// stride-2 max-pool with pool; or, with dst nil, into dstReal
-// [N, F, OH, OW] the real-valued pre-activations (calibration reads
-// those; pool must be false). See the file comment for the passes this is and is not.
-func Conv2DInferU8(dst []uint8, dstReal []float32, x []uint8, n int, w *PackedInt8A, c, h, wd int, spec ConvSpec, rq Requant, pool bool) {
+// the requantized outputs.
+func Conv2DInferU8(dst []uint8, x []uint8, n int, w *PackedInt8A, c, h, wd int, spec ConvSpec, rq Requant) {
 	f, k := w.Dims()
 	oh, ow := spec.OutDims(h, wd)
 	job := convInferU8{
-		x: x, u8: dst, real: dstReal, w: w, rq: rq, pool: pool,
+		x: x, u8: dst, w: w, rq: rq,
 		geom: convGeom{c: c, h: h, w: wd, spec: spec, oh: oh, ow: ow},
 		f:    f, k: k,
 	}
@@ -305,10 +295,8 @@ func Conv2DInferU8(dst []uint8, dstReal []float32, x []uint8, n int, w *PackedIn
 // convInferU8 is one Conv2DInferU8 call: what every sample shares.
 type convInferU8 struct {
 	x, u8 []uint8
-	real  []float32
 	w     *PackedInt8A
 	rq    Requant
-	pool  bool
 	geom  convGeom
 	f, k  int
 }
@@ -318,8 +306,7 @@ type convInferU8 struct {
 // epilogue over that plane.
 func (j *convInferU8) samples(lo, hi int) {
 	g, rq := &j.geom, &j.rq
-	oh, ow := g.oh, g.ow
-	colW, imgLen := oh*ow, g.c*g.h*g.w
+	colW, imgLen := g.oh*g.ow, g.c*g.h*g.w
 	qz := newQuantizer(rq.OutScale, rq.OutZero, rq.Relu)
 	bufs := qPackPool.Get().(*qPackBufs)
 	plane := bufs.plane(j.f * colW)
@@ -329,28 +316,9 @@ func (j *convInferU8) samples(lo, hi int) {
 		for f := 0; f < j.f; f++ {
 			s, corr, bias := rq.channel(f)
 			acc := plane[f*colW : (f+1)*colW]
-			switch {
-			case j.u8 == nil:
-				dst := j.real[(i*j.f+f)*colW : (i*j.f+f+1)*colW]
-				for c, a := range acc {
-					dst[c] = preact(a, s, corr, bias)
-				}
-			case j.pool:
-				poh, pow := oh/2, ow/2
-				for py := 0; py < poh; py++ {
-					r0 := acc[2*py*ow : 2*py*ow+2*pow]
-					r1 := acc[(2*py+1)*ow : (2*py+1)*ow+2*pow]
-					dst := j.u8[((i*j.f+f)*poh+py)*pow : ((i*j.f+f)*poh+py+1)*pow]
-					for px := range dst {
-						a := max(r0[2*px], r0[2*px+1], r1[2*px], r1[2*px+1])
-						dst[px] = qz.u8(preact(a, s, corr, bias))
-					}
-				}
-			default:
-				dst := j.u8[(i*j.f+f)*colW : (i*j.f+f+1)*colW]
-				for c, a := range acc {
-					dst[c] = qz.u8(preact(a, s, corr, bias))
-				}
+			dst := j.u8[(i*j.f+f)*colW : (i*j.f+f+1)*colW]
+			for c, a := range acc {
+				dst[c] = qz.u8(preact(a, s, corr, bias))
 			}
 		}
 	}

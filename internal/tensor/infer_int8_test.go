@@ -97,52 +97,3 @@ func TestConvPlaneU8MatchesIm2ColGemm(t *testing.T) {
 		})
 	}
 }
-
-// TestConv2DInferU8PoolFoldMatchesUnfolded: requantizing the 2×2 window
-// maximum of the accumulators yields the bytes of max-pooling the
-// requantized plane, with and without the ReLU clamp, over odd extents,
-// scales that saturate both ends, and any batch split.
-func TestConv2DInferU8PoolFoldMatchesUnfolded(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	defer SetMaxWorkers(SetMaxWorkers(1))
-	pool := ConvSpec{KH: 2, KW: 2, Stride: 2}
-	for gi, geo := range int8ConvGeoms {
-		oh, ow := geo.spec.OutDims(geo.h, geo.w)
-		if oh < 2 || ow < 2 {
-			continue
-		}
-		k := geo.c * geo.spec.KH * geo.spec.KW
-		wt := randInt8(rng, geo.f*k)
-		rq := Requant{
-			InScale: 0.02, InZero: uint8(rng.Intn(256)),
-			WScale: make([]float32, geo.f), WSum: make([]int32, geo.f), Bias: make([]float32, geo.f),
-			// Every third geometry saturates: a tiny output scale sends
-			// most cells to 0 or 255.
-			OutScale: []float32{0.5, 3, 0.001}[gi%3], OutZero: uint8(rng.Intn(256)), Relu: gi%2 == 0,
-		}
-		for f := 0; f < geo.f; f++ {
-			rq.WScale[f] = 0.001 + rng.Float32()*0.01
-			rq.Bias[f] = rng.Float32()*40 - 20
-			for _, v := range wt[f*k : (f+1)*k] {
-				rq.WSum[f] += int32(v)
-			}
-		}
-		pw := PackInt8A(wt, k, 1, geo.f, k)
-		const n = 24 // enough for the larger geometries to fan out
-		x := randUint8(rng, n*geo.c*geo.h*geo.w)
-		plain := make([]uint8, n*geo.f*oh*ow)
-		Conv2DInferU8(plain, nil, x, n, pw, geo.c, geo.h, geo.w, geo.spec, rq, false)
-		want := make([]uint8, n*geo.f*(oh/2)*(ow/2))
-		MaxPool2DForwardU8(want, plain, n, geo.f, oh, ow, pool)
-		for _, workers := range []int{1, 2, 8} {
-			SetMaxWorkers(workers)
-			got := make([]uint8, len(want))
-			Conv2DInferU8(got, nil, x, n, pw, geo.c, geo.h, geo.w, geo.spec, rq, true)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%+v workers=%d: pooled byte %d = %d, pool of the requantized plane has %d", geo, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}

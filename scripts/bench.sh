@@ -13,12 +13,12 @@
 # cluster family (replica scaling, script-affinity caching) and rewrites
 # BENCH_cluster.json with predictions/sec, cache hit rate, dispatch
 # p50/p99, and the 4-replica aggregate speedup. Then runs the quantized
-# f32-vs-int8 pairs (uncached serving and uncached 4-replica cluster on
-# the conv-dominated FastConfig fixture) and the bare forward of both
-# kernels at batch 1 and 32 (float32 also at 2 and 4, the batches a
-# coalesced flush with company usually has) on one and on two cores,
-# and rewrites BENCH_quant.json with the int8 speedups, snapshot size
-# fraction, class disagreement rate, and forward_b<batch>_us per kernel.
+# pair (uncached serving of a float32 snapshot and of its int8-weight
+# twin on the conv-dominated FastConfig fixture — the same forward), the
+# uncached 4-replica cluster on that fixture and the bare forward at
+# batch 1, 2, 4 and 32 on one and on two cores, and rewrites
+# BENCH_quant.json with the snapshot size fraction, the int8 snapshot's
+# class disagreement rate, and forward_b<batch>_us.
 # Finally runs the prionnvet gate-sweep benchmark and rewrites
 # BENCH_analysis.json.
 #
@@ -49,9 +49,8 @@ go test -run '^$' -bench "$pattern" -benchmem -benchtime="$benchtime" . | tee "$
 go test -run '^$' -bench '^(BenchmarkServe|BenchmarkInferForwardF32)' -benchmem -benchtime="$benchtime" ./internal/serve/ | tee "$serve_tmp"
 go test -run '^$' -bench '^BenchmarkCluster' -benchmem -benchtime="$benchtime" ./internal/cluster/ | tee "$cluster_tmp"
 go test -run '^$' -bench '^BenchmarkQuant' -benchmem -benchtime="$benchtime" ./internal/serve/ ./internal/cluster/ | tee "$quant_tmp"
-# The bare forward, float32 beside int8, at -cpu 1,2: a batch-1 forward
-# that is slower with a second core to fan out to (as the int8 one was
-# before it got the float path's fan-out floor) shows here.
+# The bare forward at -cpu 1,2: a batch-1 forward that is slower with a
+# second core to fan out to shows here.
 go test -run '^$' -bench '^BenchmarkInferForward' -benchmem -benchtime="$benchtime" -cpu 1,2 ./internal/serve/ | tee -a "$quant_tmp"
 go test -run '^$' -bench '^BenchmarkPrionnvetRunAll$' -benchmem -benchtime="$benchtime" . | tee "$analysis_tmp"
 go test -run '^$' -bench '^BenchmarkPipeline' -benchmem -benchtime="$benchtime" ./internal/pilot/ ./internal/cluster/ | tee "$pipeline_tmp"
@@ -154,25 +153,22 @@ END {
 
 echo "wrote BENCH_cluster.json"
 
-# BENCH_quant.json: the f32-vs-int8 pairs on the conv-dominated fixture.
-# Each entry derives predictions/sec; the int8 serving entry carries the
-# snapshot sizes and the class disagreement rate vs float32. The derived
-# trailing keys are the acceptance numbers: int8_speedup_serve and
-# int8_speedup_cluster (f32 ns_op / int8 ns_op, uncached both times) and
-# snapshot_fraction (int8 snapshot bytes / float32 checkpoint bytes);
-# forward_b<batch>_us is one PredictMapped (three heads, no mapping, no
-# coalescer) per kernel on one core and on two; batches 2 and 4 exist for
-# float32 only.
+# BENCH_quant.json: the float32 / int8-weight pair on the conv-dominated
+# fixture. Each entry derives predictions/sec; the serving entries carry
+# their snapshot sizes and the int8 one its class disagreement rate vs
+# float32. The derived trailing keys are snapshot_fraction (int8 snapshot
+# bytes / float32 checkpoint bytes) and forward_b<batch>_us, one
+# PredictMapped (three heads, no mapping, no coalescer) on one core and
+# on two.
 awk '
 BEGIN { print "{"; sep = "" }
 /^BenchmarkInferForward/ {
-    # BenchmarkInferForward<F32|I8>B<batch>[-<cpus>]; no suffix is -cpu 1.
+    # BenchmarkInferForwardF32B<batch>[-<cpus>]; no suffix is -cpu 1.
     name = $1
     cpus = 1
     if (match(name, /-[0-9]+$/)) { cpus = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) }
-    kernel = (name ~ /I8B/) ? "int8" : "f32"
     batch = name; sub(/^.*B/, "", batch)
-    for (i = 2; i <= NF; i++) if ($i == "ns/op") fwd[batch, kernel, cpus] = $(i - 1) / 1e3
+    for (i = 2; i <= NF; i++) if ($i == "ns/op") fwd[batch, cpus] = $(i - 1) / 1e3
     next
 }
 /^Benchmark/ {
@@ -187,10 +183,6 @@ BEGIN { print "{"; sep = "" }
         if ($i == "p50-ns") p50 = $(i - 1)
         if ($i == "p99-ns") p99 = $(i - 1)
     }
-    if (name ~ /QuantServeF32$/) serve_f32 = ns
-    if (name ~ /QuantServeInt8$/) serve_int8 = ns
-    if (name ~ /QuantCluster4F32NoCache$/) cluster_f32 = ns
-    if (name ~ /QuantCluster4Int8NoCache$/) cluster_int8 = ns
     if (name ~ /QuantServeF32$/ && snap != "") f32_bytes = snap
     if (name ~ /QuantServeInt8$/ && snap != "") int8_bytes = snap
     printf "%s  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s, \"predictions_per_sec\": %.0f", sep, name, ns, allocs, 1e9 / ns
@@ -201,19 +193,11 @@ BEGIN { print "{"; sep = "" }
     sep = ",\n"
 }
 END {
-    if (serve_f32 != "" && serve_int8 != "")
-        printf "%s  \"int8_speedup_serve\": %.2f", sep, serve_f32 / serve_int8
-    if (cluster_f32 != "" && cluster_int8 != "")
-        printf ",\n  \"int8_speedup_cluster\": %.2f", cluster_f32 / cluster_int8
     if (f32_bytes != "" && int8_bytes != "")
-        printf ",\n  \"snapshot_fraction\": %.3f", int8_bytes / f32_bytes
+        printf "%s  \"snapshot_fraction\": %.3f", sep, int8_bytes / f32_bytes
     for (b = 1; b <= 32; b++)
-        if ((b, "f32", 1) in fwd) {
-            printf ",\n  \"forward_b%d_us\": {\"f32\": {\"cpu1\": %.0f, \"cpu2\": %.0f}", b, fwd[b, "f32", 1], fwd[b, "f32", 2]
-            if ((b, "int8", 1) in fwd)
-                printf ", \"int8\": {\"cpu1\": %.0f, \"cpu2\": %.0f}", fwd[b, "int8", 1], fwd[b, "int8", 2]
-            printf "}"
-        }
+        if ((b, 1) in fwd)
+            printf ",\n  \"forward_b%d_us\": {\"cpu1\": %.0f, \"cpu2\": %.0f}", b, fwd[b, 1], fwd[b, 2]
     print "\n}"
 }
 ' "$quant_tmp" > BENCH_quant.json

@@ -9,9 +9,10 @@
 #                      the portable side of every assembly entry point,
 #                      its gemm_generic.go stub, is compiled by the gate
 #                      and not first by a user on another machine; then
-#                      the structural gate: the f32 GEMM's right operand
+#                      the structural gates: the f32 GEMM's right operand
 #                      has one form — no pre-packed or implicit-im2col
-#                      gemmView, no f32 packPanel)
+#                      gemmView, no f32 packPanel — and serving never
+#                      reaches a u8 kernel)
 #   4. prionnvet      (repo-specific reproducibility checks; see
 #                      DESIGN.md "Static analysis & reproducibility
 #                      gates" and cmd/prionnvet)
@@ -43,7 +44,7 @@
 #                      every batch size and skipping only exact zeros
 #                      (±0, NaN, denormals, non-finite weights,
 #                      underflow to −0; rows of a batch each with their
-#                      own list), logits
+#                      own list), logits of float and int8 weights
 #                      independent of batch size and position, view ==
 #                      snapshot logits, private panels and conv strips
 #                      dropped by training, and the arena's ownership
@@ -59,17 +60,16 @@
 #                      exhaustion, full degradation, an idle cluster
 #                      computing nothing, hung-up callers not opening
 #                      a breaker, and the serve drain-race pin)
-#  10. quant gate     (the int8 path's accuracy gate and serving parity:
-#                      quantized accuracy within 0.5pp of float32 on
-#                      held-out jobs, bounded class flip rate, and the
-#                      cluster cache's kernel-stamp invalidation; the
-#                      fused int8 forward's identity proofs — the
-#                      graph-level naive oracle under the race detector
-#                      and at -cpu 1,2,4, the golden hash of the logits
-#                      the unfused forward served, packed strips ==
-#                      im2col + GEMM, pool-fold == pool — a snapshot
-#                      whose ops do not chain failing to load, and the
-#                      int8 allocation ceiling)
+#  10. quant gate     (int8 weights: accuracy within 0.5pp of float32
+#                      on held-out jobs, bounded class flip rate, the
+#                      agreement check refusing outlier weights, clone
+#                      determinism, the v4 frame round trip bitwise and
+#                      its prefix / bit-flip sweeps, the cluster cache's
+#                      kernel-stamp invalidation and the allocation
+#                      ceiling; then the u8 op chain the benchmark
+#                      ladder still times — the graph-level naive oracle
+#                      under the race detector and at -cpu 1,2,4,
+#                      packed strips == im2col + GEMM)
 #  11. pipeline gate  (the online-learning loop under the race
 #                      detector: retrain → shadow-eval → canary →
 #                      atomic swap end-to-end on a live cluster,
@@ -78,9 +78,9 @@
 #                      view across replicas and canary, canary
 #                      rollback/promotion)
 #  12. bench smoke    (one iteration of each kernel, serving, cluster,
-#                      quantized f32-vs-int8, f32 (batch 1, 2, 4 and
-#                      32) and int8 (batch 1 and 32) inference forward
-#                      at -cpu 1,2, and analysis benchmark via
+#                      float32 / int8-weight serving pair, inference
+#                      forward at batch 1, 2, 4 and 32 at -cpu 1,2, and
+#                      analysis benchmark via
 #                      scripts/bench.sh 1x; real timings are recorded
 #                      separately into BENCH_kernels.json,
 #                      BENCH_serve.json, BENCH_cluster.json,
@@ -139,6 +139,13 @@ if grep -nE 'packed +\*PackedB|conv +\*convGeom|func \(b gemmView\) panel' inter
     echo "internal/tensor: the f32 GEMM's right operand has one form, {data, rs, cs}" >&2
     exit 1
 fi
+# One serving forward: an int8 snapshot is float32 weights rounded
+# through int8 and served by the float32 forward. The u8 op chain is the
+# benchmark ladder's alone; nothing that serves may reach it.
+if grep -rn 'Conv2DInferU8\|DenseInferU8\|QModel\|qruntime' internal/prionn internal/serve internal/cluster internal/pilot cmd/prionnd --include='*.go' --exclude='*_test.go'; then
+    echo "serving reaches the u8 forward" >&2
+    exit 1
+fi
 step_done
 
 step "prionnvet ./..."
@@ -166,8 +173,8 @@ step_done
 # the tests being renamed away), the load-adaptive coalescing rule and
 # the queue_depth / allocation pins, the shared-snapshot pin every replica
 # depends on (concurrent forwards over one Inference), and the bitwise
-# identity of the fused float32 inference forward every f32 answer
-# comes from.
+# identity of the fused float32 inference forward every answer — from
+# float or int8 weights — comes from.
 step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
@@ -188,23 +195,22 @@ go test -race -count=1 -run 'TestClusterChaos|TestClusterSwapNeverMixesBatches|T
 go test -race -count=1 -run 'TestServeStopRacesPredictSwapExactlyOnce' ./internal/serve/
 step_done
 
-# Quantized-serving gate: the int8 path's acceptance tests, explicitly
-# (they also run in the suite above) — the accuracy gate vs float32 on
-# held-out jobs, clone determinism of quantized predictions, and the
-# cluster cache refusing to serve one kernel's memoized predictions
-# after a swap to the other; then what every int8 answer rests on: the
-# fused forward equal to the naive op-by-op oracle (every batch size,
-# worker count and micro-kernel; under the race detector and at several
-# GOMAXPROCS) and to the golden hash of what the unfused forward served,
-# a snapshot with an inconsistent op chain rejected at load, and the
-# batch-1 allocation ceiling.
-step "quantized gate (accuracy / determinism / cache stamps / fused forward)"
-go test -count=1 -run 'TestQuantizedSnapshotAccuracyGate|TestQuantizedSnapshotDeterministicAcrossClones' ./internal/prionn/
+# Quantized gate: the int8-weight snapshot's acceptance tests,
+# explicitly (they also run in the suite above) — the accuracy gate vs
+# float32 on held-out jobs, the agreement check refusing a snapshot its
+# rounding breaks, clone determinism, every architecture through the v4
+# frame bitwise, typed errors for every cut and flipped bit, the cluster
+# cache refusing to serve one kernel's memoized predictions after a swap
+# to the other, and the batch-1 allocation ceiling; then the u8 op chain
+# the benchmark ladder times, equal to the naive op-by-op oracle (every
+# batch size, worker count and micro-kernel; under the race detector and
+# at several GOMAXPROCS).
+step "quantized gate (accuracy / agreement / v4 frame / cache stamps / u8 ops)"
+go test -count=1 -run 'TestQuantizedSnapshotAccuracyGate|TestSnapshotQuantizedRejectsOutliers|TestQuantizedSnapshotDeterministicAcrossClones|TestQuantizeAllArchitectures|TestQuantizedSnapshotPersistRoundTrip|TestQuantizedLoadTypedErrors|TestPredictMappedAllocCeiling' ./internal/prionn/
 go test -count=1 -run 'TestClusterSwapKernelInvalidatesCache' ./internal/cluster/
 go test -race -count=1 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
 go test -count=1 -cpu 1,2,4 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
-go test -race -count=1 -run 'TestGemmInt8PackedMatches|TestConvPlaneU8MatchesIm2ColGemm|TestConv2DInferU8PoolFoldMatchesUnfolded' ./internal/tensor/
-go test -count=1 -run 'TestInt8LogitsGolden|TestLoadQModelRejectsBrokenChain|TestPredictMappedAllocCeiling' ./internal/prionn/
+go test -race -count=1 -run 'TestGemmInt8PackedMatches|TestConvPlaneU8MatchesIm2ColGemm' ./internal/tensor/
 step_done
 
 # Online-learning pipeline gate: the full retrain → shadow-eval →
