@@ -294,26 +294,24 @@ func BenchmarkGEMMCNNShape(b *testing.B) { benchGEMM(b, 8, 200, 4096) }
 func BenchmarkGEMMCNNDense(b *testing.B) { benchGEMM(b, 40, 1024, 128) }
 func BenchmarkGEMMLarge(b *testing.B)    { benchGEMM(b, 256, 256, 256) }
 
-// BenchmarkConvForward measures the batched single-GEMM convolution with
-// arena recycling: steady state must report ~0 allocs/op.
+// BenchmarkConvForward measures the training conv forward (direct at
+// stride 1) with arena recycling: steady state must report ~0 allocs/op.
 func BenchmarkConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	spec := tensor.ConvSpec{KH: 3, KW: 3, Stride: 1, PadH: 1, PadW: 1}
 	x := tensor.New(8, 4, 32, 32).RandN(rng, 1)
 	w := tensor.New(8, 4*9).RandN(rng, 1)
 	bias := tensor.New(8)
-	ar := tensor.NewArena()
+	tr := tensor.NewConvTrain(8, 4, 32, 32, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y, cols := tensor.Conv2DForwardArena(ar, x, w, bias, 4, 32, 32, spec)
-		ar.Put(cols)
-		ar.Put(y)
+		tensor.DefaultArena().Put(tr.Forward(x, w, bias))
 	}
 }
 
-// BenchmarkConvBackward measures the two-GEMM backward pass (dW, dcols)
-// plus the sample-parallel Col2Im scatter, arena-recycled.
+// BenchmarkConvBackward measures the training conv backward: dW, dB and
+// dx, direct at stride 1, arena-recycled.
 func BenchmarkConvBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	spec := tensor.ConvSpec{KH: 3, KW: 3, Stride: 1, PadH: 1, PadW: 1}
@@ -322,13 +320,12 @@ func BenchmarkConvBackward(b *testing.B) {
 	bias := tensor.New(8)
 	dW := tensor.New(8, 4*9)
 	dB := tensor.New(8)
-	ar := tensor.NewArena()
-	y, cols := tensor.Conv2DForwardArena(ar, x, w, bias, 4, 32, 32, spec)
+	tr := tensor.NewConvTrain(8, 4, 32, 32, spec)
+	y := tr.Forward(x, w, bias)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dx := tensor.Conv2DBackwardArena(ar, y, w, cols, dW, dB, 4, 32, 32, spec)
-		ar.Put(dx)
+		tensor.DefaultArena().Put(tr.Backward(y, w, dW, dB, true))
 	}
 }
 

@@ -14,11 +14,11 @@ type Conv2D struct {
 	InC, InH, InW int
 	Filters       int
 	Spec          tensor.ConvSpec
-	W             *tensor.Tensor // [F, C*KH*KW]
-	B             *tensor.Tensor // [F]
-	dW, dB        *tensor.Tensor // gradient accumulators, allocated by the first grads call
-	cols          *tensor.Tensor // shared batch column matrix from the last train-mode Forward
-	y, dx         *tensor.Tensor // recycled train-time buffers
+	W             *tensor.Tensor    // [F, C*KH*KW]
+	B             *tensor.Tensor    // [F]
+	dW, dB        *tensor.Tensor    // gradient accumulators, allocated by the first grads call
+	train         *tensor.ConvTrain // training kernels and what the last train-mode Forward saved
+	y, dx         *tensor.Tensor    // recycled train-time buffers
 
 	// packedW is W prepared for the inference forward (filter strips and
 	// tap table, see tensor.PackedConv), built and dropped on the same
@@ -65,13 +65,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		x = x.Reshape(x.Dim(0), c.InC, c.InH, c.InW)
 	}
-	// The previous step's output and column matrix are dead once that
-	// TrainBatch returned; recycling them makes the batched forward
-	// allocation-free at a steady batch shape.
+	// The previous step's output is dead once that TrainBatch returned;
+	// recycling it makes the batched forward allocation-free at a steady
+	// batch shape.
 	c.packedW = nil // the step this forward starts will change W
-	ar := tensor.DefaultArena()
-	ar.Put(c.y)
-	c.y, c.cols = tensor.Conv2DForwardArena(ar, x, c.W, c.B, c.InC, c.InH, c.InW, c.Spec)
+	if c.train == nil {
+		c.train = tensor.NewConvTrain(c.Filters, c.InC, c.InH, c.InW, c.Spec)
+	}
+	tensor.DefaultArena().Put(c.y)
+	c.y = c.train.Forward(x, c.W, c.B)
 	return c.y
 }
 
@@ -96,17 +98,26 @@ func (c *Conv2D) infer(x *tensor.Tensor, relu bool, pool *MaxPool2D) *tensor.Ten
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if c.cols == nil {
+func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.backward(dy, true) }
+
+// backward implements paramLayer.
+func (c *Conv2D) backward(dy *tensor.Tensor, wantDx bool) *tensor.Tensor {
+	if c.train == nil {
 		panic("nn: Conv2D.Backward without a train-mode Forward")
 	}
-	ar := tensor.DefaultArena()
-	ar.Put(c.dx)
+	tensor.DefaultArena().Put(c.dx)
 	dW, dB := c.grads()
-	c.dx = tensor.Conv2DBackwardArena(ar, dy, c.W, c.cols, dW, dB, c.InC, c.InH, c.InW, c.Spec)
-	ar.Put(c.cols)
-	c.cols = nil
+	c.dx = c.train.Backward(dy, c.W, dW, dB, wantDx)
 	return c.dx
+}
+
+// release implements releaser.
+func (c *Conv2D) release() {
+	ar := tensor.DefaultArena()
+	ar.Put(c.y)
+	ar.Put(c.dx)
+	c.y, c.dx, c.train = nil, nil, nil
+	c.dW, c.dB = nil, nil
 }
 
 // Params implements Layer.
@@ -138,8 +149,8 @@ func NewConv1D(rng *rand.Rand, inC, length, filters, k, stride, pad int) *Conv2D
 type MaxPool2D struct {
 	InC, InH, InW int
 	Spec          tensor.ConvSpec
-	argmax        []int32 // winners of the last train-mode Forward
-	n             int     // its batch size
+	argmax        []int32        // winners of the last train-mode Forward
+	y, dx         *tensor.Tensor // recycled train-time buffers
 }
 
 // NewMaxPool2D returns a max-pooling layer with the given window and
@@ -163,16 +174,33 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		x = x.Reshape(x.Dim(0), p.InC, p.InH, p.InW)
 	}
-	y, argmax := tensor.MaxPool2DForward(x, p.InC, p.InH, p.InW, p.Spec, train)
-	if train {
-		p.n, p.argmax = x.Dim(0), argmax
+	if !train {
+		y, _ := tensor.MaxPool2DForward(x, p.InC, p.InH, p.InW, p.Spec, false)
+		return y
 	}
-	return y
+	oh, ow := p.OutDims()
+	p.y = tensor.DefaultArena().Reuse(p.y, x.Dim(0), p.InC, oh, ow)
+	if cap(p.argmax) < p.y.Len() {
+		p.argmax = make([]int32, p.y.Len())
+	}
+	p.argmax = p.argmax[:p.y.Len()]
+	tensor.MaxPool2DForwardInto(p.y, p.argmax, x, p.InC, p.InH, p.InW, p.Spec)
+	return p.y
 }
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return tensor.MaxPool2DBackward(dy, p.argmax, p.n, p.InC, p.InH, p.InW)
+	p.dx = tensor.DefaultArena().Reuse(p.dx, p.y.Dim(0), p.InC, p.InH, p.InW)
+	tensor.MaxPool2DBackwardInto(p.dx, dy, p.argmax)
+	return p.dx
+}
+
+// release implements releaser.
+func (p *MaxPool2D) release() {
+	ar := tensor.DefaultArena()
+	ar.Put(p.y)
+	ar.Put(p.dx)
+	p.y, p.dx, p.argmax = nil, nil, nil
 }
 
 // Params implements Layer.

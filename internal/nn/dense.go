@@ -88,13 +88,28 @@ func (d *Dense) infer(x *tensor.Tensor, relu bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor { return d.backward(dy, true) }
+
+// backward implements paramLayer.
+func (d *Dense) backward(dy *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	// dW += xᵀ·dy ; dB += column sums of dy ; dx = dy·Wᵀ
 	dW, dB := d.grads()
 	tensor.MatMulTransAAcc(dW, d.x, dy)
 	dy.SumRowsAcc(dB)
+	if !wantDx {
+		return nil
+	}
 	d.dx = tensor.DefaultArena().Reuse(d.dx, dy.Dim(0), d.In)
 	return tensor.MatMulTransB(d.dx, dy, d.W)
+}
+
+// release implements releaser.
+func (d *Dense) release() {
+	ar := tensor.DefaultArena()
+	ar.Put(d.y)
+	ar.Put(d.dx)
+	d.x, d.y, d.dx = nil, nil, nil
+	d.dW, d.dB = nil, nil
 }
 
 // Params implements Layer.
@@ -171,6 +186,14 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// release implements releaser.
+func (r *ReLU) release() {
+	ar := tensor.DefaultArena()
+	ar.Put(r.y)
+	ar.Put(r.dx)
+	r.y, r.dx, r.mask = nil, nil, nil
+}
+
 // Params implements Layer.
 func (r *ReLU) Params() []*tensor.Tensor { return nil }
 
@@ -181,6 +204,7 @@ func (r *ReLU) Grads() []*tensor.Tensor { return nil }
 // input shape so the gradient can be restored on the way back.
 type Flatten struct {
 	inShape []int
+	y, dx   *tensor.Tensor // train-time views, their headers reused
 }
 
 // NewFlatten returns a Flatten layer.
@@ -191,15 +215,33 @@ func (f *Flatten) Name() string { return "flatten" }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		f.inShape = append(f.inShape[:0], x.Shape...)
+	if !train {
+		return x.Reshape(x.Dim(0), -1)
 	}
-	return x.Reshape(x.Dim(0), -1)
+	f.inShape = append(f.inShape[:0], x.Shape...)
+	f.y = view(f.y, x.Data, x.Dim(0), x.Len()/max(x.Dim(0), 1))
+	return f.y
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(f.inShape...)
+	f.dx = view(f.dx, dy.Data, f.inShape...)
+	return f.dx
+}
+
+// release implements releaser: the views would keep other layers'
+// released buffers reachable.
+func (f *Flatten) release() { f.y, f.dx = nil, nil }
+
+// view points the header v — a new one when nil — at data with the given
+// shape: Reshape for a train-time path, allocation-free once v exists.
+func view(v *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
+	if v == nil {
+		v = new(tensor.Tensor)
+	}
+	v.Shape = append(v.Shape[:0], shape...)
+	v.Data = data
+	return v
 }
 
 // Params implements Layer.
@@ -268,6 +310,14 @@ func (d *Dropout) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		dx.Data[i] = v * d.mask[i]
 	}
 	return dx
+}
+
+// release implements releaser.
+func (d *Dropout) release() {
+	ar := tensor.DefaultArena()
+	ar.Put(d.y)
+	ar.Put(d.dx)
+	d.y, d.dx, d.mask = nil, nil, nil
 }
 
 // Params implements Layer.

@@ -42,11 +42,15 @@ type Layer interface {
 	Name() string
 }
 
-// zeroGrads clears every gradient accumulator of a layer stack.
-func zeroGrads(layers []Layer) {
-	for _, l := range layers {
-		for _, g := range l.Grads() {
-			g.Zero()
-		}
-	}
+// paramLayer is a layer with parameters whose backward can skip the
+// gradient with respect to its input: the first such layer of a stack
+// has no use for it (see Sequential.Backward).
+type paramLayer interface {
+	backward(dy *tensor.Tensor, wantDx bool) *tensor.Tensor
 }
+
+// releaser is a layer holding train-time state: buffers checked out of
+// the arena, gradient accumulators, references to other layers' buffers.
+// release returns the buffers and forgets the rest; the next train-mode
+// Forward and grads call rebuild them.
+type releaser interface{ release() }

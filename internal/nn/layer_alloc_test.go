@@ -48,6 +48,47 @@ func TestConvLayerTrainStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMaxPoolTrainStepZeroAlloc covers the pool's recycled output,
+// argmax table and input gradient.
+func TestMaxPoolTrainStepZeroAlloc(t *testing.T) {
+	prev := tensor.SetMaxWorkers(1)
+	defer tensor.SetMaxWorkers(prev)
+	rng := rand.New(rand.NewSource(4))
+	p := NewMaxPool2D(4, 16, 16, 2, 2)
+	x := tensor.New(8, 4, 16, 16).RandN(rng, 1)
+	dy := tensor.New(8, 4, 8, 8).RandN(rng, 1)
+	step := func() {
+		p.Forward(x, true)
+		p.Backward(dy)
+	}
+	step()
+	if avg := testing.AllocsPerRun(20, step); avg != 0 {
+		t.Fatalf("maxpool train step allocates %.1f times per run in steady state", avg)
+	}
+}
+
+// TestCNN2DTrainBatchZeroAlloc: a whole optimization step of the 2D-CNN
+// — every layer's forward and backward, the loss, Adam — allocates
+// nothing once the first step has sized its buffers, and the first conv
+// builds no input gradient.
+func TestCNN2DTrainBatchZeroAlloc(t *testing.T) {
+	prev := tensor.SetMaxWorkers(1)
+	defer tensor.SetMaxWorkers(prev)
+	rng := rand.New(rand.NewSource(5))
+	m := NewCNN2D(rng, ArchConfig{Rows: 32, Cols: 32, Channels: 4, Classes: 32, Width: 0.5})
+	x := tensor.New(8, 4, 32, 32).RandN(rng, 1)
+	labels := []int{0, 3, 7, 1, 31, 2, 2, 9}
+	opt := NewAdam(1e-3)
+	step := func() { m.TrainBatch(x, labels, opt) }
+	step()
+	if avg := testing.AllocsPerRun(10, step); avg != 0 {
+		t.Fatalf("2D-CNN TrainBatch allocates %.1f times per run in steady state", avg)
+	}
+	if dx := m.Layers[0].(*Conv2D).dx; dx != nil {
+		t.Fatalf("the first conv built an input gradient of shape %v", dx.Shape)
+	}
+}
+
 // TestReLUTrainStepZeroAlloc covers the recycled activation buffers.
 func TestReLUTrainStepZeroAlloc(t *testing.T) {
 	prev := tensor.SetMaxWorkers(1)

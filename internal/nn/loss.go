@@ -13,6 +13,13 @@ import (
 // PRIONN's heads are classifiers — e.g. the runtime head has one output
 // node per minute in [0, 960] — so this is the only loss the models need.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlogits *tensor.Tensor) {
+	dlogits = tensor.New(logits.Shape...)
+	return softmaxCrossEntropyInto(dlogits, logits, labels), dlogits
+}
+
+// softmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient
+// into dlogits, shaped as logits and overwritten.
+func softmaxCrossEntropyInto(dlogits, logits *tensor.Tensor, labels []int) float64 {
 	if logits.Rank() != 2 {
 		panic("nn: SoftmaxCrossEntropy requires rank-2 logits")
 	}
@@ -20,8 +27,8 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlo
 	if len(labels) != n {
 		panic("nn: label count does not match batch size")
 	}
-	probs := logits.Clone().SoftmaxRows()
-	dlogits = probs // reuse: gradient is probs with the label entries shifted
+	copy(dlogits.Data, logits.Data)
+	probs := dlogits.SoftmaxRows() // the gradient is probs with the label entries shifted
 	invN := float32(1.0 / float64(n))
 	var total float64
 	for i := 0; i < n; i++ {
@@ -29,7 +36,7 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlo
 		if y < 0 || y >= k {
 			panic("nn: label out of range")
 		}
-		p := probs.At(i, y)
+		p := probs.Data[i*k+y]
 		// Clamp to avoid log(0) for confidently wrong predictions.
 		if p < 1e-12 {
 			p = 1e-12
@@ -41,7 +48,7 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlo
 			row[j] *= invN
 		}
 	}
-	return total / float64(n), dlogits
+	return total / float64(n)
 }
 
 // Accuracy returns the fraction of rows of logits whose argmax equals the

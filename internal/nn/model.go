@@ -16,6 +16,12 @@ import (
 // learning architectures.
 type Sequential struct {
 	Layers []Layer
+
+	// Training state: built by the first TrainBatch or Backward and
+	// dropped when a fit returns (see release).
+	params, grads []*tensor.Tensor // in layer order
+	first         int              // the first layer with parameters; len(Layers) if none
+	dlogits       *tensor.Tensor   // recycled loss gradient
 }
 
 // NewSequential builds a model from the given layers.
@@ -89,31 +95,70 @@ func (m *Sequential) dropPacked() {
 }
 
 // Backward propagates a logits gradient through the stack, accumulating
-// parameter gradients.
+// parameter gradients. It stops at the first layer with parameters: the
+// layers before it have nothing to accumulate, so the gradient with
+// respect to the model input is never formed.
 func (m *Sequential) Backward(dy *tensor.Tensor) {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	m.collect()
+	for i := len(m.Layers) - 1; i > m.first; i-- {
 		dy = m.Layers[i].Backward(dy)
+	}
+	if m.first == len(m.Layers) {
+		return
+	}
+	if l, ok := m.Layers[m.first].(paramLayer); ok {
+		l.backward(dy, false)
+	} else {
+		m.Layers[m.first].Backward(dy)
 	}
 }
 
 // TrainBatch performs one optimization step on a batch (inputs x, integer
-// labels) and returns the batch loss.
+// labels) and returns the batch loss. At a steady batch shape and one
+// worker it allocates nothing.
 func (m *Sequential) TrainBatch(x *tensor.Tensor, labels []int, opt Optimizer) float64 {
-	zeroGrads(m.Layers)
-	logits := m.Forward(x, true)
-	loss, dlogits := SoftmaxCrossEntropy(logits, labels)
-	m.Backward(dlogits)
 	params, grads := m.collect()
+	for _, g := range grads {
+		g.Zero()
+	}
+	logits := m.Forward(x, true)
+	m.dlogits = tensor.DefaultArena().Reuse(m.dlogits, logits.Shape...)
+	loss := softmaxCrossEntropyInto(m.dlogits, logits, labels)
+	m.Backward(m.dlogits)
 	opt.Step(params, grads)
 	return loss
 }
 
+// collect returns the parameters and their gradient accumulators in
+// layer order. It lists them — and has the layers allocate their
+// accumulators — once per fit.
 func (m *Sequential) collect() (params, grads []*tensor.Tensor) {
-	for _, l := range m.Layers {
-		params = append(params, l.Params()...)
-		grads = append(grads, l.Grads()...)
+	if m.grads == nil {
+		m.first = len(m.Layers)
+		for i, l := range m.Layers {
+			p := l.Params()
+			if len(p) > 0 && m.first == len(m.Layers) {
+				m.first = i
+			}
+			m.params = append(m.params, p...)
+			m.grads = append(m.grads, l.Grads()...)
+		}
 	}
-	return params, grads
+	return m.params, m.grads
+}
+
+// release ends a fit: every layer returns its train-time buffers to the
+// arena and drops its gradient accumulators, and so does the model. A
+// training event therefore holds one head's buffers at a time, and
+// leaves behind only what the arena keeps for the next one.
+func (m *Sequential) release() {
+	for _, l := range m.Layers {
+		if r, ok := l.(releaser); ok {
+			r.release()
+		}
+	}
+	tensor.DefaultArena().Put(m.dlogits)
+	m.dlogits, m.params, m.grads = nil, nil, nil
 }
 
 // Params returns the trainable parameter tensors in stable (layer)
@@ -158,12 +203,14 @@ func (m *Sequential) Fit(x *tensor.Tensor, labels []int, opt Optimizer, o FitOpt
 // FitCtx is Fit with cooperative cancellation and resume support. The
 // context is polled between minibatches, so a canceled training event
 // returns within one batch; the error is ctx.Err() on cancellation or
-// the first AfterEpoch error.
+// the first AfterEpoch error. On return the model holds no train-time
+// state (see release).
 func (m *Sequential) FitCtx(ctx context.Context, x *tensor.Tensor, labels []int, opt Optimizer, o FitOptions) (float64, error) {
 	n := x.Dim(0)
 	if n == 0 {
 		return 0, nil
 	}
+	defer m.release()
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d samples but %d labels", n, len(labels)))
 	}

@@ -39,11 +39,13 @@ func lossOf(m *Sequential, x *tensor.Tensor, labels []int) float64 {
 // checkGradients numerically verifies a few parameter gradients of m.
 func checkGradients(t *testing.T, m *Sequential, x *tensor.Tensor, labels []int, tol float64) {
 	t.Helper()
-	zeroGrads(m.Layers)
+	params, grads := m.collect()
+	for _, g := range grads {
+		g.Zero()
+	}
 	logits := m.Forward(x, true)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
 	m.Backward(dlogits)
-	params, grads := m.collect()
 	const eps = 1e-2
 	for pi, p := range params {
 		// Check a spread of indices per tensor.

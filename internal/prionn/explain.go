@@ -32,8 +32,9 @@ func (p *Predictor) ExplainRuntime(script string) Saliency {
 	grid := mapping.Standardize(text, p.Config.Rows, p.Config.Cols)
 	x := p.mapBatch([]string{text})
 
-	// Forward in train mode so conv layers cache their columns, then
-	// backpropagate a one-hot gradient at the argmax logit.
+	// Forward in train mode so every layer keeps what its backward needs,
+	// then backpropagate a one-hot gradient at the argmax logit through
+	// every layer, the first included: the input gradient is the point.
 	for _, l := range p.runtime.Layers {
 		for _, g := range l.Grads() {
 			g.Zero()

@@ -1,6 +1,7 @@
 package prionn
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"testing"
@@ -200,11 +201,10 @@ func TestPredictMappedLeavesArenaFlat(t *testing.T) {
 }
 
 // TestTrainLeavesArenaFlat is the training half of the same contract:
-// whatever a Train event checks out of the arena (column matrices,
-// gradient scratch) it returns or keeps as layer state that the next
-// event reuses, so once the first event has sized that state, further
-// events — a ragged last batch included — a Snapshot and a Predict
-// leave Outstanding where it was.
+// whatever a Train event checks out of the arena (layer buffers,
+// gradient scratch) it returns before it ends, so further events — a
+// ragged last batch included — a Snapshot and a Predict leave
+// Outstanding where it was.
 func TestTrainLeavesArenaFlat(t *testing.T) {
 	p, jobs := trainedModelPredictor(t, Model2DCNN, 41) // one warm-up Train
 	before := tensor.DefaultArena().Outstanding()
@@ -223,6 +223,50 @@ func TestTrainLeavesArenaFlat(t *testing.T) {
 	if got := tensor.DefaultArena().Outstanding(); got != before {
 		t.Fatalf("Arena.Outstanding went %d → %d over Snapshot + Predict after training", before, got)
 	}
+}
+
+// TestTrainEventLeavesNoScratch: a training event leaves the heap where
+// it found it. A predictor loaded from a checkpoint — parameters and
+// optimizer state, as a restarted daemon holds them — runs its next
+// event; once that returns, neither the column matrices nor any head's
+// gradients, activations or masks are still live: what stays is at most
+// one head's buffers in the arena's free lists, for the next event to
+// take.
+func TestTrainEventLeavesNoScratch(t *testing.T) {
+	cfg := FastConfig()
+	cfg.TrainWindow, cfg.Epochs = 96, 1
+	jobs := trace.Completed(trace.Generate(trace.Config{Seed: 51, Jobs: 240}))
+	p, err := NewTrained(cfg, jobs[:96])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := p.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Load(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	outstanding := tensor.DefaultArena().Outstanding()
+	if _, err := q.Train(jobs[96:192]); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := tensor.DefaultArena().Outstanding(); got != outstanding {
+		t.Fatalf("Arena.Outstanding went %d → %d over a training event", outstanding, got)
+	}
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap %.1f → %.1f MB over a training event", float64(before.HeapAlloc)/(1<<20), float64(after.HeapAlloc)/(1<<20))
+	if grew > 4<<20 {
+		t.Fatalf("a training event left the live heap %.1f MB larger", float64(grew)/(1<<20))
+	}
+	runtime.KeepAlive(q)
 }
 
 // TestPredictMappedAllocCeiling bounds the heap allocations of one

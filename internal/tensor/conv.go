@@ -66,11 +66,12 @@ func im2colSameInto(dst []float32, ld int, x []float32, c, h, w int, spec ConvSp
 		base := ch * h * w
 		for ky := 0; ky < spec.KH; ky++ {
 			// Valid output rows: oyLo ≤ oy < oyHi keeps iy inside [0, h).
-			oyLo := max(spec.PadH-ky, 0)
+			// Padding wider than the image leaves none.
+			oyLo := min(max(spec.PadH-ky, 0), h)
 			oyHi := max(min(h-ky+spec.PadH, h), oyLo)
 			for kx := 0; kx < spec.KW; kx++ {
 				// Valid output columns, likewise.
-				lo := max(spec.PadW-kx, 0)
+				lo := min(max(spec.PadW-kx, 0), w)
 				hi := max(min(w-kx+spec.PadW, w), lo)
 				row := dst[idx*ld : idx*ld+h*w]
 				idx++
@@ -216,8 +217,10 @@ func Im2ColBatch(cols, x *Tensor, c, h, w int, spec ConvSpec) {
 //	returns y: [N, F, OH, OW] and the shared batch column matrix
 //	[C*KH*KW, N*OH*OW] the backward pass needs.
 //
-// Inference, which needs no column matrix, runs Conv2DInfer instead.
-// Scratch comes from the default arena; see Conv2DForwardArena.
+// It is the training path of a strided conv (see ConvTrain) and the
+// reference the stride-1 direct path is tested against. Inference, which
+// needs no column matrix, runs Conv2DInfer instead. Scratch comes from
+// the default arena; see Conv2DForwardArena.
 func Conv2DForward(x, weights, bias *Tensor, c, h, w int, spec ConvSpec) (y, cols *Tensor) {
 	return Conv2DForwardArena(nil, x, weights, bias, c, h, w, spec)
 }
@@ -307,13 +310,19 @@ func convGatherIn(dyT, dy []float32, i, f, colW, ld int) {
 // the batch — dW += dyT·colsᵀ and dcols = Wᵀ·dyT — followed by a
 // sample-parallel Col2Im scatter into dx. Both GEMMs keep the fixed
 // per-cell ascending reduction order, and dB sums each filter's gradient
-// row left to right, so all accumulation is bitwise deterministic for any
-// worker count (the old per-worker-partial scheme merged in pool order).
-// The returned dx is an arena tensor owned by the caller.
+// in (sample, pixel) order, so all accumulation is bitwise deterministic
+// for any worker count. The returned dx is an arena tensor owned by the
+// caller.
 func Conv2DBackwardArena(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c, h, w int, spec ConvSpec) (dx *Tensor) {
 	if ar == nil {
 		ar = defaultArena
 	}
+	return convBackwardCols(ar, dy, weights, cols, dW, dB, c, h, w, spec, true)
+}
+
+// convBackwardCols is Conv2DBackwardArena, skipping dcols and dx
+// (returning nil) without wantDx.
+func convBackwardCols(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c, h, w int, spec ConvSpec, wantDx bool) (dx *Tensor) {
 	n := dy.Shape[0]
 	f := weights.Shape[0]
 	colRows := weights.Shape[1]
@@ -342,16 +351,13 @@ func Conv2DBackwardArena(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c
 		gemmView{data: cols.Data, rs: 1, cs: n * colW}, // colsᵀ
 		true, ar)
 
-	// dB += per-filter sums, each row reduced in ascending column order.
-	// Filter counts are small, so this stays serial.
+	// Filter counts are small, so the bias gradient stays serial.
 	if dB != nil {
-		for fi := 0; fi < f; fi++ {
-			var s float32
-			for _, v := range dyT.Data[fi*n*colW : (fi+1)*n*colW] {
-				s += v
-			}
-			dB.Data[fi] += s
-		}
+		biasGrad(dB.Data, dy.Data, n, f, colW)
+	}
+	if !wantDx {
+		ar.Put(dyT)
+		return nil
 	}
 
 	// dcols = Wᵀ · dyT, then scatter each sample's column block into dx.
@@ -384,19 +390,32 @@ func Conv2DBackwardArena(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c
 // [N, C, OH, OW] plus, when train is set, the flat argmax indices the
 // backward pass needs (nil otherwise).
 func MaxPool2DForward(x *Tensor, c, h, w int, spec ConvSpec, train bool) (y *Tensor, argmax []int32) {
+	oh, ow := spec.OutDims(h, w)
+	y = New(x.Shape[0], c, oh, ow)
+	if train {
+		argmax = make([]int32, y.Len())
+	}
+	MaxPool2DForwardInto(y, argmax, x, c, h, w, spec)
+	return y, argmax
+}
+
+// MaxPool2DForwardInto is MaxPool2DForward into the caller's y
+// [N, C, OH, OW] and, when non-nil, argmax (one entry per element of y),
+// both overwritten.
+func MaxPool2DForwardInto(y *Tensor, argmax []int32, x *Tensor, c, h, w int, spec ConvSpec) {
 	if spec.PadH != 0 || spec.PadW != 0 {
 		panic("tensor: MaxPool2DForward does not support padding")
 	}
 	n := x.Shape[0]
-	oh, ow := spec.OutDims(h, w)
-	y = New(n, c, oh, ow)
-	if train {
-		argmax = make([]int32, n*c*oh*ow)
+	// A one-worker pool runs the loop itself: a closure handed to
+	// ParallelFor would heap-allocate (see Im2ColBatch).
+	if MaxWorkers() == 1 {
+		maxPoolPlanes(y.Data, x.Data, 0, n*c, h, w, spec, argmax)
+		return
 	}
 	ParallelFor(n, func(lo, hi int) {
 		maxPoolPlanes(y.Data, x.Data, lo*c, hi*c, h, w, spec, argmax)
 	})
-	return y, argmax
 }
 
 // maxPoolPlanes pools the [h, w] planes p0 ≤ p < p1 of src into the
@@ -472,11 +491,28 @@ func maxPoolPlanes(dst, src []float32, p0, p1, h, w int, spec ConvSpec, argmax [
 // disjoint dx regions.
 func MaxPool2DBackward(dy *Tensor, argmax []int32, n, c, h, w int) *Tensor {
 	dx := New(n, c, h, w)
-	per := len(dy.Data) / max(n, 1)
-	ParallelForMin(n, 1, func(lo, hi int) {
-		for o := lo * per; o < hi*per; o++ {
-			dx.Data[argmax[o]] += dy.Data[o]
-		}
-	})
+	MaxPool2DBackwardInto(dx, dy, argmax)
 	return dx
+}
+
+// MaxPool2DBackwardInto is MaxPool2DBackward into the caller's dx
+// [N, C, H, W], overwritten.
+func MaxPool2DBackwardInto(dx, dy *Tensor, argmax []int32) {
+	n := dx.Shape[0]
+	if MaxWorkers() == 1 {
+		maxPoolScatter(dx.Data, dy.Data, argmax, n, 0, n)
+		return
+	}
+	ParallelForMin(n, 1, func(lo, hi int) { maxPoolScatter(dx.Data, dy.Data, argmax, n, lo, hi) })
+}
+
+// maxPoolScatter writes samples [lo, hi) of the n in dx: zero, then each
+// of their gradients in dy added at its winner's index — which lies in
+// the same sample, so workers own disjoint blocks of dx.
+func maxPoolScatter(dx, dy []float32, argmax []int32, n, lo, hi int) {
+	in, out := len(dx)/max(n, 1), len(dy)/max(n, 1)
+	clear(dx[lo*in : hi*in])
+	for o := lo * out; o < hi*out; o++ {
+		dx[argmax[o]] += dy[o]
+	}
 }

@@ -8,10 +8,11 @@ import "math"
 // writes the [C·KH·KW, N·OH·OW] column matrix, the GEMM's B packer
 // re-reads it, the GEMM writes a [F, N·OH·OW] product, a scatter permutes
 // that to [N,F,OH,OW] adding bias — and the layer stack adds a ReLU pass
-// and a pool pass. Training needs the column matrix for backward;
-// inference needs none of it, and at PRIONN's filter counts (4–24, so a
-// packed K×NR strip would feed one to six micro-tiles) not even packed
-// strips of it. PackedConv.Infer copies each sample's image once into a
+// and a pool pass. Inference needs none of it, and at PRIONN's filter
+// counts (4–24, so a packed K×NR strip would feed one to six
+// micro-tiles) not even packed strips of it; neither does a stride-1
+// training conv, whose forward is this one without the ReLU and pool
+// (conv_train.go). PackedConv.Infer copies each sample's image once into a
 // zero-padded plane and, for a stride-1 conv, hands the micro-kernel that
 // plane and a tap table: row p of the implicit column matrix, for the NR
 // consecutive pixels of one output row, is the NR floats at a fixed
@@ -21,7 +22,7 @@ import "math"
 // following max-pool run over that plane while it is still in cache. A
 // strided conv (the 1D-CNN's) has no such fixed offset between lanes: it
 // writes the sample's [K, OH·OW] column matrix into arena scratch with
-// im2colInto, as the training forward does, and multiplies it through
+// im2colInto, as its training forward does, and multiplies it through
 // the blocked GEMM, with the same epilogue.
 //
 // Bitwise neutrality. The padding cells are real zeros, so the kernel
@@ -44,11 +45,12 @@ import "math"
 // on one.
 const inferParallelMin = 1 << 20
 
-// inferSerial reports whether an inference forward over n samples of
-// work multiply-adds each runs inline, and otherwise the fewest samples
-// a worker is handed: workers take whole samples, and only when each
-// gets inferParallelMin multiply-adds. A batch-1 forward starts no
-// goroutine.
+// inferSerial reports whether a job over n items (samples, rows, tap
+// strips) of work multiply-adds each runs inline, and otherwise the
+// fewest items a worker is handed: workers take whole items, and only
+// when each gets inferParallelMin multiply-adds. A batch-1 forward starts
+// no goroutine, and neither does a training step at PRIONN's batch
+// sizes: there the fan-out costs more than it saves.
 func inferSerial(n, work int) (minChunk int, serial bool) {
 	minChunk = (inferParallelMin + work - 1) / max(work, 1)
 	return minChunk, MaxWorkers() == 1 || n < 2*minChunk
@@ -91,16 +93,23 @@ func PackConv(weights *Tensor, c, h, w int, spec ConvSpec) *PackedConv {
 	}
 	p.strips = make([]float32, alignUp(f, gemmMR)*k)
 	packAPanel(p.strips, view, 0, 0, f, k)
-	ph, pw := p.geom.paddedDims()
-	p.taps = make([]int32, 0, k)
-	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < spec.KH; ky++ {
-			for kx := 0; kx < spec.KW; kx++ {
-				p.taps = append(p.taps, int32(ch*ph*pw+ky*pw+kx))
+	p.taps = p.geom.tapTable()
+	return p
+}
+
+// tapTable returns the stride-1 tap table: tap p = (ch, ky, kx) lies
+// ch·PH·PW + ky·PW + kx past an output pixel's first padded-plane cell.
+func (g *convGeom) tapTable() []int32 {
+	ph, pw := g.paddedDims()
+	taps := make([]int32, 0, g.c*g.spec.KH*g.spec.KW)
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < g.spec.KH; ky++ {
+			for kx := 0; kx < g.spec.KW; kx++ {
+				taps = append(taps, int32(ch*ph*pw+ky*pw+kx))
 			}
 		}
 	}
-	return p
+	return taps
 }
 
 // paddedDims returns the extent of one channel of the zero-padded plane.

@@ -229,6 +229,7 @@ func TestIm2ColSameMatchesScalar(t *testing.T) {
 		{9, 7, ConvSpec{KH: 5, KW: 5, Stride: 1, PadH: 2, PadW: 2}},
 		{1, 40, ConvSpec{KH: 1, KW: 5, Stride: 1, PadW: 2}},
 		{3, 2, ConvSpec{KH: 7, KW: 5, Stride: 1, PadH: 3, PadW: 2}}, // kernel larger than the image
+		{1, 4, ConvSpec{KH: 5, KW: 1, Stride: 1, PadH: 2}},          // padding wider than the image
 		{5, 5, ConvSpec{KH: 1, KW: 1, Stride: 1}},
 	}
 	const c, ldPad = 3, 11

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Blocked GEMM core.
 //
@@ -274,6 +277,27 @@ func fmaConvTileGeneric(k int, pa, x []float32, taps []int32, tile *[gemmMR * ge
 				acc = float64(float32(float64(pa[p*gemmMR+r])*float64(x[int(taps[p])+s]) + acc))
 			}
 			tile[r*gemmNR+s] = float32(acc)
+		}
+	}
+}
+
+// fmaConvBackTileGeneric is fmaConvBackTile4x16's portable twin: the tile
+// from +0, then per listed tap (dy offset, mask row) the chain over the f
+// filters of pw's four channel rows times the 16 floats of dy at the
+// offset plus i·fstride, masked, added to the tile.
+func fmaConvBackTileGeneric(n, f int, pw, dy []float32, taps []int32, fstride int, masks []uint32, tile *[gemmMR * gemmNR]float32) {
+	*tile = [gemmMR * gemmNR]float32{}
+	for t := 0; t < n; t++ {
+		off, mask := int(taps[2*t]), masks[taps[2*t+1]:]
+		a := pw[t*f*gemmMR:]
+		for r := 0; r < gemmMR; r++ {
+			for s := 0; s < gemmNR; s++ {
+				var acc float64
+				for i := 0; i < f; i++ {
+					acc = float64(float32(float64(a[i*gemmMR+r])*float64(dy[off+i*fstride+s]) + acc))
+				}
+				tile[r*gemmNR+s] += math.Float32frombits(math.Float32bits(float32(acc)) & mask[s])
+			}
 		}
 	}
 }

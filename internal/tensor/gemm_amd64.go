@@ -17,6 +17,13 @@ func fmaTile4x16(kc int64, pa, pb, c *float32, ldc int64, zeroAcc int64)
 //go:noescape
 func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64)
 
+// fmaConvBackTile4x16 is the training conv's input-gradient tile: the
+// 4×16 tile of c from +0, plus, per tap, fmaConvTile4x16's chain over the
+// f filter planes of dy, masked (gemm_amd64.s).
+//
+//go:noescape
+func fmaConvBackTile4x16(n, f int64, pw, dy *float32, taps *int32, fstride int64, masks *uint32, c *float32, ldc int64)
+
 // fmaRowIdx1x64 is the one-row kernel: 64 cells of c, each folding
 // a[p]·w[p*ldw+s] from zero over the n ascending positions p in idx with
 // fmaTile4x16's chain (gemm_amd64.s).

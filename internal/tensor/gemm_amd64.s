@@ -161,6 +161,131 @@ convdone:
 	VZEROUPPER
 	RET
 
+// func fmaConvBackTile4x16(n, f int64, pw, dy *float32, taps *int32, fstride int64, masks *uint32, c *float32, ldc int64)
+//
+// The input-gradient tile of a training conv (conv_train.go): the 4×16
+// tile of c starts at +0, then for each of the n taps, whose (offset,
+// mask row) pair taps lists,
+//
+//	t[r][s] = fma(pw[i*4+r], dy[offset+i*fstride+s], ...) folded over i = 0..f-1
+//
+// from zero, with pw moving on by f groups of four per tap; lanes whose
+// mask is zero become +0, and c[r*ldc+s] = c[r*ldc+s] + t[r][s] — the
+// tile as the first operand, as col2im's `dx += dcol`. Y8..Y15 hold t,
+// with fmaConvTile4x16's register plan; the tile itself stays in memory.
+TEXT ·fmaConvBackTile4x16(SB), NOSPLIT, $0-72
+	MOVQ n+0(FP), CX
+	MOVQ pw+16(FP), SI
+	MOVQ dy+24(FP), DI
+	MOVQ taps+32(FP), R9
+	MOVQ fstride+40(FP), R11
+	SHLQ $2, R11             // filter-plane stride in bytes
+	MOVQ masks+48(FP), AX
+	MOVQ c+56(FP), DX
+	MOVQ ldc+64(FP), R8
+	SHLQ $2, R8              // row stride in bytes
+	LEAQ (DX)(R8*2), R10     // row 2
+
+	VXORPS  Y0, Y0, Y0
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y0, 32(DX)
+	VMOVUPS Y0, (DX)(R8*1)
+	VMOVUPS Y0, 32(DX)(R8*1)
+	VMOVUPS Y0, (R10)
+	VMOVUPS Y0, 32(R10)
+	VMOVUPS Y0, (R10)(R8*1)
+	VMOVUPS Y0, 32(R10)(R8*1)
+
+backtap:
+	TESTQ CX, CX
+	JZ    backdone
+
+	MOVLQSX (R9), R12        // this tap's dy offset, in floats
+	LEAQ    (DI)(R12*4), R12 // its 16 floats for the first filter
+	MOVLQSX 4(R9), R13       // its mask row, in lanes
+	LEAQ    (AX)(R13*4), R13
+	MOVQ    f+8(FP), BX
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+
+backfilter:
+	TESTQ BX, BX
+	JZ    backadd
+
+	VMOVUPS (R12), Y0        // dy, lanes 0..7
+	VMOVUPS 32(R12), Y1      // dy, lanes 8..15
+
+	VBROADCASTSS (SI), Y2    // channel row 0
+	VBROADCASTSS 4(SI), Y3   // channel row 1
+	VFMADD231PS  Y0, Y2, Y8
+	VFMADD231PS  Y1, Y2, Y9
+	VFMADD231PS  Y0, Y3, Y10
+	VFMADD231PS  Y1, Y3, Y11
+
+	VBROADCASTSS 8(SI), Y4   // channel row 2
+	VBROADCASTSS 12(SI), Y5  // channel row 3
+	VFMADD231PS  Y0, Y4, Y12
+	VFMADD231PS  Y1, Y4, Y13
+	VFMADD231PS  Y0, Y5, Y14
+	VFMADD231PS  Y1, Y5, Y15
+
+	ADDQ $16, SI             // next weight group (4 floats)
+	ADDQ R11, R12            // next filter's plane
+	DECQ BX
+	JMP  backfilter
+
+backadd:
+	VMOVUPS (R13), Y0        // mask, lanes 0..7
+	VMOVUPS 32(R13), Y1      // mask, lanes 8..15
+	VANDPS  Y0, Y8, Y8
+	VANDPS  Y1, Y9, Y9
+	VANDPS  Y0, Y10, Y10
+	VANDPS  Y1, Y11, Y11
+	VANDPS  Y0, Y12, Y12
+	VANDPS  Y1, Y13, Y13
+	VANDPS  Y0, Y14, Y14
+	VANDPS  Y1, Y15, Y15
+
+	VMOVUPS (DX), Y2
+	VADDPS  Y8, Y2, Y2       // Y2 = Y2 + Y8: the tile first
+	VMOVUPS Y2, (DX)
+	VMOVUPS 32(DX), Y3
+	VADDPS  Y9, Y3, Y3
+	VMOVUPS Y3, 32(DX)
+	VMOVUPS (DX)(R8*1), Y2
+	VADDPS  Y10, Y2, Y2
+	VMOVUPS Y2, (DX)(R8*1)
+	VMOVUPS 32(DX)(R8*1), Y3
+	VADDPS  Y11, Y3, Y3
+	VMOVUPS Y3, 32(DX)(R8*1)
+	VMOVUPS (R10), Y2
+	VADDPS  Y12, Y2, Y2
+	VMOVUPS Y2, (R10)
+	VMOVUPS 32(R10), Y3
+	VADDPS  Y13, Y3, Y3
+	VMOVUPS Y3, 32(R10)
+	VMOVUPS (R10)(R8*1), Y2
+	VADDPS  Y14, Y2, Y2
+	VMOVUPS Y2, (R10)(R8*1)
+	VMOVUPS 32(R10)(R8*1), Y3
+	VADDPS  Y15, Y3, Y3
+	VMOVUPS Y3, 32(R10)(R8*1)
+
+	ADDQ $8, R9              // next tap's pair
+	DECQ CX
+	JMP  backtap
+
+backdone:
+	VZEROUPPER
+	RET
+
 // func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32)
 //
 // The one-row kernel (gemm_packed.go): one row of A against 64 columns

@@ -14,6 +14,10 @@ func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64
 	panic("tensor: fmaConvTile4x16 called without FMA kernel support")
 }
 
+func fmaConvBackTile4x16(n, f int64, pw, dy *float32, taps *int32, fstride int64, masks *uint32, c *float32, ldc int64) {
+	panic("tensor: fmaConvBackTile4x16 called without FMA kernel support")
+}
+
 func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32) {
 	panic("tensor: fmaRowIdx1x64 called without FMA kernel support")
 }

@@ -113,28 +113,37 @@ func (t *Tensor) SoftmaxRows() *Tensor {
 		panic("tensor: SoftmaxRows requires a rank-2 tensor")
 	}
 	rows := t.Shape[0]
-	ParallelFor(rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := t.Row(r)
-			m := row[0]
-			for _, v := range row[1:] {
-				if v > m {
-					m = v
-				}
-			}
-			var sum float64
-			for j, v := range row {
-				e := float32(math.Exp(float64(v - m)))
-				row[j] = e
-				sum += float64(e)
-			}
-			inv := float32(1.0 / sum)
-			for j := range row {
-				row[j] *= inv
+	// One worker runs the loop itself: a closure handed to ParallelFor
+	// would heap-allocate (see Im2ColBatch).
+	if MaxWorkers() == 1 {
+		t.softmaxRows(0, rows)
+		return t
+	}
+	ParallelFor(rows, t.softmaxRows)
+	return t
+}
+
+// softmaxRows is SoftmaxRows on rows [lo, hi).
+func (t *Tensor) softmaxRows(lo, hi int) {
+	for r := lo; r < hi; r++ {
+		row := t.Row(r)
+		m := row[0]
+		for _, v := range row[1:] {
+			if v > m {
+				m = v
 			}
 		}
-	})
-	return t
+		var sum float64
+		for j, v := range row {
+			e := float32(math.Exp(float64(v - m)))
+			row[j] = e
+			sum += float64(e)
+		}
+		inv := float32(1.0 / sum)
+		for j := range row {
+			row[j] *= inv
+		}
+	}
 }
 
 // ReLU applies max(0, x) in place and returns t.

@@ -52,7 +52,11 @@
 #                      back when PredictMapped returns, the caller's
 #                      input never is; the forward's allocation ceiling
 #                      at batch 1, 4 and 32, and a snapshot holding its
-#                      weights once)
+#                      weights once; then the training conv: direct ==
+#                      column path bitwise, the input-gradient kernel ==
+#                      its Go twin, a whole 2D-CNN TrainBatch
+#                      allocation-free, a training event leaving no
+#                      scratch behind)
 #   9. cluster chaos  (the replicated-cluster robustness matrix under
 #                      the race detector: seeded chaos schedules with
 #                      latency / error injection, cluster-wide swap
@@ -89,8 +93,9 @@
 #  13. go test -fuzz  (short smoke run of each fuzz target: the mapping
 #                      crop/pad grid, the feature-directive parser,
 #                      corrupt float and quantized checkpoint loading,
-#                      and the dense row kernel against MatMul on
-#                      arbitrary bit patterns)
+#                      the dense row kernel against MatMul on
+#                      arbitrary bit patterns, and the stride-1 training
+#                      conv against the column path on random geometries)
 #
 # Each step reports its wall-clock seconds on completion, so a slow
 # gate points at its own bottleneck. Exits nonzero on the first
@@ -179,9 +184,11 @@ step "serving gate (coalescing / overload / drain / shared view, -race)"
 go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
 go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
-go test -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce' ./internal/prionn/
+go test -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce|TestTrainEventLeavesNoScratch' ./internal/prionn/
 go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
+go test -race -count=1 -run 'FuzzTrainConvDirect|TestTrainConvStridedKeepsColumnPath|TestConvBackTileGenericMatchesAsm' ./internal/tensor/
 go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts' ./internal/nn/
+go test -count=1 -run 'ZeroAlloc' ./internal/nn/
 step_done
 
 # Cluster chaos matrix: the multi-replica layer's robustness proof,
@@ -241,6 +248,7 @@ go test -fuzz=FuzzSplitDirective -fuzztime=3s -run='^$' ./internal/features/
 go test -fuzz=FuzzLoadPredictor -fuzztime=3s -run='^$' ./internal/prionn/
 go test -fuzz=FuzzQuantizedLoad -fuzztime=3s -run='^$' ./internal/prionn/
 go test -fuzz=FuzzMulRow -fuzztime=3s -run='^$' ./internal/tensor/
+go test -fuzz=FuzzTrainConvDirect -fuzztime=3s -run='^$' ./internal/tensor/
 step_done
 
 echo "all checks passed"
