@@ -541,8 +541,8 @@ func (d *daemon) statsText() string {
 	s := d.eng.StatsText()
 	if d.pilot != nil {
 		st := d.pilot.Status()
-		s += fmt.Sprintf("pipeline: %s, %d events (%d trained, %d replayed), shadow %d accepted / %d rejected, canary %d started / %d promoted / %d rolled back\n",
-			st.Phase, st.Events, st.TrainedThisRun, st.ReplayedEvents,
+		s += fmt.Sprintf("pipeline: %s, %d events (%d trained), shadow %d accepted / %d rejected, canary %d started / %d promoted / %d rolled back\n",
+			st.Phase, st.Events, st.TrainedThisRun,
 			st.ShadowAccepted, st.ShadowRejected,
 			st.CanaryStarts, st.CanaryPromotions, st.CanaryRollbacks)
 	}

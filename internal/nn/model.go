@@ -176,35 +176,20 @@ type FitOptions struct {
 	Epochs    int
 	BatchSize int
 	Shuffle   *rand.Rand // nil disables shuffling
-	// Verbose receives one line per epoch when non-nil.
-	Verbose func(epoch int, loss float64)
-	// StartEpoch resumes a previously interrupted fit: epochs before it
-	// replay only their shuffle draws (reproducing both the permutation
-	// and the RNG state of the uninterrupted run, since the draw
-	// sequence depends only on n and the epoch count) and skip all
-	// gradient work. Parameters and optimizer state for the completed
-	// epochs must have been restored by the caller.
-	StartEpoch int
-	// AfterEpoch, when non-nil, runs after every completed epoch —
-	// the checkpoint hook. A non-nil return aborts the fit with that
-	// error; the epochs already run remain applied.
-	AfterEpoch func(epoch int, loss float64) error
 }
 
 // Fit trains the model on a dataset of stacked samples x [N, ...] with
 // labels, iterating epochs × minibatches, and returns the final epoch's
-// mean loss. It is FitCtx without cancellation; any AfterEpoch error is
-// dropped, so checkpointing callers should use FitCtx.
+// mean loss. It is FitCtx without cancellation.
 func (m *Sequential) Fit(x *tensor.Tensor, labels []int, opt Optimizer, o FitOptions) float64 {
 	loss, _ := m.FitCtx(context.Background(), x, labels, opt, o)
 	return loss
 }
 
-// FitCtx is Fit with cooperative cancellation and resume support. The
-// context is polled between minibatches, so a canceled training event
-// returns within one batch; the error is ctx.Err() on cancellation or
-// the first AfterEpoch error. On return the model holds no train-time
-// state (see release).
+// FitCtx is Fit with cooperative cancellation. The context is polled
+// between minibatches, so a canceled training event returns within one
+// batch with ctx.Err(). On return the model holds no train-time state
+// (see release).
 func (m *Sequential) FitCtx(ctx context.Context, x *tensor.Tensor, labels []int, opt Optimizer, o FitOptions) (float64, error) {
 	n := x.Dim(0)
 	if n == 0 {
@@ -231,9 +216,6 @@ func (m *Sequential) FitCtx(ctx context.Context, x *tensor.Tensor, labels []int,
 	for e := 0; e < o.Epochs; e++ {
 		if o.Shuffle != nil {
 			o.Shuffle.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
-		if e < o.StartEpoch {
-			continue // replayed epoch: shuffle consumed, no gradient work
 		}
 		var total float64
 		batches := 0
@@ -263,14 +245,6 @@ func (m *Sequential) FitCtx(ctx context.Context, x *tensor.Tensor, labels []int,
 			batches++
 		}
 		epochLoss = total / float64(batches)
-		if o.Verbose != nil {
-			o.Verbose(e, epochLoss)
-		}
-		if o.AfterEpoch != nil {
-			if err := o.AfterEpoch(e, epochLoss); err != nil {
-				return epochLoss, err
-			}
-		}
 	}
 	return epochLoss, nil
 }

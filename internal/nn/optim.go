@@ -124,9 +124,9 @@ type StatefulOptimizer interface {
 
 // SaveState writes the Adam step counter (uint64) and, once it has
 // stepped, the m and v moment estimates of the given parameters (see
-// writeTensors). Resuming an interrupted training event bitwise-
-// identically requires this state: restarting Adam from zero moments
-// takes different steps than the uninterrupted run.
+// writeTensors). Warm-start retraining from a checkpoint requires this
+// state: restarting Adam from zero moments takes different steps than
+// the process that saved it would have.
 func (a *Adam) SaveState(params []*tensor.Tensor, w io.Writer) error {
 	var t [8]byte
 	binary.LittleEndian.PutUint64(t[:], uint64(a.t))

@@ -1,8 +1,8 @@
 // Package pilot closes the paper's §2.3 online-learning loop: a
 // trainer daemon ingests completed jobs as a stream, warm-start
 // retrains on a cadence (the same window logic as the offline
-// RunOnlineCheckpointed emulation, with the same crash-safe checkpoint
-// frames), and deploys each new model through a gated pipeline —
+// prionn.RunOnline emulation), checkpoints crash-safely after every
+// training event, and deploys each new model through a gated pipeline —
 //
 //	retrain → checkpoint → shadow-eval → canary → atomic swap
 //
@@ -12,7 +12,8 @@
 // canary stage (a fraction of live traffic with auto-rollback;
 // internal/cluster's canary route), before the all-or-nothing Swap
 // publishes it cluster-wide. A pilot killed at any stage restarts from
-// its checkpoint and continues without retraining from scratch.
+// the last event's checkpoint and keeps training it on the jobs that
+// complete from then on, without retraining from scratch.
 //
 // Confinement: Observe and Tick must be called from a single
 // goroutine — the pilot owns a mutating Predictor, exactly like the
@@ -77,14 +78,6 @@ type Config struct {
 	// safely after every training event; an existing checkpoint is
 	// loaded on construction.
 	CheckpointPath string
-	// ResumeReplay declares that the Observe stream replays the same
-	// jobs the checkpointed incarnation already consumed (the offline /
-	// test scenario): training events covered by the checkpoint's
-	// persisted event counter are then skipped as no-ops, keeping the
-	// cadence and every later event's shuffle seed aligned. Leave false
-	// for live streams, where new jobs simply continue training the
-	// restored model.
-	ResumeReplay bool
 }
 
 // withDefaults fills zero fields.
@@ -104,12 +97,9 @@ type Status struct {
 	// Events is the lifetime training-event counter (persisted across
 	// restarts via the checkpoint).
 	Events int64 `json:"events"`
-	// TrainedThisRun counts events actually trained by this
-	// incarnation; after a restart it lags Events by the replayed
-	// (checkpoint-covered) events.
+	// TrainedThisRun counts events trained by this incarnation; after a
+	// restart it lags Events by the events the checkpoint holds.
 	TrainedThisRun int64 `json:"trained_this_run"`
-	// ReplayedEvents counts checkpoint-covered events skipped as no-ops.
-	ReplayedEvents int64 `json:"replayed_events"`
 
 	ShadowAccepted int64 `json:"shadow_accepted"`
 	ShadowRejected int64 `json:"shadow_rejected"`
@@ -135,15 +125,12 @@ type Pilot struct {
 	p          *prionn.Predictor
 	window     []trace.Job // most recently completed jobs, newest last
 	sinceTrain int
-	skipEvents int // checkpoint-covered events to replay as no-ops
-	replayed   int
 	canarying  bool
 
 	// Atomic mirrors for Status.
 	observed     atomic.Int64
 	events       atomic.Int64
 	trained      atomic.Int64
-	replayedSt   atomic.Int64
 	shadowAcc    atomic.Int64
 	shadowRej    atomic.Int64
 	skippedDep   atomic.Int64
@@ -155,11 +142,13 @@ type Pilot struct {
 }
 
 // New builds a pilot over a deployer. With CheckpointPath set and a
-// checkpoint present, the predictor (embedding included) is restored
-// from it — the restart path that makes the daemon survive kills
-// without retraining from scratch. A checkpoint trained under a
-// different Model configuration is rejected; an unreadable one
-// surfaces as an error rather than silently starting cold.
+// checkpoint present, the predictor (embedding, Adam moments and event
+// counter included) is restored from it — the restart path that makes
+// the daemon survive kills without retraining from scratch: Observe
+// then keeps training the restored model on the live stream. A
+// checkpoint trained under a different Model configuration is
+// rejected; an unreadable one surfaces as an error rather than
+// silently starting cold.
 func New(cfg Config, dep Deployer) (*Pilot, error) {
 	if dep == nil {
 		return nil, errors.New("pilot: nil deployer")
@@ -175,9 +164,6 @@ func New(cfg Config, dep Deployer) (*Pilot, error) {
 			}
 			pl.p = loaded
 			pl.events.Store(int64(loaded.Events()))
-			if cfg.ResumeReplay {
-				pl.skipEvents = loaded.Events()
-			}
 		case errors.Is(err, fs.ErrNotExist):
 			// Fresh start.
 		default:
@@ -198,7 +184,6 @@ func (pl *Pilot) Status() Status {
 		Observed:         pl.observed.Load(),
 		Events:           pl.events.Load(),
 		TrainedThisRun:   pl.trained.Load(),
-		ReplayedEvents:   pl.replayedSt.Load(),
 		ShadowAccepted:   pl.shadowAcc.Load(),
 		ShadowRejected:   pl.shadowRej.Load(),
 		DeploysSkipped:   pl.skippedDep.Load(),
@@ -231,16 +216,6 @@ func (pl *Pilot) Observe(ctx context.Context, j trace.Job) error {
 	}
 	pl.sinceTrain++
 	if pl.sinceTrain < pl.cfg.Model.RetrainEvery || len(pl.window) == 0 {
-		return nil
-	}
-	if pl.replayed < pl.skipEvents {
-		// This event is covered by the loaded checkpoint: the restored
-		// model already contains it, so only the cadence advances (and
-		// the later events' shuffle seeds stay aligned with the crashed
-		// incarnation's).
-		pl.replayed++
-		pl.replayedSt.Add(1)
-		pl.sinceTrain = 0
 		return nil
 	}
 	return pl.runEvent(ctx)

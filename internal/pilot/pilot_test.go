@@ -132,14 +132,16 @@ func TestPipelineEndToEnd(t *testing.T) {
 }
 
 // TestPilotRestartFromEveryFailpoint kills the pilot at each pipeline
-// stage boundary during event 2 and restarts it over the same stream
-// (ResumeReplay). The restarted pilot must resume from its checkpoint —
-// training strictly fewer events than the lifetime counter — and end in
-// a model byte-identical to an uninterrupted run's.
+// stage boundary during event 2 and restarts it the way prionnd does:
+// New loads the last per-event checkpoint, and Observe keeps training it
+// on the jobs that complete after the kill. The restarted pilot must
+// hold exactly the checkpoint, train one event per RetrainEvery new jobs
+// on top of its event counter, and leave a checkpoint that loads.
 func TestPilotRestartFromEveryFailpoint(t *testing.T) {
 	jobs := pipelineJobs(200)
+	model := tinyModel()
 
-	run := func(t *testing.T, path string, resume bool) (*Pilot, error) {
+	start := func(t *testing.T, path string) (*Pilot, error) {
 		t.Helper()
 		srv := serve.New(nil, fastServe())
 		t.Cleanup(func() {
@@ -147,75 +149,131 @@ func TestPilotRestartFromEveryFailpoint(t *testing.T) {
 				t.Errorf("serve stop: %v", err)
 			}
 		})
-		pl, err := New(Config{
-			Model:        tinyModel(),
+		return New(Config{
+			Model:        model,
 			ShadowWindow: 32,
 			// A gate this loose accepts every candidate, so every event
 			// reaches the canary stage and FailpointCanary fires on
 			// schedule.
 			Gate:           GateConfig{MaxMAPEIncrease: 1e9, MaxAccuracyDrop: 1e9, MaxPearsonDrop: 1e9},
 			CheckpointPath: path,
-			ResumeReplay:   resume,
 		}, &DirectDeployer{Srv: srv})
-		if err != nil {
-			return nil, err
-		}
+	}
+	observe := func(pl *Pilot, jobs []trace.Job) error {
 		for _, j := range jobs {
 			if err := pl.Observe(context.Background(), j); err != nil {
-				return pl, err
+				return err
 			}
 		}
-		return pl, nil
+		return nil
 	}
 
-	// Uninterrupted reference.
-	refPath := filepath.Join(t.TempDir(), "ref.ckpt")
-	ref, err := run(t, refPath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Events() < 3 {
-		t.Fatalf("trace too short: %d events", ref.Events())
-	}
-	refBytes, err := os.ReadFile(refPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// Train, then save, then judge, then deploy: a kill before the save
+	// loses event 2, a kill after it keeps it.
+	durable := map[string]int{FailpointRetrain: 1, FailpointSave: 1, FailpointShadow: 2, FailpointCanary: 2}
 	for _, fp := range []string{FailpointRetrain, FailpointSave, FailpointShadow, FailpointCanary} {
 		t.Run(fp, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "pilot.ckpt")
+			killed, err := start(t, path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			boom := errors.New("killed at " + fp)
 			disarm := fault.Arm(fp, fault.Failure{Err: boom, After: 1})
-			_, err := run(t, path, false)
+			err = observe(killed, jobs)
 			disarm()
 			if !errors.Is(err, boom) {
 				t.Fatalf("interrupted run returned %v, want the armed kill", err)
 			}
-
-			pl, err := run(t, path, true)
+			ckpt, err := os.ReadFile(path)
 			if err != nil {
+				t.Fatal(err)
+			}
+			saved, err := prionn.Load(bytes.NewReader(ckpt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved.Events() != durable[fp] {
+				t.Fatalf("checkpoint after the kill holds %d events, want %d", saved.Events(), durable[fp])
+			}
+
+			pl, err := start(t, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var restored bytes.Buffer
+			if err := pl.p.Save(&restored); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(restored.Bytes(), ckpt) {
+				t.Fatal("restarted pilot's predictor differs bitwise from the checkpoint it loaded")
+			}
+			if pl.Events() != saved.Events() {
+				t.Fatalf("restarted pilot reports %d events before training, the checkpoint holds %d", pl.Events(), saved.Events())
+			}
+
+			rest := jobs[killed.Status().Observed:]
+			if err := observe(pl, rest); err != nil {
 				t.Fatal(err)
 			}
 			st := pl.Status()
-			if st.Events != int64(ref.Events()) {
-				t.Fatalf("restart ended at event %d, want %d", st.Events, ref.Events())
+			if want := int64(len(rest) / model.RetrainEvery); st.TrainedThisRun != want {
+				t.Fatalf("restart trained %d events over %d new jobs, want %d", st.TrainedThisRun, len(rest), want)
 			}
-			if st.ReplayedEvents == 0 {
-				t.Fatalf("restart replayed no events — it retrained from scratch: %+v", st)
+			if want := int64(saved.Events()) + st.TrainedThisRun; st.Events != want {
+				t.Fatalf("restart ended at event %d, want the checkpoint's %d plus %d trained", st.Events, saved.Events(), st.TrainedThisRun)
 			}
-			if st.TrainedThisRun >= st.Events {
-				t.Fatalf("restart trained %d of %d events — nothing resumed: %+v", st.TrainedThisRun, st.Events, st)
-			}
-			got, err := os.ReadFile(path)
+			final, err := prionn.LoadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, refBytes) {
-				t.Fatal("restarted pilot's final checkpoint differs bitwise from the uninterrupted run's")
+			if int64(final.Events()) != st.Events {
+				t.Fatalf("final checkpoint holds %d events, the pilot reports %d", final.Events(), st.Events)
 			}
 		})
 	}
+}
+
+// TestPilotNewRejectsForeignCheckpoint pins New's two refusals: a
+// checkpoint trained under a different model configuration and one that
+// cannot be read are errors, never a silent cold start that would
+// discard the warm-start state the operator asked to keep.
+func TestPilotNewRejectsForeignCheckpoint(t *testing.T) {
+	jobs := pipelineJobs(60)
+	other := tinyModel()
+	other.RetrainEvery = 20
+	scripts := make([]string, 40)
+	for i := range scripts {
+		scripts[i] = jobs[i].Script
+	}
+	p, err := prionn.New(other, scripts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Train(jobs[:40]); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pilot.ckpt")
+	if err := p.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("config-mismatch", func(t *testing.T) {
+		if _, err := New(Config{Model: other, CheckpointPath: path}, &DirectDeployer{}); err != nil {
+			t.Fatalf("checkpoint rejected under its own configuration: %v", err)
+		}
+		if _, err := New(Config{Model: tinyModel(), CheckpointPath: path}, &DirectDeployer{}); err == nil {
+			t.Fatal("checkpoint trained under RetrainEvery 20 accepted by a pilot with 25")
+		}
+	})
+	t.Run("truncated", func(t *testing.T) {
+		if err := os.Truncate(path, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{Model: other, CheckpointPath: path}, &DirectDeployer{}); !errors.Is(err, prionn.ErrTruncated) {
+			t.Fatalf("10-byte checkpoint: got %v, want ErrTruncated", err)
+		}
+	})
 }
 
 // TestPilotShadowRejectsRegression feeds the pipeline a deliberately

@@ -33,10 +33,8 @@ import (
 // loading either through the other's loader fails with ErrCorrupt at
 // the header, before anything is decoded.
 //
-// Version 3, the float32 predictor checkpoint (a full model save, or a
-// mid-event training checkpoint, which differs only in its meta):
-// checkpointMeta (config, embedding, trained, events, resume position of
-// a mid-event checkpoint); per head its parameters
+// Version 3, the float32 predictor checkpoint: checkpointMeta (config,
+// embedding, trained, events); per head its parameters
 // (nn.Sequential.Save), an optimizer flag byte, and when that is 1 its
 // Adam state (nn.Adam.SaveState).
 //

@@ -2,12 +2,8 @@ package prionn
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io/fs"
 	"sort"
 
-	"prionn/internal/fault"
 	"prionn/internal/trace"
 )
 
@@ -39,39 +35,6 @@ func RunOnline(jobs []trace.Job, cfg Config, progress func(done, total int)) ([]
 // is polled at every submission and inside every training event, so a
 // canceled run stops within one minibatch.
 func RunOnlineCtx(ctx context.Context, jobs []trace.Job, cfg Config, progress func(done, total int)) ([]OnlineRecord, error) {
-	return runOnline(ctx, jobs, cfg, "", nil, progress)
-}
-
-// FailpointOnlineSave is the failpoint name fired before each online-
-// loop checkpoint write; robustness tests arm it to kill the loop at a
-// chosen training event.
-const FailpointOnlineSave = "prionn/online/save"
-
-// RunOnlineCheckpointed is RunOnlineCtx with durable progress: after
-// every training event the predictor is checkpointed crash-safely at
-// path. A deployment killed mid-run (or even mid-save) restarts from
-// the last completed event's model via LoadFile instead of retraining
-// from scratch — the survivability half of the paper's persistent-tool
-// deployment (§2.3).
-//
-// Restart contract: when a checkpoint already exists at path, the run
-// resumes from it — the predictor (embedding included) is restored
-// rather than rebuilt, and the persisted event counter tells the loop
-// how many training events the previous incarnation completed. Those
-// events are replayed as no-ops: the loop skips their retraining and
-// leaves their submissions' records unpredicted (the previous
-// incarnation already answered them), then continues bitwise-identically
-// to an uninterrupted run from the skipped events' state. The replayed
-// job stream must match the crashed run's (same jobs, same cfg); a
-// checkpoint trained under a different configuration is rejected.
-func RunOnlineCheckpointed(ctx context.Context, jobs []trace.Job, cfg Config, path string, progress func(done, total int)) ([]OnlineRecord, error) {
-	return runOnline(ctx, jobs, cfg, path, nil, progress)
-}
-
-// runOnline is the shared loop. fsys, when non-nil, becomes the
-// persistence layer of the internally built predictor — the hook the
-// crash-recovery tests use to kill a checkpoint save mid-write.
-func runOnline(ctx context.Context, jobs []trace.Job, cfg Config, ckptPath string, fsys fault.FS, progress func(done, total int)) ([]OnlineRecord, error) {
 	// Pending completions ordered by end time.
 	type completion struct {
 		end int64
@@ -89,32 +52,6 @@ func runOnline(ctx context.Context, jobs []trace.Job, cfg Config, ckptPath strin
 	pi := 0
 
 	var p *Predictor
-	// skipEvents counts training events a previous incarnation already
-	// completed and checkpointed: the loop replays them as no-ops so the
-	// event cadence (and every later event's shuffle seed) stays aligned
-	// with an uninterrupted run.
-	skipEvents := 0
-	if ckptPath != "" {
-		loaded, err := LoadFile(ckptPath)
-		switch {
-		case err == nil:
-			if loaded.Config != cfg {
-				return nil, fmt.Errorf("prionn: checkpoint at %s was trained under a different configuration", ckptPath)
-			}
-			loaded.fs = fsys
-			p = loaded
-			skipEvents = p.Events()
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh start: no checkpoint yet.
-		default:
-			// A checkpoint exists but cannot be restored (truncated,
-			// corrupt, unreadable). Silently retraining from scratch here
-			// would discard the warm-start state the caller asked to keep;
-			// surface it instead.
-			return nil, fmt.Errorf("prionn: restoring checkpoint %s: %w", ckptPath, err)
-		}
-	}
-	eventsFired := 0
 	records := make([]OnlineRecord, len(jobs))
 	sinceTrain := 0
 
@@ -130,38 +67,17 @@ func runOnline(ctx context.Context, jobs []trace.Job, cfg Config, ckptPath strin
 
 		sinceTrain++
 		if sinceTrain >= cfg.RetrainEvery && len(completed) > 0 {
-			if eventsFired < skipEvents {
-				// This event was completed and checkpointed by the crashed
-				// incarnation: the restored model already contains it.
-				// Re-training it would double-apply the window (and
-				// misalign every later event's seed), so only the cadence
-				// bookkeeping advances. Once the last covered event is
-				// replayed, the restored model is exactly the state an
-				// uninterrupted run would hold here, and prediction
-				// resumes below.
-				eventsFired++
-				sinceTrain = 0
-				if progress != nil {
-					progress(i+1, len(jobs))
-				}
-			} else {
-				if err := trainEventAt(ctx, &p, jobs, completed, cfg, ckptPath, fsys); err != nil {
-					return nil, err
-				}
-				eventsFired++
-				sinceTrain = 0
-				if progress != nil {
-					progress(i+1, len(jobs))
-				}
+			if err := trainEventAt(ctx, &p, jobs, completed, cfg); err != nil {
+				return nil, err
+			}
+			sinceTrain = 0
+			if progress != nil {
+				progress(i+1, len(jobs))
 			}
 		}
 
 		records[i].Job = j
-		// eventsFired < skipEvents marks the replayed prefix of a restart:
-		// those submissions were answered (and recorded) by the previous
-		// incarnation, and their models are unrecoverable — the restored
-		// checkpoint holds the state after event skipEvents, not before.
-		if p != nil && p.Trained() && !j.Canceled && eventsFired >= skipEvents {
+		if p != nil && p.Trained() && !j.Canceled {
 			records[i].Pred = p.PredictJob(j)
 			records[i].Predicted = true
 		}
@@ -172,8 +88,8 @@ func runOnline(ctx context.Context, jobs []trace.Job, cfg Config, ckptPath strin
 // trainEventAt runs one training event of the online loop: build the
 // window of the cfg.TrainWindow most recently completed jobs, lazily
 // construct the predictor on the first event (training the embedding on
-// the first window's scripts), warm-start train, and checkpoint.
-func trainEventAt(ctx context.Context, p **Predictor, jobs []trace.Job, completed []int, cfg Config, ckptPath string, fsys fault.FS) error {
+// the first window's scripts), and warm-start train.
+func trainEventAt(ctx context.Context, p **Predictor, jobs []trace.Job, completed []int, cfg Config) error {
 	window := completed
 	if len(window) > cfg.TrainWindow {
 		window = window[len(window)-cfg.TrainWindow:]
@@ -192,21 +108,10 @@ func trainEventAt(ctx context.Context, p **Predictor, jobs []trace.Job, complete
 		if err != nil {
 			return err
 		}
-		np.fs = fsys
 		*p = np
 	}
-	if _, err := (*p).TrainCtx(ctx, batch); err != nil {
-		return err
-	}
-	if ckptPath != "" {
-		if err := fault.Here(FailpointOnlineSave); err != nil {
-			return err
-		}
-		if err := (*p).SaveFile(ckptPath); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := (*p).TrainCtx(ctx, batch)
+	return err
 }
 
 // PredictedRecords filters an online run down to the records that carry

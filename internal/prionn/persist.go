@@ -15,14 +15,17 @@ import (
 // frame.go): everything but the tensors. The architecture is rebuilt
 // from the configuration on load, then each head's parameters and
 // optimizer state are read into it. Optimizer state rides along because
-// warm-start retraining (and bitwise-identical resume of an interrupted
-// event) continues Adam's moment estimates, not a cold optimizer.
+// warm-start retraining after a restart continues Adam's moment
+// estimates, not a cold optimizer.
+//
+// Files written before this struct lost its Resume field (a position
+// inside an interrupted training event, nil in every completed save)
+// still decode: gob skips a field the receiving struct does not have.
 type checkpointMeta struct {
 	Config    Config
 	Embedding *word2vec.Embedding // nil unless Transform == word2vec
 	Trained   bool
-	Events    int        // completed training events (seeds per-event shuffles)
-	Resume    *resumePos // set only in a mid-event training checkpoint
+	Events    int // completed training events (seeds per-event shuffles)
 }
 
 // Save serializes the predictor — configuration, embedding, trained
@@ -31,82 +34,69 @@ type checkpointMeta struct {
 // persistently on a dedicated node; restarting it must not lose the
 // warm-start state) and so Load can reject truncated or corrupt bytes
 // with a typed error instead of restoring garbage.
-func (p *Predictor) Save(w io.Writer) error { return p.save(w, nil) }
+func (p *Predictor) Save(w io.Writer) error {
+	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events}
+	return writeFrame(w, frameVersion, cm, p.saveHeads)
+}
 
-// save streams the v3 frame to w.
-func (p *Predictor) save(w io.Writer, resume *resumePos) error {
-	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events, Resume: resume}
-	return writeFrame(w, frameVersion, cm, func(bw *bufio.Writer) error {
-		for _, h := range p.heads() {
-			if err := h.model.Save(bw); err != nil {
-				return err
-			}
-			so, stateful := h.opt.(nn.StatefulOptimizer)
-			if !stateful {
-				_ = bw.WriteByte(0) // a bufio.Writer's error sticks: Flush returns it
-				continue
-			}
-			_ = bw.WriteByte(1)
-			if err := so.SaveState(h.model.Params(), bw); err != nil {
-				return err
-			}
+// saveHeads streams the v3 frame's body: per head its parameters, an
+// optimizer flag byte and, when that is 1, the optimizer state.
+func (p *Predictor) saveHeads(bw *bufio.Writer) error {
+	for _, h := range p.heads() {
+		if err := h.model.Save(bw); err != nil {
+			return err
 		}
-		return nil
-	})
+		so, stateful := h.opt.(nn.StatefulOptimizer)
+		if !stateful {
+			_ = bw.WriteByte(0) // a bufio.Writer's error sticks: Flush returns it
+			continue
+		}
+		_ = bw.WriteByte(1)
+		if err := so.SaveState(h.model.Params(), bw); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Load restores a predictor saved with Save. Damaged input is rejected
 // with an error wrapping ErrTruncated or ErrCorrupt; Load never returns
-// a predictor built from partial bytes. A mid-event training checkpoint
-// is refused: it holds a half-fitted model, which ResumeTrain finishes.
+// a predictor built from partial bytes.
 func Load(r io.Reader) (*Predictor, error) {
-	p, resume, err := load(r)
-	if err != nil {
-		return nil, err
-	}
-	if resume != nil {
-		return nil, fmt.Errorf("prionn: checkpoint was written mid-event (head %d, epoch %d); continue it with ResumeTrain", resume.Head, resume.Epoch)
-	}
-	return p, nil
-}
-
-// load reads one v3 frame: the predictor and, for a mid-event training
-// checkpoint, where its event stood.
-func load(r io.Reader) (*Predictor, *resumePos, error) {
 	var cm checkpointMeta
 	fr, err := openFrame(r, frameVersion, &cm)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p, err := restore(cm.Config, cm.Embedding)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, h := range p.heads() {
 		if err := h.model.Load(fr); err != nil {
-			return nil, nil, fr.fail("parameters", err)
+			return nil, fr.fail("parameters", err)
 		}
 		var flag [1]byte
 		if _, err := io.ReadFull(fr, flag[:]); err != nil {
-			return nil, nil, fr.fail("optimizer flag", err)
+			return nil, fr.fail("optimizer flag", err)
 		}
 		so, stateful := h.opt.(nn.StatefulOptimizer)
 		switch {
 		case flag[0] == 0: // saved without optimizer state; a cold optimizer is still valid
 		case flag[0] == 1 && stateful:
 			if err := so.LoadState(h.model.Params(), fr); err != nil {
-				return nil, nil, fr.fail("optimizer state", err)
+				return nil, fr.fail("optimizer state", err)
 			}
 		default:
-			return nil, nil, fmt.Errorf("%w: optimizer flag %d", ErrCorrupt, flag[0])
+			return nil, fmt.Errorf("%w: optimizer flag %d", ErrCorrupt, flag[0])
 		}
 	}
 	if err := fr.close(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p.trained = cm.Trained
 	p.events = cm.Events
-	return p, cm.Resume, nil
+	return p, nil
 }
 
 // restore builds the predictor a frame's meta describes, once the meta is
@@ -144,10 +134,10 @@ func LoadFile(path string) (*Predictor, error) {
 	return Load(f)
 }
 
-// SetFS redirects the predictor's persistence writes (SaveFile and
-// training checkpoints) through the given file-op layer and returns the
-// previous one. The fault-injection tests drive the crash matrix through
-// this; nil restores the real filesystem.
+// SetFS redirects the predictor's persistence writes (SaveFile) through
+// the given file-op layer and returns the previous one. The
+// fault-injection tests drive the crash matrix through this; nil
+// restores the real filesystem.
 func (p *Predictor) SetFS(fsys fault.FS) fault.FS {
 	prev := p.fs
 	p.fs = fsys

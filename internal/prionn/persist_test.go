@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"prionn/internal/word2vec"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -223,6 +225,49 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLoadOldMetaWithResumeField: until the v3 meta lost its Resume
+// field (a position inside an interrupted training event, nil in every
+// completed save), each checkpoint's gob carried that field in its type
+// descriptor — every cached bench checkpoint and -retrain-ckpt file
+// written before then. Such a frame, built here with that writer's
+// field names and layout, still loads, to the same state, and re-saves
+// as the current format. (gob also sends the type names, which no
+// decoder compares; the old Resume type was named differently.)
+func TestLoadOldMetaWithResumeField(t *testing.T) {
+	type position struct {
+		Head        int
+		Epoch       int
+		RuntimeLoss float64
+		Window      int
+	}
+	type checkpointMeta struct {
+		Config    Config
+		Embedding *word2vec.Embedding
+		Trained   bool
+		Events    int
+		Resume    *position
+	}
+	p := trainedPredictor(t, 40)
+	var old, cur bytes.Buffer
+	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events}
+	if err := writeFrame(&old, frameVersion, cm, p.saveHeads); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(old.Bytes(), cur.Bytes()) {
+		t.Fatal("the old meta encodes like the current one; nothing is being tested")
+	}
+	restored, err := Load(bytes.NewReader(old.Bytes()))
+	if err != nil {
+		t.Fatalf("checkpoint with a Resume field rejected: %v", err)
+	}
+	// requireSameState also re-saves restored and compares it with p's
+	// save, which is cur.
+	requireSameState(t, p, restored)
 }
 
 // countingWriter counts what is written through it and keeps none.

@@ -2,6 +2,7 @@ package prionn
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	"prionn/internal/fault"
@@ -66,8 +67,8 @@ type Predictor struct {
 	trained bool
 	// events counts completed training events. Each event's minibatch
 	// shuffles draw from an RNG seeded by (Config.Seed, events, head),
-	// so an interrupted event resumes with exactly the permutations the
-	// uninterrupted run would have used.
+	// so a predictor restored from a checkpoint draws exactly the
+	// permutations the one that saved it would have drawn next.
 	events int
 	// fs is the persistence file-op layer; nil means the real
 	// filesystem. See SetFS.
@@ -227,8 +228,66 @@ func (p *Predictor) Train(jobs []trace.Job) (float64, error) {
 // TrainCtx is Train with cooperative cancellation: the context is polled
 // between minibatches, so a canceled training event returns within one
 // batch. The parameters updated by completed batches remain applied.
+//
+// The event fits every enabled head in turn, each for the configured
+// epochs, shuffling its minibatches from a stream seeded by
+// eventSeed(Config.Seed, events, head). Together with the Adam moments
+// and the event counter a checkpoint carries, that makes a restored
+// predictor retrain exactly as the one that saved it would have.
 func (p *Predictor) TrainCtx(ctx context.Context, jobs []trace.Job) (float64, error) {
-	return p.trainEvent(ctx, jobs, "", resumePos{})
+	if len(jobs) == 0 {
+		return 0, fmt.Errorf("prionn: empty training window")
+	}
+	heads := p.heads()
+	scripts := make([]string, len(jobs))
+	labels := make([][]int, len(heads))
+	for h := range labels {
+		labels[h] = make([]int, len(jobs))
+	}
+	for i, j := range jobs {
+		scripts[i] = p.inputText(j.Script, j.InputDeck)
+		for h, head := range heads {
+			labels[h][i] = head.class(j)
+		}
+	}
+	x := p.mapBatch(scripts)
+	epochs := p.Config.Epochs
+	if !p.trained {
+		// Bootstrap: the very first training event runs longer so the
+		// warm-start chain begins from a fitted model rather than random
+		// weights (subsequent events only need to track drift).
+		epochs *= 3
+	}
+	var runtimeLoss float64
+	for h, head := range heads {
+		loss, err := head.model.FitCtx(ctx, x, labels[h], head.opt, nn.FitOptions{
+			Epochs:    epochs,
+			BatchSize: p.Config.BatchSize,
+			Shuffle:   rand.New(rand.NewSource(eventSeed(p.Config.Seed, p.events, h))),
+		})
+		if err != nil {
+			return runtimeLoss, err
+		}
+		if h == 0 {
+			runtimeLoss = loss
+		}
+	}
+	p.trained = true
+	p.events++
+	return runtimeLoss, nil
+}
+
+// eventSeed derives the shuffle seed for one (event, head) pair from the
+// configured seed via a splitmix64 finalizer, so every head of every
+// event gets an independent, reproducible stream.
+func eventSeed(seed int64, event, head int) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(event+1) + 0xbf58476d1ce4e5b9*uint64(head+1)
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z)
 }
 
 // Trained reports whether at least one training event has run.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -253,32 +252,6 @@ func TestLoadTypedErrors(t *testing.T) {
 			}
 		}
 	})
-	// The two kinds of v3 frame are not interchangeable: a mid-event
-	// checkpoint holds a half-fitted model, a completed one no position
-	// to resume from. Neither refusal is damage, so neither is typed.
-	t.Run("cross-refusals", func(t *testing.T) {
-		dir := t.TempDir()
-		mid := filepath.Join(dir, "mid.ckpt")
-		disarm := fault.Arm(FailpointTrainCheckpoint, fault.Failure{})
-		_, err := trainedPredictor(t, 40).TrainCheckpointed(context.Background(), jobs, mid)
-		disarm()
-		if !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("interrupted event returned %v", err)
-		}
-		if p, err := LoadFile(mid); err == nil || p != nil || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) {
-			t.Fatalf("LoadFile on a mid-event checkpoint: predictor %v, err %v; want a plain refusal", p != nil, err)
-		}
-		if _, _, err := ResumeTrain(context.Background(), mid, jobs); err != nil {
-			t.Fatalf("the same file resumes: %v", err)
-		}
-		done := filepath.Join(dir, "done.ckpt")
-		if err := p.SaveFile(done); err != nil {
-			t.Fatal(err)
-		}
-		if p, _, err := ResumeTrain(context.Background(), done, jobs); err == nil || p != nil || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) {
-			t.Fatalf("ResumeTrain on a completed model: predictor %v, err %v; want a plain refusal", p != nil, err)
-		}
-	})
 }
 
 // TestQuantizedLoadTypedErrors is TestLoadTypedErrors' sweep for the v4
@@ -325,133 +298,6 @@ func TestQuantizedLoadTypedErrors(t *testing.T) {
 	}
 }
 
-// TestInterruptResumeBitwiseIdentical is the tentpole's training proof:
-// interrupting a checkpointed training event at epoch k and resuming
-// from the checkpoint yields a saved model byte-identical to the
-// uninterrupted same-seed run — parameters, optimizer moments, shuffle
-// stream, and event counter all line up.
-func TestInterruptResumeBitwiseIdentical(t *testing.T) {
-	jobs := testJobs(50)
-	cfg := TinyConfig()
-	cfg.PredictIO = true
-	cfg.Epochs = 2 // ×3 bootstrap ⇒ 6 epochs per head
-	scripts := make([]string, len(jobs))
-	for i, j := range jobs {
-		scripts[i] = j.Script
-	}
-	dir := t.TempDir()
-
-	// Uninterrupted reference run.
-	ref, err := New(cfg, scripts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refLoss, err := ref.TrainCheckpointed(context.Background(), jobs, filepath.Join(dir, "ref.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refBytes bytes.Buffer
-	if err := ref.Save(&refBytes); err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupt at several positions across the event: after the k-th
-	// epoch checkpoint (k spans head boundaries: 6 epochs per head × 3
-	// heads = 18 checkpoints + 1 final).
-	for _, k := range []int{0, 2, 5, 7, 12, 17} {
-		k := k
-		t.Run(fmt.Sprintf("epoch-%d", k), func(t *testing.T) {
-			path := filepath.Join(dir, "int.ckpt")
-			p, err := New(cfg, scripts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			disarm := fault.Arm(FailpointTrainCheckpoint, fault.Failure{After: k})
-			_, err = p.TrainCheckpointed(context.Background(), jobs, path)
-			disarm()
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("interrupt %d: train returned %v, want injected interrupt", k, err)
-			}
-
-			resumed, loss, err := ResumeTrain(context.Background(), path, jobs)
-			if err != nil {
-				t.Fatalf("resume after interrupt %d: %v", k, err)
-			}
-			if loss != refLoss {
-				t.Fatalf("interrupt %d: resumed runtime loss %v != reference %v", k, loss, refLoss)
-			}
-			var got bytes.Buffer
-			if err := resumed.Save(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), refBytes.Bytes()) {
-				t.Fatalf("interrupt %d: resumed model bytes differ from uninterrupted run", k)
-			}
-		})
-	}
-}
-
-// TestResumeCompletedEventIsNoop asserts resuming a checkpoint written
-// after its event finished changes nothing — the event counter must not
-// advance twice.
-func TestResumeCompletedEventIsNoop(t *testing.T) {
-	jobs := testJobs(40)
-	cfg := TinyConfig()
-	cfg.Epochs = 1
-	scripts := make([]string, len(jobs))
-	for i, j := range jobs {
-		scripts[i] = j.Script
-	}
-	p, err := New(cfg, scripts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "done.ckpt")
-	if _, err := p.TrainCheckpointed(context.Background(), jobs, path); err != nil {
-		t.Fatal(err)
-	}
-	resumed, _, err := ResumeTrain(context.Background(), path, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Events() != p.Events() {
-		t.Fatalf("resume of completed event moved the counter: %d vs %d", resumed.Events(), p.Events())
-	}
-	var a, b bytes.Buffer
-	if err := p.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("resume of completed event altered the model")
-	}
-}
-
-// TestResumeWindowMismatchRejected guards against resuming an event
-// over a different job window than it was interrupted on.
-func TestResumeWindowMismatchRejected(t *testing.T) {
-	jobs := testJobs(40)
-	cfg := TinyConfig()
-	cfg.Epochs = 1
-	scripts := []string{jobs[0].Script}
-	p, err := New(cfg, scripts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "w.ckpt")
-	disarm := fault.Arm(FailpointTrainCheckpoint, fault.Failure{})
-	_, err = p.TrainCheckpointed(context.Background(), jobs, path)
-	disarm()
-	if err == nil {
-		t.Fatal("expected interrupt")
-	}
-	if _, _, err := ResumeTrain(context.Background(), path, jobs[:10]); err == nil {
-		t.Fatal("resume with a different window accepted")
-	}
-}
-
 // TestTrainCtxCancellation asserts a canceled context stops a training
 // event promptly and surfaces context.Canceled.
 func TestTrainCtxCancellation(t *testing.T) {
@@ -470,72 +316,6 @@ func TestTrainCtxCancellation(t *testing.T) {
 	}
 	if p.Trained() {
 		t.Fatal("canceled-before-start event marked the predictor trained")
-	}
-}
-
-// TestOnlineRetrainCrashRecovery is the satellite's online-loop proof:
-// the checkpointed online loop dies mid-save at a later training event,
-// and the checkpoint file still holds the previous event's complete,
-// loadable model.
-func TestOnlineRetrainCrashRecovery(t *testing.T) {
-	jobs := testJobs(150)
-	cfg := TinyConfig()
-	cfg.RetrainEvery = 30
-	cfg.TrainWindow = 40
-	cfg.Epochs = 1
-	path := filepath.Join(t.TempDir(), "online.ckpt")
-
-	// Reference pass: run the loop to completion once to learn how many
-	// training events the trace holds.
-	if _, err := RunOnlineCheckpointed(context.Background(), jobs, cfg, path, nil); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Events() < 2 {
-		t.Fatalf("trace too short: only %d training events", ref.Events())
-	}
-
-	// Counting pass: a deployment killed right before its second save has
-	// performed exactly the first save's writes, so the next write ordinal
-	// is the first write of the second event's save.
-	counter := &fault.Injector{}
-	killed := errors.New("killed")
-	disarm := fault.Arm(FailpointOnlineSave, fault.Failure{Err: killed, After: 1})
-	_, err = runOnline(context.Background(), jobs, cfg, filepath.Join(t.TempDir(), "count.ckpt"), fault.NewInjectFS(fault.OS{}, counter), nil)
-	disarm()
-	if !errors.Is(err, killed) {
-		t.Fatalf("counting pass returned %v, want the armed kill", err)
-	}
-	secondSave := counter.Counts()[fault.OpWrite] + 1
-
-	// Crash pass: a fresh deployment (its own checkpoint path — runOnline
-	// now resumes from an existing checkpoint, so reusing the completed
-	// reference path would skip every event) whose second event's save
-	// dies at its first write (latched crash — no cleanup runs).
-	crashPath := filepath.Join(t.TempDir(), "crash.ckpt")
-	inj := fault.NewInjector(fault.Fault{Op: fault.OpWrite, Nth: secondSave, Mode: fault.ModeCrash})
-	_, err = runOnline(context.Background(), jobs, cfg, crashPath, fault.NewInjectFS(fault.OS{}, inj), nil)
-	if !errors.Is(err, fault.ErrCrash) {
-		t.Fatalf("crashed run returned %v, want ErrCrash", err)
-	}
-	if len(inj.Fired()) == 0 {
-		t.Fatal("crash fault never fired; adjust the write ordinal")
-	}
-
-	// Recovery: the file at crashPath is the first event's checkpoint —
-	// complete, loadable, and predictive.
-	rec, err := LoadFile(crashPath)
-	if err != nil {
-		t.Fatalf("checkpoint unloadable after mid-save crash: %v", err)
-	}
-	if !rec.Trained() || rec.Events() != 1 {
-		t.Fatalf("recovered model: trained=%v events=%d, want trained after exactly 1 event", rec.Trained(), rec.Events())
-	}
-	if pred := rec.PredictJob(jobs[0]); pred.RuntimeMin <= 0 {
-		t.Fatalf("recovered model predicts nonsense: %+v", pred)
 	}
 }
 

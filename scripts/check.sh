@@ -21,11 +21,10 @@
 #                      the ParallelFor/SetMaxWorkers hammer test: this
 #                      step, not prionnvet, owns race-safety)
 #   7. crash matrix   (fault-injection sweep: every injectable fault
-#                      point during a checkpoint save, plus mid-save
-#                      crash recovery and checkpoint-restart resume of
-#                      the online-retrain loop, and the streamed
+#                      point during a checkpoint save, the streamed
 #                      checkpoint's allocation ceiling: a load or a save
-#                      never holds the file in memory)
+#                      never holds the file in memory, and checkpoints
+#                      written with the older meta still loading)
 #   8. serve gate     (the serving layer's contract tests — coalesced
 #                      == single bitwise, bounded-queue overload,
 #                      graceful drain — rerun under the race detector
@@ -77,10 +76,11 @@
 #  11. pipeline gate  (the online-learning loop under the race
 #                      detector: retrain → shadow-eval → canary →
 #                      atomic swap end-to-end on a live cluster,
-#                      restart-from-every-failpoint resume, shadow
-#                      rejection of regressed candidates, one shared
-#                      view across replicas and canary, canary
-#                      rollback/promotion)
+#                      restart from the per-event checkpoint after a
+#                      kill at every failpoint, refusal of a foreign
+#                      checkpoint, shadow rejection of regressed
+#                      candidates, one shared view across replicas and
+#                      canary, canary rollback/promotion)
 #  12. bench smoke    (one iteration of each kernel, serving, cluster,
 #                      float32 / int8-weight serving pair, inference
 #                      forward at batch 1, 2, 4 and 32 at -cpu 1,2, and
@@ -97,11 +97,14 @@
 #                      arbitrary bit patterns, and the stride-1 training
 #                      conv against the column path on random geometries)
 #
+# Steps 7–11 name their tests with -run filters and run them through
+# `named`, which fails when a name in the filter matches no test.
 # Each step reports its wall-clock seconds on completion, so a slow
 # gate points at its own bottleneck. Exits nonzero on the first
 # failure. No Makefile on purpose: this file is the single committed
 # description of the gate, invoked directly by CI
-# (.github/workflows/ci.yml) and by hand before sending a PR.
+# (.github/workflows/ci.yml) and by hand before sending a PR;
+# `sh scripts/check.sh named GO_TEST_ARGS...` runs one named step alone.
 
 set -eu
 
@@ -118,6 +121,53 @@ step() {
 step_done() {
     echo "-- $step_name: $(($(date +%s) - step_t0))s"
 }
+
+# named GO_TEST_ARGS... runs `go test -v GO_TEST_ARGS...` for the named
+# gates below and fails when any |-alternative of its -run pattern
+# matched no test. A -run filter that selects nothing still passes
+# ("ok ... [no tests to run]"), so without this a renamed or deleted
+# test would silently drop out of its gate. The verbose log is printed
+# only on failure. CI calls it as `sh scripts/check.sh named ...`.
+named() {
+    pattern=
+    prev=
+    for arg in "$@"; do
+        [ "$prev" = -run ] && pattern=$arg
+        prev=$arg
+    done
+    if [ -z "$pattern" ]; then
+        echo "named: no -run pattern in: $*" >&2
+        return 1
+    fi
+    log=$(mktemp)
+    if ! go test -v "$@" >"$log" 2>&1; then
+        cat "$log"
+        rm -f "$log"
+        return 1
+    fi
+    ran=$(sed -n 's/^=== RUN  *\([^/]*\).*/\1/p' "$log" | sort -u)
+    grep '^ok' "$log" || true
+    rm -f "$log"
+    missing=
+    set -f
+    old_ifs=$IFS
+    IFS='|'
+    for alt in $pattern; do
+        printf '%s\n' "$ran" | grep -Eq -- "$alt" || missing="$missing $alt"
+    done
+    IFS=$old_ifs
+    set +f
+    if [ -n "$missing" ]; then
+        echo "named: -run '$pattern' ran no test for:$missing" >&2
+        return 1
+    fi
+}
+
+if [ "${1-}" = named ]; then
+    shift
+    named "$@"
+    exit
+fi
 
 step "gofmt"
 fmt_out=$(gofmt -l .)
@@ -166,10 +216,10 @@ go test -race ./...
 step_done
 
 # Crash matrix: rerun the fault-injection sweep explicitly (it is part
-# of the suite above, but a -run filter here keeps it visible as its own
+# of the suite above, but a named filter here keeps it visible as its own
 # gate and guards against the tests being skipped or renamed away).
 step "crash matrix (fault injection)"
-go test -count=1 -run 'TestSaveFileCrashMatrix|TestOnlineRetrainCrashRecovery|TestOnlineCheckpointRestart|TestInterruptResumeBitwiseIdentical|TestCheckpointAllocCeiling' ./internal/prionn/
+named -count=1 -run 'TestSaveFileCrashMatrix|TestCheckpointAllocCeiling|TestLoadOldMetaWithResumeField' ./internal/prionn/
 step_done
 
 # Serving gate: the coalescer's contract tests, explicitly and under
@@ -181,14 +231,14 @@ step_done
 # identity of the fused float32 inference forward every answer — from
 # float or int8 weights — comes from.
 step "serving gate (coalescing / overload / drain / shared view, -race)"
-go test -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
-go test -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
-go test -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
-go test -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce|TestTrainEventLeavesNoScratch' ./internal/prionn/
-go test -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
-go test -race -count=1 -run 'FuzzTrainConvDirect|TestTrainConvStridedKeepsColumnPath|TestConvBackTileGenericMatchesAsm' ./internal/tensor/
-go test -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts' ./internal/nn/
-go test -count=1 -run 'ZeroAlloc' ./internal/nn/
+named -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
+named -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
+named -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
+named -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce|TestTrainEventLeavesNoScratch' ./internal/prionn/
+named -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
+named -race -count=1 -run 'FuzzTrainConvDirect|TestTrainConvStridedKeepsColumnPath|TestConvBackTileGenericMatchesAsm' ./internal/tensor/
+named -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts' ./internal/nn/
+named -count=1 -run 'ZeroAlloc' ./internal/nn/
 step_done
 
 # Cluster chaos matrix: the multi-replica layer's robustness proof,
@@ -198,8 +248,8 @@ step_done
 # degradation, the idle-cluster and caller-cancel pins — plus the serve
 # drain-race exactly-once pin.
 step "cluster chaos gate (fault injection, -race)"
-go test -race -count=1 -run 'TestClusterChaos|TestClusterSwapNeverMixesBatches|TestClusterFullyDegradedFallback|TestClusterRetryBudgetExhaustion|TestClusterBreakerOpensAndRecovers|TestClusterIdleRunsNoForward|TestClusterCallerCancelDoesNotOpenBreaker' ./internal/cluster/
-go test -race -count=1 -run 'TestServeStopRacesPredictSwapExactlyOnce' ./internal/serve/
+named -race -count=1 -run 'TestClusterChaos|TestClusterSwapNeverMixesBatches|TestClusterFullyDegradedFallback|TestClusterRetryBudgetExhaustion|TestClusterBreakerOpensAndRecovers|TestClusterIdleRunsNoForward|TestClusterCallerCancelDoesNotOpenBreaker' ./internal/cluster/
+named -race -count=1 -run 'TestServeStopRacesPredictSwapExactlyOnce' ./internal/serve/
 step_done
 
 # Quantized gate: the int8-weight snapshot's acceptance tests,
@@ -213,21 +263,22 @@ step_done
 # batch size, worker count and micro-kernel; under the race detector and
 # at several GOMAXPROCS).
 step "quantized gate (accuracy / agreement / v4 frame / cache stamps / u8 ops)"
-go test -count=1 -run 'TestQuantizedSnapshotAccuracyGate|TestSnapshotQuantizedRejectsOutliers|TestQuantizedSnapshotDeterministicAcrossClones|TestQuantizeAllArchitectures|TestQuantizedSnapshotPersistRoundTrip|TestQuantizedLoadTypedErrors|TestPredictMappedAllocCeiling' ./internal/prionn/
-go test -count=1 -run 'TestClusterSwapKernelInvalidatesCache' ./internal/cluster/
-go test -race -count=1 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
-go test -count=1 -cpu 1,2,4 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
-go test -race -count=1 -run 'TestGemmInt8PackedMatches|TestConvPlaneU8MatchesIm2ColGemm' ./internal/tensor/
+named -count=1 -run 'TestQuantizedSnapshotAccuracyGate|TestSnapshotQuantizedRejectsOutliers|TestQuantizedSnapshotDeterministicAcrossClones|TestQuantizeAllArchitectures|TestQuantizedSnapshotPersistRoundTrip|TestQuantizedLoadTypedErrors|TestPredictMappedAllocCeiling' ./internal/prionn/
+named -count=1 -run 'TestClusterSwapKernelInvalidatesCache' ./internal/cluster/
+named -race -count=1 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
+named -count=1 -cpu 1,2,4 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
+named -race -count=1 -run 'TestGemmInt8PackedMatches|TestConvPlaneU8MatchesIm2ColGemm' ./internal/tensor/
 step_done
 
 # Online-learning pipeline gate: the full retrain → shadow-eval →
 # canary → atomic swap loop under the race detector — a live cluster
-# with concurrent traffic, restart-from-every-failpoint checkpoint
-# resume, shadow rejection of a deliberately regressed candidate,
-# replicas and canary sharing one view, and canary rollback/promotion.
+# with concurrent traffic, restart from the per-event checkpoint after a
+# kill at every failpoint, refusal of a foreign or unreadable checkpoint,
+# shadow rejection of a deliberately regressed candidate, replicas and
+# canary sharing one view, and canary rollback/promotion.
 step "pipeline gate (retrain/shadow/canary/swap, -race)"
-go test -race -count=1 -run 'TestPipelineEndToEnd|TestPilotRestartFromEveryFailpoint|TestPilotShadowRejectsRegression|TestEvaluateEdgeWindows' ./internal/pilot/
-go test -race -count=1 -run 'TestClusterSharesOneView|TestCanaryPromotion|TestCanaryAutoRollback|TestCanaryDisagreementRollback' ./internal/cluster/
+named -race -count=1 -run 'TestPipelineEndToEnd|TestPilotRestartFromEveryFailpoint|TestPilotNewRejectsForeignCheckpoint|TestPilotShadowRejectsRegression|TestEvaluateEdgeWindows' ./internal/pilot/
+named -race -count=1 -run 'TestClusterSharesOneView|TestCanaryPromotion|TestCanaryAutoRollback|TestCanaryDisagreementRollback' ./internal/cluster/
 step_done
 
 # Benchmark smoke: one iteration of each kernel, serving, quantized,
