@@ -15,6 +15,14 @@
 //	prionnd -retrain-every 100 -canary-frac 0.1  # close the online-learning loop
 //	prionnd -debug-addr 127.0.0.1:6060 ...       # net/http/pprof on a listener of its own
 //
+// -load serves a checkpoint's weights, not its training state:
+// prionn.LoadInference reads them into the one view the daemon publishes
+// and reads past the optimizer moments, checking their counts, without
+// building them. With -quant, prionn.LoadInferenceQuantized then records
+// the float classes of the check slice, rounds that view's weights
+// through int8 in place and compares — start-up holds one copy of the
+// weights, and publishes the snapshot Predictor.SnapshotQuantized would.
+//
 // With -replicas N > 1 the daemon serves from an internal/cluster of N
 // replicated coalescers behind a router: budgeted retries, per-replica
 // circuit breakers driven by real traffic (the only health signal —
@@ -350,13 +358,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// buildSnapshot loads or trains a predictor and returns its published
+// buildSnapshot loads or trains a model and returns its published
 // inference snapshot, the persisted byte size of the snapshot artifact
 // (for /stats: the -load file's size, or what Save writes for a model
 // trained here), and the model configuration actually in effect — the
 // loaded checkpoint's when -load is set, cfg otherwise — which the
 // online-learning pipeline adopts so its candidates match the serving
-// model. With -quant the published snapshot is the predictor's weights
+// model. With -quant the published snapshot is the model's weights
 // rounded through int8, checked on a held-out slice of completed jobs. With
 // -jobs 0 and no checkpoint it returns a nil view: the daemon serves
 // the requested-runtime fallback until a snapshot exists. The synthetic
@@ -367,60 +375,86 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 	if load == "" || quant {
 		completed = trace.Completed(trace.Generate(trace.Config{Seed: seed, Jobs: jobs}))
 	}
-	var p *prionn.Predictor
-	var ckptBytes int64
-	trainWindow := 0
 	if load != "" {
-		var err error
-		p, err = prionn.LoadFile(load)
+		view, n, err := loadSnapshot(load, completed, quant, logf)
 		if err != nil {
 			return nil, 0, cfg, err
 		}
-		fi, err := os.Stat(load)
-		if err != nil {
-			return nil, 0, cfg, err
-		}
-		ckptBytes = fi.Size()
-		cfg = p.Config
-		logf("restored model from %s (%d training events)", load, p.Events())
-	} else {
-		if jobs <= 0 {
-			logf("no initial training (-jobs 0): serving the requested-runtime fallback")
-			return nil, 0, cfg, nil
-		}
-		trainWindow = min(len(completed), cfg.TrainWindow)
-		logf("training on %d most recently completed jobs...", trainWindow)
-		var err error
-		p, err = prionn.NewTrained(cfg, completed)
-		if err != nil {
-			return nil, 0, cfg, err
-		}
-		var cw countingWriter
-		if err := p.Save(&cw); err != nil {
-			return nil, 0, cfg, err
-		}
-		ckptBytes = cw.n
+		return view, n, view.Config(), nil
 	}
-	if quant {
-		view, qBytes, err := quantizedSnapshot(p, completed, trainWindow, ckptBytes, logf)
-		return view, qBytes, cfg, err
+	if jobs <= 0 {
+		logf("no initial training (-jobs 0): serving the requested-runtime fallback")
+		return nil, 0, cfg, nil
 	}
-	view, err := p.Snapshot()
+	trainWindow := min(len(completed), cfg.TrainWindow)
+	logf("training on %d most recently completed jobs...", trainWindow)
+	p, err := prionn.NewTrained(cfg, completed)
 	if err != nil {
 		return nil, 0, cfg, err
 	}
-	return view, ckptBytes, cfg, nil
+	var cw countingWriter
+	if err := p.Save(&cw); err != nil {
+		return nil, 0, cfg, err
+	}
+	if !quant {
+		view, err := p.Snapshot()
+		return view, cw.n, cfg, err
+	}
+	check, err := checkSlice(completed, trainWindow)
+	if err != nil {
+		return nil, 0, cfg, err
+	}
+	view, err := p.SnapshotQuantized(check)
+	if err != nil {
+		return nil, 0, cfg, err
+	}
+	n, err := publishedInt8(view, cw.n, logf)
+	return view, n, cfg, err
 }
 
-// quantizedSnapshot freezes the trained predictor into an int8-weight
-// serving snapshot. Its agreement with the float weights is checked on
-// the most recent completed jobs *preceding* the training window (held
-// out from training); when the whole trace fit in the window — or the
-// model came from -load, where the local trace is entirely held out —
-// the most recent completed jobs are used instead. The check is capped
-// at maxCheck jobs to bound startup time. ckptBytes is the float
-// checkpoint's size, logged beside the int8 snapshot's.
-func quantizedSnapshot(p *prionn.Predictor, completed []trace.Job, trainWindow int, ckptBytes int64, logf func(string, ...interface{})) (*prionn.Inference, int64, error) {
+// loadSnapshot serves a checkpoint's weights without its training state:
+// prionn.LoadInference reads them into the one view the daemon publishes
+// and skips the optimizer moments, and with -quant
+// prionn.LoadInferenceQuantized rounds that view's weights through int8
+// in place. Its byte count is the file's size, or the int8 snapshot's.
+func loadSnapshot(path string, completed []trace.Job, quant bool, logf func(string, ...interface{})) (*prionn.Inference, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer func() { _ = f.Close() }() // read-only; close errors carry no data loss
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	if !quant {
+		view, events, err := prionn.LoadInference(f)
+		if err != nil {
+			return nil, 0, err
+		}
+		logf("restored model from %s (%d training events)", path, events)
+		return view, fi.Size(), nil
+	}
+	check, err := checkSlice(completed, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	view, events, err := prionn.LoadInferenceQuantized(f, check)
+	if err != nil {
+		return nil, 0, err
+	}
+	logf("restored model from %s (%d training events)", path, events)
+	n, err := publishedInt8(view, fi.Size(), logf)
+	return view, n, err
+}
+
+// checkSlice picks the jobs an int8 snapshot's agreement with the float
+// weights is checked on: the most recent completed jobs *preceding* the
+// training window (held out from training); when the whole trace fit in
+// the window — or the model came from -load (trainWindow 0), where the
+// local trace is entirely held out — the most recent completed jobs. The
+// check is capped at maxCheck jobs to bound startup time.
+func checkSlice(completed []trace.Job, trainWindow int) ([]trace.Job, error) {
 	const maxCheck = 256
 	check := completed
 	if trainWindow > 0 && trainWindow < len(completed) {
@@ -430,19 +464,23 @@ func quantizedSnapshot(p *prionn.Predictor, completed []trace.Job, trainWindow i
 		check = check[len(check)-maxCheck:]
 	}
 	if len(check) == 0 {
-		return nil, 0, fmt.Errorf("-quant needs completed jobs to check on (trace too short)")
+		return nil, fmt.Errorf("-quant needs completed jobs to check on (trace too short)")
 	}
-	view, err := p.SnapshotQuantized(check)
-	if err != nil {
-		return nil, 0, err
-	}
+	return check, nil
+}
+
+// publishedInt8 logs the int8 snapshot about to be published — its
+// check, and its persisted size beside the float checkpoint's, ckptBytes
+// — and returns that size.
+func publishedInt8(view *prionn.Inference, ckptBytes int64, logf func(string, ...interface{})) (int64, error) {
 	var cw countingWriter
 	if err := view.SaveQuantized(&cw); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
+	a := view.Agreement()
 	logf("int8 snapshot published: %d check jobs, flip rate %s; %d bytes (float checkpoint: %d bytes)",
-		len(check), view.Agreement(), cw.n, ckptBytes)
-	return view, cw.n, nil
+		a.Jobs, a, cw.n, ckptBytes)
+	return cw.n, nil
 }
 
 // runDemo drives the engine with in-process concurrent clients and

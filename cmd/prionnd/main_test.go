@@ -686,11 +686,11 @@ func TestRunPipelineQuantRejected(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotBytes pins the number /stats reports as
-// snapshot_bytes: the -load file's size for a restored model, and what
-// Save writes for one trained at start-up (training is seeded, so the
-// test's own predictor is the daemon's).
-func TestStatsSnapshotBytes(t *testing.T) {
+// demoCheckpoint trains the predictor a daemon started with demoArgs
+// trains (training is seeded, so it is the daemon's) and saves it to a
+// file for -load.
+func demoCheckpoint(t *testing.T) (*prionn.Predictor, string) {
+	t.Helper()
 	cfg := prionn.TinyConfig()
 	cfg.Seed = 5
 	completed := trace.Completed(trace.Generate(trace.Config{Seed: 5, Jobs: 150}))
@@ -709,12 +709,104 @@ func TestStatsSnapshotBytes(t *testing.T) {
 	if _, err := p.Train(window); err != nil {
 		t.Fatal(err)
 	}
-	var saved bytes.Buffer
-	if err := p.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
 	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
 	if err := p.SaveFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	return p, ckpt
+}
+
+// TestRunLoadQuantMatchesSnapshotQuantized: -load with -quant rounds the
+// loaded weights in place and publishes the snapshot LoadFile followed by
+// SnapshotQuantized builds on the same check slice — every answer bit for
+// bit, and its int8 byte size on /stats — and logs the checkpoint's event
+// count.
+func TestRunLoadQuantMatchesSnapshotQuantized(t *testing.T) {
+	_, ckpt := demoCheckpoint(t)
+	loaded, err := prionn.LoadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check, err := checkSlice(trace.Completed(trace.Generate(trace.Config{Seed: 5, Jobs: 150})), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := loaded.SnapshotQuantized(check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q bytes.Buffer
+	if err := want.SaveQuantized(&q); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	type started struct {
+		addr string
+		stop func()
+	}
+	readyCh := make(chan started, 1)
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-load", ckpt, "-quant", "-jobs", "150", "-seed", "5", "-addr", "127.0.0.1:0"}, &stdout, &stderr,
+			func(addr string, stop func()) { readyCh <- started{addr, stop} })
+	}()
+	var st started
+	select {
+	case st = <-readyCh:
+	case code := <-done:
+		t.Fatalf("daemon exited %d before serving\nstderr: %s", code, stderr.String())
+	}
+	defer func() {
+		st.stop()
+		<-done
+	}()
+	for _, j := range check[:8] {
+		body, _ := json.Marshal(predictRequest{Script: j.Script, RequestedMin: j.RequestedMin})
+		resp, err := http.Post("http://"+st.addr+"/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got predictResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want.PredictOne(j.Script)
+		if !got.FromModel || got.RuntimeMin != w.RuntimeMin || got.ReadBytes != w.ReadBytes || got.WriteBytes != w.WriteBytes {
+			t.Fatalf("daemon answered %+v, LoadFile+SnapshotQuantized %+v", got, w)
+		}
+	}
+	resp, err := http.Get("http://" + st.addr + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Kernel        string `json:"kernel"`
+		SnapshotBytes int64  `json:"snapshot_bytes"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Kernel != string(prionn.KernelInt8) || snap.SnapshotBytes != int64(q.Len()) {
+		t.Errorf("kernel %q, snapshot_bytes %d; want int8 and the int8 snapshot's %d", snap.Kernel, snap.SnapshotBytes, q.Len())
+	}
+	if !strings.Contains(stderr.String(), "(1 training events)") || !strings.Contains(stderr.String(), "int8 snapshot published: ") {
+		t.Errorf("stderr lacks the restore line's event count or the int8 line:\n%s", stderr.String())
+	}
+}
+
+// TestStatsSnapshotBytes pins the number /stats reports as
+// snapshot_bytes: the -load file's size for a restored model, and what
+// Save writes for one trained at start-up (training is seeded, so the
+// test's own predictor is the daemon's).
+func TestStatsSnapshotBytes(t *testing.T) {
+	p, ckpt := demoCheckpoint(t)
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(ckpt)

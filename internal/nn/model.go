@@ -339,6 +339,26 @@ func readTensors(r io.Reader, ts []*tensor.Tensor) error {
 	return nil
 }
 
+// skipTensors reads past what writeTensors wrote for tensors of ts's
+// number and sizes, checking every count as readTensors does and keeping
+// no value: ts is only measured.
+func skipTensors(r io.Reader, ts []*tensor.Tensor) error {
+	buf := make([]byte, recordBufLen)
+	if err := readCount(r, buf, len(ts)); err != nil {
+		return fmt.Errorf("nn: tensor count: %w", err)
+	}
+	for i, t := range ts {
+		err := readCount(r, buf, t.Len())
+		for n := t.Len(); err == nil && n > 0; n -= len(buf) / 4 {
+			_, err = io.ReadFull(r, buf[:4*min(n, len(buf)/4)])
+		}
+		if err != nil {
+			return fmt.Errorf("nn: tensor %d (shape %v): %w", i, t.Shape, err)
+		}
+	}
+	return nil
+}
+
 func readRecord(r io.Reader, buf []byte, dst []float32) error {
 	if err := readCount(r, buf, len(dst)); err != nil {
 		return err

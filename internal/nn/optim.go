@@ -165,3 +165,20 @@ func (a *Adam) LoadState(params []*tensor.Tensor, r io.Reader) error {
 	}
 	return readTensors(r, moments)
 }
+
+// SkipAdamState reads past what Adam.SaveState wrote for params — the
+// step counter and, once Adam has stepped, the m and v records — checking
+// every count as LoadState does and building no moment tensor. It is for
+// a reader that wants a checkpoint's parameters and no optimizer: a
+// serving snapshot.
+func SkipAdamState(params []*tensor.Tensor, r io.Reader) error {
+	var t [8]byte
+	if _, err := io.ReadFull(r, t[:]); err != nil || binary.LittleEndian.Uint64(t[:]) == 0 {
+		return err
+	}
+	moments := make([]*tensor.Tensor, 0, 2*len(params))
+	for _, p := range params {
+		moments = append(moments, p, p) // m and v are shaped like p
+	}
+	return skipTensors(r, moments)
+}

@@ -15,6 +15,7 @@ import (
 // a predictor from damaged input; every rejection is an error and no
 // predictor. What Load does accept must be a fixed point of the codec:
 // saved again and loaded again it is the same predictor, bit for bit.
+// LoadInference accepts and rejects the same inputs.
 func FuzzLoadPredictor(f *testing.F) {
 	jobs := testJobs(30)
 	cfg := TinyConfig()
@@ -74,6 +75,12 @@ func FuzzLoadPredictor(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Load(bytes.NewReader(data))
+		// The weights-only reader walks the same frame and checks the
+		// same counts: it accepts exactly what Load accepts.
+		v, _, verr := LoadInference(bytes.NewReader(data))
+		if (v != nil) != (verr == nil) || (verr == nil) != (err == nil) {
+			t.Fatalf("LoadInference: view %v, err %v; Load: err %v", v != nil, verr, err)
+		}
 		if err != nil {
 			if p != nil {
 				t.Fatal("Load returned both a predictor and an error")

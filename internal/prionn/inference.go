@@ -1,9 +1,12 @@
 package prionn
 
 import (
+	"math/rand"
+
 	"prionn/internal/mapping"
 	"prionn/internal/nn"
 	"prionn/internal/tensor"
+	"prionn/internal/word2vec"
 )
 
 // Inference is the read-only prediction view of a Predictor: the data
@@ -31,10 +34,10 @@ type Inference struct {
 	power   *nn.Sequential
 
 	// kernel names the heads' weights. With KernelInt8 (built by
-	// Predictor.SnapshotQuantized, restored by LoadQuantized) every
-	// Conv2D and Dense weight is an int8 rounding, whose codes and scales
-	// int8 keeps per head, in heads order, for SaveQuantized; check is
-	// what SnapshotQuantized's agreement check measured.
+	// Predictor.SnapshotQuantized or LoadInferenceQuantized, restored by
+	// LoadQuantized) every Conv2D and Dense weight is an int8 rounding,
+	// whose codes and scales int8 keeps per head, in heads order, for
+	// SaveQuantized; check is what the agreement check measured.
 	kernel KernelKind
 	int8   [][]nn.Int8Weights
 	check  Agreement
@@ -69,6 +72,61 @@ func (v *Inference) Kernel() KernelKind {
 		return KernelF32
 	}
 	return v.kernel
+}
+
+// newView builds the view a validated configuration and its embedding
+// (nil unless the transform is word2vec) describe — transform and bins —
+// without heads.
+func newView(cfg Config, emb *word2vec.Embedding) *Inference {
+	v := &Inference{
+		cfg:   cfg,
+		rbins: runtimeBins{Classes: cfg.RuntimeClasses, MaxMin: cfg.MaxRuntimeMin},
+		iobin: ioBins{Classes: cfg.IOClasses, Min: cfg.MinIOBytes, Max: cfg.MaxIOBytes},
+		pbins: ioBins{Classes: cfg.PowerClasses, Min: cfg.MinPowerW, Max: cfg.MaxPowerW},
+	}
+	switch cfg.Transform {
+	case TransformBinary:
+		v.transform = mapping.Binary{}
+	case TransformSimple:
+		v.transform = mapping.Simple{}
+	case TransformOneHot:
+		v.transform = mapping.OneHot{}
+	case TransformWord2Vec:
+		v.transform = mapping.Word2Vec{Emb: emb}
+	}
+	return v
+}
+
+// buildHeads builds every enabled head of the configured architecture,
+// drawing initial weights from rng in heads order; a nil rng leaves them
+// zero, for weights about to be read or copied in.
+func (v *Inference) buildHeads(rng *rand.Rand) {
+	arch := nn.ArchConfig{
+		Rows:     v.cfg.Rows,
+		Cols:     v.cfg.Cols,
+		Channels: v.transform.Channels(),
+		Width:    v.cfg.Width,
+	}
+	build := func(classes int) *nn.Sequential {
+		a := arch
+		a.Classes = classes
+		switch v.cfg.Model {
+		case ModelNN:
+			return nn.NewFullyConnected(rng, a)
+		case Model1DCNN:
+			return nn.NewCNN1D(rng, a)
+		default:
+			return nn.NewCNN2D(rng, a)
+		}
+	}
+	v.runtime = build(v.cfg.RuntimeClasses)
+	if v.cfg.PredictIO {
+		v.read = build(v.cfg.IOClasses)
+		v.write = build(v.cfg.IOClasses)
+	}
+	if v.cfg.PredictPower {
+		v.power = build(v.cfg.PowerClasses)
+	}
 }
 
 // view returns an Inference sharing the predictor's heads in place —
@@ -111,52 +169,20 @@ func (p *Predictor) Snapshot() (*Inference, error) {
 // are immutable, so a clone shares them.
 func (v *Inference) Clone() (*Inference, error) {
 	out := *v
-	arch := nn.ArchConfig{
-		Rows:     v.cfg.Rows,
-		Cols:     v.cfg.Cols,
-		Channels: v.transform.Channels(),
-		Classes:  0,
-		Width:    v.cfg.Width,
-	}
 	// Fresh heads are built without an RNG: their weights start zero and
 	// are overwritten by the parameter copy, so cloning — and
 	// Predictor.Snapshot, which delegates here — draws no random number,
 	// from a training stream or any other.
-	clone := func(src *nn.Sequential, classes int) (*nn.Sequential, error) {
-		if src == nil {
-			return nil, nil
-		}
-		a := arch
-		a.Classes = classes
-		var m *nn.Sequential
-		switch v.cfg.Model {
-		case ModelNN:
-			m = nn.NewFullyConnected(nil, a)
-		case Model1DCNN:
-			m = nn.NewCNN1D(nil, a)
-		default:
-			m = nn.NewCNN2D(nil, a)
-		}
-		if err := m.CopyParamsFrom(src); err != nil {
+	out.buildHeads(nil)
+	_, src := v.heads()
+	_, dst := out.heads()
+	for h, m := range dst {
+		if err := m.CopyParamsFrom(src[h]); err != nil {
 			return nil, err
 		}
 		// The copy's weights are final from here on: prepare them once,
 		// before the view can be shared.
 		m.Prepack()
-		return m, nil
-	}
-	var err error
-	if out.runtime, err = clone(v.runtime, v.cfg.RuntimeClasses); err != nil {
-		return nil, err
-	}
-	if out.read, err = clone(v.read, v.cfg.IOClasses); err != nil {
-		return nil, err
-	}
-	if out.write, err = clone(v.write, v.cfg.IOClasses); err != nil {
-		return nil, err
-	}
-	if out.power, err = clone(v.power, v.cfg.PowerClasses); err != nil {
-		return nil, err
 	}
 	return &out, nil
 }

@@ -16,7 +16,8 @@ import (
 // from the configuration on load, then each head's parameters and
 // optimizer state are read into it. Optimizer state rides along because
 // warm-start retraining after a restart continues Adam's moment
-// estimates, not a cold optimizer.
+// estimates, not a cold optimizer; a serving view has no use for it, and
+// LoadInference reads past it.
 //
 // Files written before this struct lost its Resume field (a position
 // inside an interrupted training event, nil in every completed save)
@@ -68,30 +69,21 @@ func Load(r io.Reader) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := restore(cm.Config, cm.Embedding)
-	if err != nil {
+	if err := checkMeta(cm.Config, cm.Embedding); err != nil {
 		return nil, err
 	}
-	for _, h := range p.heads() {
-		if err := h.model.Load(fr); err != nil {
-			return nil, fr.fail("parameters", err)
+	p := newPredictor(cm.Config, cm.Embedding)
+	p.initHeads(nil)
+	heads := p.heads()
+	_, models := p.view().heads()
+	err = readHeads(fr, models, func(h int, r io.Reader) error {
+		so, stateful := heads[h].opt.(nn.StatefulOptimizer)
+		if !stateful {
+			return fmt.Errorf("optimizer state for a %T", heads[h].opt)
 		}
-		var flag [1]byte
-		if _, err := io.ReadFull(fr, flag[:]); err != nil {
-			return nil, fr.fail("optimizer flag", err)
-		}
-		so, stateful := h.opt.(nn.StatefulOptimizer)
-		switch {
-		case flag[0] == 0: // saved without optimizer state; a cold optimizer is still valid
-		case flag[0] == 1 && stateful:
-			if err := so.LoadState(h.model.Params(), fr); err != nil {
-				return nil, fr.fail("optimizer state", err)
-			}
-		default:
-			return nil, fmt.Errorf("%w: optimizer flag %d", ErrCorrupt, flag[0])
-		}
-	}
-	if err := fr.close(); err != nil {
+		return so.LoadState(models[h].Params(), r)
+	})
+	if err != nil {
 		return nil, err
 	}
 	p.trained = cm.Trained
@@ -99,21 +91,87 @@ func Load(r io.Reader) (*Predictor, error) {
 	return p, nil
 }
 
-// restore builds the predictor a frame's meta describes, once the meta is
-// shown able to describe one: a valid config, and the embedding a
-// word2vec transform needs. The trained embedding is restored rather than
-// retrained, and the heads are built from no RNG — every parameter is
-// about to be read.
-func restore(cfg Config, emb *word2vec.Embedding) (*Predictor, error) {
+// LoadInference restores the weights of a checkpoint saved with Save as a
+// serving view, and returns it with the checkpoint's count of completed
+// training events. It walks the frame as Load does, with one difference:
+// each head's optimizer records are read through the checksummed frame,
+// their counts checked as Adam.LoadState checks them, and discarded
+// (nn.SkipAdamState). No predictor, optimizer moment or second copy of
+// the weights is built: the view holds the one copy, prepared for
+// inference, and predicts bitwise as Load's predictor's Snapshot does.
+// Damaged input is rejected as Load rejects it.
+func LoadInference(r io.Reader) (*Inference, int, error) {
+	var cm checkpointMeta
+	fr, err := openFrame(r, frameVersion, &cm)
+	if err != nil {
+		return nil, 0, err
+	}
+	v, err := restoreView(cm.Config, cm.Embedding)
+	if err != nil {
+		return nil, 0, err
+	}
+	_, models := v.heads()
+	err = readHeads(fr, models, func(h int, r io.Reader) error {
+		return nn.SkipAdamState(models[h].Params(), r)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, m := range models {
+		m.Prepack()
+	}
+	v.trained = cm.Trained
+	return v, cm.Events, nil
+}
+
+// readHeads walks the body of a v3 frame into models, in heads order —
+// per head its parameters, an optimizer flag byte and, when that is 1,
+// the optimizer state, which readState consumes — then closes the frame.
+func readHeads(fr *frameReader, models []*nn.Sequential, readState func(h int, r io.Reader) error) error {
+	for h, m := range models {
+		if err := m.Load(fr); err != nil {
+			return fr.fail("parameters", err)
+		}
+		var flag [1]byte
+		if _, err := io.ReadFull(fr, flag[:]); err != nil {
+			return fr.fail("optimizer flag", err)
+		}
+		switch flag[0] {
+		case 0: // saved without optimizer state; a cold optimizer is still valid
+		case 1:
+			if err := readState(h, fr); err != nil {
+				return fr.fail("optimizer state", err)
+			}
+		default:
+			return fmt.Errorf("%w: optimizer flag %d", ErrCorrupt, flag[0])
+		}
+	}
+	return fr.close()
+}
+
+// checkMeta reports whether a frame's meta can describe a model: a valid
+// config, and the embedding a word2vec transform needs. The trained
+// embedding is restored rather than retrained.
+func checkMeta(cfg Config, emb *word2vec.Embedding) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: persisted config invalid: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: persisted config invalid: %v", ErrCorrupt, err)
 	}
 	if cfg.Transform == TransformWord2Vec && emb == nil {
-		return nil, fmt.Errorf("%w: persisted word2vec predictor lacks an embedding", ErrCorrupt)
+		return fmt.Errorf("%w: persisted word2vec predictor lacks an embedding", ErrCorrupt)
 	}
-	p := newPredictor(cfg, emb)
-	p.initHeads(nil)
-	return p, nil
+	return nil
+}
+
+// restoreView builds the view a frame's meta describes, once checkMeta
+// passes it, with heads built from no RNG: every parameter is about to be
+// read.
+func restoreView(cfg Config, emb *word2vec.Embedding) (*Inference, error) {
+	if err := checkMeta(cfg, emb); err != nil {
+		return nil, err
+	}
+	v := newView(cfg, emb)
+	v.buildHeads(nil)
+	return v, nil
 }
 
 // SaveFile writes the predictor to path crash-safely: the snapshot goes

@@ -278,11 +278,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCheckpointAllocCeiling pins what the streamed frame is for: a load
-// allocates the model it returns and a save allocates its buffers —
-// neither holds the file, or a re-encoding of it, in memory. (The
-// gob-in-gob format allocated over ten times the file to load it.)
-func TestCheckpointAllocCeiling(t *testing.T) {
+// fastTrained is a FastConfig predictor after one short training event:
+// the serving scale's checkpoint, Adam moments included.
+func fastTrained(t *testing.T) *Predictor {
+	t.Helper()
 	jobs := testJobs(40)
 	cfg := FastConfig()
 	cfg.TrainWindow, cfg.Epochs = 32, 1
@@ -297,6 +296,15 @@ func TestCheckpointAllocCeiling(t *testing.T) {
 	if _, err := p.Train(jobs[:32]); err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// TestCheckpointAllocCeiling pins what the streamed frame is for: a load
+// allocates the model it returns and a save allocates its buffers —
+// neither holds the file, or a re-encoding of it, in memory. (The
+// gob-in-gob format allocated over ten times the file to load it.)
+func TestCheckpointAllocCeiling(t *testing.T) {
+	p := fastTrained(t)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	allocated := func(f func()) int64 {
 		var before, after runtime.MemStats

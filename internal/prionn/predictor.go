@@ -117,42 +117,32 @@ func NewTrained(cfg Config, completed []trace.Job) (*Predictor, error) {
 // New initializes them from the predictor's RNG, Load leaves them zero
 // for the checkpoint to fill.
 func newPredictor(cfg Config, emb *word2vec.Embedding) *Predictor {
-	p := &Predictor{
-		Config: cfg,
-		emb:    emb,
-		rbins:  runtimeBins{Classes: cfg.RuntimeClasses, MaxMin: cfg.MaxRuntimeMin},
-		iobin:  ioBins{Classes: cfg.IOClasses, Min: cfg.MinIOBytes, Max: cfg.MaxIOBytes},
-		pbins:  ioBins{Classes: cfg.PowerClasses, Min: cfg.MinPowerW, Max: cfg.MaxPowerW},
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+	v := newView(cfg, emb)
+	return &Predictor{
+		Config:    cfg,
+		emb:       emb,
+		transform: v.transform,
+		rbins:     v.rbins,
+		iobin:     v.iobin,
+		pbins:     v.pbins,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
-	switch cfg.Transform {
-	case TransformBinary:
-		p.transform = mapping.Binary{}
-	case TransformSimple:
-		p.transform = mapping.Simple{}
-	case TransformOneHot:
-		p.transform = mapping.OneHot{}
-	case TransformWord2Vec:
-		p.transform = mapping.Word2Vec{Emb: emb}
-	}
-	return p
 }
 
-// initHeads builds every enabled head, drawing initial weights from rng
-// in head order (a nil rng leaves them zero), each with a cold optimizer.
+// initHeads builds every enabled head (Inference.buildHeads: initial
+// weights from rng in head order, a nil rng leaves them zero), each with
+// a cold optimizer.
 func (p *Predictor) initHeads(rng *rand.Rand) {
-	cfg := p.Config
-	p.runtime = p.buildModel(rng, cfg.RuntimeClasses)
-	p.runtimeOpt = nn.NewAdam(cfg.LR)
-	if cfg.PredictIO {
-		p.read = p.buildModel(rng, cfg.IOClasses)
-		p.write = p.buildModel(rng, cfg.IOClasses)
-		p.readOpt = nn.NewAdam(cfg.LR)
-		p.writeOpt = nn.NewAdam(cfg.LR)
+	v := p.view()
+	v.buildHeads(rng)
+	p.runtime, p.read, p.write, p.power = v.runtime, v.read, v.write, v.power
+	p.runtimeOpt = nn.NewAdam(p.Config.LR)
+	if p.Config.PredictIO {
+		p.readOpt = nn.NewAdam(p.Config.LR)
+		p.writeOpt = nn.NewAdam(p.Config.LR)
 	}
-	if cfg.PredictPower {
-		p.power = p.buildModel(rng, cfg.PowerClasses)
-		p.powerOpt = nn.NewAdam(cfg.LR)
+	if p.Config.PredictPower {
+		p.powerOpt = nn.NewAdam(p.Config.LR)
 	}
 }
 
@@ -185,29 +175,6 @@ func (p *Predictor) inputText(script, deck string) string {
 		return script + "\n" + deck
 	}
 	return script
-}
-
-// buildModel constructs one classifier head for the configured
-// architecture, drawing initial weights from rng. It takes the RNG
-// explicitly so that heads about to be overwritten can be built from
-// none, without consuming the predictor's own stream (which must stay
-// bitwise-reproducible).
-func (p *Predictor) buildModel(rng *rand.Rand, classes int) *nn.Sequential {
-	arch := nn.ArchConfig{
-		Rows:     p.Config.Rows,
-		Cols:     p.Config.Cols,
-		Channels: p.transform.Channels(),
-		Classes:  classes,
-		Width:    p.Config.Width,
-	}
-	switch p.Config.Model {
-	case ModelNN:
-		return nn.NewFullyConnected(rng, arch)
-	case Model1DCNN:
-		return nn.NewCNN1D(rng, arch)
-	default:
-		return nn.NewCNN2D(rng, arch)
-	}
 }
 
 // mapBatch transforms scripts into the model input layout (see

@@ -20,7 +20,9 @@ import (
 // any snapshot — the serving stack treats it exactly like one — and its
 // persisted form (SaveQuantized, a v4 frame) holds the int8 codes,
 // per-channel scales and float32 biases: a tenth of the float
-// checkpoint, which also carries Adam's moments.
+// checkpoint, which also carries Adam's moments. LoadInferenceQuantized
+// builds the same snapshot straight from a float checkpoint, rounding the
+// one copy of the weights LoadInference read.
 
 // maxInt8Flip bounds, per head, the share of SnapshotQuantized's check
 // jobs whose decoded class the int8 weights may change.
@@ -47,8 +49,9 @@ func (a Agreement) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Agreement returns the check SnapshotQuantized ran when it built v: the
-// zero Agreement for any other view, LoadQuantized's included.
+// Agreement returns the check SnapshotQuantized or LoadInferenceQuantized
+// ran when it built v: the zero Agreement for any other view,
+// LoadQuantized's included.
 func (v *Inference) Agreement() Agreement { return v.check }
 
 // SnapshotQuantized returns a snapshot of the predictor whose Conv2D and
@@ -60,55 +63,91 @@ func (v *Inference) Agreement() Agreement { return v.check }
 // have trained at least once: rounding He-init noise would produce a
 // well-formed snapshot of a meaningless model.
 //
-// Like Predict, SnapshotQuantized must not run beside Train (the check
-// reads the float heads training writes); the returned Inference shares
-// nothing mutable with the predictor.
+// It is Snapshot followed by the rounding and check, on the snapshot's
+// own copy of the weights. Like Snapshot, SnapshotQuantized must not run
+// beside Train; the returned Inference shares nothing mutable with the
+// predictor.
 func (p *Predictor) SnapshotQuantized(check []trace.Job) (*Inference, error) {
-	if !p.trained {
-		return nil, fmt.Errorf("prionn: cannot quantize an untrained predictor")
-	}
-	if len(check) == 0 {
-		return nil, fmt.Errorf("prionn: the int8 agreement check needs a non-empty slice of held-out jobs")
-	}
 	v, err := p.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	v.kernel = KernelInt8
+	if err := v.quantize(check); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// LoadInferenceQuantized is LoadInference followed by SnapshotQuantized's
+// rounding and agreement check, applied to the loaded weights in place:
+// the float classes of check are recorded, the weights rounded through
+// int8, and the int8 classes compared with the recorded ones. One copy of
+// the weights exists throughout, and the snapshot — its SaveQuantized
+// bytes and its Agreement — is the one Load followed by SnapshotQuantized
+// builds from the same checkpoint and check slice.
+func LoadInferenceQuantized(r io.Reader, check []trace.Job) (*Inference, int, error) {
+	v, events, err := LoadInference(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := v.quantize(check); err != nil {
+		return nil, 0, err
+	}
+	return v, events, nil
+}
+
+// quantize rounds every Conv2D and Dense weight of v's heads through
+// per-output-channel int8 in place, makes v a KernelInt8 view and runs
+// the agreement check on check, recording it in v.check. It writes the
+// heads, so it runs only on a view this package has just built and not
+// yet handed out: a published Inference stays immutable.
+func (v *Inference) quantize(check []trace.Job) error {
+	if !v.trained {
+		return fmt.Errorf("prionn: cannot quantize an untrained predictor")
+	}
+	if len(check) == 0 {
+		return fmt.Errorf("prionn: the int8 agreement check needs a non-empty slice of held-out jobs")
+	}
 	names, heads := v.heads()
+	// classes decodes every head's class for every check job, through the
+	// heads' current weights.
+	classes := func() [][]int {
+		out := make([][]int, len(heads))
+		texts := make([]string, 0, checkBatch)
+		for lo := 0; lo < len(check); lo += checkBatch {
+			texts = texts[:0]
+			for _, j := range check[lo:min(lo+checkBatch, len(check))] {
+				texts = append(texts, v.InputText(j.Script, j.InputDeck))
+			}
+			x := v.MapTexts(texts)
+			for h, m := range heads {
+				out[h] = append(out[h], m.PredictClasses(x)...)
+			}
+		}
+		return out
+	}
+	float := classes()
+	v.kernel = KernelInt8
 	for _, m := range heads {
 		v.int8 = append(v.int8, m.RoundInt8())
 		m.Prepack()
 	}
-	_, float := p.view().heads()
-	flips := make([]int, len(heads))
-	texts := make([]string, 0, checkBatch)
-	for lo := 0; lo < len(check); lo += checkBatch {
-		texts = texts[:0]
-		for _, j := range check[lo:min(lo+checkBatch, len(check))] {
-			texts = append(texts, p.inputText(j.Script, j.InputDeck))
-		}
-		x := p.mapBatch(texts)
-		for h, m := range heads {
-			want := float[h].PredictClasses(x)
-			for i, c := range m.PredictClasses(x) {
-				if c != want[i] {
-					flips[h]++
-				}
+	v.check = Agreement{Jobs: len(check), Heads: names, Flip: make([]float64, len(heads))}
+	for h, got := range classes() {
+		flips := 0
+		for i, c := range got {
+			if c != float[h][i] {
+				flips++
 			}
 		}
-	}
-	v.check = Agreement{Jobs: len(check), Heads: names, Flip: make([]float64, len(heads))}
-	for h, n := range flips {
-		v.check.Flip[h] = float64(n) / float64(len(check))
-	}
-	for h, f := range v.check.Flip {
+		f := float64(flips) / float64(len(check))
 		if f > maxInt8Flip {
-			return nil, fmt.Errorf("prionn: int8 weights change the %s head's class on %.1f%% of %d check jobs, over the %.0f%% bound",
+			return fmt.Errorf("prionn: int8 weights change the %s head's class on %.1f%% of %d check jobs, over the %.0f%% bound",
 				names[h], 100*f, len(check), 100*maxInt8Flip)
 		}
+		v.check.Flip[h] = f
 	}
-	return v, nil
+	return nil
 }
 
 // quantMeta is the gob-encoded meta section of a v4 frame (see
@@ -154,12 +193,11 @@ func LoadQuantized(r io.Reader) (*Inference, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := restore(meta.Config, meta.Embedding)
+	v, err := restoreView(meta.Config, meta.Embedding)
 	if err != nil {
 		return nil, err
 	}
-	p.trained = meta.Trained
-	v := p.view() // p goes out of scope: the view owns its heads
+	v.trained = meta.Trained
 	v.kernel = KernelInt8
 	_, heads := v.heads()
 	for _, m := range heads {

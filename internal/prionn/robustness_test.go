@@ -129,7 +129,8 @@ func TestSaveFileCrashMatrix(t *testing.T) {
 
 // TestLoadTypedErrors pins the typed-error contract: truncations report
 // ErrTruncated, damaged bytes report ErrCorrupt, and neither ever
-// yields a predictor.
+// yields a predictor — nor, in the exhaustive sweeps, a LoadInference
+// view.
 func TestLoadTypedErrors(t *testing.T) {
 	p := trainedPredictor(t, 40)
 	var buf bytes.Buffer
@@ -224,31 +225,56 @@ func TestLoadTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := append([]byte(nil), buf.Bytes()...)
-	if _, err := Load(bytes.NewReader(sweep)); err != nil {
-		t.Fatalf("pristine sweep bytes rejected: %v", err)
+	// Both readers of a v3 frame go through the sweeps: Load, and the
+	// weights-only LoadInference, which skips the Adam records it checks.
+	// The sweeps run on one goroutine, so the race detector finds nothing
+	// in them; under it, where each load is an order of magnitude slower,
+	// only Load sweeps.
+	type reader struct {
+		name string
+		load func([]byte) (bool, error) // whether a model came back
+	}
+	readers := []reader{{"Load", func(b []byte) (bool, error) {
+		p, err := Load(bytes.NewReader(b))
+		return p != nil, err
+	}}}
+	if !raceEnabled {
+		readers = append(readers, reader{"LoadInference", func(b []byte) (bool, error) {
+			v, _, err := LoadInference(bytes.NewReader(b))
+			return v != nil, err
+		}})
+	}
+	for _, r := range readers {
+		if _, err := r.load(sweep); err != nil {
+			t.Fatalf("%s: pristine sweep bytes rejected: %v", r.name, err)
+		}
 	}
 	t.Run("every-prefix", func(t *testing.T) {
-		for n := 0; n < len(sweep); n++ {
-			if p, err := Load(bytes.NewReader(sweep[:n])); !errors.Is(err, ErrTruncated) || p != nil {
-				t.Fatalf("prefix of %d/%d bytes: predictor %v, err %v; want none and ErrTruncated", n, len(sweep), p != nil, err)
+		for _, r := range readers {
+			for n := 0; n < len(sweep); n++ {
+				if got, err := r.load(sweep[:n]); !errors.Is(err, ErrTruncated) || got {
+					t.Fatalf("%s: prefix of %d/%d bytes: model %v, err %v; want none and ErrTruncated", r.name, n, len(sweep), got, err)
+				}
 			}
 		}
 	})
 	t.Run("bit-flips", func(t *testing.T) {
 		// Every byte of the small frame, so every length, flag and
 		// checksum byte is hit; a stride through the TinyConfig one.
-		for stride, b := range map[int][]byte{1: sweep, 9973: append([]byte(nil), full...)} {
-			for at := 0; at < len(b); at += stride {
-				b[at] ^= 1 << (at % 8)
-				p, err := Load(bytes.NewReader(b))
-				// A meta length that grew but still fits the cap makes the
-				// file look short: the one field where damage cannot be told
-				// from truncation.
-				inMetaLen := at >= 8 && at < 16 && errors.Is(err, ErrTruncated)
-				if p != nil || !(errors.Is(err, ErrCorrupt) || inMetaLen) {
-					t.Fatalf("bit flipped at %d/%d: predictor %v, err %v; want none and ErrCorrupt", at, len(b), p != nil, err)
+		for _, r := range readers {
+			for stride, b := range map[int][]byte{1: sweep, 9973: append([]byte(nil), full...)} {
+				for at := 0; at < len(b); at += stride {
+					b[at] ^= 1 << (at % 8)
+					got, err := r.load(b)
+					// A meta length that grew but still fits the cap makes the
+					// file look short: the one field where damage cannot be
+					// told from truncation.
+					inMetaLen := at >= 8 && at < 16 && errors.Is(err, ErrTruncated)
+					if got || !(errors.Is(err, ErrCorrupt) || inMetaLen) {
+						t.Fatalf("%s: bit flipped at %d/%d: model %v, err %v; want none and ErrCorrupt", r.name, at, len(b), got, err)
+					}
+					b[at] ^= 1 << (at % 8)
 				}
-				b[at] ^= 1 << (at % 8)
 			}
 		}
 	})

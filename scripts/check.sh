@@ -73,7 +73,13 @@
 #                      ladder still times — the graph-level naive oracle
 #                      under the race detector and at -cpu 1,2,4,
 #                      packed strips == im2col + GEMM)
-#  11. pipeline gate  (the online-learning loop under the race
+#  11. start-up gate  (the weights-only checkpoint reader serving loads
+#                      through: typed errors for every cut and flipped
+#                      bit, optimizer counts checked and skipped,
+#                      predictions == Load + Snapshot bitwise, in-place
+#                      int8 == Load + SnapshotQuantized, and its
+#                      allocation pin)
+#  12. pipeline gate  (the online-learning loop under the race
 #                      detector: retrain → shadow-eval → canary →
 #                      atomic swap end-to-end on a live cluster,
 #                      restart from the per-event checkpoint after a
@@ -81,7 +87,7 @@
 #                      checkpoint, shadow rejection of regressed
 #                      candidates, one shared view across replicas and
 #                      canary, canary rollback/promotion)
-#  12. bench smoke    (one iteration of each kernel, serving, cluster,
+#  13. bench smoke    (one iteration of each kernel, serving, cluster,
 #                      float32 / int8-weight serving pair, inference
 #                      forward at batch 1, 2, 4 and 32 at -cpu 1,2, and
 #                      analysis benchmark via
@@ -90,14 +96,15 @@
 #                      BENCH_serve.json, BENCH_cluster.json,
 #                      BENCH_quant.json, BENCH_analysis.json, and
 #                      BENCH_pipeline.json)
-#  13. go test -fuzz  (short smoke run of each fuzz target: the mapping
+#  14. go test -fuzz  (short smoke run of each fuzz target: the mapping
 #                      crop/pad grid, the feature-directive parser,
-#                      corrupt float and quantized checkpoint loading,
+#                      corrupt float checkpoint loading through Load and
+#                      the weights-only reader alike, quantized ones,
 #                      the dense row kernel against MatMul on
 #                      arbitrary bit patterns, and the stride-1 training
 #                      conv against the column path on random geometries)
 #
-# Steps 7–11 name their tests with -run filters and run them through
+# Steps 7–12 name their tests with -run filters and run them through
 # `named`, which fails when a name in the filter matches no test.
 # Each step reports its wall-clock seconds on completion, so a slow
 # gate points at its own bottleneck. Exits nonzero on the first
@@ -268,6 +275,20 @@ named -count=1 -run 'TestClusterSwapKernelInvalidatesCache' ./internal/cluster/
 named -race -count=1 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
 named -count=1 -cpu 1,2,4 -run 'TestQuantForwardBitwiseMatchesNaive' ./internal/nn/
 named -race -count=1 -run 'TestGemmInt8PackedMatches|TestConvPlaneU8MatchesIm2ColGemm' ./internal/tensor/
+step_done
+
+# Serving start-up gate: the weights-only checkpoint reader a serving
+# daemon loads through — the prefix and bit-flip sweeps through it as
+# well as Load, optimizer counts that disagree with the model refused,
+# frames without moments (flag 0, Adam step 0) accepted, predictions
+# bitwise equal to Load + Snapshot for every architecture, the in-place
+# int8 rounding equal to Load + SnapshotQuantized (saved bytes and
+# agreement, in the package and through prionnd -load -quant), and the
+# allocation pin: the parameters' bytes plus 1 MiB, no moment tensor and
+# no second weight copy.
+step "serving start-up gate (weights-only load / in-place int8)"
+named -count=1 -run 'TestLoadTypedErrors|TestLoadInferenceRejectsOptimizerMismatch|TestLoadInferenceWithoutOptimizerState|TestLoadInferenceMatchesSnapshot|TestLoadInferenceQuantizedMatchesSnapshotQuantized|TestLoadInferenceAllocCeiling' ./internal/prionn/
+named -count=1 -run 'TestRunLoadQuantMatchesSnapshotQuantized|TestStatsSnapshotBytes' ./cmd/prionnd/
 step_done
 
 # Online-learning pipeline gate: the full retrain → shadow-eval →
