@@ -415,7 +415,7 @@ func loadVetPackages(b *testing.B) (*analysis.Loader, []*analysis.Package) {
 
 // BenchmarkPrionnvetRunAll measures one full gate sweep: every checker
 // over every package in the repo. A fresh Pass per package per
-// iteration makes the per-iteration cost include the SSA-lite def-use
+// iteration makes the per-iteration cost include the SSA-lite def
 // index (Pass memoizes FuncInfos, so reusing passes would time only
 // the first iteration honestly).
 func BenchmarkPrionnvetRunAll(b *testing.B) {

@@ -1,14 +1,12 @@
 // Command prionnvet is the repo's reproducibility gate: a stdlib-only
 // vet pass (go/ast + go/types, no external deps) over the bug classes
 // that silently make a same-seed rerun print different numbers —
-// unseeded randomness, exact float comparison, dropped IO errors,
-// unjoined goroutines and detached goroutines that can panic,
-// unsynchronized package state, map-iteration order leaking into
-// results, RNGs shared across goroutines or seeded from laundered wall
-// time, wall-clock values flowing into data, and completion-order
-// channel aggregation. The checkers share one def-use index; see
-// DESIGN.md §6, which also says what the tool does not check (races,
-// deadlocks, goroutine and arena lifetimes) and which tests do.
+// dropped IO errors, unsynchronized package state, map-iteration order
+// leaking into results, wall-clock values flowing into data, and
+// unjoined goroutines. The checkers share one def index; see DESIGN.md
+// §6, which tables what each checker has caught and names the tests
+// that own what the tool does not check (seeding, float comparison,
+// races, deadlocks, goroutine and arena lifetimes).
 //
 // Usage:
 //

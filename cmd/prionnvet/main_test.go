@@ -98,12 +98,12 @@ func TestFindingsExitOne(t *testing.T) {
 }
 
 func TestChecksSubset(t *testing.T) {
-	code, out, _ := runCLI(t, "-checks", "float-eq", "testdata/dirty")
+	code, out, _ := runCLI(t, "-checks", "map-order", "testdata/dirty")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(out, "float-eq") || strings.Contains(out, "unseeded-rand") {
-		t.Errorf("-checks float-eq should report only float-eq findings:\n%s", out)
+	if !strings.Contains(out, "map-order") || strings.Contains(out, "unchecked-err") {
+		t.Errorf("-checks map-order should report only map-order findings:\n%s", out)
 	}
 }
 

@@ -141,10 +141,10 @@ func TestIgnoreReasonMetaFinding(t *testing.T) {
 		line            int
 		check, doc, msg string
 	}{
-		{8, "ignore-reason", ignoreReasonDoc, "float-eq"},
-		{16, "ignore-unknown", ignoreUnknownDoc, "flaot-eq"},
-		{17, "float-eq", FloatEq{}.Doc(), "=="},
-		{21, "ignore-unknown", ignoreUnknownDoc, "lock-held-io"},
+		{10, "ignore-reason", ignoreReasonDoc, "unchecked-err"},
+		{18, "ignore-unknown", ignoreUnknownDoc, "uncheked-err"},
+		{19, "unchecked-err", UncheckedErr{}.Doc(), "f.Close"},
+		{23, "ignore-unknown", ignoreUnknownDoc, "float-eq"},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("RunAll = %v, want %d findings", got, len(want))
@@ -189,50 +189,23 @@ func TestRunAllDedupesPositionCheck(t *testing.T) {
 	}
 }
 
-// TestLaunchDedupeFixture runs the full checker suite over a launch
-// that triggers naked-goroutine AND bare-panic-goroutine at the same go
-// statement: each check must report exactly once there.
-func TestLaunchDedupeFixture(t *testing.T) {
-	loader, pkg := loadFixture(t, "launch-dedupe")
-	pass := pkg.Pass(loader.Fset)
-	got := RunAll(pass, nil)
-
-	count := map[string]int{}
-	for _, f := range got {
-		count[f.Check]++
-	}
-	for _, check := range []string{"naked-goroutine", "bare-panic-goroutine"} {
-		if count[check] != 1 {
-			t.Errorf("%s fired %d time(s) on the launch, want exactly 1; findings: %v", check, count[check], got)
-		}
-	}
-	seen := map[string]bool{}
-	for _, f := range got {
-		key := f.String()
-		if seen[key] {
-			t.Errorf("duplicate finding survived RunAll: %s", key)
-		}
-		seen[key] = true
-	}
-}
-
 // TestSuppressionScope pins the directive's reach: its own line and the
 // next line, nothing further.
 func TestSuppressionScope(t *testing.T) {
 	sup := suppressions{
-		"f.go": {10: {"float-eq": true}, 20: {"all": true}},
+		"f.go": {10: {"map-order": true}, 20: {"all": true}},
 	}
 	cases := []struct {
 		finding Finding
 		want    bool
 	}{
-		{Finding{Check: "float-eq", File: "f.go", Line: 10}, true},
-		{Finding{Check: "float-eq", File: "f.go", Line: 11}, true},
-		{Finding{Check: "float-eq", File: "f.go", Line: 12}, false},
-		{Finding{Check: "float-eq", File: "f.go", Line: 9}, false},
+		{Finding{Check: "map-order", File: "f.go", Line: 10}, true},
+		{Finding{Check: "map-order", File: "f.go", Line: 11}, true},
+		{Finding{Check: "map-order", File: "f.go", Line: 12}, false},
+		{Finding{Check: "map-order", File: "f.go", Line: 9}, false},
 		{Finding{Check: "unchecked-err", File: "f.go", Line: 10}, false},
 		{Finding{Check: "unchecked-err", File: "f.go", Line: 21}, true},
-		{Finding{Check: "float-eq", File: "g.go", Line: 10}, false},
+		{Finding{Check: "map-order", File: "g.go", Line: 10}, false},
 	}
 	for i, tc := range cases {
 		if got := sup.suppressed(tc.finding); got != tc.want {
@@ -243,8 +216,8 @@ func TestSuppressionScope(t *testing.T) {
 
 // TestFindingString pins the report format scripts grep for.
 func TestFindingString(t *testing.T) {
-	f := Finding{Check: "float-eq", Message: "m", File: "a/b.go", Line: 3, Col: 7}
-	if got, want := f.String(), "a/b.go:3:7: float-eq: m"; got != want {
+	f := Finding{Check: "map-order", Message: "m", File: "a/b.go", Line: 3, Col: 7}
+	if got, want := f.String(), "a/b.go:3:7: map-order: m"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
@@ -291,7 +264,7 @@ func TestByName(t *testing.T) {
 }
 
 func ExampleFinding_String() {
-	f := Finding{Check: "unseeded-rand", Message: "example", File: "x.go", Line: 1, Col: 1}
+	f := Finding{Check: "unchecked-err", Message: "example", File: "x.go", Line: 1, Col: 1}
 	fmt.Println(f.String())
-	// Output: x.go:1:1: unseeded-rand: example
+	// Output: x.go:1:1: unchecked-err: example
 }

@@ -1,22 +1,20 @@
 package analysis
 
-// SSA-lite intra-procedural dataflow: def-use chains and reaching
-// definitions computed directly over go/ast + go/types, with no
-// x/tools dependency. The engine deliberately stops short of full SSA —
-// no phi nodes, no control-flow graph — because the checkers built on
-// it ask questions that positional def-use chains answer precisely
-// enough: "does this value derive from a map-ranged key?", "is this
-// error overwritten before it is read?", "does this seed flow from
-// time.Now?". Where control flow would matter (defs in sibling
-// branches), the queries are conservative: dead-store detection only
-// fires for consecutive definitions in the same block, and taint
-// queries union over all definitions of a variable.
+// SSA-lite intra-procedural dataflow: def chains computed directly over
+// go/ast + go/types, with no x/tools dependency. The engine
+// deliberately stops short of full SSA — no phi nodes, no control-flow
+// graph — because the checkers built on it ask one kind of question
+// that positional def chains answer precisely enough: "does this value
+// derive from a map-ranged key?", "does it derive from time.Now?".
+// Where control flow would matter (defs in sibling branches), the
+// queries are conservative: they union over all definitions of a
+// variable.
 //
 // The unit of analysis is the top-level function declaration; function
 // literals nested inside it share the same FuncInfo, because closures
 // read and write the enclosing function's variables and the checkers
-// need to see that flow (a goroutine capturing the spawner's *rand.Rand
-// is exactly the bug class seed-flow hunts).
+// need to see that flow (a map-ranged value a closure appends to the
+// spawner's slice is still map-order's finding).
 
 import (
 	"go/ast"
@@ -24,49 +22,17 @@ import (
 	"go/types"
 )
 
-// DefKind classifies how a definition produces its value.
-type DefKind int
-
-const (
-	// DefAssign is x = rhs or x := rhs (including multi-value forms,
-	// where RHS is the producing call).
-	DefAssign DefKind = iota
-	// DefCompound is x += rhs, x *= rhs, x++, …: the new value is
-	// computed from the previous one.
-	DefCompound
-	// DefZero is var x T with no initializer.
-	DefZero
-	// DefParam is a parameter, receiver, or named result.
-	DefParam
-	// DefRangeKey is the key variable of a range statement; RHS is the
-	// ranged container.
-	DefRangeKey
-	// DefRangeValue is the value variable of a range statement; RHS is
-	// the ranged container.
-	DefRangeValue
-)
-
-// Def is one definition site of a local variable.
-type Def struct {
-	Ident *ast.Ident // the defining occurrence
-	RHS   ast.Expr   // producing expression; nil for DefZero/DefParam; the ranged container for range kinds
-	Kind  DefKind
-	Stmt  ast.Node       // the defining statement (AssignStmt, IncDecStmt, RangeStmt, ValueSpec, Field)
-	Block *ast.BlockStmt // innermost enclosing block; nil for params
-}
-
-// FuncInfo holds def-use chains for one top-level function declaration,
+// FuncInfo holds def chains for one top-level function declaration,
 // including everything inside nested function literals.
 type FuncInfo struct {
 	Pass *Pass
 	Decl *ast.FuncDecl
-	// Defs maps each function-local variable to its definition sites in
-	// source order.
-	Defs map[*types.Var][]Def
-	// Uses maps each function-local variable to its read occurrences in
-	// source order. Pure stores (the x of x = v) are excluded; compound
-	// assignments and ++/-- count as both a use and a def.
-	Uses map[*types.Var][]*ast.Ident
+	// Defs maps each function-local variable to the expressions that
+	// define it, in source order: the right-hand side of an assignment
+	// (for x += y, y; x's earlier defs are already in the list), the
+	// ranged container for a range key or value, and nil for a
+	// parameter, a var declared without a value, or x++/x--.
+	Defs map[*types.Var][]ast.Expr
 	// ParamObjs is the set of parameter/receiver/result objects of the
 	// declaration and of every nested function literal. A value held in
 	// a parameter was produced by a caller the engine cannot see.
@@ -108,26 +74,19 @@ func (p *Pass) FuncInfoAt(pos token.Pos) *FuncInfo {
 	return nil
 }
 
-// analyzeFunc builds the def-use chains for one declaration.
+// analyzeFunc builds the def chains for one declaration.
 func analyzeFunc(p *Pass, fn *ast.FuncDecl) *FuncInfo {
 	fi := &FuncInfo{
 		Pass:      p,
 		Decl:      fn,
-		Defs:      map[*types.Var][]Def{},
-		Uses:      map[*types.Var][]*ast.Ident{},
+		Defs:      map[*types.Var][]ast.Expr{},
 		ParamObjs: map[*types.Var]bool{},
 	}
-	stores := map[*ast.Ident]bool{} // pure-store occurrences, excluded from Uses
-
-	addDef := func(id *ast.Ident, d Def) {
-		obj := fi.localVarOfDef(id)
-		if obj == nil {
-			return
+	addDef := func(id *ast.Ident, rhs ast.Expr) {
+		if obj := fi.localVarOfDef(id); obj != nil {
+			fi.Defs[obj] = append(fi.Defs[obj], rhs)
 		}
-		d.Ident = id
-		fi.Defs[obj] = append(fi.Defs[obj], d)
 	}
-
 	declParams := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
@@ -136,7 +95,7 @@ func analyzeFunc(p *Pass, fn *ast.FuncDecl) *FuncInfo {
 			for _, name := range f.Names {
 				if obj, ok := p.Info.Defs[name].(*types.Var); ok && obj != nil {
 					fi.ParamObjs[obj] = true
-					fi.Defs[obj] = append(fi.Defs[obj], Def{Ident: name, Kind: DefParam, Stmt: f})
+					fi.Defs[obj] = append(fi.Defs[obj], nil)
 				}
 			}
 		}
@@ -145,87 +104,49 @@ func analyzeFunc(p *Pass, fn *ast.FuncDecl) *FuncInfo {
 	declParams(fn.Type.Params)
 	declParams(fn.Type.Results)
 
-	// walk records definitions, tracking the innermost enclosing block.
-	var walk func(n ast.Node, blk *ast.BlockStmt)
-	walk = func(n ast.Node, blk *ast.BlockStmt) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.BlockStmt:
-				for _, st := range s.List {
-					walk(st, s)
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.FuncLit:
+			declParams(s.Type.Params)
+			declParams(s.Type.Results)
+		case *ast.AssignStmt:
+			if s.Tok != token.ASSIGN && s.Tok != token.DEFINE { // +=, -=, *=, /=, …
+				if id, ok := s.Lhs[0].(*ast.Ident); ok {
+					addDef(id, s.Rhs[0])
 				}
-				return false
-			case *ast.FuncLit:
-				declParams(s.Type.Params)
-				declParams(s.Type.Results)
-				walk(s.Body, blk)
-				return false
-			case *ast.AssignStmt:
-				switch s.Tok {
-				case token.ASSIGN, token.DEFINE:
-					for i, lhs := range s.Lhs {
-						id, ok := lhs.(*ast.Ident)
-						if !ok {
-							continue
-						}
-						// Pure store either way: a reused variable in a :=
-						// resolves through Info.Uses, but the occurrence
-						// still only writes.
-						stores[id] = true
-						rhs := s.Rhs[0]
-						if len(s.Rhs) == len(s.Lhs) {
-							rhs = s.Rhs[i]
-						}
-						addDef(id, Def{RHS: rhs, Kind: DefAssign, Stmt: s, Block: blk})
-					}
-				default: // +=, -=, *=, /=, …
-					if id, ok := s.Lhs[0].(*ast.Ident); ok {
-						addDef(id, Def{RHS: s.Rhs[0], Kind: DefCompound, Stmt: s, Block: blk})
-					}
+				return true
+			}
+			for i, lhs := range s.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok {
+					continue
 				}
-			case *ast.IncDecStmt:
-				if id, ok := s.X.(*ast.Ident); ok {
-					addDef(id, Def{Kind: DefCompound, Stmt: s, Block: blk})
+				rhs := s.Rhs[0] // x, y := f()
+				if len(s.Rhs) == len(s.Lhs) {
+					rhs = s.Rhs[i]
 				}
-			case *ast.ValueSpec:
-				for i, name := range s.Names {
-					d := Def{Kind: DefZero, Stmt: s, Block: blk}
-					if len(s.Values) > 0 {
-						d.Kind = DefAssign
-						d.RHS = s.Values[0]
-						if len(s.Values) == len(s.Names) {
-							d.RHS = s.Values[i]
-						}
-					}
-					addDef(name, d)
+				addDef(id, rhs)
+			}
+		case *ast.IncDecStmt:
+			if id, ok := s.X.(*ast.Ident); ok {
+				addDef(id, nil)
+			}
+		case *ast.ValueSpec:
+			for i, name := range s.Names {
+				var rhs ast.Expr
+				if len(s.Values) == len(s.Names) {
+					rhs = s.Values[i]
+				} else if len(s.Values) > 0 {
+					rhs = s.Values[0] // var x, y = f()
 				}
-			case *ast.RangeStmt:
-				if id, ok := s.Key.(*ast.Ident); ok {
-					if s.Tok == token.ASSIGN {
-						stores[id] = true
-					}
-					addDef(id, Def{RHS: s.X, Kind: DefRangeKey, Stmt: s, Block: blk})
-				}
-				if id, ok := s.Value.(*ast.Ident); ok {
-					if s.Tok == token.ASSIGN {
-						stores[id] = true
-					}
-					addDef(id, Def{RHS: s.X, Kind: DefRangeValue, Stmt: s, Block: blk})
+				addDef(name, rhs)
+			}
+		case *ast.RangeStmt:
+			for _, e := range []ast.Expr{s.Key, s.Value} {
+				if id, ok := e.(*ast.Ident); ok {
+					addDef(id, s.X)
 				}
 			}
-			return true
-		})
-	}
-	walk(fn.Body, fn.Body)
-
-	// Uses: every read occurrence of a function-local variable.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || stores[id] {
-			return true
-		}
-		if obj, ok := p.Info.Uses[id].(*types.Var); ok && fi.isLocal(obj) {
-			fi.Uses[obj] = append(fi.Uses[obj], id)
 		}
 		return true
 	})
@@ -275,20 +196,16 @@ func (fi *FuncInfo) LocalVar(e ast.Expr) *types.Var {
 }
 
 // FlowsFrom reports whether the value of root may derive from a node
-// satisfying pred, following local def-use chains backwards through
+// satisfying pred, following local def chains backwards through
 // assignments, compound assignments, and range statements. pred is
-// offered every expression in the transitive producing set and every
-// defining statement on the chain (so callers can treat `x += y` itself
-// as a computation). Each variable is resolved at most once, making the
-// walk linear and cycle-safe.
+// offered every expression in the transitive producing set. Each
+// variable is resolved at most once, making the walk linear and
+// cycle-safe.
 func (fi *FuncInfo) FlowsFrom(root ast.Expr, pred func(n ast.Node) bool) bool {
 	seen := map[*types.Var]bool{}
 	found := false
 	var visit func(n ast.Node)
 	visit = func(n ast.Node) {
-		if found || n == nil {
-			return
-		}
 		ast.Inspect(n, func(n ast.Node) bool {
 			if found || n == nil {
 				return false
@@ -306,16 +223,12 @@ func (fi *FuncInfo) FlowsFrom(root ast.Expr, pred func(n ast.Node) bool) bool {
 				return true
 			}
 			seen[obj] = true
-			for _, d := range fi.Defs[obj] {
+			for _, rhs := range fi.Defs[obj] {
 				if found {
 					break
 				}
-				if d.Stmt != nil && pred(d.Stmt) {
-					found = true
-					break
-				}
-				if d.RHS != nil {
-					visit(d.RHS)
+				if rhs != nil {
+					visit(rhs)
 				}
 			}
 			return !found
@@ -323,15 +236,4 @@ func (fi *FuncInfo) FlowsFrom(root ast.Expr, pred func(n ast.Node) bool) bool {
 	}
 	visit(root)
 	return found
-}
-
-// UsedBetween reports whether v has a read occurrence strictly inside
-// (after, before).
-func (fi *FuncInfo) UsedBetween(v *types.Var, after, before token.Pos) bool {
-	for _, u := range fi.Uses[v] {
-		if u.Pos() > after && u.Pos() < before {
-			return true
-		}
-	}
-	return false
 }

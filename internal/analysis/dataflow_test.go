@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"testing"
 )
 
@@ -36,29 +37,23 @@ func TestDefUseChains(t *testing.T) {
 	pass := pkg.Pass(loader.Fset)
 	fi := findInfo(t, pass, "chain")
 
+	// b := a + 2, then b = v in the range body, then b += 3: each def
+	// records its producing expression, in source order.
 	b := varByName(t, fi, "b")
-	defs := fi.Defs[b]
-	if len(defs) != 3 {
-		t.Fatalf("defs of b = %d, want 3 (:=, range-body =, +=)", len(defs))
+	var got []string
+	for _, rhs := range fi.Defs[b] {
+		got = append(got, types.ExprString(rhs))
 	}
-	if defs[0].Kind != DefAssign || defs[1].Kind != DefAssign || defs[2].Kind != DefCompound {
-		t.Errorf("def kinds of b = %v %v %v, want DefAssign DefAssign DefCompound",
-			defs[0].Kind, defs[1].Kind, defs[2].Kind)
-	}
-	// b is read twice: strconv.Itoa(b), and b += 3 (a compound
-	// assignment reads the old value). The pure store b = v does not
-	// count.
-	if got := len(fi.Uses[b]); got != 2 {
-		t.Errorf("uses of b = %d, want 2", got)
+	if want := []string{"a + 2", "v", "3"}; !slices.Equal(got, want) {
+		t.Errorf("defs of b = %q, want %q", got, want)
 	}
 
-	v := varByName(t, fi, "v")
-	if len(fi.Defs[v]) != 1 || fi.Defs[v][0].Kind != DefRangeValue {
-		t.Errorf("v should have one DefRangeValue def, got %+v", fi.Defs[v])
-	}
-	k := varByName(t, fi, "k")
-	if len(fi.Defs[k]) != 1 || fi.Defs[k][0].Kind != DefRangeKey {
-		t.Errorf("k should have one DefRangeKey def, got %+v", fi.Defs[k])
+	// Range key and value are each defined once, by the ranged map.
+	for _, name := range []string{"k", "v"} {
+		defs := fi.Defs[varByName(t, fi, name)]
+		if len(defs) != 1 || types.ExprString(defs[0]) != "m" {
+			t.Errorf("%s should have one def, the ranged map m; got %d", name, len(defs))
+		}
 	}
 }
 
@@ -134,23 +129,6 @@ func TestFlowsFrom(t *testing.T) {
 	}
 	if fi.FlowsFrom(ret, neverMatches) {
 		t.Errorf("s must not flow from a literal that is not in the fixture")
-	}
-}
-
-func TestUsedBetween(t *testing.T) {
-	loader, pkg := loadFixture(t, "dataflow")
-	pass := pkg.Pass(loader.Fset)
-	fi := findInfo(t, pass, "chain")
-
-	b := varByName(t, fi, "b")
-	defs := fi.Defs[b]
-	// b is read (by strconv.Itoa) between its first def and its second.
-	if !fi.UsedBetween(b, defs[0].Stmt.End(), defs[1].Stmt.Pos()) {
-		t.Errorf("b should be used between def 0 and def 1")
-	}
-	// ...but not between the second and third defs.
-	if fi.UsedBetween(b, defs[1].Stmt.End(), defs[2].Stmt.Pos()) {
-		t.Errorf("b should not be used between def 1 and def 2")
 	}
 }
 

@@ -4,19 +4,21 @@
 // a name no registered checker has suppresses nothing and is reported.
 package fixture
 
-func compare(a, b float64) bool {
-	return a == b //prionnvet:ignore float-eq
+import "os"
+
+func noReason(f *os.File) {
+	f.Close() //prionnvet:ignore unchecked-err
 }
 
-func alsoBad(a, b float64) bool {
-	return a == b //prionnvet:ignore float-eq -- exact sentinel comparison, set by the same code path
+func withReason(f *os.File) {
+	f.Close() //prionnvet:ignore unchecked-err -- the file was opened read-only, so Close cannot lose data
 }
 
-func misspelt(a, b float64) bool {
-	//prionnvet:ignore flaot-eq -- misspelt, so the comparison below is still reported
-	return a == b
+func misspelt(f *os.File) {
+	//prionnvet:ignore uncheked-err -- misspelt, so the call below is still reported
+	f.Close()
 }
 
-func deleted(a, b float64) bool {
-	return a == b //prionnvet:ignore all,lock-held-io -- "all" silences float-eq here, not the report of the name no checker has
+func deleted(f *os.File) {
+	f.Close() //prionnvet:ignore all,float-eq -- "all" silences unchecked-err here, not the report of a deleted checker's name
 }

@@ -1,6 +1,6 @@
 package fixture
 
-import "math/rand"
+import "os"
 
 var hits int
 
@@ -8,13 +8,17 @@ func bump() {
 	hits++ //prionnvet:ignore mutable-pkg-var -- fixture: single-goroutine tool state
 }
 
-func roll() int {
-	//prionnvet:ignore unseeded-rand -- fixture: standalone directive covers the next line
-	return rand.Intn(6)
+func closeQuietly(f *os.File) {
+	//prionnvet:ignore unchecked-err -- fixture: standalone directive covers the next line
+	f.Close()
 }
 
-func compare(a, b float64) bool {
-	return a == b //prionnvet:ignore all -- fixture: blanket suppression
+func values(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v) //prionnvet:ignore all -- fixture: blanket suppression
+	}
+	return out
 }
 
 func multi(f func() error) {

@@ -29,21 +29,6 @@ func checked(f *os.File) error {
 	return f.Close() // ok: propagated
 }
 
-func deadStore() error {
-	err := mayFail() // want "overwritten before it is read"
-	err = mayFail()
-	return err
-}
-
-func checkedBetween() error {
-	err := mayFail()
-	if err != nil {
-		return err
-	}
-	err = mayFail()
-	return err // ok: first error read before the overwrite
-}
-
 func explicitDiscard(f *os.File) {
 	_ = f.Close() // ok: visible, deliberate discard
 }

@@ -3,17 +3,14 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // UncheckedErr flags calls whose error result is silently dropped — as
-// an expression statement, behind go/defer, or stored into a variable
-// that is overwritten before it is ever read (the dead-store form the
-// dataflow engine tracks: err = f(); err = g() with no use between).
-// The persist and trace IO paths must not swallow errors: a short write
-// during Predictor.SaveFile that vanishes means a deployment silently
-// restarts cold. An explicit `_ = f()` assignment is allowed as a
-// visible, deliberate discard.
+// an expression statement or behind go/defer. The persist and trace IO
+// paths must not swallow errors: a short write during
+// Predictor.SaveFile that vanishes means a deployment silently restarts
+// cold. An explicit `_ = f()` assignment is allowed as a visible,
+// deliberate discard.
 //
 // Allowlisted as never-meaningfully-failing: fmt.Print/Printf/Println,
 // fmt.Fprint* to os.Stdout/os.Stderr, and the Write* methods of
@@ -22,7 +19,7 @@ type UncheckedErr struct{}
 
 func (UncheckedErr) Name() string { return "unchecked-err" }
 func (UncheckedErr) Doc() string {
-	return "flags dropped error returns in statements, go/defer calls, and dead error stores"
+	return "flags dropped error returns in statements and go/defer calls"
 }
 
 func (c UncheckedErr) Run(p *Pass) []Finding {
@@ -48,43 +45,6 @@ func (c UncheckedErr) Run(p *Pass) []Finding {
 			}
 			return true
 		})
-	}
-	out = append(out, c.deadStores(p)...)
-	return out
-}
-
-// deadStores flags an error assigned from a call and then overwritten
-// by a later definition in the same block with no read in between. The
-// same-block restriction keeps the query path-insensitive-safe:
-// definitions in sibling branches never shadow each other here.
-func (c UncheckedErr) deadStores(p *Pass) []Finding {
-	var out []Finding
-	for _, fi := range p.FuncInfos() {
-		var errVars []*types.Var
-		for obj := range fi.Defs {
-			if isErrorType(obj.Type()) {
-				errVars = append(errVars, obj)
-			}
-		}
-		sort.Slice(errVars, func(i, j int) bool { return errVars[i].Pos() < errVars[j].Pos() })
-		for _, obj := range errVars {
-			defs := fi.Defs[obj]
-			for i := 0; i+1 < len(defs); i++ {
-				d, next := defs[i], defs[i+1]
-				if d.Kind != DefAssign || d.Block == nil || d.Block != next.Block {
-					continue
-				}
-				call, ok := d.RHS.(*ast.CallExpr)
-				if !ok || errAllowlisted(p, call) {
-					continue
-				}
-				if fi.UsedBetween(obj, d.Stmt.End(), next.Stmt.Pos()) {
-					continue
-				}
-				out = append(out, p.finding(c.Name(), d.Ident.Pos(),
-					"error from %s stored in %s is overwritten before it is read; handle it or discard explicitly with _ =", calleeName(call), obj.Name()))
-			}
-		}
 	}
 	return out
 }

@@ -156,39 +156,6 @@ func (c Confusion) Precision() float64 {
 	return float64(c.TP) / float64(c.TP+c.FP)
 }
 
-// ApproxEqual reports whether a and b are equal within absolute
-// tolerance tol. It is the repo's approved float comparison (enforced
-// by the prionnvet float-eq checker): exact ==/!= on floats silently
-// diverges across refactors that reassociate arithmetic, which corrupts
-// the reproduced accuracy tables. NaN compares unequal to everything,
-// matching IEEE semantics.
-func ApproxEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if a == b { // fast path; also handles equal infinities
-		return true
-	}
-	return math.Abs(a-b) <= tol
-}
-
-// ApproxEqualRel reports whether a and b are equal within relative
-// tolerance rel of the larger magnitude, falling back to absolute
-// comparison near zero (|a-b| <= rel when both magnitudes are below 1).
-func ApproxEqualRel(a, b, rel float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		scale = 1
-	}
-	return math.Abs(a-b) <= rel*scale
-}
-
 // MAPE returns the mean absolute percentage error over the finite,
 // nonzero-truth pairs of the two series, plus the number of pairs that
 // contributed. Pairs where either value is NaN/±Inf — a poisoned

@@ -159,44 +159,9 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestApproxEqual(t *testing.T) {
-	cases := []struct {
-		a, b, tol float64
-		want      bool
-	}{
-		{1, 1, 0, true},
-		{1, 1 + 1e-13, 1e-12, true},
-		{1, 1.1, 1e-2, false},
-		{0, 1e-13, 1e-12, true},
-		{math.Inf(1), math.Inf(1), 1e-9, true},
-		{math.Inf(1), math.Inf(-1), 1e-9, false},
-		{math.NaN(), math.NaN(), 1e-9, false},
-		{1, math.NaN(), 1e-9, false},
-	}
-	for i, c := range cases {
-		if got := ApproxEqual(c.a, c.b, c.tol); got != c.want {
-			t.Errorf("case %d: ApproxEqual(%v, %v, %v) = %v, want %v", i, c.a, c.b, c.tol, got, c.want)
-		}
-	}
-}
-
-func TestApproxEqualRel(t *testing.T) {
-	cases := []struct {
-		a, b, rel float64
-		want      bool
-	}{
-		{1000, 1000.5, 1e-3, true},
-		{1000, 1002, 1e-3, false},
-		{1e-9, 2e-9, 1e-6, true}, // near zero: absolute fallback
-		{0, 0, 1e-12, true},
-		{math.NaN(), 0, 1e-3, false},
-	}
-	for i, c := range cases {
-		if got := ApproxEqualRel(c.a, c.b, c.rel); got != c.want {
-			t.Errorf("case %d: ApproxEqualRel(%v, %v, %v) = %v, want %v", i, c.a, c.b, c.rel, got, c.want)
-		}
-	}
-}
+// near compares a computed metric with its expected value to within
+// rounding of the handful of float operations behind it.
+func near(got, want float64) bool { return math.Abs(got-want) <= 1e-12 }
 
 // TestMAPE covers the shadow-gate hygiene contract: NaN/Inf pairs and
 // zero truths are skipped, never propagated, and the result is always
@@ -222,7 +187,7 @@ func TestMAPE(t *testing.T) {
 		if math.IsNaN(got) || math.IsInf(got, 0) {
 			t.Errorf("%s: MAPE returned non-finite %v", c.name, got)
 		}
-		if !ApproxEqual(got, c.want, 1e-12) || n != c.wantN {
+		if !near(got, c.want) || n != c.wantN {
 			t.Errorf("%s: MAPE = (%v, %d), want (%v, %d)", c.name, got, n, c.want, c.wantN)
 		}
 	}
@@ -253,7 +218,7 @@ func TestPearsonR(t *testing.T) {
 		if math.IsNaN(got) || math.IsInf(got, 0) {
 			t.Errorf("%s: PearsonR returned non-finite %v", c.name, got)
 		}
-		if !ApproxEqual(got, c.want, 1e-12) || n != c.wantN {
+		if !near(got, c.want) || n != c.wantN {
 			t.Errorf("%s: PearsonR = (%v, %d), want (%v, %d)", c.name, got, n, c.want, c.wantN)
 		}
 	}
@@ -263,7 +228,7 @@ func TestClassAccuracy(t *testing.T) {
 	if acc, n := ClassAccuracy(nil, nil); acc != 0 || n != 0 {
 		t.Errorf("empty: got (%v, %d), want (0, 0)", acc, n)
 	}
-	if acc, n := ClassAccuracy([]int{1, 2, 3, 4}, []int{1, 2, 0, 4}); !ApproxEqual(acc, 0.75, 1e-12) || n != 4 {
+	if acc, n := ClassAccuracy([]int{1, 2, 3, 4}, []int{1, 2, 0, 4}); !near(acc, 0.75) || n != 4 {
 		t.Errorf("got (%v, %d), want (0.75, 4)", acc, n)
 	}
 }

@@ -144,8 +144,9 @@ func (t *DecisionTree) bestSplit(x [][]float64, y []float64, idx []int) (feature
 			i := order[k]
 			leftSum += y[i]
 			leftSq += y[i] * y[i]
-			// Can't split between equal feature values.
-			//prionnvet:ignore float-eq -- bitwise-identical stored features is the correct split criterion; a tolerance would forbid valid splits
+			// Can't split between equal feature values. Equal means
+			// bitwise-identical stored values: a tolerance would forbid
+			// valid splits.
 			if x[order[k]][f] == x[order[k+1]][f] {
 				continue
 			}

@@ -41,7 +41,9 @@ func quantizeChannel(dst []int8, w []float32) (scale float32) {
 		}
 	}
 	scale = maxAbs / 127
-	if scale == 0 { //prionnvet:ignore float-eq -- exact zero (an all-zero weight channel) is the only degenerate input; any tolerance would misquantize real near-zero channels
+	// Only an all-zero channel has no scale. A tolerance here would
+	// misquantize real near-zero channels.
+	if scale == 0 {
 		scale = 1
 	}
 	for i, v := range w {

@@ -285,7 +285,10 @@ func (s *Server) loop() {
 			timer.Reset(s.cfg.MaxDelay)
 		collect:
 			for len(batch) < s.cfg.MaxBatch {
-				//prionnvet:ignore nondet-select -- batch composition is timing-dependent by design; per-request responses are batch-invariant (bitwise), so coalescing order never changes any output
+				// Batch composition is timing-dependent by design. Each
+				// response is batch-invariant bitwise
+				// (TestServeBatchedBitwiseIdenticalToSingle), so the
+				// coalescing order never changes any output.
 				select {
 				case p, ok := <-s.queue:
 					if !ok {

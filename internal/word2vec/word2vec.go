@@ -224,7 +224,9 @@ func (e *Embedding) Similarity(a, b byte) float64 {
 		na += float64(va[d]) * float64(va[d])
 		nb += float64(vb[d]) * float64(vb[d])
 	}
-	if na == 0 || nb == 0 { //prionnvet:ignore float-eq -- exact zero norm (all-zero vector) is the only undefined cosine input
+	// An exact zero norm (an all-zero vector) is the only input where
+	// the cosine is undefined.
+	if na == 0 || nb == 0 {
 		return 0
 	}
 	return dot / math.Sqrt(na*nb)

@@ -133,4 +133,9 @@ func TestSimilarityRange(t *testing.T) {
 	if sa := e.Similarity('a', 'a'); math.Abs(sa-1) > 1e-6 {
 		t.Fatalf("self-similarity %v, want 1", sa)
 	}
+	// An all-zero vector has no direction: its similarity is 0, not NaN.
+	e.Vectors['z'] = make([]float32, e.Dim)
+	if sz := e.Similarity('a', 'z'); sz != 0 {
+		t.Fatalf("similarity to an all-zero vector = %v, want 0", sz)
+	}
 }
