@@ -20,8 +20,10 @@
 // and reads past the optimizer moments, checking their counts, without
 // building them. With -quant, prionn.LoadInferenceQuantized then records
 // the float classes of the check slice, rounds that view's weights
-// through int8 in place and compares — start-up holds one copy of the
-// weights, and publishes the snapshot Predictor.SnapshotQuantized would.
+// through int8 in place and compares — start-up holds one float copy of
+// the weights, and publishes the snapshot Predictor.SnapshotQuantized
+// would, whose dense layers keep only their int8 codes. Of the synthetic
+// trace only the check slice outlives the start of the load.
 //
 // With -replicas N > 1 the daemon serves from an internal/cluster of N
 // replicated coalescers behind a router: budgeted retries, per-replica
@@ -416,7 +418,9 @@ func buildSnapshot(load string, cfg prionn.Config, seed int64, jobs int, quant b
 // prionn.LoadInference reads them into the one view the daemon publishes
 // and skips the optimizer moments, and with -quant
 // prionn.LoadInferenceQuantized rounds that view's weights through int8
-// in place. Its byte count is the file's size, or the int8 snapshot's.
+// in place, checked on a copy of the check slice, so the rest of the
+// trace is garbage before the checkpoint is read. Its byte count is the
+// file's size, or the int8 snapshot's.
 func loadSnapshot(path string, completed []trace.Job, quant bool, logf func(string, ...interface{})) (*prionn.Inference, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -439,6 +443,7 @@ func loadSnapshot(path string, completed []trace.Job, quant bool, logf func(stri
 	if err != nil {
 		return nil, 0, err
 	}
+	check = append([]trace.Job(nil), check...)
 	view, events, err := prionn.LoadInferenceQuantized(f, check)
 	if err != nil {
 		return nil, 0, err

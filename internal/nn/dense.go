@@ -22,7 +22,18 @@ type Dense struct {
 	// whose weights are final (a snapshot); everything that rewrites W
 	// through the layer or its model — a train-mode Forward, Load,
 	// CopyParamsFrom — drops it, and a layer without one packs per call.
+	// A layer that serves int8 codes (Sequential.ServeInt8) has W nil and
+	// packedW in its int8 form: then it is the weights.
 	packedW *tensor.PackedB
+}
+
+// floatW returns W, and panics naming op when the layer serves int8
+// codes and holds no float weights.
+func (d *Dense) floatW(op string) *tensor.Tensor {
+	if d.W == nil {
+		panic("nn: " + op + " of a Dense layer that serves int8 codes and holds no float weights")
+	}
+	return d.W
 }
 
 // NewDense returns a Dense layer with He-initialized weights, or, with a
@@ -44,6 +55,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
 		return d.infer(x, false)
 	}
+	w := d.floatW("train-mode Forward")
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		x = x.Reshape(x.Dim(0), -1)
 	}
@@ -53,7 +65,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// so the layer cycles one arena buffer instead of allocating per
 	// batch.
 	d.y = tensor.DefaultArena().Reuse(d.y, x.Dim(0), d.Out)
-	tensor.MatMul(d.y, x, d.W)
+	tensor.MatMul(d.y, x, w)
 	d.y.AddRowVector(d.B)
 	return d.y
 }
@@ -112,8 +124,9 @@ func (d *Dense) release() {
 	d.dW, d.dB = nil, nil
 }
 
-// Params implements Layer.
-func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
+// Params implements Layer. A layer that serves int8 codes has no float
+// weights to list: Save, Load, CopyParamsFrom and training panic on it.
+func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.floatW("Params"), d.B} }
 
 // Grads implements Layer.
 func (d *Dense) Grads() []*tensor.Tensor {

@@ -12,11 +12,13 @@ import (
 // through per-output-channel symmetric int8 — one channel is a conv
 // filter (a row of its [F, C·KH·KW] weights) or a dense output unit (a
 // column of its [In, Out] weights), its scale max|w|/127
-// (quantizeChannel) — and kept as float32: weight w becomes
-// float32(q)·scale with q = round(w/scale) in [−127, 127]. The float32
-// forward then serves the rounded weights unchanged; the codes and
-// scales are what a quantized snapshot stores, a quarter of the float
-// bytes. Biases stay float32. No activation is quantized.
+// (quantizeChannel): weight w becomes float32(q)·scale with
+// q = round(w/scale) in [−127, 127]. The float32 forward serves the
+// rounded weights — a conv's as float32, a dense layer's (ServeInt8)
+// straight from the codes, which the row kernel widens to the same
+// float32 values — and the codes and scales are what a quantized
+// snapshot stores, a quarter of the float bytes. Biases stay float32. No
+// activation is quantized.
 
 // Int8Weights is one Conv2D or Dense layer's weights in int8: Codes in
 // the layer's own weight layout, one entry of Scales per output channel.
@@ -65,6 +67,7 @@ func quantizeChannel(dst []int8, w []float32) (scale float32) {
 type channels struct {
 	w, b           *tensor.Tensor
 	n, per, cs, es int
+	dense          *Dense // nil for a Conv2D
 }
 
 // int8Layers lists m's Conv2D and Dense layers, in layer order.
@@ -76,7 +79,7 @@ func (m *Sequential) int8Layers() []channels {
 			k := l.W.Dim(1)
 			out = append(out, channels{w: l.W, b: l.B, n: l.Filters, per: k, cs: k, es: 1})
 		case *Dense:
-			out = append(out, channels{w: l.W, b: l.B, n: l.Out, per: l.In, cs: 1, es: l.Out})
+			out = append(out, channels{w: l.W, b: l.B, n: l.Out, per: l.In, cs: 1, es: l.Out, dense: l})
 		}
 	}
 	return out
@@ -119,6 +122,24 @@ func (m *Sequential) RoundInt8() []Int8Weights {
 	return out
 }
 
+// ServeInt8 has every Dense layer of m, whose weights RoundInt8 rounded
+// to q, serve from q's codes: the layer drops its float weights and its
+// product reads the codes through the int8 row kernel, bitwise the
+// forward over the rounded weights. Like Prepack, it is for a model not
+// yet shared, and Save, Load, CopyParamsFrom and training panic on the
+// result.
+func (m *Sequential) ServeInt8(q []Int8Weights) {
+	for i, c := range m.int8Layers() {
+		if c.dense != nil {
+			c.dense.serveInt8(q[i])
+		}
+	}
+}
+
+func (d *Dense) serveInt8(q Int8Weights) {
+	d.W, d.packedW = nil, tensor.PackBCodes(q.Codes, q.Scales, d.In, d.Out)
+}
+
 // SaveInt8 writes q, what RoundInt8 returned for m, and m's biases: a
 // layer count, then per Conv2D or Dense layer three counted records —
 // its codes (one byte each), its scales and its bias (little-endian
@@ -157,8 +178,9 @@ func (m *Sequential) SaveInt8(w io.Writer, q []Int8Weights) error {
 }
 
 // LoadInt8 reads what SaveInt8 wrote into m, which must be structured as
-// the saved model was: every weight becomes float32(code)·scale and every
-// bias is read as stored. It returns the codes and scales. As in Load, a
+// the saved model was: every conv weight becomes float32(code)·scale,
+// every Dense layer serves the codes as ServeInt8 has it, and every bias
+// is read as stored. It returns the codes and scales. As in Load, a
 // stored count is only compared with m's, never used as a length; a scale
 // that is not positive and finite is an error too, and input that ends
 // early wraps io.EOF or io.ErrUnexpectedEOF. After an error m must be
@@ -172,7 +194,7 @@ func (m *Sequential) LoadInt8(r io.Reader) ([]Int8Weights, error) {
 	}
 	out := make([]Int8Weights, len(layers))
 	for i, c := range layers {
-		q := Int8Weights{Codes: make([]int8, c.w.Len()), Scales: make([]float32, c.n)}
+		q := Int8Weights{Codes: make([]int8, c.n*c.per), Scales: make([]float32, c.n)}
 		if err := readCount(r, buf, len(q.Codes)); err != nil {
 			return nil, fmt.Errorf("nn: int8 layer %d codes: %w", i, err)
 		}
@@ -197,7 +219,11 @@ func (m *Sequential) LoadInt8(r io.Reader) ([]Int8Weights, error) {
 		if err := readRecord(r, buf, c.b.Data); err != nil {
 			return nil, fmt.Errorf("nn: int8 layer %d bias: %w", i, err)
 		}
-		c.dequantize(q)
+		if c.dense != nil {
+			c.dense.serveInt8(q)
+		} else {
+			c.dequantize(q)
+		}
 		out[i] = q
 	}
 	return out, nil

@@ -69,12 +69,15 @@ func (m *Sequential) infer(x *tensor.Tensor) (logits, owner *tensor.Tensor) {
 // scanned once for the row kernel (see Dense.packedW), Conv2D filters
 // into strips and a tap table (Conv2D.packedW). It is for a model whose
 // weights are final — a snapshot about to be published — and must run
-// before the model is shared: it writes the layers.
+// before the model is shared: it writes the layers. A Dense layer that
+// serves int8 codes is prepared already.
 func (m *Sequential) Prepack() {
 	for _, l := range m.Layers {
 		switch l := l.(type) {
 		case *Dense:
-			l.packedW = tensor.PackB(l.W)
+			if l.W != nil {
+				l.packedW = tensor.PackB(l.W)
+			}
 		case *Conv2D:
 			l.packedW = tensor.PackConv(l.W, l.InC, l.InH, l.InW, l.Spec)
 		}

@@ -1,8 +1,12 @@
 package nn
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"prionn/internal/tensor"
@@ -206,6 +210,55 @@ func TestQuantizeAllArchitectures(t *testing.T) {
 					t.Fatalf("%s layer %d: bias %d moved %v → %v", name, i, j, biases[i][j], b)
 				}
 			}
+		}
+	}
+}
+
+// TestServeInt8DropsDenseWeights: after ServeInt8, and after LoadInt8
+// of what SaveInt8 wrote, no Dense layer holds float weights and the
+// inference forward is bitwise the rounded float model's; a train-mode
+// Forward, Save and CopyParamsFrom panic naming the int8 layer rather
+// than reading nil weights.
+func TestServeInt8DropsDenseWeights(t *testing.T) {
+	arch := ArchConfig{Rows: 16, Cols: 16, Channels: 2, Classes: 8, Width: 0.25}
+	build := func() *Sequential { return NewCNN2D(rand.New(rand.NewSource(61)), arch) }
+	x := tensor.New(3, 2, 16, 16).RandN(rand.New(rand.NewSource(62)), 1)
+	rounded := build()
+	q := rounded.RoundInt8()
+	rounded.Prepack()
+	want := rounded.Forward(x, false)
+	served := build()
+	served.ServeInt8(served.RoundInt8())
+	served.Prepack()
+	var buf bytes.Buffer
+	if err := rounded.SaveInt8(&buf, q); err != nil {
+		t.Fatal(err)
+	}
+	loaded := build()
+	if _, err := loaded.LoadInt8(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded.Prepack()
+	for name, m := range map[string]*Sequential{"ServeInt8": served, "LoadInt8": loaded} {
+		for _, l := range m.Layers {
+			if d, ok := l.(*Dense); ok && d.W != nil {
+				t.Fatalf("%s: a Dense layer holds float weights", name)
+			}
+		}
+		requireSameBits(t, name, m.Forward(x, false), want)
+		for op, run := range map[string]func(){
+			"train-mode Forward": func() { m.Forward(x, true) },
+			"Save":               func() { _ = m.Save(io.Discard) },
+			"CopyParamsFrom":     func() { _ = m.CopyParamsFrom(build()) },
+		} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "serves int8 codes") {
+						t.Errorf("%s then %s: panic %q, want one naming the int8 layer", name, op, msg)
+					}
+				}()
+				run()
+			}()
 		}
 	}
 }

@@ -400,3 +400,53 @@ func TestSnapshotHoldsWeightsOnce(t *testing.T) {
 	t.Logf("Snapshot allocated %.2f× the parameters' %.0f B", got/params, params)
 	runtime.KeepAlive(snap)
 }
+
+// TestQuantizedViewHoldsCodes: an int8 view keeps its Dense layers as
+// int8 codes alone. Once LoadInferenceQuantized has returned and the
+// garbage is collected, the view holds at most 0.3× the parameters'
+// float bytes — the codes are 0.25× — where a float view of the same
+// checkpoint, which must not fit, holds them once. (Holding the rounded
+// float weights beside the codes, an int8 view held 1.25×.)
+func TestQuantizedViewHoldsCodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a heap pin: the race detector's instrumentation adds nothing to it and slows the FastConfig training tenfold")
+	}
+	p := fastTrained(t)
+	var ckpt bytes.Buffer
+	if err := p.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	check := heldOutJobs()
+	// held is the live heap a view built by load keeps: the heap after
+	// a collection with the view, less the heap after one without it.
+	held := func(load func() (*Inference, error)) float64 {
+		var ms runtime.MemStats
+		v, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		with := ms.HeapAlloc
+		runtime.KeepAlive(v)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(with) - float64(ms.HeapAlloc)
+	}
+	int8v := held(func() (*Inference, error) {
+		v, _, err := LoadInferenceQuantized(bytes.NewReader(ckpt.Bytes()), check)
+		return v, err
+	})
+	f32 := held(func() (*Inference, error) {
+		v, _, err := LoadInference(bytes.NewReader(ckpt.Bytes()))
+		return v, err
+	})
+	params := float64(4 * p.NumParams())
+	t.Logf("%.0f B of parameters: an int8 view holds %.3f×, a float view %.3f×", params, int8v/params, f32/params)
+	if int8v > 0.3*params {
+		t.Errorf("an int8 view holds %.0f B, over 0.3× the parameters' %.0f B", int8v, params)
+	}
+	if f32 <= 0.3*params {
+		t.Fatalf("a float view holds %.0f B, within the ceiling: the test proves nothing", f32)
+	}
+}

@@ -37,7 +37,8 @@ type Inference struct {
 	// Predictor.SnapshotQuantized or LoadInferenceQuantized, restored by
 	// LoadQuantized) every Conv2D and Dense weight is an int8 rounding,
 	// whose codes and scales int8 keeps per head, in heads order, for
-	// SaveQuantized; check is what the agreement check measured.
+	// SaveQuantized — and as the Dense layers' only copy (ServeInt8);
+	// check is what the agreement check measured.
 	kernel KernelKind
 	int8   [][]nn.Int8Weights
 	check  Agreement
@@ -165,10 +166,14 @@ func (p *Predictor) Snapshot() (*Inference, error) {
 // predictor's own zero-copy view prepares them per call). It exists for
 // Predictor.Snapshot, whose source keeps training; a published Inference
 // is shared as is, never cloned. A prediction from a clone is bitwise
-// identical to one from the original. An int8 view's codes and scales
-// are immutable, so a clone shares them.
+// identical to one from the original. Nothing of an int8 view changes
+// once built — its dense layers hold only their codes, which no
+// CopyParamsFrom reads — so a clone of one shares its heads.
 func (v *Inference) Clone() (*Inference, error) {
 	out := *v
+	if v.Kernel() == KernelInt8 {
+		return &out, nil
+	}
 	// Fresh heads are built without an RNG: their weights start zero and
 	// are overwritten by the parameter copy, so cloning — and
 	// Predictor.Snapshot, which delegates here — draws no random number,

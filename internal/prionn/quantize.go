@@ -17,8 +17,9 @@ import (
 // of the predictor's trained heads through per-output-channel int8
 // (nn.Sequential.RoundInt8) and returns them as an Inference whose
 // Kernel() is KernelInt8. It is served by the same float32 forward as
-// any snapshot — the serving stack treats it exactly like one — and its
-// persisted form (SaveQuantized, a v4 frame) holds the int8 codes,
+// any snapshot — the serving stack treats it exactly like one — with its
+// Dense layers reading their int8 codes in place of float weights, and
+// its persisted form (SaveQuantized, a v4 frame) holds the int8 codes,
 // per-channel scales and float32 biases: a tenth of the float
 // checkpoint, which also carries Adam's moments. LoadInferenceQuantized
 // builds the same snapshot straight from a float checkpoint, rounding the
@@ -29,7 +30,10 @@ import (
 const maxInt8Flip = 0.05
 
 // checkBatch caps the jobs the agreement check maps and forwards at once.
-const checkBatch = 64
+// The check's scratch stays in the default arena for the process's
+// lifetime, so its batch is one the serving forward's own batches reach,
+// not a size class only the check ever fills.
+const checkBatch = 32
 
 // Agreement is what SnapshotQuantized's check measured: over Jobs
 // held-out jobs, per head (Heads, in checkpoint order), the share Flip
@@ -97,8 +101,9 @@ func LoadInferenceQuantized(r io.Reader, check []trace.Job) (*Inference, int, er
 }
 
 // quantize rounds every Conv2D and Dense weight of v's heads through
-// per-output-channel int8 in place, makes v a KernelInt8 view and runs
-// the agreement check on check, recording it in v.check. It writes the
+// per-output-channel int8 in place — the Dense layers then serve from
+// their codes and drop their float weights — makes v a KernelInt8 view
+// and runs the agreement check on check, recording it in v.check. It writes the
 // heads, so it runs only on a view this package has just built and not
 // yet handed out: a published Inference stays immutable.
 func (v *Inference) quantize(check []trace.Job) error {
@@ -129,8 +134,10 @@ func (v *Inference) quantize(check []trace.Job) error {
 	float := classes()
 	v.kernel = KernelInt8
 	for _, m := range heads {
-		v.int8 = append(v.int8, m.RoundInt8())
+		q := m.RoundInt8()
+		m.ServeInt8(q)
 		m.Prepack()
+		v.int8 = append(v.int8, q)
 	}
 	v.check = Agreement{Jobs: len(check), Heads: names, Flip: make([]float64, len(heads))}
 	for h, got := range classes() {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prionn/internal/nn"
+	"prionn/internal/tensor"
 	"prionn/internal/trace"
 )
 
@@ -174,6 +175,57 @@ func TestQuantizedSnapshotDeterministicAcrossClones(t *testing.T) {
 		want := fix.int8v.PredictOne(j.Script)
 		if got := clone.PredictOne(j.Script); got != want {
 			t.Fatalf("clone prediction %+v differs from original %+v", got, want)
+		}
+	}
+}
+
+// TestInt8DenseMatchesRoundedFloatView: an int8 view's Dense layers
+// hold no float weights and serve from their codes, and every head's
+// logits are bitwise those of the same weights rounded and served as
+// float32 — at batch 1, 2, 7 and 32, on one worker and two, through the
+// assembly kernels and through their Go twins. TinyConfig's heads take
+// both roads the int8 form has: 64-column groups through the row kernel
+// (fc1, the runtime head's fc4) and narrower layers as a dequantized
+// slab through the blocked GEMM.
+func TestInt8DenseMatchesRoundedFloatView(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a bitwise pin: the race detector adds nothing to it (TestSharedViewConcurrentPredict forwards an int8 view from many goroutines under it), and its Go-twin forwards push the package past go test's 10-minute default")
+	}
+	fix := quantizedFixture(t)
+	rounded, err := fix.pred.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, want := rounded.heads()
+	_, got := fix.int8v.heads()
+	for h, m := range want {
+		m.RoundInt8()
+		m.Prepack()
+		for _, l := range got[h].Layers {
+			if d, ok := l.(*nn.Dense); ok && d.W != nil {
+				t.Fatalf("%s head: an int8 view's Dense layer holds float weights", names[h])
+			}
+		}
+	}
+	asm := tensor.SetFMAAsm(true)
+	defer tensor.SetFMAAsm(asm)
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	for _, fma := range []bool{false, true} {
+		tensor.SetFMAAsm(fma)
+		for _, workers := range []int{1, 2} {
+			tensor.SetMaxWorkers(workers)
+			for _, batch := range []int{1, 2, 7, 32} {
+				texts := make([]string, batch)
+				for i, j := range fix.jobs[300 : 300+batch] {
+					texts[i] = j.Script
+				}
+				x := rounded.MapTexts(texts)
+				for h := range want {
+					if !sameBits(got[h].Forward(x, false), want[h].Forward(x, false)) {
+						t.Fatalf("%s head, fma %v, %d workers, batch %d: int8 logits differ from the rounded float view's", names[h], fma, workers, batch)
+					}
+				}
+			}
 		}
 	}
 }

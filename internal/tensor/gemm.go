@@ -50,6 +50,18 @@ const (
 // identical bytes.
 var useFMAKernel atomic.Bool
 
+// fmaAvailable and avx2Available are what init found on amd64: whether
+// useFMAKernel may be set, and whether the int8 row kernel's widening
+// load (AVX2) runs beside it.
+var fmaAvailable, avx2Available bool
+
+// SetFMAAsm turns the float32 assembly kernels off, or back on where the
+// CPU has them, and returns the previous setting. Like SetInt8Asm it
+// exists for tests, which run a forward on both paths.
+func SetFMAAsm(on bool) (prev bool) {
+	return useFMAKernel.Swap(on && fmaAvailable)
+}
+
 // gemmView adapts a plain or transposed operand to the packing routines:
 // logical element (i, j) lives at data[i*rs + j*cs].
 type gemmView struct {
@@ -313,4 +325,49 @@ func fmaRowIdxGeneric(idx []int32, a, w []float32, ldw int, c []float32) {
 		}
 		c[j] = float32(acc)
 	}
+}
+
+// fmaRowIdxS8Generic is fmaRowIdxS8x64's portable twin: cell j of c's 64
+// folds a[p]·dequantS8(q[p·ldq+j], s[j]) from zero over the positions p
+// in idx, through fmaLane.
+func fmaRowIdxS8Generic(idx []int32, a []float32, q []int8, s []float32, ldq int, c []float32) {
+	for j := range c[:4*gemmNR] {
+		var acc float32
+		for _, p := range idx {
+			acc = fmaLane(a[p], dequantS8(q[int(p)*ldq+j], s[j]), acc)
+		}
+		c[j] = acc
+	}
+}
+
+// fmaLane is VFMADD231PS on one lane, a·w + acc rounded once to float32,
+// for every input. The float64 product is exact, but the float64 sum
+// can round onto a float32 tie; rounded to odd instead (its error found
+// by TwoSum), it leaves the float32 rounding correct. A NaN a, else a
+// NaN w, else a NaN acc is the result, quieted: Go leaves the operand
+// order of a commutative float operation, which picks between two NaNs,
+// to the compiler.
+func fmaLane(a, w, acc float32) float32 {
+	const quiet = 1 << 22
+	switch {
+	case a != a:
+		return math.Float32frombits(math.Float32bits(a) | quiet)
+	case w != w:
+		return math.Float32frombits(math.Float32bits(w) | quiet)
+	case acc != acc:
+		return acc
+	}
+	x, y := float64(a)*float64(w), float64(acc)
+	sum := x + y
+	bp := sum - x
+	e := (x - (sum - bp)) + (y - bp)
+	if bits := math.Float64bits(sum); e != 0 && sum-sum == 0 && bits&1 == 0 {
+		if (e > 0) == (sum > 0) {
+			bits++
+		} else {
+			bits--
+		}
+		sum = math.Float64frombits(bits)
+	}
+	return float32(sum)
 }

@@ -31,6 +31,13 @@ func fmaConvBackTile4x16(n, f int64, pw, dy *float32, taps *int32, fstride int64
 //go:noescape
 func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32)
 
+// fmaRowIdxS8x64 is fmaRowIdx1x64 over an int8 matrix: w[p*ldq+s] is
+// float32(q[p*ldq+s])·scales[s], widened and multiplied in registers
+// (gemm_amd64.s). It needs AVX2.
+//
+//go:noescape
+func fmaRowIdxS8x64(n int64, idx *int32, a *float32, q *int8, scales *float32, ldq int64, c *float32)
+
 func cpuidAsm(leaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
@@ -56,5 +63,10 @@ func hasAVXFMA() bool {
 }
 
 func init() {
-	useFMAKernel.Store(hasAVXFMA())
+	fmaAvailable = hasAVXFMA()
+	useFMAKernel.Store(fmaAvailable)
+	// AVX2 is CPUID leaf 7 subleaf 0, EBX bit 5.
+	maxLeaf, _, _, _ := cpuidAsm(0)
+	_, ebx7, _, _ := cpuidAsm(7)
+	avx2Available = fmaAvailable && maxLeaf >= 7 && ebx7&(1<<5) != 0
 }

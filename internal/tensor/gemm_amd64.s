@@ -350,6 +350,73 @@ rowdone:
 	VZEROUPPER
 	RET
 
+// func fmaRowIdxS8x64(n int64, idx *int32, a *float32, q *int8, scales *float32, ldq int64, c *float32)
+//
+// fmaRowIdx1x64 over an int8 matrix (gemm_packed.go's int8 form): each
+// group of eight codes of row p is widened to int32 (VPMOVSXBD, AVX2),
+// converted exactly (|q| <= 128) and multiplied by its columns' scales,
+// the one rounding Go's float32(q)*scale makes: the product is the
+// float32 weight fmaRowIdx1x64 would read, and it goes into the same
+// VFMADD231PS. Y8..Y15 hold the accumulators, Y2 the broadcast a[p], Y0
+// and Y1 a group's weights; the scales are read from memory (L1 after
+// the first position).
+#define S8GROUP(off, w, acc) \
+	VPMOVSXBD   off(R13), w; \
+	VCVTDQ2PS   w, w; \
+	VMULPS      (off*4)(R10), w, w; \
+	VFMADD231PS w, Y2, acc
+
+TEXT ·fmaRowIdxS8x64(SB), NOSPLIT, $0-56
+	MOVQ n+0(FP), CX
+	MOVQ idx+8(FP), R9
+	MOVQ a+16(FP), SI
+	MOVQ q+24(FP), DI
+	MOVQ scales+32(FP), R10
+	MOVQ ldq+40(FP), R8      // row stride in bytes: one per code
+	MOVQ c+48(FP), DX
+
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+
+s8loop:
+	TESTQ CX, CX
+	JZ    s8done
+
+	MOVLQSX      (R9), R13           // p
+	VBROADCASTSS (SI)(R13*4), Y2     // a[p]
+	IMULQ        R8, R13
+	ADDQ         DI, R13             // row p of q
+	S8GROUP(0, Y0, Y8)
+	S8GROUP(8, Y1, Y9)
+	S8GROUP(16, Y0, Y10)
+	S8GROUP(24, Y1, Y11)
+	S8GROUP(32, Y0, Y12)
+	S8GROUP(40, Y1, Y13)
+	S8GROUP(48, Y0, Y14)
+	S8GROUP(56, Y1, Y15)
+
+	ADDQ $4, R9              // next listed position
+	DECQ CX
+	JMP  s8loop
+
+s8done:
+	VMOVUPS Y8, (DX)
+	VMOVUPS Y9, 32(DX)
+	VMOVUPS Y10, 64(DX)
+	VMOVUPS Y11, 96(DX)
+	VMOVUPS Y12, 128(DX)
+	VMOVUPS Y13, 160(DX)
+	VMOVUPS Y14, 192(DX)
+	VMOVUPS Y15, 224(DX)
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL  leaf+0(FP), AX

@@ -21,3 +21,7 @@ func fmaConvBackTile4x16(n, f int64, pw, dy *float32, taps *int32, fstride int64
 func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32) {
 	panic("tensor: fmaRowIdx1x64 called without FMA kernel support")
 }
+
+func fmaRowIdxS8x64(n int64, idx *int32, a *float32, q *int8, scales *float32, ldq int64, c *float32) {
+	panic("tensor: fmaRowIdxS8x64 called without AVX2 kernel support")
+}

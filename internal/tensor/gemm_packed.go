@@ -20,12 +20,17 @@ import (
 
 // PackedB is a k×n float32 matrix prepared as the right operand of
 // MatMulPackedB: a reference to the tensor's data — not a copy, so it
-// must not change — and what one scan of it found. Safe for concurrent
-// use by any number of products once built.
+// must not change — and what one scan of it found. Its int8 form
+// (PackBCodes) holds the matrix as codes and column scales instead, each
+// element float32(code)·scale. Safe for concurrent use by any number of
+// products once built.
 type PackedB struct {
 	k, n   int
-	w      []float32 // the [k, n] matrix where PackB found it
-	finite bool      // no element of w is ±Inf or NaN: a zero in a may skip its row
+	w      []float32 // the [k, n] matrix where PackB found it; nil in the int8 form
+	codes  []int8    // int8 form: the [k, n] codes where PackBCodes found them
+	scales []float32 // int8 form: one per column
+	tail   gemmView  // columns n/64·64 … n−1, for the blocked GEMM
+	finite bool      // no element is ±Inf or NaN: a zero in a may skip its row
 }
 
 // Dims returns the logical (k, n) shape of the matrix.
@@ -37,15 +42,47 @@ func PackB(b *Tensor) *PackedB {
 	if len(b.Shape) != 2 || b.Shape[0] <= 0 || b.Shape[1] <= 0 {
 		panic(fmt.Sprintf("tensor: PackB requires a non-empty rank-2 tensor, got shape %v", b.Shape))
 	}
-	p := &PackedB{k: b.Shape[0], n: b.Shape[1], w: b.Data, finite: true}
+	k, n := b.Shape[0], b.Shape[1]
+	p := &PackedB{k: k, n: n, w: b.Data, finite: true}
+	p.tail = gemmView{data: b.Data[n/rowGroup*rowGroup:], rs: n, cs: 1}
 	for _, v := range b.Data {
-		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+		if !isFinite(v) {
 			p.finite = false
 			break
 		}
 	}
 	return p
 }
+
+// PackBCodes prepares the k×n matrix whose element (p, j) is
+// float32(codes[p·n+j])·scales[j]. It keeps codes and scales — not
+// copies, so they must not change — and only the columns past the last
+// multiple of 64, fewer than 64, as float32. The matrix counts as finite
+// when every column's scale stays finite times any code: a scale that
+// might not only costs zero-skipping, never a bit.
+func PackBCodes(codes []int8, scales []float32, k, n int) *PackedB {
+	if k <= 0 || n <= 0 || len(codes) != k*n || len(scales) != n {
+		panic(fmt.Sprintf("tensor: PackBCodes of %d codes and %d scales as [%d %d]", len(codes), len(scales), k, n))
+	}
+	n64 := n / rowGroup * rowGroup
+	tail := make([]float32, k*(n-n64))
+	p := &PackedB{k: k, n: n, codes: codes, scales: scales, tail: gemmView{data: tail, rs: n - n64, cs: 1}, finite: true}
+	for _, s := range scales {
+		p.finite = p.finite && isFinite(dequantS8(math.MinInt8, s))
+	}
+	for r := 0; r < k; r++ {
+		for j := n64; j < n; j++ {
+			tail[r*(n-n64)+j-n64] = dequantS8(codes[r*n+j], scales[j])
+		}
+	}
+	return p
+}
+
+// dequantS8 is an int8 form's element, rounded to float32: the explicit
+// conversion keeps the product from being fused into a later operation.
+func dequantS8(q int8, scale float32) float32 { return float32(float32(q) * scale) }
+
+func isFinite(v float32) bool { return math.Float32bits(v)&0x7f800000 != 0x7f800000 }
 
 // MatMulPackedB is MatMul with a prepared right operand: C = A·B for
 // A [m,k] into dst [m,n] (allocated if nil). Bitwise identical to MatMul
@@ -86,7 +123,8 @@ type packedProduct struct {
 // rows computes rows [lo, hi) of the product. The columns up to the last
 // multiple of 64 go row by row through mulRow; the rest — fewer than 64,
 // so at most k·63 floats of W to pack — are one blocked GEMM for all the
-// rows over the plain view of W.
+// rows over the tail view. Every cell is one chain either way, so where
+// the GEMM's column range starts moves no bit.
 func (j *packedProduct) rows(lo, hi int) {
 	p := j.b
 	k, n := p.k, p.n
@@ -102,7 +140,7 @@ func (j *packedProduct) rows(lo, hi int) {
 		rowIdxPool.Put(buf)
 	}
 	if n64 < n {
-		gemmSerial(j.dst, n, lo, hi, n64, n, k, gemmView{data: j.a, rs: k, cs: 1}, gemmView{data: p.w, rs: n, cs: 1}, false, defaultArena)
+		gemmSerial(j.dst[n64:], n, lo, hi, 0, n-n64, k, gemmView{data: j.a, rs: k, cs: 1}, p.tail, false, defaultArena)
 	}
 }
 
@@ -148,10 +186,18 @@ var rowIdxPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // foldRow sets c[0:64] to the chains of columns j … j+63 over the
 // positions in idx, which may be empty but not the end of its buffer.
+// The int8 form widens each code and multiplies it by its column's
+// scale, as dequantS8 does, before the same fused multiply-add.
 func (p *PackedB) foldRow(idx []int32, a, c []float32, j int) {
-	if useFMAKernel.Load() {
+	asm := useFMAKernel.Load()
+	switch {
+	case p.codes != nil && asm && avx2Available:
+		fmaRowIdxS8x64(int64(len(idx)), &idx[:1][0], &a[0], &p.codes[j], &p.scales[j], int64(p.n), &c[0])
+	case p.codes != nil:
+		fmaRowIdxS8Generic(idx, a, p.codes[j:], p.scales[j:], p.n, c)
+	case asm:
 		fmaRowIdx1x64(int64(len(idx)), &idx[:1][0], &a[0], &p.w[j], int64(p.n), &c[0])
-	} else {
+	default:
 		fmaRowIdxGeneric(idx, a, p.w[j:], p.n, c)
 	}
 }

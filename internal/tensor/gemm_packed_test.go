@@ -130,14 +130,81 @@ func TestMulRowSkipsOnlyExactZeros(t *testing.T) {
 	}
 }
 
+// requireMulRowS8 is requireMulRow for the int8 form. Its reference is
+// the FMA3 kernel over the dequantized matrix: for each row and 64-column
+// group, over its nonzero positions and over all of them,
+// fmaRowIdxS8x64 (where the host has AVX2) and its Go twin must give
+// fmaRowIdx1x64's bits — mulRow's dense refold would hide a difference
+// in the sign of a zero — and MatMulPackedB over PackBCodes(codes,
+// scales) must give MatMul's on every kernel setting and worker count.
+// The f32 twins are no reference: they round a·w + acc twice, and for
+// 0·±Inf meeting a NaN accumulator answer the default NaN where
+// VFMADD231PS keeps the accumulator's, so the int8 twin, which rounds as
+// the instruction does, is held to them only in the tail columns, which
+// both forms fold with fmaTileGeneric. A host without the FMA3 kernel
+// checks only the dequantized matrix.
+func requireMulRowS8(t *testing.T, label string, a *Tensor, codes []int8, scales []float32) {
+	t.Helper()
+	m, k, n := a.Shape[0], a.Shape[1], len(scales)
+	wq := New(k, n)
+	for i, q := range codes {
+		wq.Data[i] = dequantS8(q, scales[i%n])
+	}
+	want := requireMulRow(t, label+" dequantized", a, wq)
+	asm := useFMAKernel.Load()
+	if !asm {
+		return
+	}
+	defer useFMAKernel.Store(asm)
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	useFMAKernel.Store(false)
+	twin := MatMul(nil, a, wq)
+	for i := 0; i < m; i++ {
+		copy(twin.Data[i*n:i*n+n/rowGroup*rowGroup], want.Data[i*n:])
+	}
+	packed := PackBCodes(codes, scales, k, n)
+	for fma, ref := range map[bool]*Tensor{true: want, false: twin} {
+		useFMAKernel.Store(fma)
+		for _, workers := range []int{1, 2, 8} {
+			SetMaxWorkers(workers)
+			got := New(m, n)
+			for i := range got.Data {
+				got.Data[i] = float32(math.NaN())
+			}
+			MatMulPackedB(got, a, packed)
+			requireBitwise(t, fmt.Sprintf("%s int8 m=%d k=%d n=%d workers=%d fma=%v", label, m, k, n, workers, fma), got, ref)
+		}
+	}
+	idx := make([]int32, k)
+	ref, got := New(1, rowGroup), New(1, rowGroup)
+	for r := 0; r < m; r++ {
+		row := a.Data[r*k : (r+1)*k]
+		for _, all := range []bool{false, true} {
+			live := int64(listNonzero(idx, row, all))
+			for j := 0; j+rowGroup <= n; j += rowGroup {
+				at := fmt.Sprintf("%s row %d cols %d… all=%v", label, r, j, all)
+				fmaRowIdx1x64(live, &idx[0], &row[0], &wq.Data[j], int64(n), &ref.Data[0])
+				fmaRowIdxS8Generic(idx[:live], row, codes[j:], scales[j:], n, got.Data)
+				requireBitwise(t, at+" twin", got, ref)
+				if avx2Available {
+					fmaRowIdxS8x64(live, &idx[0], &row[0], &codes[j], &scales[j], int64(n), &got.Data[0])
+					requireBitwise(t, at+" fmaRowIdxS8x64", got, ref)
+				}
+			}
+		}
+	}
+}
+
 // mulRowFuzzInput decodes fuzz bytes: k, n and m, then 32-bit patterns
 // that a and W cycle through, a[r,p] = word[(r+1)·p] and W[p,j] =
 // word[k+p+j] (indices mod the word count), so a handful of words places
 // any float32 — NaN payloads, infinities, denormals, either zero — on
 // both sides, and each row of a batch strides through them differently.
-func mulRowFuzzInput(data []byte) (a, w *Tensor) {
+// The int8 form takes W[p,j]'s top byte as its code and word[j] as
+// column j's scale.
+func mulRowFuzzInput(data []byte) (a, w *Tensor, codes []int8, scales []float32) {
 	if len(data) < 8 {
-		return nil, nil
+		return nil, nil, nil, nil
 	}
 	k := 1 + int(binary.LittleEndian.Uint16(data))%300
 	n := 64*(1+int(data[2])%2) + 16*(int(data[3])%2)
@@ -153,12 +220,17 @@ func mulRowFuzzInput(data []byte) (a, w *Tensor) {
 		}
 	}
 	w = New(k, n)
+	codes, scales = make([]int8, k*n), make([]float32, n)
 	for p := 0; p < k; p++ {
 		for j := 0; j < n; j++ {
 			w.Data[p*n+j] = word(k + p + j)
+			codes[p*n+j] = int8(math.Float32bits(w.Data[p*n+j]) >> 24)
 		}
 	}
-	return a, w
+	for j := range scales {
+		scales[j] = word(j)
+	}
+	return a, w, codes, scales
 }
 
 func FuzzMulRow(f *testing.F) {
@@ -180,12 +252,20 @@ func FuzzMulRow(f *testing.F) {
 	seed(33, 1, 0, 1, -2, 3, -4, 5)                       // no zeros at all
 	seed(2, 0, 2, 1e-30, 0, -1e-30, 5)                    // the underflow row first in a batch of two
 	seed(257, 1, 9, 0, 1.5, 0, -2.25, negZero, nan, 0, 3) // five rows of different zero shares, tail columns
+	// For the int8 form: 1e-30·(code −1 · scale 1e-30) underflows to −0
+	// and the skipped +0 term after it (code 5) turns the cell +0; then
+	// the same in a batch of two with 16 tail columns.
+	bits := math.Float32frombits
+	seed(2, 0, 0, 1e-30, 0, bits(0xff000000), bits(0x05000000))
+	seed(2, 0, 3, 1e-30, 0, bits(0xff000000), bits(0x05000000))
+	seed(130, 1, 1, 0.5, 0, bits(0x81000000), 1e-39, bits(0x7f000000), inf) // zero, negative, denormal, huge and infinite scales
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, w := mulRowFuzzInput(data)
+		a, w, codes, scales := mulRowFuzzInput(data)
 		if w == nil {
 			t.Skip()
 		}
 		requireMulRow(t, "fuzz", a, w)
+		requireMulRowS8(t, "fuzz", a, codes, scales)
 	})
 }
 

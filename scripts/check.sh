@@ -254,10 +254,10 @@ step "serving gate (coalescing / overload / drain / shared view, -race)"
 named -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 named -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
 named -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
-named -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce|TestTrainEventLeavesNoScratch' ./internal/prionn/
+named -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce|TestQuantizedViewHoldsCodes|TestTrainEventLeavesNoScratch|TestInt8DenseMatchesRoundedFloatView' ./internal/prionn/
 named -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
 named -race -count=1 -run 'FuzzTrainConvDirect|TestTrainConvStridedKeepsColumnPath|TestConvBackTileGenericMatchesAsm' ./internal/tensor/
-named -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts' ./internal/nn/
+named -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts|TestServeInt8DropsDenseWeights' ./internal/nn/
 named -count=1 -run 'ZeroAlloc' ./internal/nn/
 step_done
 
