@@ -9,7 +9,6 @@
 //
 //	prionnd -jobs 2000 -scale fast -addr :8356   # train on a synthetic trace, then serve
 //	prionnd -load model.ckpt -addr :8356         # serve a model saved by cmd/prionn
-//	prionnd -demo 5000 -clients 64               # in-process throughput demo, no HTTP
 //	prionnd -replicas 4 -policy affinity ...     # fault-tolerant multi-replica cluster
 //	prionnd -quant -jobs 2000 ...                # serve int8-rounded weights on the float32 forward
 //	prionnd -retrain-every 100 -canary-frac 0.1  # close the online-learning loop
@@ -148,8 +147,7 @@ type predictResponse struct {
 }
 
 // engine abstracts the two serving backends — a single coalescing
-// server or a replicated cluster — behind the daemon front end (HTTP
-// handlers and the -demo driver).
+// server or a replicated cluster — behind the HTTP front end.
 type engine interface {
 	Predict(ctx context.Context, req serve.Request) (cluster.Response, error)
 	Stop(ctx context.Context) error
@@ -212,11 +210,10 @@ func (e *clusterEngine) StatsText() string {
 }
 
 // run is the testable body of main: parse argv, build the model and
-// serving engine, and either run the in-process demo or serve HTTP
-// until a signal (or ready-callback-driven shutdown in tests). ready,
-// when non-nil, receives the bound listen address once the HTTP server
-// accepts connections; the stop function it is handed initiates the
-// same graceful drain a SIGINT would.
+// serving engine, and serve HTTP until a signal (or ready-callback-driven
+// shutdown in tests). ready, when non-nil, receives the bound listen
+// address once the HTTP server accepts connections; the stop function it
+// is handed initiates the same graceful drain a SIGINT would.
 func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop func())) int {
 	fs := flag.NewFlagSet("prionnd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -232,8 +229,6 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "longest a batch is held for more requests; only a batch that follows one with more than one request is held, a lone or sequential caller is flushed at once")
 	queueDepth := fs.Int("queue", 256, "admission queue depth (backpressure bound)")
 	statsEvery := fs.Duration("stats", 0, "print serving stats at this interval (0: only at shutdown)")
-	demo := fs.Int("demo", 0, "serve this many in-process requests from -clients goroutines, print throughput, exit")
-	clients := fs.Int("clients", 64, "concurrent clients for -demo")
 
 	replicas := fs.Int("replicas", 1, "serving replicas; >1 enables the fault-tolerant cluster")
 	policy := fs.String("policy", "affinity", "cluster routing policy: round-robin, least-loaded, affinity")
@@ -300,14 +295,6 @@ func run(argv []string, stdout, stderr io.Writer, ready func(addr string, stop f
 		eng = &clusterEngine{cl: cl, snapBytes: snapBytes}
 	} else {
 		eng = &singleEngine{srv: serve.New(view, serveCfg), snapBytes: snapBytes}
-	}
-
-	if *demo > 0 {
-		all := trace.Generate(trace.Config{Seed: *seed, Jobs: *jobs})
-		code := runDemo(eng, all, *demo, *clients, stdout, logf)
-		_ = eng.Stop(context.Background())
-		_, _ = fmt.Fprint(stdout, eng.StatsText())
-		return code
 	}
 
 	// The online-learning pipeline: the cluster is its own canary-capable
@@ -486,67 +473,6 @@ func publishedInt8(view *prionn.Inference, ckptBytes int64, logf func(string, ..
 	logf("int8 snapshot published: %d check jobs, flip rate %s; %d bytes (float checkpoint: %d bytes)",
 		a.Jobs, a, cw.n, ckptBytes)
 	return cw.n, nil
-}
-
-// runDemo drives the engine with in-process concurrent clients and
-// reports end-to-end serving throughput.
-func runDemo(eng engine, all []trace.Job, total, clients int, stdout io.Writer, logf func(string, ...interface{})) int {
-	if clients < 1 {
-		clients = 1
-	}
-	completed := trace.Completed(all)
-	if len(completed) == 0 {
-		logf("demo: empty trace")
-		return 1
-	}
-	logf("demo: %d requests from %d concurrent clients", total, clients)
-	var served, fellBack, degraded, failed atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(total) {
-					return
-				}
-				j := completed[int(i)%len(completed)]
-				resp, err := eng.Predict(context.Background(), serve.Request{
-					Script:       j.Script,
-					InputDeck:    j.InputDeck,
-					RequestedMin: j.RequestedMin,
-				})
-				switch {
-				case errors.Is(err, serve.ErrOverloaded):
-					// Back off and retry: demo clients model patient
-					// submitters, so total served is deterministic.
-					time.Sleep(200 * time.Microsecond)
-					next.Add(-1)
-				case err != nil:
-					failed.Add(1)
-				case resp.Degraded:
-					degraded.Add(1)
-				case resp.FromModel:
-					served.Add(1)
-				default:
-					fellBack.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	answered := served.Load() + fellBack.Load() + degraded.Load()
-	rate := float64(answered) / elapsed.Seconds()
-	_, _ = fmt.Fprintf(stdout, "demo: %d predictions in %v (%.0f predictions/sec), %d fallback, %d degraded, %d failed\n",
-		answered, elapsed.Round(time.Millisecond), rate, fellBack.Load(), degraded.Load(), failed.Load())
-	if failed.Load() > 0 {
-		return 1
-	}
-	return 0
 }
 
 // daemon is the HTTP front end's state: the serving engine plus the

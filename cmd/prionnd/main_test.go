@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,50 +26,104 @@ func demoArgs(extra ...string) []string {
 	return append(base, extra...)
 }
 
-// TestRunDemo exercises the full in-process path: train, snapshot,
-// coalesced serving under concurrent clients, drain, stats print.
-func TestRunDemo(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run(demoArgs("-demo", "300", "-clients", "16", "-max-batch", "16"), &stdout, &stderr, nil)
-	if code != 0 {
-		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "predictions/sec") {
-		t.Fatalf("demo output missing throughput line:\n%s", out)
-	}
-	if !strings.Contains(out, "0 failed") {
-		t.Fatalf("demo reported failures:\n%s", out)
-	}
-	if !strings.Contains(out, "served 300") {
-		t.Fatalf("stats block should report 300 model predictions:\n%s", out)
-	}
-}
+// TestRunHTTPConcurrentClients drives each engine over HTTP from
+// concurrent clients until it has answered every request: the single
+// coalescing server, the same on int8 weights, and a replicated cluster.
+// Every answer comes from the model, none fails or degrades, and the
+// stats block printed at shutdown accounts for them — served count,
+// kernel tag and snapshot size, or the cluster's request count and
+// per-replica lines — beside the start-up log of the int8 check or the
+// cluster banner.
+func TestRunHTTPConcurrentClients(t *testing.T) {
+	completed := trace.Completed(trace.Generate(trace.Config{Seed: 5, Jobs: 150}))
+	for _, tc := range []struct {
+		name           string
+		args           []string
+		total, clients int
+		stdout, stderr []string
+	}{
+		{"single", []string{"-max-batch", "16"}, 300, 16,
+			[]string{"served 300 (model) + 0 (fallback), 0 errored", "snapshot: "}, nil},
+		{"int8", []string{"-quant"}, 200, 8,
+			[]string{"[int8] served 200 (model) + 0 (fallback), 0 errored", "snapshot: "},
+			[]string{`int8 snapshot published: [1-9][0-9]* check jobs, flip rate runtime [0-9.e-]+, read [0-9.e-]+, write [0-9.e-]+; [0-9]+ bytes`}},
+		{"cluster", []string{"-max-batch", "16", "-replicas", "3", "-policy", "affinity", "-cache", "512"}, 300, 16,
+			[]string{"cluster [f32]: 300 requests", "0 degraded", "replica 0 ", "replica 2 ", "snapshot: "},
+			[]string{"cluster: 3 replicas, affinity routing"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			type started struct {
+				addr string
+				stop func()
+			}
+			readyCh := make(chan started, 1)
+			done := make(chan int, 1)
+			go func() {
+				done <- run(demoArgs(append(tc.args, "-addr", "127.0.0.1:0")...), &stdout, &stderr,
+					func(addr string, stop func()) { readyCh <- started{addr, stop} })
+			}()
+			var st started
+			select {
+			case st = <-readyCh:
+			case code := <-done:
+				t.Fatalf("daemon exited %d before serving\nstderr: %s", code, stderr.String())
+			}
 
-// TestRunDemoQuant drives the demo path on an int8-weight snapshot: the
-// daemon trains, rounds its weights, checks them on the held-out slice,
-// publishes the view and logs how many jobs the check ran on and each
-// head's flip rate, and the stats block reports the int8 kernel and the
-// snapshot's byte size.
-func TestRunDemoQuant(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run(demoArgs("-quant", "-demo", "200", "-clients", "8"), &stdout, &stderr, nil)
-	if code != 0 {
-		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
-	}
-	published := regexp.MustCompile(`int8 snapshot published: [1-9][0-9]* check jobs, flip rate runtime [0-9.e-]+, read [0-9.e-]+, write [0-9.e-]+; [0-9]+ bytes`)
-	if !published.MatchString(stderr.String()) {
-		t.Fatalf("-quant must log the check's job count and per-head flip rates:\nstderr: %s", stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "[int8] served 200") {
-		t.Fatalf("stats block should report 200 model predictions under the int8 kernel:\n%s", out)
-	}
-	if !strings.Contains(out, "0 failed") {
-		t.Fatalf("demo reported failures:\n%s", out)
-	}
-	if !strings.Contains(out, "snapshot: ") {
-		t.Fatalf("stats block missing the snapshot byte-size line:\n%s", out)
+			var next, overloaded, failed, notModel atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < tc.clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1) - 1; i < int64(tc.total); i = next.Add(1) - 1 {
+						j := completed[int(i)%len(completed)]
+						body, _ := json.Marshal(predictRequest{Script: j.Script, InputDeck: j.InputDeck, RequestedMin: j.RequestedMin})
+						for {
+							resp, err := http.Post("http://"+st.addr+"/predict", "application/json", bytes.NewReader(body))
+							if err != nil {
+								failed.Add(1)
+								break
+							}
+							var pr predictResponse
+							err = json.NewDecoder(resp.Body).Decode(&pr)
+							resp.Body.Close()
+							if resp.StatusCode == http.StatusServiceUnavailable {
+								// Admission is full: a patient submitter retries.
+								overloaded.Add(1)
+								time.Sleep(time.Millisecond)
+								continue
+							}
+							if err != nil || resp.StatusCode != http.StatusOK {
+								failed.Add(1)
+							} else if !pr.FromModel || pr.Degraded {
+								notModel.Add(1)
+							}
+							break
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			st.stop()
+			if code := <-done; code != 0 {
+				t.Fatalf("daemon exit %d\nstderr: %s", code, stderr.String())
+			}
+			if failed.Load() != 0 || notModel.Load() != 0 {
+				t.Errorf("%d of %d requests failed and %d were not answered by the model (%d overload retries)",
+					failed.Load(), tc.total, notModel.Load(), overloaded.Load())
+			}
+			for _, want := range tc.stdout {
+				if !strings.Contains(stdout.String(), want) {
+					t.Errorf("shutdown stats block lacks %q:\n%s", want, stdout.String())
+				}
+			}
+			for _, want := range tc.stderr {
+				if !regexp.MustCompile(want).MatchString(stderr.String()) {
+					t.Errorf("start-up log lacks %q:\n%s", want, stderr.String())
+				}
+			}
+		})
 	}
 }
 
@@ -167,7 +222,7 @@ func TestRunHTTP(t *testing.T) {
 // TestRunBadFlags pins CLI error handling.
 func TestRunBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-scale", "nope", "-demo", "1"}, &stdout, &stderr, nil); code != 1 {
+	if code := run([]string{"-scale", "nope"}, &stdout, &stderr, nil); code != 1 {
 		t.Fatalf("unknown scale: exit %d, want 1", code)
 	}
 	if !strings.Contains(stderr.String(), "unknown scale") {
@@ -273,30 +328,8 @@ func TestRunDebugAddr(t *testing.T) {
 // TestRunLoadMissingCheckpoint: a bad -load path is a clean error.
 func TestRunLoadMissingCheckpoint(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-load", t.TempDir() + "/nope.ckpt", "-demo", "1"}, &stdout, &stderr, nil); code != 1 {
+	if code := run([]string{"-load", t.TempDir() + "/nope.ckpt"}, &stdout, &stderr, nil); code != 1 {
 		t.Fatalf("missing checkpoint: exit %d, want 1", code)
-	}
-}
-
-// TestRunDemoCluster runs the in-process demo through the replicated
-// cluster engine: all requests answered from the model, none failed,
-// and the cluster stats block (with per-replica lines) is printed.
-func TestRunDemoCluster(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run(demoArgs("-demo", "300", "-clients", "16", "-max-batch", "16",
-		"-replicas", "3", "-policy", "affinity", "-cache", "512"), &stdout, &stderr, nil)
-	if code != 0 {
-		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "0 degraded, 0 failed") {
-		t.Fatalf("cluster demo must answer everything from the model:\n%s", out)
-	}
-	if !strings.Contains(out, "replica 0") || !strings.Contains(out, "replica 2") {
-		t.Fatalf("cluster stats block missing per-replica lines:\n%s", out)
-	}
-	if !strings.Contains(stderr.String(), "cluster: 3 replicas, affinity routing") {
-		t.Fatalf("stderr missing cluster banner: %s", stderr.String())
 	}
 }
 
@@ -838,7 +871,7 @@ func TestStatsSnapshotBytes(t *testing.T) {
 		select {
 		case st = <-readyCh:
 		case code := <-done:
-			t.Fatalf("%s: daemon exited %d before serving\nstderr: %s", tc.name, code, stderr.String())
+			t.Fatalf("daemon exited %d before serving\nstderr: %s", code, stderr.String())
 		}
 		resp, err := http.Get("http://" + st.addr + "/stats")
 		if err != nil {

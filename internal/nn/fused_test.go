@@ -200,7 +200,7 @@ func TestTrainForwardDropsPackedPanels(t *testing.T) {
 	} {
 		build := func(seed int64) *Sequential { return newModel(rand.New(rand.NewSource(seed)), arch) }
 		rewrites := map[string]func(m *Sequential){
-			"TrainBatch": func(m *Sequential) { m.TrainBatch(x, labels, NewSGD(0.5, 0)) },
+			"TrainBatch": func(m *Sequential) { m.TrainBatch(x, labels, NewAdam(0.1)) },
 			"CopyParamsFrom": func(m *Sequential) {
 				if err := m.CopyParamsFrom(build(99)); err != nil {
 					t.Fatal(err)

@@ -119,7 +119,7 @@ func (m *Sequential) Backward(dy *tensor.Tensor) {
 // TrainBatch performs one optimization step on a batch (inputs x, integer
 // labels) and returns the batch loss. At a steady batch shape and one
 // worker it allocates nothing.
-func (m *Sequential) TrainBatch(x *tensor.Tensor, labels []int, opt Optimizer) float64 {
+func (m *Sequential) TrainBatch(x *tensor.Tensor, labels []int, opt *Adam) float64 {
 	params, grads := m.collect()
 	for _, g := range grads {
 		g.Zero()
@@ -165,7 +165,7 @@ func (m *Sequential) release() {
 }
 
 // Params returns the trainable parameter tensors in stable (layer)
-// order — the order Save/Load and StatefulOptimizer snapshots use.
+// order — the order Save/Load and Adam's moments use.
 func (m *Sequential) Params() []*tensor.Tensor {
 	var params []*tensor.Tensor
 	for _, l := range m.Layers {
@@ -184,7 +184,7 @@ type FitOptions struct {
 // Fit trains the model on a dataset of stacked samples x [N, ...] with
 // labels, iterating epochs × minibatches, and returns the final epoch's
 // mean loss. It is FitCtx without cancellation.
-func (m *Sequential) Fit(x *tensor.Tensor, labels []int, opt Optimizer, o FitOptions) float64 {
+func (m *Sequential) Fit(x *tensor.Tensor, labels []int, opt *Adam, o FitOptions) float64 {
 	loss, _ := m.FitCtx(context.Background(), x, labels, opt, o)
 	return loss
 }
@@ -193,7 +193,7 @@ func (m *Sequential) Fit(x *tensor.Tensor, labels []int, opt Optimizer, o FitOpt
 // between minibatches, so a canceled training event returns within one
 // batch with ctx.Err(). On return the model holds no train-time state
 // (see release).
-func (m *Sequential) FitCtx(ctx context.Context, x *tensor.Tensor, labels []int, opt Optimizer, o FitOptions) (float64, error) {
+func (m *Sequential) FitCtx(ctx context.Context, x *tensor.Tensor, labels []int, opt *Adam, o FitOptions) (float64, error) {
 	n := x.Dim(0)
 	if n == 0 {
 		return 0, nil

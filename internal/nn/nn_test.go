@@ -189,29 +189,13 @@ func TestFitLossDecreases(t *testing.T) {
 		}
 	}
 	m := NewSequential(NewDense(rng, 4, 8), NewReLU(), NewDense(rng, 8, 2))
-	opt := NewSGD(0.1, 0.9)
+	opt := NewAdam(0.01)
 	var losses []float64
 	for e := 0; e < 10; e++ {
 		losses = append(losses, m.Fit(x, labels, opt, FitOptions{Epochs: 1, BatchSize: 16, Shuffle: rng}))
 	}
 	if losses[len(losses)-1] >= losses[0] {
 		t.Fatalf("loss did not decrease: %v → %v", losses[0], losses[len(losses)-1])
-	}
-}
-
-func TestSGDMomentumMatchesManual(t *testing.T) {
-	p := tensor.FromSlice([]float32{1}, 1)
-	g := tensor.FromSlice([]float32{2}, 1)
-	opt := NewSGD(0.1, 0.5)
-	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
-	// v = -0.1*2 = -0.2; p = 1 - 0.2 = 0.8
-	if math.Abs(float64(p.Data[0])-0.8) > 1e-6 {
-		t.Fatalf("step1 p = %v, want 0.8", p.Data[0])
-	}
-	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
-	// v = 0.5*(-0.2) - 0.2 = -0.3; p = 0.8 - 0.3 = 0.5
-	if math.Abs(float64(p.Data[0])-0.5) > 1e-6 {
-		t.Fatalf("step2 p = %v, want 0.5", p.Data[0])
 	}
 }
 
@@ -385,7 +369,7 @@ func TestCNN2DTrainsOnSyntheticImages(t *testing.T) {
 func TestFitEmptyDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := NewSequential(NewDense(rng, 2, 2))
-	loss := m.Fit(tensor.New(0, 2), nil, NewSGD(0.1, 0), FitOptions{Epochs: 3})
+	loss := m.Fit(tensor.New(0, 2), nil, NewAdam(0.1), FitOptions{Epochs: 3})
 	if loss != 0 {
 		t.Fatalf("Fit on empty dataset returned %v, want 0", loss)
 	}
@@ -474,8 +458,8 @@ func TestSaveLoadBitExact(t *testing.T) {
 			// Plant the pattern in a parameter and in both moments of it.
 			w := m1.Params()[0]
 			w.Data[1] = math.Float32frombits(plant)
-			opt1.states[w].m.Data[2] = math.Float32frombits(plant)
-			opt1.states[w].v.Data[3] = math.Float32frombits(plant)
+			opt1.states[0].m.Data[2] = math.Float32frombits(plant)
+			opt1.states[0].v.Data[3] = math.Float32frombits(plant)
 
 			var buf bytes.Buffer
 			if err := m1.Save(&buf); err != nil {
@@ -508,10 +492,10 @@ func TestSaveLoadBitExact(t *testing.T) {
 			p1, p2 := m1.Params(), m2.Params()
 			for k := range p1 {
 				same("parameter", p1[k].Data, p2[k].Data)
-				same("first moment", opt1.states[p1[k]].m.Data, opt2.states[p2[k]].m.Data)
-				same("second moment", opt1.states[p1[k]].v.Data, opt2.states[p2[k]].v.Data)
+				same("first moment", opt1.states[k].m.Data, opt2.states[k].m.Data)
+				same("second moment", opt1.states[k].v.Data, opt2.states[k].v.Data)
 			}
-			if got := math.Float32bits(opt2.states[p2[0]].v.Data[3]); got != plant {
+			if got := math.Float32bits(opt2.states[0].v.Data[3]); got != plant {
 				t.Fatalf("planted %x came back as %x", plant, got)
 			}
 		})
@@ -538,4 +522,88 @@ func TestLoadStateRejectsMismatch(t *testing.T) {
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short input: got %v, want io.ErrUnexpectedEOF", err)
 	}
+}
+
+// TestAdamStateFollowsParamsOrder: Adam's moments belong to positions in
+// the parameter list, not to tensors. A list of another length or shape
+// than the one the moments were built for panics in Step (and leaves the
+// optimizer as it was) and is an error in LoadState, and state carried
+// by SaveState/LoadState onto another model's tensors steps that model
+// bit for bit as the original steps its own.
+func TestAdamStateFollowsParamsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	build := func() *Sequential {
+		return NewSequential(NewDense(rng, 4, 6), NewReLU(), NewDense(rng, 6, 3))
+	}
+	x := tensor.New(5, 4).RandN(rng, 1)
+	labels := []int{0, 1, 2, 1, 0}
+
+	m1, opt1 := build(), NewAdam(1e-2)
+	m1.TrainBatch(x, labels, opt1)
+	params := m1.Params()
+	grads := make([]*tensor.Tensor, len(params))
+	for i, p := range params {
+		grads[i] = tensor.New(p.Shape...).Fill(1)
+	}
+	reshaped := append([]*tensor.Tensor(nil), params...)
+	reshaped[0] = tensor.New(params[0].Dim(1), params[0].Dim(0)) // same size, other shape
+	for _, tc := range []struct {
+		name string
+		list []*tensor.Tensor
+	}{{"shorter list", params[:len(params)-1]}, {"other shape", reshaped}} {
+		name, list := tc.name, tc.list
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Step did not panic", name)
+				}
+			}()
+			opt1.Step(list, grads[:len(list)])
+		}()
+		if opt1.t != 1 {
+			t.Fatalf("%s: a refused Step moved the step counter to %d", name, opt1.t)
+		}
+	}
+
+	var state bytes.Buffer
+	if err := opt1.SaveState(params, &state); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt1.SaveState(params[:1], io.Discard); err == nil {
+		t.Error("SaveState of a shorter list than the moments' succeeded")
+	}
+	// (TestLoadStateRejectsMismatch loads onto parameters of other sizes.)
+	if err := NewAdam(1e-2).LoadState(params[:len(params)-1], bytes.NewReader(state.Bytes())); err == nil {
+		t.Error("LoadState onto a shorter list succeeded")
+	}
+
+	// Side by side: m2 is a copy of m1 on tensors of its own, its Adam
+	// restored from m1's; each further step keeps the two bitwise equal.
+	m2, opt2 := build(), NewAdam(1e-2)
+	if err := m2.CopyParamsFrom(m1); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt2.LoadState(m2.Params(), &state); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 4; step++ {
+		xb := tensor.New(5, 4).RandN(rng, 1)
+		m1.TrainBatch(xb, labels, opt1)
+		m2.TrainBatch(xb, labels, opt2)
+		for k, p1 := range m1.Params() {
+			if !slices.Equal(bitsOf(p1.Data), bitsOf(m2.Params()[k].Data)) {
+				t.Fatalf("step %d: parameter %d differs between the model and its restored copy", step, k)
+			}
+		}
+	}
+}
+
+// bitsOf returns the bit patterns of data, so a comparison tells a NaN
+// payload or a negative zero apart.
+func bitsOf(data []float32) []uint32 {
+	out := make([]uint32, len(data))
+	for i, f := range data {
+		out[i] = math.Float32bits(f)
+	}
+	return out
 }

@@ -5,63 +5,24 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"prionn/internal/tensor"
 )
 
-// Optimizer updates parameters in place from accumulated gradients.
-// Implementations keep per-parameter state keyed by tensor identity, so
-// the same optimizer instance can be reused across the warm-start
-// retraining events of PRIONN's online loop.
-type Optimizer interface {
-	// Step applies one update. params[i] is updated from grads[i].
-	Step(params, grads []*tensor.Tensor)
-}
-
-// SGD is stochastic gradient descent with classical momentum and optional
-// gradient clipping.
-type SGD struct {
-	LR       float64 // learning rate
-	Momentum float64 // momentum coefficient in [0, 1)
-	Clip     float64 // max L2 norm per gradient tensor; 0 disables
-	velocity map[*tensor.Tensor]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*tensor.Tensor]*tensor.Tensor)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []*tensor.Tensor) {
-	for i, p := range params {
-		g := grads[i]
-		if s.Clip > 0 {
-			g.ClipNorm(s.Clip)
-		}
-		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.New(g.Shape...)
-				s.velocity[p] = v
-			}
-			v.Scale(float32(s.Momentum)).AddScaled(-float32(s.LR), g)
-			p.Add(v)
-		} else {
-			p.AddScaled(-float32(s.LR), g)
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction
-// and optional gradient clipping.
+// and optional gradient clipping. One Adam serves one parameter list:
+// its moment estimates are held in that list's order (Sequential.Params
+// order), built by the first Step or by LoadState, so the same optimizer
+// carries its state across the warm-start retraining events of PRIONN's
+// online loop and into a checkpoint.
 type Adam struct {
 	LR     float64
 	Beta1  float64
 	Beta2  float64
 	Eps    float64
 	Clip   float64
-	states map[*tensor.Tensor]*adamState
+	states []adamState // states[i] belongs to params[i]
 	t      int
 }
 
@@ -72,14 +33,20 @@ type adamState struct {
 // NewAdam returns an Adam optimizer with the customary defaults
 // beta1=0.9, beta2=0.999, eps=1e-8.
 func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		states: make(map[*tensor.Tensor]*adamState),
-	}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update: params[i] moves along grads[i]. The first
+// Step (on an optimizer LoadState has not filled) builds the moments for
+// params; every later Step must pass a list of the same length and
+// shapes, or it panics.
 func (a *Adam) Step(params, grads []*tensor.Tensor) {
+	if a.states == nil {
+		a.states = newAdamStates(params)
+	}
+	if err := a.check(params); err != nil {
+		panic(err)
+	}
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -88,11 +55,7 @@ func (a *Adam) Step(params, grads []*tensor.Tensor) {
 		if a.Clip > 0 {
 			g.ClipNorm(a.Clip)
 		}
-		st, ok := a.states[p]
-		if !ok {
-			st = &adamState{m: tensor.New(g.Shape...), v: tensor.New(g.Shape...)}
-			a.states[p] = st
-		}
+		st := a.states[i]
 		b1, b2 := float32(a.Beta1), float32(a.Beta2)
 		for j, gv := range g.Data {
 			st.m.Data[j] = b1*st.m.Data[j] + (1-b1)*gv
@@ -104,22 +67,27 @@ func (a *Adam) Step(params, grads []*tensor.Tensor) {
 	}
 }
 
-// Reset clears all accumulated optimizer state (momentum/moment
-// estimates). Used by the cold-start ablation; the paper's warm-start
-// loop never calls it.
-func (a *Adam) Reset() {
-	a.states = make(map[*tensor.Tensor]*adamState)
-	a.t = 0
+// newAdamStates returns zero moments shaped like params.
+func newAdamStates(params []*tensor.Tensor) []adamState {
+	states := make([]adamState, len(params))
+	for i, p := range params {
+		states[i] = adamState{m: tensor.New(p.Shape...), v: tensor.New(p.Shape...)}
+	}
+	return states
 }
 
-// StatefulOptimizer is an optimizer whose accumulated state can be
-// checkpointed. Both methods take the parameter list the state is keyed
-// by (in Sequential.Params order), because the in-memory state maps are
-// keyed by tensor identity, which does not survive a process restart.
-type StatefulOptimizer interface {
-	Optimizer
-	SaveState(params []*tensor.Tensor, w io.Writer) error
-	LoadState(params []*tensor.Tensor, r io.Reader) error
+// check reports whether params is the list the moments were built for:
+// the same length, and parameter i shaped like its moments.
+func (a *Adam) check(params []*tensor.Tensor) error {
+	if len(params) != len(a.states) {
+		return fmt.Errorf("nn: Adam holds moments for %d parameters, given %d", len(a.states), len(params))
+	}
+	for i, p := range params {
+		if !slices.Equal(p.Shape, a.states[i].m.Shape) {
+			return fmt.Errorf("nn: Adam's moments of parameter %d are shaped %v, the parameter %v", i, a.states[i].m.Shape, p.Shape)
+		}
+	}
+	return nil
 }
 
 // SaveState writes the Adam step counter (uint64) and, once it has
@@ -133,34 +101,33 @@ func (a *Adam) SaveState(params []*tensor.Tensor, w io.Writer) error {
 	if _, err := w.Write(t[:]); err != nil || a.t == 0 {
 		return err
 	}
+	if err := a.check(params); err != nil {
+		return err
+	}
 	moments := make([]*tensor.Tensor, 0, 2*len(params))
-	for i, p := range params {
-		st, ok := a.states[p]
-		if !ok {
-			return fmt.Errorf("nn: optimizer has stepped %d times but never parameter %d", a.t, i)
-		}
+	for _, st := range a.states {
 		moments = append(moments, st.m, st.v)
 	}
 	return writeTensors(w, moments)
 }
 
-// LoadState restores state saved by SaveState, re-keying it onto params:
-// the moments are read into fresh tensors shaped like their parameters.
-// After an error the optimizer holds partial state and must be
-// discarded (or Reset).
+// LoadState restores state saved by SaveState for params: the moments
+// are read into fresh tensors shaped like their parameters, replacing
+// whatever the optimizer held. Records whose number or sizes differ
+// from params' are an error; after one the optimizer holds partial
+// state and must be discarded.
 func (a *Adam) LoadState(params []*tensor.Tensor, r io.Reader) error {
 	var t [8]byte
 	if _, err := io.ReadFull(r, t[:]); err != nil {
 		return err
 	}
-	a.Reset()
+	a.states = nil
 	if a.t = int(binary.LittleEndian.Uint64(t[:])); a.t == 0 {
 		return nil
 	}
+	a.states = newAdamStates(params)
 	moments := make([]*tensor.Tensor, 0, 2*len(params))
-	for _, p := range params {
-		st := &adamState{m: tensor.New(p.Shape...), v: tensor.New(p.Shape...)}
-		a.states[p] = st
+	for _, st := range a.states {
 		moments = append(moments, st.m, st.v)
 	}
 	return readTensors(r, moments)

@@ -28,32 +28,32 @@ type Saliency struct {
 // application names and numeric parameters, the information the paper
 // argues manual parsers discard.
 func (p *Predictor) ExplainRuntime(script string) Saliency {
-	text := script
-	grid := mapping.Standardize(text, p.Config.Rows, p.Config.Cols)
-	x := p.mapBatch([]string{text})
+	v := p.inf
+	grid := mapping.Standardize(script, v.cfg.Rows, v.cfg.Cols)
+	x := v.MapTexts([]string{script})
 
 	// Forward in train mode so every layer keeps what its backward needs,
 	// then backpropagate a one-hot gradient at the argmax logit through
 	// every layer, the first included: the input gradient is the point.
-	for _, l := range p.runtime.Layers {
+	for _, l := range v.runtime.Layers {
 		for _, g := range l.Grads() {
 			g.Zero()
 		}
 	}
-	logits := p.runtime.Forward(x, true)
+	logits := v.runtime.Forward(x, true)
 	class := logits.ArgMaxRow(0)
 	dlogits := tensor.New(logits.Shape...)
 	dlogits.Set(1, 0, class)
 
 	dy := dlogits
 	var dx *tensor.Tensor
-	for i := len(p.runtime.Layers) - 1; i >= 0; i-- {
-		dy = p.runtime.Layers[i].Backward(dy)
+	for i := len(v.runtime.Layers) - 1; i >= 0; i-- {
+		dy = v.runtime.Layers[i].Backward(dy)
 	}
 	dx = dy // gradient with respect to the mapped input [1, C, R, Cols]
 
-	cells := p.Config.Rows * p.Config.Cols
-	ch := p.transform.Channels()
+	cells := v.cfg.Rows * v.cfg.Cols
+	ch := v.transform.Channels()
 	weights := make([]float32, cells)
 	var maxW float32
 	for c := 0; c < ch; c++ {
@@ -74,7 +74,7 @@ func (p *Predictor) ExplainRuntime(script string) Saliency {
 			weights[i] *= inv
 		}
 	}
-	return Saliency{Rows: p.Config.Rows, Cols: p.Config.Cols, Weights: weights, Grid: grid}
+	return Saliency{Rows: v.cfg.Rows, Cols: v.cfg.Cols, Weights: weights, Grid: grid}
 }
 
 // TopCells returns the n highest-attribution cells as (row, col, char,

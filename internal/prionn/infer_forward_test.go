@@ -57,7 +57,7 @@ func sameBits(a, b *tensor.Tensor) bool {
 
 // TestViewSnapshotTrainForwardLogitsBitwise: for each architecture the
 // three roads to a head's logits agree bit for bit — the predictor's
-// own zero-copy view (unpacked dense weights, packed per call), its
+// live view (unpacked dense weights, packed per call), its
 // Snapshot (pre-packed panels), and a train-mode Forward (every layer
 // on its own, column-matrix conv). Predictions compare classes; this
 // compares the numbers under them.
@@ -73,14 +73,14 @@ func TestViewSnapshotTrainForwardLogitsBitwise(t *testing.T) {
 			for i := range texts {
 				texts[i] = jobs[50+i].Script
 			}
-			x := p.view().MapTexts(texts)
+			x := p.inf.MapTexts(texts)
 			heads := []struct {
 				name       string
 				view, snap *nn.Sequential
 			}{
-				{"runtime", p.runtime, snap.runtime},
-				{"read", p.read, snap.read},
-				{"write", p.write, snap.write},
+				{"runtime", p.inf.runtime, snap.runtime},
+				{"read", p.inf.read, snap.read},
+				{"write", p.inf.write, snap.write},
 			}
 			for _, h := range heads {
 				view := h.view.Forward(x, false)
@@ -154,14 +154,14 @@ func TestSnapshotPanelsPrivate(t *testing.T) {
 	}
 	x := snap.MapTexts([]string{jobs[50].Script, jobs[51].Script, jobs[52].Script})
 	before := snap.runtime.Forward(x, false).Clone()
-	source := p.runtime.Forward(x, false).Clone()
+	source := p.inf.runtime.Forward(x, false).Clone()
 	if !sameBits(before, source) {
 		t.Fatal("snapshot and source disagree before retraining")
 	}
 	if _, err := p.Train(jobs[10:50]); err != nil {
 		t.Fatal(err)
 	}
-	if sameBits(p.runtime.Forward(x, false), source) {
+	if sameBits(p.inf.runtime.Forward(x, false), source) {
 		t.Fatal("retraining left the source's logits unchanged; the test proves nothing")
 	}
 	if !sameBits(snap.runtime.Forward(x, false), before) {

@@ -21,9 +21,9 @@ import (
 // serving cluster publishes one *Inference to every replica with a
 // pointer store and any number of goroutines may Predict on it at once,
 // each answer bitwise equal to the serial one
-// (TestSharedViewConcurrentPredict). The one exception
-// is the zero-copy view a Predictor predicts through, which shares the
-// predictor's heads and so inherits its single-goroutine contract.
+// (TestSharedViewConcurrentPredict). The one exception is a Predictor's
+// live view, whose heads its training events write; it never leaves the
+// predictor, which clones it (Snapshot) to publish.
 type Inference struct {
 	cfg       Config
 	transform mapping.Transform
@@ -130,24 +130,6 @@ func (v *Inference) buildHeads(rng *rand.Rand) {
 	}
 }
 
-// view returns an Inference sharing the predictor's heads in place —
-// the zero-copy view the Predictor's own Predict path runs through.
-// Training mutates those heads, so it must not outlive the call.
-func (p *Predictor) view() *Inference {
-	return &Inference{
-		cfg:       p.Config,
-		transform: p.transform,
-		runtime:   p.runtime,
-		read:      p.read,
-		write:     p.write,
-		power:     p.power,
-		rbins:     p.rbins,
-		iobin:     p.iobin,
-		pbins:     p.pbins,
-		trained:   p.trained,
-	}
-}
-
 // Snapshot returns an Inference with deep-copied weights: a frozen
 // picture of the predictor at this instant, safe to hand to a serving
 // goroutine while the predictor continues training. The copy shares the
@@ -156,14 +138,14 @@ func (p *Predictor) view() *Inference {
 // show through. Snapshot does not consume the predictor's RNG stream,
 // so taking one leaves training bitwise-reproducible.
 func (p *Predictor) Snapshot() (*Inference, error) {
-	return p.view().Clone()
+	return p.inf.Clone()
 }
 
 // Clone returns a deep copy of the view: same config, transform, bins
 // and weight kind, with every head's parameters copied into freshly built
 // models whose weights are prepared for inference — dense weights
 // scanned for the row kernel, conv filter strips and tap tables (the
-// predictor's own zero-copy view prepares them per call). It exists for
+// predictor's live view prepares them per call). It exists for
 // Predictor.Snapshot, whose source keeps training; a published Inference
 // is shared as is, never cloned. A prediction from a clone is bitwise
 // identical to one from the original. Nothing of an int8 view changes
@@ -203,6 +185,15 @@ func (v *Inference) heads() (names []string, models []*nn.Sequential) {
 		names, models = append(names, "power"), append(models, v.power)
 	}
 	return names, models
+}
+
+// embedding returns the word2vec embedding the view maps through; nil
+// for any other transform.
+func (v *Inference) embedding() *word2vec.Embedding {
+	if w2v, ok := v.transform.(mapping.Word2Vec); ok {
+		return w2v.Emb
+	}
+	return nil
 }
 
 // Config returns the configuration the view was built with.

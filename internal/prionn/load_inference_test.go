@@ -8,8 +8,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-
-	"prionn/internal/nn"
 )
 
 // TestLoadInferenceMatchesSnapshot: for the NN, the 1D-CNN and the
@@ -120,7 +118,7 @@ func TestLoadInferenceQuantizedMatchesSnapshotQuantized(t *testing.T) {
 // is well formed whatever body writes, checksums included.
 func frameOf(t *testing.T, p *Predictor, body func(*bufio.Writer) error) []byte {
 	t.Helper()
-	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events}
+	cm := checkpointMeta{Config: p.Config, Embedding: p.inf.embedding(), Trained: p.Trained(), Events: p.events}
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, frameVersion, cm, body); err != nil {
 		t.Fatal(err)
@@ -149,7 +147,7 @@ func TestLoadInferenceRejectsOptimizerMismatch(t *testing.T) {
 					return err
 				}
 				var st bytes.Buffer
-				if err := h.opt.(nn.StatefulOptimizer).SaveState(h.model.Params(), &st); err != nil {
+				if err := h.opt.SaveState(h.model.Params(), &st); err != nil {
 					return err
 				}
 				edit(st.Bytes())

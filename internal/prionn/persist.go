@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 
 	"prionn/internal/fault"
@@ -36,24 +37,20 @@ type checkpointMeta struct {
 // warm-start state) and so Load can reject truncated or corrupt bytes
 // with a typed error instead of restoring garbage.
 func (p *Predictor) Save(w io.Writer) error {
-	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events}
+	cm := checkpointMeta{Config: p.Config, Embedding: p.inf.embedding(), Trained: p.inf.trained, Events: p.events}
 	return writeFrame(w, frameVersion, cm, p.saveHeads)
 }
 
-// saveHeads streams the v3 frame's body: per head its parameters, an
-// optimizer flag byte and, when that is 1, the optimizer state.
+// saveHeads streams the v3 frame's body: per head its parameters, the
+// optimizer flag byte 1 and the head's Adam state. (Readers also accept
+// flag 0, a head saved without optimizer state.)
 func (p *Predictor) saveHeads(bw *bufio.Writer) error {
 	for _, h := range p.heads() {
 		if err := h.model.Save(bw); err != nil {
 			return err
 		}
-		so, stateful := h.opt.(nn.StatefulOptimizer)
-		if !stateful {
-			_ = bw.WriteByte(0) // a bufio.Writer's error sticks: Flush returns it
-			continue
-		}
-		_ = bw.WriteByte(1)
-		if err := so.SaveState(h.model.Params(), bw); err != nil {
+		_ = bw.WriteByte(1) // a bufio.Writer's error sticks: Flush returns it
+		if err := h.opt.SaveState(h.model.Params(), bw); err != nil {
 			return err
 		}
 	}
@@ -69,26 +66,26 @@ func Load(r io.Reader) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkMeta(cm.Config, cm.Embedding); err != nil {
+	v, err := restoreView(cm.Config, cm.Embedding)
+	if err != nil {
 		return nil, err
 	}
-	p := newPredictor(cm.Config, cm.Embedding)
-	p.initHeads(nil)
-	heads := p.heads()
-	_, models := p.view().heads()
+	opts := coldOptimizers(v)
+	_, models := v.heads()
 	err = readHeads(fr, models, func(h int, r io.Reader) error {
-		so, stateful := heads[h].opt.(nn.StatefulOptimizer)
-		if !stateful {
-			return fmt.Errorf("optimizer state for a %T", heads[h].opt)
-		}
-		return so.LoadState(models[h].Params(), r)
+		return opts[h].LoadState(models[h].Params(), r)
 	})
 	if err != nil {
 		return nil, err
 	}
-	p.trained = cm.Trained
-	p.events = cm.Events
-	return p, nil
+	v.trained = cm.Trained
+	return &Predictor{
+		Config: cm.Config,
+		inf:    v,
+		opts:   opts,
+		rng:    rand.New(rand.NewSource(cm.Config.Seed)),
+		events: cm.Events,
+	}, nil
 }
 
 // LoadInference restores the weights of a checkpoint saved with Save as a

@@ -113,8 +113,8 @@ func TestSaveLoadPreservesEmbedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 128; c++ {
-		va := p.emb.Vectors[c]
-		vb := restored.emb.Vectors[c]
+		va := p.inf.embedding().Vectors[c]
+		vb := restored.inf.embedding().Vectors[c]
 		for d := range va {
 			if va[d] != vb[d] {
 				t.Fatal("embedding changed across persistence")
@@ -153,8 +153,8 @@ func TestWarmStartSurvivesPersistence(t *testing.T) {
 // patterns — the Adam moments and step counts.
 func requireSameState(t testing.TB, a, b *Predictor) {
 	t.Helper()
-	if a.Config != b.Config || a.trained != b.trained || a.events != b.events {
-		t.Fatalf("config/trained/events differ: %+v %v %d vs %+v %v %d", a.Config, a.trained, a.events, b.Config, b.trained, b.events)
+	if a.Config != b.Config || a.Trained() != b.Trained() || a.events != b.events {
+		t.Fatalf("config/trained/events differ: %+v %v %d vs %+v %v %d", a.Config, a.Trained(), a.events, b.Config, b.Trained(), b.events)
 	}
 	ha, hb := a.heads(), b.heads()
 	for h := range ha {
@@ -167,13 +167,14 @@ func requireSameState(t testing.TB, a, b *Predictor) {
 			}
 		}
 	}
-	if (a.emb == nil) != (b.emb == nil) {
+	ea, eb := a.inf.embedding(), b.inf.embedding()
+	if (ea == nil) != (eb == nil) {
 		t.Fatal("one predictor has an embedding, the other none")
 	}
-	if a.emb != nil {
-		for c := range a.emb.Vectors {
-			for d := range a.emb.Vectors[c] {
-				if math.Float32bits(a.emb.Vectors[c][d]) != math.Float32bits(b.emb.Vectors[c][d]) {
+	if ea != nil {
+		for c := range ea.Vectors {
+			for d := range ea.Vectors[c] {
+				if math.Float32bits(ea.Vectors[c][d]) != math.Float32bits(eb.Vectors[c][d]) {
 					t.Fatalf("embedding differs at character %d dim %d", c, d)
 				}
 			}
@@ -219,7 +220,7 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 			}
 			requireSameState(t, p, restored)
 			if plant != 0 {
-				if got := math.Float32bits(restored.read.Params()[0].Data[0]); got != plant {
+				if got := math.Float32bits(restored.inf.read.Params()[0].Data[0]); got != plant {
 					t.Fatalf("planted %x came back as %x", plant, got)
 				}
 			}
@@ -251,7 +252,7 @@ func TestLoadOldMetaWithResumeField(t *testing.T) {
 	}
 	p := trainedPredictor(t, 40)
 	var old, cur bytes.Buffer
-	cm := checkpointMeta{Config: p.Config, Embedding: p.emb, Trained: p.trained, Events: p.events}
+	cm := checkpointMeta{Config: p.Config, Embedding: p.inf.embedding(), Trained: p.Trained(), Events: p.events}
 	if err := writeFrame(&old, frameVersion, cm, p.saveHeads); err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 	"math/rand"
 
 	"prionn/internal/fault"
-	"prionn/internal/mapping"
 	"prionn/internal/nn"
-	"prionn/internal/tensor"
 	"prionn/internal/trace"
 	"prionn/internal/word2vec"
 )
@@ -46,25 +44,13 @@ func (p Prediction) WriteBW() float64 {
 type Predictor struct {
 	Config Config
 
-	transform mapping.Transform
-	emb       *word2vec.Embedding
+	// inf is the predictor's live view: its heads are the ones Train
+	// fits and Predict reads, and Snapshot clones it. It never leaves
+	// the predictor.
+	inf  *Inference
+	opts []*nn.Adam // one per head, in heads order
 
-	runtime *nn.Sequential
-	read    *nn.Sequential
-	write   *nn.Sequential
-	power   *nn.Sequential
-
-	runtimeOpt nn.Optimizer
-	readOpt    nn.Optimizer
-	writeOpt   nn.Optimizer
-	powerOpt   nn.Optimizer
-
-	rbins runtimeBins
-	iobin ioBins
-	pbins ioBins // log-scale watt bins reuse the IO binning
-
-	rng     *rand.Rand
-	trained bool
+	rng *rand.Rand
 	// events counts completed training events. Each event's minibatch
 	// shuffles draw from an RNG seeded by (Config.Seed, events, head),
 	// so a predictor restored from a checkpoint draws exactly the
@@ -89,8 +75,8 @@ func New(cfg Config, corpus []string) (*Predictor, error) {
 		w2vCfg.Seed = cfg.Seed
 		emb = word2vec.Train(corpus, w2vCfg)
 	}
-	p := newPredictor(cfg, emb)
-	p.initHeads(p.rng)
+	p := &Predictor{Config: cfg, inf: newView(cfg, emb), rng: rand.New(rand.NewSource(cfg.Seed))}
+	p.Reinitialize()
 	return p, nil
 }
 
@@ -112,77 +98,39 @@ func NewTrained(cfg Config, completed []trace.Job) (*Predictor, error) {
 	return p, nil
 }
 
-// newPredictor builds a predictor around a validated configuration and
-// its embedding (nil unless the transform is word2vec), without heads:
-// New initializes them from the predictor's RNG, Load leaves them zero
-// for the checkpoint to fill.
-func newPredictor(cfg Config, emb *word2vec.Embedding) *Predictor {
-	v := newView(cfg, emb)
-	return &Predictor{
-		Config:    cfg,
-		emb:       emb,
-		transform: v.transform,
-		rbins:     v.rbins,
-		iobin:     v.iobin,
-		pbins:     v.pbins,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+// coldOptimizers returns a fresh Adam for every head of v, in heads
+// order.
+func coldOptimizers(v *Inference) []*nn.Adam {
+	_, models := v.heads()
+	opts := make([]*nn.Adam, len(models))
+	for h := range opts {
+		opts[h] = nn.NewAdam(v.cfg.LR)
 	}
-}
-
-// initHeads builds every enabled head (Inference.buildHeads: initial
-// weights from rng in head order, a nil rng leaves them zero), each with
-// a cold optimizer.
-func (p *Predictor) initHeads(rng *rand.Rand) {
-	v := p.view()
-	v.buildHeads(rng)
-	p.runtime, p.read, p.write, p.power = v.runtime, v.read, v.write, v.power
-	p.runtimeOpt = nn.NewAdam(p.Config.LR)
-	if p.Config.PredictIO {
-		p.readOpt = nn.NewAdam(p.Config.LR)
-		p.writeOpt = nn.NewAdam(p.Config.LR)
-	}
-	if p.Config.PredictPower {
-		p.powerOpt = nn.NewAdam(p.Config.LR)
-	}
+	return opts
 }
 
 // head is one classifier head's slot in the predictor: what a training
 // event fits, and what a checkpoint stores, one head after another.
 type head struct {
 	model *nn.Sequential
-	opt   nn.Optimizer
+	opt   *nn.Adam
 	class func(trace.Job) int // the job's label on this head's bins
 }
 
-// heads lists the enabled heads in training (and checkpoint wire) order.
+// heads lists the view's enabled heads with their optimizers, in
+// training (and checkpoint wire) order.
 func (p *Predictor) heads() []head {
-	hs := []head{{p.runtime, p.runtimeOpt, func(j trace.Job) int { return p.rbins.Class(j.ActualMin()) }}}
-	if p.Config.PredictIO {
+	v := p.inf
+	hs := []head{{v.runtime, p.opts[0], func(j trace.Job) int { return v.rbins.Class(j.ActualMin()) }}}
+	if v.cfg.PredictIO {
 		hs = append(hs,
-			head{p.read, p.readOpt, func(j trace.Job) int { return p.iobin.Class(float64(j.ReadBytes)) }},
-			head{p.write, p.writeOpt, func(j trace.Job) int { return p.iobin.Class(float64(j.WriteBytes)) }})
+			head{v.read, p.opts[1], func(j trace.Job) int { return v.iobin.Class(float64(j.ReadBytes)) }},
+			head{v.write, p.opts[2], func(j trace.Job) int { return v.iobin.Class(float64(j.WriteBytes)) }})
 	}
-	if p.Config.PredictPower {
-		hs = append(hs, head{p.power, p.powerOpt, func(j trace.Job) int { return p.pbins.Class(j.AvgPowerW) }})
+	if v.cfg.PredictPower {
+		hs = append(hs, head{v.power, p.opts[len(hs)], func(j trace.Job) int { return v.pbins.Class(j.AvgPowerW) }})
 	}
 	return hs
-}
-
-// inputText assembles the model input for one job: the script, with the
-// input deck appended when IncludeDeck is set.
-func (p *Predictor) inputText(script, deck string) string {
-	if p.Config.IncludeDeck && deck != "" {
-		return script + "\n" + deck
-	}
-	return script
-}
-
-// mapBatch transforms scripts into the model input layout (see
-// Inference.MapTexts, which it delegates to). Like Predict, it is not
-// safe for concurrent use: the batch mapping itself is parallel-safe,
-// but the surrounding predictor state is single-goroutine.
-func (p *Predictor) mapBatch(scripts []string) *tensor.Tensor {
-	return p.view().MapTexts(scripts)
 }
 
 // Train runs one warm-start training event on a window of completed jobs
@@ -205,6 +153,7 @@ func (p *Predictor) TrainCtx(ctx context.Context, jobs []trace.Job) (float64, er
 	if len(jobs) == 0 {
 		return 0, fmt.Errorf("prionn: empty training window")
 	}
+	v := p.inf
 	heads := p.heads()
 	scripts := make([]string, len(jobs))
 	labels := make([][]int, len(heads))
@@ -212,14 +161,14 @@ func (p *Predictor) TrainCtx(ctx context.Context, jobs []trace.Job) (float64, er
 		labels[h] = make([]int, len(jobs))
 	}
 	for i, j := range jobs {
-		scripts[i] = p.inputText(j.Script, j.InputDeck)
+		scripts[i] = v.InputText(j.Script, j.InputDeck)
 		for h, head := range heads {
 			labels[h][i] = head.class(j)
 		}
 	}
-	x := p.mapBatch(scripts)
+	x := v.MapTexts(scripts)
 	epochs := p.Config.Epochs
-	if !p.trained {
+	if !v.trained {
 		// Bootstrap: the very first training event runs longer so the
 		// warm-start chain begins from a fitted model rather than random
 		// weights (subsequent events only need to track drift).
@@ -239,7 +188,7 @@ func (p *Predictor) TrainCtx(ctx context.Context, jobs []trace.Job) (float64, er
 			runtimeLoss = loss
 		}
 	}
-	p.trained = true
+	v.trained = true
 	p.events++
 	return runtimeLoss, nil
 }
@@ -258,7 +207,7 @@ func eventSeed(seed int64, event, head int) int64 {
 }
 
 // Trained reports whether at least one training event has run.
-func (p *Predictor) Trained() bool { return p.trained }
+func (p *Predictor) Trained() bool { return p.inf.trained }
 
 // Events returns the number of completed training events.
 func (p *Predictor) Events() int { return p.events }
@@ -276,7 +225,7 @@ func (p *Predictor) Events() int { return p.events }
 // training event. Concurrent serving goes through Snapshot, whose
 // deep-copied Inference is safe to share across goroutines.
 func (p *Predictor) Predict(scripts []string) []Prediction {
-	return p.view().Predict(scripts)
+	return p.inf.Predict(scripts)
 }
 
 // PredictOne returns the prediction for a single job script.
@@ -289,7 +238,7 @@ func (p *Predictor) PredictOne(script string) Prediction {
 func (p *Predictor) PredictJobs(jobs []trace.Job) []Prediction {
 	texts := make([]string, len(jobs))
 	for i, j := range jobs {
-		texts[i] = p.inputText(j.Script, j.InputDeck)
+		texts[i] = p.inf.InputText(j.Script, j.InputDeck)
 	}
 	return p.Predict(texts)
 }
@@ -301,20 +250,19 @@ func (p *Predictor) PredictJob(j trace.Job) Prediction {
 
 // NumParams returns the total trainable parameter count across heads.
 func (p *Predictor) NumParams() int {
-	n := p.runtime.NumParams()
-	if p.Config.PredictIO {
-		n += p.read.NumParams() + p.write.NumParams()
-	}
-	if p.Config.PredictPower {
-		n += p.power.NumParams()
+	n := 0
+	for _, h := range p.heads() {
+		n += h.model.NumParams()
 	}
 	return n
 }
 
-// Reinitialize rebuilds all model parameters from scratch (cold start).
-// The paper's loop never does this — it exists for the warm-vs-cold
-// ablation benchmark.
+// Reinitialize rebuilds all model parameters from the predictor's RNG,
+// each head with a cold optimizer (cold start). New starts every
+// predictor this way; the paper's loop never does it again — it exists
+// for the warm-vs-cold ablation benchmark.
 func (p *Predictor) Reinitialize() {
-	p.initHeads(p.rng)
-	p.trained = false
+	p.inf.buildHeads(p.rng)
+	p.opts = coldOptimizers(p.inf)
+	p.inf.trained = false
 }

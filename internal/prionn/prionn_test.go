@@ -265,9 +265,9 @@ func TestWarmStartRetainsKnowledge(t *testing.T) {
 
 	// Training on window A first must leave a trace in the parameters:
 	// compare raw logits, which differ unless no state was carried.
-	x := warm.mapBatch(scripts[:8])
-	wl := warm.runtime.Predict(x)
-	cl := cold.runtime.Predict(x)
+	x := warm.inf.MapTexts(scripts[:8])
+	wl := warm.inf.runtime.Predict(x)
+	cl := cold.inf.runtime.Predict(x)
 	identical := true
 	for i := range wl.Data {
 		if wl.Data[i] != cl.Data[i] {

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"prionn/internal/fault"
-	"prionn/internal/mapping"
 	"prionn/internal/trace"
 	"prionn/internal/word2vec"
 )
@@ -174,10 +173,7 @@ func (v *Inference) SaveQuantized(w io.Writer) error {
 	if v.Kernel() != KernelInt8 {
 		return fmt.Errorf("prionn: SaveQuantized on a %s snapshot", v.Kernel())
 	}
-	meta := quantMeta{Config: v.cfg, Trained: v.trained}
-	if w2v, ok := v.transform.(mapping.Word2Vec); ok {
-		meta.Embedding = w2v.Emb
-	}
+	meta := quantMeta{Config: v.cfg, Embedding: v.embedding(), Trained: v.trained}
 	_, heads := v.heads()
 	return writeFrame(w, frameVersionQuant, meta, func(bw *bufio.Writer) error {
 		for h, m := range heads {

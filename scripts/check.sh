@@ -29,8 +29,10 @@
 #   7. crash matrix   (fault-injection sweep: every injectable fault
 #                      point during a checkpoint save, the streamed
 #                      checkpoint's allocation ceiling: a load or a save
-#                      never holds the file in memory, and checkpoints
-#                      written with the older meta still loading)
+#                      never holds the file in memory, checkpoints
+#                      written with the older meta or optimizer flag 0
+#                      still loading, and Adam's moments refusing a
+#                      parameter list they were not built for)
 #   8. serve gate     (the serving layer's contract tests — coalesced
 #                      == single bitwise, bounded-queue overload,
 #                      graceful drain — rerun under the race detector
@@ -237,9 +239,13 @@ step_done
 
 # Crash matrix: rerun the fault-injection sweep explicitly (it is part
 # of the suite above, but a named filter here keeps it visible as its own
-# gate and guards against the tests being skipped or renamed away).
+# gate and guards against the tests being skipped or renamed away). It
+# also runs two tests nothing else stands in for: Save always writes
+# optimizer flag 1, so TestLoadInferenceWithoutOptimizerState is the only
+# reader of a flag-0 frame, and TestAdamStateFollowsParamsOrder the only
+# check that Adam's moments match the parameter list they step.
 step "crash matrix (fault injection)"
-named -count=1 -run 'TestSaveFileCrashMatrix|TestCheckpointAllocCeiling|TestLoadOldMetaWithResumeField' ./internal/prionn/
+named -count=1 -run 'TestSaveFileCrashMatrix|TestCheckpointAllocCeiling|TestLoadOldMetaWithResumeField|TestLoadInferenceWithoutOptimizerState|TestAdamStateFollowsParamsOrder' ./internal/prionn/ ./internal/nn/
 step_done
 
 # Serving gate: the coalescer's contract tests, explicitly and under
