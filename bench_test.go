@@ -6,6 +6,7 @@
 package prionn_bench
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -99,7 +100,7 @@ func benchOnline(b *testing.B, mutate func(*prionn.Config)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prionn.RunOnline(jobs, cfg, nil); err != nil {
+		if _, err := prionn.RunOnline(context.Background(), jobs, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,16 +76,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutFailsSlowFigure gives a training-driven figure a
-// deadline it cannot meet and asserts the run reports the failure and
-// exits nonzero instead of hanging.
+// TestRunTimeoutFailsSlowFigure gives every figure that replays the
+// trace online — PRIONN against RF (fig8), the power extension's PRIONN
+// and RF (ext-power), and the cold-start ablation (ablate-warm) — a
+// deadline it cannot meet, and asserts the run reports each one failed
+// and exits nonzero instead of hanging or reporting a late success.
 func TestRunTimeoutFailsSlowFigure(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-run", "fig8", "-jobs", "400", "-scale", "tiny", "-q", "-timeout", "1ns"}, &out, &errb)
+	code := run([]string{"-run", "fig8,ext-power,ablate-warm", "-jobs", "400", "-scale", "tiny", "-q", "-timeout", "1ns"}, &out, &errb)
 	if code == 0 {
 		t.Fatal("exit 0 despite a deadline failure")
 	}
-	if !strings.Contains(out.String(), "== fig8: FAILED ==") {
-		t.Fatalf("report does not mark fig8 failed:\n%s", out.String())
+	for _, id := range []string{"fig8", "ext-power", "ablate-warm"} {
+		if !strings.Contains(out.String(), "== "+id+": FAILED ==") {
+			t.Errorf("report does not mark %s failed:\n%s", id, out.String())
+		}
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +43,7 @@ func main() {
 	log.Printf("trace: %d jobs (%d completed)", len(all), len(completed))
 
 	// Phase 1: PRIONN per-job predictions in the online loop.
-	recs, err := prionn.RunOnline(all, cfg, func(done, total int) {
+	recs, err := prionn.RunOnline(context.Background(), all, cfg, func(done, total int) {
 		log.Printf("retrained at %d/%d submissions", done, total)
 	})
 	if err != nil {

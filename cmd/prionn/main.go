@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -51,7 +52,7 @@ func main() {
 			log.Printf("retrained at %d/%d submissions", done, total)
 		}
 	}
-	recs, err := prionn.RunOnline(all, cfg, progress)
+	recs, err := prionn.RunOnline(context.Background(), all, cfg, progress)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 	cfg.TrainWindow = 150
 	cfg.RetrainEvery = 75
 	cfg.Epochs = 2
-	recs, err := prionn.RunOnline(all, cfg, nil)
+	recs, err := prionn.RunOnline(context.Background(), all, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	fmt.Printf("online loop: retrain every %d submissions on the %d most recently completed jobs\n\n",
 		cfg.RetrainEvery, cfg.TrainWindow)
 
-	recs, err := prionn.RunOnline(all, cfg, func(done, total int) {
+	recs, err := prionn.RunOnline(context.Background(), all, cfg, func(done, total int) {
 		fmt.Printf("  retrained after submission %d/%d\n", done, total)
 	})
 	if err != nil {

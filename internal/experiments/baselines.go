@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"prionn/internal/features"
 	"prionn/internal/mlbase"
 	"prionn/internal/trace"
@@ -40,165 +42,72 @@ func rawJob(j trace.Job) features.RawJob {
 	}
 }
 
-// runBaseline runs a traditional model through the same online loop as
-// PRIONN: predict at submission, retrain every retrainEvery submissions
-// on the window most recently completed jobs. Unlike PRIONN, traditional
-// models cannot warm-start — each training event fits a fresh model on
-// the window (the paper calls this out as a deep-learning advantage).
-func runBaseline(jobs []trace.Job, kind BaselineKind, window, retrainEvery int, seed int64, predictIO bool) []JobPred {
-	enc := features.NewEncoder()
+// The regression targets runBaseline fits.
+func runtimeMin(j trace.Job) float64 { return float64(j.ActualMin()) }
+func readBytes(j trace.Job) float64  { return float64(j.ReadBytes) }
+func writeBytes(j trace.Job) float64 { return float64(j.WriteBytes) }
+func avgPowerW(j trace.Job) float64  { return j.AvgPowerW }
 
-	type completion struct {
-		end int64
-		idx int
-	}
-	pending := make([]completion, 0, len(jobs))
-	for i, j := range jobs {
-		if !j.Canceled {
-			pending = append(pending, completion{end: j.SubmitTime + j.ActualSec, idx: i})
+// runBaseline runs a traditional model through the same online schedule
+// as PRIONN (trace.Replay): predict at submission, refit every
+// retrainEvery submissions on the window most recently completed jobs.
+// Unlike PRIONN, traditional models cannot warm-start — each training
+// event fits one fresh model per target on the window, target k seeded
+// with seed+k (the paper calls this out as a deep-learning advantage).
+// out[i][k] is target k's prediction for job i, clamped at zero; out[i]
+// is nil for jobs submitted before the first fit and for canceled jobs.
+func runBaseline(ctx context.Context, jobs []trace.Job, kind BaselineKind, window, retrainEvery int, seed int64, targets ...func(trace.Job) float64) ([][]float64, error) {
+	encode := EncodeJobFeatures()
+	models := make([]mlbase.Regressor, len(targets))
+	out := make([][]float64, len(jobs))
+	err := trace.Replay(ctx, jobs, retrainEvery, window, func(_ int, win []int) error {
+		x := make([][]float64, len(win))
+		for k, idx := range win {
+			x[k] = encode(jobs[idx])
 		}
-	}
-	// Pending is nearly sorted (submission order); sort by end time.
-	for i := 1; i < len(pending); i++ {
-		for k := i; k > 0 && pending[k].end < pending[k-1].end; k-- {
-			pending[k], pending[k-1] = pending[k-1], pending[k]
-		}
-	}
-
-	var completed []int
-	pi := 0
-	sinceTrain := 0
-	trained := false
-
-	var runtimeModel, readModel, writeModel mlbase.Regressor
-
-	out := make([]JobPred, len(jobs))
-	for i, j := range jobs {
-		for pi < len(pending) && pending[pi].end <= j.SubmitTime {
-			completed = append(completed, pending[pi].idx)
-			pi++
-		}
-		sinceTrain++
-		if sinceTrain >= retrainEvery && len(completed) > 0 {
-			win := completed
-			if len(win) > window {
-				win = win[len(win)-window:]
-			}
-			x := make([][]float64, len(win))
-			rt := make([]float64, len(win))
-			rd := make([]float64, len(win))
-			wr := make([]float64, len(win))
+		for t, target := range targets {
+			y := make([]float64, len(win))
 			for k, idx := range win {
-				x[k] = enc.Encode(features.Extract(rawJob(jobs[idx])))
-				rt[k] = float64(jobs[idx].ActualMin())
-				rd[k] = float64(jobs[idx].ReadBytes)
-				wr[k] = float64(jobs[idx].WriteBytes)
+				y[k] = target(jobs[idx])
 			}
-			runtimeModel = newBaseline(kind, seed)
-			runtimeModel.Fit(x, rt)
-			if predictIO {
-				readModel = newBaseline(kind, seed+1)
-				readModel.Fit(x, rd)
-				writeModel = newBaseline(kind, seed+2)
-				writeModel.Fit(x, wr)
-			}
-			trained = true
-			sinceTrain = 0
+			models[t] = newBaseline(kind, seed+int64(t))
+			models[t].Fit(x, y)
 		}
+		return nil
+	}, func(i int) {
+		row := encode(jobs[i])
+		out[i] = make([]float64, len(models))
+		for t, m := range models {
+			out[i][t] = max(m.Predict(row), 0)
+		}
+	})
+	return out, err
+}
 
-		out[i].Job = j
-		if trained && !j.Canceled {
-			row := enc.Encode(features.Extract(rawJob(j)))
-			rm := runtimeModel.Predict(row)
-			if rm < 0 {
-				rm = 0
-			}
-			out[i].RuntimeMin = int(rm + 0.5)
-			if predictIO {
-				out[i].ReadBytes = maxf(readModel.Predict(row), 0)
-				out[i].WriteBytes = maxf(writeModel.Predict(row), 0)
-			}
-			out[i].OK = true
+// jobPreds reads runBaseline's rows for the targets runtimeMin and,
+// when present, readBytes and writeBytes as JobPreds.
+func jobPreds(jobs []trace.Job, ys [][]float64) []JobPred {
+	out := make([]JobPred, len(jobs))
+	for i, y := range ys {
+		out[i].Job = jobs[i]
+		if y == nil {
+			continue
 		}
+		out[i].RuntimeMin = int(y[0] + 0.5)
+		if len(y) == 3 {
+			out[i].ReadBytes, out[i].WriteBytes = y[1], y[2]
+		}
+		out[i].OK = true
 	}
 	return out
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // EncodeJobFeatures returns a closure performing the full manual-feature
 // pipeline (Table-1 extraction plus label encoding) over trace jobs, with
-// encoder state shared across calls. Exposed for the benchmark harness.
+// encoder state shared across calls. The benchmark harness calls it too.
 func EncodeJobFeatures() func(trace.Job) []float64 {
 	enc := features.NewEncoder()
 	return func(j trace.Job) []float64 {
 		return enc.Encode(features.Extract(rawJob(j)))
 	}
-}
-
-// runBaselinePower runs the RF online loop with each job's mean power
-// draw (watts) as the regression target — the baseline for the
-// ext-power future-work experiment.
-func runBaselinePower(jobs []trace.Job, window, retrainEvery int, seed int64) []powerPred {
-	enc := features.NewEncoder()
-
-	type completion struct {
-		end int64
-		idx int
-	}
-	pending := make([]completion, 0, len(jobs))
-	for i, j := range jobs {
-		if !j.Canceled {
-			pending = append(pending, completion{end: j.SubmitTime + j.ActualSec, idx: i})
-		}
-	}
-	for i := 1; i < len(pending); i++ {
-		for k := i; k > 0 && pending[k].end < pending[k-1].end; k-- {
-			pending[k], pending[k-1] = pending[k-1], pending[k]
-		}
-	}
-
-	var completed []int
-	pi, sinceTrain := 0, 0
-	var model mlbase.Regressor
-
-	out := make([]powerPred, len(jobs))
-	for i, j := range jobs {
-		for pi < len(pending) && pending[pi].end <= j.SubmitTime {
-			completed = append(completed, pending[pi].idx)
-			pi++
-		}
-		sinceTrain++
-		if sinceTrain >= retrainEvery && len(completed) > 0 {
-			win := completed
-			if len(win) > window {
-				win = win[len(win)-window:]
-			}
-			x := make([][]float64, len(win))
-			y := make([]float64, len(win))
-			for k, idx := range win {
-				x[k] = enc.Encode(features.Extract(rawJob(jobs[idx])))
-				y[k] = jobs[idx].AvgPowerW
-			}
-			model = newBaseline(BaselineRF, seed)
-			model.Fit(x, y)
-			sinceTrain = 0
-		}
-		if model != nil && !j.Canceled {
-			row := enc.Encode(features.Extract(rawJob(j)))
-			out[i] = powerPred{PowerW: maxf(model.Predict(row), 0), OK: true}
-		}
-	}
-	return out
-}
-
-// RunBaselineForProbe exposes the RF online loop for the tuning probe
-// binary (runtime target only).
-func RunBaselineForProbe(jobs []trace.Job, window, retrainEvery int) []JobPred {
-	return runBaseline(jobs, BaselineRF, window, retrainEvery, 1, false)
 }

@@ -184,7 +184,7 @@ func (p JobPred) WriteBW() float64 {
 
 // runPRIONN executes PRIONN's online loop over the trace.
 func runPRIONN(jobs []trace.Job, cfg prionn.Config, o Options) ([]JobPred, error) {
-	recs, err := prionn.RunOnlineCtx(o.Context(), jobs, cfg, func(done, total int) {
+	recs, err := prionn.RunOnline(o.Context(), jobs, cfg, func(done, total int) {
 		o.progress("prionn online: %d/%d submissions", done, total)
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -174,7 +175,11 @@ func TestFig14And15Small(t *testing.T) {
 
 func TestBaselineOnlineLoop(t *testing.T) {
 	jobs := trace.Generate(trace.Config{Seed: 4, Jobs: 250, Users: 15, Apps: 5})
-	preds := runBaseline(jobs, BaselineRF, 60, 60, 1, true)
+	ys, err := runBaseline(context.Background(), jobs, BaselineRF, 60, 60, 1, runtimeMin, readBytes, writeBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := jobPreds(jobs, ys)
 	if len(preds) != len(jobs) {
 		t.Fatalf("%d preds", len(preds))
 	}
@@ -201,10 +206,13 @@ func TestBaselineOnlineLoop(t *testing.T) {
 func TestBaselineKinds(t *testing.T) {
 	jobs := trace.Generate(trace.Config{Seed: 6, Jobs: 150, Users: 10, Apps: 4})
 	for _, k := range []BaselineKind{BaselineRF, BaselineDT, BaselineKNN} {
-		preds := runBaseline(jobs, k, 40, 40, 1, false)
+		ys, err := runBaseline(context.Background(), jobs, k, 40, 40, 1, runtimeMin)
+		if err != nil {
+			t.Fatal(err)
+		}
 		any := false
-		for _, p := range preds {
-			if p.OK {
+		for _, y := range ys {
+			if y != nil {
 				any = true
 			}
 		}

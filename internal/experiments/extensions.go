@@ -69,23 +69,26 @@ func ExtPower(o Options) (Result, error) {
 	cfg.PredictIO = false
 	cfg.PredictPower = true
 	cfg.IncludeDeck = true
-	recs, err := prionn.RunOnline(jobs, cfg, nil)
+	recs, err := prionn.RunOnline(o.Context(), jobs, cfg, nil)
 	if err != nil {
 		return Result{}, err
 	}
 
 	// RF baseline on Table-1 features, same online schedule, power
 	// target.
-	rf := runBaselinePower(jobs, cfg.TrainWindow, cfg.RetrainEvery, o.Seed)
+	rf, err := runBaseline(o.Context(), jobs, BaselineRF, cfg.TrainWindow, cfg.RetrainEvery, o.Seed, avgPowerW)
+	if err != nil {
+		return Result{}, err
+	}
 
 	start := int(float64(len(jobs)) * o.BurnIn)
 	var prAcc, rfAcc []float64
 	for i, r := range recs {
-		if i < start || !r.Predicted || !rf[i].OK {
+		if i < start || !r.Predicted || rf[i] == nil {
 			continue
 		}
 		prAcc = append(prAcc, metrics.RelativeAccuracy(r.Job.AvgPowerW, r.Pred.PowerW))
-		rfAcc = append(rfAcc, metrics.RelativeAccuracy(r.Job.AvgPowerW, rf[i].PowerW))
+		rfAcc = append(rfAcc, metrics.RelativeAccuracy(r.Job.AvgPowerW, rf[i][0]))
 	}
 	ps := metrics.Summarize(prAcc)
 	fs := metrics.Summarize(rfAcc)
@@ -101,10 +104,4 @@ func ExtPower(o Options) (Result, error) {
 			"power accuracy: PRIONN %.1f%% vs RF %.1f%%", ps.Mean*100, fs.Mean*100))
 	}
 	return res, nil
-}
-
-// powerPred carries the RF baseline's power predictions.
-type powerPred struct {
-	PowerW float64
-	OK     bool
 }

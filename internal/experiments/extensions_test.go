@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"prionn/internal/trace"
@@ -35,12 +36,15 @@ func TestExtPowerSmall(t *testing.T) {
 
 func TestRunBaselinePower(t *testing.T) {
 	jobs := trace.Generate(trace.Config{Seed: 12, Jobs: 200, Users: 12, Apps: 4})
-	preds := runBaselinePower(jobs, 50, 50, 1)
+	preds, err := runBaseline(context.Background(), jobs, BaselineRF, 50, 50, 1, avgPowerW)
+	if err != nil {
+		t.Fatal(err)
+	}
 	any := false
 	for i, p := range preds {
-		if p.OK {
+		if p != nil {
 			any = true
-			if p.PowerW < 0 {
+			if p[0] < 0 {
 				t.Fatal("negative power prediction")
 			}
 			if jobs[i].Canceled {

@@ -40,7 +40,11 @@ func Fig8(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rf := runBaseline(jobs, BaselineRF, cfg.TrainWindow, cfg.RetrainEvery, o.Seed, false)
+	ys, err := runBaseline(o.Context(), jobs, BaselineRF, cfg.TrainWindow, cfg.RetrainEvery, o.Seed, runtimeMin)
+	if err != nil {
+		return Result{}, err
+	}
+	rf := jobPreds(jobs, ys)
 	user := userPreds(jobs)
 
 	// Evaluate only jobs all three predicted (post-first-training).
@@ -94,7 +98,7 @@ func Fig9(o Options) (Result, error) {
 	rs, ws := metrics.Summarize(rbws), metrics.Summarize(wbws)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"9a distribution: read mean/median = %.0f (paper: orders of magnitude), write mean/median = %.0f",
-		rs.Mean/maxf(rs.Median, 1), ws.Mean/maxf(ws.Median, 1)))
+		rs.Mean/max(rs.Median, 1), ws.Mean/max(ws.Median, 1)))
 
 	cfg := o.Cfg
 	cfg.PredictIO = true
@@ -102,7 +106,12 @@ func Fig9(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rf := runBaseline(jobs, BaselineRF, cfg.TrainWindow, cfg.RetrainEvery, o.Seed, true)
+	ys, err := runBaseline(o.Context(), jobs, BaselineRF, cfg.TrainWindow, cfg.RetrainEvery, o.Seed,
+		runtimeMin, readBytes, writeBytes)
+	if err != nil {
+		return Result{}, err
+	}
+	rf := jobPreds(jobs, ys)
 
 	burnStart := int(float64(len(jobs)) * o.BurnIn)
 	bwAcc := func(preds []JobPred, read bool) metrics.Summary {

@@ -95,7 +95,7 @@ func Fig3(o Options) (Result, error) {
 func Fig4(o Options) (Result, error) {
 	o = o.withDefaults()
 	jobs := trace.Completed(cabTrace(o))
-	window := jobs[:minInt(o.Cfg.TrainWindow, len(jobs))]
+	window := jobs[:min(o.Cfg.TrainWindow, len(jobs))]
 	scripts := windowScripts(window, len(window))
 
 	res := Result{
@@ -185,7 +185,7 @@ func Fig5(o Options) (Result, error) {
 func Fig6(o Options) (Result, error) {
 	o = o.withDefaults()
 	jobs := trace.Completed(cabTrace(o))
-	window := jobs[:minInt(o.Cfg.TrainWindow, len(jobs))]
+	window := jobs[:min(o.Cfg.TrainWindow, len(jobs))]
 	scripts := windowScripts(window, len(window))
 
 	res := Result{
@@ -350,72 +350,36 @@ func WarmStartAblation(o Options) (Result, error) {
 	return res, nil
 }
 
-// runColdStart mirrors prionn.RunOnline but re-initializes model
-// parameters before every training event.
+// runColdStart is the warm-start ablation's other arm: PRIONN's online
+// schedule (trace.Replay) with every model parameter re-initialized
+// before each training event.
 func runColdStart(jobs []trace.Job, cfg prionn.Config, o Options) ([]JobPred, error) {
-	// Reuse the online loop by interposing re-initialization: simplest
-	// correct implementation is a copy of the loop driving Predictor
-	// directly.
-	var (
-		p   *prionn.Predictor
-		err error
-	)
-	type completion struct {
-		end int64
-		idx int
-	}
-	var pending []completion
-	for i, j := range jobs {
-		if !j.Canceled {
-			pending = append(pending, completion{end: j.SubmitTime + j.ActualSec, idx: i})
-		}
-	}
-	for i := 1; i < len(pending); i++ {
-		for k := i; k > 0 && pending[k].end < pending[k-1].end; k-- {
-			pending[k], pending[k-1] = pending[k-1], pending[k]
-		}
-	}
-	var completed []int
-	pi, sinceTrain := 0, 0
+	var p *prionn.Predictor
 	out := make([]JobPred, len(jobs))
 	for i, j := range jobs {
-		for pi < len(pending) && pending[pi].end <= j.SubmitTime {
-			completed = append(completed, pending[pi].idx)
-			pi++
-		}
-		sinceTrain++
-		if sinceTrain >= cfg.RetrainEvery && len(completed) > 0 {
-			win := completed
-			if len(win) > cfg.TrainWindow {
-				win = win[len(win)-cfg.TrainWindow:]
-			}
-			batch := make([]trace.Job, len(win))
-			scripts := make([]string, len(win))
-			for k, idx := range win {
-				batch[k] = jobs[idx]
-				scripts[k] = jobs[idx].Script
-			}
-			if p == nil {
-				p, err = prionn.New(cfg, scripts)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				p.Reinitialize() // the cold-start difference
-			}
-			if _, err := p.Train(batch); err != nil {
-				return nil, err
-			}
-			sinceTrain = 0
-		}
 		out[i].Job = j
-		if p != nil && p.Trained() && !j.Canceled {
-			pr := p.PredictOne(j.Script)
-			out[i].RuntimeMin = pr.RuntimeMin
-			out[i].OK = true
-		}
 	}
-	return out, nil
+	err := trace.Replay(o.Context(), jobs, cfg.RetrainEvery, cfg.TrainWindow, func(_ int, win []int) error {
+		batch := make([]trace.Job, len(win))
+		for k, idx := range win {
+			batch[k] = jobs[idx]
+		}
+		if p == nil {
+			np, err := prionn.New(cfg, windowScripts(batch, len(batch)))
+			if err != nil {
+				return err
+			}
+			p = np
+		} else {
+			p.Reinitialize() // the cold-start difference
+		}
+		_, err := p.TrainCtx(o.Context(), batch)
+		return err
+	}, func(i int) {
+		out[i].RuntimeMin = p.PredictJob(jobs[i]).RuntimeMin
+		out[i].OK = true
+	})
+	return out, err
 }
 
 // WindowAblation sweeps the training-window size (paper §2.3: "minor
@@ -506,39 +470,4 @@ func CropAblation(o Options) (Result, error) {
 		o.progress("ablate-crop: %dx%d mean %.3f", ext[0], ext[1], s.Mean)
 	}
 	return res, nil
-}
-
-// embeddingAccuracy is a helper for tests: trains one window and reports
-// training accuracy — a smoke signal that the pipeline learns at all.
-func embeddingAccuracy(cfg prionn.Config, jobs []trace.Job) (float64, error) {
-	scripts := windowScripts(jobs, len(jobs))
-	p, err := prionn.New(cfg, scripts)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := p.Train(jobs); err != nil {
-		return 0, err
-	}
-	preds := p.Predict(scripts)
-	var sum float64
-	for i, j := range jobs {
-		sum += metrics.RelativeAccuracy(float64(j.ActualMin()), float64(preds[i].RuntimeMin))
-	}
-	return sum / float64(len(jobs)), nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// word2vecSanity exposes the embedding trainer for the modelselect
-// example; kept here so the examples depend only on experiments.
-func TrainEmbeddingForScripts(scripts []string, dim int, seed int64) *word2vec.Embedding {
-	c := word2vec.DefaultConfig()
-	c.Dim = dim
-	c.Seed = seed
-	return word2vec.Train(scripts, c)
 }

@@ -1,6 +1,7 @@
 package prionn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -304,7 +305,7 @@ func TestRunOnlineBasic(t *testing.T) {
 	cfg.TrainWindow = 30
 	cfg.Epochs = 1
 	trainEvents := 0
-	recs, err := RunOnline(jobs, cfg, func(done, total int) { trainEvents++ })
+	recs, err := RunOnline(context.Background(), jobs, cfg, func(done, total int) { trainEvents++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestRunOnlineOnlyTrainsOnCompletedJobs(t *testing.T) {
 	cfg := TinyConfig()
 	cfg.PredictIO = false
 	cfg.RetrainEvery = 10
-	recs, err := RunOnline(jobs, cfg, nil)
+	recs, err := RunOnline(context.Background(), jobs, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

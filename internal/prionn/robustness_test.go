@@ -352,7 +352,7 @@ func TestOnlineCtxCancellation(t *testing.T) {
 	cfg := TinyConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunOnlineCtx(ctx, jobs, cfg, nil); !errors.Is(err, context.Canceled) {
+	if _, err := RunOnline(ctx, jobs, cfg, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

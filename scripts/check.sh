@@ -20,8 +20,10 @@
 #                      a same-seed report byte-identical, the
 #                      seeded fault injector, the random forest's
 #                      per-tree generators, coalesced == single-request
-#                      answers, batch-invariant logits, and the
-#                      exact-zero guards of int8 scales and cosines
+#                      answers, batch-invariant logits, the
+#                      exact-zero guards of int8 scales and cosines,
+#                      the online schedule's tie order, and a figure
+#                      past its -timeout failing
 #   5. go test        (tier-1 tests)
 #   6. go test -race  (every package under the race detector, including
 #                      the ParallelFor/SetMaxWorkers hammer test: this
@@ -223,10 +225,13 @@ step "prionnvet ./..., then the hazard-owner tests"
 go run ./cmd/prionnvet ./...
 # These tests own reproducibility hazards prionnvet does not check:
 # seeding, a generator shared across goroutines, batch composition
-# leaking into answers, and the exact float comparisons kept on purpose
-# (DESIGN.md §6 gives the mutation each one catches). Renaming or
-# deleting one fails here rather than silently reopening a hazard.
-named -count=1 -run 'TestSameSeedReportByteIdentical|TestSeededInjectorDeterministic|TestForestOrderingOnHPCLikeData|TestServeBatchedBitwiseIdenticalToSingle|TestSnapshotLogitsBatchInvariant|TestQuantizeChannelZeroChannel|TestSimilarityRange' ./internal/experiments/ ./internal/fault/ ./internal/mlbase/ ./internal/serve/ ./internal/prionn/ ./internal/nn/ ./internal/word2vec/
+# leaking into answers, the exact float comparisons kept on purpose
+# (DESIGN.md §6 gives the mutation each one catches), jobs ending in
+# the same second reaching every predictor's training window in
+# submission order, and an online figure past its deadline reported
+# failed rather than late. Renaming or deleting one fails here rather
+# than silently reopening a hazard.
+named -count=1 -run 'TestSameSeedReportByteIdentical|TestSeededInjectorDeterministic|TestForestOrderingOnHPCLikeData|TestServeBatchedBitwiseIdenticalToSingle|TestSnapshotLogitsBatchInvariant|TestQuantizeChannelZeroChannel|TestSimilarityRange|TestReplayTiesInSubmissionOrder|TestRunTimeoutFailsSlowFigure' ./internal/experiments/ ./internal/fault/ ./internal/mlbase/ ./internal/serve/ ./internal/prionn/ ./internal/nn/ ./internal/word2vec/ ./internal/trace/ ./cmd/experiments/
 step_done
 
 step "go test ./..."
