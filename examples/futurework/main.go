@@ -27,18 +27,8 @@ func main() {
 		cfg.IncludeDeck = withDeck
 		cfg.Epochs = 4
 
-		scripts := make([]string, len(train))
-		for i, j := range train {
-			scripts[i] = j.Script
-			if withDeck {
-				scripts[i] += "\n" + j.InputDeck
-			}
-		}
-		p, err := prionn.New(cfg, scripts)
+		p, err := prionn.NewTrained(cfg, train)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := p.Train(train); err != nil {
 			log.Fatal(err)
 		}
 

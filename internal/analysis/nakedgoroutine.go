@@ -11,7 +11,7 @@ import (
 // and-forget goroutine in the tensor/sched parallel paths can outlive
 // the kernel that spawned it and race the next operation on the same
 // buffers; every launch must be paired with a join in the same function
-// (as ParallelFor does) or carry a justified suppression.
+// (as tensor.For does) or carry a justified suppression.
 //
 // The join detection is a function-scoped heuristic: evidence anywhere
 // in the innermost enclosing function body counts for every goroutine

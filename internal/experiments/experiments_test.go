@@ -351,6 +351,48 @@ func TestWarmStartAblationSmall(t *testing.T) {
 	}
 }
 
+// TestColdStartCorpusMatchesOnline: the warm-start ablation's arms
+// train their embedding on the same corpus. Over one training event the
+// cold arm reinitializes nothing, so under IncludeDeck, with decks
+// missing from part of the window, its predictions must be the online
+// loop's bit for bit; an arm whose corpus kept scripts only, or appended
+// a line break per empty deck, diverges.
+func TestColdStartCorpusMatchesOnline(t *testing.T) {
+	o := tinyOptions()
+	o.Cfg.IncludeDeck = true
+	o.Cfg.Epochs = 3 // at 1 the tiny model's answers hide the embedding
+	jobs := trace.Generate(trace.Config{Seed: o.Seed, Jobs: 2*o.Cfg.RetrainEvery - 1})
+	for i := range jobs {
+		if i%3 == 0 {
+			jobs[i].InputDeck = ""
+		}
+	}
+	warm, err := prionn.RunOnline(context.Background(), jobs, o.Cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := runColdStart(jobs, o.Cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predicted := 0
+	for i, w := range warm {
+		if w.Predicted != cold[i].OK {
+			t.Fatalf("job %d: predicted online %v, cold %v", i, w.Predicted, cold[i].OK)
+		}
+		if !w.Predicted {
+			continue
+		}
+		predicted++
+		if w.Pred.RuntimeMin != cold[i].RuntimeMin {
+			t.Fatalf("job %d: online predicts %v min, cold arm %v min", i, w.Pred.RuntimeMin, cold[i].RuntimeMin)
+		}
+	}
+	if predicted == 0 {
+		t.Fatal("no job was predicted")
+	}
+}
+
 func TestCropAblationSmall(t *testing.T) {
 	o := tinyOptions()
 	o.Jobs = 200

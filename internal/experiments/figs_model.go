@@ -365,7 +365,7 @@ func runColdStart(jobs []trace.Job, cfg prionn.Config, o Options) ([]JobPred, er
 			batch[k] = jobs[idx]
 		}
 		if p == nil {
-			np, err := prionn.New(cfg, windowScripts(batch, len(batch)))
+			np, err := prionn.New(cfg, prionn.Corpus(cfg, batch))
 			if err != nil {
 				return err
 			}

@@ -174,12 +174,12 @@ func MapBatch(scripts []string, tr Transform, rows, cols int) *tensor.Tensor {
 	ch := tr.Channels()
 	out := tensor.New(n, ch, rows, cols)
 	sample := ch * rows * cols
-	tensor.ParallelFor(n, func(lo, hi int) {
+	tensor.For(n, 64, tensor.Func(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := Standardize(scripts[i], rows, cols)
 			tr.Apply(g, out.Data[i*sample:(i+1)*sample])
 		}
-	})
+	}))
 	return out
 }
 

@@ -56,7 +56,7 @@ func (rf *RandomForest) Fit(x [][]float64, y []float64) {
 			maxF = 1
 		}
 	}
-	tensor.ParallelFor(rf.Config.Trees, func(lo, hi int) {
+	tensor.For(rf.Config.Trees, 64, tensor.Func(func(lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			rng := rand.New(rand.NewSource(rf.Config.Seed + int64(ti)*7919))
 			bx := make([][]float64, n)
@@ -74,7 +74,7 @@ func (rf *RandomForest) Fit(x [][]float64, y []float64) {
 			tree.Fit(bx, by)
 			rf.trees[ti] = tree
 		}
-	})
+	}))
 }
 
 // Predict implements Regressor: the mean of the per-tree predictions.

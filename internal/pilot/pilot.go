@@ -246,14 +246,7 @@ func (pl *Pilot) runEvent(ctx context.Context) error {
 		batch = batch[len(batch)-pl.cfg.Model.TrainWindow:]
 	}
 	if pl.p == nil {
-		scripts := make([]string, len(batch))
-		for i, j := range batch {
-			scripts[i] = j.Script
-			if pl.cfg.Model.IncludeDeck {
-				scripts[i] += "\n" + j.InputDeck
-			}
-		}
-		np, err := prionn.New(pl.cfg.Model, scripts)
+		np, err := prionn.New(pl.cfg.Model, prionn.Corpus(pl.cfg.Model, batch))
 		if err != nil {
 			return err
 		}

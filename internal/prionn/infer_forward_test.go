@@ -346,7 +346,15 @@ func TestInferForwardReturnsActivations(t *testing.T) {
 // (before the arena a lone request allocated 85 times, 101 KB, per
 // call) — and a small batch no more than a lone request: nothing is
 // allocated per row.
-func TestInferForwardAllocCeiling(t *testing.T) {
+func TestInferForwardAllocCeiling(t *testing.T) { inferForwardAllocCeiling(t, 1) }
+
+// TestInferForwardAllocCeilingTwoWorkers is the same ceiling with two
+// workers available, as on a 2-vCPU serving host: the kernels' fan-out
+// rule keeps these batches on the caller's goroutine, and that inline
+// path allocates nothing either.
+func TestInferForwardAllocCeilingTwoWorkers(t *testing.T) { inferForwardAllocCeiling(t, 2) }
+
+func inferForwardAllocCeiling(t *testing.T, workers int) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops its contents under the race detector")
 	}
@@ -355,7 +363,7 @@ func TestInferForwardAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 	for _, tc := range []struct {
 		batch         int
 		allocs, bytes float64
@@ -372,9 +380,9 @@ func TestInferForwardAllocCeiling(t *testing.T) {
 		allocs := float64(after.Mallocs-before.Mallocs) / runs
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		if allocs > tc.allocs || bytes > tc.bytes {
-			t.Fatalf("PredictMapped at batch %d allocates %.1f times, %.0f B per call; ceiling %.0f and %.0f", tc.batch, allocs, bytes, tc.allocs, tc.bytes)
+			t.Fatalf("PredictMapped at batch %d, %d workers allocates %.1f times, %.0f B per call; ceiling %.0f and %.0f", tc.batch, workers, allocs, bytes, tc.allocs, tc.bytes)
 		}
-		t.Logf("PredictMapped at batch %d: %.1f allocs, %.0f B per call", tc.batch, allocs, bytes)
+		t.Logf("PredictMapped at batch %d, %d workers: %.1f allocs, %.0f B per call", tc.batch, workers, allocs, bytes)
 	}
 }
 

@@ -218,8 +218,12 @@ func (v *Inference) Trained() bool { return v.trained }
 
 // InputText assembles the model input for one job: the script, with the
 // input deck appended when IncludeDeck is set.
-func (v *Inference) InputText(script, deck string) string {
-	if v.cfg.IncludeDeck && deck != "" {
+func (v *Inference) InputText(script, deck string) string { return v.cfg.inputText(script, deck) }
+
+// inputText is InputText's rule: a non-empty deck follows the script on
+// its own line when IncludeDeck is set.
+func (c Config) inputText(script, deck string) string {
+	if c.IncludeDeck && deck != "" {
 		return script + "\n" + deck
 	}
 	return script

@@ -34,16 +34,11 @@ func RunOnline(ctx context.Context, jobs []trace.Job, cfg Config, progress func(
 	var p *Predictor
 	err := trace.Replay(ctx, jobs, cfg.RetrainEvery, cfg.TrainWindow, func(i int, win []int) error {
 		batch := make([]trace.Job, len(win))
-		scripts := make([]string, len(win))
 		for k, idx := range win {
 			batch[k] = jobs[idx]
-			scripts[k] = jobs[idx].Script
-			if cfg.IncludeDeck {
-				scripts[k] += "\n" + jobs[idx].InputDeck
-			}
 		}
 		if p == nil {
-			np, err := New(cfg, scripts)
+			np, err := New(cfg, Corpus(cfg, batch))
 			if err != nil {
 				return err
 			}

@@ -80,15 +80,21 @@ func New(cfg Config, corpus []string) (*Predictor, error) {
 	return p, nil
 }
 
-// NewTrained builds the model a tool starts from when it has a history
-// but no checkpoint: New with the scripts of every completed job as the
-// corpus, then one training event on the cfg.TrainWindow most recent.
-func NewTrained(cfg Config, completed []trace.Job) (*Predictor, error) {
-	scripts := make([]string, len(completed))
-	for i, j := range completed {
-		scripts[i] = j.Script
+// Corpus is New's corpus for a window of jobs: each job's model input,
+// by InputText's rule, so the embedding learns the text the model reads.
+func Corpus(cfg Config, jobs []trace.Job) []string {
+	texts := make([]string, len(jobs))
+	for i, j := range jobs {
+		texts[i] = cfg.inputText(j.Script, j.InputDeck)
 	}
-	p, err := New(cfg, scripts)
+	return texts
+}
+
+// NewTrained builds the model a tool starts from when it has a history
+// but no checkpoint: New with the Corpus of every completed job, then
+// one training event on the cfg.TrainWindow most recent.
+func NewTrained(cfg Config, completed []trace.Job) (*Predictor, error) {
+	p, err := New(cfg, Corpus(cfg, completed))
 	if err != nil {
 		return nil, err
 	}

@@ -190,24 +190,22 @@ func Col2Im(dx, cols *Tensor, c, h, w int, spec ConvSpec) {
 func Im2ColBatch(cols, x *Tensor, c, h, w int, spec ConvSpec) {
 	n := x.Shape[0]
 	oh, ow := spec.OutDims(h, w)
-	colW := oh * ow
-	ld := n * colW
-	// The single-worker branch repeats the loop rather than sharing a
-	// closure with the parallel branch: any closure handed to
-	// ParallelForMin escapes to a goroutine and heap-allocates even when
-	// it ends up running inline, which would break the zero-alloc
-	// training steady state.
-	if MaxWorkers() == 1 {
-		for i := 0; i < n; i++ {
-			im2colInto(cols.Data[i*colW:], ld, x.Data[i*c*h*w:(i+1)*c*h*w], c, h, w, spec)
-		}
-		return
+	For(n, 1, im2colBatch{cols: cols.Data, x: x.Data, c: c, h: h, w: w, spec: spec, colW: oh * ow, ld: n * oh * ow})
+}
+
+// im2colBatch is one Im2ColBatch call.
+type im2colBatch struct {
+	cols, x           []float32
+	c, h, w, colW, ld int
+	spec              ConvSpec
+}
+
+// Run fills the column blocks of samples [lo, hi).
+func (j im2colBatch) Run(lo, hi int) {
+	img := j.c * j.h * j.w
+	for i := lo; i < hi; i++ {
+		im2colInto(j.cols[i*j.colW:], j.ld, j.x[i*img:(i+1)*img], j.c, j.h, j.w, j.spec)
 	}
-	ParallelForMin(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			im2colInto(cols.Data[i*colW:], ld, x.Data[i*c*h*w:(i+1)*c*h*w], c, h, w, spec)
-		}
-	})
 }
 
 // Conv2DForward computes the train-mode forward of a batched 2D
@@ -219,22 +217,13 @@ func Im2ColBatch(cols, x *Tensor, c, h, w int, spec ConvSpec) {
 //
 // It is the training path of a strided conv (see ConvTrain) and the
 // reference the stride-1 direct path is tested against. Inference, which
-// needs no column matrix, runs Conv2DInfer instead. Scratch comes from
-// the default arena; see Conv2DForwardArena.
+// needs no column matrix, runs Conv2DInfer instead. The whole batch runs
+// as a single weights×cols GEMM over the shared column matrix rather
+// than one small multiply per sample. The returned y and cols are
+// default-arena check-outs owned by the caller; recycling them with Put
+// when dead is optional but keeps steady-state training allocation-free.
 func Conv2DForward(x, weights, bias *Tensor, c, h, w int, spec ConvSpec) (y, cols *Tensor) {
-	return Conv2DForwardArena(nil, x, weights, bias, c, h, w, spec)
-}
-
-// Conv2DForwardArena is Conv2DForward with an explicit scratch arena
-// (nil selects the default arena). The whole batch runs as a single
-// weights×cols GEMM over the shared column matrix rather than one small
-// multiply per sample. The returned y and cols are arena tensors owned
-// by the caller; recycling them with ar.Put when dead is optional but
-// keeps steady-state training allocation-free.
-func Conv2DForwardArena(ar *Arena, x, weights, bias *Tensor, c, h, w int, spec ConvSpec) (y, cols *Tensor) {
-	if ar == nil {
-		ar = defaultArena
-	}
+	ar := defaultArena
 	n := x.Shape[0]
 	f := weights.Shape[0]
 	colRows := weights.Shape[1]
@@ -249,41 +238,37 @@ func Conv2DForwardArena(ar *Arena, x, weights, bias *Tensor, c, h, w int, spec C
 	gemm(yT.Data, n*colW, f, n*colW, colRows,
 		gemmView{data: weights.Data, rs: colRows, cs: 1},
 		gemmView{data: cols.Data, rs: n * colW, cs: 1},
-		false, ar)
+		false)
 
 	// Permute [F, N*OH*OW] → [N, F, OH, OW] and add bias, sample-parallel.
-	// The closure captures plain locals, not the named results: capturing
-	// a named return would box it on the heap on every call.
-	out := ar.Get(n, f, oh, ow)
-	if MaxWorkers() == 1 {
-		for i := 0; i < n; i++ {
-			convScatterOut(out.Data, yT.Data, bias, i, f, colW, n*colW)
-		}
-	} else {
-		ParallelForMin(n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				convScatterOut(out.Data, yT.Data, bias, i, f, colW, n*colW)
-			}
-		})
-	}
+	y = ar.Get(n, f, oh, ow)
+	For(n, 1, convScatter{y: y.Data, yT: yT.Data, bias: bias, f: f, colW: colW, ld: n * colW})
 	ar.Put(yT)
-	return out, cols
+	return y, cols
 }
 
-// convScatterOut copies sample i's rows out of the pre-permute GEMM
-// output yT [F, ld] into y's [i, F, OH*OW] block, adding bias when
-// present.
-func convScatterOut(y, yT []float32, bias *Tensor, i, f, colW, ld int) {
-	for fi := 0; fi < f; fi++ {
-		src := yT[fi*ld+i*colW : fi*ld+(i+1)*colW]
-		dst := y[(i*f+fi)*colW : (i*f+fi+1)*colW]
-		if bias != nil {
-			b := bias.Data[fi]
-			for j, v := range src {
-				dst[j] = v + b
+// convScatter copies samples' rows out of the pre-permute GEMM output
+// yT [F, ld] into y's [i, F, OH*OW] blocks, adding bias when present.
+type convScatter struct {
+	y, yT       []float32
+	bias        *Tensor
+	f, colW, ld int
+}
+
+// Run scatters samples [lo, hi).
+func (j convScatter) Run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for fi := 0; fi < j.f; fi++ {
+			src := j.yT[fi*j.ld+i*j.colW : fi*j.ld+(i+1)*j.colW]
+			dst := j.y[(i*j.f+fi)*j.colW : (i*j.f+fi+1)*j.colW]
+			if j.bias != nil {
+				b := j.bias.Data[fi]
+				for k, v := range src {
+					dst[k] = v + b
+				}
+			} else {
+				copy(dst, src)
 			}
-		} else {
-			copy(dst, src)
 		}
 	}
 }
@@ -291,38 +276,21 @@ func convScatterOut(y, yT []float32, bias *Tensor, i, f, colW, ld int) {
 // Conv2DBackward computes gradients for a batched 2D convolution given
 // the upstream gradient dy [N, F, OH, OW] and the shared column matrix
 // saved by the forward pass. It accumulates into dW [F, C*KH*KW] and
-// dB [F] (dB may be nil) and returns dx [N, C, H, W]. Scratch comes from
-// the default arena; see Conv2DBackwardArena.
-func Conv2DBackward(dy, weights, cols *Tensor, dW, dB *Tensor, c, h, w int, spec ConvSpec) (dx *Tensor) {
-	return Conv2DBackwardArena(nil, dy, weights, cols, dW, dB, c, h, w, spec)
-}
-
-// convGatherIn copies sample i's [F, OH*OW] gradient block of dy into
-// the column layout dyT [F, ld] matching the shared column matrix.
-func convGatherIn(dyT, dy []float32, i, f, colW, ld int) {
-	for fi := 0; fi < f; fi++ {
-		copy(dyT[fi*ld+i*colW:fi*ld+(i+1)*colW], dy[(i*f+fi)*colW:(i*f+fi+1)*colW])
-	}
-}
-
-// Conv2DBackwardArena is Conv2DBackward with an explicit scratch arena
-// (nil selects the default arena). The gradient reduces to two GEMMs over
+// dB [F] (dB may be nil) and returns dx [N, C, H, W], a default-arena
+// check-out owned by the caller. The gradient reduces to two GEMMs over
 // the batch — dW += dyT·colsᵀ and dcols = Wᵀ·dyT — followed by a
 // sample-parallel Col2Im scatter into dx. Both GEMMs keep the fixed
 // per-cell ascending reduction order, and dB sums each filter's gradient
 // in (sample, pixel) order, so all accumulation is bitwise deterministic
-// for any worker count. The returned dx is an arena tensor owned by the
-// caller.
-func Conv2DBackwardArena(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c, h, w int, spec ConvSpec) (dx *Tensor) {
-	if ar == nil {
-		ar = defaultArena
-	}
-	return convBackwardCols(ar, dy, weights, cols, dW, dB, c, h, w, spec, true)
+// for any worker count.
+func Conv2DBackward(dy, weights, cols *Tensor, dW, dB *Tensor, c, h, w int, spec ConvSpec) (dx *Tensor) {
+	return convBackwardCols(dy, weights, cols, dW, dB, c, h, w, spec, true)
 }
 
-// convBackwardCols is Conv2DBackwardArena, skipping dcols and dx
-// (returning nil) without wantDx.
-func convBackwardCols(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c, h, w int, spec ConvSpec, wantDx bool) (dx *Tensor) {
+// convBackwardCols is Conv2DBackward, skipping dcols and dx (returning
+// nil) without wantDx.
+func convBackwardCols(dy, weights, cols *Tensor, dW, dB *Tensor, c, h, w int, spec ConvSpec, wantDx bool) (dx *Tensor) {
+	ar := defaultArena
 	n := dy.Shape[0]
 	f := weights.Shape[0]
 	colRows := weights.Shape[1]
@@ -333,23 +301,13 @@ func convBackwardCols(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c, h
 	// layout of cols. Sample-parallel: workers write disjoint column
 	// blocks of every row.
 	dyT := ar.Get(f, n*colW)
-	if MaxWorkers() == 1 {
-		for i := 0; i < n; i++ {
-			convGatherIn(dyT.Data, dy.Data, i, f, colW, n*colW)
-		}
-	} else {
-		ParallelForMin(n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				convGatherIn(dyT.Data, dy.Data, i, f, colW, n*colW)
-			}
-		})
-	}
+	For(n, 1, convGather{dyT: dyT.Data, dy: dy.Data, f: f, colW: colW, ld: n * colW})
 
 	// dW += dyT · colsᵀ — one accumulating GEMM for the whole batch.
 	gemm(dW.Data, colRows, f, colRows, n*colW,
 		gemmView{data: dyT.Data, rs: n * colW, cs: 1},
 		gemmView{data: cols.Data, rs: 1, cs: n * colW}, // colsᵀ
-		true, ar)
+		true)
 
 	// Filter counts are small, so the bias gradient stays serial.
 	if dB != nil {
@@ -365,24 +323,46 @@ func convBackwardCols(ar *Arena, dy, weights, cols *Tensor, dW, dB *Tensor, c, h
 	gemm(dcols.Data, n*colW, colRows, n*colW, f,
 		gemmView{data: weights.Data, rs: 1, cs: colRows}, // Wᵀ
 		gemmView{data: dyT.Data, rs: n * colW, cs: 1},
-		false, ar)
+		false)
 	ar.Put(dyT)
 
-	out := ar.Get(n, c, h, w)
-	out.Zero()
-	if MaxWorkers() == 1 {
-		for i := 0; i < n; i++ {
-			col2imFrom(out.Data[i*c*h*w:(i+1)*c*h*w], dcols.Data[i*colW:], n*colW, c, h, w, spec)
-		}
-	} else {
-		ParallelForMin(n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				col2imFrom(out.Data[i*c*h*w:(i+1)*c*h*w], dcols.Data[i*colW:], n*colW, c, h, w, spec)
-			}
-		})
-	}
+	dx = ar.Get(n, c, h, w)
+	dx.Zero()
+	For(n, 1, col2imBatch{dx: dx.Data, dcols: dcols.Data, c: c, h: h, w: w, spec: spec, colW: colW, ld: n * colW})
 	ar.Put(dcols)
-	return out
+	return dx
+}
+
+// convGather copies samples' [F, OH*OW] gradient blocks of dy into the
+// column layout dyT [F, ld] matching the shared column matrix.
+type convGather struct {
+	dyT, dy     []float32
+	f, colW, ld int
+}
+
+// Run gathers samples [lo, hi).
+func (j convGather) Run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for fi := 0; fi < j.f; fi++ {
+			copy(j.dyT[fi*j.ld+i*j.colW:fi*j.ld+(i+1)*j.colW], j.dy[(i*j.f+fi)*j.colW:(i*j.f+fi+1)*j.colW])
+		}
+	}
+}
+
+// col2imBatch scatters the column blocks of a shared dcols
+// [C*KH*KW, ld] into the samples of dx [N, C, H, W].
+type col2imBatch struct {
+	dx, dcols         []float32
+	c, h, w, colW, ld int
+	spec              ConvSpec
+}
+
+// Run scatters samples [lo, hi).
+func (j col2imBatch) Run(lo, hi int) {
+	img := j.c * j.h * j.w
+	for i := lo; i < hi; i++ {
+		col2imFrom(j.dx[i*img:(i+1)*img], j.dcols[i*j.colW:], j.ld, j.c, j.h, j.w, j.spec)
+	}
 }
 
 // MaxPool2DForward applies max pooling to x [N, C, H, W] with the given
@@ -406,16 +386,20 @@ func MaxPool2DForwardInto(y *Tensor, argmax []int32, x *Tensor, c, h, w int, spe
 	if spec.PadH != 0 || spec.PadW != 0 {
 		panic("tensor: MaxPool2DForward does not support padding")
 	}
-	n := x.Shape[0]
-	// A one-worker pool runs the loop itself: a closure handed to
-	// ParallelFor would heap-allocate (see Im2ColBatch).
-	if MaxWorkers() == 1 {
-		maxPoolPlanes(y.Data, x.Data, 0, n*c, h, w, spec, argmax)
-		return
-	}
-	ParallelFor(n, func(lo, hi int) {
-		maxPoolPlanes(y.Data, x.Data, lo*c, hi*c, h, w, spec, argmax)
-	})
+	For(x.Shape[0], 64, maxPoolSamples{y: y.Data, x: x.Data, argmax: argmax, c: c, h: h, w: w, spec: spec})
+}
+
+// maxPoolSamples is one MaxPool2DForwardInto call.
+type maxPoolSamples struct {
+	y, x    []float32
+	argmax  []int32
+	c, h, w int
+	spec    ConvSpec
+}
+
+// Run pools the planes of samples [lo, hi).
+func (j maxPoolSamples) Run(lo, hi int) {
+	maxPoolPlanes(j.y, j.x, lo*j.c, hi*j.c, j.h, j.w, j.spec, j.argmax)
 }
 
 // maxPoolPlanes pools the [h, w] planes p0 ≤ p < p1 of src into the
@@ -498,21 +482,23 @@ func MaxPool2DBackward(dy *Tensor, argmax []int32, n, c, h, w int) *Tensor {
 // MaxPool2DBackwardInto is MaxPool2DBackward into the caller's dx
 // [N, C, H, W], overwritten.
 func MaxPool2DBackwardInto(dx, dy *Tensor, argmax []int32) {
-	n := dx.Shape[0]
-	if MaxWorkers() == 1 {
-		maxPoolScatter(dx.Data, dy.Data, argmax, n, 0, n)
-		return
-	}
-	ParallelForMin(n, 1, func(lo, hi int) { maxPoolScatter(dx.Data, dy.Data, argmax, n, lo, hi) })
+	For(dx.Shape[0], 1, maxPoolScatter{dx: dx.Data, dy: dy.Data, argmax: argmax, n: dx.Shape[0]})
 }
 
-// maxPoolScatter writes samples [lo, hi) of the n in dx: zero, then each
-// of their gradients in dy added at its winner's index — which lies in
-// the same sample, so workers own disjoint blocks of dx.
-func maxPoolScatter(dx, dy []float32, argmax []int32, n, lo, hi int) {
-	in, out := len(dx)/max(n, 1), len(dy)/max(n, 1)
-	clear(dx[lo*in : hi*in])
+// maxPoolScatter is one MaxPool2DBackwardInto call.
+type maxPoolScatter struct {
+	dx, dy []float32
+	argmax []int32
+	n      int
+}
+
+// Run writes samples [lo, hi) of the n in dx: zero, then each of their
+// gradients in dy added at its winner's index — which lies in the same
+// sample, so workers own disjoint blocks of dx.
+func (j maxPoolScatter) Run(lo, hi int) {
+	in, out := len(j.dx)/max(j.n, 1), len(j.dy)/max(j.n, 1)
+	clear(j.dx[lo*in : hi*in])
 	for o := lo * out; o < hi*out; o++ {
-		dx[argmax[o]] += dy[o]
+		j.dx[j.argmax[o]] += j.dy[o]
 	}
 }

@@ -4,7 +4,7 @@ import "math"
 
 // Inference conv forward: a direct convolution with a fused epilogue.
 //
-// Conv2DForwardArena runs a conv as five passes over memory — im2col
+// Conv2DForward runs a conv as five passes over memory — im2col
 // writes the [C·KH·KW, N·OH·OW] column matrix, the GEMM's B packer
 // re-reads it, the GEMM writes a [F, N·OH·OW] product, a scatter permutes
 // that to [N,F,OH,OW] adding bias — and the layer stack adds a ReLU pass
@@ -32,29 +32,10 @@ import "math"
 // fma32 chain from zero (gemm.go: tiling and striping never change a
 // cell's chain, and neither does walking k in one pass instead of
 // KC-deep panels). The epilogue then applies, per cell and in this
-// order, `+ bias` (one float32 add, as convScatterOut), `v <= 0 → 0`
+// order, `+ bias` (one float32 add, as convScatter), `v <= 0 → 0`
 // (the ReLU layer's test, so −0 becomes +0 and NaN passes), and the
 // window maximum in maxPoolPlanes' scan order — the operations of the
 // layer-by-layer path in the order the layers apply them.
-
-// inferParallelMin is the multiply-add count a worker must be handed
-// before fan-out pays on the inference path. A batch-1 forward is a
-// chain of GEMMs of 10⁵ multiply-adds — tens of microseconds each,
-// about what waking a second thread costs — so gemmParallelMin, sized
-// for training batches, makes a lone request slower on two cores than
-// on one.
-const inferParallelMin = 1 << 20
-
-// inferSerial reports whether a job over n items (samples, rows, tap
-// strips) of work multiply-adds each runs inline, and otherwise the
-// fewest items a worker is handed: workers take whole items, and only
-// when each gets inferParallelMin multiply-adds. A batch-1 forward starts
-// no goroutine, and neither does a training step at PRIONN's batch
-// sizes: there the fan-out costs more than it saves.
-func inferSerial(n, work int) (minChunk int, serial bool) {
-	minChunk = (inferParallelMin + work - 1) / max(work, 1)
-	return minChunk, MaxWorkers() == 1 || n < 2*minChunk
-}
 
 // convGeom is the geometry of one conv layer's input and output.
 type convGeom struct {
@@ -126,7 +107,7 @@ func (g *convGeom) paddedDims() (ph, pw int) {
 //	[N, F, OH', OW'] with pool, whose padding must be zero
 //
 // relu false and pool nil skip the respective stage. The result is
-// bitwise identical to Conv2DForwardArena followed by the separate ReLU
+// bitwise identical to Conv2DForward followed by the separate ReLU
 // and MaxPool2DForward passes, for any worker count and with or without
 // the assembly kernel. It is a check-out from the default arena, the
 // caller's to Put once read or to keep (an unreturned check-out is
@@ -155,16 +136,8 @@ func (p *PackedConv) Infer(x, bias *Tensor, relu bool, pool *ConvSpec) *Tensor {
 		outLen: p.f * poh * pow,
 	}
 	// Workers take whole samples, and only when each gets enough of them
-	// to pay for the fan-out; a sample's plane is never split. The
-	// inline case — every batch-1 forward — calls samples directly: a
-	// func value handed to ParallelForMin would put job on the heap.
-	minChunk, serial := inferSerial(n, p.f*p.k*g.oh*g.ow)
-	if serial {
-		job.samples(0, n)
-		return out
-	}
-	shared := job
-	ParallelForMin(n, minChunk, shared.samples)
+	// to pay for the fan-out; a sample's plane is never split.
+	For(n, workChunk(p.f*p.k*g.oh*g.ow), job)
 	return out
 }
 
@@ -178,12 +151,12 @@ type convInfer struct {
 	outLen int // one sample's share of out
 }
 
-// samples computes out[lo:hi]: per sample the conv into its [F, OH·OW]
+// Run computes out[lo:hi]: per sample the conv into its [F, OH·OW]
 // plane — direct from a zero-padded copy of the image at stride 1, else
 // one GEMM over the image's column matrix — then the epilogue over the
 // plane. Without a pool the micro-kernel stores straight into
 // out; with one the plane is arena scratch and the pool writes out.
-func (j *convInfer) samples(lo, hi int) {
+func (j convInfer) Run(lo, hi int) {
 	p := j.w
 	g := &p.geom
 	colW, imgLen := g.oh*g.ow, g.c*g.h*g.w
@@ -214,7 +187,7 @@ func (j *convInfer) samples(lo, hi int) {
 			p.direct(plane, padded.Data)
 		} else {
 			im2colInto(cols.Data, colW, img, g.c, g.h, g.w, g.spec)
-			gemmSerial(plane, colW, 0, p.f, 0, colW, p.k, p.weights, gemmView{data: cols.Data, rs: colW, cs: 1}, false, ar)
+			gemmSerial(plane, colW, 0, p.f, 0, colW, p.k, p.weights, gemmView{data: cols.Data, rs: colW, cs: 1}, false)
 		}
 		biasReLURows(plane, p.f, colW, j.bias, j.relu)
 		if j.pool != nil {

@@ -2,7 +2,7 @@ package tensor
 
 // Training conv: a stride-1 conv trains without a column matrix.
 //
-// Conv2DForwardArena and Conv2DBackwardArena write the [C·KH·KW, N·OH·OW]
+// Conv2DForward and Conv2DBackward write the [C·KH·KW, N·OH·OW]
 // column matrix of the batch, keep it from the forward to the backward,
 // and scatter a second matrix of the same size, dcols, back into dx. A
 // stride-1 conv — every conv of the 2D-CNN — needs neither:
@@ -85,14 +85,14 @@ func NewConvTrain(f, c, h, w int, spec ConvSpec) *ConvTrain {
 }
 
 // Forward computes y = conv(x) + bias, bitwise equal to
-// Conv2DForwardArena's y, and saves what Backward needs. y is a check-out
+// Conv2DForward's y, and saves what Backward needs. y is a check-out
 // from the default arena, the caller's to Put once dead.
 func (t *ConvTrain) Forward(x, weights, bias *Tensor) *Tensor {
 	g := &t.fwd.geom
 	defaultArena.Put(t.cols) // a Forward that no Backward consumed
 	if g.spec.Stride != 1 {
 		var y *Tensor
-		y, t.cols = Conv2DForwardArena(nil, x, weights, bias, g.c, g.h, g.w, g.spec)
+		y, t.cols = Conv2DForward(x, weights, bias, g.c, g.h, g.w, g.spec)
 		return y
 	}
 	t.x, t.cols = x, nil
@@ -108,12 +108,12 @@ func (t *ConvTrain) Forward(x, weights, bias *Tensor) *Tensor {
 // Backward accumulates the gradients of the last Forward's output dy
 // [N, F, OH, OW] into dW [F, C·KH·KW] and dB [F], and returns dx
 // [N, C, H, W] — an arena check-out, the caller's — or, without wantDx,
-// nil. The bits are Conv2DBackwardArena's for any worker count and with
+// nil. The bits are Conv2DBackward's for any worker count and with
 // or without the assembly kernels.
 func (t *ConvTrain) Backward(dy, weights, dW, dB *Tensor, wantDx bool) *Tensor {
 	g := &t.fwd.geom
 	if t.cols != nil {
-		dx := convBackwardCols(defaultArena, dy, weights, t.cols, dW, dB, g.c, g.h, g.w, g.spec, wantDx)
+		dx := convBackwardCols(dy, weights, t.cols, dW, dB, g.c, g.h, g.w, g.spec, wantDx)
 		defaultArena.Put(t.cols)
 		t.cols = nil
 		return dx
@@ -158,14 +158,8 @@ func (t *ConvTrain) weightGrad(dW, dy []float32, n int) {
 	for i := 0; i < n; i++ {
 		g.padInto(padded.Data[i*planeLen:], t.x.Data[i*imgLen:])
 	}
-	job := convWeightGrad{t: t, dW: dW, dy: dy, padded: padded.Data, n: n}
 	strips := (t.fwd.k + gemmNR - 1) / gemmNR
-	if minChunk, serial := inferSerial(strips, t.fwd.f*gemmNR*n*g.oh*g.ow); serial {
-		job.strips(0, strips)
-	} else {
-		shared := job
-		ParallelForMin(strips, minChunk, shared.strips)
-	}
+	For(strips, workChunk(t.fwd.f*gemmNR*n*g.oh*g.ow), convWeightGrad{t: t, dW: dW, dy: dy, padded: padded.Data, n: n})
 	defaultArena.Put(padded)
 }
 
@@ -176,13 +170,13 @@ type convWeightGrad struct {
 	n              int
 }
 
-// strips folds the batch into the dW columns of tap strips [lo, hi): per
+// Run folds the batch into the dW columns of tap strips [lo, hi): per
 // sample and KC-deep panel of its pixels, the dy panel packed into MR-tall
 // filter strips, then per tap strip the x̂ panel packed from the padded
 // plane and multiplied into every filter strip's tile. Each tile loads
 // its dW cells and stores them back, so every cell's chain runs on over
 // panels and samples.
-func (j *convWeightGrad) strips(lo, hi int) {
+func (j convWeightGrad) Run(lo, hi int) {
 	p := &j.t.fwd
 	g := &p.geom
 	ph, pw := g.paddedDims()
@@ -256,13 +250,7 @@ func (t *ConvTrain) inputGrad(dy, weights []float32, n int) *Tensor {
 		}
 	}
 	dx := defaultArena.Get(n, g.c, g.h, g.w) // every cell is written below
-	job := convInputGrad{t: t, dx: dx.Data, dy: buf.Data, w: packed.Data}
-	if minChunk, serial := inferSerial(n, g.c*taps*p.f*g.h*g.w); serial {
-		job.samples(0, n)
-	} else {
-		shared := job
-		ParallelForMin(n, minChunk, shared.samples)
-	}
+	For(n, workChunk(g.c*taps*p.f*g.h*g.w), convInputGrad{t: t, dx: dx.Data, dy: buf.Data, w: packed.Data})
 	defaultArena.Put(packed)
 	defaultArena.Put(buf)
 	return dx
@@ -274,10 +262,10 @@ type convInputGrad struct {
 	dx, dy, w []float32
 }
 
-// samples computes dx for samples [lo, hi): per MR-channel strip, input
+// Run computes dx for samples [lo, hi): per MR-channel strip, input
 // row and NR-wide tile, one kernel call over the row's valid taps — ky
 // such that iy−ky+PadH is a row of dy, every kx, in (ky, kx) order.
-func (j *convInputGrad) samples(lo, hi int) {
+func (j convInputGrad) Run(lo, hi int) {
 	t := j.t
 	p := &t.fwd
 	g := &p.geom

@@ -130,11 +130,11 @@ func Im2ColBatchU8(cols, x []uint8, n, c, h, w int, spec ConvSpec, zp uint8) {
 	oh, ow := spec.OutDims(h, w)
 	colW := oh * ow
 	ld := n * colW
-	ParallelForMin(n, 1, func(lo, hi int) {
+	For(n, 1, Func(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			im2colU8Into(cols[i*colW:], ld, x[i*c*h*w:(i+1)*c*h*w], c, h, w, spec, zp)
 		}
-	})
+	}))
 }
 
 // MaxPool2DForwardU8 applies max pooling to x [N, C, H, W] (flat,
@@ -149,11 +149,11 @@ func MaxPool2DForwardU8(y, x []uint8, n, c, h, w int, spec ConvSpec) {
 		panic("tensor: MaxPool2DForwardU8 does not support padding")
 	}
 	oh, ow := spec.OutDims(h, w)
-	minChunk, _ := inferSerial(n, c*h*w)
+	minChunk := workChunk(c * h * w)
 	// Fast path for the ubiquitous 2×2/stride-2 window with no ragged
 	// edge: the maximum of four loads, no seeding branches.
 	if spec.KH == 2 && spec.KW == 2 && spec.Stride == 2 && 2*oh <= h && 2*ow <= w {
-		ParallelForMin(n, minChunk, func(lo, hi int) {
+		For(n, minChunk, Func(func(lo, hi int) {
 			for p := lo * c; p < hi*c; p++ {
 				inBase := p * h * w
 				outBase := p * oh * ow
@@ -176,10 +176,10 @@ func MaxPool2DForwardU8(y, x []uint8, n, c, h, w int, spec ConvSpec) {
 					}
 				}
 			}
-		})
+		}))
 		return
 	}
-	ParallelForMin(n, minChunk, func(lo, hi int) {
+	For(n, minChunk, Func(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for ch := 0; ch < c; ch++ {
 				inBase := (i*c + ch) * h * w
@@ -209,5 +209,5 @@ func MaxPool2DForwardU8(y, x []uint8, n, c, h, w int, spec ConvSpec) {
 				}
 			}
 		}
-	})
+	}))
 }

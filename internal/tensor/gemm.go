@@ -70,11 +70,10 @@ type gemmView struct {
 }
 
 // gemm computes dst[i,j] = (acc ? dst[i,j] : 0) + Σ_p a(i,p)·b(p,j) for
-// i < m, j < n, p < k, with dst rows ldc apart. Pack buffers come from
-// ar (nil selects the default arena). Every cell in the m×n destination
-// region is written (no pre-zeroing needed); with acc the existing value
-// seeds the reduction chain.
-func gemm(dst []float32, ldc, m, n, k int, a, b gemmView, acc bool, ar *Arena) {
+// i < m, j < n, p < k, with dst rows ldc apart. Every cell in the m×n
+// destination region is written (no pre-zeroing needed); with acc the
+// existing value seeds the reduction chain.
+func gemm(dst []float32, ldc, m, n, k int, a, b gemmView, acc bool) {
 	if m <= 0 || n <= 0 {
 		return
 	}
@@ -86,59 +85,28 @@ func gemm(dst []float32, ldc, m, n, k int, a, b gemmView, acc bool, ar *Arena) {
 		}
 		return
 	}
-	if ar == nil {
-		ar = defaultArena
-	}
-	workers := MaxWorkers()
-	if workers > 1 && m*n*k >= gemmParallelMin {
-		if n >= m {
-			// Column stripes, aligned to the micro-tile width so only
-			// the rightmost stripe has a ragged edge.
-			stripes := (n + gemmNR - 1) / gemmNR
-			if stripes > workers {
-				stripes = workers
-			}
-			per := alignUp((n+stripes-1)/stripes, gemmNR)
-			ParallelForMin(stripes, 1, func(lo, hi int) {
-				for s := lo; s < hi; s++ {
-					n0, n1 := s*per, (s+1)*per
-					if n1 > n {
-						n1 = n
-					}
-					if n0 < n1 {
-						gemmSerial(dst, ldc, 0, m, n0, n1, k, a, b, acc, ar)
-					}
-				}
-			})
-		} else {
-			// Row stripes, aligned to the micro-tile height.
-			stripes := (m + gemmMR - 1) / gemmMR
-			if stripes > workers {
-				stripes = workers
-			}
-			per := alignUp((m+stripes-1)/stripes, gemmMR)
-			ParallelForMin(stripes, 1, func(lo, hi int) {
-				for s := lo; s < hi; s++ {
-					m0, m1 := s*per, (s+1)*per
-					if m1 > m {
-						m1 = m
-					}
-					if m0 < m1 {
-						gemmSerial(dst, ldc, m0, m1, 0, n, k, a, b, acc, ar)
-					}
-				}
-			})
-		}
-		return
-	}
-	gemmSerial(dst, ldc, 0, m, 0, n, k, a, b, acc, ar)
+	stripe(m, n, k, gemmMR, gemmNR, gemmRegion{dst: dst, ldc: ldc, k: k, a: a, b: b, acc: acc})
+}
+
+// gemmRegion is one gemm call, striped by stripe.
+type gemmRegion struct {
+	dst    []float32
+	ldc, k int
+	a, b   gemmView
+	acc    bool
+}
+
+// Region runs gemmSerial over [m0,m1)×[n0,n1).
+func (g gemmRegion) Region(m0, m1, n0, n1 int) {
+	gemmSerial(g.dst, g.ldc, m0, m1, n0, n1, g.k, g.a, g.b, g.acc)
 }
 
 func alignUp(n, to int) int { return (n + to - 1) / to * to }
 
 // gemmSerial runs the blocked GEMM over the output region
-// [m0,m1)×[n0,n1) on one goroutine.
-func gemmSerial(dst []float32, ldc, m0, m1, n0, n1, k int, a, b gemmView, acc bool, ar *Arena) {
+// [m0,m1)×[n0,n1) on one goroutine, packing into default-arena scratch.
+func gemmSerial(dst []float32, ldc, m0, m1, n0, n1, k int, a, b gemmView, acc bool) {
+	ar := defaultArena
 	packA := ar.Get(gemmMC * gemmKC)
 	packB := ar.Get(gemmKC * gemmNC)
 	pa, pb := packA.Data, packB.Data

@@ -158,69 +158,29 @@ func gemmInt8(dst []int32, ldc, m, n, k int, a qLeft, b qRight) {
 		}
 		return
 	}
-	qStripe(m, n, k, func(m0, m1, n0, n1 int) {
-		bufs := qPackPool.Get().(*qPackBufs)
-		gemmInt8Serial(dst, ldc, m0, m1, n0, n1, k, a, b, bufs)
-		qPackPool.Put(bufs)
-	})
+	stripe(m, n, k, qMR, qNR, qRegion{dst: dst, ldc: ldc, k: k, a: a, b: b})
 }
 
-// qStripe partitions the m×n output across workers and calls serial for
-// each stripe, or once for the whole region when the problem is small or
-// only one worker is available. Stripes are aligned to the micro-tile
-// (qMR rows or qNR columns), so workers own whole output cells and never
-// split the k reduction — the determinism contract of the package.
-func qStripe(m, n, k int, serial func(m0, m1, n0, n1 int)) {
-	workers := MaxWorkers()
-	if workers > 1 && m*n*k >= gemmParallelMin {
-		if n >= m {
-			// Column stripes, aligned to the micro-tile width so only
-			// the rightmost stripe has a ragged edge.
-			stripes := (n + qNR - 1) / qNR
-			if stripes > workers {
-				stripes = workers
-			}
-			per := alignUp((n+stripes-1)/stripes, qNR)
-			ParallelForMin(stripes, 1, func(lo, hi int) {
-				for s := lo; s < hi; s++ {
-					n0, n1 := s*per, (s+1)*per
-					if n1 > n {
-						n1 = n
-					}
-					if n0 < n1 {
-						serial(0, m, n0, n1)
-					}
-				}
-			})
-		} else {
-			// Row stripes, aligned to the micro-tile height.
-			stripes := (m + qMR - 1) / qMR
-			if stripes > workers {
-				stripes = workers
-			}
-			per := alignUp((m+stripes-1)/stripes, qMR)
-			ParallelForMin(stripes, 1, func(lo, hi int) {
-				for s := lo; s < hi; s++ {
-					m0, m1 := s*per, (s+1)*per
-					if m1 > m {
-						m1 = m
-					}
-					if m0 < m1 {
-						serial(m0, m1, 0, n)
-					}
-				}
-			})
-		}
-		return
-	}
-	serial(0, m, 0, n)
+// qRegion is one gemmInt8 call, striped by stripe.
+type qRegion struct {
+	dst    []int32
+	ldc, k int
+	a      qLeft
+	b      qRight
+}
+
+// Region runs gemmInt8Serial over [m0,m1)×[n0,n1) with pooled scratch.
+func (q qRegion) Region(m0, m1, n0, n1 int) {
+	bufs := qPackPool.Get().(*qPackBufs)
+	gemmInt8Serial(q.dst, q.ldc, m0, m1, n0, n1, q.k, q.a, q.b, bufs)
+	qPackPool.Put(bufs)
 }
 
 // gemmInt8Serial runs the blocked int8 GEMM over the output region
 // [m0,m1)×[n0,n1) on one goroutine, with bufs as its scratch. Row and
 // column blocks sit at absolute multiples of MC and NC, where packed
 // operands store their panels; m0 must be a multiple of MR and n0 of NR
-// when the respective operand is packed (qStripe's stripes are).
+// when the respective operand is packed (stripe's stripes are).
 func gemmInt8Serial(dst []int32, ldc, m0, m1, n0, n1, k int, a qLeft, b qRight, bufs *qPackBufs) {
 	bSigned := b.packed != nil
 	for jc, ncEff := n0, 0; jc < n1; jc += ncEff {

@@ -87,9 +87,7 @@ func isFinite(v float32) bool { return math.Float32bits(v)&0x7f800000 != 0x7f800
 // MatMulPackedB is MatMul with a prepared right operand: C = A·B for
 // A [m,k] into dst [m,n] (allocated if nil). Bitwise identical to MatMul
 // on the same matrix, for any worker count. Workers take whole rows, and
-// only when each gets inferParallelMin multiply-adds (inferSerial); the
-// inline case — every batch-1 product — calls rows directly: a func value
-// handed to ParallelForMin would put job on the heap.
+// only when each gets inferParallelMin multiply-adds (workChunk).
 func MatMulPackedB(dst, a *Tensor, b *PackedB) *Tensor {
 	if len(a.Shape) != 2 {
 		panic("tensor: MatMulPackedB requires a rank-2 left operand")
@@ -103,14 +101,7 @@ func MatMulPackedB(dst, a *Tensor, b *PackedB) *Tensor {
 	} else if dst.Shape[0] != m || dst.Shape[1] != b.n {
 		panic("tensor: MatMulPackedB dst shape mismatch")
 	}
-	job := packedProduct{b: b, dst: dst.Data, a: a.Data}
-	minChunk, serial := inferSerial(m, k*b.n)
-	if serial {
-		job.rows(0, m)
-		return dst
-	}
-	shared := job
-	ParallelForMin(m, minChunk, shared.rows)
+	For(m, workChunk(k*b.n), packedProduct{b: b, dst: dst.Data, a: a.Data})
 	return dst
 }
 
@@ -120,12 +111,12 @@ type packedProduct struct {
 	dst, a []float32
 }
 
-// rows computes rows [lo, hi) of the product. The columns up to the last
+// Run computes rows [lo, hi) of the product. The columns up to the last
 // multiple of 64 go row by row through mulRow; the rest — fewer than 64,
 // so at most k·63 floats of W to pack — are one blocked GEMM for all the
 // rows over the tail view. Every cell is one chain either way, so where
 // the GEMM's column range starts moves no bit.
-func (j *packedProduct) rows(lo, hi int) {
+func (j packedProduct) Run(lo, hi int) {
 	p := j.b
 	k, n := p.k, p.n
 	n64 := n / rowGroup * rowGroup
@@ -140,7 +131,7 @@ func (j *packedProduct) rows(lo, hi int) {
 		rowIdxPool.Put(buf)
 	}
 	if n64 < n {
-		gemmSerial(j.dst[n64:], n, lo, hi, 0, n-n64, k, gemmView{data: j.a, rs: k, cs: 1}, p.tail, false, defaultArena)
+		gemmSerial(j.dst[n64:], n, lo, hi, 0, n-n64, k, gemmView{data: j.a, rs: k, cs: 1}, p.tail, false)
 	}
 }
 

@@ -276,20 +276,11 @@ func interleaveQuad(asm bool, dst *[4 * qNR]uint8, r0, r1, r2, r3 *[qNR]uint8) {
 func Conv2DInferU8(dst []uint8, x []uint8, n int, w *PackedInt8A, c, h, wd int, spec ConvSpec, rq Requant) {
 	f, k := w.Dims()
 	oh, ow := spec.OutDims(h, wd)
-	job := convInferU8{
+	For(n, workChunk(f*k*oh*ow), convInferU8{
 		x: x, u8: dst, w: w, rq: rq,
 		geom: convGeom{c: c, h: h, w: wd, spec: spec, oh: oh, ow: ow},
 		f:    f, k: k,
-	}
-	// As Conv2DInfer: the inline case calls samples directly, so job
-	// stays off the heap.
-	minChunk, serial := inferSerial(n, f*k*oh*ow)
-	if serial {
-		job.samples(0, n)
-		return
-	}
-	shared := job
-	ParallelForMin(n, minChunk, shared.samples)
+	})
 }
 
 // convInferU8 is one Conv2DInferU8 call: what every sample shares.
@@ -301,10 +292,10 @@ type convInferU8 struct {
 	f, k  int
 }
 
-// samples computes samples [lo, hi): per sample one GEMM over the
+// Run computes samples [lo, hi): per sample one GEMM over the
 // image's implicit column matrix into the worker's int32 plane, then the
 // epilogue over that plane.
-func (j *convInferU8) samples(lo, hi int) {
+func (j convInferU8) Run(lo, hi int) {
 	g, rq := &j.geom, &j.rq
 	colW, imgLen := g.oh*g.ow, g.c*g.h*g.w
 	qz := newQuantizer(rq.OutScale, rq.OutZero, rq.Relu)
@@ -331,14 +322,7 @@ func (j *convInferU8) samples(lo, hi int) {
 // into dstReal [N, Out] the real-valued pre-activations — a logits head.
 func DenseInferU8(dst []uint8, dstReal []float32, x []uint8, n int, w *PackedInt8B, rq Requant) {
 	in, out := w.Dims()
-	job := denseInferU8{x: x, u8: dst, real: dstReal, w: w, rq: rq, in: in, out: out}
-	minChunk, serial := inferSerial(n, in*out)
-	if serial {
-		job.samples(0, n)
-		return
-	}
-	shared := job
-	ParallelForMin(n, minChunk, shared.samples)
+	For(n, workChunk(in*out), denseInferU8{x: x, u8: dst, real: dstReal, w: w, rq: rq, in: in, out: out})
 }
 
 // denseInferU8 is one DenseInferU8 call.
@@ -350,9 +334,9 @@ type denseInferU8 struct {
 	in, out int
 }
 
-// samples computes samples [lo, hi), a row panel at a time so the
+// Run computes samples [lo, hi), a row panel at a time so the
 // accumulators the epilogue reads are the ones the GEMM just wrote.
-func (j *denseInferU8) samples(lo, hi int) {
+func (j denseInferU8) Run(lo, hi int) {
 	rq, in, out := &j.rq, j.in, j.out
 	qz := newQuantizer(rq.OutScale, rq.OutZero, rq.Relu)
 	bufs := qPackPool.Get().(*qPackBufs)

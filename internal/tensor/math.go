@@ -112,21 +112,17 @@ func (t *Tensor) SoftmaxRows() *Tensor {
 	if len(t.Shape) != 2 {
 		panic("tensor: SoftmaxRows requires a rank-2 tensor")
 	}
-	rows := t.Shape[0]
-	// One worker runs the loop itself: a closure handed to ParallelFor
-	// would heap-allocate (see Im2ColBatch).
-	if MaxWorkers() == 1 {
-		t.softmaxRows(0, rows)
-		return t
-	}
-	ParallelFor(rows, t.softmaxRows)
+	For(t.Shape[0], 64, softmaxRows{t})
 	return t
 }
 
-// softmaxRows is SoftmaxRows on rows [lo, hi).
-func (t *Tensor) softmaxRows(lo, hi int) {
+// softmaxRows is one SoftmaxRows call.
+type softmaxRows struct{ t *Tensor }
+
+// Run is SoftmaxRows on rows [lo, hi).
+func (j softmaxRows) Run(lo, hi int) {
 	for r := lo; r < hi; r++ {
-		row := t.Row(r)
+		row := j.t.Row(r)
 		m := row[0]
 		for _, v := range row[1:] {
 			if v > m {

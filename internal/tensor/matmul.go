@@ -23,7 +23,7 @@ func MatMul(dst, a, b *Tensor) *Tensor {
 	gemm(dst.Data, n, m, n, k,
 		gemmView{data: a.Data, rs: k, cs: 1},
 		gemmView{data: b.Data, rs: n, cs: 1},
-		false, nil)
+		false)
 	return dst
 }
 
@@ -61,7 +61,7 @@ func matMulTransA(dst, a, b *Tensor, acc bool) *Tensor {
 	gemm(dst.Data, n, m, n, k,
 		gemmView{data: a.Data, rs: 1, cs: m}, // Aᵀ: element (i,p) at a[p*m+i]
 		gemmView{data: b.Data, rs: n, cs: 1},
-		acc, nil)
+		acc)
 	return dst
 }
 
@@ -84,7 +84,7 @@ func MatMulTransB(dst, a, b *Tensor) *Tensor {
 	gemm(dst.Data, n, m, n, k,
 		gemmView{data: a.Data, rs: k, cs: 1},
 		gemmView{data: b.Data, rs: 1, cs: k}, // Bᵀ: element (p,j) at b[j*k+p]
-		false, nil)
+		false)
 	return dst
 }
 

@@ -8,12 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers caps the size of worker pools spawned by ParallelFor. It
-// defaults to runtime.GOMAXPROCS(0) and exists so tests can exercise both
-// the serial and parallel paths deterministically. It is an atomic
-// because ParallelFor loads it from arbitrary goroutines while tests
-// (and future serving code) call SetMaxWorkers concurrently; a plain
-// int here was a data race.
+// maxWorkers caps the size of the worker pools For spawns. It defaults
+// to runtime.GOMAXPROCS(0) and exists so tests can exercise both the
+// serial and parallel paths deterministically. It is an atomic because
+// For loads it from arbitrary goroutines while tests (and future
+// serving code) call SetMaxWorkers concurrently; a plain int here was a
+// data race.
 var maxWorkers atomic.Int64
 
 func init() {
@@ -32,11 +32,11 @@ func SetMaxWorkers(n int) int {
 // MaxWorkers returns the current worker-pool size.
 func MaxWorkers() int { return int(maxWorkers.Load()) }
 
-// PanicError is a worker panic captured by ParallelFor and re-raised on
-// the caller goroutine. It carries the chunk that panicked and the
-// worker's stack, so a crash in one matmul chunk reports where it
-// happened instead of killing the process from an anonymous goroutine
-// no recover can reach.
+// PanicError is a worker panic captured by For and re-raised on the
+// caller goroutine. It carries the chunk that panicked and the worker's
+// stack, so a crash in one matmul chunk reports where it happened
+// instead of killing the process from an anonymous goroutine no recover
+// can reach.
 type PanicError struct {
 	Lo, Hi int         // chunk bounds [Lo, Hi) the worker was processing
 	Value  interface{} // the recovered panic value
@@ -44,50 +44,42 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("tensor: panic in ParallelFor chunk [%d,%d): %v", e.Lo, e.Hi, e.Value)
+	return fmt.Sprintf("tensor: panic in For chunk [%d,%d): %v", e.Lo, e.Hi, e.Value)
 }
 
-// ParallelFor runs fn(lo, hi) over contiguous chunks covering [0, n),
-// splitting the range across the worker pool. When the pool has a single
-// worker (or n is small) the function runs inline, avoiding goroutine
-// overhead on tiny workloads.
+// For runs j.Run(lo, hi) over contiguous chunks covering [0, n), one
+// goroutine per chunk, with at most MaxWorkers() chunks of at least
+// minChunk items each. Kernels whose per-item cost is large (one conv
+// sample, one GEMM stripe) pass minChunk 1 so small item counts still
+// fan out; cheap elementwise loops pass 64.
+//
+// When one worker is all the rule allows, For calls j.Run(0, n) inline
+// and starts no goroutine. Jobs implement Run on a value receiver: the
+// inline call then puts nothing on the heap, which keeps a batch-1
+// forward and a one-worker training step allocation-free. Only the
+// fan-out copies j into the workers' closure. A func value does escape
+// (see Func).
 //
 // A panic in any chunk is captured and re-raised exactly once, on the
-// caller's goroutine, as a *PanicError. All workers are still joined
-// first, so no goroutine outlives the call and the caller's recover (the
-// experiment harness isolates per-figure panics) can contain the
-// failure.
-func ParallelFor(n int, fn func(lo, hi int)) {
-	// Chunks below this size are not worth a goroutine each when each
-	// item is cheap (the elementwise default).
-	ParallelForMin(n, 64, fn)
-}
-
-// ParallelForMin is ParallelFor with a caller-chosen minimum chunk size.
-// Kernels whose per-item cost is large (one conv sample, one GEMM column
-// stripe) pass minChunk 1 so small item counts still fan out; cheap
-// elementwise loops keep the conservative ParallelFor default.
-func ParallelForMin(n, minChunk int, fn func(lo, hi int)) {
+// caller's goroutine, as a *PanicError — from the inline path too. All
+// workers are joined first, so no goroutine outlives the call and the
+// caller's recover (the experiment harness isolates per-figure panics)
+// can contain the failure.
+func For[J interface{ Run(lo, hi int) }](n, minChunk int, j J) {
 	if n <= 0 {
 		return
 	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	workers := int(maxWorkers.Load())
-	if workers > n {
-		workers = n
-	}
-	if workers > 1 && n/workers < minChunk {
-		workers = n / minChunk
-		if workers < 1 {
-			workers = 1
-		}
-	}
+	workers := max(1, min(MaxWorkers(), n/max(minChunk, 1)))
 	if workers == 1 {
-		runChunk(0, n, fn)
+		defer func() {
+			if r := recover(); r != nil {
+				panic(asPanicError(0, n, r))
+			}
+		}()
+		j.Run(0, n)
 		return
 	}
+	shared := j
 	var (
 		wg    sync.WaitGroup
 		first sync.Once
@@ -95,10 +87,7 @@ func ParallelForMin(n, minChunk int, fn func(lo, hi int)) {
 	)
 	chunk := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -108,7 +97,7 @@ func ParallelForMin(n, minChunk int, fn func(lo, hi int)) {
 					first.Do(func() { pe = err })
 				}
 			}()
-			fn(lo, hi)
+			shared.Run(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -117,24 +106,73 @@ func ParallelForMin(n, minChunk int, fn func(lo, hi int)) {
 	}
 }
 
-// runChunk executes the inline (single-worker) path with the same panic
-// wrapping as the worker goroutines, so callers see one *PanicError
-// regardless of which path a given n took.
-func runChunk(lo, hi int, fn func(lo, hi int)) {
-	defer func() {
-		if r := recover(); r != nil {
-			panic(asPanicError(lo, hi, r))
-		}
-	}()
-	fn(lo, hi)
-}
+// Func adapts a closure to For. The closure escapes to the heap, so a
+// call allocates once even when it runs inline: fine for a batch of
+// scripts or trees, or where the caller has already chosen to fan out,
+// not for a kernel that a batch-1 forward or a one-worker training step
+// runs.
+type Func func(lo, hi int)
+
+// Run calls f.
+func (f Func) Run(lo, hi int) { f(lo, hi) }
 
 // asPanicError wraps a recovered value with chunk context, passing an
-// already-wrapped *PanicError through so nested ParallelFor calls report
-// the innermost chunk.
+// already-wrapped *PanicError through so nested For calls report the
+// innermost chunk.
 func asPanicError(lo, hi int, r interface{}) *PanicError {
 	if pe, ok := r.(*PanicError); ok {
 		return pe
 	}
 	return &PanicError{Lo: lo, Hi: hi, Value: r, Stack: debug.Stack()}
+}
+
+// inferParallelMin is the multiply-add count a worker must be handed
+// before fan-out pays on the inference path. A batch-1 forward is a
+// chain of GEMMs of 10⁵ multiply-adds — tens of microseconds each,
+// about what waking a second thread costs — so gemmParallelMin, sized
+// for training batches, makes a lone request slower on two cores than
+// on one.
+const inferParallelMin = 1 << 20
+
+// workChunk is the minChunk of a For over items (samples, rows, tap
+// strips) of work multiply-adds each: workers take whole items, and only
+// when each gets inferParallelMin multiply-adds. A batch-1 forward starts
+// no goroutine, and neither does a training step at PRIONN's batch
+// sizes: there the fan-out costs more than it saves.
+func workChunk(work int) int {
+	return (inferParallelMin + work - 1) / max(work, 1)
+}
+
+// stripe runs a k-deep m×n product's region kernel over the output:
+// inline over the whole of it when the product is small (under
+// gemmParallelMin multiply-adds) or only one stripe fits, else over
+// at most MaxWorkers() column stripes (n ≥ m) or row stripes, aligned to
+// the micro-tile's nr columns or mr rows so only the last stripe has a
+// ragged edge. Workers own whole output cells and never split the k
+// reduction — the determinism contract of the package.
+func stripe[R interface{ Region(m0, m1, n0, n1 int) }](m, n, k, mr, nr int, region R) {
+	cols := n >= m
+	extent, align := m, mr
+	if cols {
+		extent, align = n, nr
+	}
+	stripes := min((extent+align-1)/align, MaxWorkers())
+	if stripes == 1 || m*n*k < gemmParallelMin {
+		region.Region(0, m, 0, n)
+		return
+	}
+	per := alignUp((extent+stripes-1)/stripes, align)
+	r := region // the workers' copy; capturing region would move it to the heap on the inline path too
+	For(stripes, 1, Func(func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			e0, e1 := s*per, min((s+1)*per, extent)
+			switch {
+			case e0 >= e1:
+			case cols:
+				r.Region(0, m, e0, e1)
+			default:
+				r.Region(e0, e1, 0, n)
+			}
+		}
+	}))
 }

@@ -44,8 +44,8 @@ func NewArena() *Arena {
 // guards the free lists.
 var defaultArena = NewArena()
 
-// DefaultArena returns the shared package-level arena. Passing a nil
-// *Arena to the kernels that accept one selects this arena.
+// DefaultArena returns the shared package-level arena, the one every
+// kernel's scratch and check-outs come from.
 func DefaultArena() *Arena { return defaultArena }
 
 // sizeClass returns the power-of-two bucket for a payload of n floats.

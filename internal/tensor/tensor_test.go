@@ -357,32 +357,6 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		prev := SetMaxWorkers(workers)
-		seen := make([]int32, 1000)
-		ParallelFor(1000, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		SetMaxWorkers(prev)
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestParallelForEmpty(t *testing.T) {
-	called := false
-	ParallelFor(0, func(lo, hi int) { called = true })
-	if called {
-		t.Fatal("ParallelFor called fn for empty range")
-	}
-}
-
 func TestHeXavierInitStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := New(10000).HeInit(rng, 50)

@@ -11,8 +11,10 @@
 #                      and not first by a user on another machine; then
 #                      the structural gates: the f32 GEMM's right operand
 #                      has one form — no pre-packed or implicit-im2col
-#                      gemmView, no f32 packPanel — and serving never
-#                      reaches a u8 kernel)
+#                      gemmView, no f32 packPanel — serving never
+#                      reaches a u8 kernel, and the tensor package fans
+#                      out in one place: no go statement and no
+#                      MaxWorkers() call outside parallel.go)
 #   4. prionnvet      (repo-specific reproducibility checks; see
 #                      DESIGN.md "Static analysis & reproducibility
 #                      gates" and cmd/prionnvet), then, by name, the
@@ -26,7 +28,7 @@
 #                      past its -timeout failing
 #   5. go test        (tier-1 tests)
 #   6. go test -race  (every package under the race detector, including
-#                      the ParallelFor/SetMaxWorkers hammer test: this
+#                      the tensor.For/SetMaxWorkers hammer test: this
 #                      step, not prionnvet, owns race-safety)
 #   7. crash matrix   (fault-injection sweep: every injectable fault
 #                      point during a checkpoint save, the streamed
@@ -60,8 +62,10 @@
 #                      rule: every activation a forward checks out is
 #                      back when PredictMapped returns, the caller's
 #                      input never is; the forward's allocation ceiling
-#                      at batch 1, 4 and 32, and a snapshot holding its
-#                      weights once; then the training conv: direct ==
+#                      at batch 1, 4 and 32 with one worker and with two,
+#                      and a snapshot holding its weights once; tensor.For's
+#                      chunk bounds and its inline path allocating
+#                      nothing; then the training conv: direct ==
 #                      column path bitwise, the input-gradient kernel ==
 #                      its Go twin, a whole 2D-CNN TrainBatch
 #                      allocation-free, a training event leaving no
@@ -219,6 +223,13 @@ if grep -rn 'Conv2DInferU8\|DenseInferU8\|QModel\|qruntime' internal/prionn inte
     echo "serving reaches the u8 forward" >&2
     exit 1
 fi
+# One fan-out: tensor.For decides, in parallel.go, whether a kernel runs
+# inline or on workers. A go statement or a MaxWorkers() read anywhere
+# else in the package is a second copy of that decision.
+if grep -nE '^[[:space:]]*go [^ ]|MaxWorkers\(\)' $(ls internal/tensor/*.go | grep -v -e '_test\.go$' -e '/parallel\.go$'); then
+    echo "internal/tensor: fan out through For (parallel.go) only" >&2
+    exit 1
+fi
 step_done
 
 step "prionnvet ./..., then the hazard-owner tests"
@@ -260,13 +271,16 @@ step_done
 # the queue_depth / allocation pins, the shared-snapshot pin every replica
 # depends on (concurrent forwards over one Inference), and the bitwise
 # identity of the fused float32 inference forward every answer — from
-# float or int8 weights — comes from.
+# float or int8 weights — comes from; the forward's allocation ceiling at
+# one worker and at two, and tensor.For's chunk rule and allocation-free
+# inline path.
 step "serving gate (coalescing / overload / drain / shared view, -race)"
 named -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOverloadBoundedQueue|TestServeGracefulDrainNoDrops|TestServeConcurrentPredictSwap' ./internal/serve/
 named -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
 named -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
-named -count=1 -run 'TestInferForwardAllocCeiling|TestSnapshotHoldsWeightsOnce|TestQuantizedViewHoldsCodes|TestTrainEventLeavesNoScratch|TestInt8DenseMatchesRoundedFloatView' ./internal/prionn/
+named -count=1 -run 'TestInferForwardAllocCeiling|TestInferForwardAllocCeilingTwoWorkers|TestSnapshotHoldsWeightsOnce|TestQuantizedViewHoldsCodes|TestTrainEventLeavesNoScratch|TestInt8DenseMatchesRoundedFloatView' ./internal/prionn/
 named -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
+named -count=1 -run 'TestForChunkBounds|TestForInlineZeroAlloc' ./internal/tensor/
 named -race -count=1 -run 'FuzzTrainConvDirect|TestTrainConvStridedKeepsColumnPath|TestConvBackTileGenericMatchesAsm' ./internal/tensor/
 named -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts|TestServeInt8DropsDenseWeights' ./internal/nn/
 named -count=1 -run 'ZeroAlloc' ./internal/nn/
