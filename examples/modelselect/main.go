@@ -21,19 +21,16 @@ import (
 func main() {
 	log.SetFlags(0)
 	jobs := trace.Completed(trace.Generate(trace.Config{Seed: 7, Jobs: 500, Users: 24, Apps: 8}))
-	scripts := make([]string, len(jobs))
-	for i, j := range jobs {
-		scripts[i] = j.Script
-	}
 	train, test := jobs[:350], jobs[350:]
 
 	// Fig. 3 in miniature: transformation cost.
-	emb := word2vec.Train(scripts, word2vec.Config{Dim: 4, Window: 4, Negative: 5,
+	corpus := prionn.Corpus(prionn.FastConfig(), jobs)
+	emb := word2vec.Train(corpus, word2vec.Config{Dim: 4, Window: 4, Negative: 5,
 		LR: 0.05, Epochs: 2, Seed: 1, MaxPairs: 50000})
 	fmt.Println("— transformation cost (paper Fig. 3: one-hot slowest) —")
 	for _, tr := range mapping.All(emb) {
 		start := time.Now()
-		mapping.MapBatch(scripts, tr, 32, 32)
+		mapping.MapBatch(corpus, tr, 32, 32)
 		fmt.Printf("  %-9s %3d channels  %7.4fs\n", tr.Name(), tr.Channels(), time.Since(start).Seconds())
 	}
 
@@ -41,7 +38,7 @@ func main() {
 	// each model × word2vec, and compare held-out accuracy.
 	eval := func(cfg prionn.Config) (trainSec float64, acc float64) {
 		cfg.PredictIO = false
-		p, err := prionn.New(cfg, scripts)
+		p, err := prionn.New(cfg, prionn.Corpus(cfg, jobs))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,11 +48,7 @@ func main() {
 		}
 		trainSec = time.Since(start).Seconds()
 		var sum float64
-		testScripts := make([]string, len(test))
-		for i, j := range test {
-			testScripts[i] = j.Script
-		}
-		for i, pr := range p.Predict(testScripts) {
+		for i, pr := range p.Predict(prionn.Corpus(cfg, test)) {
 			sum += metrics.RelativeAccuracy(float64(test[i].ActualMin()), float64(pr.RuntimeMin))
 		}
 		//prionnvet:ignore time-dep -- training wall time is the quantity being reported

@@ -56,7 +56,7 @@ func (rf *RandomForest) Fit(x [][]float64, y []float64) {
 			maxF = 1
 		}
 	}
-	tensor.For(rf.Config.Trees, 64, tensor.Func(func(lo, hi int) {
+	tensor.For(rf.Config.Trees, 1, tensor.Func(func(lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			rng := rand.New(rand.NewSource(rf.Config.Seed + int64(ti)*7919))
 			bx := make([][]float64, n)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"prionn/internal/tensor"
 )
 
 // stepData generates y = 10 if x0 > 0.5 else 2, with an irrelevant
@@ -137,6 +139,30 @@ func TestRandomForestDeterministicForSeed(t *testing.T) {
 	probe := []float64{0.3, 0.7}
 	if a.Predict(probe) != b.Predict(probe) {
 		t.Fatal("same-seed forests disagree")
+	}
+}
+
+// TestRandomForestWorkerCountInvariant: trees fit on as many workers as
+// there are, each from its own generator, so one worker and four grow
+// the same forest and predict the same bits.
+func TestRandomForestWorkerCountInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	x, y := stepData(rng, 200)
+	probes, _ := stepData(rng, 50)
+	var preds [2][]float64
+	for i, workers := range []int{1, 4} {
+		prev := tensor.SetMaxWorkers(workers)
+		rf := NewRandomForest(ForestConfig{Trees: 30, MaxDepth: 6, Seed: 3})
+		rf.Fit(x, y)
+		tensor.SetMaxWorkers(prev)
+		for _, p := range probes {
+			preds[i] = append(preds[i], rf.Predict(p))
+		}
+	}
+	for j := range probes {
+		if math.Float64bits(preds[0][j]) != math.Float64bits(preds[1][j]) {
+			t.Fatalf("probe %d: one worker predicts %v, four predict %v", j, preds[0][j], preds[1][j])
+		}
 	}
 }
 

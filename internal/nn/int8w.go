@@ -34,31 +34,40 @@ type Int8Weights struct {
 func quantizeChannel(dst []int8, w []float32) (scale float32) {
 	var maxAbs float32
 	for _, v := range w {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
+		maxAbs = maxAbsStep(maxAbs, v)
 	}
-	scale = maxAbs / 127
-	// Only an all-zero channel has no scale. A tolerance here would
-	// misquantize real near-zero channels.
-	if scale == 0 {
-		scale = 1
-	}
+	scale = channelScale(maxAbs)
 	for i, v := range w {
-		q := int32(math.Round(float64(v / scale)))
-		if q < -127 {
-			q = -127
-		}
-		if q > 127 {
-			q = 127
-		}
-		dst[i] = int8(q)
+		dst[i] = quantizeWeight(v, scale)
 	}
 	return scale
+}
+
+// maxAbsStep folds |v| into a running maximum. A NaN never compares
+// greater, so it is skipped wherever it falls.
+func maxAbsStep(maxAbs, v float32) float32 {
+	if v < 0 {
+		v = -v
+	}
+	if v > maxAbs {
+		return v
+	}
+	return maxAbs
+}
+
+// channelScale is the scale of a channel whose largest |w| is maxAbs.
+func channelScale(maxAbs float32) float32 {
+	// Only an all-zero channel has no scale. A tolerance here would
+	// misquantize real near-zero channels.
+	if maxAbs == 0 {
+		return 1
+	}
+	return maxAbs / 127
+}
+
+// quantizeWeight is round(v/scale) clamped to [-127, 127].
+func quantizeWeight(v, scale float32) int8 {
+	return int8(max(-127, min(127, int32(math.Round(float64(v/scale))))))
 }
 
 // channels locates the output channels of a Conv2D or Dense layer: n
@@ -85,12 +94,21 @@ func (m *Sequential) int8Layers() []channels {
 	return out
 }
 
-// dequantize overwrites the layer's weights with float32(code)·scale.
+// dequantize overwrites the layer's weights with float32(code)·scale, in
+// memory order.
 func (c channels) dequantize(q Int8Weights) {
-	for ch, s := range q.Scales {
-		for j := 0; j < c.per; j++ {
-			i := ch*c.cs + j*c.es
-			c.w.Data[i] = float32(q.Codes[i]) * s
+	w := c.w.Data
+	if c.dense == nil {
+		for ch, s := range q.Scales {
+			for i := ch * c.per; i < (ch+1)*c.per; i++ {
+				w[i] = float32(q.Codes[i]) * s
+			}
+		}
+		return
+	}
+	for r := 0; r < len(w); r += c.n {
+		for j, s := range q.Scales {
+			w[r+j] = float32(q.Codes[r+j]) * s
 		}
 	}
 }
@@ -106,20 +124,40 @@ func (m *Sequential) RoundInt8() []Int8Weights {
 	out := make([]Int8Weights, len(layers))
 	for i, c := range layers {
 		q := Int8Weights{Codes: make([]int8, c.w.Len()), Scales: make([]float32, c.n)}
-		w, codes := make([]float32, c.per), make([]int8, c.per)
-		for ch := range q.Scales {
-			for j := range w {
-				w[j] = c.w.Data[ch*c.cs+j*c.es]
-			}
-			q.Scales[ch] = quantizeChannel(codes, w)
-			for j, v := range codes {
-				q.Codes[ch*c.cs+j*c.es] = v
-			}
-		}
+		c.quantize(q)
 		c.dequantize(q)
 		out[i] = q
 	}
 	return out
+}
+
+// quantize fills q with the layer's codes and scales, walking the
+// weights in memory order. A conv's channels are its rows, each one
+// quantizeChannel call; a dense layer's are its columns, so every
+// column's max |w| is taken in one pass over the rows and the codes in a
+// second — quantizeChannel's codes and scales, as the maximum ignores
+// order and the rounding is per weight.
+func (c channels) quantize(q Int8Weights) {
+	w := c.w.Data
+	if c.dense == nil {
+		for ch := range q.Scales {
+			q.Scales[ch] = quantizeChannel(q.Codes[ch*c.per:(ch+1)*c.per], w[ch*c.per:(ch+1)*c.per])
+		}
+		return
+	}
+	for r := 0; r < len(w); r += c.n {
+		for j, v := range w[r : r+c.n] {
+			q.Scales[j] = maxAbsStep(q.Scales[j], v)
+		}
+	}
+	for j, m := range q.Scales {
+		q.Scales[j] = channelScale(m)
+	}
+	for r := 0; r < len(w); r += c.n {
+		for j, v := range w[r : r+c.n] {
+			q.Codes[r+j] = quantizeWeight(v, q.Scales[j])
+		}
+	}
 }
 
 // ServeInt8 has every Dense layer of m, whose weights RoundInt8 rounded

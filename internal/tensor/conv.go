@@ -412,7 +412,14 @@ func maxPoolPlanes(dst, src []float32, p0, p1, h, w int, spec ConvSpec, argmax [
 	oh, ow := spec.OutDims(h, w)
 	if argmax == nil && spec.KH == 2 && spec.KW == 2 && spec.Stride == 2 && 2*oh <= h && 2*ow <= w {
 		// The ubiquitous 2×2/stride-2 window with no ragged edge: the
-		// same four comparisons without the bounds tests.
+		// same four comparisons without the bounds tests — eight windows
+		// a step in vector registers when a row's outputs come in eights.
+		if oh > 0 && ow > 0 && ow%8 == 0 && useFMAKernel.Load() && avx2Available {
+			for p := p0; p < p1; p++ {
+				maxPool2x2x8(int64(oh), int64(ow), &src[p*h*w], int64(w), &dst[p*oh*ow])
+			}
+			return
+		}
 		for p := p0; p < p1; p++ {
 			for oy := 0; oy < oh; oy++ {
 				r0 := src[p*h*w+2*oy*w : p*h*w+2*oy*w+2*ow]

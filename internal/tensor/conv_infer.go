@@ -2,40 +2,37 @@ package tensor
 
 import "math"
 
-// Inference conv forward: a direct convolution with a fused epilogue.
+// Inference conv forward: a direct convolution with its epilogue in the
+// tile's store.
 //
-// Conv2DForward runs a conv as five passes over memory — im2col
-// writes the [C·KH·KW, N·OH·OW] column matrix, the GEMM's B packer
-// re-reads it, the GEMM writes a [F, N·OH·OW] product, a scatter permutes
-// that to [N,F,OH,OW] adding bias — and the layer stack adds a ReLU pass
-// and a pool pass. Inference needs none of it, and at PRIONN's filter
-// counts (4–24, so a packed K×NR strip would feed one to six
-// micro-tiles) not even packed strips of it; neither does a stride-1
-// training conv, whose forward is this one without the ReLU and pool
-// (conv_train.go). PackedConv.Infer copies each sample's image once into a
-// zero-padded plane and, for a stride-1 conv, hands the micro-kernel that
-// plane and a tap table: row p of the implicit column matrix, for the NR
-// consecutive pixels of one output row, is the NR floats at a fixed
-// offset from the strip's first cell, so the kernel reads it where it
-// lies. The kernel stores into the sample's [F, OH·OW] plane at row
-// stride OH·OW — already the final layout — and bias, ReLU and the
-// following max-pool run over that plane while it is still in cache. A
-// strided conv (the 1D-CNN's) has no such fixed offset between lanes: it
-// writes the sample's [K, OH·OW] column matrix into arena scratch with
-// im2colInto, as its training forward does, and multiplies it through
-// the blocked GEMM, with the same epilogue.
+// PackedConv.Infer computes, per sample, pool(relu(conv(x) + bias)) into
+// the sample's slot of [N, F, OH', OW']. A stride-1 conv — every conv of
+// the 2D-CNN, and every training forward of one (conv_train.go) — copies
+// the image once into a zero-padded plane and hands the micro-kernel
+// that plane and a tap table: row p of the implicit column matrix, for
+// the NR consecutive pixels of one output row, is the NR floats at a
+// fixed offset from the strip's first cell, so the kernel reads it where
+// it lies. Before it stores into the sample's [F, OH·OW] plane, already
+// the final layout, the kernel adds each filter's bias and applies the
+// ReLU in registers. A strided conv (the 1D-CNN's) has no fixed offset
+// between lanes: it writes the sample's [K, OH·OW] column matrix into
+// arena scratch with im2colInto and multiplies it through the blocked
+// GEMM, and biasReLURows applies the epilogue to the product. The
+// max-pool, when there is one, then reads the plane while it is in
+// cache.
 //
 // Bitwise neutrality. The padding cells are real zeros, so the kernel
 // folds in exactly the values im2col would have written — a padded tap
 // is multiplied, not skipped, and an Inf weight on it yields NaN as in
 // the column-matrix path — and each output cell is the same ascending-k
 // fma32 chain from zero (gemm.go: tiling and striping never change a
-// cell's chain, and neither does walking k in one pass instead of
-// KC-deep panels). The epilogue then applies, per cell and in this
-// order, `+ bias` (one float32 add, as convScatter), `v <= 0 → 0`
-// (the ReLU layer's test, so −0 becomes +0 and NaN passes), and the
-// window maximum in maxPoolPlanes' scan order — the operations of the
-// layer-by-layer path in the order the layers apply them.
+// cell's chain, and neither does walking k in one pass). The epilogue
+// then applies, per cell and in this order, `+ bias` (one float32 add
+// with the accumulator first, as convScatter; a missing bias adds −0,
+// which changes no value), `v <= 0 → 0` (the ReLU layer's test, so −0
+// becomes +0 and NaN passes), and the window maximum in maxPoolPlanes'
+// scan order — the operations of the layer-by-layer path in the order
+// the layers apply them.
 
 // convGeom is the geometry of one conv layer's input and output.
 type convGeom struct {
@@ -184,12 +181,12 @@ func (j convInfer) Run(lo, hi int) {
 		img := j.x[i*imgLen : (i+1)*imgLen]
 		if padded != nil {
 			g.padInto(padded.Data, img)
-			p.direct(plane, padded.Data)
+			p.direct(plane, padded.Data, j.bias, j.relu)
 		} else {
 			im2colInto(cols.Data, colW, img, g.c, g.h, g.w, g.spec)
 			gemmSerial(plane, colW, 0, p.f, 0, colW, p.k, p.weights, gemmView{data: cols.Data, rs: colW, cs: 1}, false)
+			biasReLURows(plane, p.f, colW, j.bias, j.relu)
 		}
-		biasReLURows(plane, p.f, colW, j.bias, j.relu)
 		if j.pool != nil {
 			maxPoolPlanes(dst, plane, 0, p.f, g.oh, g.ow, *j.pool, nil)
 		}
@@ -212,9 +209,10 @@ func (g *convGeom) padInto(dst, x []float32) {
 }
 
 // direct computes one sample's [F, OH·OW] conv plane from its padded
-// image: per strip of NR consecutive pixels of one output row and per
-// MR-tall filter strip, one micro-kernel call over all K taps.
-func (p *PackedConv) direct(plane, padded []float32) {
+// image, bias and ReLU applied: per strip of NR consecutive pixels of
+// one output row and per MR-tall filter strip, one micro-kernel call
+// over all K taps.
+func (p *PackedConv) direct(plane, padded []float32, bias *Tensor, relu bool) {
 	g := &p.geom
 	_, pw := g.paddedDims()
 	colW := g.oh * g.ow
@@ -223,38 +221,56 @@ func (p *PackedConv) direct(plane, padded []float32) {
 			x := padded[oy*pw+ox:]
 			at := oy*g.ow + ox
 			for fs := 0; fs < p.f; fs += gemmMR {
+				b := biasStrip(bias, fs, p.f)
 				convTile(p.k, p.strips[fs*p.k:], x, p.taps, plane[fs*colW+at:], colW,
-					min(gemmMR, p.f-fs), min(gemmNR, g.ow-ox))
+					min(gemmMR, p.f-fs), min(gemmNR, g.ow-ox), &b, relu)
 			}
 		}
 	}
 }
 
+// biasStrip returns the biases of filters f0 … f0+MR−1, zero past f. A
+// nil bias is −0 throughout: v + −0 is v for every v, −0 and NaN
+// payloads included, so the tile adds it where the layer adds nothing.
+func biasStrip(bias *Tensor, f0, f int) (b [gemmMR]float32) {
+	if bias == nil {
+		negZero := math.Float32frombits(1 << 31)
+		return [gemmMR]float32{negZero, negZero, negZero, negZero}
+	}
+	copy(b[:], bias.Data[f0:f])
+	return b
+}
+
 // convTile is microTile for the direct convolution: A strip pa against
-// the B rows x[taps[p]:], every chain from zero, into the dst tile at row
-// stride ldc. A ragged tile (the last filters, the end of an output row)
-// round-trips through a scratch tile, and its surplus lanes — which read
-// the next row's cells or the plane's slack — are dropped with it.
-func convTile(k int, pa, x []float32, taps []int32, dst []float32, ldc, mrEff, nrEff int) {
+// the B rows x[taps[p]:], every chain from zero, then the epilogue, into
+// the dst tile at row stride ldc. A ragged tile (the last filters, the
+// end of an output row) round-trips through a scratch tile, and its
+// surplus lanes — which read the next row's cells or the plane's slack —
+// are dropped with it.
+func convTile(k int, pa, x []float32, taps []int32, dst []float32, ldc, mrEff, nrEff int, bias *[gemmMR]float32, relu bool) {
 	asm := useFMAKernel.Load()
+	reluArg := int64(0)
+	if relu {
+		reluArg = 1
+	}
 	if asm && mrEff == gemmMR && nrEff == gemmNR {
-		fmaConvTile4x16(int64(k), &pa[0], &x[0], &taps[0], &dst[0], int64(ldc))
+		fmaConvTile4x16(int64(k), &pa[0], &x[0], &taps[0], &dst[0], int64(ldc), &bias[0], reluArg)
 		return
 	}
 	var tile [gemmMR * gemmNR]float32
 	if asm {
-		fmaConvTile4x16(int64(k), &pa[0], &x[0], &taps[0], &tile[0], gemmNR)
+		fmaConvTile4x16(int64(k), &pa[0], &x[0], &taps[0], &tile[0], gemmNR, &bias[0], reluArg)
 	} else {
-		fmaConvTileGeneric(k, pa, x, taps, &tile)
+		fmaConvTileGeneric(k, pa, x, taps, bias, relu, &tile)
 	}
 	for r := 0; r < mrEff; r++ {
 		copy(dst[r*ldc:r*ldc+nrEff], tile[r*gemmNR:r*gemmNR+nrEff])
 	}
 }
 
-// biasReLURows applies the conv epilogue in place to rows rows of
-// length n: row r gains bias[r] (skipped when bias is nil), then, with
-// relu, every value v <= 0 becomes +0.
+// biasReLURows applies a strided conv's epilogue in place to rows rows
+// of length n: row r gains bias[r] (skipped when bias is nil), then,
+// with relu, every value v <= 0 becomes +0.
 func biasReLURows(data []float32, rows, n int, bias *Tensor, relu bool) {
 	for r := 0; r < rows; r++ {
 		row := data[r*n : (r+1)*n]

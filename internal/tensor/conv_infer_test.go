@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -130,8 +131,23 @@ func TestConv2DInferBitwiseMatchesLayerwise(t *testing.T) {
 // TestConv2DInferSpecialValues pins the epilogue's treatment of the
 // values where `v <= 0 → 0` and a float max differ from the obvious
 // shortcuts: −0 becomes +0, NaN passes the ReLU, and a NaN wins a pool
-// window only from its first cell, exactly as the separate layers do.
+// window only from its first cell, exactly as the separate layers do —
+// and, without a bias, a conv that underflows to −0 keeps it. Each case
+// runs on the assembly kernels and on their Go twins.
 func TestConv2DInferSpecialValues(t *testing.T) {
+	kernels := []bool{false}
+	if useFMAKernel.Load() {
+		kernels = append(kernels, true)
+	}
+	for _, fma := range kernels {
+		prev := SetFMAAsm(fma)
+		checkConv2DInferSpecialValues(t, fmt.Sprintf("fma=%v", fma))
+		SetFMAAsm(prev)
+	}
+}
+
+func checkConv2DInferSpecialValues(t *testing.T, label string) {
+	t.Helper()
 	nan := float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
 	// A 1×1 identity conv passes x straight to the epilogue.
@@ -146,14 +162,26 @@ func TestConv2DInferSpecialValues(t *testing.T) {
 	pool := &ConvSpec{KH: 2, KW: 2, Stride: 2}
 	for _, relu := range []bool{false, true} {
 		want := layerwiseRef(x, wt, nil, 1, 4, 4, id, relu, pool)
-		requireBitwise(t, fmt.Sprintf("special values relu=%v", relu), Conv2DInfer(x, wt, nil, 1, 4, 4, id, relu, pool), want)
+		requireBitwise(t, fmt.Sprintf("%s special values relu=%v", label, relu), Conv2DInfer(x, wt, nil, 1, 4, 4, id, relu, pool), want)
+	}
+	// A product that underflows: 1e-30·−1e-30 rounds to −0, which a
+	// layer without a bias passes on and the ReLU makes +0.
+	tiny := New(1, 1, 4, 16)
+	for i := range tiny.Data {
+		tiny.Data[i] = float32(1e-30) * float32(1-2*(i%2))
+	}
+	small := FromSlice([]float32{1e-30}, 1, 1)
+	for _, relu := range []bool{false, true} {
+		want := layerwiseRef(tiny, small, nil, 1, 4, 16, id, relu, nil)
+		if bits := math.Float32bits(want.Data[1]); bits != 0x80000000 && !relu {
+			t.Fatalf("1e-30·−1e-30 gave bits %08x, want −0; the case proves nothing", bits)
+		}
+		requireBitwise(t, fmt.Sprintf("%s underflow to −0 relu=%v", label, relu), Conv2DInfer(tiny, small, nil, 1, 4, 16, id, relu, nil), want)
 	}
 	// A non-finite weight on a tap that falls in the padding: the zero
 	// there is multiplied, not skipped, so Inf·0 turns the border cells
 	// NaN exactly where the column-matrix path does.
 	same3 := ConvSpec{KH: 3, KW: 3, Stride: 1, PadH: 1, PadW: 1}
-	asm := useFMAKernel.Load()
-	defer useFMAKernel.Store(asm)
 	finite := New(1, 1, 4, 4)
 	for i := range finite.Data {
 		finite.Data[i] = float32(i + 1)
@@ -164,19 +192,15 @@ func TestConv2DInferSpecialValues(t *testing.T) {
 		if v := want.Data[0]; v == v {
 			t.Fatalf("weight %v on a padded tap left the corner cell %v; the case proves nothing", bad, v)
 		}
-		for _, fma := range []bool{false, asm} {
-			useFMAKernel.Store(fma)
-			requireBitwise(t, fmt.Sprintf("weight %v on a padded tap, fma=%v", bad, fma),
-				Conv2DInfer(finite, w3, nil, 1, 4, 4, same3, true, nil), want)
-		}
+		requireBitwise(t, fmt.Sprintf("%s weight %v on a padded tap", label, bad),
+			Conv2DInfer(finite, w3, nil, 1, 4, 4, same3, true, nil), want)
 	}
-	useFMAKernel.Store(asm)
 	got := Conv2DInfer(x, wt, nil, 1, 4, 4, id, true, nil)
 	if bits := math.Float32bits(got.Data[3]); bits != 0 {
-		t.Fatalf("relu(-0) has bits %08x, want +0", bits)
+		t.Fatalf("%s: relu(-0) has bits %08x, want +0", label, bits)
 	}
 	if v := got.Data[0]; v == v {
-		t.Fatalf("relu(NaN) = %v, want NaN", v)
+		t.Fatalf("%s: relu(NaN) = %v, want NaN", label, v)
 	}
 }
 
@@ -316,4 +340,143 @@ func TestMatMulPackedBBitwiseMatchesMatMul(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzFloat returns the i-th 32-bit pattern of words, cycling, so a few
+// words place any float32 — NaN payloads, infinities, subnormals,
+// either zero — wherever a fuzz target reads one.
+func fuzzFloat(words []byte, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(words[i%(len(words)/4)*4:]))
+}
+
+// appendFloats appends the bit patterns of vs to data.
+func appendFloats(data []byte, vs ...float32) []byte {
+	for _, v := range vs {
+		data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
+	}
+	return data
+}
+
+// FuzzConvTile pins convTile's two paths against each other on raw bit
+// patterns: the assembly tile with its bias/ReLU epilogue and the Go
+// twin (fmaLane chains, addLane, relu32), switched through SetFMAAsm,
+// with ReLU on and off, a nil bias, and full and ragged tiles. The input
+// is k − 1, a flags byte (bit 0 ReLU, bit 1 nil bias, then mrEff − 1),
+// the tap step (tap p lies p·step mod 2·step+1 floats in) and nrEff − 1,
+// then the words: the 4·k filter values, the image's floats and the
+// biases, in that order.
+func FuzzConvTile(f *testing.F) {
+	seed := func(k, flags, step, nrEff byte, words ...float32) {
+		f.Add(appendFloats([]byte{k - 1, flags, step, nrEff - 1}, words...))
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	bits := math.Float32frombits
+	fill := func(n int, v float32) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	cat := func(parts ...[]float32) []float32 {
+		var s []float32
+		for _, p := range parts {
+			s = append(s, p...)
+		}
+		return s
+	}
+	// Double rounding: 2^28·2^28 = 2^56, then 641·6700417 = 2^32+1 lands
+	// one past the float32 midpoint 2^56+2^32; float64 drops the 1 and
+	// rounds the tie to even, the fused operation rounds up.
+	seed(2, 3<<2, 16, 16, cat(fill(4, 1<<28), fill(4, 641), fill(16, 1<<28), fill(16, 6700417), fill(4, negZero))...)
+	// 0·Inf meeting a NaN accumulator keeps the accumulator's payload;
+	// then a NaN bias meets it (the accumulator's wins) and, on the other
+	// rows, a finite one.
+	seed(2, 1|3<<2, 16, 16, cat(fill(4, bits(0xffe00123)), fill(4, 0), fill(16, 1), fill(16, inf), []float32{bits(0x7fc00777), 1, -2, nan})...)
+	// ReLU on −0, negatives, NaN of either sign and subnormals, a ragged
+	// tile, a nil bias (−0 added).
+	seed(1, 1|2|1<<2, 1, 7, 1, negZero, -1, bits(0xffc00001), 1e-40, -1e-40, 0, nan, 5, -inf, inf, 3e38, -3e38, 7)
+	// 1e-30·−1e-30 underflows to −0: the nil bias's −0 keeps it, the
+	// ReLU makes it +0 (LE, not LT).
+	seed(1, 1|2|3<<2, 0, 16, 1e-30, -1e-30, 1e-30, 1, -1e-30)
+	seed(3, 1, 5, 16, 1.5, -2.25, 0, negZero, 1e-30, -1e-30, 3e38, 1, 0.5)
+	seed(9, 3<<2, 3, 16, 1, 2, 3, -4, 5, 6, -7, 8, 9, 10, -11, 12)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			t.Skip()
+		}
+		k := 1 + int(data[0])%40
+		relu, nilBias := data[1]&1 != 0, data[1]&2 != 0
+		mrEff, step, nrEff := 1+int(data[1]>>2)%gemmMR, int(data[2])%24, 1+int(data[3])%gemmNR
+		words := data[4:]
+		pa := make([]float32, k*gemmMR)
+		for i := range pa {
+			pa[i] = fuzzFloat(words, i)
+		}
+		taps := make([]int32, k)
+		span := 0
+		for p := range taps {
+			taps[p] = int32(p * step % (2*step + 1))
+			span = max(span, int(taps[p]))
+		}
+		x := make([]float32, span+gemmNR)
+		for i := range x {
+			x[i] = fuzzFloat(words, len(pa)+i)
+		}
+		var bias *Tensor
+		if !nilBias {
+			bias = New(mrEff)
+			for r := range bias.Data {
+				bias.Data[r] = fuzzFloat(words, len(pa)+len(x)+r)
+			}
+		}
+		b := biasStrip(bias, 0, mrEff)
+		const ldc = gemmNR + 3
+		var tiles [2]*Tensor
+		for i, on := range []bool{false, true} {
+			prev := SetFMAAsm(on)
+			tiles[i] = New(gemmMR * ldc).Fill(float32(math.NaN())) // cells past the tile stay
+			convTile(k, pa, x, taps, tiles[i].Data, ldc, mrEff, nrEff, &b, relu)
+			SetFMAAsm(prev)
+		}
+		requireBitwise(t, fmt.Sprintf("k=%d mr=%d nr=%d relu=%v nil bias=%v", k, mrEff, nrEff, relu, nilBias), tiles[1], tiles[0])
+	})
+}
+
+// FuzzMaxPool2x2 pins the 2×2/stride-2 pool's vector kernel against the
+// scalar loop, switched through SetFMAAsm, and both against the
+// train-mode pool's general window loop, on raw bit patterns. The input
+// is the plane count, oh and ow, each less one, and the extra input
+// column and row (odd extents), then the words the planes cycle through.
+func FuzzMaxPool2x2(f *testing.F) {
+	seed := func(planes, oh, ow, extra byte, words ...float32) {
+		f.Add(appendFloats([]byte{planes - 1, oh - 1, ow - 1, extra}, words...))
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	bits := math.Float32frombits
+	seed(1, 1, 8, 0, nan, 1, negZero, 0, 0, negZero, bits(0xffc00002), 2, -inf, inf, 1e-40, -1e-40, 3)
+	seed(2, 3, 16, 3, 0, negZero, nan, bits(0x7fc00005), 1, -1, inf, -inf, bits(1), bits(0x80000001))
+	seed(3, 2, 7, 1, 1.5, nan, -2, 0, negZero, 4, -inf) // ow not a multiple of 8: the scalar loop both ways
+	seed(1, 4, 24, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			t.Skip()
+		}
+		planes, oh, ow := 1+int(data[0])%3, 1+int(data[1])%6, 1+int(data[2])%40
+		h, w := 2*oh+int(data[3])%2, 2*ow+int(data[3]>>1)%2
+		x := New(1, planes, h, w)
+		for i := range x.Data {
+			x.Data[i] = fuzzFloat(data[4:], i)
+		}
+		spec := ConvSpec{KH: 2, KW: 2, Stride: 2}
+		want, _ := MaxPool2DForward(x, planes, h, w, spec, true)
+		for _, on := range []bool{false, true} {
+			prev := SetFMAAsm(on)
+			got, _ := MaxPool2DForward(x, planes, h, w, spec, false)
+			SetFMAAsm(prev)
+			requireBitwise(t, fmt.Sprintf("planes=%d %dx%d asm=%v", planes, h, w, on), got, want)
+		}
+	})
 }

@@ -51,8 +51,9 @@ const (
 var useFMAKernel atomic.Bool
 
 // fmaAvailable and avx2Available are what init found on amd64: whether
-// useFMAKernel may be set, and whether the int8 row kernel's widening
-// load (AVX2) runs beside it.
+// useFMAKernel may be set, and whether the AVX2 kernels — the int8 row
+// kernel's widening load, the 2×2 max-pool and the nonzero scan — run
+// beside it.
 var fmaAvailable, avx2Available bool
 
 // SetFMAAsm turns the float32 assembly kernels off, or back on where the
@@ -247,16 +248,22 @@ func fmaTileGeneric(kc int, pa, pb []float32, tile *[gemmMR * gemmNR]float32) {
 	}
 }
 
-// fmaConvTileGeneric is fmaConvTile4x16's portable twin: fmaTileGeneric
-// with B row p read at x[taps[p]:] and every chain started at zero.
-func fmaConvTileGeneric(k int, pa, x []float32, taps []int32, tile *[gemmMR * gemmNR]float32) {
+// fmaConvTileGeneric is fmaConvTile4x16's portable twin, bit for bit on
+// amd64: every chain from zero over B row p read at x[taps[p]:], one
+// fmaLane per tap, then the epilogue — addLane(acc, bias[r]) and, with
+// relu, relu32.
+func fmaConvTileGeneric(k int, pa, x []float32, taps []int32, bias *[gemmMR]float32, relu bool, tile *[gemmMR * gemmNR]float32) {
 	for r := 0; r < gemmMR; r++ {
 		for s := 0; s < gemmNR; s++ {
-			var acc float64
+			var acc float32
 			for p := 0; p < k; p++ {
-				acc = float64(float32(float64(pa[p*gemmMR+r])*float64(x[int(taps[p])+s]) + acc))
+				acc = fmaLane(pa[p*gemmMR+r], x[int(taps[p])+s], acc)
 			}
-			tile[r*gemmNR+s] = float32(acc)
+			acc = addLane(acc, bias[r])
+			if relu {
+				acc = relu32(acc)
+			}
+			tile[r*gemmNR+s] = acc
 		}
 	}
 }
@@ -306,6 +313,19 @@ func fmaRowIdxS8Generic(idx []int32, a []float32, q []int8, s []float32, ldq int
 		}
 		c[j] = acc
 	}
+}
+
+// addLane is VADDPS on one lane with acc as first source: a NaN acc,
+// else a NaN b, is the result, quieted.
+func addLane(acc, b float32) float32 {
+	const quiet = 1 << 22
+	switch {
+	case acc != acc:
+		return math.Float32frombits(math.Float32bits(acc) | quiet)
+	case b != b:
+		return math.Float32frombits(math.Float32bits(b) | quiet)
+	}
+	return acc + b
 }
 
 // fmaLane is VFMADD231PS on one lane, a·w + acc rounded once to float32,

@@ -12,10 +12,11 @@ func fmaTile4x16(kc int64, pa, pb, c *float32, ldc int64, zeroAcc int64)
 
 // fmaConvTile4x16 is fmaTile4x16 for the direct convolution: B row p is
 // the 16 floats at x[taps[p]:], the accumulators start at zero and all k
-// taps are walked in one ascending pass (gemm_amd64.s).
+// taps are walked in one ascending pass; then row r gains bias[r] and,
+// with relu != 0, lanes <= 0 become +0 before the store (gemm_amd64.s).
 //
 //go:noescape
-func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64)
+func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64, bias *float32, relu int64)
 
 // fmaConvBackTile4x16 is the training conv's input-gradient tile: the
 // 4×16 tile of c from +0, plus, per tap, fmaConvTile4x16's chain over the
@@ -37,6 +38,20 @@ func fmaRowIdx1x64(n int64, idx *int32, a, w *float32, ldw int64, c *float32)
 //
 //go:noescape
 func fmaRowIdxS8x64(n int64, idx *int32, a *float32, q *int8, scales *float32, ldq int64, c *float32)
+
+// maxPool2x2x8 is maxPoolPlanes' 2×2/stride-2 window over one plane
+// whose row of ow outputs is a multiple of 8, src rows w floats apart
+// (gemm_amd64.s). It needs AVX2.
+//
+//go:noescape
+func maxPool2x2x8(oh, ow int64, src *float32, w int64, dst *float32)
+
+// listNonzero8 writes the positions p < n, n a multiple of 8, with
+// a[p] != 0 (NaN included) to idx in ascending order and returns how
+// many; lanes is nonzeroLanes (gemm_amd64.s). It needs AVX2.
+//
+//go:noescape
+func listNonzero8(n int64, a *float32, idx *int32, lanes *uint64) int64
 
 func cpuidAsm(leaf uint32) (eax, ebx, ecx, edx uint32)
 
@@ -65,8 +80,10 @@ func hasAVXFMA() bool {
 func init() {
 	fmaAvailable = hasAVXFMA()
 	useFMAKernel.Store(fmaAvailable)
-	// AVX2 is CPUID leaf 7 subleaf 0, EBX bit 5.
+	// AVX2 is CPUID leaf 7 subleaf 0, EBX bit 5; listNonzero8 also
+	// counts with POPCNT, leaf 1 ECX bit 23.
 	maxLeaf, _, _, _ := cpuidAsm(0)
+	_, _, ecx1, _ := cpuidAsm(1)
 	_, ebx7, _, _ := cpuidAsm(7)
-	avx2Available = fmaAvailable && maxLeaf >= 7 && ebx7&(1<<5) != 0
+	avx2Available = fmaAvailable && maxLeaf >= 7 && ebx7&(1<<5) != 0 && ecx1&(1<<23) != 0
 }

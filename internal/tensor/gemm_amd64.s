@@ -90,17 +90,28 @@ done:
 	VZEROUPPER
 	RET
 
-// func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64)
+// RELU(acc) zeroes the lanes of acc that are <= 0 (VCMPPS LE_OQ against
+// Y4, which holds +0; a NaN compares false and stays), so −0 and every
+// negative become +0. Y5 holds the mask.
+#define RELU(acc) \
+	VCMPPS  $0x12, Y4, acc, Y5; \
+	VANDNPS acc, Y5, acc
+
+// func fmaConvTile4x16(k int64, pa, x *float32, taps *int32, c *float32, ldc int64, bias *float32, relu int64)
 //
 // fmaTile4x16 for the direct convolution (conv_infer.go): B row p is not
 // a packed strip but the 16 floats at x[taps[p]:] — two unaligned loads
 // from the zero-padded image plane — and the accumulators always start
 // at zero and walk all k taps in one ascending pass:
 //
-//	C[r*ldc+s] = fma(pa[p*4+r], x[taps[p]+s], ...) folded over p = 0..k-1.
+//	C[r*ldc+s] = fma(pa[p*4+r], x[taps[p]+s], ...) folded over p = 0..k-1,
 //
-// Same register plan as fmaTile4x16; R9 walks the tap table.
-TEXT ·fmaConvTile4x16(SB), NOSPLIT, $0-48
+// then, before the store, the conv epilogue: row r gains bias[r] with
+// the accumulator as first source (scalar `v + b`: of two NaNs, the
+// accumulator's comes out), and with relu != 0 every lane v <= 0
+// (ordered, so NaN is kept) becomes +0. Same register plan as
+// fmaTile4x16; R9 walks the tap table.
+TEXT ·fmaConvTile4x16(SB), NOSPLIT, $0-64
 	MOVQ k+0(FP), CX
 	MOVQ pa+8(FP), SI
 	MOVQ x+16(FP), DI
@@ -150,6 +161,34 @@ convloop:
 	JMP  convloop
 
 convdone:
+	MOVQ         bias+48(FP), AX
+	VBROADCASTSS (AX), Y0
+	VBROADCASTSS 4(AX), Y1
+	VBROADCASTSS 8(AX), Y2
+	VBROADCASTSS 12(AX), Y3
+	VADDPS       Y0, Y8, Y8  // Y8 = Y8 + Y0: the accumulator first
+	VADDPS       Y0, Y9, Y9
+	VADDPS       Y1, Y10, Y10
+	VADDPS       Y1, Y11, Y11
+	VADDPS       Y2, Y12, Y12
+	VADDPS       Y2, Y13, Y13
+	VADDPS       Y3, Y14, Y14
+	VADDPS       Y3, Y15, Y15
+
+	MOVQ  relu+56(FP), AX
+	TESTQ AX, AX
+	JZ    convstore
+	VXORPS Y4, Y4, Y4
+	RELU(Y8)
+	RELU(Y9)
+	RELU(Y10)
+	RELU(Y11)
+	RELU(Y12)
+	RELU(Y13)
+	RELU(Y14)
+	RELU(Y15)
+
+convstore:
 	VMOVUPS Y8, (DX)
 	VMOVUPS Y9, 32(DX)
 	VMOVUPS Y10, (R10)
@@ -414,6 +453,110 @@ s8done:
 	VMOVUPS Y13, 160(DX)
 	VMOVUPS Y14, 192(DX)
 	VMOVUPS Y15, 224(DX)
+	VZEROUPPER
+	RET
+
+// func maxPool2x2x8(oh, ow int64, src *float32, w int64, dst *float32)
+//
+// The 2×2/stride-2 max-pool of one [2·oh.., w] plane into the [oh, ow]
+// plane dst, ow a multiple of 8 (conv.go's maxPoolPlanes), eight outputs
+// a step. VSHUFPS splits the 16 floats of each of the window's two rows
+// into even and odd columns — interleaved across the two 128-bit halves,
+// which VPERMPD puts back in order once the maximum is taken — and
+// VMAXPS folds r0's odd, r1's even and r1's odd lane, in the scalar
+// scan order, into r0's even one with the candidate as first source:
+// VMAXPS returns its first source only when it compares greater, which
+// is `if v > best { best = v }` for NaNs and signed zeros as well.
+TEXT ·maxPool2x2x8(SB), NOSPLIT, $0-40
+	MOVQ oh+0(FP), CX
+	MOVQ ow+8(FP), BX
+	MOVQ src+16(FP), SI
+	MOVQ w+24(FP), R8
+	SHLQ $2, R8              // src row stride in bytes
+	MOVQ dst+32(FP), DI
+	LEAQ (SI)(R8*1), R9      // the window's second row
+	SHLQ $1, R8              // one row pair
+
+poolrow:
+	TESTQ CX, CX
+	JZ    pooldone
+	MOVQ  SI, R10
+	MOVQ  R9, R11
+	MOVQ  BX, DX             // outputs left in this row
+
+poolstep:
+	VMOVUPS (R10), Y0        // r0, columns 0..7
+	VMOVUPS 32(R10), Y1      // r0, columns 8..15
+	VMOVUPS (R11), Y2        // r1, columns 0..7
+	VMOVUPS 32(R11), Y3      // r1, columns 8..15
+	VSHUFPS $0x88, Y1, Y0, Y4 // r0 even: 0 2 8 10 | 4 6 12 14
+	VSHUFPS $0xdd, Y1, Y0, Y5 // r0 odd, in the same lanes
+	VSHUFPS $0x88, Y3, Y2, Y6 // r1 even
+	VSHUFPS $0xdd, Y3, Y2, Y7 // r1 odd
+	VMAXPS  Y4, Y5, Y4       // Y4 = Y5 > Y4 ? Y5 : Y4
+	VMAXPS  Y4, Y6, Y4
+	VMAXPS  Y4, Y7, Y4
+	VPERMPD $0xd8, Y4, Y4    // qwords 0 2 1 3: outputs 0..7 in order
+	VMOVUPS Y4, (DI)
+
+	ADDQ $64, R10
+	ADDQ $64, R11
+	ADDQ $32, DI             // dst rows are contiguous: DI runs on into the next
+	SUBQ $8, DX
+	JNZ  poolstep
+
+	ADDQ R8, SI
+	ADDQ R8, R9
+	DECQ CX
+	JMP  poolrow
+
+pooldone:
+	VZEROUPPER
+	RET
+
+// func listNonzero8(n int64, a *float32, idx *int32, lanes *uint64) int64
+//
+// listNonzero's scan (gemm_packed.go) for n floats, a multiple of 8:
+// writes the positions p < n with a[p] != 0 to idx, ascending, and
+// returns how many. Per eight floats, VCMPPS NEQ_UQ against zero marks
+// the nonzero lanes (a NaN is unordered, so it counts; ±0 does not),
+// VMOVMSKPS makes them a byte m, and lanes[m] lists those lanes one
+// byte each, widened, offset by p and stored as eight int32s, of which
+// POPCNT(m) count. The surplus ones are overwritten by the next store or
+// lie past the count; they never pass position p+7 < n, so idx needs no
+// slack.
+TEXT ·listNonzero8(SB), NOSPLIT, $0-40
+	MOVQ n+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ idx+16(FP), DI
+	MOVQ lanes+24(FP), R8
+	XORQ AX, AX              // positions written
+	XORQ DX, DX              // p
+
+	VXORPS       Y0, Y0, Y0  // +0
+	VPXOR        Y2, Y2, Y2  // p in every lane
+	MOVL         $8, R9
+	VMOVD        R9, X3
+	VPBROADCASTD X3, Y3      // 8 in every lane
+
+nzloop:
+	CMPQ DX, CX
+	JGE  nzdone
+
+	VCMPPS    $4, (SI)(DX*4), Y0, Y1 // NEQ_UQ
+	VMOVMSKPS Y1, R10
+	VPMOVZXBD (R8)(R10*8), Y4
+	VPADDD    Y2, Y4, Y4
+	VMOVDQU   Y4, (DI)(AX*4)
+	POPCNTL   R10, R10
+	ADDQ      R10, AX
+
+	VPADDD Y3, Y2, Y2
+	ADDQ   $8, DX
+	JMP    nzloop
+
+nzdone:
+	MOVQ AX, ret+32(FP)
 	VZEROUPPER
 	RET
 

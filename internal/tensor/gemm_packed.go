@@ -201,17 +201,43 @@ func nonzeroBit(v float32) uint32 {
 }
 
 // listNonzero writes the positions p with a[p] != 0 — or, with all,
-// every p — to idx in ascending order and returns how many.
+// every p — to idx, at least len(a) long, in ascending order and returns
+// how many. Without all, the positions up to the last multiple of 8 are
+// scanned eight at a time by listNonzero8 where the CPU has it.
 func listNonzero(idx []int32, a []float32, all bool) int {
-	n, keep := 0, uint32(0)
+	if len(a) == 0 {
+		return 0
+	}
+	_ = idx[len(a)-1] // listNonzero8 writes up to idx[len(a)−1] unchecked
+	n, p0, keep := 0, 0, uint32(0)
 	if all {
 		keep = 1
+	} else if m := len(a) &^ 7; m > 0 && useFMAKernel.Load() && avx2Available {
+		n, p0 = int(listNonzero8(int64(m), &a[0], &idx[0], &nonzeroLanes[0])), m
 	}
-	for p, v := range a {
+	for p := p0; p < len(a); p++ {
 		idx[n] = int32(p)
-		n += int(nonzeroBit(v) | keep)
+		n += int(nonzeroBit(a[p]) | keep)
 	}
 	return n
+}
+
+// nonzeroLanes[m] lists the set bits of the byte m, ascending, one lane
+// number per byte from the low end: listNonzero8's left-packing table.
+var nonzeroLanes [256]uint64
+
+func init() {
+	for m := range nonzeroLanes {
+		var lanes uint64
+		n := 0
+		for lane := 0; lane < 8; lane++ {
+			if m>>lane&1 != 0 {
+				lanes |= uint64(lane) << (8 * n)
+				n++
+			}
+		}
+		nonzeroLanes[m] = lanes
+	}
 }
 
 // hasZero reports whether any element of c is ±0.

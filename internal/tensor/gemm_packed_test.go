@@ -284,3 +284,44 @@ func BenchmarkMulRowDense(b *testing.B) {
 		MatMulPackedB(dst, a, packed)
 	}
 }
+
+// FuzzListNonzero pins listNonzero's vector scan against the scalar loop,
+// switched through SetFMAAsm, on raw bit patterns: the positions of
+// exactly the elements that are not ±0, NaN included, in order. The
+// input is the length, then the words the row cycles through.
+func FuzzListNonzero(f *testing.F) {
+	seed := func(n byte, words ...float32) { f.Add(appendFloats([]byte{n}, words...)) }
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	bits := math.Float32frombits
+	seed(8, 0, negZero, nan, bits(0x7f800001), 1e-45, -1e-45, inf, -inf)
+	seed(13, bits(0xffc00003), 0, 0, negZero, 1, 0, negZero, 0, 2, bits(1), bits(0x80000001))
+	seed(31, 0, 0, 0, 0, 0, 0, 0, 5) // one nonzero in eight
+	seed(7, 1, 2, 3)                 // shorter than one vector step
+	seed(64, negZero)                // all zeros
+	seed(200, 1.5, -2.25, 3e38, bits(0x007fffff))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			t.Skip()
+		}
+		a := make([]float32, int(data[0]))
+		for i := range a {
+			a[i] = fuzzFloat(data[1:], i)
+		}
+		var want []int32
+		for p, v := range a {
+			if v != 0 || v != v {
+				want = append(want, int32(p))
+			}
+		}
+		for _, on := range []bool{false, true} {
+			prev := SetFMAAsm(on)
+			idx := make([]int32, len(a))
+			n := listNonzero(idx, a, false)
+			SetFMAAsm(prev)
+			if n != len(want) || fmt.Sprint(idx[:n]) != fmt.Sprint(want) {
+				t.Fatalf("len %d asm=%v: listed %v, want %v", len(a), on, idx[:n], want)
+			}
+		}
+	})
+}

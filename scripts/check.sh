@@ -55,7 +55,10 @@
 #                      every batch size and skipping only exact zeros
 #                      (±0, NaN, denormals, non-finite weights,
 #                      underflow to −0; rows of a batch each with their
-#                      own list), logits of float and int8 weights
+#                      own list), each vector kernel of the forward's
+#                      bookkeeping — the conv tile's bias/ReLU store,
+#                      the 2×2 max-pool, the nonzero scan — equal to
+#                      its Go twin on its fuzz seeds, logits of float and int8 weights
 #                      independent of batch size and position, view ==
 #                      snapshot logits, private panels and conv strips
 #                      dropped by training, and the arena's ownership
@@ -115,8 +118,11 @@
 #                      corrupt float checkpoint loading through Load and
 #                      the weights-only reader alike, quantized ones,
 #                      the dense row kernel against MatMul on
-#                      arbitrary bit patterns, and the stride-1 training
-#                      conv against the column path on random geometries)
+#                      arbitrary bit patterns, the stride-1 training
+#                      conv against the column path on random geometries,
+#                      and the conv tile, the 2×2 max-pool and the
+#                      nonzero scan against their Go twins on arbitrary
+#                      bit patterns)
 #
 # Steps 4 and 7–12 name their tests with -run filters and run them
 # through `named`, which fails when a name in the filter matches no
@@ -279,7 +285,7 @@ named -race -count=1 -run 'TestServeBatchedBitwiseIdenticalToSingle|TestServeOve
 named -race -count=1 -run 'TestServeLoneRequestNotHeld|TestServeSequentialClientNeverHeld|TestServeHeldAfterCompany|TestServeQueueDepthNeverNegative|TestServePredictAllocCeiling' ./internal/serve/
 named -race -count=1 -run 'TestSharedViewConcurrentPredict|TestViewSnapshotTrainForwardLogitsBitwise|TestSnapshotLogitsBatchInvariant|TestSnapshotPanelsPrivate|TestPredictMappedLeavesArenaFlat|TestTrainLeavesArenaFlat|TestInferForwardReturnsActivations' ./internal/prionn/
 named -count=1 -run 'TestInferForwardAllocCeiling|TestInferForwardAllocCeilingTwoWorkers|TestSnapshotHoldsWeightsOnce|TestQuantizedViewHoldsCodes|TestTrainEventLeavesNoScratch|TestInt8DenseMatchesRoundedFloatView' ./internal/prionn/
-named -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros' ./internal/tensor/
+named -race -count=1 -run 'TestConv2DInferBitwiseMatchesLayerwise|TestConv2DInferSpecialValues|TestConv2DInferReturnsScratch|TestMatMulPackedBBitwiseMatchesMatMul|TestMulRowSkipsOnlyExactZeros|FuzzConvTile|FuzzMaxPool2x2|FuzzListNonzero' ./internal/tensor/
 named -count=1 -run 'TestForChunkBounds|TestForInlineZeroAlloc' ./internal/tensor/
 named -race -count=1 -run 'FuzzTrainConvDirect|TestTrainConvStridedKeepsColumnPath|TestConvBackTileGenericMatchesAsm' ./internal/tensor/
 named -race -count=1 -run 'TestFusedForwardBitwiseMatchesLayerwise|TestTrainForwardDropsPackedPanels|TestInferenceForwardReturnsCheckOuts|TestServeInt8DropsDenseWeights' ./internal/nn/
@@ -359,6 +365,9 @@ go test -fuzz=FuzzLoadPredictor -fuzztime=3s -run='^$' ./internal/prionn/
 go test -fuzz=FuzzQuantizedLoad -fuzztime=3s -run='^$' ./internal/prionn/
 go test -fuzz=FuzzMulRow -fuzztime=3s -run='^$' ./internal/tensor/
 go test -fuzz=FuzzTrainConvDirect -fuzztime=3s -run='^$' ./internal/tensor/
+go test -fuzz=FuzzConvTile -fuzztime=3s -run='^$' ./internal/tensor/
+go test -fuzz=FuzzMaxPool2x2 -fuzztime=3s -run='^$' ./internal/tensor/
+go test -fuzz=FuzzListNonzero -fuzztime=3s -run='^$' ./internal/tensor/
 step_done
 
 echo "all checks passed"
