@@ -208,7 +208,7 @@ func BenchmarkSchedSnapshotTurnaround(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.PredictTurnarounds(items, sched.SimConfig{Nodes: 64, Backfill: true}, pred); err != nil {
+		if _, err := sched.PredictTurnarounds(context.Background(), items, sched.SimConfig{Nodes: 64, Backfill: true}, pred); err != nil {
 			b.Fatal(err)
 		}
 	}

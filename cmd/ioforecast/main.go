@@ -49,86 +49,38 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	byID := map[int]prionn.OnlineRecord{}
+	preds := make(map[int]ioaware.Pred, len(recs))
 	for _, r := range recs {
-		byID[r.Job.ID] = r
+		preds[r.Job.ID] = ioaware.Pred{RuntimeMin: r.Pred.RuntimeMin, BW: r.Pred.ReadBW() + r.Pred.WriteBW(), OK: r.Predicted}
 	}
 
-	// Phase 2: scheduler simulation with snapshot turnaround prediction.
-	items := make([]sched.Item, 0, len(completed))
-	for _, j := range completed {
-		items = append(items, sched.Item{
-			ID: j.ID, Submit: j.SubmitTime, Nodes: j.Nodes,
-			RuntimeSec: j.ActualSec, LimitSec: int64(j.RequestedMin) * 60,
-		})
-	}
-	pred := func(id int) int64 {
-		r := byID[id]
-		if !r.Predicted {
-			return int64(r.Job.RequestedMin) * 60
-		}
-		return int64(r.Pred.RuntimeMin) * 60
-	}
-	results, err := sched.PredictTurnarounds(items, sched.SimConfig{Nodes: *nodes, Backfill: true}, pred)
+	// Phase 2: snapshot turnaround prediction, then the system-IO forecast.
+	f, err := ioaware.Forecast(context.Background(), completed, preds, sched.SimConfig{Nodes: *nodes, Backfill: true}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Build actual vs predicted system-IO series.
-	var actualIvs, predIvs []ioaware.Interval
-	var t0, t1 int64
-	first := true
 	var taAcc []float64
-	for _, r := range results {
-		rec := byID[r.ID]
-		j := rec.Job
-		actualIvs = append(actualIvs, ioaware.Interval{
-			Start: r.RealPlacement.Start, End: r.RealPlacement.End, BW: j.ReadBW() + j.WriteBW(),
-		})
-		pp := r.PredPlacement
-		if pp.End <= pp.Start {
-			pp = r.RealPlacement
-		}
-		predIvs = append(predIvs, ioaware.Interval{
-			Start: pp.Start, End: pp.End, BW: rec.Pred.ReadBW() + rec.Pred.WriteBW(),
-		})
-		if first || r.RealPlacement.Start < t0 {
-			t0 = r.RealPlacement.Start
-		}
-		first = false
-		if r.RealPlacement.End > t1 {
-			t1 = r.RealPlacement.End
-		}
-		if pp.End > t1 {
-			t1 = pp.End
-		}
+	for _, r := range f.Turnarounds {
 		taAcc = append(taAcc, metrics.RelativeAccuracy(float64(r.RealSec), float64(r.PredictedSec)))
 	}
-	actual := ioaware.Series(actualIvs, t0, t1, 60)
-	predicted := ioaware.Series(predIvs, t0, t1, 60)
 
 	ts := metrics.Summarize(taAcc)
 	fmt.Printf("\nturnaround accuracy: mean %.1f%%  median %.1f%%  (paper: 42.1%% / 40.8%%)\n",
 		ts.Mean*100, ts.Median*100)
 
-	ioAcc := metrics.Summarize(ioaware.SeriesAccuracy(actual, predicted))
+	ioAcc := metrics.Summarize(ioaware.SeriesAccuracy(f.Actual, f.Predicted))
 	fmt.Printf("system-IO accuracy:  mean %.1f%%  median %.1f%%\n", ioAcc.Mean*100, ioAcc.Median*100)
-
-	thr := ioaware.BurstThreshold(actual)
-	am := ioaware.BurstMask(actual, thr)
-	pm := ioaware.BurstMask(predicted, thr)
-	fmt.Printf("burst threshold:     %.3e B/s (mean + 1 std, paper Fig. 12a style)\n\n", thr)
+	fmt.Printf("burst threshold:     %.3e B/s (mean + 1 std, paper Fig. 12a style)\n\n", ioaware.BurstThreshold(f.Actual))
 
 	fmt.Println("window(min)  sensitivity  precision")
-	for _, w := range []int{5, 10, 20, 30, 40, 50, 60} {
-		c := ioaware.MatchBursts(am, pm, w/2)
-		fmt.Printf("%10d  %10.1f%%  %8.1f%%\n", w, c.Sensitivity()*100, c.Precision()*100)
+	for i, c := range ioaware.WindowSweep(f.Actual, f.Predicted) {
+		fmt.Printf("%10d  %10.1f%%  %8.1f%%\n", ioaware.Windows[i], c.Sensitivity()*100, c.Precision()*100)
 	}
 
-	// A coarse text rendering of the two series (16 buckets).
+	// A coarse text rendering of the two series (64 columns).
 	fmt.Println("\nsystem IO over time (actual vs predicted, relative):")
-	fmt.Printf("actual    %s\n", spark(actual))
-	fmt.Printf("predicted %s\n", spark(predicted))
+	fmt.Printf("actual    %s\n", spark(f.Actual))
+	fmt.Printf("predicted %s\n", spark(f.Predicted))
 }
 
 // spark renders a series as a 64-character bar string.

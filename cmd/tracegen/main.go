@@ -125,22 +125,15 @@ func printStats(w io.Writer, all []trace.Job) error {
 	}
 	fmt.Fprintf(&b, "user estimate:   mean abs error %.0f min (paper: 172)\n", errSum/float64(len(reqErr)))
 	fmt.Fprintf(&b, "read BW (B/s):   mean %.2e  median %.2e  (mean/median %.0fx)\n",
-		rs.Mean, rs.Median, rs.Mean/maxf(rs.Median, 1))
+		rs.Mean, rs.Median, rs.Mean/max(rs.Median, 1))
 	fmt.Fprintf(&b, "write BW (B/s):  mean %.2e  median %.2e  (mean/median %.0fx)\n",
-		ws.Mean, ws.Median, ws.Mean/maxf(ws.Median, 1))
+		ws.Mean, ws.Median, ws.Mean/max(ws.Median, 1))
 	if len(all) > 0 {
 		span := all[len(all)-1].SubmitTime - all[0].SubmitTime
 		fmt.Fprintf(&b, "trace span:      %.1f days\n", float64(span)/86400)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func writeCSV(w io.Writer, all []trace.Job) error {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"prionn/internal/ioaware"
 	"prionn/internal/prionn"
 	"prionn/internal/sched"
 	"prionn/internal/trace"
@@ -150,7 +151,7 @@ func TestFig12And13Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res13.Rows) != len(burstWindows)+1 {
+	if len(res13.Rows) != len(ioaware.Windows)+1 {
 		t.Fatalf("fig13 rows %d", len(res13.Rows))
 	}
 }
@@ -168,8 +169,24 @@ func TestFig14And15Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res15.Rows) != len(burstWindows)+1 {
+	if len(res15.Rows) != len(ioaware.Windows)+1 {
 		t.Fatalf("fig15 rows %d", len(res15.Rows))
+	}
+}
+
+// TestSystemIOMemoKeysMachineSize: the Figs. 12–15 memo must not hand
+// one machine size's result to another. On 16 nodes the trace holds jobs
+// wider than the machine, so a fresh run fails where a memo keyed
+// without Options.Nodes returns the 256-node result.
+func TestSystemIOMemoKeysMachineSize(t *testing.T) {
+	o := tinyOptions().withDefaults()
+	if _, _, err := systemIO(o, true); err != nil {
+		t.Fatal(err)
+	}
+	o.Nodes = 16
+	_, _, err := systemIO(o, true)
+	if err == nil || !strings.Contains(err.Error(), "16-node machine") {
+		t.Fatalf("16-node run: err = %v, want a job wider than the machine", err)
 	}
 }
 
@@ -267,23 +284,23 @@ func TestIOSeriesPairPerfect(t *testing.T) {
 	// With predictions equal to ground truth, the predicted system-IO
 	// series must closely track the actual one.
 	jobs := trace.Completed(trace.Generate(trace.Config{Seed: 9, Jobs: 20, Users: 3, Apps: 2}))
-	byID := map[int]JobPred{}
-	items := toItems(jobs)
-	sch, err := sched.Schedule(items, sched.SimConfig{Nodes: 1296, Backfill: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	preds := map[int]ioaware.Pred{}
 	for _, j := range jobs {
 		// "Prediction" equal to truth.
-		byID[j.ID] = JobPred{
+		p := JobPred{
 			Job:        j,
 			RuntimeMin: j.ActualMin(),
 			ReadBytes:  float64(j.ReadBytes),
 			WriteBytes: float64(j.WriteBytes),
 			OK:         true,
 		}
+		preds[j.ID] = ioaware.Pred{RuntimeMin: p.RuntimeMin, BW: p.ReadBW() + p.WriteBW(), OK: p.OK}
 	}
-	actual, predicted := ioSeriesPair(sch, nil, byID, false)
+	f, err := ioaware.Forecast(context.Background(), jobs, preds, sched.SimConfig{Nodes: 1296, Backfill: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actual, predicted := f.Actual, f.Predicted
 	if len(actual) == 0 || len(actual) != len(predicted) {
 		t.Fatalf("series lengths %d/%d", len(actual), len(predicted))
 	}

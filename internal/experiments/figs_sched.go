@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"prionn/internal/ioaware"
@@ -12,38 +10,21 @@ import (
 	"prionn/internal/trace"
 )
 
-// burstWindows are the paper's window sizes in minutes (Figs. 13, 15).
-var burstWindows = []int{5, 10, 20, 30, 40, 50, 60}
-
-// toItems converts completed trace jobs into scheduler items.
-func toItems(jobs []trace.Job) []sched.Item {
-	items := make([]sched.Item, 0, len(jobs))
-	for _, j := range jobs {
-		items = append(items, sched.Item{
-			ID:         j.ID,
-			Submit:     j.SubmitTime,
-			Nodes:      j.Nodes,
-			RuntimeSec: j.ActualSec,
-			LimitSec:   int64(j.RequestedMin) * 60,
-		})
-	}
-	return items
-}
-
-// predictorsForSample runs PRIONN online over a sample and returns
-// runtime (seconds) and bandwidth lookup functions. Jobs submitted
-// before the first training event fall back to the user estimate for
-// runtime and zero for IO — exactly what a freshly deployed system has.
-func predictorsForSample(jobsAll []trace.Job, o Options) (map[int]JobPred, error) {
+// predictorsForSample runs PRIONN online over a sample and returns each
+// job's runtime and bandwidth prediction keyed by job ID. Jobs submitted
+// before the first training event have none (OK false) and fall back to
+// the user estimate for runtime and zero for IO — exactly what a freshly
+// deployed system has.
+func predictorsForSample(jobsAll []trace.Job, o Options) (map[int]ioaware.Pred, error) {
 	cfg := o.Cfg
 	cfg.PredictIO = true
 	preds, err := runPRIONN(jobsAll, cfg, o)
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[int]JobPred, len(preds))
+	byID := make(map[int]ioaware.Pred, len(preds))
 	for _, p := range preds {
-		byID[p.Job.ID] = p
+		byID[p.Job.ID] = ioaware.Pred{RuntimeMin: p.RuntimeMin, BW: p.ReadBW() + p.WriteBW(), OK: p.OK}
 	}
 	return byID, nil
 }
@@ -60,34 +41,27 @@ func Fig11(o Options) (Result, error) {
 
 	var turnarounds []float64
 	var userAcc, prAcc []float64
+	simCfg := sched.SimConfig{Nodes: o.Nodes, Backfill: true}
 	for si, sample := range samples {
 		completed := trace.Completed(sample)
-		items := toItems(completed)
 		byID, err := predictorsForSample(sample, o)
 		if err != nil {
 			return Result{}, err
 		}
-		userRuntime := func(id int) int64 { return int64(byID[id].Job.RequestedMin) * 60 }
-		prionnRuntime := func(id int) int64 {
-			p := byID[id]
-			if !p.OK {
-				return userRuntime(id)
-			}
-			return sched.SanitizePredictedSec(float64(p.RuntimeMin)*60, int64(p.Job.RequestedMin)*60)
-		}
-		simCfg := sched.SimConfig{Nodes: o.Nodes, Backfill: true}
-		ur, err := sched.PredictTurnaroundsCtx(o.Context(), items, simCfg, userRuntime)
+		// No predictions: every job runs at its user-requested runtime.
+		ur, err := ioaware.Forecast(o.Context(), completed, nil, simCfg, false)
 		if err != nil {
 			return Result{}, err
 		}
-		pr, err := sched.PredictTurnaroundsCtx(o.Context(), items, simCfg, prionnRuntime)
+		pr, err := ioaware.Forecast(o.Context(), completed, byID, simCfg, false)
 		if err != nil {
 			return Result{}, err
 		}
-		for i := range ur {
-			turnarounds = append(turnarounds, float64(ur[i].RealSec))
-			userAcc = append(userAcc, metrics.RelativeAccuracy(float64(ur[i].RealSec), float64(ur[i].PredictedSec)))
-			prAcc = append(prAcc, metrics.RelativeAccuracy(float64(pr[i].RealSec), float64(pr[i].PredictedSec)))
+		for i, u := range ur.Turnarounds {
+			p := pr.Turnarounds[i]
+			turnarounds = append(turnarounds, float64(u.RealSec))
+			userAcc = append(userAcc, metrics.RelativeAccuracy(float64(u.RealSec), float64(u.PredictedSec)))
+			prAcc = append(prAcc, metrics.RelativeAccuracy(float64(p.RealSec), float64(p.PredictedSec)))
 		}
 		o.progress("fig11: sample %d/%d done", si+1, len(samples))
 	}
@@ -120,76 +94,6 @@ func Fig11(o Options) (Result, error) {
 	return res, nil
 }
 
-// sanitizeBW clamps a derived bandwidth before it enters an IO series:
-// a NaN, Inf, or negative value (degenerate predicted bytes divided by a
-// degenerate predicted runtime) would poison every downstream bucket sum
-// and burst threshold.
-func sanitizeBW(bw float64) float64 {
-	if math.IsNaN(bw) || math.IsInf(bw, 0) || bw < 0 {
-		return 0
-	}
-	return bw
-}
-
-// ioSeriesPair builds actual and predicted system-IO series (one-minute
-// buckets) from placements and per-job predictions. When usePredPlace is
-// true, predicted intervals come from the snapshot placements (Figs.
-// 14/15); otherwise predictions ride the real placements — perfect
-// turnaround knowledge (Figs. 12/13).
-func ioSeriesPair(
-	placements map[int]sched.Placement,
-	predPlacements map[int]sched.Placement,
-	byID map[int]JobPred,
-	usePredPlace bool,
-) (actual, predicted []float64) {
-	var t0, t1 int64
-	first := true
-	var actualIvs, predIvs []ioaware.Interval
-	// Iterate job IDs in sorted order: interval order decides float
-	// summation order in ioaware.Series, and map order would make
-	// same-seed runs differ in the last bits.
-	ids := make([]int, 0, len(placements))
-	for id := range placements {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		pl := placements[id]
-		p := byID[id]
-		j := p.Job
-		actualIvs = append(actualIvs, ioaware.Interval{
-			Start: pl.Start, End: pl.End, BW: sanitizeBW(j.ReadBW() + j.WriteBW()),
-		})
-		pp := pl
-		if usePredPlace {
-			var ok bool
-			pp, ok = predPlacements[id]
-			if !ok || pp.End <= pp.Start {
-				pp = pl
-			}
-		}
-		predIvs = append(predIvs, ioaware.Interval{
-			Start: pp.Start, End: pp.End, BW: sanitizeBW(p.ReadBW() + p.WriteBW()),
-		})
-		for _, b := range []int64{pl.Start, pp.Start} {
-			if first || b < t0 {
-				t0 = b
-			}
-			first = false
-		}
-		for _, e := range []int64{pl.End, pp.End} {
-			if e > t1 {
-				t1 = e
-			}
-		}
-	}
-	if t1 <= t0 {
-		return nil, nil
-	}
-	const step = 60
-	return ioaware.Series(actualIvs, t0, t1, step), ioaware.Series(predIvs, t0, t1, step)
-}
-
 // systemIOCache memoizes the §4.3 pipeline so figure pairs sharing it
 // (12/13 and 14/15) run it once per options set. systemIOMu guards it:
 // experiment runners are callable from concurrent harnesses, and an
@@ -206,9 +110,12 @@ type systemIOResult struct {
 
 // systemIO is the shared §4.3 pipeline; perfect selects the Figs. 12/13
 // evaluation (perfect turnaround knowledge) vs Figs. 14/15 (predicted
-// turnaround). Results are memoized per (options, perfect) pair.
+// turnaround). Results are memoized per (options, perfect) pair; the key
+// is every Options field but the progress callback and the context.
 func systemIO(o Options, perfect bool) (accSummary metrics.Summary, sweeps []metrics.Confusion, err error) {
-	key := fmt.Sprintf("%d/%d/%d/%d/%v/%+v", o.Jobs, o.Seed, o.Samples, o.SampleJobs, perfect, o.Cfg)
+	k := o
+	k.Progress, k.ctx = nil, nil
+	key := fmt.Sprintf("%v/%+v", perfect, k)
 	systemIOMu.Lock()
 	r, ok := systemIOCache[key]
 	systemIOMu.Unlock()
@@ -232,49 +139,22 @@ func systemIO(o Options, perfect bool) (accSummary metrics.Summary, sweeps []met
 	}
 
 	var allAcc []float64
-	sweeps = make([]metrics.Confusion, len(burstWindows))
+	sweeps = make([]metrics.Confusion, len(ioaware.Windows))
+	simCfg := sched.SimConfig{Nodes: o.Nodes, Backfill: true}
 	for si, sample := range samples {
-		completed := trace.Completed(sample)
-		items := toItems(completed)
 		byID, err := predictorsForSample(sample, o)
 		if err != nil {
 			return metrics.Summary{}, nil, err
 		}
-		simCfg := sched.SimConfig{Nodes: o.Nodes, Backfill: true}
-
-		real, err := sched.ScheduleCtx(o.Context(), items, simCfg)
+		f, err := ioaware.Forecast(o.Context(), trace.Completed(sample), byID, simCfg, perfect)
 		if err != nil {
 			return metrics.Summary{}, nil, err
 		}
-		predPlace := map[int]sched.Placement{}
-		if !perfect {
-			prionnRuntime := func(id int) int64 {
-				p := byID[id]
-				if !p.OK {
-					return int64(p.Job.RequestedMin) * 60
-				}
-				return sched.SanitizePredictedSec(float64(p.RuntimeMin)*60, int64(p.Job.RequestedMin)*60)
-			}
-			results, err := sched.PredictTurnaroundsCtx(o.Context(), items, simCfg, prionnRuntime)
-			if err != nil {
-				return metrics.Summary{}, nil, err
-			}
-			for _, r := range results {
-				predPlace[r.ID] = r.PredPlacement
-			}
-		}
-
-		actual, predicted := ioSeriesPair(real, predPlace, byID, !perfect)
-		if len(actual) == 0 {
+		if len(f.Actual) == 0 {
 			continue
 		}
-		allAcc = append(allAcc, ioaware.SeriesAccuracy(actual, predicted)...)
-
-		thr := ioaware.BurstThreshold(actual)
-		am := ioaware.BurstMask(actual, thr)
-		pm := ioaware.BurstMask(predicted, thr)
-		for wi, w := range burstWindows {
-			c := ioaware.MatchBursts(am, pm, w/2)
+		allAcc = append(allAcc, ioaware.SeriesAccuracy(f.Actual, f.Predicted)...)
+		for wi, c := range ioaware.WindowSweep(f.Actual, f.Predicted) {
 			sweeps[wi].TP += c.TP
 			sweeps[wi].FP += c.FP
 			sweeps[wi].FN += c.FN
@@ -361,7 +241,7 @@ func burstResult(id, title string, sweeps []metrics.Confusion, paper string) Res
 		Title: title,
 		Rows:  [][]string{{"window (min)", "sensitivity", "precision", "TP", "FP", "FN"}},
 	}
-	for i, w := range burstWindows {
+	for i, w := range ioaware.Windows {
 		c := sweeps[i]
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(w), fmtPct(c.Sensitivity()), fmtPct(c.Precision()),
@@ -370,7 +250,7 @@ func burstResult(id, title string, sweeps []metrics.Confusion, paper string) Res
 	}
 	res.Notes = append(res.Notes, "paper @5-minute window: "+paper)
 	mono := true
-	for i := 1; i < len(burstWindows); i++ {
+	for i := 1; i < len(ioaware.Windows); i++ {
 		if sweeps[i].Sensitivity() < sweeps[i-1].Sensitivity()-1e-12 {
 			mono = false
 		}

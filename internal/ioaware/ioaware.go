@@ -1,6 +1,8 @@
 // Package ioaware builds system-level IO forecasts from per-job
 // placements and IO-bandwidth predictions, and scores IO-burst prediction
-// — the paper's §4.3 pipeline feeding an IO-aware scheduler.
+// — the paper's §4 phase 2 feeding an IO-aware scheduler. Forecast is
+// the whole pipeline from predictions to the two series; WindowSweep
+// scores their bursts.
 //
 // The total system IO at a time t is the sum of the (predicted or actual)
 // IO bandwidth of every job running at t. An IO burst is any point where
@@ -121,18 +123,22 @@ func MatchBursts(actual, pred []bool, radius int) metrics.Confusion {
 	return c
 }
 
-// WindowSweep evaluates burst sensitivity and precision across the
-// paper's window sizes (5 to 60 minutes, Figs. 13 and 15). windows are
-// in buckets; radius used is window/2.
-func WindowSweep(actual, pred []bool, windows []int) (sens, prec []float64) {
-	sens = make([]float64, len(windows))
-	prec = make([]float64, len(windows))
-	for i, w := range windows {
-		c := MatchBursts(actual, pred, w/2)
-		sens[i] = c.Sensitivity()
-		prec[i] = c.Precision()
+// Windows are the paper's burst-matching window sizes in minutes
+// (Figs. 13 and 15).
+var Windows = []int{5, 10, 20, 30, 40, 50, 60}
+
+// WindowSweep scores burst prediction at each of Windows, in order, over
+// one-minute series: a burst is a point above the actual series'
+// BurstThreshold, and a window of w minutes matches within ±w/2 buckets.
+// The confusions are counts, so sweeps over several samples add up.
+func WindowSweep(actual, predicted []float64) []metrics.Confusion {
+	thr := BurstThreshold(actual)
+	am, pm := BurstMask(actual, thr), BurstMask(predicted, thr)
+	out := make([]metrics.Confusion, len(Windows))
+	for i, w := range Windows {
+		out[i] = MatchBursts(am, pm, w/2)
 	}
-	return sens, prec
+	return out
 }
 
 // SeriesAccuracy returns the per-bucket relative accuracy (Eq. 1) of a
@@ -151,41 +157,4 @@ func SeriesAccuracy(actual, pred []float64) []float64 {
 		out = append(out, metrics.RelativeAccuracy(actual[i], pred[i]))
 	}
 	return out
-}
-
-// BurstEvent is a maximal run of consecutive above-threshold buckets.
-type BurstEvent struct {
-	Start, End int // bucket indices, [Start, End)
-	Peak       float64
-	MeanBW     float64
-}
-
-// Duration returns the event length in buckets.
-func (b BurstEvent) Duration() int { return b.End - b.Start }
-
-// BurstEvents extracts contiguous burst events from a series given the
-// threshold. An IO-aware scheduler acts on events (defer IO-heavy jobs
-// until the burst passes), not individual minutes.
-func BurstEvents(series []float64, threshold float64) []BurstEvent {
-	var events []BurstEvent
-	var cur *BurstEvent
-	var sum float64
-	for i, v := range series {
-		if v > threshold {
-			if cur == nil {
-				events = append(events, BurstEvent{Start: i, Peak: v})
-				cur = &events[len(events)-1]
-				sum = 0
-			}
-			if v > cur.Peak {
-				cur.Peak = v
-			}
-			sum += v
-			cur.End = i + 1
-			cur.MeanBW = sum / float64(cur.Duration())
-			continue
-		}
-		cur = nil
-	}
-	return events
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -65,7 +66,7 @@ func TestPredictTurnaroundsGarbagePredictor(t *testing.T) {
 			return 1 << 50 // beyond any wall limit
 		}
 	}
-	results, err := PredictTurnarounds(items, SimConfig{Nodes: 8, Backfill: true}, garbage)
+	results, err := PredictTurnarounds(context.Background(), items, SimConfig{Nodes: 8, Backfill: true}, garbage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,23 +58,17 @@ type TurnaroundResult struct {
 //  4. record completion − submission as the predicted turnaround.
 //
 // The real simulation continues with actual runtimes, and the returned
-// results pair each job's real turnaround with its prediction. items
-// must be sorted by Submit time.
+// results, in completion order, pair each job's real turnaround with its
+// prediction. items must be sorted by Submit time. ctx is polled before
+// every submission (each of which triggers a full snapshot simulation),
+// so a canceled run stops within one snapshot.
 //
 // Note that even a perfect runtime predictor does not give perfect
 // turnaround predictions under EASY backfilling: arrivals after the
 // snapshot change shadow times and hence which queued jobs backfill.
 // Under plain FCFS (cfg.Backfill false) perfect runtimes do give exact
 // turnarounds, a property the test suite verifies.
-func PredictTurnarounds(items []Item, cfg SimConfig, pred func(id int) int64) ([]TurnaroundResult, error) {
-	return PredictTurnaroundsCtx(context.Background(), items, cfg, pred)
-}
-
-// PredictTurnaroundsCtx is PredictTurnarounds with cooperative
-// cancellation: the context is polled before every submission (each of
-// which triggers a full snapshot simulation), so a canceled run stops
-// within one snapshot.
-func PredictTurnaroundsCtx(ctx context.Context, items []Item, cfg SimConfig, pred func(id int) int64) ([]TurnaroundResult, error) {
+func PredictTurnarounds(ctx context.Context, items []Item, cfg SimConfig, pred func(id int) int64) ([]TurnaroundResult, error) {
 	sim := NewSimConfig(cfg)
 	predicted := make(map[int]Placement, len(items))
 	for _, it := range items {
@@ -106,16 +100,11 @@ func PredictTurnaroundsCtx(ctx context.Context, items []Item, cfg SimConfig, pre
 }
 
 // Schedule runs items (sorted by submit time) through a simulator with
-// actual runtimes only and returns the placements keyed by job ID. This
-// produces the "real" execution schedule used as perfect turnaround
-// knowledge in the paper's first system-IO evaluation.
-func Schedule(items []Item, cfg SimConfig) (map[int]Placement, error) {
-	return ScheduleCtx(context.Background(), items, cfg)
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation, polled per
-// submission.
-func ScheduleCtx(ctx context.Context, items []Item, cfg SimConfig) (map[int]Placement, error) {
+// actual runtimes only and returns the placements in completion order.
+// This is the "real" execution schedule used as perfect turnaround
+// knowledge in the paper's first system-IO evaluation. ctx is polled
+// per submission.
+func Schedule(ctx context.Context, items []Item, cfg SimConfig) ([]Placement, error) {
 	sim := NewSimConfig(cfg)
 	for _, it := range items {
 		if err := ctx.Err(); err != nil {
@@ -125,9 +114,5 @@ func ScheduleCtx(ctx context.Context, items []Item, cfg SimConfig) (map[int]Plac
 			return nil, err
 		}
 	}
-	out := make(map[int]Placement, len(items))
-	for _, p := range sim.Drain() {
-		out[p.ID] = p
-	}
-	return out, nil
+	return sim.Drain(), nil
 }

@@ -221,13 +221,6 @@ func (s *Sim) schedule() {
 	s.queue = kept
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Clone deep-copies the simulator state — the paper's snapshot step.
 // Completed placements are not carried over (the snapshot only needs the
 // queued and running jobs).

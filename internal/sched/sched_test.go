@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -253,7 +254,7 @@ func TestPredictTurnaroundsPerfectPredictorFCFS(t *testing.T) {
 		runtimes[i] = r
 		items = append(items, Item{ID: i, Submit: clock, Nodes: 1 + rng.Intn(8), RuntimeSec: r})
 	}
-	res, err := PredictTurnarounds(items, SimConfig{Nodes: 16}, func(id int) int64 { return runtimes[id] })
+	res, err := PredictTurnarounds(context.Background(), items, SimConfig{Nodes: 16}, func(id int) int64 { return runtimes[id] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestPredictTurnaroundsPerfectPredictorBackfillClose(t *testing.T) {
 		runtimes[i] = r
 		items = append(items, Item{ID: i, Submit: clock, Nodes: 1 + rng.Intn(8), RuntimeSec: r})
 	}
-	res, err := PredictTurnarounds(items, SimConfig{Nodes: 16, Backfill: true},
+	res, err := PredictTurnarounds(context.Background(), items, SimConfig{Nodes: 16, Backfill: true},
 		func(id int) int64 { return runtimes[id] })
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +319,7 @@ func TestPredictTurnaroundsBiasedPredictor(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		items = append(items, Item{ID: i, Submit: int64(i), Nodes: 4, RuntimeSec: 100})
 	}
-	res, err := PredictTurnarounds(items, SimConfig{Nodes: 4, Backfill: true}, func(id int) int64 { return 400 })
+	res, err := PredictTurnarounds(context.Background(), items, SimConfig{Nodes: 4, Backfill: true}, func(id int) int64 { return 400 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,16 +342,16 @@ func TestScheduleProducesAllPlacements(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		items = append(items, Item{ID: i, Submit: int64(i * 5), Nodes: 2, RuntimeSec: 60})
 	}
-	got, err := Schedule(items, SimConfig{Nodes: 8, Backfill: true})
+	got, err := Schedule(context.Background(), items, SimConfig{Nodes: 8, Backfill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 50 {
 		t.Fatalf("%d placements", len(got))
 	}
-	for id, p := range got {
-		if p.Start < items[id].Submit {
-			t.Fatalf("job %d starts before submission", id)
+	for _, p := range got {
+		if p.Start < items[p.ID].Submit {
+			t.Fatalf("job %d starts before submission", p.ID)
 		}
 	}
 }
